@@ -29,7 +29,7 @@ import numpy as np
 
 from . import affine, jets
 from .jets import Jet2
-from .surface import Poly, Rect
+from .surface import Poly, Rect, poly_jets, poly_values
 
 __all__ = [
     "BDEField",
@@ -40,7 +40,6 @@ __all__ = [
     "field_from_polynomials",
     "monge_extended_field",
     "torus_extended_field",
-    "lmn_field",
     "conormal_euclidean_field",
     "folded_model_field",
     "morse_model_field",
@@ -97,15 +96,15 @@ class LiftedState:
 
 
 def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
-    pa = pa if isinstance(pa, Poly) else Poly(pa)
-    pb = pb if isinstance(pb, Poly) else Poly(pb)
-    pc = pc if isinstance(pc, Poly) else Poly(pc)
+    """Field with polynomial (A, B, C); each call evaluates all three at once
+    from their compiled derivative tables."""
+    polys = tuple(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
 
     def coeff(u, v):
-        return pa(u, v), pb(u, v), pc(u, v)
+        return poly_values(polys, u, v)
 
     def jet_coeff(u, v, order=2):
-        return pa.jet(u, v, order), pb.jet(u, v, order), pc.jet(u, v, order)
+        return poly_jets(polys, u, v, order)
 
     return BDEField(coeff, jet_coeff, domain, name)
 
@@ -189,29 +188,6 @@ def torus_extended_field(R, r, domain=None):
                     period=(2 * math.pi, 2 * math.pi))
 
 
-def lmn_field(surf, guard=1e-8):
-    """Third-form coefficient field (l, m, n) via the frame pipeline.
-
-    Undefined within ``guard`` of the Euclidean parabolic set; use the
-    extended field to cross it.
-    """
-
-    def coeff(u, v):
-        fr = affine.frame_jets(surf, u, v, order=4, guard=guard, honor_excluded=False)
-        l = affine.dot(fr["nu_u"], fr["xi_u"]).value
-        m = affine.dot(fr["nu_u"], fr["xi_v"]).value
-        n = affine.dot(fr["nu_v"], fr["xi_v"]).value
-        return l, m, n
-
-    def jet_coeff(u, v, order=2):
-        fr = affine.frame_jets(surf, u, v, order=4 + order, guard=guard, honor_excluded=False)
-        return (affine.dot(fr["nu_u"], fr["xi_u"]),
-                affine.dot(fr["nu_u"], fr["xi_v"]),
-                affine.dot(fr["nu_v"], fr["xi_v"]))
-
-    return BDEField(coeff, jet_coeff, surf.domain, f"lmn({surf.describe()})")
-
-
 def conormal_euclidean_field(surf, guard=1e-8):
     """Euclidean second-form coefficients of the conormal image, as functions
     of the source parameters (u, v): the direction equation of the Euclidean
@@ -249,8 +225,6 @@ def extended_field_for(surf):
     if surf.kind == "monge":
         return monge_extended_field(surf)
     # generic parametric: clear the same |LN - M^2| powers as the Monge case
-    base = lmn_field(surf)
-
     def coeff(u, v):
         fr = affine.frame_jets(surf, u, v, order=4, honor_excluded=False)
         l = affine.dot(fr["nu_u"], fr["xi_u"]).value

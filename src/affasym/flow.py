@@ -85,12 +85,6 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-def _soft_velocity(fld, state, eta):
-    X = bde.lie_cartan(fld, state)
-    n = math.sqrt(float(X @ X))
-    return X / math.sqrt(n * n + eta * eta), n
-
-
 def _project_slope(fld, u, v, slope, chart, iters=1):
     A, B, C = (float(x) for x in fld.coeff(u, v))
     scale = max(abs(A), abs(B), abs(C), 1e-30)

@@ -30,11 +30,6 @@ __all__ = [
     "MAX_ORDER",
     "DEFAULT_EPS",
     "jet_seed",
-    "jet_constant",
-    "jet_add",
-    "jet_sub",
-    "jet_mul",
-    "jet_scale",
     "jet_div",
     "jet_apply_unary",
     "sin",
@@ -274,26 +269,6 @@ class Jet2:
 
 def jet_seed(which, value, order=DEFAULT_ORDER):
     return Jet2.variable(which, value, order)
-
-
-def jet_constant(value, order=DEFAULT_ORDER):
-    return Jet2.constant(value, order)
-
-
-def jet_add(a, b):
-    return a + b
-
-
-def jet_sub(a, b):
-    return a - b
-
-
-def jet_mul(a, b):
-    return a * b
-
-
-def jet_scale(a, s):
-    return a * s
 
 
 def jet_div(a, b, eps=DEFAULT_EPS):

@@ -33,7 +33,7 @@ __all__ = [
     "Num", "Const", "Var", "Unary", "Bin", "Pow",
     "parse_expression", "pretty",
     "eval_expression_jet",
-    "as_polynomial", "poly_eval_jet",
+    "as_polynomial", "poly_values", "poly_jets", "poly_eval_jet",
     "Rect", "Band", "SurfaceDef", "PickParams",
     "catalog_surface", "monge_surface", "parametric_surface",
     "surface_from_config", "load_surface_config",
@@ -297,13 +297,13 @@ def eval_expression_jet(node, uj, vj, eps=jets.DEFAULT_EPS):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-# -- polynomial fast path ----------------------------------------------------
+# -- polynomials -------------------------------------------------------------
 
 
 def as_polynomial(node):
     """Monomial dict {(i, j): coeff} if the AST is polynomial, else None."""
     try:
-        return _poly(node)
+        return _to_poly(node).terms
     except _NotPolynomial:
         return None
 
@@ -312,57 +312,31 @@ class _NotPolynomial(Exception):
     pass
 
 
-def _poly(node):
+def _to_poly(node):
+    """Evaluate an AST in the ``Poly`` ring; raise _NotPolynomial where it
+    leaves the ring."""
     if isinstance(node, Num):
-        return {(0, 0): node.value} if node.value != 0 else {}
+        return Poly.const(node.value)
     if isinstance(node, Const):
-        return {(0, 0): math.pi}
+        return Poly.const(math.pi)
     if isinstance(node, Var):
-        return {(1, 0) if node.name == "u" else (0, 1): 1.0}
-    if isinstance(node, Unary):
-        if node.fn != "neg":
-            raise _NotPolynomial
-        return {k: -c for k, c in _poly(node.arg).items()}
+        return Poly({(1, 0) if node.name == "u" else (0, 1): 1.0})
+    if isinstance(node, Unary) and node.fn == "neg":
+        return -_to_poly(node.arg)
     if isinstance(node, Bin):
-        a = _poly(node.left)
-        if node.op == "/":
-            b = _poly(node.right)
-            if set(b) - {(0, 0)}:
-                raise _NotPolynomial
-            d = b.get((0, 0), 0.0)
-            if d == 0:
-                raise _NotPolynomial
-            return {k: c / d for k, c in a.items()}
-        b = _poly(node.right)
+        a, b = _to_poly(node.left), _to_poly(node.right)
         if node.op == "+":
-            out = dict(a)
-            for k, c in b.items():
-                out[k] = out.get(k, 0.0) + c
-            return out
+            return a + b
         if node.op == "-":
-            out = dict(a)
-            for k, c in b.items():
-                out[k] = out.get(k, 0.0) - c
-            return out
-        out = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return out
-    if isinstance(node, Pow):
-        if node.den != 1 or node.num < 0:
+            return a - b
+        if node.op == "*":
+            return a * b
+        if set(b.terms) != {(0, 0)}:
             raise _NotPolynomial
-        base = _poly(node.base)
-        out = {(0, 0): 1.0}
-        for _ in range(node.num):
-            nxt = {}
-            for (i1, j1), c1 in out.items():
-                for (i2, j2), c2 in base.items():
-                    k = (i1 + i2, j1 + j2)
-                    nxt[k] = nxt.get(k, 0.0) + c1 * c2
-            out = nxt
-        return out
+        d = b.terms[(0, 0)]
+        return Poly({k: c / d for k, c in a.terms.items()})
+    if isinstance(node, Pow) and node.den == 1 and node.num >= 0:
+        return math.prod([_to_poly(node.base)] * node.num, start=Poly.const(1.0))
     raise _NotPolynomial
 
 
@@ -371,13 +345,17 @@ class Poly:
 
     Lets the closed-form invariant expressions run unchanged over
     polynomials, producing exact coefficient tables once instead of jet
-    chains per evaluation point.
+    chains per evaluation point.  Evaluation goes through derivative tables
+    compiled once per jet order (``table``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "degree", "_tables")
 
     def __init__(self, terms=None):
         self.terms = {k: float(c) for k, c in (terms or {}).items() if c != 0}
+        self.degree = (max((i for i, _ in self.terms), default=0),
+                       max((j for _, j in self.terms), default=0))
+        self._tables = {}
 
     @staticmethod
     def const(c):
@@ -399,6 +377,22 @@ class Poly:
         for _ in range(b):
             p = p.diff("v")
         return p
+
+    def table(self, order):
+        """Derivative table of the order-``order`` jet, compiled on first use.
+
+        One entry list per jet slot (a, b), in the slot order of ``Jet2``:
+        the monomial c u^i v^j with i >= a and j >= b contributes
+        (c i!/(i-a)! j!/(j-b)!, i-a, j-b) to the raw partial d^(a+b)/du^a dv^b.
+        """
+        tab = self._tables.get(order)
+        if tab is None:
+            slots = [(a, g - a) for g in range(order + 1) for a in range(g, -1, -1)]
+            tab = self._tables[order] = [
+                [(c * math.perm(i, a) * math.perm(j, b), i - a, j - b)
+                 for (i, j), c in self.terms.items() if i >= a and j >= b]
+                for (a, b) in slots]
+        return tab
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -437,44 +431,74 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        acc = 0.0
-        for (i, j), c in self.terms.items():
-            acc = acc + c * u ** i * v ** j
-        return acc + np.zeros(np.broadcast_shapes(u.shape, v.shape))
-
-    def jet(self, u, v, order=jets.DEFAULT_ORDER):
-        return poly_eval_jet(self.terms, u, v, order)
+        return poly_values((self,), u, v)[0]
 
     def __repr__(self):
         return f"Poly({_poly_pretty(self.terms)})"
 
 
-def poly_eval_jet(poly, u, v, order=jets.DEFAULT_ORDER):
-    """Exact jet of a polynomial at (u, v) by direct partial evaluation.
+def _powers(x, n):
+    """[x**0, ..., x**n] for a float or an array x, each rounded as numpy
+    rounds ``x ** k``.  numpy's power loop and the C library's ``pow`` can
+    differ in the last bit, and a point must give the same bits on its own
+    as inside a batch.  x**0 and x**1 stay the scalar 1.0 and x itself, so a
+    batch allocates no array for them."""
+    pw = [1.0, x, x * x][: n + 1]
+    if n > 2 and isinstance(x, float):
+        pw += (np.asarray(x) ** np.arange(3.0, n + 1)).tolist()
+    elif n > 2:
+        pw += [x ** k for k in range(3, n + 1)]
+    return pw
 
-    Raw partial (a, b) of c u^i v^j is c i!/(i-a)! j!/(j-b)! u^(i-a) v^(j-b).
-    Much faster than walking an AST and exact for every order.
+
+def _slot_arrays(polys, u, v, order):
+    """Jet slots of several polynomials at (u, v), stacked in one array of
+    shape (polynomials * slots,) + batch shape: the one polynomial evaluator.
+
+    Each power of u and of v is computed once per call and shared by every
+    table entry of every polynomial.  A scalar point sums on Python floats, a
+    batch in place on numpy arrays; both add the same terms in the same order.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    n = (order + 1) * (order + 2) // 2
-    c = np.zeros((n,) + shape)
-    slot = 0
-    for g in range(order + 1):
-        for a in range(g, -1, -1):
-            b = g - a
+    tabs = [entries for p in polys for entries in p.table(order)]
+    du = max([p.degree[0] for p in polys])
+    dv = max([p.degree[1] for p in polys])
+    if isinstance(u, float) and isinstance(v, float):
+        pu, pv = _powers(float(u), du), _powers(float(v), dv)
+        vals = []
+        for entries in tabs:
             acc = 0.0
-            for (i, j), coef in poly.items():
-                if i < a or j < b:
-                    continue
-                w = coef * math.perm(i, a) * math.perm(j, b)
-                acc = acc + w * u ** (i - a) * v ** (j - b)
-            c[slot] = acc
-            slot += 1
-    return Jet2(order, c)
+            for w, i, j in entries:
+                acc = acc + w * pu[i] * pv[j]
+            vals.append(acc)
+        return np.array(vals)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    pu, pv = _powers(u, du), _powers(v, dv)
+    c = np.zeros((len(tabs),) + np.broadcast_shapes(u.shape, v.shape))
+    term = np.empty(c.shape[1:])
+    for k, entries in enumerate(tabs):
+        acc = c[k, ...]
+        for w, i, j in entries:
+            np.multiply(w, pu[i], out=term)
+            term *= pv[j]
+            acc += term
+    return c
+
+
+def poly_values(polys, u, v):
+    """Values of several polynomials at one point or a batch, in one pass."""
+    return tuple(_slot_arrays(polys, u, v, 0))
+
+
+def poly_jets(polys, u, v, order=jets.DEFAULT_ORDER):
+    """Exact jets of several polynomials at one point or a batch, in one pass."""
+    c = _slot_arrays(polys, u, v, order)
+    n = len(c) // len(polys)
+    return tuple(Jet2(order, c[k:k + n]) for k in range(0, len(c), n))
+
+
+def poly_eval_jet(poly, u, v, order=jets.DEFAULT_ORDER):
+    """Exact jet of one polynomial (a ``Poly`` or a monomial dict) at (u, v)."""
+    return poly_jets((poly if isinstance(poly, Poly) else Poly(poly),), u, v, order)[0]
 
 
 def _poly_pretty(poly):
@@ -577,6 +601,7 @@ class SurfaceDef:
         if polys is None and exprs is not None:
             polys = tuple(as_polynomial(e) for e in exprs)
         self.polys = polys
+        self._compiled = tuple(None if p is None else Poly(p) for p in polys) if polys else None
         self.periodic = (False, False)
         self.period_u = None
         self.period_v = None
@@ -593,8 +618,8 @@ class SurfaceDef:
                     raise EvalError(f"point inside excluded band {band}")
 
     def _component_jet(self, k, u, v, order):
-        if self.polys is not None and self.polys[k] is not None:
-            return poly_eval_jet(self.polys[k], u, v, order)
+        if self._compiled is not None and self._compiled[k] is not None:
+            return poly_eval_jet(self._compiled[k], u, v, order)
         uj = Jet2.variable("u", u, order)
         vj = Jet2.variable("v", v, order)
         return eval_expression_jet(self.exprs[k], uj, vj)

@@ -251,3 +251,65 @@ def test_torus_field_analytic_jets_match_generic_chain():
                 bc = b.coeffs if hasattr(b, "coeffs") else np.zeros_like(a.coeffs)
                 assert np.max(np.abs(a.coeffs - bc)) < 1e-9 * max(
                     1.0, float(np.max(np.abs(a.coeffs))))
+
+
+_HEIGHT_PARTIALS = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
+                    (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+
+
+def _extended_case(cat_id, params):
+    # (A, B, C) = -(bl, bm, bn), built here from the height polynomial
+    surf = sf.catalog_surface(cat_id, params)
+    h = sf.Poly(surf.polys[0])
+    bl, bm, bn, _ = af.lmn_numerators(*(h.partial(i, j) for (i, j) in _HEIGHT_PARTIALS))
+    return bde.extended_field_for(surf), [(-p).terms for p in (bl, bm, bn)]
+
+
+_POLY_FIELDS = {
+    "pick": lambda: _extended_case(
+        "pick", {"epsilon": 1, "sigma": 0.9, "q": {(4, 0): 0.5, (0, 4): 1.5, (2, 2): 1.12}}),
+    "cusp_gauss": lambda: _extended_case(
+        "cusp_gauss", {"q": {(2, 1): 1.0, (4, 0): 0.1, (0, 3): 0.3, (3, 2): -0.4}}),
+    "flat_umbilic_chart": lambda: _extended_case(
+        "flat_umbilic_chart", {"epsilon": -1, "q": {(4, 0): 0.2, (2, 3): -0.5}}),
+    "folded": lambda: (bde.folded_model_field(0.7),
+                       [{(2, 0): 0.7, (0, 1): -1.0}, {}, {(0, 0): 1.0}]),
+    "morse": lambda: (bde.morse_model_field(-1), [{(0, 1): 1.0}, {(1, 0): 1.0}, {(0, 1): 1.0}]),
+}
+
+
+def _direct_partial(terms, a, b, u, v):
+    return sum(c * math.perm(i, a) * math.perm(j, b) * u ** (i - a) * v ** (j - b)
+               for (i, j), c in terms.items() if i >= a and j >= b)
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+def test_compiled_polynomial_field_matches_direct_formula(name):
+    fld, polys = _POLY_FIELDS[name]()
+    d = fld.domain
+    rng = np.random.default_rng(23)
+    for shape in [(), (6,), (3, 4)]:
+        u, v = rng.uniform(d.u0, d.u1, shape), rng.uniform(d.v0, d.v1, shape)
+        if shape == ():
+            u, v = float(u), float(v)
+        for order in range(5):
+            for jet, terms in zip(fld.jet_coeff(u, v, order), polys):
+                assert jet.order == order and np.shape(jet.value) == shape
+                for g in range(order + 1):
+                    for a in range(g, -1, -1):
+                        ref = _direct_partial(terms, a, g - a, u, v)
+                        assert np.all(np.abs(jet.partial(a, g - a) - ref) < 1e-12)
+        for value, terms in zip(fld.coeff(u, v), polys):
+            ref = _direct_partial(terms, 0, 0, u, v)
+            assert np.shape(value) == shape
+            assert np.all(np.abs(value - ref) < 1e-12)
+
+    # one point gives the same bits alone as inside a batch
+    U, V = rng.uniform(d.u0, d.u1, (3, 4)), rng.uniform(d.v0, d.v1, (3, 4))
+    batch_jets, batch_values = fld.jet_coeff(U, V, 4), fld.coeff(U, V)
+    for idx in np.ndindex(U.shape):
+        u, v = float(U[idx]), float(V[idx])
+        for bj, sj in zip(batch_jets, fld.jet_coeff(u, v, 4)):
+            assert np.array_equal(bj.coeffs[(slice(None),) + idx], sj.coeffs)
+        for bv, sv in zip(batch_values, fld.coeff(u, v)):
+            assert bv[idx] == sv

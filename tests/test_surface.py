@@ -191,3 +191,16 @@ def test_rational_exponent_eval():
     assert float(h.value) == pytest.approx(w ** 0.25, rel=1e-14)
     # d/du (w^(1/4)) = (1/4) w^(-3/4) * 2u
     assert float(h.partial(1, 0)) == pytest.approx(0.25 * w ** -0.75 * 0.4, rel=1e-12)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-(u - 2*v)^2/4", {(2, 0): -0.25, (1, 1): 1.0, (0, 2): -1.0}),
+    ("pi*v^0 + u*1e-3", {(0, 0): math.pi, (1, 0): 1e-3}),
+    ("sin(u)", None),
+    ("u/v", None),
+    ("u/0", None),
+    ("u^(1/2)", None),
+    ("u^-1", None),
+])
+def test_as_polynomial_ring(text, expected):
+    assert sf.as_polynomial(sf.parse_expression(text)) == expected
