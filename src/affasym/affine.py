@@ -40,13 +40,12 @@ __all__ = [
     "third_form_and_shape",
     "affine_point_data",
     "frame_jets",
+    "lmn_from_frame",
     "monge_lmn_closed_form",
     "extended_bde_coeffs",
     "lmn_numerators",
     "torus_extended_bde",
     "affine_normal_curvature",
-    "classify_euclidean",
-    "classify_affine",
     "cross", "dot", "det3",
 ]
 
@@ -134,24 +133,6 @@ class AffinePointData:
         return out
 
 
-def classify_euclidean(K, tol=K_ZERO_TOL):
-    K = float(K)
-    if K > tol:
-        return "elliptic"
-    if K < -tol:
-        return "hyperbolic"
-    return "parabolic"
-
-
-def classify_affine(K_aff, tol=K_ZERO_TOL):
-    K_aff = float(K_aff)
-    if K_aff > tol:
-        return "affine elliptic"
-    if K_aff < -tol:
-        return "affine hyperbolic"
-    return "affine parabolic"
-
-
 def euclidean_data(position_jets, k_zero_tol=K_ZERO_TOL, data=None):
     """First/second form scalars from order->=2 position jets (batch-capable)."""
     al = position_jets
@@ -237,6 +218,13 @@ def frame_jets(surface, u, v, order=jets.DEFAULT_ORDER, guard=jets.DEFAULT_EPS,
     out["xi_u"] = tuple(c.du() for c in xi)
     out["xi_v"] = tuple(c.dv() for c in xi)
     return out
+
+
+def lmn_from_frame(fr):
+    """Third-form jets (l, m, n) = (<nu_u, xi_u>, <nu_u, xi_v>, <nu_v, xi_v>)
+    of a full-depth ``frame_jets`` result."""
+    return (dot(fr["nu_u"], fr["xi_u"]), dot(fr["nu_u"], fr["xi_v"]),
+            dot(fr["nu_v"], fr["xi_v"]))
 
 
 def blaschke_conormal_frame(surface, u, v, guard=jets.DEFAULT_EPS,

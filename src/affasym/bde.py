@@ -49,6 +49,7 @@ __all__ = [
     "lift_state",
     "f_residual",
     "lie_cartan",
+    "lifted_derivatives",
     "lie_cartan_jacobian",
     "trace_zero_set",
     "polylines_to_csv",
@@ -227,20 +228,14 @@ def extended_field_for(surf):
     # generic parametric: clear the same |LN - M^2| powers as the Monge case
     def coeff(u, v):
         fr = affine.frame_jets(surf, u, v, order=4, honor_excluded=False)
-        l = affine.dot(fr["nu_u"], fr["xi_u"]).value
-        m = affine.dot(fr["nu_u"], fr["xi_v"]).value
-        n = affine.dot(fr["nu_v"], fr["xi_v"]).value
         d2 = 16.0 * fr["D"].value ** 2
-        return d2 * l, d2 * m, d2 * n
+        return tuple(d2 * c.value for c in affine.lmn_from_frame(fr))
 
     def jet_coeff(u, v, order=2):
         fr = affine.frame_jets(surf, u, v, order=4 + order, honor_excluded=False)
-        l = affine.dot(fr["nu_u"], fr["xi_u"])
-        m = affine.dot(fr["nu_u"], fr["xi_v"])
-        n = affine.dot(fr["nu_v"], fr["xi_v"])
-        d2 = fr["D"] * fr["D"] * 16.0
-        d2 = d2.truncate(l.order)
-        return d2 * l, d2 * m, d2 * n
+        lmn = affine.lmn_from_frame(fr)
+        d2 = (fr["D"] * fr["D"] * 16.0).truncate(lmn[0].order)
+        return tuple(d2 * c for c in lmn)
 
     return BDEField(coeff, jet_coeff, surf.domain, f"extended({surf.describe()})")
 
@@ -344,10 +339,9 @@ def lie_cartan(field, state):
     return lie_cartan_scaled(field, state)[0]
 
 
-def lie_cartan_jacobian(field, state):
-    """3x3 Jacobian of the lifted field at the state, in (u, v, slope) order."""
-    field.require_jets()
-    Aj, Bj, Cj = field.jet_coeff(state.u, state.v, 2)
+def lifted_derivatives(Aj, Bj, Cj, state):
+    """F, its gradient (F_u, F_v, F_slope) and the 3x3 Jacobian of the lifted
+    field in (u, v, slope) order, at the state, from order-2 jets of (A, B, C)."""
     s = state.slope
 
     def pp(j, a, b):
@@ -360,6 +354,8 @@ def lie_cartan_jacobian(field, state):
     Auv, Buv, Cuv = pp(Aj, 1, 1), pp(Bj, 1, 1), pp(Cj, 1, 1)
     Avv, Bvv, Cvv = pp(Aj, 0, 2), pp(Bj, 0, 2), pp(Cj, 0, 2)
     if state.chart == "p":
+        F = A0 + 2 * B0 * s + C0 * s * s
+        Fu = Au + 2 * Bu * s + Cu * s * s
         Fv = Av + 2 * Bv * s + Cv * s * s
         Fp = 2 * B0 + 2 * C0 * s
         Fuu = Auu + 2 * Buu * s + Cuu * s * s
@@ -368,12 +364,15 @@ def lie_cartan_jacobian(field, state):
         Fpu = 2 * Bu + 2 * Cu * s
         Fpv = 2 * Bv + 2 * Cv * s
         Fpp = 2 * C0
-        return np.array([
+        J = np.array([
             [Fpu, Fpv, Fpp],
             [s * Fpu, s * Fpv, Fp + s * Fpp],
             [-(Fuu + s * Fuv), -(Fuv + s * Fvv), -(Fpu + Fv + s * Fpv)],
         ])
+        return F, (Fu, Fv, Fp), J
+    F = A0 * s * s + 2 * B0 * s + C0
     Fu = Au * s * s + 2 * Bu * s + Cu
+    Fv = Av * s * s + 2 * Bv * s + Cv
     Fq = 2 * A0 * s + 2 * B0
     Fuu = Auu * s * s + 2 * Buu * s + Cuu
     Fuv = Auv * s * s + 2 * Buv * s + Cuv
@@ -381,11 +380,18 @@ def lie_cartan_jacobian(field, state):
     Fqu = 2 * Au * s + 2 * Bu
     Fqv = 2 * Av * s + 2 * Bv
     Fqq = 2 * A0
-    return np.array([
+    J = np.array([
         [s * Fqu, s * Fqv, Fq + s * Fqq],
         [Fqu, Fqv, Fqq],
         [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fqv + Fu + s * Fqu)],
     ])
+    return F, (Fu, Fv, Fq), J
+
+
+def lie_cartan_jacobian(field, state):
+    """3x3 Jacobian of the lifted field at the state, in (u, v, slope) order."""
+    field.require_jets()
+    return lifted_derivatives(*field.jet_coeff(state.u, state.v, 2), state)[2]
 
 
 # -- implicit-curve tracing ----------------------------------------------------

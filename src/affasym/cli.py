@@ -313,10 +313,7 @@ def _verify_checks():
                     continue
                 v = float(rng.uniform(0, 2 * math.pi))
                 fr = affine.frame_jets(surf, u, v, order=4, honor_excluded=False)
-                trip = np.array([
-                    float(affine.dot(fr["nu_u"], fr["xi_u"]).value),
-                    float(affine.dot(fr["nu_u"], fr["xi_v"]).value),
-                    float(affine.dot(fr["nu_v"], fr["xi_v"]).value)])
+                trip = np.array([float(c.value) for c in affine.lmn_from_frame(fr)])
                 closed = np.array([float(x) for x in affine.torus_extended_bde(R, r, u)])
                 t = float(trip @ closed / (closed @ closed))
                 assert t > 0, f"factor not positive at u={u}"
@@ -517,13 +514,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    workers = os.environ.get("AFFASYM_THREADS")
-    if workers is not None:
-        try:
-            int(workers)
-        except ValueError:
-            print("AFFASYM_THREADS must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
     try:
         return args.fn(args)
     except ConfigError as exc:

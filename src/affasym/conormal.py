@@ -220,9 +220,7 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
     rows = []
     for (u, v) in sample_points:
         fr = affine.frame_jets(surf, u, v, order=4, guard=guard, honor_excluded=False)
-        l = float(affine.dot(fr["nu_u"], fr["xi_u"]).value)
-        m = float(affine.dot(fr["nu_u"], fr["xi_v"]).value)
-        n = float(affine.dot(fr["nu_v"], fr["xi_v"]).value)
+        l, m, n = (float(c.value) for c in affine.lmn_from_frame(fr))
         (e, f, g), nvec = second_form_of_conormal(surf, u, v, guard)
         xi = np.array([float(c.value) for c in fr["xi"]])
         xin = xi / np.linalg.norm(xi)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,7 +379,7 @@ class Portrait:
 
 
 def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resolution=192,
-                   surf=None, detect=True, ring_seeds=8, ring_radius=0.05):
+                   detect=True, ring_seeds=8, ring_radius=0.05):
     """Full phase portrait of the asymptotic net of a field or a surface.
 
     ``source`` is a coefficient field or a surface (in which case the
@@ -388,6 +387,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     grid (cells with negative discriminant are skipped), plus a ring of seeds
     around each located singular point.  Deterministic for fixed inputs.
     """
+    surf = None
     if isinstance(source, BDEField):
         fld = source
     else:
@@ -397,44 +397,21 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     fld = BDEField(fld.coeff, fld.jet_coeff, region, fld.name, fld.period)
     params = params or IntegrationParams()
 
-    sets = {}
-    disc_polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
-                                    region, trace_resolution)
-    sets["discriminant"] = disc_polys
     reports = []
     if surf is not None and detect:
+        sets = singular.singular_sets(surf, fld, region, trace_resolution)
         try:
-            reports.extend(singular.detect_special_points(surf, region, trace_resolution))
+            reports.extend(singular.detect_special_points(surf, fld, sets, region,
+                                                          trace_resolution))
         except Exception:
             pass
-        from . import affine as af
-
-        if surf.kind == "monge":
-            def kscalar(u, v):
-                hj = surf.height_jet(u, v, order=2, check=False)
-                return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
-        else:
-            def kscalar(u, v):
-                al = surf.eval_jets(u, v, order=2, check=False)
-                au = tuple(c.du() for c in al)
-                av = tuple(c.dv() for c in al)
-                L = af.det3(au, av, tuple(c.du() for c in au))
-                M = af.det3(au, av, tuple(c.dv() for c in au))
-                N = af.det3(au, av, tuple(c.dv() for c in av))
-                return (L * N - M * M).value
-        sets["parabolic"] = bde.trace_zero_set(kscalar, region, trace_resolution)
-        # components of the discriminant away from the parabolic set form the
-        # degenerate locus of the third form itself
-        kscale = np.nanmax(np.abs(np.asarray(kscalar(
-            np.linspace(region.u0, region.u1, 33),
-            np.linspace(region.v0, region.v1, 33))))) or 1.0
-        aff_par = []
-        rest = []
-        for poly in disc_polys:
-            ks = np.abs(np.asarray(kscalar(poly[:, 0], poly[:, 1])))
-            (aff_par if np.median(ks) > 1e-7 * kscale else rest).append(poly)
-        sets["affine_parabolic"] = aff_par
-        sets["discriminant"] = rest
+        # the whole extended discriminant; find_folded_points sorts its
+        # candidates, so the order of the components does not matter
+        disc_polys = sets["affine_parabolic"] + sets["discriminant"]
+    else:
+        disc_polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
+                                        region, trace_resolution)
+        sets = {"discriminant": disc_polys}
     # folded points on the discriminant
     try:
         for pt in singular.find_folded_points(fld, disc_polys):
@@ -455,7 +432,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
             seeds.append((rep.location[0] + ring_radius * math.cos(ang),
                           rep.location[1] + ring_radius * math.sin(ang)))
 
-    jobs = []
+    trajectories = []
     for (su, sv) in seeds:
         if not bool(region.contains(su, sv)):
             continue
@@ -463,23 +440,11 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
             continue
         for fam in ("plus", "minus"):
             for sweep in (1, -1):
-                jobs.append((su, sv, fam, sweep))
-
-    def run_job(job):
-        su, sv, fam, sweep = job
-        try:
-            return integrate_asymptotic(fld, (su, sv), fam, params, sweep)
-        except (NoDirectionError, ArithmeticError, bde.CapabilityError):
-            return None
-
-    workers = int(os.environ.get("AFFASYM_THREADS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))  # ordered: deterministic
-    else:
-        results = [run_job(job) for job in jobs]
-    trajectories = [t for t in results if t is not None]
+                try:
+                    trajectories.append(
+                        integrate_asymptotic(fld, (su, sv), fam, params, sweep))
+                except (NoDirectionError, ArithmeticError, bde.CapabilityError):
+                    pass
     reports.sort(key=lambda r: (r.kind, r.location))
     return Portrait(region, trajectories, sets, reports)
 

@@ -41,6 +41,7 @@ __all__ = [
     "find_folded_points",
     "classify_folded",
     "classify_flat_affine_umbilic",
+    "singular_sets",
     "detect_special_points",
     "classify_flat_euclid_umbilic",
     "blowup_radial_coeffs",
@@ -170,47 +171,16 @@ def _newton_fold(fld, u, v, iters, residual_tol):
         except Exception:
             return None
         s = state.slope
-
-        def pp(j, a, b):
-            return float(j.partial(a, b))
-
-        A0, B0, C0 = pp(Aj, 0, 0), pp(Bj, 0, 0), pp(Cj, 0, 0)
-        Au, Bu, Cu = pp(Aj, 1, 0), pp(Bj, 1, 0), pp(Cj, 1, 0)
-        Av, Bv, Cv = pp(Aj, 0, 1), pp(Bj, 0, 1), pp(Cj, 0, 1)
-        Auu, Buu, Cuu = pp(Aj, 2, 0), pp(Bj, 2, 0), pp(Cj, 2, 0)
-        Auv, Buv, Cuv = pp(Aj, 1, 1), pp(Bj, 1, 1), pp(Cj, 1, 1)
-        Avv, Bvv, Cvv = pp(Aj, 0, 2), pp(Bj, 0, 2), pp(Cj, 0, 2)
+        Fval, (Fu, Fv, Fs), Jx = bde.lifted_derivatives(Aj, Bj, Cj, state)
+        # rows: gradient of F, gradient of F_slope, gradient of G = -X_3
         if chart == "p":
-            Fval = A0 + 2 * B0 * s + C0 * s * s
-            Fu = Au + 2 * Bu * s + Cu * s * s
-            Fv = Av + 2 * Bv * s + Cv * s * s
-            Fs = 2 * B0 + 2 * C0 * s
             G = Fu + s * Fv
-            rows = [
-                [Fu, Fv, Fs],
-                [2 * Bu + 2 * Cu * s, 2 * Bv + 2 * Cv * s, 2 * C0],
-                [Auu + 2 * Buu * s + Cuu * s * s + s * (Auv + 2 * Buv * s + Cuv * s * s),
-                 Auv + 2 * Buv * s + Cuv * s * s + s * (Avv + 2 * Bvv * s + Cvv * s * s),
-                 (2 * Bu + 2 * Cu * s) + Fv + s * (2 * Bv + 2 * Cv * s)],
-            ]
+            rows = [[Fu, Fv, Fs], Jx[0], -Jx[2]]
         else:
-            Fval = A0 * s * s + 2 * B0 * s + C0
-            Fu = Au * s * s + 2 * Bu * s + Cu
-            Fv = Av * s * s + 2 * Bv * s + Cv
-            Fs = 2 * A0 * s + 2 * B0
-            Fuu = Auu * s * s + 2 * Buu * s + Cuu
-            Fuv = Auv * s * s + 2 * Buv * s + Cuv
-            Fvv = Avv * s * s + 2 * Bvv * s + Cvv
             G = Fv + s * Fu
-            rows = [
-                [Fu, Fv, Fs],
-                [2 * Au * s + 2 * Bu, 2 * Av * s + 2 * Bv, 2 * A0],
-                [Fuv + s * Fuu,
-                 Fvv + s * Fuv,
-                 (2 * Av * s + 2 * Bv) + Fu + s * (2 * Au * s + 2 * Bu)],
-            ]
+            rows = [[Fu, Fv, Fs], Jx[1], -Jx[2]]
         Fvec = np.array([Fval, Fs, G])
-        scale = max(abs(A0), abs(B0), abs(C0), 1e-30)
+        scale = max(abs(float(Aj.value)), abs(float(Bj.value)), abs(float(Cj.value)), 1e-30)
         if np.max(np.abs(Fvec)) < residual_tol * scale:
             return (float(x[0]), float(x[1]))
         J = np.array(rows)
@@ -386,68 +356,72 @@ def scan_tangency(fld, polylines, kind_label, angle_tol=ANGLE_TOL, noise_floor=1
     return reports
 
 
-def detect_special_points(surf, region=None, resolution=192, angle_tol=ANGLE_TOL,
+def _euclid_second_form(surf):
+    """Batch-capable evaluator (u, v) -> (L, M, N) of the Euclidean second
+    form up to a positive factor: the height Hessian on a Monge chart, the
+    determinants |a_u, a_v, a_uu| etc. on a parametric surface."""
+    if surf.kind == "monge":
+        def lmn(u, v):
+            hj = surf.height_jet(u, v, order=2, check=False)
+            return hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2)
+        return lmn
+
+    def lmn(u, v):
+        al = surf.eval_jets(u, v, order=2, check=False)
+        au = tuple(c.du() for c in al)
+        av = tuple(c.dv() for c in al)
+        second = (tuple(c.du() for c in au), tuple(c.dv() for c in au),
+                  tuple(c.dv() for c in av))
+        return tuple(affine.det3(au, av, d).value for d in second)
+    return lmn
+
+
+def singular_sets(surf, fld, region, resolution):
+    """Trace the singular sets of a surface's asymptotic net once.
+
+    ``fld`` is the surface's extended field.  Returns polylines keyed
+    ``parabolic`` (zero Gaussian curvature, LN - M^2 = 0), ``affine_parabolic``
+    (components of the extended discriminant away from the parabolic set) and
+    ``discriminant`` (the remaining components, which lie inside the parabolic
+    set, where the extension degenerates).
+    """
+    second_form = _euclid_second_form(surf)
+
+    def kscalar(u, v):
+        L, M, N = second_form(u, v)
+        return L * N - M * M
+
+    parabolic = bde.trace_zero_set(kscalar, region, resolution)
+    ext_disc = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), region, resolution)
+    kscale = np.nanmax(np.abs(np.asarray(kscalar(
+        np.linspace(region.u0, region.u1, 33),
+        np.linspace(region.v0, region.v1, 33))))) or 1.0
+    affine_parabolic, rest = [], []
+    for poly in ext_disc:
+        ks = np.abs(np.asarray(kscalar(poly[:, 0], poly[:, 1])))
+        (affine_parabolic if np.median(ks) > 1e-7 * kscale else rest).append(poly)
+    return {"parabolic": parabolic, "affine_parabolic": affine_parabolic,
+            "discriminant": rest}
+
+
+def detect_special_points(surf, fld, sets, region, resolution, angle_tol=ANGLE_TOL,
                           parabolic_kind="cusp_of_gauss",
                           affine_kind="affine_cusp_of_gauss"):
     """Cusp-of-Gauss style tangency points on both parabolic sets.
 
-    Traces the Euclidean parabolic set (zero Gaussian curvature) and the
-    affine parabolic set (zero discriminant of the extended equation, away
-    from the Euclidean parabolic set), computes the unique double direction
-    of the matching direction equation along each, and flags sign-changing
-    tangencies.  Where the two sets meet, the meeting is reported with a
-    tangential/transversal marker.
+    ``sets`` are the ``singular_sets`` of the surface, traced from its
+    extended field ``fld`` over ``region`` at ``resolution``.  Along the
+    Euclidean parabolic set and the affine parabolic set, computes the
+    unique double direction of the matching direction equation and flags
+    sign-changing tangencies.  Where the two sets meet, the meeting is
+    reported with a tangential/transversal marker.
     """
-    region = region or surf.domain
-    ext = bde.extended_field_for(surf)
-
-    if surf.kind == "monge":
-        def kscalar(u, v):
-            hj = surf.height_jet(u, v, order=2, check=False)
-            return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
-
-        def euclid_coeff(u, v):
-            hj = surf.height_jet(u, v, order=2, check=False)
-            return hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2)
-    else:
-        def kscalar(u, v):
-            al = surf.eval_jets(u, v, order=2, check=False)
-            au = tuple(c.du() for c in al)
-            av = tuple(c.dv() for c in al)
-            L = affine.det3(au, av, tuple(c.du() for c in au))
-            M = affine.det3(au, av, tuple(c.dv() for c in au))
-            N = affine.det3(au, av, tuple(c.dv() for c in av))
-            return (L * N - M * M).value
-
-        def euclid_coeff(u, v):
-            al = surf.eval_jets(u, v, order=2, check=False)
-            au = tuple(c.du() for c in al)
-            av = tuple(c.dv() for c in al)
-            L = affine.det3(au, av, tuple(c.du() for c in au))
-            M = affine.det3(au, av, tuple(c.dv() for c in au))
-            N = affine.det3(au, av, tuple(c.dv() for c in av))
-            return L.value, M.value, N.value
-
-    euclid_field = BDEField(euclid_coeff, None, region, "euclid-II")
-    parabolic = bde.trace_zero_set(kscalar, region, resolution)
-    ext_disc = bde.trace_zero_set(lambda u, v: bde.discriminant(ext, u, v), region, resolution)
-
-    # split the extended discriminant: components lying inside the parabolic
-    # set belong to it (the extension degenerates there), the rest is the
-    # affine parabolic set proper
-    kvals_scale = np.nanmax(np.abs(np.asarray(kscalar(
-        np.linspace(region.u0, region.u1, 33),
-        np.linspace(region.v0, region.v1, 33))))) or 1.0
-    affine_parabolic = []
-    for poly in ext_disc:
-        ks = np.abs(np.asarray(kscalar(poly[:, 0], poly[:, 1])))
-        if np.median(ks) > 1e-7 * kvals_scale:
-            affine_parabolic.append(poly)
-
+    euclid_field = BDEField(_euclid_second_form(surf), None, region, "euclid-II")
+    parabolic, affine_parabolic = sets["parabolic"], sets["affine_parabolic"]
     cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
     reports = scan_tangency(euclid_field, parabolic, parabolic_kind, angle_tol,
                             merge_radius=3 * cell)
-    reports += scan_tangency(ext, affine_parabolic, affine_kind, angle_tol,
+    reports += scan_tangency(fld, affine_parabolic, affine_kind, angle_tol,
                              merge_radius=3 * cell)
 
     # meetings of the two sets: tangential per the double-direction test

@@ -261,6 +261,16 @@ def test_torus_extended_proportional_to_pipeline():
         assert np.linalg.norm(trip - t * closed) < 1e-9 * np.linalg.norm(trip)
 
 
+def test_lmn_from_frame_matches_point_data():
+    for surf, (u, v) in ((torus(), (0.3, 0.7)), (pick(1, 0.5, q40=0.7), (0.1, -0.2))):
+        fr = af.frame_jets(surf, u, v, order=5, honor_excluded=False)
+        lmn = af.lmn_from_frame(fr)
+        assert all(c.order == 1 for c in lmn)
+        d = af.affine_point_data(surf, u, v)
+        got = [float(c.value) for c in lmn]
+        assert got == pytest.approx([float(d.l), float(d.m), float(d.n)], rel=1e-12, abs=1e-14)
+
+
 def test_affine_normal_curvature():
     surf = pick(eps=1, sigma=1.0, q40=2.0, q22=2.0, q31=4.0, q04=-2.0)
     d = af.affine_point_data(surf, 0.0, 0.0)

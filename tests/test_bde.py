@@ -71,6 +71,27 @@ def test_directions_double_and_degenerate():
     assert bde.asymptotic_directions(bde.morse_model_field(1), 0.0, 0.0).kind == "degenerate"
 
 
+def test_lifted_derivatives_match_residual_and_jacobian():
+    cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    fld = bde.monge_extended_field(cg)
+    h = 1e-6
+    for st in (LiftedState(0.1, -0.05, 0.4, "p"), LiftedState(-0.2, 0.1, -0.3, "q")):
+        F, grad, J = bde.lifted_derivatives(*fld.jet_coeff(st.u, st.v, 2), st)
+        assert F == pytest.approx(bde.f_residual(fld, st), rel=1e-13, abs=1e-15)
+        shifts = ((h, 0, 0), (0, h, 0), (0, 0, h))
+        for k, (du, dv, ds) in enumerate(shifts):
+            fp = bde.f_residual(fld, LiftedState(st.u + du, st.v + dv, st.slope + ds, st.chart))
+            fm = bde.f_residual(fld, LiftedState(st.u - du, st.v - dv, st.slope - ds, st.chart))
+            assert grad[k] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-9)
+        assert np.array_equal(J, bde.lie_cartan_jacobian(fld, st))
+        # the lifted field X = (F_p, p F_p, -(F_u + p F_v)) in chart p, mirrored in q
+        X = bde.lie_cartan(fld, st)
+        if st.chart == "p":
+            assert X[2] == pytest.approx(-(grad[0] + st.slope * grad[1]), abs=1e-14)
+        else:
+            assert X[2] == pytest.approx(-(grad[1] + st.slope * grad[0]), abs=1e-14)
+
+
 def test_lifted_field_zero_and_eigenvalues():
     for lam in (-1.0, 0.03, 0.5):
         fld = bde.folded_model_field(lam)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affasym import affine as af, bde, flow, surface as sf
+from affasym import affine as af, bde, flow, singular as sg, surface as sf
 from affasym.bde import LiftedState
 from affasym.surface import Rect
 
@@ -281,14 +281,28 @@ def test_hit_degenerate_point_termination():
     assert "hit_degenerate_point" in terms
 
 
-def test_thread_cap_is_deterministic(monkeypatch):
-    fld = bde.folded_model_field(0.05)
-    params = flow.IntegrationParams(max_len=1.0)
-    monkeypatch.delenv("AFFASYM_THREADS", raising=False)
-    p1 = flow.build_portrait(fld, grid=(3, 3), params=params, trace_resolution=64)
-    monkeypatch.setenv("AFFASYM_THREADS", "4")
-    p2 = flow.build_portrait(fld, grid=(3, 3), params=params, trace_resolution=64)
-    assert p1.to_json() == p2.to_json()
+def test_surface_portrait_traces_each_set_once(monkeypatch):
+    surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    calls = []
+    trace = bde.trace_zero_set
+
+    def counting_trace(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(bde, "trace_zero_set", counting_trace)
+    p = flow.build_portrait(surf, grid=(2, 2), params=flow.IntegrationParams(max_len=0.5),
+                            trace_resolution=64)
+    assert len(calls) == 2
+    fld = bde.extended_field_for(surf)
+    expect = sg.singular_sets(surf, fld, surf.domain, 64)
+    assert sorted(p.singular_sets) == sorted(expect) == [
+        "affine_parabolic", "discriminant", "parabolic"]
+    assert p.singular_sets["parabolic"] and p.singular_sets["affine_parabolic"]
+    for name, polys in expect.items():
+        assert len(p.singular_sets[name]) == len(polys)
+        for a, b in zip(p.singular_sets[name], polys):
+            assert np.array_equal(a, b)
 
 
 def test_torus_portrait_singular_sets():

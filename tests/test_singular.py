@@ -7,6 +7,12 @@ from affasym import affine as af, bde, singular as sg, surface as sf
 from affasym.surface import Poly, Rect
 
 
+def special_points(surf, resolution):
+    fld = bde.extended_field_for(surf)
+    sets = sg.singular_sets(surf, fld, surf.domain, resolution)
+    return sg.detect_special_points(surf, fld, sets, surf.domain, resolution)
+
+
 def folded_points(lam, res=96):
     fld = bde.folded_model_field(lam)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
@@ -114,7 +120,7 @@ def test_degenerate_hessian_error():
 def test_cusp_chart_flags_both_kinds():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.0},
                             domain=Rect(-0.4, 0.4, -0.2, 0.2))
-    reps = sg.detect_special_points(cg, resolution=256)
+    reps = special_points(cg, 256)
     kinds = {}
     for r in reps:
         kinds.setdefault(r.kind, []).append(r)
@@ -153,7 +159,7 @@ def test_cusp_chart_contact_coefficients():
 
 def test_torus_no_cusps_no_folds():
     tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
-    reps = sg.detect_special_points(tor, resolution=128)
+    reps = special_points(tor, 128)
     assert not [r for r in reps if r.kind in ("cusp_of_gauss", "affine_cusp_of_gauss")]
     fld = bde.torus_extended_field(2.0, 1.0)
     circles = bde.trace_zero_set(lambda u, v: fld.coeff(u, v)[0], fld.domain, 96)
@@ -255,7 +261,7 @@ def test_fold_point_on_a_generic_surface():
     # fold points and degenerate-direction tangency flags coincide: a zero
     # of the lifted field on the criminant is exactly a point where the
     # double direction is tangent to the discriminant
-    reps = sg.detect_special_points(surf, resolution=192)
+    reps = special_points(surf, 192)
     flags = [r.location for r in reps if r.kind == "affine_cusp_of_gauss"]
     assert any(math.hypot(*f) < 5e-3 for f in flags)
     for p in pts:
