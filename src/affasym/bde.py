@@ -49,6 +49,7 @@ __all__ = [
     "lift_state",
     "f_residual",
     "lie_cartan",
+    "lifted_velocity",
     "lifted_derivatives",
     "lie_cartan_jacobian",
     "trace_zero_set",
@@ -167,22 +168,23 @@ def torus_extended_field(R, r, domain=None):
         return pval(c, lp) + z, z, pval(c, npol) + z
 
     def jet_coeff(u, v, order=2):
-        if order > 2 or np.ndim(u) > 0:
+        if order > 2:
             uj = Jet2.variable("u", u, order)
             return affine.torus_extended_bde(R, r, uj)
-        c, s = math.cos(u), math.sin(u)
+        # analytic branch: one point or a batch, the same expressions per point
+        c, s = np.cos(u), np.sin(u)
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         n_terms = (order + 1) * (order + 2) // 2
 
         def build(p, p_d, p_dd):
-            f = float(pval(c, p))
-            fc = float(pval(c, p_d))
-            coeffs = np.zeros(n_terms)
-            coeffs[0], coeffs[1] = f, -s * fc
+            fc = pval(c, p_d)
+            coeffs = np.zeros((n_terms,) + shape)
+            coeffs[0], coeffs[1] = pval(c, p), -s * fc
             if order == 2:
-                coeffs[3] = -c * fc + s * s * float(pval(c, p_dd))
+                coeffs[3] = -c * fc + s * s * pval(c, p_dd)
             return Jet2(order, coeffs)
 
-        return (build(lp, lp_d, lp_dd), Jet2(order, np.zeros(n_terms)),
+        return (build(lp, lp_d, lp_dd), Jet2(order, np.zeros((n_terms,) + shape)),
                 build(npol, np_d, np_dd))
 
     return BDEField(coeff, jet_coeff, domain, f"torus-extended(R={R},r={r})",
@@ -315,23 +317,36 @@ def _coeff_jets1(field, state):
     return field.jet_coeff(state.u, state.v, 1)
 
 
-def lie_cartan_scaled(field, state):
-    """Lifted velocity and the local coefficient scale, one jet evaluation."""
-    Aj, Bj, Cj = _coeff_jets1(field, state)
-    s = state.slope
-    A0, B0, C0 = float(Aj.value), float(Bj.value), float(Cj.value)
-    Au, Bu, Cu = float(Aj.partial(1, 0)), float(Bj.partial(1, 0)), float(Cj.partial(1, 0))
-    Av, Bv, Cv = float(Aj.partial(0, 1)), float(Bj.partial(0, 1)), float(Cj.partial(0, 1))
-    scale = max(abs(A0), abs(B0), abs(C0))
-    if state.chart == "p":
+def lifted_velocity(Aj, Bj, Cj, slope, chart_q):
+    """Lifted velocity X and the coefficient scale max(|A|, |B|, |C|) from
+    order-1 jets of (A, B, C).  ``slope`` and ``chart_q`` (True where the
+    slope is du/dv) are scalars or arrays over the jets' batch; X carries the
+    batch shape plus a last axis of 3.  Every lane sees the same floating-point
+    expressions, so a point gives the same bits alone as inside a batch."""
+    s = slope
+    A0, B0, C0 = Aj.value, Bj.value, Cj.value
+    Au, Bu, Cu = Aj.partial(1, 0), Bj.partial(1, 0), Cj.partial(1, 0)
+    Av, Bv, Cv = Aj.partial(0, 1), Bj.partial(0, 1), Cj.partial(0, 1)
+    scale = np.maximum(np.maximum(np.abs(A0), np.abs(B0)), np.abs(C0))
+    chart_q = np.asarray(chart_q)
+    if not chart_q.all():
         Fu = Au + 2 * Bu * s + Cu * s * s
         Fv = Av + 2 * Bv * s + Cv * s * s
         Fp = 2 * B0 + 2 * C0 * s
-        return np.array([Fp, s * Fp, -(Fu + s * Fv)]), scale
-    Fu = Au * s * s + 2 * Bu * s + Cu
-    Fv = Av * s * s + 2 * Bv * s + Cv
-    Fq = 2 * A0 * s + 2 * B0
-    return np.array([s * Fq, Fq, -(Fv + s * Fu)]), scale
+        X = (Fp, s * Fp, -(Fu + s * Fv))
+    if chart_q.any():
+        Fu = Au * s * s + 2 * Bu * s + Cu
+        Fv = Av * s * s + 2 * Bv * s + Cv
+        Fq = 2 * A0 * s + 2 * B0
+        Xq = (s * Fq, Fq, -(Fv + s * Fu))
+        X = Xq if chart_q.all() else tuple(np.where(chart_q, a, b) for a, b in zip(Xq, X))
+    return np.stack(X, axis=-1), scale
+
+
+def lie_cartan_scaled(field, state):
+    """Lifted velocity and the local coefficient scale, one jet evaluation."""
+    X, scale = lifted_velocity(*_coeff_jets1(field, state), state.slope, state.chart == "q")
+    return X, float(scale)
 
 
 def lie_cartan(field, state):

@@ -135,10 +135,11 @@ def _tolerances(args):
     return tol
 
 
-def _write_run_info(outdir, args):
+def _write_run_info(outdir, args, **extra):
     info = {
         "argv": sys.argv[1:],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
     }
     _atomic_write(os.path.join(outdir, "run_info.json"), json.dumps(info, indent=1) + "\n")
 
@@ -238,7 +239,7 @@ def cmd_portrait(args):
         _atomic_write(os.path.join(outdir, "portrait.svg"), flow.portrait_svg(portrait))
     if "json" in formats:
         _atomic_write(os.path.join(outdir, "portrait.json"), portrait.to_json() + "\n")
-    _write_run_info(outdir, args)
+    _write_run_info(outdir, args, integration=portrait.integration.to_json_dict())
     print(f"portrait: {len(portrait.trajectories)} trajectories, "
           f"{sum(len(p) for p in portrait.singular_sets.values())} singular components, "
           f"{len(portrait.reports)} reports -> {outdir}")

@@ -189,9 +189,13 @@ def source_mesh(surf, region=None, resolution=(48, 48), margin=0.05):
     )
 
 
-def second_form_of_conormal(surf, u, v, guard=jets.DEFAULT_EPS):
-    """(e, f, g) of the conormal image and its unit normal, at source (u, v)."""
-    fr = affine.frame_jets(surf, u, v, order=4, guard=guard, honor_excluded=False, depth=1)
+def second_form_of_conormal(surf, u, v, guard=jets.DEFAULT_EPS, frame=None):
+    """(e, f, g) of the conormal image and its unit normal, at source (u, v).
+
+    ``frame`` may be an order-4 ``affine.frame_jets`` result at (u, v) that
+    the caller already holds; only its nu_u and nu_v are read."""
+    fr = frame if frame is not None else affine.frame_jets(
+        surf, u, v, order=4, guard=guard, honor_excluded=False, depth=1)
     nu_u, nu_v = fr["nu_u"], fr["nu_v"]
     nuu = tuple(c.du() for c in nu_u)
     nuv = tuple(c.dv() for c in nu_u)
@@ -221,7 +225,7 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
     for (u, v) in sample_points:
         fr = affine.frame_jets(surf, u, v, order=4, guard=guard, honor_excluded=False)
         l, m, n = (float(c.value) for c in affine.lmn_from_frame(fr))
-        (e, f, g), nvec = second_form_of_conormal(surf, u, v, guard)
+        (e, f, g), nvec = second_form_of_conormal(surf, u, v, guard, frame=fr)
         xi = np.array([float(c.value) for c in fr["xi"]])
         xin = xi / np.linalg.norm(xi)
         cross_norm = float(np.linalg.norm(np.cross(nvec, xin)))

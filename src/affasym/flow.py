@@ -9,6 +9,17 @@ length; each accepted step re-projects the slope onto {F = 0} with one
 Newton correction, and the slope chart switches with hysteresis when the
 slope leaves [-1.5, 1.5].
 
+All trajectories of a portrait are integrated in lockstep
+(``integrate_many``): one Cash-Karp loop advances every job, each round
+evaluates the lifted field of all running lanes with one batched jet call
+per stage, and each lane keeps its own step size, chart, orientation,
+reference direction and event state.  Rare events (creeping where the lift
+vanishes, chart switches, domain clipping, the degenerate-point and
+closed-loop searches) run per lane through scalar helpers.  A lane sees the
+same floating-point expressions alone as inside a batch, so it gives the
+same bits as its job integrated alone; ``integrate_asymptotic`` is the
+one-job case.
+
 The embedded Cash-Karp 4(5) pair is implemented here rather than taken from
 a library because the projection and chart bookkeeping live inside the step
 loop and reproducibility down to the bit is part of the output contract.
@@ -18,19 +29,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bde, singular
-from .bde import BDEField, LiftedState
-from .surface import Rect
+from .bde import BDEField
+from .surface import EvalError, Rect
 
 __all__ = [
     "Trajectory",
     "Portrait",
     "NoDirectionError",
     "IntegrationParams",
+    "IntegrationStats",
+    "integrate_many",
     "integrate_asymptotic",
     "build_portrait",
     "portrait_svg",
@@ -84,32 +97,107 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
+# exceptions that end or drop one lane; anything else propagates
+_LANE_ERRORS = (ArithmeticError, bde.CapabilityError)
+_ETA = 1e-9    # soft normalization of the lifted speed
+
+
+@dataclass
+class IntegrationStats:
+    """What a lockstep integration did, kept beside the payloads and never in
+    them: ``lanes`` started trajectories, ``rounds`` lockstep rounds,
+    ``accepted``/``rejected`` Cash-Karp steps summed over lanes, ``rhs_evals``
+    lane evaluations of the lifted field, ``creep_steps`` accepted steps with
+    a stage that crept along the planar double direction, ``terminations`` a
+    histogram of termination reasons, ``dropped`` the jobs that gave no
+    trajectory and ``skipped_seeds`` the portrait seeds that gave no job, each
+    with its reason."""
+    lanes: int = 0
+    rounds: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
+    chart_switches: int = 0
+    creep_steps: int = 0
+    terminations: dict = field(default_factory=dict)
+    dropped: list = field(default_factory=list)
+    skipped_seeds: list = field(default_factory=list)
+
+    def drop(self, job, exc):
+        (u, v), family, sweep = job
+        self.dropped.append({"seed": [float(u), float(v)], "family": family,
+                             "sweep": int(sweep), "reason": f"{type(exc).__name__}: {exc}"})
+
+    def to_json_dict(self):
+        out = asdict(self)
+        out["terminations"] = dict(sorted(self.terminations.items()))
+        return out
+
+
 def _project_slope(fld, u, v, slope, chart, iters=1):
-    A, B, C = (float(x) for x in fld.coeff(u, v))
-    scale = max(abs(A), abs(B), abs(C), 1e-30)
+    """Newton-project slopes onto {F = 0} at (u, v), at one point or per lane
+    (``chart`` True where the slope is du/dv).  Returns the slopes and the
+    coefficient norm max(|A|, |B|, |C|) there."""
+    A, B, C = (np.asarray(x, dtype=float) for x in fld.coeff(u, v))
+    norm = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
+    scale = np.maximum(norm, 1e-30)
+    s = np.asarray(slope, dtype=float)
+    going = np.ones(s.shape, dtype=bool)
     for _ in range(iters):
-        if chart == "p":
-            Fv = A + 2 * B * slope + C * slope * slope
-            Fs = 2 * B + 2 * C * slope
-        else:
-            Fv = A * slope * slope + 2 * B * slope + C
-            Fs = 2 * A * slope + 2 * B
-        if abs(Fs) <= 1e-6 * scale:
-            break
-        slope = slope - Fv / Fs
-    return slope
+        Fv = np.where(chart, A * s * s + 2 * B * s + C, A + 2 * B * s + C * s * s)
+        Fs = np.where(chart, 2 * A * s + 2 * B, 2 * B + 2 * C * s)
+        going &= ~(np.abs(Fs) <= 1e-6 * scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(going, s - Fv / Fs, s)
+    return s, norm
 
 
-def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
-    """Trace one asymptotic curve of the chosen root branch from a seed.
+def _creep(fld, y, ref_dir, params):
+    # Degenerate-lift fallback: on curves that are simultaneously criminant
+    # and solution (e.g. profile circles of a surface of revolution) the
+    # lifted field vanishes identically while the planar double direction
+    # stays well defined; creep along it.
+    dd = bde.asymptotic_directions(fld, y[0], y[1], params.lift_tol, params.degenerate_tol)
+    if not dd.dirs:
+        raise NoDirectionError("lost the direction field")
+    best = max(dd.dirs, key=lambda w: abs(w[0] * ref_dir[0] + w[1] * ref_dir[1]))
+    fall = np.array([best[0], best[1], 0.0])
+    if fall @ ref_dir < 0:
+        fall = -fall
+    return fall
 
-    The branch label fixes the direction root at the seed; curves are
-    unoriented, so ``sweep`` = +1/-1 selects which half of the curve through
-    the seed is traced (relative to the lifted field's own orientation).
-    Along the trajectory the lift keeps the branch choice consistent,
-    including through projected cusps.
-    """
-    params = params or IntegrationParams()
+
+def _rhs(fld, y, chart, orient, ref_dir, params):
+    """Softly normalized lifted velocity per lane, and which lanes crept."""
+    fld.require_jets()
+    X, scale = bde.lifted_velocity(*fld.jet_coeff(y[:, 0], y[:, 1], 1), y[:, 2], chart)
+    n = np.sqrt(np.vecdot(X, X))
+    creep = ~(n > 1e-9 * np.maximum(scale, 1e-30))
+    k = orient[:, None] * X / np.sqrt(n * n + _ETA * _ETA)[:, None]
+    for j in np.flatnonzero(creep):
+        k[j] = _creep(fld, y[j], ref_dir[j], params)
+    return k, creep
+
+
+def _lanewise(fn, n):
+    """``fn(lanes)`` over all n lanes at once; if that raises a lane error,
+    once per lane.  Returns the results of the lanes that did not raise,
+    concatenated, and the exception per lane (None when no lane raised)."""
+    try:
+        return fn(slice(None)), None
+    except _LANE_ERRORS:
+        pass
+    parts, errors = [], [None] * n
+    for j in range(n):
+        try:
+            parts.append(fn(slice(j, j + 1)))
+        except _LANE_ERRORS as exc:
+            errors[j] = exc
+    return tuple(np.concatenate(c) for c in zip(*parts)) if parts else None, errors
+
+
+def _start(fld, seed, family, sweep, params):
+    """Lifted seed state, orientation and reference direction of one job."""
     u0, v0 = float(seed[0]), float(seed[1])
     dirs = bde.asymptotic_directions(fld, u0, v0, lift_tol=params.lift_tol,
                                      degenerate_tol=params.degenerate_tol)
@@ -122,10 +210,6 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
     pick = 0 if family == "plus" or dirs.kind == "double" else min(1, len(dirs.dirs) - 1)
     d = dirs.dirs[pick]
     state = bde.lift_state(fld, u0, v0, d[0], d[1])
-
-    diag = fld.domain.diagonal
-    h_max = params.max_step_frac * diag
-    eta = 1e-9
     orient = float(sweep)
     X0 = bde.lie_cartan(fld, state)
     n0 = float(np.linalg.norm(X0))
@@ -134,145 +218,265 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
         ref_dir = orient * X0 / n0
     else:
         ref_dir = orient * np.array([d[0], d[1], 0.0])
+    return (state.u, state.v, state.slope), state.chart == "q", orient, ref_dir
 
-    def rhs(y, chart):
-        # Degenerate-lift fallback: on curves that are simultaneously
-        # criminant and solution (e.g. profile circles of a surface of
-        # revolution) the lifted field vanishes identically while the planar
-        # double direction stays well defined; creep along it.
-        st = LiftedState(y[0], y[1], y[2], chart)
-        X, scale = bde.lie_cartan_scaled(fld, st)
-        n = math.sqrt(float(X @ X))
-        scale = max(scale, 1e-30)
-        if n > 1e-9 * scale:
-            return orient * X / math.sqrt(n * n + eta * eta)
-        dd = bde.asymptotic_directions(fld, y[0], y[1], params.lift_tol,
-                                       params.degenerate_tol)
-        if not dd.dirs:
-            raise NoDirectionError("lost the direction field")
-        best = max(dd.dirs, key=lambda w: abs(w[0] * ref_dir[0] + w[1] * ref_dir[1]))
-        fall = np.array([best[0], best[1], 0.0])
-        if fall @ ref_dir < 0:
-            fall = -fall
-        return fall
 
-    y = np.array([state.u, state.v, state.slope])
-    chart = state.chart
-    arclen = 0.0
-    rows = [(y[0], y[1], y[2], 0.0 if chart == "p" else 1.0, 0.0)]
-    termination = "max_length"
-    h = h_max / 8
-    steps = 0
-    seed_state = (y.copy(), chart)
-    prev_state = None
-    prev_chart = chart
-    prev_coefnorm = None
-    while steps < params.max_steps:
-        steps += 1
+class _Lanes:
+    """Per-lane integration state, one row per active lane."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask):
+        for name, arr in list(vars(self).items()):
+            setattr(self, name, arr[mask])
+
+
+def _integrate(fld, jobs, params, stats):
+    """Integrate (seed, family, sweep) jobs in lockstep.  Returns per job its
+    Trajectory or the lane error that dropped it."""
+    out = [None] * len(jobs)
+    starts, live = [], []
+    for k, (seed, family, sweep) in enumerate(jobs):
         try:
-            k0 = rhs(y, chart)
-            # Orientation continuity: each slope chart carries its own time
-            # orientation, so a chart switch (or a creep-mode exit) may hand
-            # back the reversed field.  The lifted velocity is continuous
-            # along the lift, cusps included, so a reversal against the last
-            # step direction can only be such an artifact.
-            if float(k0 @ ref_dir) < 0:
-                orient = -orient
-                k0 = -k0
-            ks = [k0]
-            for i in range(1, 6):
-                yi = y + h * sum(a * k for a, k in zip(_CK_A[i], ks))
-                ks.append(rhs(yi, chart))
-        except (ArithmeticError, bde.CapabilityError):
-            termination = "left_domain"
-            break
-        y5 = y + h * sum(b * k for b, k in zip(_CK_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_CK_B4, ks))
-        err = float(np.max(np.abs(y5 - y4)))
-        tol = params.rel_tol * (1.0 + float(np.max(np.abs(y5))))
-        if err > tol and h > 1e-12 * diag:
-            h = max(h * max(0.2, 0.9 * (tol / err) ** 0.25), 1e-12 * diag)
+            starts.append(_start(fld, seed, family, sweep, params))
+            live.append(k)
+        except _LANE_ERRORS as exc:
+            out[k] = exc
+    if not live:
+        return out
+    stats.lanes += len(live)
+    domain, period = fld.domain, fld.period
+    diag = domain.diagonal
+    h_max = params.max_step_frac * diag
+    h_min = 1e-12 * diag
+    n = len(live)
+    y = np.array([st[0] for st in starts], dtype=float)
+    q = np.array([st[1] for st in starts])
+    rows = {k: [[*yk, float(qk), 0.0]] for k, yk, qk in zip(live, y.tolist(), q.tolist())}
+    L = _Lanes(job=np.array(live), y=y, q=q,
+               orient=np.array([st[2] for st in starts]),
+               ref=np.array([st[3] for st in starts]),
+               h=np.full(n, h_max / 8), arclen=np.zeros(n), steps=np.zeros(n, dtype=int),
+               prev=np.zeros((n, 3)), has_prev=np.zeros(n, dtype=bool),
+               prev_q=q.copy(), prev_norm=np.zeros(n), seed=y.copy(), seed_q=q.copy())
+
+    def finish(reasons):
+        """End the lanes with a reason (a termination or a lane error)."""
+        ended = np.array([r is not None for r in reasons], dtype=bool)
+        for k, r in zip(L.job[ended].tolist(), [r for r in reasons if r is not None]):
+            if isinstance(r, str):
+                stats.terminations[r] = stats.terminations.get(r, 0) + 1
+                r = Trajectory(np.array(rows[k]), jobs[k][1], r)
+            out[k] = r
+        L.keep(~ended)
+        return ~ended
+
+    while len(L.job):
+        spent = L.steps >= params.max_steps
+        if spent.any():
+            finish(["max_length" if x else None for x in spent])
             continue
-        # accepted
-        ynew = y5
-        ynew[2] = _project_slope(fld, ynew[0], ynew[1], ynew[2], chart)
-        du, dv = ynew[0] - y[0], ynew[1] - y[1]
-        ds = math.hypot(du, dv)
-        step_vec = ynew - y
-        nstep = float(np.hypot(np.hypot(step_vec[0], step_vec[1]), step_vec[2]))
-        if nstep > 0:
-            ref_dir = step_vec / nstep
-        y = ynew
-        if err > 0:
-            h = min(h * min(5.0, 0.9 * (tol / err) ** 0.2), h_max)
-        else:
-            h = min(h * 5.0, h_max)
-        if abs(y[2]) > params.chart_switch:
-            slope_old = y[2]
-            y[2] = 1.0 / y[2]
-            chart = "q" if chart == "p" else "p"
-            # carry the reference direction into the new chart:
-            # d(1/s)/dt = -sdot / s^2
-            ref_dir = np.array([ref_dir[0], ref_dir[1],
-                                -ref_dir[2] / (slope_old * slope_old)])
-            n = float(np.linalg.norm(ref_dir))
-            if n > 0:
-                ref_dir = ref_dir / n
-        if ds > 0:
-            arclen += ds
-            rows.append((y[0], y[1], y[2], 0.0 if chart == "p" else 1.0, arclen))
-        # terminations
-        if not bool(fld.domain.contains(y[0], y[1])):
-            cu, cv, cs, cflag, carc = _clip_to_domain(rows[-2], rows[-1], fld.domain)
-            cs = _project_slope(fld, cu, cv, cs, chart, iters=8)
-            rows[-1] = (cu, cv, cs, cflag, carc)
-            termination = "left_domain"
-            break
-        A, B, C = (float(x) for x in fld.coeff(y[0], y[1]))
-        coefnorm = max(abs(A), abs(B), abs(C))
-        if coefnorm < params.degenerate_tol:
-            termination = "hit_degenerate_point"
-            break
-        # a step may jump across a totally degenerate point; when the
-        # coefficient norm is small compared to its change over the step,
-        # search the segment for a pass within radius 1e-6
-        if prev_state is not None and ds > 0 and prev_coefnorm is not None \
-                and prev_chart == chart:
-            if coefnorm < 2.0 * abs(coefnorm - prev_coefnorm):
-                hit = _degenerate_on_segment(fld, prev_state, y, params)
-                if hit is not None:
-                    yc, t_best = hit
-                    cs = _project_slope(fld, yc[0], yc[1], yc[2], chart, iters=8)
-                    rows[-1] = (yc[0], yc[1], cs, 0.0 if chart == "p" else 1.0,
-                                rows[-2][4] + t_best * ds)
-                    termination = "hit_degenerate_point"
+        stats.rounds += 1
+        L.steps += 1
+        ks, crept = [], np.zeros(len(L.job), dtype=bool)
+        for i in range(6):
+            yi = L.y if i == 0 else L.y + L.h[:, None] * sum(a * k for a, k in zip(_CK_A[i], ks))
+            stats.rhs_evals += len(yi)
+            res, errors = _lanewise(
+                lambda sl: _rhs(fld, yi[sl], L.q[sl], L.orient[sl], L.ref[sl], params),
+                len(yi))
+            if errors is not None:
+                kept = finish([None if e is None else "left_domain" for e in errors])
+                ks, crept = [k[kept] for k in ks], crept[kept]
+                if not len(L.job):
                     break
-        prev_coefnorm = coefnorm
-        if arclen >= params.max_len:
-            termination = "max_length"
+            k, creep = res
+            crept |= creep
+            if i == 0:
+                # Orientation continuity: each slope chart carries its own
+                # time orientation, so a chart switch (or a creep-mode exit)
+                # may hand back the reversed field.  The lifted velocity is
+                # continuous along the lift, cusps included, so a reversal
+                # against the last step direction can only be such an artifact.
+                flip = np.vecdot(k, L.ref) < 0
+                L.orient[flip] = -L.orient[flip]
+                k[flip] = -k[flip]
+            ks.append(k)
+        if not len(L.job):
             break
-        if arclen > 10 * h_max and chart == seed_state[1]:
-            dist = _state_distance(y, seed_state[0], fld.period)
-            if dist < params.loop_tol:
-                termination = "closed_loop"
-                break
-            # closest-approach event: a step can overshoot the seed state, so
-            # bracket the local minimum of the distance along the last segment
-            if prev_state is not None and ds > 0 and prev_chart == chart:
-                d_prev = _state_distance(prev_state, seed_state[0], fld.period)
-                if d_prev < dist and d_prev < 2 * ds:
-                    t_best, d_best = _closest_on_segment(
-                        prev_state, y, seed_state[0], fld.period)
-                    if d_best < params.loop_tol:
-                        yc = prev_state + t_best * (y - prev_state)
-                        rows[-1] = (yc[0], yc[1], yc[2],
-                                    0.0 if chart == "p" else 1.0,
-                                    rows[-2][4] + t_best * ds)
-                        termination = "closed_loop"
-                        break
-        prev_state = y.copy()
-        prev_chart = chart
-    return Trajectory(np.array(rows), family, termination)
+        y5 = L.y + L.h[:, None] * sum(b * k for b, k in zip(_CK_B5, ks))
+        y4 = L.y + L.h[:, None] * sum(b * k for b, k in zip(_CK_B4, ks))
+        err = np.max(np.abs(y5 - y4), axis=1)
+        tol = params.rel_tol * (1.0 + np.max(np.abs(y5), axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = tol / err    # read only where err > 0
+        rej = (err > tol) & (L.h > h_min)
+        if rej.any():
+            # powers on Python floats: numpy's array power rounds differently
+            shrink = [max(0.2, 0.9 * r ** 0.25) for r in ratio[rej].tolist()]
+            L.h[rej] = np.maximum(L.h[rej] * shrink, h_min)
+            stats.rejected += int(rej.sum())
+        acc = np.flatnonzero(~rej)
+        if not len(acc):
+            continue
+        reasons = [None] * len(L.job)
+        ya = y5[acc]
+        qa = L.q[acc]
+        res, errors = _lanewise(
+            lambda sl: _project_slope(fld, ya[sl, 0], ya[sl, 1], ya[sl, 2], qa[sl]), len(acc))
+        if errors is not None:
+            for j, e in zip(acc.tolist(), errors):
+                reasons[j] = e
+            ok = np.array([e is None for e in errors], dtype=bool)
+            acc, ya, qa = acc[ok], ya[ok], qa[ok]
+        if len(acc):
+            _accept(fld, params, stats, L, rows, acc, ya, qa, res, err[acc], ratio[acc],
+                    crept[acc], reasons, h_max, period)
+        if any(r is not None for r in reasons):
+            finish(reasons)
+    return out
+
+
+def _accept(fld, params, stats, L, rows, acc, y, q, projected, err, ratio, crept,
+            reasons, h_max, period):
+    """Accepted steps of lanes ``acc``: bookkeeping and termination events."""
+    stats.accepted += len(acc)
+    stats.creep_steps += int(crept.sum())
+    y[:, 2], coefnorm = projected
+    y_old = L.y[acc]
+    step = y - y_old
+    ds = np.array([math.hypot(a, b) for a, b in step[:, :2].tolist()])
+    nstep = np.hypot(np.hypot(step[:, 0], step[:, 1]), step[:, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = np.where((nstep > 0)[:, None], step / nstep[:, None], L.ref[acc])
+    grow = [min(5.0, 0.9 * r ** 0.2) if e > 0 else 5.0
+            for r, e in zip(ratio.tolist(), err.tolist())]
+    h = np.minimum(L.h[acc] * grow, h_max)
+    for j in np.flatnonzero(np.abs(y[:, 2]) > params.chart_switch):
+        stats.chart_switches += 1
+        slope_old = y[j, 2]
+        y[j, 2] = 1.0 / y[j, 2]
+        q[j] = not q[j]
+        # carry the reference direction into the new chart:
+        # d(1/s)/dt = -sdot / s^2
+        r = np.array([ref[j, 0], ref[j, 1], -ref[j, 2] / (slope_old * slope_old)])
+        nr = float(np.linalg.norm(r))
+        ref[j] = r / nr if nr > 0 else r
+    moved = ds > 0
+    arclen = L.arclen[acc] + np.where(moved, ds, 0.0)
+    lane_rows = [rows[k] for k in L.job[acc].tolist()]
+    for r, row in zip([r for r, m in zip(lane_rows, moved) if m],
+                      np.column_stack([y, q, arclen])[moved].tolist()):
+        r.append(row)
+
+    running = np.ones(len(acc), dtype=bool)
+
+    def end(j, reason):
+        reasons[acc[j]] = reason
+        running[j] = False
+
+    def event(j, reason, fn):
+        # a rare per-lane event; a lane error in it drops the lane
+        try:
+            if fn():
+                end(j, reason)
+        except _LANE_ERRORS as exc:
+            end(j, exc)
+
+    def clip(j):
+        r = lane_rows[j]
+        cu, cv, cs, cflag, carc = _clip_to_domain(r[-2], r[-1], fld.domain)
+        cs = float(_project_slope(fld, cu, cv, cs, q[j], iters=8)[0])
+        r[-1] = [cu, cv, cs, cflag, carc]
+        return True
+
+    def degenerate(j):
+        hit = _degenerate_on_segment(fld, L.prev[acc[j]], y[j], params)
+        if hit is None:
+            return False
+        yc, t_best = hit
+        cs = float(_project_slope(fld, yc[0], yc[1], yc[2], q[j], iters=8)[0])
+        r = lane_rows[j]
+        r[-1] = [yc[0], yc[1], cs, float(q[j]), r[-2][4] + t_best * ds[j]]
+        return True
+
+    def closest(j):
+        prev, seed = L.prev[acc[j]], L.seed[acc[j]]
+        t_best, d_best = _closest_on_segment(prev, y[j], seed, period)
+        if d_best >= params.loop_tol:
+            return False
+        yc = prev + t_best * (y[j] - prev)
+        r = lane_rows[j]
+        r[-1] = [yc[0], yc[1], yc[2], float(q[j]), r[-2][4] + t_best * ds[j]]
+        return True
+
+    # terminations, in order; each test sees only the lanes still running
+    for j in np.flatnonzero(~fld.domain.contains(y[:, 0], y[:, 1])):
+        event(j, "left_domain", lambda: clip(j))
+    for j in np.flatnonzero(running & (coefnorm < params.degenerate_tol)):
+        end(j, "hit_degenerate_point")
+    # a step may jump across a totally degenerate point; when the
+    # coefficient norm is small compared to its change over the step,
+    # search the segment for a pass within radius 1e-6
+    same_chart = L.has_prev[acc] & moved & (L.prev_q[acc] == q)
+    jump = coefnorm < 2.0 * np.abs(coefnorm - L.prev_norm[acc])
+    for j in np.flatnonzero(running & same_chart & jump):
+        event(j, "hit_degenerate_point", lambda: degenerate(j))
+    for j in np.flatnonzero(running & (arclen >= params.max_len)):
+        end(j, "max_length")
+    near = np.flatnonzero(running & (arclen > 10 * h_max) & (q == L.seed_q[acc]))
+    if len(near):
+        dist = _state_distance(y[near], L.seed[acc[near]], period)
+        for j in near[dist < params.loop_tol]:
+            end(j, "closed_loop")
+        # closest-approach event: a step can overshoot the seed state, so
+        # bracket the local minimum of the distance along the last segment
+        d_prev = _state_distance(L.prev[acc[near]], L.seed[acc[near]], period)
+        for j in near[(dist >= params.loop_tol) & same_chart[near] & (d_prev < dist)
+                      & (d_prev < 2 * ds[near])]:
+            event(j, "closed_loop", lambda: closest(j))
+    L.y[acc], L.q[acc], L.ref[acc], L.h[acc], L.arclen[acc] = y, q, ref, h, arclen
+    L.prev[acc], L.prev_q[acc], L.prev_norm[acc] = y, q, coefnorm
+    L.has_prev[acc] = True
+
+
+def integrate_many(fld, jobs, params=None, stats=None):
+    """Trace the asymptotic curves of many (seed, family, sweep) jobs at once.
+
+    One Cash-Karp loop advances every job in lockstep: each round evaluates
+    the lifted field of all running lanes in one batched jet call per stage,
+    while each lane keeps its own step size, chart, orientation and
+    reference direction.  A lane gives the same bits as its job alone.
+    Returns one Trajectory per job, in job order, or None for a job that
+    could not start (or hit a lane error in the accepted-step bookkeeping);
+    ``stats`` (an IntegrationStats) collects counters and the dropped jobs.
+    """
+    params = params or IntegrationParams()
+    stats = stats if stats is not None else IntegrationStats()
+    out = _integrate(fld, jobs, params, stats)
+    for k, res in enumerate(out):
+        if isinstance(res, Exception):
+            stats.drop(jobs[k], res)
+            out[k] = None
+    return out
+
+
+def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
+    """Trace one asymptotic curve of the chosen root branch from a seed.
+
+    The branch label fixes the direction root at the seed; curves are
+    unoriented, so ``sweep`` = +1/-1 selects which half of the curve through
+    the seed is traced (relative to the lifted field's own orientation).
+    Along the trajectory the lift keeps the branch choice consistent,
+    including through projected cusps.  This is ``integrate_many`` with one
+    job, except that a seed without a direction raises NoDirectionError.
+    """
+    res = _integrate(fld, [(seed, family, sweep)], params or IntegrationParams(),
+                     IntegrationStats())[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def _degenerate_on_segment(fld, a, b, params, radius=1e-6):
@@ -294,7 +498,7 @@ def _degenerate_on_segment(fld, a, b, params, radius=1e-6):
     p = a + t_best * (b - a)
     try:
         Aj, Bj, Cj = fld.jet_coeff(p[0], p[1], 1)
-    except Exception:
+    except (ArithmeticError, bde.CapabilityError, EvalError):
         return None
     g = 0.0
     for j in (Aj, Bj, Cj):
@@ -306,14 +510,15 @@ def _degenerate_on_segment(fld, a, b, params, radius=1e-6):
 
 
 def _state_distance(a, b, period):
-    du, dv, dp = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    """Largest coordinate gap between lifted states (..., 3), angles wrapped."""
+    du, dv, dp = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1], a[..., 2] - b[..., 2]
     if period is not None:
         pu, pv = period
         if pu:
             du = (du + pu / 2) % pu - pu / 2
         if pv:
             dv = (dv + pv / 2) % pv - pv / 2
-    return float(np.max(np.abs([du, dv, dp])))
+    return np.max(np.abs(np.stack([du, dv, dp])), axis=0)
 
 
 def _closest_on_segment(a, b, target, period, n=64):
@@ -337,7 +542,7 @@ def _closest_on_segment(a, b, target, period, n=64):
         else:
             lo = m1
     best_t = 0.5 * (lo + hi)
-    return best_t, dist(best_t)
+    return best_t, float(dist(best_t))
 
 
 def _clip_to_domain(prev_row, row, domain):
@@ -362,6 +567,7 @@ class Portrait:
     trajectories: list = field(default_factory=list)
     singular_sets: dict = field(default_factory=dict)
     reports: list = field(default_factory=list)
+    integration: IntegrationStats = None   # run statistics, not part of the payload
 
     def to_json_dict(self):
         return {
@@ -385,7 +591,9 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     ``source`` is a coefficient field or a surface (in which case the
     extended field is built).  Both root families are integrated from a seed
     grid (cells with negative discriminant are skipped), plus a ring of seeds
-    around each located singular point.  Deterministic for fixed inputs.
+    around each located singular point, all in one ``integrate_many`` call
+    whose statistics the portrait keeps as ``integration``.  Deterministic
+    for fixed inputs.
     """
     surf = None
     if isinstance(source, BDEField):
@@ -403,7 +611,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         try:
             reports.extend(singular.detect_special_points(surf, fld, sets, region,
                                                           trace_resolution))
-        except Exception:
+        except (ArithmeticError, bde.CapabilityError, EvalError):
             pass
         # the whole extended discriminant; find_folded_points sorts its
         # candidates, so the order of the components does not matter
@@ -432,21 +640,18 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
             seeds.append((rep.location[0] + ring_radius * math.cos(ang),
                           rep.location[1] + ring_radius * math.sin(ang)))
 
-    trajectories = []
+    stats = IntegrationStats()
+    jobs = []
     for (su, sv) in seeds:
-        if not bool(region.contains(su, sv)):
+        skip = ("outside the region" if not bool(region.contains(su, sv)) else
+                "negative discriminant" if float(bde.discriminant(fld, su, sv)) < 0 else None)
+        if skip:
+            stats.skipped_seeds.append({"seed": [float(su), float(sv)], "reason": skip})
             continue
-        if float(bde.discriminant(fld, su, sv)) < 0:
-            continue
-        for fam in ("plus", "minus"):
-            for sweep in (1, -1):
-                try:
-                    trajectories.append(
-                        integrate_asymptotic(fld, (su, sv), fam, params, sweep))
-                except (NoDirectionError, ArithmeticError, bde.CapabilityError):
-                    pass
+        jobs += [((su, sv), fam, sweep) for fam in ("plus", "minus") for sweep in (1, -1)]
+    trajectories = [t for t in integrate_many(fld, jobs, params, stats) if t is not None]
     reports.sort(key=lambda r: (r.kind, r.location))
-    return Portrait(region, trajectories, sets, reports)
+    return Portrait(region, trajectories, sets, reports, stats)
 
 
 # -- SVG rendering --------------------------------------------------------------

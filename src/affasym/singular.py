@@ -29,7 +29,7 @@ import numpy as np
 
 from . import affine, bde
 from .bde import BDEField, LiftedState
-from .surface import Rect
+from .surface import EvalError, Rect
 
 __all__ = [
     "SingularPointReport",
@@ -168,7 +168,7 @@ def _newton_fold(fld, u, v, iters, residual_tol):
         state = LiftedState(x[0], x[1], x[2], chart)
         try:
             Aj, Bj, Cj = fld.jet_coeff(state.u, state.v, 2)
-        except Exception:
+        except (ArithmeticError, bde.CapabilityError, EvalError):
             return None
         s = state.slope
         Fval, (Fu, Fv, Fs), Jx = bde.lifted_derivatives(Aj, Bj, Cj, state)

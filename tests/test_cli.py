@@ -74,6 +74,27 @@ def test_portrait_determinism(tmp_path):
     assert (out1 / "portrait.json").read_bytes() == (out2 / "portrait.json").read_bytes()
 
 
+def test_portrait_run_info_carries_integration_stats(tmp_path):
+    blocks = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        res = run_cli("portrait", "--bde", "folded", "--lam", "-1", "--res", "3",
+                      "--tol", "max_len=1.0", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        blocks.append(json.loads((out / "run_info.json").read_text())["integration"])
+    for name in ("portrait.json", "portrait.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    a = blocks[0]
+    assert a == blocks[1]
+    assert {"lanes", "rounds", "accepted", "rejected", "rhs_evals", "chart_switches",
+            "creep_steps", "terminations", "dropped", "skipped_seeds"} <= set(a)
+    data = json.loads((tmp_path / "a" / "portrait.json").read_text())
+    assert a["lanes"] == len(data["trajectories"]) == sum(a["terminations"].values())
+    assert a["rounds"] > 0 and a["accepted"] > 0 and a["rhs_evals"] >= 6 * a["accepted"]
+    # seeds with v < -u^2 have no real direction and are skipped before any job
+    assert a["skipped_seeds"] and all(s["reason"] == "negative discriminant"
+                                      for s in a["skipped_seeds"])
+
+
 def test_portrait_requires_lambda(tmp_path):
     res = run_cli("portrait", "--bde", "folded", "--out", str(tmp_path))
     assert res.returncode == 2

@@ -58,6 +58,27 @@ def test_correspondence_torus_and_pick():
         assert row["normal_cross"] < 1e-7
 
 
+def test_correspondence_builds_one_frame_per_sample(monkeypatch):
+    calls = []
+    frame_jets = af.frame_jets
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("depth", 3))
+        return frame_jets(*args, **kwargs)
+
+    monkeypatch.setattr(af, "frame_jets", counting)
+    rng = np.random.default_rng(3)
+    pts = random_torus_points(10, rng)
+    rows = cn.verify_conormal_correspondence(torus(), pts)
+    assert len(rows) == 10 and calls == [3] * 10
+    # the reused frame gives the same second form as a depth-1 frame of its own
+    monkeypatch.setattr(af, "frame_jets", frame_jets)
+    for (u, v), row in zip(pts, rows):
+        fr = af.frame_jets(torus(), u, v, order=4, honor_excluded=False)
+        assert cn.second_form_of_conormal(torus(), u, v, frame=fr)[0] == \
+            cn.second_form_of_conormal(torus(), u, v)[0]
+
+
 def test_parabolic_sign_correspondence():
     # sign of the image second-form determinant matches sign of ln - m^2
     rng = np.random.default_rng(5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affasym import affine as af, bde, flow, singular as sg, surface as sf
+from affasym import affine as af, bde, flow, jets, singular as sg, surface as sf
 from affasym.bde import LiftedState
 from affasym.surface import Rect
 
@@ -314,3 +314,97 @@ def test_torus_portrait_singular_sets():
     assert len(p.singular_sets["affine_parabolic"]) == 4
     svg = flow.portrait_svg(p)
     assert svg.count('stroke-width="3"') >= 6
+
+
+LOCKSTEP_CASES = {
+    "cusp_gauss": lambda: (sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1}),
+                           dict(grid=(2, 2), trace_resolution=64), {}),
+    "torus": lambda: (sf.catalog_surface("torus", {"R": 2, "r": 1}),
+                      dict(grid=(4, 4), trace_resolution=96), {}),
+    # seeds on the parabolic circles u = pi/2, 3pi/2: the lifted field
+    # vanishes there, so these lanes creep, and the v range holds a period
+    "torus_loops": lambda: (bde.torus_extended_field(2.0, 1.0,
+                                                     Rect(0.0, 2 * math.pi, -0.5, 7.0)),
+                            dict(grid=(3, 7), trace_resolution=96),
+                            {"closed_loop", "creep"}),
+    "morse": lambda: (bde.morse_model_field(-1), dict(grid=(4, 4), trace_resolution=96),
+                      {"hit_degenerate_point"}),
+    "folded": lambda: (bde.folded_model_field(-1.0), dict(grid=(4, 4), trace_resolution=96),
+                       {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_lanes_equal_solo_runs(case, monkeypatch):
+    source, kwargs, events = LOCKSTEP_CASES[case]()
+    calls = []
+    many = flow.integrate_many
+
+    def spy(fld, jobs, params=None, stats=None):
+        out = many(fld, jobs, params, stats)
+        calls.append((fld, jobs, params, out))
+        return out
+
+    monkeypatch.setattr(flow, "integrate_many", spy)
+    p = flow.build_portrait(source, params=flow.IntegrationParams(max_len=9.0), **kwargs)
+    assert len(calls) == 1
+    fld, jobs, params, out = calls[0]
+    assert len(jobs) == len(out) > 4
+    kept = [t for t in out if t is not None]
+    assert len(kept) == len(p.trajectories)
+    assert all(a is b for a, b in zip(kept, p.trajectories))
+    for job, traj in zip(jobs, out):
+        if traj is None:
+            with pytest.raises(flow.NoDirectionError):
+                flow.integrate_asymptotic(fld, job[0], job[1], params, job[2])
+            continue
+        solo = flow.integrate_asymptotic(fld, job[0], job[1], params, job[2])
+        assert (solo.family, solo.termination) == (traj.family, traj.termination)
+        assert np.array_equal(solo.samples, traj.samples)
+    st = p.integration
+    assert st.lanes == sum(t is not None for t in out) == sum(st.terminations.values())
+    assert st.rhs_evals >= 6 * (st.accepted + st.rejected)
+    assert st.accepted + st.rejected >= st.rounds
+    for event in events:
+        assert (st.creep_steps > 0) if event == "creep" else st.terminations.get(event)
+
+
+def test_lane_error_ends_only_its_lane():
+    base = bde.folded_model_field(-1.0)
+
+    def guarded(u, v, order=2):
+        if np.any(np.asarray(u) > 0.3):
+            raise jets.JetDomainError("outside the jet domain")
+        return base.jet_coeff(u, v, order)
+
+    fld = bde.BDEField(base.coeff, guarded, base.domain, "guarded")
+    params = flow.IntegrationParams(max_len=0.5)
+    jobs = [((0.1, 0.3), "plus", 1), ((-0.6, 0.5), "plus", 1)]
+    # unguarded, the first lane runs to u = 0.52 and the second stays below 0
+    assert flow.integrate_asymptotic(base, *jobs[0][:2], params).points[:, 0].max() > 0.5
+    out = flow.integrate_many(fld, jobs, params)
+    crossing, inner = out
+    assert crossing.termination == "left_domain"
+    assert crossing.points[:, 0].max() <= 0.3
+    assert inner.termination == "max_length"
+    for job, traj in zip(jobs, out):
+        solo = flow.integrate_asymptotic(fld, job[0], job[1], params, job[2])
+        assert solo.termination == traj.termination
+        assert np.array_equal(solo.samples, traj.samples)
+
+    def broken(u, v, order=2):
+        raise RuntimeError("not a lane error")
+
+    with pytest.raises(RuntimeError):
+        flow.integrate_many(bde.BDEField(base.coeff, broken, base.domain), jobs, params)
+
+
+def test_integrate_many_reports_dropped_jobs():
+    fld = torus_field()
+    stats = flow.IntegrationStats()
+    out = flow.integrate_many(fld, [((0.2, 0.0), "plus", 1), ((1.4, 0.5), "plus", 1)],
+                              flow.IntegrationParams(max_len=0.5), stats)
+    assert out[0] is None and out[1] is not None
+    assert stats.lanes == 1 and len(stats.dropped) == 1
+    assert stats.dropped[0]["seed"] == [0.2, 0.0]
+    assert stats.dropped[0]["reason"].startswith("NoDirectionError")
