@@ -22,7 +22,7 @@ parabolic set; see ``extended_bde_coeffs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
     "AffinePointData",
     "K_ZERO_TOL",
     "euclidean_data",
-    "blaschke_conormal_frame",
-    "third_form_and_shape",
+    "second_form_jets",
     "affine_point_data",
     "frame_jets",
     "lmn_from_frame",
@@ -57,7 +56,12 @@ class DegenerateImmersionError(ArithmeticError):
 
 
 class ParabolicPointError(ArithmeticError):
-    pass
+    """Evaluation too near the Euclidean parabolic set LN - M^2 = 0; ``point``
+    is the first offending (u, v) of the batch, when known."""
+
+    def __init__(self, message, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class NullDirectionError(ArithmeticError):
@@ -119,45 +123,53 @@ class AffinePointData:
     alpha_u: object = None
     alpha_v: object = None
 
-    def to_json_dict(self):
+    def to_json_dict(self, k=None):
+        """JSON-ready fields of one point: of point ``k`` of a result batched
+        over a 1-D array of points, or of a single-point result."""
         out = {}
-        for k, val in asdict(self).items():
-            if k in ("alpha_u", "alpha_v"):
+        for f in fields(self):
+            if f.name in ("alpha_u", "alpha_v"):
                 continue
+            val = getattr(self, f.name)
+            if k is not None and np.ndim(val):
+                val = val[k] if np.ndim(val) == 1 else val[:, k]
             if isinstance(val, np.ndarray):
-                out[k] = [float(x) for x in np.atleast_1d(val)]
-            elif isinstance(val, (np.floating, float, int)) and val is not None:
-                out[k] = float(val)
+                out[f.name] = [float(x) for x in np.atleast_1d(val)]
+            elif isinstance(val, (np.floating, float, int)):
+                out[f.name] = float(val)
             else:
-                out[k] = val
+                out[f.name] = val
         return out
 
 
-def euclidean_data(position_jets, k_zero_tol=K_ZERO_TOL, data=None):
+def second_form_jets(position_jets):
+    """Tangent jets a_u, a_v and the determinant second-form jets
+    (L, M, N) = (|a_u, a_v, a_uu|, |a_u, a_v, a_uv|, |a_u, a_v, a_vv|)."""
+    au = tuple(c.du() for c in position_jets)
+    av = tuple(c.dv() for c in position_jets)
+    second = (tuple(c.du() for c in au), tuple(c.dv() for c in au),
+              tuple(c.dv() for c in av))
+    return au, av, tuple(det3(au, av, d) for d in second)
+
+
+def euclidean_data(position_jets, k_zero_tol=K_ZERO_TOL):
     """First/second form scalars from order->=2 position jets (batch-capable)."""
-    al = position_jets
-    au = tuple(c.du() for c in al)
-    av = tuple(c.dv() for c in al)
-    auu = tuple(c.du() for c in au)
-    auv = tuple(c.dv() for c in au)
-    avv = tuple(c.dv() for c in av)
-    E = dot(au, au).value
-    F = dot(au, av).value
-    G = dot(av, av).value
+    au, av, (L, M, N) = second_form_jets(position_jets)
+    return _fill_euclidean(AffinePointData(), au, av, L, M, N, k_zero_tol)
+
+
+def _fill_euclidean(data, au, av, L, M, N, k_zero_tol):
+    au, av = [c.value for c in au], [c.value for c in av]
+    E, F, G = dot(au, au), dot(au, av), dot(av, av)
     w = cross(au, av)
-    w2 = dot(w, w).value
-    if np.any(w2 < 1e-20):
+    if np.any(dot(w, w) < 1e-20):
         raise DegenerateImmersionError("surface parametrization degenerates (|a_u ^ a_v| < 1e-10)")
-    L = det3(au, av, auu).value
-    M = det3(au, av, auv).value
-    N = det3(au, av, avv).value
-    K = (L * N - M * M) / (E * G - F * F) ** 2
-    if data is None:
-        data = AffinePointData()
+    L, M, N = L.value, M.value, N.value
+    det_I = E * G - F * F
     data.E, data.F, data.G = E, F, G
     data.Ldet, data.Mdet, data.Ndet = L, M, N
-    data.K = K
-    data.euclid_class = _classify_array(K, k_zero_tol, ("elliptic", "parabolic", "hyperbolic"))
+    data.K = (L * N - M * M) / (det_I * det_I)
+    data.euclid_class = _classify_array(data.K, k_zero_tol, ("elliptic", "parabolic", "hyperbolic"))
     return data
 
 
@@ -171,30 +183,28 @@ def _classify_array(x, tol, labels):
     return out
 
 
-def frame_jets(surface, u, v, order=jets.DEFAULT_ORDER, guard=jets.DEFAULT_EPS,
-               honor_excluded=True, depth=3):
+def frame_jets(surface, u, v, order=jets.DEFAULT_ORDER, guard=jets.DEFAULT_EPS, depth=3):
     """Jets of the conormal/affine-normal frame chain from position jets.
 
     ``depth`` controls how far the chain runs: 0 stops at the conormal nu
     (order >= 2 suffices), 1 adds nu_u and nu_v (order >= 3), 2 adds xi, and
     3 (default) adds xi_u and xi_v (order >= 4).  Orders decay along the
     chain: from order-k positions nu has order k-2 and l, m, n come out at
-    order k-4.
+    order k-4.  The domain is not checked; a batch point where
+    |LN - M^2| <= ``guard`` raises ``ParabolicPointError`` naming the first
+    such point in batch order.
     """
-    al = surface.eval_jets(u, v, order=order, honor_excluded=honor_excluded)
-    au = tuple(c.du() for c in al)
-    av = tuple(c.dv() for c in al)
-    auu = tuple(c.du() for c in au)
-    auv = tuple(c.dv() for c in au)
-    avv = tuple(c.dv() for c in av)
-    L = det3(au, av, auu)
-    M = det3(au, av, auv)
-    N = det3(au, av, avv)
+    al = surface.eval_jets(u, v, order=order, check=False)
+    au, av, (L, M, N) = second_form_jets(al)
     D = L * N - M * M
     try:
         winv = abs_pow(D, -0.25, eps=guard)
     except JetDomainError as exc:
-        raise ParabolicPointError(str(exc)) from exc
+        bad = np.abs(D.value) <= guard
+        k = int(np.flatnonzero(bad)[0])
+        point = tuple(float(np.broadcast_to(np.asarray(x, float), bad.shape).flat[k])
+                      for x in (u, v))
+        raise ParabolicPointError(str(exc), point) from exc
     w = cross(au, av)
     nu = tuple(c * winv for c in w)
     out = {
@@ -227,59 +237,31 @@ def lmn_from_frame(fr):
             dot(fr["nu_v"], fr["xi_v"]))
 
 
-def blaschke_conormal_frame(surface, u, v, guard=jets.DEFAULT_EPS,
-                            k_zero_tol=K_ZERO_TOL, data=None, order=jets.DEFAULT_ORDER):
-    """Affine metric and frame fields at (u, v); errors at parabolic points."""
-    fr = frame_jets(surface, u, v, order=order, guard=guard)
-    if data is None:
-        data = AffinePointData()
-        data.u, data.v = u, v
-        euclidean_data(fr["alpha"], k_zero_tol, data)
-    Dv = fr["D"].value
-    adq = np.abs(Dv) ** 0.25
-    data.g11 = fr["L"].value / adq
-    data.g12 = fr["M"].value / adq
-    data.g22 = fr["N"].value / adq
-    data.nu = _values(fr["nu"])
-    data.nu_u = _values(fr["nu_u"])
-    data.nu_v = _values(fr["nu_v"])
-    data.xi = _values(fr["xi"])
-    data.xi_u = _values(fr["xi_u"])
-    data.xi_v = _values(fr["xi_v"])
-    data.alpha_u = _values(fr["alpha_u"])
-    data.alpha_v = _values(fr["alpha_v"])
-    return data
-
-
-def third_form_and_shape(data, k_zero_tol=K_ZERO_TOL):
-    """Third-form coefficients, shape operator, and the affine curvatures."""
-    for name in ("nu_u", "nu_v", "xi_u", "xi_v"):
-        if getattr(data, name) is None:
-            raise ValueError("frame fields missing; run blaschke_conormal_frame first")
-    l = np.sum(data.nu_u * data.xi_u, axis=0)
-    m = np.sum(data.nu_u * data.xi_v, axis=0)
-    n = np.sum(data.nu_v * data.xi_v, axis=0)
-    det_g = data.g11 * data.g22 - data.g12 ** 2
-    data.l, data.m, data.n = l, m, n
-    data.b11 = -(l * data.g22 - m * data.g12) / det_g
-    data.b21 = -(-l * data.g12 + m * data.g11) / det_g
-    data.b12 = -(m * data.g22 - n * data.g12) / det_g
-    data.b22 = -(-m * data.g12 + n * data.g11) / det_g
+def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_TOL):
+    """All pointwise invariants at (u, v), or at every point of a batch when
+    u and v are arrays, read from one ``frame_jets`` call.  A point gives the
+    same bits alone as inside a batch."""
+    surface.check_domain(u, v, honor_excluded=True)
+    fr = frame_jets(surface, u, v, guard=guard)
+    data = AffinePointData(u=u, v=v)
+    _fill_euclidean(data, fr["alpha_u"], fr["alpha_v"], fr["L"], fr["M"], fr["N"], k_zero_tol)
+    for name in ("nu", "nu_u", "nu_v", "xi", "xi_u", "xi_v", "alpha_u", "alpha_v"):
+        setattr(data, name, _values(fr[name]))
+    adq = np.power(np.abs(fr["D"].value), 0.25)
+    g11 = data.g11 = data.Ldet / adq
+    g12 = data.g12 = data.Mdet / adq
+    g22 = data.g22 = data.Ndet / adq
+    l, m, n = data.l, data.m, data.n = tuple(c.value for c in lmn_from_frame(fr))
+    det_g = g11 * g22 - g12 * g12
+    data.b11 = -(l * g22 - m * g12) / det_g
+    data.b21 = -(-l * g12 + m * g11) / det_g
+    data.b12 = -(m * g22 - n * g12) / det_g
+    data.b22 = -(-m * g12 + n * g11) / det_g
     data.K_aff = (l * n - m * m) / det_g
-    data.H_aff = (l * data.g22 - 2 * m * data.g12 + n * data.g11) / det_g
+    data.H_aff = (l * g22 - 2 * m * g12 + n * g11) / det_g
     data.aff_class = _classify_array(
         data.K_aff, k_zero_tol, ("affine elliptic", "affine parabolic", "affine hyperbolic"))
     return data
-
-
-def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_TOL):
-    """All pointwise invariants at (u, v)."""
-    data = AffinePointData()
-    data.u, data.v = u, v
-    al = surface.eval_jets(u, v, honor_excluded=False)
-    euclidean_data(al, k_zero_tol, data)
-    blaschke_conormal_frame(surface, u, v, guard, k_zero_tol, data)
-    return third_form_and_shape(data, k_zero_tol)
 
 
 # -- Monge-chart closed forms -------------------------------------------------

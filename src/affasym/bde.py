@@ -141,10 +141,10 @@ def monge_extended_field(surf):
                                       f"extended({surf.describe()})")
 
     def coeff(u, v):
-        return affine.extended_bde_coeffs(surf.height_jet(u, v, order=4))
+        return affine.extended_bde_coeffs(surf.height_jet(u, v, order=4, check=False))
 
     def jet_coeff(u, v, order=2):
-        return affine.extended_bde_coeffs(surf.height_jet(u, v, order=4 + order))
+        return affine.extended_bde_coeffs(surf.height_jet(u, v, order=4 + order, check=False))
 
     return BDEField(coeff, jet_coeff, surf.domain, f"extended({surf.describe()})")
 
@@ -197,7 +197,7 @@ def conormal_euclidean_field(surf, guard=1e-8):
     asymptotic lines of that surface."""
 
     def make(u, v, order):
-        fr = affine.frame_jets(surf, u, v, order=4 + order, guard=guard, honor_excluded=False)
+        fr = affine.frame_jets(surf, u, v, order=4 + order, guard=guard)
         nu = fr["nu"]
         nu_u, nu_v = fr["nu_u"], fr["nu_v"]
         nuu = tuple(c.du() for c in nu_u)
@@ -229,12 +229,12 @@ def extended_field_for(surf):
         return monge_extended_field(surf)
     # generic parametric: clear the same |LN - M^2| powers as the Monge case
     def coeff(u, v):
-        fr = affine.frame_jets(surf, u, v, order=4, honor_excluded=False)
+        fr = affine.frame_jets(surf, u, v, order=4)
         d2 = 16.0 * fr["D"].value ** 2
         return tuple(d2 * c.value for c in affine.lmn_from_frame(fr))
 
     def jet_coeff(u, v, order=2):
-        fr = affine.frame_jets(surf, u, v, order=4 + order, honor_excluded=False)
+        fr = affine.frame_jets(surf, u, v, order=4 + order)
         lmn = affine.lmn_from_frame(fr)
         d2 = (fr["D"] * fr["D"] * 16.0).truncate(lmn[0].order)
         return tuple(d2 * c for c in lmn)

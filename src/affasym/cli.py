@@ -169,20 +169,22 @@ def cmd_analyze(args):
     guard = tol.get("guard", 1e-9)
     kzero = tol.get("k_zero_tol", affine.K_ZERO_TOL)
     us, vs = _analysis_grid(surf, region, res)
+    U, V = np.meshgrid(us, vs, indexing="ij")  # u-major point order
+    try:
+        data = affine.affine_point_data(surf, U.ravel(), V.ravel(), guard=guard,
+                                        k_zero_tol=kzero)
+    except affine.ParabolicPointError as exc:
+        u, v = exc.point
+        print(f"domain failure at (u, v) = ({u:.6g}, {v:.6g}): {exc}", file=sys.stderr)
+        return EXIT_MATH
+    flat = np.maximum(np.maximum(np.abs(data.l), np.abs(data.m)), np.abs(data.n)) \
+        < tol.get("degenerate", 1e-8)
     rows = []
-    for u in us:
-        for v in vs:
-            try:
-                data = affine.affine_point_data(surf, float(u), float(v), guard=guard,
-                                                k_zero_tol=kzero)
-            except (affine.ParabolicPointError, JetDomainError) as exc:
-                print(f"domain failure at (u, v) = ({u:.6g}, {v:.6g}): {exc}",
-                      file=sys.stderr)
-                return EXIT_MATH
-            row = data.to_json_dict()
-            if max(abs(data.l), abs(data.m), abs(data.n)) < tol.get("degenerate", 1e-8):
-                row["flags"] = ["flat_affine_umbilic"]
-            rows.append(row)
+    for k in range(U.size):
+        row = data.to_json_dict(k)
+        if flat[k]:
+            row["flags"] = ["flat_affine_umbilic"]
+        rows.append(row)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     formats = (args.format or "json").split(",")
@@ -271,8 +273,6 @@ def cmd_conormal(args):
         tries += 1
         u = float(rng.uniform(region.u0, region.u1))
         v = float(rng.uniform(region.v0, region.v1))
-        if any(band.excludes(u, v) for band in surf.excluded):
-            continue
         ok = True
         for band in surf.excluded:
             x = u if band.axis == "u" else v
@@ -313,7 +313,7 @@ def _verify_checks():
                 if min(abs(u - math.pi / 2), abs(u - 3 * math.pi / 2)) < 0.05:
                     continue
                 v = float(rng.uniform(0, 2 * math.pi))
-                fr = affine.frame_jets(surf, u, v, order=4, honor_excluded=False)
+                fr = affine.frame_jets(surf, u, v, order=4)
                 trip = np.array([float(c.value) for c in affine.lmn_from_frame(fr)])
                 closed = np.array([float(x) for x in affine.torus_extended_bde(R, r, u)])
                 t = float(trip @ closed / (closed @ closed))
@@ -524,7 +524,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (affine.ParabolicPointError, affine.DegenerateImmersionError,
-            JetDomainError) as exc:
+            JetDomainError, surface_mod.EvalError) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return EXIT_MATH
 

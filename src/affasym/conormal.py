@@ -49,7 +49,7 @@ class ConormalMesh:
 
 def conormal_point(surf, u, v, guard=jets.DEFAULT_EPS):
     """Conormal vector at one parameter point."""
-    fr = affine.frame_jets(surf, u, v, order=2, guard=guard, honor_excluded=False, depth=0)
+    fr = affine.frame_jets(surf, u, v, order=2, guard=guard, depth=0)
     return np.array([float(c.value) for c in fr["nu"]])
 
 
@@ -135,7 +135,7 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
 
     # evaluate nu and its derivatives on the valid subset
     uu, vv = U[mask], V[mask]
-    fr = affine.frame_jets(surf, uu, vv, order=3, guard=guard, honor_excluded=False, depth=1)
+    fr = affine.frame_jets(surf, uu, vv, order=3, guard=guard, depth=1)
     nu = fr["nu"]
     verts = np.stack([np.asarray(c.value) for c in nu], axis=1)
     nu_u = np.stack([np.asarray(c.value) for c in fr["nu_u"]], axis=1)
@@ -195,7 +195,7 @@ def second_form_of_conormal(surf, u, v, guard=jets.DEFAULT_EPS, frame=None):
     ``frame`` may be an order-4 ``affine.frame_jets`` result at (u, v) that
     the caller already holds; only its nu_u and nu_v are read."""
     fr = frame if frame is not None else affine.frame_jets(
-        surf, u, v, order=4, guard=guard, honor_excluded=False, depth=1)
+        surf, u, v, order=4, guard=guard, depth=1)
     nu_u, nu_v = fr["nu_u"], fr["nu_v"]
     nuu = tuple(c.du() for c in nu_u)
     nuv = tuple(c.dv() for c in nu_u)
@@ -223,7 +223,7 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
     """
     rows = []
     for (u, v) in sample_points:
-        fr = affine.frame_jets(surf, u, v, order=4, guard=guard, honor_excluded=False)
+        fr = affine.frame_jets(surf, u, v, order=4, guard=guard)
         l, m, n = (float(c.value) for c in affine.lmn_from_frame(fr))
         (e, f, g), nvec = second_form_of_conormal(surf, u, v, guard, frame=fr)
         xi = np.array([float(c.value) for c in fr["xi"]])

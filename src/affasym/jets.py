@@ -350,7 +350,7 @@ def log(a, eps=DEFAULT_EPS):
         raise JetDomainError("log of a jet with non-positive constant term")
     series = [np.log(x0)]
     for k in range(1, a.order + 1):
-        series.append(((-1.0) ** (k + 1)) / (k * x0 ** k))
+        series.append(((-1.0) ** (k + 1)) / (k * np.power(x0, k)))
     return _compose(a, series)
 
 
@@ -377,12 +377,15 @@ def abs_pow(a, exponent, eps=DEFAULT_EPS):
             "the parabolic set")
     sign = np.where(x0 >= 0, 1.0, -1.0)
     ax = np.abs(x0)
-    # Taylor coefficients of |x|^e at x0: binom(e, k) sign^k |x0|^(e-k)
-    series = [np.asarray(ax ** exponent, dtype=float)]
+    # Taylor coefficients of |x|^e at x0: binom(e, k) sign^k |x0|^(e-k).
+    # np.power rounds a single point as it rounds inside a batch; the C
+    # library's pow, which ``**`` uses on a numpy scalar, can differ in the
+    # last bit.
+    series = [np.asarray(np.power(ax, exponent), dtype=float)]
     binom = 1.0
     for k in range(1, a.order + 1):
         binom = binom * (exponent - (k - 1)) / k
-        series.append(binom * sign ** k * ax ** (exponent - k))
+        series.append(binom * sign ** k * np.power(ax, exponent - k))
     return _compose(a, series)
 
 
@@ -396,12 +399,8 @@ UNARY_FUNCTIONS = {
 }
 
 
-def jet_apply_unary(fn, a, eps=DEFAULT_EPS, exponent=None):
-    """Apply a named unary function; ``abs_pow`` takes the extra exponent."""
-    if fn == "abs_pow":
-        if exponent is None:
-            raise ValueError("abs_pow requires an exponent")
-        return abs_pow(a, exponent, eps=eps)
+def jet_apply_unary(fn, a, eps=DEFAULT_EPS):
+    """Apply a unary function of ``UNARY_FUNCTIONS`` by name."""
     try:
         f = UNARY_FUNCTIONS[fn]
     except KeyError:

@@ -367,12 +367,8 @@ def _euclid_second_form(surf):
         return lmn
 
     def lmn(u, v):
-        al = surf.eval_jets(u, v, order=2, check=False)
-        au = tuple(c.du() for c in al)
-        av = tuple(c.dv() for c in al)
-        second = (tuple(c.du() for c in au), tuple(c.dv() for c in au),
-                  tuple(c.dv() for c in av))
-        return tuple(affine.det3(au, av, d).value for d in second)
+        _, _, second = affine.second_form_jets(surf.eval_jets(u, v, order=2, check=False))
+        return tuple(c.value for c in second)
     return lmn
 
 

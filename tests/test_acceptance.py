@@ -46,7 +46,7 @@ def test_criterion_01_torus_extended_bde():
                     continue
                 count += 1
                 v = float(rng.uniform(0, 2 * math.pi))
-                fr = af.frame_jets(surf, u, v, order=4, honor_excluded=False)
+                fr = af.frame_jets(surf, u, v, order=4)
                 trip = np.array([
                     float(af.dot(fr["nu_u"], fr["xi_u"]).value),
                     float(af.dot(fr["nu_u"], fr["xi_v"]).value),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_frame_defining_relations_torus():
         if min(abs(u - math.pi / 2), abs(u - 3 * math.pi / 2)) < 0.05:
             continue
         count += 1
-        d = af.blaschke_conormal_frame(surf, u, v)
+        d = af.affine_point_data(surf, u, v)
         assert float(np.sum(d.nu * d.xi)) == pytest.approx(1.0, abs=1e-8)
         assert float(np.sum(d.xi * d.nu_u)) == pytest.approx(0.0, abs=1e-8)
         assert float(np.sum(d.xi * d.nu_v)) == pytest.approx(0.0, abs=1e-8)
@@ -70,7 +71,7 @@ def test_frame_defining_relations_torus():
 
 def test_torus_conormal_value():
     R, r = 3.0, 1.0
-    d = af.blaschke_conormal_frame(torus(R, r), 0.0, 0.0)
+    d = af.affine_point_data(torus(R, r), 0.0, 0.0)
     nu = d.nu.ravel()
     assert nu[1] == pytest.approx(0.0, abs=1e-14)
     assert nu[2] == pytest.approx(0.0, abs=1e-14)
@@ -263,12 +264,68 @@ def test_torus_extended_proportional_to_pipeline():
 
 def test_lmn_from_frame_matches_point_data():
     for surf, (u, v) in ((torus(), (0.3, 0.7)), (pick(1, 0.5, q40=0.7), (0.1, -0.2))):
-        fr = af.frame_jets(surf, u, v, order=5, honor_excluded=False)
+        fr = af.frame_jets(surf, u, v, order=5)
         lmn = af.lmn_from_frame(fr)
         assert all(c.order == 1 for c in lmn)
         d = af.affine_point_data(surf, u, v)
         got = [float(c.value) for c in lmn]
         assert got == pytest.approx([float(d.l), float(d.m), float(d.n)], rel=1e-12, abs=1e-14)
+
+
+def _batch_cases():
+    rng = np.random.default_rng(21)
+    tor = torus()
+    tu, tv = rng.uniform(0, 2 * math.pi, (2, 200))
+    keep = ~np.any([b.excludes(tu, tv) for b in tor.excluded], axis=0)
+    small = rng.uniform(-0.3, 0.3, (2, 40))
+    return [
+        (tor, tu[keep][:40], tv[keep][:40]),
+        (pick(eps=1, sigma=0.7, q40=1.0, q31=-0.5, q22=0.3), *small),
+        (sf.monge_surface("(u^2 + 2*v^2)/(2 + u*v) + u^3/3"), *small),
+        (sf.monge_surface("0.5*u^2 + v^2 + 0.3*sin(u) + exp(0.2*v)"), *small),
+        (sf.parametric_surface(["u + 0.2*v^2", "v + 0.1*sin(u)", "exp(u) + log(2 + v)"],
+                               Rect(-0.5, 0.5, -0.5, 0.5)), *small),
+    ]
+
+
+@pytest.mark.parametrize("surf,us,vs", _batch_cases())
+def test_point_data_batch_matches_single_points(surf, us, vs):
+    # a point gives the same bits alone as inside one batched call
+    batch = af.affine_point_data(surf, us, vs)
+    for k, (u, v) in enumerate(zip(us, vs)):
+        one = af.affine_point_data(surf, float(u), float(v))
+        for f in fields(af.AffinePointData):
+            a, b = getattr(one, f.name), getattr(batch, f.name)
+            b = b[k] if np.ndim(b) == 1 else b[:, k]
+            assert np.array_equal(a, b), (f.name, u, v)
+
+
+def test_point_data_evaluates_position_jets_once(monkeypatch):
+    calls = []
+    eval_jets = sf.SurfaceDef.eval_jets
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return eval_jets(self, *args, **kwargs)
+
+    monkeypatch.setattr(sf.SurfaceDef, "eval_jets", counting)
+    af.affine_point_data(torus(), 0.3, 0.7)
+    assert len(calls) == 1
+    af.affine_point_data(pick(1, 0.5, q40=0.7), np.array([0.1, -0.2]), np.array([0.0, 0.1]))
+    assert len(calls) == 2
+
+
+def test_parabolic_error_names_first_batch_point():
+    # h = (u^3 + v^3)/6 has LN - M^2 = uv: parabolic along both axes
+    surf = sf.monge_surface("(u^3 + v^3)/6")
+    us = np.array([0.2, -0.1, 0.0, 0.3])
+    vs = np.array([0.1, 0.0, -0.2, 0.0])
+    with pytest.raises(ParabolicPointError) as err:
+        af.affine_point_data(surf, us, vs)
+    assert err.value.point == (-0.1, 0.0)
+    with pytest.raises(ParabolicPointError) as err:
+        af.affine_point_data(surf, 0.3, 0.0)
+    assert err.value.point == (0.3, 0.0)
 
 
 def test_affine_normal_curvature():

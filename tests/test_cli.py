@@ -3,6 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
+from affasym import affine, cli
+from affasym.surface import Rect
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -144,11 +150,75 @@ def test_run_info_sidecar(tmp_path):
     assert "timestamp" not in (tmp_path / "portrait.json").read_text()
 
 
-def test_analyze_domain_failure_reports_location(tmp_path):
-    # grid hits the parabolic point of the chart exactly
-    res = run_cli("analyze", "--surface", "catalog:cusp_gauss",
-                  "--q", "21=1.0", "--q", "40=0.0",
+def hessian_det(hj):
+    return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
+
+
+def assert_first_parabolic_point_reported(tmp_path, surface_args):
+    res = run_cli("analyze", "--surface", *surface_args,
                   "--region=-0.2,0.2,-0.2,0.2", "--res", "5",
                   "--out", str(tmp_path))
     assert res.returncode == 3
-    assert "domain failure at (u, v)" in res.stderr
+    # first grid point in u-major order where |LN - M^2| <= guard (1e-9);
+    # on a graph chart L, M, N are the height Hessian
+    args = cli._make_parser().parse_args(["analyze", "--surface", *surface_args])
+    surf = cli._build_surface(args)
+    us, vs = cli._analysis_grid(surf, Rect(-0.2, 0.2, -0.2, 0.2), (5, 5))
+    hits = [(u, v) for u in us for v in vs
+            if abs(hessian_det(surf.height_jet(u, v, order=2))) <= 1e-9]
+    u, v = hits[0]
+    assert f"domain failure at (u, v) = ({u:.6g}, {v:.6g}):" in res.stderr
+
+
+def test_analyze_domain_failure_reports_location(tmp_path):
+    # grid hits the parabolic point of the chart exactly
+    assert_first_parabolic_point_reported(
+        tmp_path, ["catalog:cusp_gauss", "--q", "21=1.0", "--q", "40=0.0"])
+
+
+def test_analyze_domain_failure_reports_first_point_in_u_major_order(tmp_path):
+    # LN - M^2 = uv: the grid meets the parabolic set along both axes, and
+    # the first hit in u-major order, (-0.133333, 0), is not the first in
+    # v-major order, (0, -0.133333)
+    assert_first_parabolic_point_reported(tmp_path, ["monge:(u^3 + v^3)/6"])
+
+
+def test_analyze_is_one_batched_call(tmp_path, monkeypatch):
+    calls = []
+    point_data = affine.affine_point_data
+
+    def counting(surf, u, v, **kwargs):
+        calls.append(np.size(u))
+        return point_data(surf, u, v, **kwargs)
+
+    monkeypatch.setattr(affine, "affine_point_data", counting)
+    argv = ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1",
+            "--res", "6x5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == [30]
+    monkeypatch.setattr(affine, "affine_point_data", point_data)
+    rows = json.loads((tmp_path / "analyze.json").read_text())
+    surf = cli._build_surface(cli._make_parser().parse_args(argv))
+    # rows in u-major order, each as its point alone would give it
+    expect = [point_data(surf, r["u"], r["v"]).to_json_dict() for r in rows]
+    assert rows == json.loads(json.dumps(expect, sort_keys=True))
+    assert [(r["u"], r["v"]) for r in rows] == sorted((r["u"], r["v"]) for r in rows)
+
+
+@pytest.mark.parametrize("surface", [
+    "monge:0.5*u^2+v^2+0.3*sin(u)",
+    {"kind": "parametric", "exprs": ["u", "v", "0.5*u^2+v^2+0.2*u^3"],
+     "domain": [-0.5, 0.5, -0.5, 0.5]},
+])
+def test_portrait_without_polynomial_field_runs(tmp_path, surface):
+    # Cash-Karp stages overshoot the region; those lanes end left_domain
+    if isinstance(surface, dict):
+        cfg = tmp_path / "surf.json"
+        cfg.write_text(json.dumps(surface))
+        surface = f"file:{cfg}"
+    res = run_cli("portrait", "--surface", surface, "--region=-0.5,0.5,-0.5,0.5",
+                  "--res", "2", "--tol", "trace_res=48", "--tol", "max_len=1.0",
+                  "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert json.loads((tmp_path / "out" / "portrait.json").read_text())["trajectories"]

@@ -74,7 +74,7 @@ def test_correspondence_builds_one_frame_per_sample(monkeypatch):
     # the reused frame gives the same second form as a depth-1 frame of its own
     monkeypatch.setattr(af, "frame_jets", frame_jets)
     for (u, v), row in zip(pts, rows):
-        fr = af.frame_jets(torus(), u, v, order=4, honor_excluded=False)
+        fr = af.frame_jets(torus(), u, v, order=4)
         assert cn.second_form_of_conormal(torus(), u, v, frame=fr)[0] == \
             cn.second_form_of_conormal(torus(), u, v)[0]
 
@@ -84,7 +84,7 @@ def test_parabolic_sign_correspondence():
     rng = np.random.default_rng(5)
     surf = torus()
     for (u, v) in random_torus_points(40, rng):
-        fr = af.frame_jets(surf, u, v, order=4, honor_excluded=False)
+        fr = af.frame_jets(surf, u, v, order=4)
         l = float(af.dot(fr["nu_u"], fr["xi_u"]).value)
         m = float(af.dot(fr["nu_u"], fr["xi_v"]).value)
         n = float(af.dot(fr["nu_v"], fr["xi_v"]).value)
