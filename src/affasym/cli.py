@@ -62,11 +62,22 @@ def _parse_region(text):
 
 
 def _parse_res(text):
-    if "x" in text:
-        a, b = text.split("x", 1)
-        return int(a), int(b)
-    n = int(text)
-    return n, n
+    try:
+        nx, ny = (int(x) for x in text.split("x", 1)) if "x" in text else (int(text),) * 2
+    except ValueError:
+        raise ConfigError(f"--res needs N or NxM; got {text!r}")
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"--res must be positive; got {text!r}")
+    return nx, ny
+
+
+def _formats(args, default, known):
+    formats = (args.format or default).split(",")
+    unknown = [f for f in formats if f not in known]
+    if unknown:
+        raise ConfigError(f"--format cannot write {','.join(unknown)!r}; "
+                          f"choose from {','.join(known)}")
+    return formats
 
 
 def _parse_q(items):
@@ -165,6 +176,7 @@ def cmd_analyze(args):
     surf = _build_surface(args)
     region = _parse_region(args.region) if args.region else surf.domain
     res = _parse_res(args.res or "32")
+    formats = _formats(args, "json", ("json", "csv"))
     tol = _tolerances(args)
     guard = tol.get("guard", 1e-9)
     kzero = tol.get("k_zero_tol", affine.K_ZERO_TOL)
@@ -187,7 +199,6 @@ def cmd_analyze(args):
         rows.append(row)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    formats = (args.format or "json").split(",")
     if "json" in formats:
         _atomic_write(os.path.join(outdir, "analyze.json"),
                       json.dumps(rows, indent=1, sort_keys=True) + "\n")
@@ -216,6 +227,7 @@ def cmd_portrait(args):
         max_len=tol.get("max_len", 20.0),
     )
     res = _parse_res(args.res or "12")
+    formats = _formats(args, "svg,json", ("svg", "json"))
     trace_res = int(tol.get("trace_res", 192))
     if args.bde:
         region = _parse_region(args.region) if args.region else Rect(-1, 1, -1, 1)
@@ -224,7 +236,7 @@ def cmd_portrait(args):
                 raise ConfigError("--bde folded needs --lam")
             fld = bde.folded_model_field(args.lam, region)
         elif args.bde == "morse":
-            fld = bde.morse_model_field(int(args.eps1 or 1), region)
+            fld = bde.morse_model_field(args.eps1 or 1, region)
         else:
             raise ConfigError(f"unknown synthetic bde {args.bde!r}")
         portrait = flow.build_portrait(fld, region, grid=res, params=params,
@@ -236,7 +248,6 @@ def cmd_portrait(args):
                                        trace_resolution=trace_res)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    formats = (args.format or "svg,json").split(",")
     if "svg" in formats:
         _atomic_write(os.path.join(outdir, "portrait.svg"), flow.portrait_svg(portrait))
     if "json" in formats:
@@ -257,15 +268,8 @@ def cmd_conormal(args):
     res = _parse_res(args.res or "48")
     tol = _tolerances(args)
     margin = tol.get("margin", 0.05)
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    try:
-        mesh = conormal.conormal_mesh(surf, region, res, margin=margin,
-                                      norm_cap=tol.get("norm_cap", 1e3))
-        src = conormal.source_mesh(surf, region, res, margin=margin)
-    except (conormal.ImmersionError, affine.ParabolicPointError, JetDomainError) as exc:
-        print(f"domain failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    src, mesh = conormal.conormal_mesh(surf, region, res, margin=margin,
+                                       norm_cap=tol.get("norm_cap", 1e3))
     rng = np.random.default_rng(20260808)
     samples = []
     tries = 0
@@ -280,11 +284,9 @@ def cmd_conormal(args):
                 ok = False
         if ok:
             samples.append((u, v))
-    try:
-        report = conormal.verify_conormal_correspondence(surf, samples)
-    except (affine.ParabolicPointError, JetDomainError) as exc:
-        print(f"domain failure in correspondence check: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    report = conormal.verify_conormal_correspondence(surf, samples)
+    outdir = args.out or "."
+    os.makedirs(outdir, exist_ok=True)
     _atomic_write(os.path.join(outdir, "conormal.obj"), conormal.export_mesh(mesh))
     _atomic_write(os.path.join(outdir, "source.obj"), conormal.export_mesh(src))
     _atomic_write(os.path.join(outdir, "correspondence.json"),
@@ -505,7 +507,7 @@ def _make_parser():
         if name == "portrait":
             p.add_argument("--bde", choices=("folded", "morse"))
             p.add_argument("--lam", "--lambda", dest="lam", type=float)
-            p.add_argument("--eps1", type=int)
+            p.add_argument("--eps1", type=int, choices=(1, -1))
     return ap
 
 
@@ -524,7 +526,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (affine.ParabolicPointError, affine.DegenerateImmersionError,
-            JetDomainError, surface_mod.EvalError) as exc:
+            conormal.ImmersionError, JetDomainError, surface_mod.EvalError) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return EXIT_MATH
 

@@ -23,13 +23,11 @@ __all__ = [
     "ConormalMesh",
     "ImmersionError",
     "conormal_mesh",
-    "source_mesh",
     "export_mesh",
     "correspondence_report_csv",
     "conormal_point",
     "second_form_of_conormal",
     "verify_conormal_correspondence",
-    "export_mesh_obj",
 ]
 
 
@@ -39,8 +37,8 @@ class ImmersionError(ArithmeticError):
 
 @dataclass
 class ConormalMesh:
-    vertices: np.ndarray          # (n, 3) conormal positions
-    faces: list                   # quads as 4-tuples of vertex indices
+    vertices: np.ndarray          # (n, 3) positions
+    faces: np.ndarray             # (k, 4) int quads of vertex indices
     component_id: np.ndarray      # (n,) int component label per vertex
     params: np.ndarray            # (n, 2) source (u, v) per vertex
     clipped: np.ndarray           # (n,) bool: |vertex| exceeded the norm cap
@@ -110,105 +108,75 @@ def _components(surf, region, mask, nx, ny):
     return comp_grid, n_comp
 
 
-def _faces_from_mask(mask, index, valid, nx, ny):
-    faces = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            if valid[i, j] and valid[i + 1, j] and valid[i + 1, j + 1] and valid[i, j + 1]:
-                faces.append((int(index[i, j]), int(index[i + 1, j]),
-                              int(index[i + 1, j + 1]), int(index[i, j + 1])))
-    return faces
+def _rows(vec):
+    """Values of three scalar jets as rows: (n, 3) for a batch, (3,) at a point."""
+    return np.stack([np.asarray(c.value, dtype=float) for c in vec], axis=-1)
+
+
+def _norms(rows):
+    # vecdot takes the same dot product per row as np.linalg.norm of one
+    # vector, so a sample gives the same bits alone as inside a batch
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
                   guard=jets.DEFAULT_EPS, norm_cap=1e3):
-    """Grid mesh of the conormal image, avoiding the parabolic set.
+    """Grid meshes ``(source, image)`` of the surface and of its conormal
+    image, from one grid, one frame and one component labelling.
 
     Exclusion strips carried by the surface are widened to at least
     ``margin`` (the map blows up at the parabolic set; a finite mesh needs a
-    standoff).  Vertices whose conormal norm exceeds ``norm_cap`` are kept
-    but flagged clipped and excluded from faces.  Components are connected
-    components of the valid grid mask.
+    standoff).  Both meshes share vertex numbering (row-major over the valid
+    grid points), parameters and components, which are the connected
+    components of the valid grid mask.  Image vertices whose norm exceeds
+    ``norm_cap`` are kept but flagged clipped, and the image keeps only the
+    source faces that touch no clipped vertex.
     """
     region = region or surf.domain
     nx, ny, U, V, mask = _grid_and_mask(surf, region, resolution, margin)
-
-    # evaluate nu and its derivatives on the valid subset
     uu, vv = U[mask], V[mask]
     fr = affine.frame_jets(surf, uu, vv, order=3, guard=guard, depth=1)
-    nu = fr["nu"]
-    verts = np.stack([np.asarray(c.value) for c in nu], axis=1)
-    nu_u = np.stack([np.asarray(c.value) for c in fr["nu_u"]], axis=1)
-    nu_v = np.stack([np.asarray(c.value) for c in fr["nu_v"]], axis=1)
-    wedge = np.cross(nu_u, nu_v)
-    wnorm = np.linalg.norm(wedge, axis=1)
+    verts = _rows(fr["nu"])
+    wnorm = np.linalg.norm(np.cross(_rows(fr["nu_u"]), _rows(fr["nu_v"])), axis=1)
     bad = wnorm <= 1e-10
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise ImmersionError(
             f"conormal map fails to immerse at (u, v) = ({uu[k]}, {vv[k]})")
-
     clipped = np.linalg.norm(verts, axis=1) > norm_cap
 
-    # vertex numbering in row-major grid order
+    # quads of the grid in row-major order, numbered by valid vertex
     index = -np.ones(U.shape, dtype=int)
-    index[mask] = np.arange(int(mask.sum()))
+    index[mask] = np.arange(len(uu))
+    quads = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]],
+                     axis=-1).reshape(-1, 4)
+    faces = quads[(quads >= 0).all(axis=1)]
     comp_grid, n_comp = _components(surf, region, mask, nx, ny)
-    ok = mask.copy()
-    ok[mask] = ~clipped[index[mask]]
-    faces = _faces_from_mask(mask, index, ok, nx, ny)
-
-    return ConormalMesh(
-        vertices=verts,
-        faces=faces,
-        component_id=comp_grid[mask],
-        params=np.stack([uu, vv], axis=1),
-        clipped=clipped,
-        n_components=n_comp,
-    )
+    shared = dict(component_id=comp_grid[mask], params=np.stack([uu, vv], axis=1),
+                  n_components=n_comp)
+    source = ConormalMesh(vertices=_rows(fr["alpha"]), faces=faces,
+                          clipped=np.zeros(len(uu), dtype=bool), **shared)
+    image = ConormalMesh(vertices=verts, faces=faces[~clipped[faces].any(axis=1)],
+                         clipped=clipped, **shared)
+    return source, image
 
 
-def source_mesh(surf, region=None, resolution=(48, 48), margin=0.05):
-    """Companion grid mesh of the source surface itself, same mask layout."""
-    region = region or surf.domain
-    nx, ny, U, V, mask = _grid_and_mask(surf, region, resolution, margin)
-    uu, vv = U[mask], V[mask]
-    al = surf.eval_jets(uu, vv, order=1, check=False)
-    verts = np.stack([np.asarray(c.value) for c in al], axis=1)
-    index = -np.ones(U.shape, dtype=int)
-    index[mask] = np.arange(int(mask.sum()))
-    comp_grid, n_comp = _components(surf, region, mask, nx, ny)
-    faces = _faces_from_mask(mask, index, mask, nx, ny)
-    return ConormalMesh(
-        vertices=verts,
-        faces=faces,
-        component_id=comp_grid[mask],
-        params=np.stack([uu, vv], axis=1),
-        clipped=np.zeros(len(verts), dtype=bool),
-        n_components=n_comp,
-    )
-
-
-def second_form_of_conormal(surf, u, v, guard=jets.DEFAULT_EPS, frame=None):
-    """(e, f, g) of the conormal image and its unit normal, at source (u, v).
-
-    ``frame`` may be an order-4 ``affine.frame_jets`` result at (u, v) that
-    the caller already holds; only its nu_u and nu_v are read."""
-    fr = frame if frame is not None else affine.frame_jets(
-        surf, u, v, order=4, guard=guard, depth=1)
-    nu_u, nu_v = fr["nu_u"], fr["nu_v"]
-    nuu = tuple(c.du() for c in nu_u)
-    nuv = tuple(c.dv() for c in nu_u)
-    nvv = tuple(c.dv() for c in nu_v)
-    w = affine.cross(nu_u, nu_v)
-    wv = np.array([float(c.value) for c in w])
-    norm = np.linalg.norm(wv)
-    if norm <= 1e-10:
-        raise ImmersionError(f"conormal map fails to immerse at ({u}, {v})")
-    nvec = wv / norm
-    e = float(sum(nvec[k] * float(nuu[k].value) for k in range(3)))
-    f = float(sum(nvec[k] * float(nuv[k].value) for k in range(3)))
-    g = float(sum(nvec[k] * float(nvv[k].value) for k in range(3)))
+def second_form_of_conormal(frame):
+    """(e, f, g) of the conormal image and its unit normal, as arrays over
+    the points of an order-4 ``affine.frame_jets`` result (depth >= 1); only
+    its nu_u and nu_v are read.  ``ImmersionError`` names the first point,
+    in batch order, where the image fails to immerse."""
+    nu_u, nu_v = frame["nu_u"], frame["nu_v"]
+    wv = _rows(affine.cross(nu_u, nu_v))
+    norm = _norms(wv)
+    bad = np.atleast_1d(norm <= 1e-10)
+    if bad.any():
+        raise ImmersionError(
+            f"conormal map fails to immerse at sample {int(np.flatnonzero(bad)[0])}")
+    nvec = wv / norm[..., None]
+    second = (_rows(c.du() for c in nu_u), _rows(c.dv() for c in nu_u),
+              _rows(c.dv() for c in nu_v))
+    e, f, g = (sum(nvec[..., k] * d[..., k] for k in range(3)) for d in second)
     return (e, f, g), nvec
 
 
@@ -216,41 +184,30 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
                                    degenerate_tol=1e-12):
     """Proportionality report between II of the conormal image and (l, m, n).
 
-    One row per sample: the scalar factor lambda (ratio in the best-
-    conditioned slot), the normalized residual of (e, f, g) - lambda (l, m, n),
-    and the alignment of the image normal with the affine normal.  Samples
-    where all of l, m, n vanish are marked degenerate and carry no factor.
+    One row per sample, all read from one ``frame_jets`` call: the scalar
+    factor lambda (ratio in the best-conditioned slot), the normalized
+    residual of (e, f, g) - lambda (l, m, n), and the alignment of the image
+    normal with the affine normal.  Samples where all of l, m, n vanish are
+    marked degenerate and carry no factor.
     """
-    rows = []
-    for (u, v) in sample_points:
-        fr = affine.frame_jets(surf, u, v, order=4, guard=guard)
-        l, m, n = (float(c.value) for c in affine.lmn_from_frame(fr))
-        (e, f, g), nvec = second_form_of_conormal(surf, u, v, guard, frame=fr)
-        xi = np.array([float(c.value) for c in fr["xi"]])
-        xin = xi / np.linalg.norm(xi)
-        cross_norm = float(np.linalg.norm(np.cross(nvec, xin)))
-        scale = max(abs(l), abs(m), abs(n))
-        if scale < degenerate_tol:
-            rows.append({"point": (float(u), float(v)), "degenerate": True,
-                         "lambda": None, "residual": None,
-                         "normal_cross": cross_norm})
-            continue
-        trip = {"l": (l, e), "m": (m, f), "n": (n, g)}
-        key = max(trip, key=lambda k: abs(trip[k][0]))
-        lam = trip[key][1] / trip[key][0]
-        resid = max(abs(e - lam * l), abs(f - lam * m), abs(g - lam * n))
-        norm = max(abs(e), abs(f), abs(g), 1e-30)
-        rows.append({"point": (float(u), float(v)), "degenerate": False,
-                     "lambda": lam, "residual": resid / norm,
-                     "normal_cross": cross_norm})
-    return rows
-
-
-def export_mesh(mesh, format="obj"):
-    """Serialize a mesh; ``obj`` is the only supported format."""
-    if format != "obj":
-        raise ValueError(f"unsupported mesh format {format!r}")
-    return export_mesh_obj(mesh)
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    fr = affine.frame_jets(surf, pts[:, 0], pts[:, 1], order=4, guard=guard)
+    lmn = _rows(affine.lmn_from_frame(fr))
+    efg, nvec = second_form_of_conormal(fr)
+    efg = np.stack(efg, axis=-1)
+    xi = _rows(fr["xi"])
+    cross = _norms(np.cross(nvec, xi / _norms(xi)[:, None]))
+    degenerate = np.max(np.abs(lmn), axis=1) < degenerate_tol
+    # best-conditioned slot: the first of l, m, n with the largest modulus
+    k = np.argmax(np.abs(lmn), axis=1)
+    at = np.arange(len(pts))
+    lam = np.divide(efg[at, k], lmn[at, k], out=np.zeros(len(pts)), where=~degenerate)
+    resid = np.max(np.abs(efg - lam[:, None] * lmn), axis=1) / \
+        np.maximum(np.max(np.abs(efg), axis=1), 1e-30)
+    return [{"point": (float(u), float(v)), "degenerate": bool(d),
+             "lambda": None if d else float(la), "residual": None if d else float(r),
+             "normal_cross": float(c)}
+            for (u, v), d, la, r, c in zip(pts, degenerate, lam, resid, cross)]
 
 
 def correspondence_report_csv(rows):
@@ -263,23 +220,27 @@ def correspondence_report_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def export_mesh_obj(mesh):
-    """Wavefront OBJ text: components as separate objects, 1-indexed faces."""
+def export_mesh(mesh):
+    """Wavefront OBJ text: components as separate objects, 1-indexed faces.
+
+    Vertices and faces are sorted by component once (stably, so each object
+    keeps the mesh order) and written object by object."""
+    comp = mesh.component_id
+    vorder = np.argsort(comp, kind="stable")
+    remap = np.empty(len(comp), dtype=int)
+    remap[vorder] = np.arange(1, len(comp) + 1)
+    face_comp = comp[mesh.faces[:, 0]]
+    forder = np.argsort(face_comp, kind="stable")
+    labels = np.arange(mesh.n_components + 1)
+    vcut = np.searchsorted(comp[vorder], labels)
+    fcut = np.searchsorted(face_comp[forder], labels)
     lines = ["# conormal mesh export"]
-    order = np.argsort(mesh.component_id, kind="stable")
-    remap = np.empty(len(mesh.vertices), dtype=int)
-    remap[order] = np.arange(len(mesh.vertices))
-    face_comp = [mesh.component_id[f[0]] for f in mesh.faces]
-    for comp in range(mesh.n_components):
-        sel = np.nonzero(mesh.component_id == comp)[0]
-        if len(sel) == 0:
+    for c in range(mesh.n_components):
+        if vcut[c] == vcut[c + 1]:
             continue
-        lines.append(f"o component_{comp}")
-        for k in sel:
-            x, y, z = (float(t) for t in mesh.vertices[k])
-            lines.append(f"v {x!r} {y!r} {z!r}")
-        for face, fc in zip(mesh.faces, face_comp):
-            if fc == comp:
-                a, b, c, d = (remap[idx] + 1 for idx in face)
-                lines.append(f"f {a} {b} {c} {d}")
+        lines.append(f"o component_{c}")
+        lines += [f"v {x!r} {y!r} {z!r}"
+                  for x, y, z in mesh.vertices[vorder[vcut[c]:vcut[c + 1]]].tolist()]
+        lines += ["f %d %d %d %d" % tuple(q)
+                  for q in remap[mesh.faces[forder[fcut[c]:fcut[c + 1]]]].tolist()]
     return "\n".join(lines) + "\n"

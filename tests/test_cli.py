@@ -222,3 +222,84 @@ def test_portrait_without_polynomial_field_runs(tmp_path, surface):
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
     assert json.loads((tmp_path / "out" / "portrait.json").read_text())["trajectories"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "6,5"],
+    ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "-2"],
+    ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "0"],
+    ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "6x0"],
+    ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "6x5x4"],
+    ["portrait", "--bde", "folded", "--lam", "-1", "--res", "x"],
+])
+def test_bad_res_is_a_configuration_error(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --res") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eps1", ["2", "0"])
+def test_morse_eps1_must_be_a_sign(tmp_path, capsys, eps1):
+    argv = ["portrait", "--bde", "morse", "--eps1", eps1, "--res", "3",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--format", "xml"],
+    ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--format", "json,svg"],
+    ["portrait", "--bde", "folded", "--lam", "-1", "--format", "svg,csv"],
+])
+def test_unknown_format_is_a_configuration_error(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--res", "3", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: --format")
+    assert not list(tmp_path.iterdir())
+
+
+def test_conormal_immersion_failure_is_a_domain_failure(tmp_path, capsys, monkeypatch):
+    from affasym import conormal
+
+    def fail(frame):
+        raise conormal.ImmersionError("conormal map fails to immerse at sample 0")
+
+    monkeypatch.setattr(conormal, "second_form_of_conormal", fail)
+    argv = ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1",
+            "--res", "6", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_MATH
+    assert capsys.readouterr().err == \
+        "domain failure: conormal map fails to immerse at sample 0\n"
+
+
+MATRIX_SURFACES = {
+    "torus": ["catalog:torus", "--R", "3", "--r", "1"],
+    "pick": ["catalog:pick", "--epsilon", "-1", "--sigma", "0.8", "--q", "40=1"],
+    "cusp_gauss": ["catalog:cusp_gauss", "--q", "21=1", "--q", "40=0.3"],
+    "flat_umbilic_chart": ["catalog:flat_umbilic_chart", "--epsilon=-1"],
+    "monge_polynomial": ["monge:0.5*u^2+v^2+0.2*u^3"],
+    "monge_transcendental": ["monge:sin(u)*cos(v)+0.1*exp(u)"],
+    "file_parametric": None,
+}
+
+
+@pytest.mark.parametrize("res", ["6", "12"])
+@pytest.mark.parametrize("command", ["analyze", "conormal"])
+@pytest.mark.parametrize("surface", sorted(MATRIX_SURFACES))
+def test_cli_matrix_analyze_and_conormal(tmp_path, capsys, surface, command, res):
+    # every documented surface kind ends in a documented exit code
+    spec = MATRIX_SURFACES[surface]
+    if spec is None:
+        cfg = tmp_path / "surf.json"
+        cfg.write_text(json.dumps({"kind": "parametric",
+                                   "exprs": ["u", "v", "0.5*u^2+v^2+0.2*u^3"],
+                                   "domain": [-0.5, 0.5, -0.5, 0.5]}))
+        spec = [f"file:{cfg}"]
+    out = tmp_path / "out"
+    code = cli.main([command, "--surface", *spec, "--res", res, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_MATH), err
+    assert (code == cli.EXIT_OK) == (err == "")
+    if code == cli.EXIT_OK:
+        payload = "analyze.json" if command == "analyze" else "correspondence.json"
+        assert json.loads((out / payload).read_text())

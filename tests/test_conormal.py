@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affasym import affine as af, bde, conormal as cn, flow, surface as sf
+from affasym.jets import Jet2
 from affasym.surface import Rect
 
 
@@ -30,7 +31,7 @@ def test_conormal_point_value():
 
 
 def test_mesh_components_and_immersion():
-    mesh = cn.conormal_mesh(torus(), resolution=(48, 24))
+    _, mesh = cn.conormal_mesh(torus(), resolution=(48, 24))
     assert mesh.n_components == 2
     assert len(mesh.vertices) > 0
     assert not mesh.clipped.any()
@@ -70,13 +71,65 @@ def test_correspondence_builds_one_frame_per_sample(monkeypatch):
     rng = np.random.default_rng(3)
     pts = random_torus_points(10, rng)
     rows = cn.verify_conormal_correspondence(torus(), pts)
-    assert len(rows) == 10 and calls == [3] * 10
-    # the reused frame gives the same second form as a depth-1 frame of its own
+    assert len(rows) == 10 and calls == [3]
+    # the full frame gives the same second form as a depth-1 frame of its own
     monkeypatch.setattr(af, "frame_jets", frame_jets)
     for (u, v), row in zip(pts, rows):
         fr = af.frame_jets(torus(), u, v, order=4)
-        assert cn.second_form_of_conormal(torus(), u, v, frame=fr)[0] == \
-            cn.second_form_of_conormal(torus(), u, v)[0]
+        assert cn.second_form_of_conormal(fr)[0] == \
+            cn.second_form_of_conormal(af.frame_jets(torus(), u, v, order=4, depth=1))[0]
+
+
+@pytest.mark.parametrize("surf, pts", [
+    (torus(), random_torus_points(25, np.random.default_rng(8))),
+    (torus(2.5, 1.0), random_torus_points(25, np.random.default_rng(9))),
+    (sf.catalog_surface("pick", {"epsilon": -1, "sigma": 0.8,
+                                 "q": {(4, 0): 1.0, (1, 3): 0.5}}),
+     [tuple(p) for p in np.random.default_rng(10).uniform(-0.2, 0.2, (25, 2)).tolist()]),
+    (sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)"),
+     [tuple(p) for p in np.random.default_rng(11).uniform(-0.9, 0.9, (25, 2)).tolist()]),
+    (sf.monge_surface("(u^2 + v^2)/2"), [(0.0, 0.0), (0.2, 0.1), (-0.3, 0.25)]),
+])
+def test_correspondence_batch_equals_each_sample_alone(surf, pts):
+    rows = cn.verify_conormal_correspondence(surf, pts)
+    assert rows == [cn.verify_conormal_correspondence(surf, [p])[0] for p in pts]
+    assert rows == [correspondence_row_reference(surf, u, v) for (u, v) in pts]
+
+
+def correspondence_row_reference(surf, u, v, degenerate_tol=1e-12):
+    """One report row from the scalar frame of one sample, in Python floats."""
+    fr = af.frame_jets(surf, u, v, order=4)
+    l, m, n = (float(c.value) for c in af.lmn_from_frame(fr))
+    nu_u, nu_v = fr["nu_u"], fr["nu_v"]
+    wv = np.array([float(c.value) for c in af.cross(nu_u, nu_v)])
+    nvec = wv / np.linalg.norm(wv)
+    e, f, g = (float(sum(nvec[k] * float(d[k].value) for k in range(3)))
+               for d in ([c.du() for c in nu_u], [c.dv() for c in nu_u],
+                         [c.dv() for c in nu_v]))
+    xi = np.array([float(c.value) for c in fr["xi"]])
+    cross_norm = float(np.linalg.norm(np.cross(nvec, xi / np.linalg.norm(xi))))
+    row = {"point": (u, v), "degenerate": True, "lambda": None, "residual": None,
+           "normal_cross": cross_norm}
+    if max(abs(l), abs(m), abs(n)) >= degenerate_tol:
+        trip = {"l": (l, e), "m": (m, f), "n": (n, g)}
+        key = max(trip, key=lambda k: abs(trip[k][0]))
+        lam = trip[key][1] / trip[key][0]
+        resid = max(abs(e - lam * l), abs(f - lam * m), abs(g - lam * n))
+        row.update({"degenerate": False, "lambda": lam,
+                    "residual": resid / max(abs(e), abs(f), abs(g), 1e-30)})
+    return row
+
+
+def test_immersion_error_names_first_failing_sample():
+    def vec(*cols):
+        # order-1 jets over a batch of three points: value and both partials
+        return tuple(Jet2(1, np.array([c, [1.0, 0.5, 0.0], [0.0, 0.25, 2.0]]))
+                     for c in cols)
+
+    frame = {"nu_u": vec([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+             "nu_v": vec([0.0, 2.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0])}
+    with pytest.raises(cn.ImmersionError, match="sample 1$"):
+        cn.second_form_of_conormal(frame)
 
 
 def test_parabolic_sign_correspondence():
@@ -88,7 +141,7 @@ def test_parabolic_sign_correspondence():
         l = float(af.dot(fr["nu_u"], fr["xi_u"]).value)
         m = float(af.dot(fr["nu_u"], fr["xi_v"]).value)
         n = float(af.dot(fr["nu_v"], fr["xi_v"]).value)
-        (e, f, g), _ = cn.second_form_of_conormal(surf, u, v)
+        (e, f, g), _ = cn.second_form_of_conormal(fr)
         assert np.sign(e * g - f * f) == np.sign(l * n - m * m)
 
 
@@ -103,8 +156,8 @@ def test_quadric_degenerate_marker():
 
 def test_obj_export_small_grid():
     q = sf.monge_surface("(u^2 + v^2)/2")
-    mesh = cn.conormal_mesh(q, region=Rect(-0.5, 0.5, -0.5, 0.5), resolution=(2, 2))
-    obj = cn.export_mesh_obj(mesh)
+    _, mesh = cn.conormal_mesh(q, region=Rect(-0.5, 0.5, -0.5, 0.5), resolution=(2, 2))
+    obj = cn.export_mesh(mesh)
     lines = obj.strip().split("\n")
     assert sum(1 for ln in lines if ln.startswith("v ")) == 4
     assert sum(1 for ln in lines if ln.startswith("f ")) == 1
@@ -112,8 +165,8 @@ def test_obj_export_small_grid():
 
 
 def test_obj_export_torus_two_objects():
-    mesh = cn.conormal_mesh(torus(), resolution=(36, 18))
-    obj = cn.export_mesh_obj(mesh)
+    _, mesh = cn.conormal_mesh(torus(), resolution=(36, 18))
+    obj = cn.export_mesh(mesh)
     objects = [ln for ln in obj.split("\n") if ln.startswith("o ")]
     assert objects == ["o component_0", "o component_1"]
     # faces reference valid 1-based vertices
@@ -127,23 +180,105 @@ def test_obj_export_torus_two_objects():
 def test_obj_export_empty_region():
     tor = torus()
     # region entirely inside the widened exclusion strip
-    mesh = cn.conormal_mesh(tor, region=Rect(math.pi / 2 - 0.01, math.pi / 2 + 0.01,
-                                             0.0, 1.0), resolution=(4, 4), margin=0.05)
+    _, mesh = cn.conormal_mesh(tor, region=Rect(math.pi / 2 - 0.01, math.pi / 2 + 0.01,
+                                                0.0, 1.0), resolution=(4, 4), margin=0.05)
     assert len(mesh.vertices) == 0
-    obj = cn.export_mesh_obj(mesh)
+    obj = cn.export_mesh(mesh)
     assert obj.strip() == "# conormal mesh export"
 
 
 def test_norm_cap_clipping():
     tor = torus()
-    mesh = cn.conormal_mesh(tor, region=Rect(0.0, math.pi / 2 - 0.06, 0.0, 1.0),
-                            resolution=(24, 6), margin=0.05, norm_cap=2.0)
+    _, mesh = cn.conormal_mesh(tor, region=Rect(0.0, math.pi / 2 - 0.06, 0.0, 1.0),
+                               resolution=(24, 6), margin=0.05, norm_cap=2.0)
     assert mesh.clipped.any()
     # clipped vertices appear in no face
     used = set()
     for f in mesh.faces:
         used.update(f)
     assert not any(mesh.clipped[list(used)]) if used else True
+
+
+def test_one_mesh_pass_builds_both_meshes(monkeypatch):
+    counts = {"frame_jets": 0, "eval_jets": 0, "components": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(af, "frame_jets", counted("frame_jets", af.frame_jets))
+    monkeypatch.setattr(sf.SurfaceDef, "eval_jets",
+                        counted("eval_jets", sf.SurfaceDef.eval_jets))
+    monkeypatch.setattr(cn, "_components", counted("components", cn._components))
+    src, img = cn.conormal_mesh(torus(), resolution=(24, 12))
+    assert counts == {"frame_jets": 1, "eval_jets": 1, "components": 1}
+    assert src.n_components == img.n_components == 2
+    assert np.array_equal(src.component_id, img.component_id)
+    assert np.array_equal(src.params, img.params)
+    assert not src.clipped.any()
+
+
+def grid_faces_reference(surf, region, res, margin, clipped):
+    """Quads of the valid grid in row-major order, scanned cell by cell;
+    ``clipped`` vertices drop the quads they touch."""
+    _, _, U, _, mask = cn._grid_and_mask(surf, region, res, margin)
+    index = -np.ones(U.shape, dtype=int)
+    index[mask] = np.arange(int(mask.sum()))
+    ok = mask.copy()
+    ok[mask] = ~clipped
+    faces = []
+    for i in range(res[0] - 1):
+        for j in range(res[1] - 1):
+            cell = (index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1])
+            if ok[i, j] and ok[i + 1, j] and ok[i + 1, j + 1] and ok[i, j + 1]:
+                faces.append(cell)
+    return faces
+
+
+def obj_reference(mesh):
+    """OBJ text scanning every face once per component."""
+    lines = ["# conormal mesh export"]
+    order = np.argsort(mesh.component_id, kind="stable")
+    remap = np.empty(len(mesh.vertices), dtype=int)
+    remap[order] = np.arange(len(mesh.vertices))
+    for comp in range(mesh.n_components):
+        sel = np.nonzero(mesh.component_id == comp)[0]
+        if len(sel) == 0:
+            continue
+        lines.append(f"o component_{comp}")
+        lines += [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices[sel]]
+        for face in mesh.faces:
+            if mesh.component_id[face[0]] == comp:
+                a, b, c, d = (remap[idx] + 1 for idx in face)
+                lines.append(f"f {a} {b} {c} {d}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("region, res, norm_cap", [
+    (None, (36, 18), 1e3),
+    (Rect(0.0, 1.5, 0.0, 1.0), (40, 12), 2.0),
+])
+def test_mesh_faces_and_obj_match_cell_scan(region, res, norm_cap):
+    tor = torus()
+    src, img = cn.conormal_mesh(tor, region, res, norm_cap=norm_cap)
+    region = region or tor.domain
+    none = np.zeros(len(src.vertices), dtype=bool)
+    assert src.faces.tolist() == [list(f) for f in
+                                  grid_faces_reference(tor, region, res, 0.05, none)]
+    assert img.faces.tolist() == [list(f) for f in
+                                  grid_faces_reference(tor, region, res, 0.05, img.clipped)]
+    assert (len(img.faces) < len(src.faces)) == bool(img.clipped.any())
+    for mesh in (src, img):
+        assert cn.export_mesh(mesh) == obj_reference(mesh)
+
+
+def test_source_vertices_are_surface_positions():
+    for surf in (torus(), sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)")):
+        src, _ = cn.conormal_mesh(surf, resolution=(32, 32))
+        al = surf.eval_jets(src.params[:, 0], src.params[:, 1], order=1, check=False)
+        assert np.array_equal(src.vertices, np.stack([c.value for c in al], axis=1))
 
 
 def test_hyperbolic_band_vertex_norms_grow_near_band_edge():
@@ -206,7 +341,7 @@ def test_affine_parabolic_point_both_determinants_vanish():
     m = float(af.dot(fr["nu_u"], fr["xi_v"]).value)
     n = float(af.dot(fr["nu_v"], fr["xi_v"]).value)
     assert abs(l * n - m * m) < 1e-10
-    (e, f, g), _ = cn.second_form_of_conormal(surf, 0.0, 0.0)
+    (e, f, g), _ = cn.second_form_of_conormal(fr)
     assert abs(e * g - f * f) < 1e-10
     assert abs(n) > 1e-3 and abs(g) > 1e-12  # not a totally degenerate point
 
