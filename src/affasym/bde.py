@@ -420,6 +420,38 @@ _SEG_TABLE = {
 }
 
 
+def _edge_key(cell_i, cell_j, e):
+    if e == 0:
+        return ("h", cell_i, cell_j)
+    if e == 2:
+        return ("h", cell_i, cell_j + 1)
+    if e == 3:
+        return ("v", cell_i, cell_j)
+    return ("v", cell_i + 1, cell_j)
+
+
+def _cell_segments(pos, centre_positive):
+    """Marching-squares segments, as pairs of edge keys, from the corner signs
+    ``pos`` of the grid.  One array pass gives the case code of every cell;
+    only the cells the zero set crosses are visited, in (i, j) order.  A
+    saddle cell (codes 5 and 10) pairs its edges by ``centre_positive(i, j)``,
+    the sign of the scalar at its centre."""
+    p = pos.astype(np.uint8)
+    codes = p[:-1, :-1] | p[1:, :-1] << 1 | p[1:, 1:] << 2 | p[:-1, 1:] << 3
+    ci, cj = np.nonzero((codes != 0) & (codes != 15))
+    segments = []
+    for i, j, code in zip(ci.tolist(), cj.tolist(), codes[ci, cj].tolist()):
+        if code == 5:    # positive BL/TR corners
+            segs = [(0, 1), (2, 3)] if centre_positive(i, j) else [(3, 0), (1, 2)]
+        elif code == 10:  # positive BR/TL corners
+            segs = [(3, 0), (1, 2)] if centre_positive(i, j) else [(0, 1), (2, 3)]
+        else:
+            segs = _SEG_TABLE[code]
+        for (e1, e2) in segs:
+            segments.append((_edge_key(i, j, e1), _edge_key(i, j, e2)))
+    return segments
+
+
 def trace_zero_set(scalar, region, resolution=256, refine_iters=48):
     """Polylines approximating {scalar = 0} on the region.
 
@@ -469,37 +501,11 @@ def trace_zero_set(scalar, region, resolution=256, refine_iters=48):
     hpoint = {(i, j): (hu[k], hv[k]) for k, (i, j) in enumerate(zip(hi, hj))}
     vpoint = {(i, j): (vu[k], vv_[k]) for k, (i, j) in enumerate(zip(vi, vj))}
 
-    def edge_key(cell_i, cell_j, e):
-        if e == 0:
-            return ("h", cell_i, cell_j)
-        if e == 2:
-            return ("h", cell_i, cell_j + 1)
-        if e == 3:
-            return ("v", cell_i, cell_j)
-        return ("v", cell_i + 1, cell_j)
+    def centre_positive(i, j):
+        cu, cv = 0.5 * (us[i] + us[i + 1]), 0.5 * (vs[j] + vs[j + 1])
+        return float(scalar(np.asarray(cu), np.asarray(cv))) > 0
 
-    segments = []
-    amb_cache = {}
-    for i in range(nx):
-        for j in range(ny):
-            code = (int(pos[i, j]) | int(pos[i + 1, j]) << 1
-                    | int(pos[i + 1, j + 1]) << 2 | int(pos[i, j + 1]) << 3)
-            if code in (0, 15):
-                continue
-            if code in (5, 10):
-                key = (i, j)
-                if key not in amb_cache:
-                    cu, cv = 0.5 * (us[i] + us[i + 1]), 0.5 * (vs[j] + vs[j + 1])
-                    amb_cache[key] = float(scalar(np.asarray(cu), np.asarray(cv))) > 0
-                center_pos = amb_cache[key]
-                if code == 5:  # positive BL/TR corners
-                    segs = [(0, 1), (2, 3)] if center_pos else [(3, 0), (1, 2)]
-                else:          # positive BR/TL corners
-                    segs = [(3, 0), (1, 2)] if center_pos else [(0, 1), (2, 3)]
-            else:
-                segs = _SEG_TABLE[code]
-            for (e1, e2) in segs:
-                segments.append((edge_key(i, j, e1), edge_key(i, j, e2)))
+    segments = _cell_segments(pos, centre_positive)
 
     # chain segments into polylines
     adj = {}

@@ -76,13 +76,6 @@ class Trajectory:
     def points(self):
         return self.samples[:, :2]
 
-    def to_json_dict(self):
-        return {
-            "family": self.family,
-            "termination": self.termination,
-            "samples": [[float(x) for x in row] for row in self.samples],
-        }
-
 
 # Cash-Karp 4(5) tableau
 _CK_A = (
@@ -110,8 +103,9 @@ class IntegrationStats:
     lane evaluations of the lifted field, ``creep_steps`` accepted steps with
     a stage that crept along the planar double direction, ``terminations`` a
     histogram of termination reasons, ``dropped`` the jobs that gave no
-    trajectory and ``skipped_seeds`` the portrait seeds that gave no job, each
-    with its reason."""
+    trajectory, ``skipped_seeds`` the portrait seeds that gave no job and
+    ``dropped_reports`` the portrait's singular-point searches and reports
+    that failed, each with its reason."""
     lanes: int = 0
     rounds: int = 0
     accepted: int = 0
@@ -122,11 +116,18 @@ class IntegrationStats:
     terminations: dict = field(default_factory=dict)
     dropped: list = field(default_factory=list)
     skipped_seeds: list = field(default_factory=list)
+    dropped_reports: list = field(default_factory=list)
 
     def drop(self, job, exc):
         (u, v), family, sweep = job
         self.dropped.append({"seed": [float(u), float(v)], "family": family,
                              "sweep": int(sweep), "reason": f"{type(exc).__name__}: {exc}"})
+
+    def drop_report(self, stage, exc, location=None):
+        entry = {"stage": stage, "reason": f"{type(exc).__name__}: {exc}"}
+        if location is not None:
+            entry["location"] = [float(location[0]), float(location[1])]
+        self.dropped_reports.append(entry)
 
     def to_json_dict(self):
         out = asdict(self)
@@ -569,19 +570,57 @@ class Portrait:
     reports: list = field(default_factory=list)
     integration: IntegrationStats = None   # run statistics, not part of the payload
 
-    def to_json_dict(self):
-        return {
-            "region": [self.region.u0, self.region.u1, self.region.v0, self.region.v1],
-            "trajectories": [t.to_json_dict() for t in self.trajectories],
-            "singular_sets": {
-                name: [[[float(u), float(v)] for (u, v) in poly] for poly in polys]
-                for name, polys in sorted(self.singular_sets.items())
-            },
-            "reports": [r.to_json_dict() for r in self.reports],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=1, sort_keys=True)
+        """The payload, as ``json.dumps(..., indent=1, sort_keys=True)`` writes
+        it, with sample and polyline arrays written row by row from one
+        ``float.__repr__`` pass each."""
+        region = [self.region.u0, self.region.u1, self.region.v0, self.region.v1]
+        trajectories = [_json_object([("family", json.dumps(t.family)),
+                                      ("samples", _json_rows(t.samples, 3)),
+                                      ("termination", json.dumps(t.termination))], 2)
+                        for t in self.trajectories]
+        sets = [(name, _json_block([_json_rows(p, 3) for p in polys], 2))
+                for name, polys in sorted(self.singular_sets.items())]
+        return _json_object([
+            ("region", _json_at(region, 1)),
+            ("reports", _json_block([_json_at(r.to_json_dict(), 2) for r in self.reports], 1)),
+            ("singular_sets", _json_object(sets, 1)),
+            ("trajectories", _json_block(trajectories, 1)),
+        ], 0)
+
+
+# -- the payload writer: json.dumps(indent=1, sort_keys=True) text, where an
+# item at nesting level L sits on its own line indented by L spaces ---------
+
+
+def _json_at(obj, level):
+    """``obj`` as json.dumps writes it at nesting ``level``."""
+    return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
+
+
+def _json_block(items, level, brackets="[]"):
+    """A list (or, with brackets "{}", a dict) at ``level`` from its items,
+    each already written at level + 1."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
+
+
+def _json_object(pairs, level):
+    """A dict at ``level`` from (key, value text) pairs in sorted key order."""
+    return _json_block([f"{json.dumps(k)}: {text}" for k, text in pairs], level, "{}")
+
+
+def _json_rows(arr, level):
+    """An (n, k) float array as a list of rows at ``level``."""
+    arr = np.asarray(arr, dtype=float)
+    if not arr.size or not np.isfinite(arr).all():
+        # json writes NaN and Infinity, which float repr does not
+        return _json_at(arr.tolist(), level)
+    pad = "\n" + " " * (level + 2)
+    row = "[" + pad + ("," + pad).join(["%s"] * arr.shape[1]) + "\n" + " " * (level + 1) + "]"
+    return _json_block([row] * len(arr), level) % tuple(map(float.__repr__, arr.ravel().tolist()))
 
 
 def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resolution=192,
@@ -605,14 +644,15 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     fld = BDEField(fld.coeff, fld.jet_coeff, region, fld.name, fld.period)
     params = params or IntegrationParams()
 
+    stats = IntegrationStats()
     reports = []
     if surf is not None and detect:
         sets = singular.singular_sets(surf, fld, region, trace_resolution)
         try:
             reports.extend(singular.detect_special_points(surf, fld, sets, region,
                                                           trace_resolution))
-        except (ArithmeticError, bde.CapabilityError, EvalError):
-            pass
+        except (ArithmeticError, bde.CapabilityError, EvalError) as exc:
+            stats.drop_report("detect_special_points", exc)
         # the whole extended discriminant; find_folded_points sorts its
         # candidates, so the order of the components does not matter
         disc_polys = sets["affine_parabolic"] + sets["discriminant"]
@@ -625,10 +665,10 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         for pt in singular.find_folded_points(fld, disc_polys):
             try:
                 reports.append(singular.classify_folded(fld, pt))
-            except singular.NotSingularLiftError:
-                pass
-    except bde.CapabilityError:
-        pass
+            except singular.NotSingularLiftError as exc:
+                stats.drop_report("classify_folded", exc, pt)
+    except bde.CapabilityError as exc:
+        stats.drop_report("find_folded_points", exc)
 
     nx, ny = grid if not np.isscalar(grid) else (int(grid), int(grid))
     us = np.linspace(region.u0, region.u1, nx + 2)[1:-1]
@@ -640,7 +680,6 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
             seeds.append((rep.location[0] + ring_radius * math.cos(ang),
                           rep.location[1] + ring_radius * math.sin(ang)))
 
-    stats = IntegrationStats()
     jobs = []
     for (su, sv) in seeds:
         skip = ("outside the region" if not bool(region.contains(su, sv)) else

@@ -389,9 +389,11 @@ def singular_sets(surf, fld, region, resolution):
 
     parabolic = bde.trace_zero_set(kscalar, region, resolution)
     ext_disc = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), region, resolution)
-    kscale = np.nanmax(np.abs(np.asarray(kscalar(
-        np.linspace(region.u0, region.u1, 33),
-        np.linspace(region.v0, region.v1, 33))))) or 1.0
+    # |K| scale over a 33 x 33 grid of the region (not its diagonal, where
+    # K may vanish identically)
+    ug, vg = np.meshgrid(np.linspace(region.u0, region.u1, 33),
+                         np.linspace(region.v0, region.v1, 33), indexing="ij")
+    kscale = np.nanmax(np.abs(np.asarray(kscalar(ug, vg)))) or 1.0
     affine_parabolic, rest = [], []
     for poly in ext_disc:
         ks = np.abs(np.asarray(kscalar(poly[:, 0], poly[:, 1])))

@@ -451,27 +451,46 @@ def _powers(x, n):
     return pw
 
 
+# A 1-D batch of fewer lanes than this is summed one lane at a time on Python
+# floats.  A batch makes three numpy calls per table term whatever its size;
+# the per-lane loop was measured cheaper below about 8 lanes on the cusp_gauss
+# extended field and 13 to 23 on the pick and cusp-law fields (orders 0 and
+# 1), and portrait times do not move between 8 and 12.
+SCALAR_LANES = 12
+
+
+def _point_slots(tabs, pu, pv):
+    """Table sums at one point from its powers, on Python floats."""
+    vals = []
+    for entries in tabs:
+        acc = 0.0
+        for w, i, j in entries:
+            acc = acc + w * pu[i] * pv[j]
+        vals.append(acc)
+    return vals
+
+
 def _slot_arrays(polys, u, v, order):
     """Jet slots of several polynomials at (u, v), stacked in one array of
     shape (polynomials * slots,) + batch shape: the one polynomial evaluator.
 
     Each power of u and of v is computed once per call and shared by every
-    table entry of every polynomial.  A scalar point sums on Python floats, a
-    batch in place on numpy arrays; both add the same terms in the same order.
+    table entry of every polynomial.  A scalar point, and each lane of a 1-D
+    batch of fewer than ``SCALAR_LANES`` lanes, sums on Python floats; a larger
+    batch sums in place on numpy arrays.  Both add the same terms in the same
+    order, so a point gives the same bits on every path.
     """
     tabs = [entries for p in polys for entries in p.table(order)]
     du = max([p.degree[0] for p in polys])
     dv = max([p.degree[1] for p in polys])
     if isinstance(u, float) and isinstance(v, float):
-        pu, pv = _powers(float(u), du), _powers(float(v), dv)
-        vals = []
-        for entries in tabs:
-            acc = 0.0
-            for w, i, j in entries:
-                acc = acc + w * pu[i] * pv[j]
-            vals.append(acc)
-        return np.array(vals)
+        return np.array(_point_slots(tabs, _powers(float(u), du), _powers(float(v), dv)))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim == 1 and u.shape == v.shape and len(u) < SCALAR_LANES:
+        c = np.empty((len(tabs), len(u)))
+        for k, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+            c[:, k] = _point_slots(tabs, _powers(a, du), _powers(b, dv))
+        return c
     pu, pv = _powers(u, du), _powers(v, dv)
     c = np.zeros((len(tabs),) + np.broadcast_shapes(u.shape, v.shape))
     term = np.empty(c.shape[1:])

@@ -215,6 +215,75 @@ def test_trace_isolated_zero_is_empty():
     assert polys == []
 
 
+def reference_cell_segments(pos, centre_positive, seen=None):
+    """The marching-squares cell pass as a plain per-cell loop over the whole
+    grid; ``seen`` collects (code, centre sign) of every saddle cell."""
+    edge = {0: lambda i, j: ("h", i, j), 1: lambda i, j: ("v", i + 1, j),
+            2: lambda i, j: ("h", i, j + 1), 3: lambda i, j: ("v", i, j)}
+    table = {1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
+             8: [(2, 3)], 9: [(0, 2)], 11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)]}
+    segments = []
+    nx, ny = pos.shape[0] - 1, pos.shape[1] - 1
+    for i in range(nx):
+        for j in range(ny):
+            code = (int(pos[i, j]) | int(pos[i + 1, j]) << 1
+                    | int(pos[i + 1, j + 1]) << 2 | int(pos[i, j + 1]) << 3)
+            if code in (0, 15):
+                continue
+            if code in (5, 10):
+                centre = centre_positive(i, j)
+                if seen is not None:
+                    seen.add((code, centre))
+                pairs = [(0, 1), (2, 3)] if centre == (code == 5) else [(3, 0), (1, 2)]
+            else:
+                pairs = table[code]
+            segments += [(edge[a](i, j), edge[b](i, j)) for a, b in pairs]
+    return segments
+
+
+SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
+TRACE_CASES = {
+    # (0, 0) is the centre of the middle cell of a 9 x 9 grid: +u v gives a
+    # code-5 saddle cell, -u v a code-10 one, and the offset picks the centre sign
+    "saddle5_centre_pos": (lambda u, v: u * v + 0.01, SQUARE, 9, {(5, True)}),
+    "saddle5_centre_neg": (lambda u, v: u * v - 0.01, SQUARE, 9, {(5, False)}),
+    "saddle10_centre_pos": (lambda u, v: -u * v + 0.01, SQUARE, 9, {(10, True)}),
+    "saddle10_centre_neg": (lambda u, v: -u * v - 0.01, SQUARE, 9, {(10, False)}),
+    "closed_loop": (lambda u, v: u * u + 0.5 * v * v - 0.3, SQUARE, 24, set()),
+    # zeros on whole grid lines and at grid vertices, broken by the tie-break
+    "exact_zeros": (lambda u, v: u * (v - 0.5), SQUARE, 8, set()),
+    "non_square": (lambda u, v: np.sin(3 * u) + np.cos(2 * v) - 0.2,
+                   Rect(-1.0, 2.0, -0.5, 1.5), (17, 6), set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_trace_cell_pass_matches_per_cell_loop(case, monkeypatch):
+    scalar, region, res, saddles = TRACE_CASES[case]
+    fast = bde.trace_zero_set(scalar, region, res)
+    seen = set()
+    cells = []
+    vectorised = bde._cell_segments
+
+    def reference(pos, centre_positive):
+        segs = reference_cell_segments(pos, centre_positive, seen)
+        assert vectorised(pos, centre_positive) == segs
+        cells.append(len(segs))
+        return segs
+
+    monkeypatch.setattr(bde, "_cell_segments", reference)
+    slow = bde.trace_zero_set(scalar, region, res)
+    assert cells and cells[0] > 0
+    assert seen == saddles
+    assert len(fast) == len(slow) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+    if case == "closed_loop":
+        assert len(fast) == 1 and np.array_equal(fast[0][0], fast[0][-1])
+    if case.startswith("saddle"):
+        # the two branches of the hyperbola stay apart through the saddle cell
+        assert len(fast) == 2
+
+
 def test_criminant_characterization():
     # at traced discriminant vertices the double direction satisfies F = F_p = 0
     lam = -0.8

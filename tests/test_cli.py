@@ -92,7 +92,8 @@ def test_portrait_run_info_carries_integration_stats(tmp_path):
     a = blocks[0]
     assert a == blocks[1]
     assert {"lanes", "rounds", "accepted", "rejected", "rhs_evals", "chart_switches",
-            "creep_steps", "terminations", "dropped", "skipped_seeds"} <= set(a)
+            "creep_steps", "terminations", "dropped", "skipped_seeds", "dropped_reports"} <= set(a)
+    assert a["dropped_reports"] == []
     data = json.loads((tmp_path / "a" / "portrait.json").read_text())
     assert a["lanes"] == len(data["trajectories"]) == sum(a["terminations"].values())
     assert a["rounds"] > 0 and a["accepted"] > 0 and a["rhs_evals"] >= 6 * a["accepted"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -52,17 +53,22 @@ def test_trajectory_reaches_ring_boundary_and_cusps():
     assert np.min(du) < 0 < np.max(du)
 
 
-def test_cusp_law_at_criminant_crossing():
-    # cross the degenerate curve of a generic graph field with fine steps;
-    # at the crossing the lifted planar velocity vanishes and the slope
-    # passes through the chart-appropriate double root
+def cusp_law_field():
+    # the extended field of a generic graph
     eps, sigma, q13, q40 = 1, 0.9, 0.3, 0.5
     surf = sf.catalog_surface("pick", {
         "epsilon": eps, "sigma": sigma,
         "q": {(1, 3): q13, (3, 1): -eps * q13,
               (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
               (0, 4): q40 + 1.0}}, domain=Rect(-0.35, 0.35, -0.35, 0.35))
-    fld = bde.monge_extended_field(surf)
+    return bde.monge_extended_field(surf)
+
+
+def test_cusp_law_at_criminant_crossing():
+    # cross the degenerate curve of a generic graph field with fine steps;
+    # at the crossing the lifted planar velocity vanishes and the slope
+    # passes through the chart-appropriate double root
+    fld = cusp_law_field()
     params = flow.IntegrationParams(max_len=0.6, max_step_frac=5e-4, max_steps=6000)
     crossing = None
     for sweep in (1, -1):
@@ -408,3 +414,106 @@ def test_integrate_many_reports_dropped_jobs():
     assert stats.lanes == 1 and len(stats.dropped) == 1
     assert stats.dropped[0]["seed"] == [0.2, 0.0]
     assert stats.dropped[0]["reason"].startswith("NoDirectionError")
+
+
+def test_one_lane_evaluates_on_python_floats(monkeypatch):
+    fld = cusp_law_field()
+    params = flow.IntegrationParams(max_len=0.004, max_step_frac=5e-4)
+    powers = sf._powers
+    batched = []
+
+    def spy(x, n):
+        batched.append(isinstance(x, np.ndarray))
+        return powers(x, n)
+
+    monkeypatch.setattr(sf, "_powers", spy)
+    few = flow.integrate_asymptotic(fld, (-0.12, 0.0), "plus", params)
+    assert len(few.samples) > 10 and batched and not any(batched)
+    monkeypatch.setattr(sf, "SCALAR_LANES", 0)
+    batched.clear()
+    wide = flow.integrate_asymptotic(fld, (-0.12, 0.0), "plus", params)
+    assert any(batched)
+    assert wide.termination == few.termination
+    assert np.array_equal(wide.samples, few.samples)
+
+
+def test_portrait_bits_do_not_depend_on_the_lane_crossover(monkeypatch):
+    surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+
+    def payload():
+        return flow.build_portrait(surf, grid=(2, 2), params=flow.IntegrationParams(max_len=0.5),
+                                   trace_resolution=48).to_json()
+
+    ref = payload()
+    monkeypatch.setattr(sf, "SCALAR_LANES", 0)
+    assert payload() == ref
+
+
+def payload_dict(p):
+    """The payload as plain dicts and lists, for json.dumps to write."""
+    return {
+        "region": [p.region.u0, p.region.u1, p.region.v0, p.region.v1],
+        "trajectories": [{"family": t.family, "termination": t.termination,
+                          "samples": [[float(x) for x in row] for row in t.samples]}
+                         for t in p.trajectories],
+        "singular_sets": {name: [[[float(u), float(v)] for (u, v) in poly] for poly in polys]
+                          for name, polys in sorted(p.singular_sets.items())},
+        "reports": [r.to_json_dict() for r in p.reports],
+    }
+
+
+def test_to_json_writes_json_dumps_text():
+    p = flow.build_portrait(bde.folded_model_field(-1.0), Rect(-1, 1, -1, 1), grid=(3, 3),
+                            params=flow.IntegrationParams(max_len=0.3), trace_resolution=48)
+    assert p.trajectories and p.reports and p.singular_sets["discriminant"]
+    p.trajectories.append(flow.Trajectory(np.array([[0.1, -0.2, 1e-300, 1.0, 0.0]]),
+                                          "minus", "max_length"))
+    p.trajectories.append(flow.Trajectory(np.array([[0.5, np.nan, -0.0, 0.0, 1e16]]),
+                                          "plus", "left_domain"))
+    p.singular_sets["parabolic"] = []
+    p.reports.append(sg.SingularPointReport(
+        (0.25, -0.5), "boundary_uncertain", lambda_invariant=math.inf,
+        eigenvalues=[complex(math.nan, 0.0), complex(math.inf, -math.inf)],
+        details={"trace": 0.0, "e2": -math.inf, "chart": "p", "tangential": True}))
+    text = p.to_json()
+    assert text == json.dumps(payload_dict(p), indent=1, sort_keys=True)
+    assert '"region": [\n  -1,' in text and "NaN" in text and "-Infinity" in text
+    empty = flow.Portrait(Rect(0.0, 1.0, 0.0, 1.0))
+    assert empty.to_json() == json.dumps(payload_dict(empty), indent=1, sort_keys=True)
+
+
+def test_portrait_counts_dropped_reports(monkeypatch):
+    params = flow.IntegrationParams(max_len=0.3)
+    fld = bde.folded_model_field(-1.0)
+    ref = flow.build_portrait(fld, grid=(2, 2), params=params, trace_resolution=48)
+    assert ref.integration.dropped_reports == []
+    folds = [r.location for r in ref.reports]
+    assert folds
+
+    def not_singular(fld, pt):
+        raise sg.NotSingularLiftError(f"lifted field does not vanish at {pt}")
+
+    monkeypatch.setattr(sg, "classify_folded", not_singular)
+    p = flow.build_portrait(fld, grid=(2, 2), params=params, trace_resolution=48)
+    assert p.reports == []
+    assert p.integration.dropped_reports == [
+        {"stage": "classify_folded", "reason": f"NotSingularLiftError: lifted field does not "
+                                               f"vanish at {pt}", "location": list(pt)}
+        for pt in folds]
+
+    # a field without jets: the fold search cannot run, and no job starts
+    bare = bde.BDEField(fld.coeff, None, fld.domain, "no-jets")
+    p = flow.build_portrait(bare, grid=(2, 2), params=params, trace_resolution=48)
+    (drop,) = p.integration.dropped_reports
+    assert drop["stage"] == "find_folded_points"
+    assert drop["reason"].startswith("CapabilityError")
+
+    def failing_scan(*args, **kwargs):
+        raise ArithmeticError("scan failed")
+
+    monkeypatch.setattr(sg, "detect_special_points", failing_scan)
+    surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    p = flow.build_portrait(surf, grid=(2, 2), params=params, trace_resolution=48)
+    assert p.integration.dropped_reports[0] == {"stage": "detect_special_points",
+                                                "reason": "ArithmeticError: scan failed"}
+    assert p.integration.to_json_dict()["dropped_reports"] == p.integration.dropped_reports
