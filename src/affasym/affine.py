@@ -123,22 +123,24 @@ class AffinePointData:
     alpha_u: object = None
     alpha_v: object = None
 
+    def json_columns(self):
+        """(name, value) of each field a JSON row carries, in name order."""
+        return sorted(((f.name, getattr(self, f.name)) for f in fields(self)
+                       if f.name not in ("alpha_u", "alpha_v")), key=lambda p: p[0])
+
     def to_json_dict(self, k=None):
         """JSON-ready fields of one point: of point ``k`` of a result batched
         over a 1-D array of points, or of a single-point result."""
         out = {}
-        for f in fields(self):
-            if f.name in ("alpha_u", "alpha_v"):
-                continue
-            val = getattr(self, f.name)
+        for name, val in self.json_columns():
             if k is not None and np.ndim(val):
                 val = val[k] if np.ndim(val) == 1 else val[:, k]
             if isinstance(val, np.ndarray):
-                out[f.name] = [float(x) for x in np.atleast_1d(val)]
+                out[name] = [float(x) for x in np.atleast_1d(val)]
             elif isinstance(val, (np.floating, float, int)):
-                out[f.name] = float(val)
+                out[name] = float(val)
             else:
-                out[f.name] = val
+                out[name] = val
         return out
 
 

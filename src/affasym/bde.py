@@ -29,7 +29,7 @@ import numpy as np
 
 from . import affine, jets
 from .jets import Jet2
-from .surface import Poly, Rect, poly_jets, poly_values
+from .surface import Poly, PolySet, Rect, poly_jets, poly_values
 
 __all__ = [
     "BDEField",
@@ -99,8 +99,8 @@ class LiftedState:
 
 def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
     """Field with polynomial (A, B, C); each call evaluates all three at once
-    from their compiled derivative tables."""
-    polys = tuple(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
+    from their compiled derivative tables, flattened once per jet order."""
+    polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
 
     def coeff(u, v):
         return poly_values(polys, u, v)

@@ -15,13 +15,14 @@ fields for ``portrait`` come from ``--bde folded --lam L`` or ``--bde morse
 
 Exit codes: 0 success, 1 verification failures, 2 configuration errors,
 3 mathematical domain failures.  Payload outputs carry no timestamps; a
-sidecar ``run_info.json`` records the invocation.
+sidecar ``run_info.json`` records the invocation and the wall time of each
+stage.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import affine, bde, conormal, flow, singular, surface as surface_mod
 from .jets import Jet2, JetDomainError
+from .jsontext import json_at, json_records
 from .surface import ParseError, Rect
 
 EXIT_OK = 0
@@ -180,6 +182,7 @@ def cmd_analyze(args):
     tol = _tolerances(args)
     guard = tol.get("guard", 1e-9)
     kzero = tol.get("k_zero_tol", affine.K_ZERO_TOL)
+    t_start = time.perf_counter()
     us, vs = _analysis_grid(surf, region, res)
     U, V = np.meshgrid(us, vs, indexing="ij")  # u-major point order
     try:
@@ -191,29 +194,46 @@ def cmd_analyze(args):
         return EXIT_MATH
     flat = np.maximum(np.maximum(np.abs(data.l), np.abs(data.m)), np.abs(data.n)) \
         < tol.get("degenerate", 1e-8)
-    rows = []
-    for k in range(U.size):
-        row = data.to_json_dict(k)
-        if flat[k]:
-            row["flags"] = ["flat_affine_umbilic"]
-        rows.append(row)
+    t_write = time.perf_counter()
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if "json" in formats:
-        _atomic_write(os.path.join(outdir, "analyze.json"),
-                      json.dumps(rows, indent=1, sort_keys=True) + "\n")
+        _atomic_write(os.path.join(outdir, "analyze.json"), _analyze_json(data, flat) + "\n")
     if "csv" in formats:
-        cols = ["u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_class",
-                "g11", "g12", "g22", "l", "m", "n", "b11", "b12", "b21", "b22",
-                "K_aff", "H_aff", "aff_class"]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for row in rows:
-            buf.write(",".join(str(row.get(c)) for c in cols) + "\n")
-        _atomic_write(os.path.join(outdir, "analyze.csv"), buf.getvalue())
-    _write_run_info(outdir, args)
-    print(f"analyze: wrote {len(rows)} rows to {outdir}")
+        _atomic_write(os.path.join(outdir, "analyze.csv"), _analyze_csv(data))
+    _write_run_info(outdir, args, stage_seconds={"evaluate": t_write - t_start,
+                                                 "write": time.perf_counter() - t_write})
+    print(f"analyze: wrote {U.size} rows to {outdir}")
     return EXIT_OK
+
+
+def _analyze_json(data, flat):
+    """The text of ``json.dumps(rows, indent=1, sort_keys=True)`` for the
+    rows ``data.to_json_dict(k)``, written from the column arrays.  A row
+    with a flag or a non-finite value goes through json.dumps."""
+    columns = data.json_columns()
+    floats = np.vstack([np.reshape(c, (-1, len(flat))) for _, c in columns
+                        if c.dtype.kind == "f"])
+    apart = {}
+    for k in np.flatnonzero(flat | ~np.isfinite(floats).all(axis=0)).tolist():
+        row = data.to_json_dict(k)
+        if flat[k]:
+            row["flags"] = ["flat_affine_umbilic"]
+        apart[k] = json_at(row, 1)
+    return json_records(columns, 0, apart)
+
+
+_CSV_COLUMNS = ("u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_class",
+                "g11", "g12", "g22", "l", "m", "n", "b11", "b12", "b21", "b22",
+                "K_aff", "H_aff", "aff_class")
+
+
+def _analyze_csv(data):
+    """analyze.csv: a header, then one line per point of str() of each value."""
+    cols = [getattr(data, c) for c in _CSV_COLUMNS]
+    line = ",".join("%r" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    cells = itertools.chain.from_iterable(zip(*[c.tolist() for c in cols]))
+    return ",".join(_CSV_COLUMNS) + "\n" + line * len(cols[0]) % tuple(cells)
 
 
 # -- portrait ------------------------------------------------------------------
@@ -246,13 +266,16 @@ def cmd_portrait(args):
         region = _parse_region(args.region) if args.region else surf.domain
         portrait = flow.build_portrait(surf, region, grid=res, params=params,
                                        trace_resolution=trace_res)
+    t_write = time.perf_counter()
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if "svg" in formats:
         _atomic_write(os.path.join(outdir, "portrait.svg"), flow.portrait_svg(portrait))
     if "json" in formats:
         _atomic_write(os.path.join(outdir, "portrait.json"), portrait.to_json() + "\n")
-    _write_run_info(outdir, args, integration=portrait.integration.to_json_dict())
+    stages = dict(portrait.stage_seconds, write=time.perf_counter() - t_write)
+    _write_run_info(outdir, args, integration=portrait.integration.to_json_dict(),
+                    stage_seconds=stages)
     print(f"portrait: {len(portrait.trajectories)} trajectories, "
           f"{sum(len(p) for p in portrait.singular_sets.values())} singular components, "
           f"{len(portrait.reports)} reports -> {outdir}")
@@ -268,8 +291,10 @@ def cmd_conormal(args):
     res = _parse_res(args.res or "48")
     tol = _tolerances(args)
     margin = tol.get("margin", 0.05)
+    t_mesh = time.perf_counter()
     src, mesh = conormal.conormal_mesh(surf, region, res, margin=margin,
                                        norm_cap=tol.get("norm_cap", 1e3))
+    t_verify = time.perf_counter()
     rng = np.random.default_rng(20260808)
     samples = []
     tries = 0
@@ -285,6 +310,7 @@ def cmd_conormal(args):
         if ok:
             samples.append((u, v))
     report = conormal.verify_conormal_correspondence(surf, samples)
+    t_export = time.perf_counter()
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     _atomic_write(os.path.join(outdir, "conormal.obj"), conormal.export_mesh(mesh))
@@ -293,7 +319,9 @@ def cmd_conormal(args):
                   json.dumps(report, indent=1) + "\n")
     _atomic_write(os.path.join(outdir, "correspondence.csv"),
                   conormal.correspondence_report_csv(report))
-    _write_run_info(outdir, args)
+    _write_run_info(outdir, args, stage_seconds={"mesh": t_verify - t_mesh,
+                                                 "verify": t_export - t_verify,
+                                                 "export": time.perf_counter() - t_export})
     worst = max((r["residual"] for r in report if not r["degenerate"]), default=0.0)
     print(f"conormal: {mesh.n_components} components, {len(mesh.vertices)} vertices, "
           f"worst proportionality residual {worst:.3e} -> {outdir}")

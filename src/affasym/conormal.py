@@ -66,46 +66,51 @@ def _grid_and_mask(surf, region, resolution, margin):
         step = du if band.axis == "u" else dv
         wide = Band(band.axis, band.center, max(band.halfwidth, margin, 0.51 * step))
         mask &= ~wide.excludes(U, V)
-    return nx, ny, U, V, mask
+    return U, V, mask
 
 
-def _components(surf, region, mask, nx, ny):
+def _components(surf, region, mask):
     """Connected components of the valid grid mask (4-neighborhood);
-    periodic parameters wrap the adjacency across the seam."""
+    periodic parameters wrap the adjacency across the seam.
+
+    Labelled with array passes: every edge between two valid points hooks
+    the larger of its two roots onto the smaller, then pointer jumping
+    flattens the forest, until no edge joins two roots.  Each root ends as
+    its component's first valid point in row-major order, so components are
+    numbered in the order of their first points."""
     per_u, per_v = getattr(surf, "periodic", (False, False))
     wrap_u = bool(per_u and surf.period_u and
                   abs((region.u1 - region.u0) - surf.period_u) < 1e-9)
     wrap_v = bool(per_v and surf.period_v and
                   abs((region.v1 - region.v0) - surf.period_v) < 1e-9)
-
-    def neighbors(a, b):
-        cand = [(a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)]
-        if wrap_u and a == 0:
-            cand.append((nx - 1, b))
-        if wrap_u and a == nx - 1:
-            cand.append((0, b))
-        if wrap_v and b == 0:
-            cand.append((a, ny - 1))
-        if wrap_v and b == ny - 1:
-            cand.append((a, 0))
-        return cand
-
+    n = np.count_nonzero(mask)
+    index = -np.ones(mask.shape, dtype=np.intp)
+    index[mask] = np.arange(n)
+    pairs = [(index[:-1, :], index[1:, :]), (index[:, :-1], index[:, 1:])]
+    if wrap_u:
+        pairs.append((index[:1, :], index[-1:, :]))
+    if wrap_v:
+        pairs.append((index[:, :1], index[:, -1:]))
+    a = np.concatenate([p.ravel() for p, _ in pairs])
+    b = np.concatenate([q.ravel() for _, q in pairs])
+    keep = (a >= 0) & (b >= 0)
+    a, b = a[keep], b[keep]
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        joined = ra != rb
+        if not joined.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[joined], np.minimum(ra, rb)[joined])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots, label = np.unique(parent, return_inverse=True)
     comp_grid = -np.ones(mask.shape, dtype=int)
-    n_comp = 0
-    for i in range(nx):
-        for j in range(ny):
-            if not mask[i, j] or comp_grid[i, j] >= 0:
-                continue
-            stack = [(i, j)]
-            comp_grid[i, j] = n_comp
-            while stack:
-                a, b = stack.pop()
-                for (c, d) in neighbors(a, b):
-                    if 0 <= c < nx and 0 <= d < ny and mask[c, d] and comp_grid[c, d] < 0:
-                        comp_grid[c, d] = n_comp
-                        stack.append((c, d))
-            n_comp += 1
-    return comp_grid, n_comp
+    comp_grid[mask] = label
+    return comp_grid, len(roots)
 
 
 def _rows(vec):
@@ -133,7 +138,7 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
     source faces that touch no clipped vertex.
     """
     region = region or surf.domain
-    nx, ny, U, V, mask = _grid_and_mask(surf, region, resolution, margin)
+    U, V, mask = _grid_and_mask(surf, region, resolution, margin)
     uu, vv = U[mask], V[mask]
     fr = affine.frame_jets(surf, uu, vv, order=3, guard=guard, depth=1)
     verts = _rows(fr["nu"])
@@ -151,7 +156,7 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
     quads = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]],
                      axis=-1).reshape(-1, 4)
     faces = quads[(quads >= 0).all(axis=1)]
-    comp_grid, n_comp = _components(surf, region, mask, nx, ny)
+    comp_grid, n_comp = _components(surf, region, mask)
     shared = dict(component_id=comp_grid[mask], params=np.stack([uu, vv], axis=1),
                   n_components=n_comp)
     source = ConormalMesh(vertices=_rows(fr["alpha"]), faces=faces,
@@ -224,7 +229,8 @@ def export_mesh(mesh):
     """Wavefront OBJ text: components as separate objects, 1-indexed faces.
 
     Vertices and faces are sorted by component once (stably, so each object
-    keeps the mesh order) and written object by object."""
+    keeps the mesh order) and written object by object, each block of
+    ``v`` and ``f`` lines in one %-format pass."""
     comp = mesh.component_id
     vorder = np.argsort(comp, kind="stable")
     remap = np.empty(len(comp), dtype=int)
@@ -234,13 +240,13 @@ def export_mesh(mesh):
     labels = np.arange(mesh.n_components + 1)
     vcut = np.searchsorted(comp[vorder], labels)
     fcut = np.searchsorted(face_comp[forder], labels)
-    lines = ["# conormal mesh export"]
+    parts = ["# conormal mesh export\n"]
     for c in range(mesh.n_components):
         if vcut[c] == vcut[c + 1]:
             continue
-        lines.append(f"o component_{c}")
-        lines += [f"v {x!r} {y!r} {z!r}"
-                  for x, y, z in mesh.vertices[vorder[vcut[c]:vcut[c + 1]]].tolist()]
-        lines += ["f %d %d %d %d" % tuple(q)
-                  for q in remap[mesh.faces[forder[fcut[c]:fcut[c + 1]]]].tolist()]
-    return "\n".join(lines) + "\n"
+        verts = mesh.vertices[vorder[vcut[c]:vcut[c + 1]]]
+        quads = remap[mesh.faces[forder[fcut[c]:fcut[c + 1]]]]
+        parts.append(f"o component_{c}\n")
+        parts.append("v %r %r %r\n" * len(verts) % tuple(verts.ravel().tolist()))
+        parts.append("f %d %d %d %d\n" * len(quads) % tuple(quads.ravel().tolist()))
+    return "".join(parts)

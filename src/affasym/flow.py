@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bde, singular
 from .bde import BDEField
+from .jsontext import json_at, json_block, json_object, json_rows
 from .surface import EvalError, Rect
 
 __all__ = [
@@ -569,58 +571,25 @@ class Portrait:
     singular_sets: dict = field(default_factory=dict)
     reports: list = field(default_factory=list)
     integration: IntegrationStats = None   # run statistics, not part of the payload
+    stage_seconds: dict = None             # wall time per stage, likewise
 
     def to_json(self):
         """The payload, as ``json.dumps(..., indent=1, sort_keys=True)`` writes
         it, with sample and polyline arrays written row by row from one
         ``float.__repr__`` pass each."""
         region = [self.region.u0, self.region.u1, self.region.v0, self.region.v1]
-        trajectories = [_json_object([("family", json.dumps(t.family)),
-                                      ("samples", _json_rows(t.samples, 3)),
-                                      ("termination", json.dumps(t.termination))], 2)
+        trajectories = [json_object([("family", json.dumps(t.family)),
+                                     ("samples", json_rows(t.samples, 3)),
+                                     ("termination", json.dumps(t.termination))], 2)
                         for t in self.trajectories]
-        sets = [(name, _json_block([_json_rows(p, 3) for p in polys], 2))
+        sets = [(name, json_block([json_rows(p, 3) for p in polys], 2))
                 for name, polys in sorted(self.singular_sets.items())]
-        return _json_object([
-            ("region", _json_at(region, 1)),
-            ("reports", _json_block([_json_at(r.to_json_dict(), 2) for r in self.reports], 1)),
-            ("singular_sets", _json_object(sets, 1)),
-            ("trajectories", _json_block(trajectories, 1)),
+        return json_object([
+            ("region", json_at(region, 1)),
+            ("reports", json_block([json_at(r.to_json_dict(), 2) for r in self.reports], 1)),
+            ("singular_sets", json_object(sets, 1)),
+            ("trajectories", json_block(trajectories, 1)),
         ], 0)
-
-
-# -- the payload writer: json.dumps(indent=1, sort_keys=True) text, where an
-# item at nesting level L sits on its own line indented by L spaces ---------
-
-
-def _json_at(obj, level):
-    """``obj`` as json.dumps writes it at nesting ``level``."""
-    return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
-
-
-def _json_block(items, level, brackets="[]"):
-    """A list (or, with brackets "{}", a dict) at ``level`` from its items,
-    each already written at level + 1."""
-    if not items:
-        return brackets
-    pad = "\n" + " " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
-
-
-def _json_object(pairs, level):
-    """A dict at ``level`` from (key, value text) pairs in sorted key order."""
-    return _json_block([f"{json.dumps(k)}: {text}" for k, text in pairs], level, "{}")
-
-
-def _json_rows(arr, level):
-    """An (n, k) float array as a list of rows at ``level``."""
-    arr = np.asarray(arr, dtype=float)
-    if not arr.size or not np.isfinite(arr).all():
-        # json writes NaN and Infinity, which float repr does not
-        return _json_at(arr.tolist(), level)
-    pad = "\n" + " " * (level + 2)
-    row = "[" + pad + ("," + pad).join(["%s"] * arr.shape[1]) + "\n" + " " * (level + 1) + "]"
-    return _json_block([row] * len(arr), level) % tuple(map(float.__repr__, arr.ravel().tolist()))
 
 
 def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resolution=192,
@@ -631,8 +600,9 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     extended field is built).  Both root families are integrated from a seed
     grid (cells with negative discriminant are skipped), plus a ring of seeds
     around each located singular point, all in one ``integrate_many`` call
-    whose statistics the portrait keeps as ``integration``.  Deterministic
-    for fixed inputs.
+    whose statistics the portrait keeps as ``integration``, and the wall
+    time of each stage (trace, detect, folds, integrate) as
+    ``stage_seconds``.  The payload is deterministic for fixed inputs.
     """
     surf = None
     if isinstance(source, BDEField):
@@ -646,8 +616,17 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
 
     stats = IntegrationStats()
     reports = []
+    last = time.perf_counter()
+    stages = {}
+
+    def stage(name):
+        nonlocal last
+        now = time.perf_counter()
+        stages[name], last = now - last, now
+
     if surf is not None and detect:
         sets = singular.singular_sets(surf, fld, region, trace_resolution)
+        stage("trace")
         try:
             reports.extend(singular.detect_special_points(surf, fld, sets, region,
                                                           trace_resolution))
@@ -660,6 +639,8 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         disc_polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
                                         region, trace_resolution)
         sets = {"discriminant": disc_polys}
+        stage("trace")
+    stage("detect")
     # folded points on the discriminant
     try:
         for pt in singular.find_folded_points(fld, disc_polys):
@@ -669,6 +650,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
                 stats.drop_report("classify_folded", exc, pt)
     except bde.CapabilityError as exc:
         stats.drop_report("find_folded_points", exc)
+    stage("folds")
 
     nx, ny = grid if not np.isscalar(grid) else (int(grid), int(grid))
     us = np.linspace(region.u0, region.u1, nx + 2)[1:-1]
@@ -690,7 +672,8 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         jobs += [((su, sv), fam, sweep) for fam in ("plus", "minus") for sweep in (1, -1)]
     trajectories = [t for t in integrate_many(fld, jobs, params, stats) if t is not None]
     reports.sort(key=lambda r: (r.kind, r.location))
-    return Portrait(region, trajectories, sets, reports, stats)
+    stage("integrate")
+    return Portrait(region, trajectories, sets, reports, stats, stages)
 
 
 # -- SVG rendering --------------------------------------------------------------

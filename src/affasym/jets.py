@@ -92,6 +92,20 @@ def _build_mul(order):
 
 _MUL = {o: _build_mul(o) for o in range(MAX_ORDER + 1)}
 
+# The same pairs as (ka, kb, weight) lists per slot, for the wide product.
+_MUL_PAIRS = {}
+for _o, (_ka, _kb, _w, _starts) in _MUL.items():
+    _cuts = _starts.tolist() + [len(_ka)]
+    _MUL_PAIRS[_o] = [list(zip(_ka[s:e].tolist(), _kb[s:e].tolist(), _w[s:e].tolist()))
+                      for s, e in zip(_cuts[:-1], _cuts[1:])]
+
+# A product whose larger factor has at least this many lanes sums each slot
+# on lane-sized arrays (``_wide_product``); a smaller one gathers a
+# (pairs x lanes) array for one ``np.add.reduceat``, which makes far fewer
+# numpy calls.  The two paths were measured to cross near 512 lanes at
+# orders 4 to 8, and below 400 at orders 1 to 3.
+WIDE_LANES = 512
+
 # Division tables: same pairs per slot but with the self pair (a,b)=(i,j) removed.
 _DIVROWS = {}
 for _o in range(MAX_ORDER + 1):
@@ -207,7 +221,8 @@ class Jet2:
             return Jet2(self.order, self._shifted(other))
         o = min(self.order, other.order)
         n = _term_count(o)
-        return Jet2(o, self.coeffs[:n] + other.coeffs[:n])
+        ca, cb = _aligned(self.coeffs[:n], other.coeffs[:n])
+        return Jet2(o, ca + cb)
 
     __radd__ = __add__
 
@@ -216,7 +231,8 @@ class Jet2:
             return Jet2(self.order, self._shifted(-np.asarray(other, dtype=float)))
         o = min(self.order, other.order)
         n = _term_count(o)
-        return Jet2(o, self.coeffs[:n] - other.coeffs[:n])
+        ca, cb = _aligned(self.coeffs[:n], other.coeffs[:n])
+        return Jet2(o, ca - cb)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -229,8 +245,11 @@ class Jet2:
             return Jet2(self.order, self.coeffs * np.asarray(other, dtype=float))
         o = min(self.order, other.order)
         n = _term_count(o)
+        ca, cb = _aligned(self.coeffs[:n], other.coeffs[:n])
+        if max(ca.size, cb.size) >= WIDE_LANES * n:
+            shape = np.broadcast_shapes(ca.shape[1:], cb.shape[1:])
+            return Jet2(o, _wide_product(ca, cb, _MUL_PAIRS[o], shape))
         ka, kb, w, starts = _MUL[o]
-        ca, cb = self.coeffs[:n], other.coeffs[:n]
         prod = ca[ka] * cb[kb]
         if prod.ndim > 1:
             prod *= w.reshape((-1,) + (1,) * (prod.ndim - 1))
@@ -264,6 +283,55 @@ class Jet2:
         return result
 
 
+def _aligned(ca, cb):
+    """Two coefficient arrays whose batch axes broadcast against each other
+    after the slot axis (a single-point jet against a batch jet, say)."""
+    if ca.ndim < cb.ndim:
+        ca = ca.reshape(ca.shape[:1] + (1,) * (cb.ndim - ca.ndim) + ca.shape[1:])
+    elif cb.ndim < ca.ndim:
+        cb = cb.reshape(cb.shape[:1] + (1,) * (ca.ndim - cb.ndim) + cb.shape[1:])
+    return ca, cb
+
+
+def _wide_product(ca, cb, plan, shape):
+    """Leibniz sums of a product over ``shape`` lanes, one lane-sized array
+    per pair, with the bits of ``np.add.reduceat`` over the gathered pairs.
+
+    reduceat sums a slot's terms as first + pairwise_sum(rest): numpy's
+    pairwise sum adds fewer than 8 terms in sequence, and from 8 terms on
+    keeps 8 running sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    before it adds the remaining n % 8 terms in sequence.
+    """
+    def term(pair):
+        a, b, w = pair
+        t = ca[a] * cb[b]
+        if w != 1.0:
+            t *= w
+        return t
+
+    out = np.empty((len(plan),) + shape)
+    for k, pairs in enumerate(plan):
+        if len(pairs) == 1:
+            out[k, ...] = term(pairs[0])
+            continue
+        rest = pairs[1:]
+        if len(rest) < 8:
+            acc, tail = term(rest[0]), rest[1:]
+        else:
+            r = [term(pair) for pair in rest[:8]]
+            full = len(rest) - len(rest) % 8
+            for i in range(8, full):
+                r[i % 8] += term(rest[i])
+            for step in (1, 2, 4):
+                for j in range(0, 8, 2 * step):
+                    r[j] += r[j + step]
+            acc, tail = r[0], rest[full:]
+        for pair in tail:
+            acc += term(pair)
+        np.add(term(pairs[0]), acc, out=out[k, ...])
+    return out
+
+
 # -- named operation aliases (functional style used throughout the package) --
 
 
@@ -278,7 +346,7 @@ def jet_div(a, b, eps=DEFAULT_EPS):
         a = Jet2.constant(np.broadcast_to(np.asarray(a, float), np.shape(b.value)), b.order)
     o = min(a.order, b.order)
     n = _term_count(o)
-    ca, cb = a.coeffs[:n], b.coeffs[:n]
+    ca, cb = _aligned(a.coeffs[:n], b.coeffs[:n])
     b0 = cb[0]
     if np.any(np.abs(b0) <= eps):
         raise JetDomainError(f"jet division by degenerate jet (|constant term| <= {eps})")

@@ -33,7 +33,7 @@ __all__ = [
     "Num", "Const", "Var", "Unary", "Bin", "Pow",
     "parse_expression", "pretty",
     "eval_expression_jet",
-    "as_polynomial", "poly_values", "poly_jets", "poly_eval_jet",
+    "as_polynomial", "PolySet", "poly_values", "poly_jets", "poly_eval_jet",
     "Rect", "Band", "SurfaceDef", "PickParams",
     "catalog_surface", "monge_surface", "parametric_surface",
     "surface_from_config", "load_surface_config",
@@ -470,9 +470,29 @@ def _point_slots(tabs, pu, pv):
     return vals
 
 
+class PolySet(tuple):
+    """Polynomials evaluated together, holding per jet order the flat table
+    list and the degree maxima that ``_slot_arrays`` sums from, so that a
+    field built once does not rebuild them on every call."""
+
+    def __new__(cls, polys):
+        self = super().__new__(cls, polys)
+        self._plans = {}
+        return self
+
+    def plan(self, order):
+        plan = self._plans.get(order)
+        if plan is None:
+            plan = self._plans[order] = (
+                [entries for p in self for entries in p.table(order)],
+                max([p.degree[0] for p in self]), max([p.degree[1] for p in self]))
+        return plan
+
+
 def _slot_arrays(polys, u, v, order):
     """Jet slots of several polynomials at (u, v), stacked in one array of
     shape (polynomials * slots,) + batch shape: the one polynomial evaluator.
+    ``polys`` is a ``PolySet`` or any sequence of ``Poly``.
 
     Each power of u and of v is computed once per call and shared by every
     table entry of every polynomial.  A scalar point, and each lane of a 1-D
@@ -480,9 +500,9 @@ def _slot_arrays(polys, u, v, order):
     batch sums in place on numpy arrays.  Both add the same terms in the same
     order, so a point gives the same bits on every path.
     """
-    tabs = [entries for p in polys for entries in p.table(order)]
-    du = max([p.degree[0] for p in polys])
-    dv = max([p.degree[1] for p in polys])
+    if not isinstance(polys, PolySet):
+        polys = PolySet(polys)
+    tabs, du, dv = polys.plan(order)
     if isinstance(u, float) and isinstance(v, float):
         return np.array(_point_slots(tabs, _powers(float(u), du), _powers(float(v), dv)))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

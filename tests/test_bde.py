@@ -5,6 +5,7 @@ import pytest
 
 from affasym import affine as af, bde, surface as sf
 from affasym.bde import LiftedState
+from affasym.jets import Jet2
 from affasym.surface import Rect
 
 
@@ -403,3 +404,32 @@ def test_compiled_polynomial_field_matches_direct_formula(name):
             assert np.array_equal(bj.coeffs[(slice(None),) + idx], sj.coeffs)
         for bv, sv in zip(batch_values, fld.coeff(u, v)):
             assert bv[idx] == sv
+
+
+def test_polynomial_field_flattens_its_tables_once_per_order(monkeypatch):
+    polys = (sf.Poly({(2, 0): 1.5, (0, 1): -1.0, (3, 2): 0.25}), sf.Poly({(1, 1): 2.0}),
+             sf.Poly({(0, 0): 1.0, (0, 4): -3.0, (5, 0): 0.5}))
+    fld = bde.field_from_polynomials(*polys, Rect(-1, 1, -1, 1))
+    rng = np.random.default_rng(4)
+    points = [(0.1, -0.2), (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)),
+              (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))]
+    # a plain tuple of the same polynomials gives the reference bits
+    expect = [sf.poly_jets(polys, u, v, 1) for u, v in points] + \
+        [sf.poly_values(polys, u, v) for u, v in points]
+    calls = []
+    table = sf.Poly.table
+
+    def counted(self, order):
+        calls.append(order)
+        return table(self, order)
+
+    monkeypatch.setattr(sf.Poly, "table", counted)
+    for _ in range(2):
+        got = [fld.jet_coeff(u, v, 1) for u, v in points] + \
+            [fld.coeff(u, v) for u, v in points]
+        # three tables per order on the first call of that order, then none
+        assert sorted(calls) == [0, 0, 0, 1, 1, 1]
+        for x, y in zip(got, expect):
+            for a, b in zip(x, y):
+                a, b = (c.coeffs if isinstance(c, Jet2) else c for c in (a, b))
+                assert np.array_equal(a, b)

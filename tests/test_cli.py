@@ -304,3 +304,70 @@ def test_cli_matrix_analyze_and_conormal(tmp_path, capsys, surface, command, res
     if code == cli.EXIT_OK:
         payload = "analyze.json" if command == "analyze" else "correspondence.json"
         assert json.loads((out / payload).read_text())
+
+
+def old_analyze_rows(data, flat):
+    rows = []
+    for k in range(len(flat)):
+        row = data.to_json_dict(k)
+        if flat[k]:
+            row["flags"] = ["flat_affine_umbilic"]
+        rows.append(row)
+    return rows
+
+
+def old_analyze_csv(rows):
+    cols = ["u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_class",
+            "g11", "g12", "g22", "l", "m", "n", "b11", "b12", "b21", "b22",
+            "K_aff", "H_aff", "aff_class"]
+    lines = [",".join(cols)] + [",".join(str(row.get(c)) for c in cols) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_analyze_writers_match_json_dumps_of_rows():
+    surf = cli._build_surface(cli._make_parser().parse_args(
+        ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1"]))
+    us, vs = cli._analysis_grid(surf, surf.domain, (7, 5))
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    data = affine.affine_point_data(surf, U.ravel(), V.ravel(), guard=1e-9)
+    flat = np.zeros(U.size, dtype=bool)
+    flat[[0, 9]] = True
+    data.K_aff[3] = np.nan
+    data.nu[1, 9] = np.inf
+    data.l[20] = -np.inf
+    data.E[4] = -0.0
+    data.m[5] = 5e-324
+    rows = old_analyze_rows(data, flat)
+    assert cli._analyze_json(data, flat) == json.dumps(rows, indent=1, sort_keys=True)
+    assert cli._analyze_csv(data) == old_analyze_csv(rows)
+    one = affine.affine_point_data(surf, U.ravel()[:1], V.ravel()[:1], guard=1e-9)
+    for flag in (False, True):
+        rows = old_analyze_rows(one, np.array([flag]))
+        assert cli._analyze_json(one, np.array([flag])) == \
+            json.dumps(rows, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "4"],
+     {"evaluate", "write"}),
+    (["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "8"],
+     {"mesh", "verify", "export"}),
+    (["portrait", "--bde", "folded", "--lam", "-1", "--res", "2", "--tol", "max_len=0.5",
+      "--tol", "trace_res=24"], {"trace", "detect", "folds", "integrate", "write"}),
+    (["portrait", "--surface", "catalog:cusp_gauss", "--q", "21=1.0", "--q", "40=0.1",
+      "--res", "1", "--tol", "max_len=0.2",
+      "--tol", "trace_res=24"], {"trace", "detect", "folds", "integrate", "write"}),
+])
+def test_run_info_records_stage_wall_times(tmp_path, argv, stages):
+    payloads = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        payloads.append({p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "run_info.json"})
+    info = json.loads((tmp_path / "a" / "run_info.json").read_text())
+    assert set(info["stage_seconds"]) == stages
+    assert all(isinstance(t, float) and t >= 0.0 for t in info["stage_seconds"].values())
+    # the payloads carry no stage times and do not change from run to run
+    assert payloads[0] == payloads[1]
+    assert not any(b"stage_seconds" in text for text in payloads[0].values())

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_one_mesh_pass_builds_both_meshes(monkeypatch):
 def grid_faces_reference(surf, region, res, margin, clipped):
     """Quads of the valid grid in row-major order, scanned cell by cell;
     ``clipped`` vertices drop the quads they touch."""
-    _, _, U, _, mask = cn._grid_and_mask(surf, region, res, margin)
+    U, _, mask = cn._grid_and_mask(surf, region, res, margin)
     index = -np.ones(U.shape, dtype=int)
     index[mask] = np.arange(int(mask.sum()))
     ok = mask.copy()
@@ -373,3 +374,113 @@ def test_tangency_signals_agree_on_source_and_image():
     right = s_src[ok & (poly[:, 0] > 0)]
     assert left.size and right.size
     assert np.sign(np.median(left)) != np.sign(np.median(right))
+
+
+def components_reference(mask, wrap_u, wrap_v):
+    """Flood fill of the valid grid mask (4-neighbourhood, wrapping across
+    the seams that ``wrap_u``/``wrap_v`` name), numbering components in the
+    row-major order of their first points."""
+    nx, ny = mask.shape
+    comp = -np.ones(mask.shape, dtype=int)
+    count = 0
+    for i in range(nx):
+        for j in range(ny):
+            if not mask[i, j] or comp[i, j] >= 0:
+                continue
+            comp[i, j] = count
+            stack = [(i, j)]
+            while stack:
+                a, b = stack.pop()
+                near = [(a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)]
+                if wrap_u:
+                    near += [((a - 1) % nx, b), ((a + 1) % nx, b)]
+                if wrap_v:
+                    near += [(a, (b - 1) % ny), (a, (b + 1) % ny)]
+                for c, d in near:
+                    if 0 <= c < nx and 0 <= d < ny and mask[c, d] and comp[c, d] < 0:
+                        comp[c, d] = count
+                        stack.append((c, d))
+            count += 1
+    return comp, count
+
+
+def periodic_surface(wrap_u, wrap_v):
+    return SimpleNamespace(periodic=(wrap_u, wrap_v), period_u=1.0, period_v=1.0)
+
+
+def labelling_cases():
+    rng = np.random.default_rng(8)
+    cases = []
+    for wrap_u in (False, True):
+        for wrap_v in (False, True):
+            for shape in ((1, 9), (9, 1), (1, 1), (2, 2), (13, 17), (40, 31)):
+                for density in (0.45, 0.6, 0.8, 1.0):
+                    cases.append((rng.random(shape) < density, wrap_u, wrap_v))
+    # bands that cut the grid, joined only across the seams
+    band = np.ones((24, 20), dtype=bool)
+    band[5:7, :] = False
+    band[:, 12] = False
+    for wrap_u in (False, True):
+        for wrap_v in (False, True):
+            cases.append((band, wrap_u, wrap_v))
+    # a spiral: one long winding component
+    spiral = np.zeros((21, 21), dtype=bool)
+    lo, hi = 0, 20
+    while lo <= hi:
+        spiral[lo, lo:hi + 1] = spiral[lo:hi + 1, hi] = True
+        spiral[hi, lo:hi + 1] = True
+        if lo + 2 <= hi:
+            spiral[lo + 2:hi + 1, lo] = True
+            spiral[lo + 2, lo:lo + 3] = True
+        lo, hi = lo + 2, hi - 2
+    cases.append((spiral, False, False))
+    cases.append((np.zeros((5, 4), dtype=bool), True, True))
+    return cases
+
+
+def test_components_match_flood_fill():
+    region = Rect(0.0, 1.0, 0.0, 1.0)
+    for mask, wrap_u, wrap_v in labelling_cases():
+        got = cn._components(periodic_surface(wrap_u, wrap_v), region, mask)
+        comp, count = components_reference(mask, wrap_u, wrap_v)
+        assert got[1] == count
+        assert np.array_equal(got[0], comp), (mask.shape, wrap_u, wrap_v)
+
+
+@pytest.mark.parametrize("surf, region, res", [
+    (torus(), None, (48, 24)),                              # both seams, two bands
+    (torus(2.7), Rect(0.0, 2 * math.pi, 0.0, 3.0), (40, 9)),  # u seam only
+    (torus(), Rect(1.0, 6.0, 0.0, 2 * math.pi), (30, 12)),  # v seam only
+    (sf.catalog_surface("pick", {"epsilon": 1, "sigma": 0.9,
+                                 "q": {(4, 0): 0.5, (0, 4): 1.5, (2, 2): 1.12}}),
+     None, (24, 24)),
+])
+def test_mesh_components_match_flood_fill(surf, region, res):
+    region = region or surf.domain
+    mask = cn._grid_and_mask(surf, region, res, 0.05)[2]
+    per_u, per_v = surf.periodic
+    wrap_u = per_u and abs((region.u1 - region.u0) - surf.period_u) < 1e-9
+    wrap_v = per_v and abs((region.v1 - region.v0) - surf.period_v) < 1e-9
+    got, count = cn._components(surf, region, mask)
+    want, want_count = components_reference(mask, wrap_u, wrap_v)
+    assert count == want_count and np.array_equal(got, want)
+
+
+def test_obj_export_matches_line_by_line_reference():
+    rng = np.random.default_rng(12)
+    n = 300
+    verts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    verts[rng.random((n, 3)) < 0.05] = -0.0
+    verts[rng.random((n, 3)) < 0.02] = 5e-324
+    comp = np.sort(rng.integers(0, 4, n))
+    rng.shuffle(comp)
+    comp = np.unique(comp, return_inverse=True)[1]
+    faces = rng.integers(0, n, (200, 4))
+    mesh = cn.ConormalMesh(vertices=verts, faces=faces, component_id=comp,
+                           params=np.zeros((n, 2)), clipped=np.zeros(n, dtype=bool),
+                           n_components=int(comp.max()) + 1)
+    assert cn.export_mesh(mesh) == obj_reference(mesh)
+    one = cn.ConormalMesh(vertices=verts[:1], faces=np.zeros((0, 4), dtype=int),
+                          component_id=np.zeros(1, dtype=int), params=np.zeros((1, 2)),
+                          clipped=np.zeros(1, dtype=bool), n_components=1)
+    assert cn.export_mesh(one) == obj_reference(one)

@@ -242,3 +242,88 @@ def test_higher_order_support():
     j = jets.sin(jet_seed("u", 0.0, order=6))
     assert float(j.partial(5, 0)) == pytest.approx(1.0, abs=1e-12)
     assert j.order == 6
+
+
+def awkward_values(rng, shape):
+    """Mixed magnitudes with NaN, +-inf, -0.0 and subnormals sprinkled in."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, shape)
+    pick = rng.random(shape)
+    x[pick < 0.03] = np.nan
+    x[(pick >= 0.03) & (pick < 0.05)] = np.inf
+    x[(pick >= 0.05) & (pick < 0.07)] = -np.inf
+    x[(pick >= 0.07) & (pick < 0.10)] = -0.0
+    x[(pick >= 0.10) & (pick < 0.12)] = 5e-310
+    return x
+
+
+def same_bits(x, y):
+    """Equal bit for bit, NaN positions included.  Only the sign and payload
+    of a NaN may differ: the C compiler may swap the operands of an addition,
+    which picks which NaN propagates."""
+    nan = np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
+
+
+def both_products(monkeypatch, a, b):
+    """a * b through the gather path and through the wide path."""
+    monkeypatch.setattr(jets, "WIDE_LANES", 10 ** 12)
+    gathered = a * b
+    monkeypatch.setattr(jets, "WIDE_LANES", 1)
+    wide = a * b
+    monkeypatch.undo()
+    return gathered.coeffs, wide.coeffs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("shape", [(1,), (jets.WIDE_LANES - 1,), (jets.WIDE_LANES,),
+                                   (35712,), (7, 90)])
+def test_wide_product_equals_gather(monkeypatch, order, shape):
+    rng = np.random.default_rng([order, *shape])
+    n = (order + 1) * (order + 2) // 2
+    if order > 4 and shape == (35712,):
+        shape = (4000,)  # above order 4 the gathered (pairs x lanes) arrays take 100-420 MB
+    a, b = (Jet2(order, awkward_values(rng, (n,) + shape)) for _ in range(2))
+    gathered, wide = both_products(monkeypatch, a, b)
+    assert np.array_equal(gathered, wide, equal_nan=True)
+    assert same_bits(gathered, wide)
+    # the real crossover picks the path by lane count alone
+    assert same_bits((a * b).coeffs, gathered)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wide_product_mixed_orders_and_shapes(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = Jet2(4, awkward_values(rng, (15, 3, 200)))
+    b = Jet2(3, awkward_values(rng, (10, 200)))
+    point = Jet2(2, awkward_values(rng, (6,)))
+    for x, y in ((a, b), (b, a), (a, point), (point, b)):
+        gathered, wide = both_products(monkeypatch, x, y)
+        assert same_bits(gathered, wide)
+
+
+@pytest.mark.parametrize("order, lanes", [(1, 5), (3, 35), (3, 7), (2, jets.WIDE_LANES)])
+def test_point_jet_times_batch_jet(order, lanes):
+    # a single-point jet broadcasts over the lanes of a batch jet, whatever
+    # the lane count (5 and 35 are the pair counts at orders 1 and 3)
+    vs = np.linspace(0.1, 1.0, lanes)
+    a = Jet2.variable("u", 0.5, order) + Jet2.variable("v", 0.25, order) ** 2
+    b = jets.exp(Jet2.variable("v", vs, order))
+    for got in (a * b, b * a, a + b, b - a, b / a, a / b):
+        assert got.coeffs.shape == (a.coeffs.shape[0], lanes)
+    for k in (0, lanes // 2, lanes - 1):
+        bk = jets.exp(Jet2.variable("v", vs[k], order))
+        for got, want in (((a * b), a * bk), ((b * a), bk * a), ((a + b), a + bk),
+                          ((b - a), bk - a), ((b / a), bk / a), ((a / b), a / bk)):
+            assert np.array_equal(got.coeffs[:, k], want.coeffs)
+
+
+def test_point_jet_times_2d_batch_jet():
+    us = np.linspace(0.1, 1.0, 6).reshape(2, 3)
+    a = Jet2.variable("v", 0.3, 2)
+    b = Jet2.variable("u", us, 2)
+    prod = a * b
+    assert prod.coeffs.shape == (6, 2, 3)
+    want = a * Jet2.variable("u", us[1, 2], 2)
+    assert np.array_equal(prod.coeffs[:, 1, 2], want.coeffs)
