@@ -29,7 +29,7 @@ import numpy as np
 
 from . import affine, jets
 from .jets import Jet2
-from .surface import Poly, PolySet, Rect, poly_jets, poly_values
+from .surface import Poly, PolySet, Rect, _slot_arrays, poly_jets, poly_values
 
 __all__ = [
     "BDEField",
@@ -72,10 +72,28 @@ class BDEField:
     domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
     name: str = "bde"
     period: tuple = None     # (Pu, Pv) when the parameters are angles
+    slots: object = None     # (u, v, order) -> coeff_slots without building jets
 
     def require_jets(self):
         if self.jet_coeff is None:
             raise CapabilityError(f"field {self.name} has no jet evaluator")
+
+    def coeff_slots(self, u, v, order):
+        """Jet slots of (A, B, C) at (u, v) up to ``order``, stacked in one
+        array of shape (3 * slots,) + batch shape: the slots of A, then of B,
+        then of C, each in the jets' graded-lexicographic order (value, u, v,
+        uu, uv, vv, ...).  Order 0 needs only ``coeff``."""
+        if self.slots is not None:
+            return self.slots(u, v, order)
+        if order == 0:
+            parts = [np.asarray(x, dtype=float)[None] for x in self.coeff(u, v)]
+        else:
+            self.require_jets()
+            parts = [j.coeffs for j in self.jet_coeff(u, v, order)]
+        batch = np.broadcast_shapes(np.shape(u), np.shape(v))
+        return np.concatenate([np.broadcast_to(
+            p.reshape(p.shape[:1] + (1,) * (len(batch) + 1 - p.ndim) + p.shape[1:]),
+            p.shape[:1] + batch) for p in parts])
 
 
 @dataclass
@@ -99,7 +117,8 @@ class LiftedState:
 
 def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
     """Field with polynomial (A, B, C); each call evaluates all three at once
-    from their compiled derivative tables, flattened once per jet order."""
+    from their compiled derivative tables, flattened once per jet order, and
+    ``coeff_slots`` reads the evaluator's slot array without building jets."""
     polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
 
     def coeff(u, v):
@@ -108,7 +127,10 @@ def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
     def jet_coeff(u, v, order=2):
         return poly_jets(polys, u, v, order)
 
-    return BDEField(coeff, jet_coeff, domain, name)
+    def slots(u, v, order):
+        return _slot_arrays(polys, u, v, order)
+
+    return BDEField(coeff, jet_coeff, domain, name, slots=slots)
 
 
 def folded_model_field(lam, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
@@ -305,47 +327,64 @@ def lift_state(field, u, v, du, dv):
 
 
 def f_residual(field, state):
-    A, B, C = (float(x) for x in field.coeff(state.u, state.v))
-    s = state.slope
-    if state.chart == "p":
-        return A + 2 * B * s + C * s * s
-    return A * s * s + 2 * B * s + C
+    A, B, C = field.coeff_slots(state.u, state.v, 0).tolist()
+    return lift_terms(A, B, C, state.slope, state.chart == "q")[0]
 
 
-def _coeff_jets1(field, state):
-    field.require_jets()
-    return field.jet_coeff(state.u, state.v, 1)
+def _pick(chart_q, a, b):
+    """``a`` where ``chart_q``, else ``b``: per lane for an array of charts."""
+    if isinstance(chart_q, np.ndarray):
+        return np.where(chart_q, a, b)
+    return a if chart_q else b
 
 
-def lifted_velocity(Aj, Bj, Cj, slope, chart_q):
-    """Lifted velocity X and the coefficient scale max(|A|, |B|, |C|) from
-    order-1 jets of (A, B, C).  ``slope`` and ``chart_q`` (True where the
-    slope is du/dv) are scalars or arrays over the jets' batch; X carries the
-    batch shape plus a last axis of 3.  Every lane sees the same floating-point
-    expressions, so a point gives the same bits alone as inside a batch."""
+def lift_terms(A, B, C, slope, chart_q):
+    """F, F_s and F_ss slot by slot from jet slots of (A, B, C): with s the
+    slope, F = A + 2Bs + Cs^2 in chart p and As^2 + 2Bs + C in chart q
+    (``chart_q`` True), so from the slots (value, u, v, ...) of each
+    coefficient come F, F_u, F_v, ... and F_s, F_su, F_sv, ...  A, B and C
+    are arrays of one shape, or Python floats at one point with a bool
+    chart; ``slope`` and ``chart_q`` are scalars or arrays over the batch.
+    Every lane sees the same floating-point expressions in either chart and
+    on either path, so a point gives the same bits alone as inside a batch:
+    the chart only picks factors, and multiplying by 1.0 is exact."""
     s = slope
-    A0, B0, C0 = Aj.value, Bj.value, Cj.value
-    Au, Bu, Cu = Aj.partial(1, 0), Bj.partial(1, 0), Cj.partial(1, 0)
-    Av, Bv, Cv = Aj.partial(0, 1), Bj.partial(0, 1), Cj.partial(0, 1)
-    scale = np.maximum(np.maximum(np.abs(A0), np.abs(B0)), np.abs(C0))
-    chart_q = np.asarray(chart_q)
-    if not chart_q.all():
-        Fu = Au + 2 * Bu * s + Cu * s * s
-        Fv = Av + 2 * Bv * s + Cv * s * s
-        Fp = 2 * B0 + 2 * C0 * s
-        X = (Fp, s * Fp, -(Fu + s * Fv))
-    if chart_q.any():
-        Fu = Au * s * s + 2 * Bu * s + Cu
-        Fv = Av * s * s + 2 * Bv * s + Cv
-        Fq = 2 * A0 * s + 2 * B0
-        Xq = (s * Fq, Fq, -(Fv + s * Fu))
-        X = Xq if chart_q.all() else tuple(np.where(chart_q, a, b) for a, b in zip(Xq, X))
-    return np.stack(X, axis=-1), scale
+    f, g = _pick(chart_q, s, 1.0), _pick(chart_q, 1.0, s)
+    B2 = 2 * B
+    F = A * f * f + B2 * s + C * g * g
+    Fss = 2 * _pick(chart_q, A, C)
+    return F, B2 + Fss * s, Fss
+
+
+def _point_terms(A, B, C, slope, chart_q):
+    """``lift_terms`` at one point from 1-D slot arrays, slot by slot on
+    Python floats: F, F_s and F_ss as tuples."""
+    return zip(*(lift_terms(a, b, c, slope, bool(chart_q))
+                 for a, b, c in zip(A.tolist(), B.tolist(), C.tolist())))
+
+
+def lifted_velocity(c, slope, chart_q):
+    """Lifted velocity X and the coefficient scale max(|A|, |B|, |C|) from
+    the order-1 slots ``c`` of (A, B, C) (``BDEField.coeff_slots``, shape
+    (9,) + batch).  ``slope`` and ``chart_q`` (True where the slope is du/dv)
+    are scalars or arrays over the batch; X has the batch shape plus a last
+    axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p, (s F_s, F_s,
+    -(F_v + s F_u)) in chart q."""
+    terms = _point_terms if c.ndim == 1 else lift_terms
+    F, Fs, _ = terms(*c.reshape((3, 3) + c.shape[1:]), slope, chart_q)
+    sFs = slope * Fs[0]
+    Fa, Fb = _pick(chart_q, F[2:0:-1], F[1:3])
+    X = np.empty(np.shape(slope) + (3,))
+    X[..., 0] = _pick(chart_q, sFs, Fs[0])
+    X[..., 1] = _pick(chart_q, Fs[0], sFs)
+    X[..., 2] = -(Fa + slope * Fb)
+    return X, np.maximum.reduce(np.abs(c[::3]))
 
 
 def lie_cartan_scaled(field, state):
     """Lifted velocity and the local coefficient scale, one jet evaluation."""
-    X, scale = lifted_velocity(*_coeff_jets1(field, state), state.slope, state.chart == "q")
+    X, scale = lifted_velocity(field.coeff_slots(state.u, state.v, 1), state.slope,
+                               state.chart == "q")
     return X, float(scale)
 
 
@@ -358,49 +397,21 @@ def lifted_derivatives(Aj, Bj, Cj, state):
     """F, its gradient (F_u, F_v, F_slope) and the 3x3 Jacobian of the lifted
     field in (u, v, slope) order, at the state, from order-2 jets of (A, B, C)."""
     s = state.slope
-
-    def pp(j, a, b):
-        return float(j.partial(a, b))
-
-    A0, B0, C0 = pp(Aj, 0, 0), pp(Bj, 0, 0), pp(Cj, 0, 0)
-    Au, Bu, Cu = pp(Aj, 1, 0), pp(Bj, 1, 0), pp(Cj, 1, 0)
-    Av, Bv, Cv = pp(Aj, 0, 1), pp(Bj, 0, 1), pp(Cj, 0, 1)
-    Auu, Buu, Cuu = pp(Aj, 2, 0), pp(Bj, 2, 0), pp(Cj, 2, 0)
-    Auv, Buv, Cuv = pp(Aj, 1, 1), pp(Bj, 1, 1), pp(Cj, 1, 1)
-    Avv, Bvv, Cvv = pp(Aj, 0, 2), pp(Bj, 0, 2), pp(Cj, 0, 2)
+    F, Fs, Fss = _point_terms(*(j.coeffs[:6] for j in (Aj, Bj, Cj)), s, state.chart == "q")
+    (F0, Fu, Fv, Fuu, Fuv, Fvv), (Fs0, Fsu, Fsv), Fss = F, Fs[:3], Fss[0]
     if state.chart == "p":
-        F = A0 + 2 * B0 * s + C0 * s * s
-        Fu = Au + 2 * Bu * s + Cu * s * s
-        Fv = Av + 2 * Bv * s + Cv * s * s
-        Fp = 2 * B0 + 2 * C0 * s
-        Fuu = Auu + 2 * Buu * s + Cuu * s * s
-        Fuv = Auv + 2 * Buv * s + Cuv * s * s
-        Fvv = Avv + 2 * Bvv * s + Cvv * s * s
-        Fpu = 2 * Bu + 2 * Cu * s
-        Fpv = 2 * Bv + 2 * Cv * s
-        Fpp = 2 * C0
         J = np.array([
-            [Fpu, Fpv, Fpp],
-            [s * Fpu, s * Fpv, Fp + s * Fpp],
-            [-(Fuu + s * Fuv), -(Fuv + s * Fvv), -(Fpu + Fv + s * Fpv)],
+            [Fsu, Fsv, Fss],
+            [s * Fsu, s * Fsv, Fs0 + s * Fss],
+            [-(Fuu + s * Fuv), -(Fuv + s * Fvv), -(Fsu + Fv + s * Fsv)],
         ])
-        return F, (Fu, Fv, Fp), J
-    F = A0 * s * s + 2 * B0 * s + C0
-    Fu = Au * s * s + 2 * Bu * s + Cu
-    Fv = Av * s * s + 2 * Bv * s + Cv
-    Fq = 2 * A0 * s + 2 * B0
-    Fuu = Auu * s * s + 2 * Buu * s + Cuu
-    Fuv = Auv * s * s + 2 * Buv * s + Cuv
-    Fvv = Avv * s * s + 2 * Bvv * s + Cvv
-    Fqu = 2 * Au * s + 2 * Bu
-    Fqv = 2 * Av * s + 2 * Bv
-    Fqq = 2 * A0
-    J = np.array([
-        [s * Fqu, s * Fqv, Fq + s * Fqq],
-        [Fqu, Fqv, Fqq],
-        [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fqv + Fu + s * Fqu)],
-    ])
-    return F, (Fu, Fv, Fq), J
+    else:
+        J = np.array([
+            [s * Fsu, s * Fsv, Fs0 + s * Fss],
+            [Fsu, Fsv, Fss],
+            [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fsv + Fu + s * Fsu)],
+        ])
+    return F0, (Fu, Fv, Fs0), J
 
 
 def lie_cartan_jacobian(field, state):
@@ -565,6 +576,9 @@ def polylines_to_csv(polylines):
 
 
 def polyline_svg_path(poly, mapper):
-    pts = [mapper(u, v) for (u, v) in poly]
-    head = f"M {pts[0][0]:.3f} {pts[0][1]:.3f} "
-    return head + " ".join(f"L {x:.3f} {y:.3f}" for (x, y) in pts[1:])
+    """SVG path data of a polyline of (u, v) points; ``mapper`` maps arrays
+    of u and of v to page x and y."""
+    poly = np.asarray(poly, dtype=float)
+    x, y = mapper(poly[:, 0], poly[:, 1])
+    xy = np.column_stack((x, y)).ravel().tolist()
+    return ("M %.3f %.3f " + " ".join(["L %.3f %.3f"] * (len(poly) - 1))) % tuple(xy)

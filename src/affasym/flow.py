@@ -27,6 +27,7 @@ loop and reproducibility down to the bit is part of the output contract.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -35,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bde, singular
+from .affine import ParabolicPointError
 from .bde import BDEField
 from .jsontext import json_at, json_block, json_object, json_rows
 from .surface import EvalError, Rect
@@ -72,7 +74,10 @@ class IntegrationParams:
 class Trajectory:
     samples: np.ndarray          # (n, 5): u, v, slope, chart flag (0=p, 1=q), arclength
     family: str                  # "plus" | "minus"
-    termination: str             # left_domain | hit_degenerate_point | max_length | closed_loop
+    # left_domain | hit_degenerate_point | max_length | closed_loop, or, for a
+    # lane whose field evaluation failed inside the domain, hit_parabolic_set
+    # (a ParabolicPointError) | evaluation_failed (any other lane error)
+    termination: str
 
     @property
     def points(self):
@@ -90,6 +95,18 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+# The weights as arrays against the stacked stage velocities K (stage, lane,
+# 3): stage i's weights, and per stage the 5th and 4th order weights side by
+# side, so that one sum gives both solutions.
+_CK_AW = [np.array(a).reshape(-1, 1, 1) for a in _CK_A]
+_CK_BW = np.array([_CK_B5, _CK_B4]).T.reshape(6, 2, 1, 1)
+
+
+def _stage_sum(w, K):
+    """sum(w_j * K_j) over the stages j: np.add.reduce adds the terms in
+    stage order starting from 0.0, as the sum of a Python loop does, zero
+    weights included."""
+    return np.add.reduce(w * K, axis=0, initial=0.0)
 
 
 # exceptions that end or drop one lane; anything else propagates
@@ -141,17 +158,25 @@ def _project_slope(fld, u, v, slope, chart, iters=1):
     """Newton-project slopes onto {F = 0} at (u, v), at one point or per lane
     (``chart`` True where the slope is du/dv).  Returns the slopes and the
     coefficient norm max(|A|, |B|, |C|) there."""
-    A, B, C = (np.asarray(x, dtype=float) for x in fld.coeff(u, v))
-    norm = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
+    c = fld.coeff_slots(u, v, 0)
+    norm = np.maximum.reduce(np.abs(c))
     scale = np.maximum(norm, 1e-30)
+    if c.ndim == 1:
+        # one point: the same expressions on Python floats
+        (A, B, C), s, scale = c.tolist(), float(slope), float(scale)
+        for _ in range(iters):
+            F, Fs, _ = bde.lift_terms(A, B, C, s, bool(chart))
+            if abs(Fs) <= 1e-6 * scale:
+                break
+            s = s - F / Fs
+        return s, norm
     s = np.asarray(slope, dtype=float)
     going = np.ones(s.shape, dtype=bool)
     for _ in range(iters):
-        Fv = np.where(chart, A * s * s + 2 * B * s + C, A + 2 * B * s + C * s * s)
-        Fs = np.where(chart, 2 * A * s + 2 * B, 2 * B + 2 * C * s)
+        F, Fs, _ = bde.lift_terms(*c, s, chart)
         going &= ~(np.abs(Fs) <= 1e-6 * scale)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(going, s - Fv / Fs, s)
+            s = np.where(going, s - F / Fs, s)
     return s, norm
 
 
@@ -172,12 +197,11 @@ def _creep(fld, y, ref_dir, params):
 
 def _rhs(fld, y, chart, orient, ref_dir, params):
     """Softly normalized lifted velocity per lane, and which lanes crept."""
-    fld.require_jets()
-    X, scale = bde.lifted_velocity(*fld.jet_coeff(y[:, 0], y[:, 1], 1), y[:, 2], chart)
+    X, scale = bde.lifted_velocity(fld.coeff_slots(y[:, 0], y[:, 1], 1), y[:, 2], chart)
     n = np.sqrt(np.vecdot(X, X))
     creep = ~(n > 1e-9 * np.maximum(scale, 1e-30))
     k = orient[:, None] * X / np.sqrt(n * n + _ETA * _ETA)[:, None]
-    for j in np.flatnonzero(creep):
+    for j in creep.nonzero()[0]:
         k[j] = _creep(fld, y[j], ref_dir[j], params)
     return k, creep
 
@@ -224,15 +248,23 @@ def _start(fld, seed, family, sweep, params):
     return (state.u, state.v, state.slope), state.chart == "q", orient, ref_dir
 
 
-class _Lanes:
-    """Per-lane integration state, one row per active lane."""
+# Columns of the lane state, one row per running lane.  A lane's sample row
+# (u, v, slope, chart flag, arclength) comes first, so that the rows of a
+# round are one slice; flags are 0.0 or 1.0.
+_ROW, _Y, _Q, _ARC = slice(0, 5), slice(0, 3), 3, 4
+_H, _ORIENT, _NORM, _HAS_PREV, _SEED_Q = 5, 6, 7, 8, 9
+_REF, _SEED = slice(10, 13), slice(13, 16)
+_WIDTH = 16
 
-    def __init__(self, **arrays):
-        self.__dict__.update(arrays)
 
-    def keep(self, mask):
-        for name, arr in list(vars(self).items()):
-            setattr(self, name, arr[mask])
+def _stage_end(domain, point, exc):
+    """Termination of a lane whose Cash-Karp stage at ``point`` raised the
+    lane error ``exc``."""
+    if not domain.contains(point[0], point[1]):
+        return "left_domain"
+    if isinstance(exc, ParabolicPointError):
+        return "hit_parabolic_set"
+    return "evaluation_failed"
 
 
 def _integrate(fld, jobs, params, stats):
@@ -253,46 +285,48 @@ def _integrate(fld, jobs, params, stats):
     diag = domain.diagonal
     h_max = params.max_step_frac * diag
     h_min = 1e-12 * diag
-    n = len(live)
-    y = np.array([st[0] for st in starts], dtype=float)
-    q = np.array([st[1] for st in starts])
-    rows = {k: [[*yk, float(qk), 0.0]] for k, yk, qk in zip(live, y.tolist(), q.tolist())}
-    L = _Lanes(job=np.array(live), y=y, q=q,
-               orient=np.array([st[2] for st in starts]),
-               ref=np.array([st[3] for st in starts]),
-               h=np.full(n, h_max / 8), arclen=np.zeros(n), steps=np.zeros(n, dtype=int),
-               prev=np.zeros((n, 3)), has_prev=np.zeros(n, dtype=bool),
-               prev_q=q.copy(), prev_norm=np.zeros(n), seed=y.copy(), seed_q=q.copy())
+    job = np.array(live)
+    S = np.zeros((len(live), _WIDTH))
+    S[:, _Y] = [st[0] for st in starts]
+    S[:, _Q] = [st[1] for st in starts]
+    S[:, _ORIENT] = [st[2] for st in starts]
+    S[:, _REF] = [st[3] for st in starts]
+    S[:, _H] = h_max / 8
+    S[:, _SEED], S[:, _SEED_Q] = S[:, _Y], S[:, _Q]
+    # (jobs, sample rows) per round that moved lanes, the seeds first
+    blocks = [(job, S[:, _ROW].copy())]
 
     def finish(reasons):
         """End the lanes with a reason (a termination or a lane error)."""
-        ended = np.array([r is not None for r in reasons], dtype=bool)
-        for k, r in zip(L.job[ended].tolist(), [r for r in reasons if r is not None]):
+        nonlocal S, job
+        kept = np.array([r is None for r in reasons], dtype=bool)
+        for k, r in zip(job[~kept].tolist(), [r for r in reasons if r is not None]):
             if isinstance(r, str):
                 stats.terminations[r] = stats.terminations.get(r, 0) + 1
-                r = Trajectory(np.array(rows[k]), jobs[k][1], r)
             out[k] = r
-        L.keep(~ended)
-        return ~ended
+        S, job = S[kept], job[kept]
+        return kept
 
-    while len(L.job):
-        spent = L.steps >= params.max_steps
-        if spent.any():
-            finish(["max_length" if x else None for x in spent])
-            continue
+    steps = 0
+    while len(job):
+        if steps >= params.max_steps:
+            finish(["max_length"] * len(job))
+            break
         stats.rounds += 1
-        L.steps += 1
-        ks, crept = [], np.zeros(len(L.job), dtype=bool)
+        steps += 1
+        K, crept = np.empty((6, len(job), 3)), np.zeros(len(job), dtype=bool)
         for i in range(6):
-            yi = L.y if i == 0 else L.y + L.h[:, None] * sum(a * k for a, k in zip(_CK_A[i], ks))
+            y, h, chart = S[:, _Y], S[:, _H], S[:, _Q] != 0
+            yi = y if i == 0 else y + h[:, None] * _stage_sum(_CK_AW[i], K[:i])
             stats.rhs_evals += len(yi)
+            orient, ref = S[:, _ORIENT], S[:, _REF]
             res, errors = _lanewise(
-                lambda sl: _rhs(fld, yi[sl], L.q[sl], L.orient[sl], L.ref[sl], params),
-                len(yi))
+                lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl], params), len(yi))
             if errors is not None:
-                kept = finish([None if e is None else "left_domain" for e in errors])
-                ks, crept = [k[kept] for k in ks], crept[kept]
-                if not len(L.job):
+                kept = finish([None if e is None else _stage_end(domain, yi[j], e)
+                               for j, e in enumerate(errors)])
+                K, crept = K[:, kept], crept[kept]
+                if not len(job):
                     break
             k, creep = res
             crept |= creep
@@ -302,76 +336,90 @@ def _integrate(fld, jobs, params, stats):
                 # may hand back the reversed field.  The lifted velocity is
                 # continuous along the lift, cusps included, so a reversal
                 # against the last step direction can only be such an artifact.
-                flip = np.vecdot(k, L.ref) < 0
-                L.orient[flip] = -L.orient[flip]
+                flip = np.vecdot(k, S[:, _REF]) < 0
+                S[flip, _ORIENT] = -S[flip, _ORIENT]
                 k[flip] = -k[flip]
-            ks.append(k)
-        if not len(L.job):
+            K[i] = k
+        if not len(job):
             break
-        y5 = L.y + L.h[:, None] * sum(b * k for b, k in zip(_CK_B5, ks))
-        y4 = L.y + L.h[:, None] * sum(b * k for b, k in zip(_CK_B4, ks))
+        y, h = S[:, _Y], S[:, _H]
+        y5, y4 = y + h[:, None] * _stage_sum(_CK_BW, K[:, None])
         err = np.max(np.abs(y5 - y4), axis=1)
         tol = params.rel_tol * (1.0 + np.max(np.abs(y5), axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = tol / err    # read only where err > 0
-        rej = (err > tol) & (L.h > h_min)
+        rej = (err > tol) & (h > h_min)
         if rej.any():
             # powers on Python floats: numpy's array power rounds differently
             shrink = [max(0.2, 0.9 * r ** 0.25) for r in ratio[rej].tolist()]
-            L.h[rej] = np.maximum(L.h[rej] * shrink, h_min)
+            S[rej, _H] = np.maximum(h[rej] * shrink, h_min)
             stats.rejected += int(rej.sum())
-        acc = np.flatnonzero(~rej)
+        acc = (~rej).nonzero()[0]
         if not len(acc):
             continue
-        reasons = [None] * len(L.job)
+        reasons = [None] * len(job)
         ya = y5[acc]
-        qa = L.q[acc]
+        qa = S[acc, _Q] != 0
         res, errors = _lanewise(
             lambda sl: _project_slope(fld, ya[sl, 0], ya[sl, 1], ya[sl, 2], qa[sl]), len(acc))
         if errors is not None:
             for j, e in zip(acc.tolist(), errors):
                 reasons[j] = e
             ok = np.array([e is None for e in errors], dtype=bool)
-            acc, ya, qa = acc[ok], ya[ok], qa[ok]
+            acc, ya = acc[ok], ya[ok]
         if len(acc):
-            _accept(fld, params, stats, L, rows, acc, ya, qa, res, err[acc], ratio[acc],
-                    crept[acc], reasons, h_max, period)
+            blocks.append(_accept(fld, params, stats, S, job, acc, ya, res, err[acc],
+                                  ratio[acc], crept[acc], reasons, h_max, period))
         if any(r is not None for r in reasons):
             finish(reasons)
+
+    # each trajectory's samples: its rows of every block, in round order
+    row_job = np.concatenate([b[0] for b in blocks])
+    order = np.argsort(row_job, kind="stable")
+    ends = np.cumsum(np.bincount(row_job, minlength=len(jobs)))
+    samples = np.split(np.concatenate([b[1] for b in blocks])[order], ends[:-1])
+    for k, r in enumerate(out):
+        if isinstance(r, str):
+            out[k] = Trajectory(samples[k], jobs[k][1], r)
     return out
 
 
-def _accept(fld, params, stats, L, rows, acc, y, q, projected, err, ratio, crept,
-            reasons, h_max, period):
-    """Accepted steps of lanes ``acc``: bookkeeping and termination events."""
+def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, reasons,
+            h_max, period):
+    """Accepted steps of lanes ``acc``: bookkeeping and termination events.
+    Updates the lane state ``S`` and returns the jobs and the sample rows of
+    the lanes whose step moved."""
     stats.accepted += len(acc)
     stats.creep_steps += int(crept.sum())
     y[:, 2], coefnorm = projected
-    y_old = L.y[acc]
+    lane = S[acc]    # the state before the step, written back at the end
+    y_old = lane[:, _Y]
     step = y - y_old
     ds = np.array([math.hypot(a, b) for a, b in step[:, :2].tolist()])
     nstep = np.hypot(np.hypot(step[:, 0], step[:, 1]), step[:, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ref = np.where((nstep > 0)[:, None], step / nstep[:, None], L.ref[acc])
+        ref = np.where((nstep > 0)[:, None], step / nstep[:, None], lane[:, _REF])
     grow = [min(5.0, 0.9 * r ** 0.2) if e > 0 else 5.0
             for r, e in zip(ratio.tolist(), err.tolist())]
-    h = np.minimum(L.h[acc] * grow, h_max)
-    for j in np.flatnonzero(np.abs(y[:, 2]) > params.chart_switch):
+    h = np.minimum(lane[:, _H] * grow, h_max)
+    q = lane[:, _Q].copy()
+    for j in (np.abs(y[:, 2]) > params.chart_switch).nonzero()[0]:
         stats.chart_switches += 1
         slope_old = y[j, 2]
         y[j, 2] = 1.0 / y[j, 2]
-        q[j] = not q[j]
+        q[j] = 1.0 - q[j]
         # carry the reference direction into the new chart:
         # d(1/s)/dt = -sdot / s^2
         r = np.array([ref[j, 0], ref[j, 1], -ref[j, 2] / (slope_old * slope_old)])
         nr = float(np.linalg.norm(r))
         ref[j] = r / nr if nr > 0 else r
     moved = ds > 0
-    arclen = L.arclen[acc] + np.where(moved, ds, 0.0)
-    lane_rows = [rows[k] for k in L.job[acc].tolist()]
-    for r, row in zip([r for r, m in zip(lane_rows, moved) if m],
-                      np.column_stack([y, q, arclen])[moved].tolist()):
-        r.append(row)
+    arclen = lane[:, _ARC] + np.where(moved, ds, 0.0)
+    rows = np.column_stack([y, q, arclen])
+    block = rows[moved]
+
+    def last_row(j, row):
+        block[np.count_nonzero(moved[:j])] = row
 
     running = np.ones(len(acc), dtype=bool)
 
@@ -387,61 +435,64 @@ def _accept(fld, params, stats, L, rows, acc, y, q, projected, err, ratio, crept
         except _LANE_ERRORS as exc:
             end(j, exc)
 
+    # The events below rewrite the lane's last sample row.  Its previous row
+    # holds the lane's state before the step: only slope steps, which do not
+    # move the lane, come between them.
     def clip(j):
-        r = lane_rows[j]
-        cu, cv, cs, cflag, carc = _clip_to_domain(r[-2], r[-1], fld.domain)
-        cs = float(_project_slope(fld, cu, cv, cs, q[j], iters=8)[0])
-        r[-1] = [cu, cv, cs, cflag, carc]
+        cu, cv, cs, cflag, carc = _clip_to_domain(lane[j, _ROW].tolist(), rows[j].tolist(),
+                                                  fld.domain)
+        cs = float(_project_slope(fld, cu, cv, cs, q[j] != 0, iters=8)[0])
+        if moved[j]:    # a lane that did not move has no row this round
+            last_row(j, [cu, cv, cs, cflag, carc])
         return True
 
     def degenerate(j):
-        hit = _degenerate_on_segment(fld, L.prev[acc[j]], y[j], params)
+        hit = _degenerate_on_segment(fld, y_old[j], y[j], params)
         if hit is None:
             return False
         yc, t_best = hit
-        cs = float(_project_slope(fld, yc[0], yc[1], yc[2], q[j], iters=8)[0])
-        r = lane_rows[j]
-        r[-1] = [yc[0], yc[1], cs, float(q[j]), r[-2][4] + t_best * ds[j]]
+        cs = float(_project_slope(fld, yc[0], yc[1], yc[2], q[j] != 0, iters=8)[0])
+        last_row(j, [yc[0], yc[1], cs, q[j], lane[j, _ARC] + t_best * ds[j]])
         return True
 
     def closest(j):
-        prev, seed = L.prev[acc[j]], L.seed[acc[j]]
+        prev, seed = y_old[j], lane[j, _SEED]
         t_best, d_best = _closest_on_segment(prev, y[j], seed, period)
         if d_best >= params.loop_tol:
             return False
         yc = prev + t_best * (y[j] - prev)
-        r = lane_rows[j]
-        r[-1] = [yc[0], yc[1], yc[2], float(q[j]), r[-2][4] + t_best * ds[j]]
+        last_row(j, [yc[0], yc[1], yc[2], q[j], lane[j, _ARC] + t_best * ds[j]])
         return True
 
     # terminations, in order; each test sees only the lanes still running
-    for j in np.flatnonzero(~fld.domain.contains(y[:, 0], y[:, 1])):
+    for j in (~fld.domain.contains(y[:, 0], y[:, 1])).nonzero()[0]:
         event(j, "left_domain", lambda: clip(j))
-    for j in np.flatnonzero(running & (coefnorm < params.degenerate_tol)):
+    for j in (running & (coefnorm < params.degenerate_tol)).nonzero()[0]:
         end(j, "hit_degenerate_point")
     # a step may jump across a totally degenerate point; when the
     # coefficient norm is small compared to its change over the step,
     # search the segment for a pass within radius 1e-6
-    same_chart = L.has_prev[acc] & moved & (L.prev_q[acc] == q)
-    jump = coefnorm < 2.0 * np.abs(coefnorm - L.prev_norm[acc])
-    for j in np.flatnonzero(running & same_chart & jump):
+    same_chart = (lane[:, _HAS_PREV] != 0) & moved & (lane[:, _Q] == q)
+    jump = coefnorm < 2.0 * np.abs(coefnorm - lane[:, _NORM])
+    for j in (running & same_chart & jump).nonzero()[0]:
         event(j, "hit_degenerate_point", lambda: degenerate(j))
-    for j in np.flatnonzero(running & (arclen >= params.max_len)):
+    for j in (running & (arclen >= params.max_len)).nonzero()[0]:
         end(j, "max_length")
-    near = np.flatnonzero(running & (arclen > 10 * h_max) & (q == L.seed_q[acc]))
+    near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
     if len(near):
-        dist = _state_distance(y[near], L.seed[acc[near]], period)
+        dist = _state_distance(y[near], lane[near, _SEED], period)
         for j in near[dist < params.loop_tol]:
             end(j, "closed_loop")
         # closest-approach event: a step can overshoot the seed state, so
         # bracket the local minimum of the distance along the last segment
-        d_prev = _state_distance(L.prev[acc[near]], L.seed[acc[near]], period)
+        d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
         for j in near[(dist >= params.loop_tol) & same_chart[near] & (d_prev < dist)
                       & (d_prev < 2 * ds[near])]:
             event(j, "closed_loop", lambda: closest(j))
-    L.y[acc], L.q[acc], L.ref[acc], L.h[acc], L.arclen[acc] = y, q, ref, h, arclen
-    L.prev[acc], L.prev_q[acc], L.prev_norm[acc] = y, q, coefnorm
-    L.has_prev[acc] = True
+    lane[:, _ROW], lane[:, _H], lane[:, _REF] = rows, h, ref
+    lane[:, _NORM], lane[:, _HAS_PREV] = coefnorm, 1.0
+    S[acc] = lane
+    return job[acc][moved], block
 
 
 def integrate_many(fld, jobs, params=None, stats=None):
@@ -514,14 +565,11 @@ def _degenerate_on_segment(fld, a, b, params, radius=1e-6):
 
 def _state_distance(a, b, period):
     """Largest coordinate gap between lifted states (..., 3), angles wrapped."""
-    du, dv, dp = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1], a[..., 2] - b[..., 2]
-    if period is not None:
-        pu, pv = period
-        if pu:
-            du = (du + pu / 2) % pu - pu / 2
-        if pv:
-            dv = (dv + pv / 2) % pv - pv / 2
-    return np.max(np.abs(np.stack([du, dv, dp])), axis=0)
+    d = a - b
+    for axis, p in enumerate(period or ()):
+        if p:
+            d[..., axis] = (d[..., axis] + p / 2) % p - p / 2
+    return np.max(np.abs(d), axis=-1)
 
 
 def _closest_on_segment(a, b, target, period, n=64):
@@ -611,7 +659,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         surf = source
         fld = bde.extended_field_for(surf)
     region = region or fld.domain
-    fld = BDEField(fld.coeff, fld.jet_coeff, region, fld.name, fld.period)
+    fld = dataclasses.replace(fld, domain=region)
     params = params or IntegrationParams()
 
     stats = IntegrationStats()
@@ -696,6 +744,7 @@ def portrait_svg(portrait, max_px=1024):
     W, H = w * scale, h * scale
 
     def mapper(u, v):
+        # one point or arrays of points, the same operations either way
         return ((u - reg.u0) * scale, (reg.v1 - v) * scale)
 
     parts = [
@@ -704,11 +753,9 @@ def portrait_svg(portrait, max_px=1024):
         f'<rect x="0" y="0" width="{W:.3f}" height="{H:.3f}" fill="#ffffff"/>',
     ]
     for traj in portrait.trajectories:
-        pts = traj.points
-        if len(pts) < 2:
-            continue
-        d = bde.polyline_svg_path(pts, mapper)
-        parts.append(f'<path d="{d}" {_STYLES[traj.family]}/>')
+        if len(traj.samples) >= 2:
+            parts.append(f'<path d="{bde.polyline_svg_path(traj.points, mapper)}" '
+                         f'{_STYLES[traj.family]}/>')
     for name, polys in sorted(portrait.singular_sets.items()):
         style = _STYLES.get(name, _STYLES["discriminant"])
         for poly in polys:

@@ -77,27 +77,48 @@ def _build_tables():
 _INDEX, _TERMS = _build_tables()
 
 
-def _build_mul(order):
-    # Leibniz rule per slot: f_(i,j) = sum_{a<=i,b<=j} C(i,a) C(j,b) g_(a,b) h_(i-a,j-b)
-    ka, kb, w, starts = [], [], [], []
+class _PerOrder(dict):
+    """Tables keyed by jet order, each built on first use by ``build(order)``,
+    so that a process builds only the orders it uses."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, order):
+        table = self[order] = self.build(order)
+        return table
+
+
+def _leibniz_pairs(order, skip_self=False):
+    """Per slot (i, j) the Leibniz pairs of a product: slot indices ka, kb and
+    weights C(i,a) C(j,b) for f_(i,j) = sum g_(a,b) h_(i-a,j-b), in a fixed
+    order; ``skip_self`` drops the pair (a, b) = (i, j)."""
+    rows = []
     for (i, j) in _TERMS[order]:
-        starts.append(len(ka))
+        ka, kb, w = [], [], []
         for a in range(i + 1):
             for b in range(j + 1):
+                if skip_self and a == i and b == j:
+                    continue
                 ka.append(_INDEX[order][(a, b)])
                 kb.append(_INDEX[order][(i - a, j - b)])
                 w.append(float(math.comb(i, a) * math.comb(j, b)))
-    return (np.array(ka), np.array(kb), np.array(w), np.array(starts))
+        rows.append((ka, kb, w))
+    return rows
 
 
-_MUL = {o: _build_mul(o) for o in range(MAX_ORDER + 1)}
+def _build_mul(order):
+    # the pairs of all slots in one gather: (ka, kb, weights, slot starts)
+    rows = _leibniz_pairs(order)
+    starts = np.cumsum([0] + [len(ka) for ka, _, _ in rows[:-1]])
+    return tuple(np.array(sum(col, [])) for col in zip(*rows)) + (starts,)
+
+
+_MUL = _PerOrder(_build_mul)
 
 # The same pairs as (ka, kb, weight) lists per slot, for the wide product.
-_MUL_PAIRS = {}
-for _o, (_ka, _kb, _w, _starts) in _MUL.items():
-    _cuts = _starts.tolist() + [len(_ka)]
-    _MUL_PAIRS[_o] = [list(zip(_ka[s:e].tolist(), _kb[s:e].tolist(), _w[s:e].tolist()))
-                      for s, e in zip(_cuts[:-1], _cuts[1:])]
+_MUL_PAIRS = _PerOrder(lambda o: [list(zip(*row)) for row in _leibniz_pairs(o)])
 
 # A product whose larger factor has at least this many lanes sums each slot
 # on lane-sized arrays (``_wide_product``); a smaller one gathers a
@@ -107,25 +128,11 @@ for _o, (_ka, _kb, _w, _starts) in _MUL.items():
 WIDE_LANES = 512
 
 # Division tables: same pairs per slot but with the self pair (a,b)=(i,j) removed.
-_DIVROWS = {}
-for _o in range(MAX_ORDER + 1):
-    rows = []
-    for slot, (i, j) in enumerate(_TERMS[_o]):
-        ka, kb, w = [], [], []
-        for a in range(i + 1):
-            for b in range(j + 1):
-                if a == i and b == j:
-                    continue
-                ka.append(_INDEX[_o][(a, b)])
-                kb.append(_INDEX[_o][(i - a, j - b)])
-                w.append(float(math.comb(i, a) * math.comb(j, b)))
-        rows.append((np.array(ka), np.array(kb), np.array(w)))
-    _DIVROWS[_o] = rows
+_DIVROWS = _PerOrder(lambda o: [tuple(np.array(col) for col in row)
+                                for row in _leibniz_pairs(o, skip_self=True)])
 
-_DU_MAP = {o: np.array([_INDEX[o + 1][(i + 1, j)] for (i, j) in _TERMS[o]])
-           for o in range(MAX_ORDER)}
-_DV_MAP = {o: np.array([_INDEX[o + 1][(i, j + 1)] for (i, j) in _TERMS[o]])
-           for o in range(MAX_ORDER)}
+_DU_MAP = _PerOrder(lambda o: np.array([_INDEX[o + 1][(i + 1, j)] for (i, j) in _TERMS[o]]))
+_DV_MAP = _PerOrder(lambda o: np.array([_INDEX[o + 1][(i, j + 1)] for (i, j) in _TERMS[o]]))
 
 
 class Jet2:

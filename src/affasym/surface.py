@@ -512,7 +512,8 @@ def _slot_arrays(polys, u, v, order):
             c[:, k] = _point_slots(tabs, _powers(a, du), _powers(b, dv))
         return c
     pu, pv = _powers(u, du), _powers(v, dv)
-    c = np.zeros((len(tabs),) + np.broadcast_shapes(u.shape, v.shape))
+    shape = u.shape if u.shape == v.shape else np.broadcast_shapes(u.shape, v.shape)
+    c = np.zeros((len(tabs),) + shape)
     term = np.empty(c.shape[1:])
     for k, entries in enumerate(tabs):
         acc = c[k, ...]

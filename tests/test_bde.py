@@ -433,3 +433,121 @@ def test_polynomial_field_flattens_its_tables_once_per_order(monkeypatch):
             for a, b in zip(x, y):
                 a, b = (c.coeffs if isinstance(c, Jet2) else c for c in (a, b))
                 assert np.array_equal(a, b)
+
+
+# -- the lifted-field kernel against the former per-branch formulas ------------
+
+
+def reference_velocity(slots, s, chart_q):
+    """The former ``lifted_velocity`` of one lane on Python floats: both
+    chart branches written out, and the scale as np.maximum chains it."""
+    A0, Au, Av, B0, Bu, Bv, C0, Cu, Cv = slots
+    if chart_q:
+        Fu = Au * s * s + 2 * Bu * s + Cu
+        Fv = Av * s * s + 2 * Bv * s + Cv
+        Fq = 2 * A0 * s + 2 * B0
+        X = (s * Fq, Fq, -(Fv + s * Fu))
+    else:
+        Fu = Au + 2 * Bu * s + Cu * s * s
+        Fv = Av + 2 * Bv * s + Cv * s * s
+        Fp = 2 * B0 + 2 * C0 * s
+        X = (Fp, s * Fp, -(Fu + s * Fv))
+    scale = np.maximum(np.maximum(abs(A0), abs(B0)), abs(C0))
+    return X, float(scale)
+
+
+def kernel_cases(n, rng):
+    """(9, n) slot rows with mixed magnitudes, signed zeros, non-finite
+    entries and a lane where the lifted field vanishes, with slopes."""
+    c = rng.normal(size=(9, n)) * 10.0 ** rng.integers(-6, 6, size=(9, n))
+    s = rng.uniform(-1.5, 1.5, n)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300])
+    hit = rng.random((9, n)) < 0.08
+    c[hit] = rng.choice(special, size=int(hit.sum()))
+    s[rng.random(n) < 0.1] = -0.0
+    s[rng.random(n) < 0.1] = 0.0
+    if n > 3:
+        # creeping lane: B = C = 0 and A_u = A_v = 0 make X = 0 in chart p
+        c[:, 2] = [0.5, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0]
+    return c, s
+
+
+@pytest.mark.parametrize("n", [1, 11, 12, 300])
+@pytest.mark.parametrize("charts", ["p", "q", "mixed"])
+def test_lifted_velocity_matches_reference_bits(n, charts):
+    rng = np.random.default_rng([n, len(charts)])
+    c, s = kernel_cases(n, rng)
+    chart_q = {"p": np.zeros(n, bool), "q": np.ones(n, bool),
+               "mixed": rng.random(n) < 0.5}[charts]
+    with np.errstate(all="ignore"):
+        X, scale = bde.lifted_velocity(c, s, chart_q)
+        ref = [reference_velocity(c[:, j].tolist(), float(s[j]), bool(chart_q[j]))
+               for j in range(n)]
+        assert X.shape == (n, 3) and scale.shape == (n,)
+        assert np.array_equal(X, np.array([r[0] for r in ref]), equal_nan=True)
+        assert np.array_equal(np.signbit(X), np.signbit([r[0] for r in ref]))
+        assert np.array_equal(scale, [r[1] for r in ref], equal_nan=True)
+        # one lane alone, on the scalar path, gives the bits it has in the batch
+        for j in range(0, n, max(1, n // 7)):
+            Xj, sj = bde.lifted_velocity(c[:, j], float(s[j]), bool(chart_q[j]))
+            assert np.array_equal(Xj, X[j], equal_nan=True)
+            assert np.array_equal(np.signbit(Xj), np.signbit(X[j]))
+            assert np.array_equal(sj, scale[j], equal_nan=True)
+    if n > 3 and charts == "p":
+        assert not X[2].any()
+
+
+@pytest.mark.parametrize("chart", ["p", "q"])
+def test_lift_terms_match_the_former_residual_formulas(chart):
+    rng = np.random.default_rng(7)
+    c, s = kernel_cases(64, rng)
+    A, B, C = c[0::3], c[1::3], c[2::3]
+    q = chart == "q"
+    with np.errstate(all="ignore"):
+        F, Fs, Fss = bde.lift_terms(A, B, C, s, np.full(64, q))
+        if q:
+            refF, refFs, refFss = A * s * s + 2 * B * s + C, 2 * A * s + 2 * B, 2 * A
+        else:
+            refF, refFs, refFss = A + 2 * B * s + C * s * s, 2 * B + 2 * C * s, 2 * C
+        for got, want in ((F, refF), (Fs, refFs), (Fss, refFss)):
+            assert np.array_equal(got, want, equal_nan=True)
+        # Python floats at one point give the same bits
+        for j in range(0, 64, 9):
+            for k in range(3):
+                point = bde.lift_terms(A[k, j].item(), B[k, j].item(), C[k, j].item(),
+                                       s[j].item(), q)
+                assert np.array_equal(point, [F[k, j], Fs[k, j], Fss[k, j]], equal_nan=True)
+
+
+def test_lifted_derivatives_match_the_former_formulas():
+    fld = bde.monge_extended_field(sf.catalog_surface("cusp_gauss", {"q21": 1.3, "q40": -0.3}))
+    rng = np.random.default_rng(3)
+    for chart in ("p", "q"):
+        for _ in range(5):
+            st = LiftedState(*rng.uniform(-0.4, 0.4, 2), float(rng.uniform(-1.5, 1.5)), chart)
+            jets = fld.jet_coeff(st.u, st.v, 2)
+            F, grad, J = bde.lifted_derivatives(*jets, st)
+            (A0, Au, Av, Auu, Auv, Avv), (B0, Bu, Bv, Buu, Buv, Bvv), (C0, Cu, Cv, Cuu, Cuv, Cvv) = (
+                j.coeffs.tolist() for j in jets)
+            s = st.slope
+            if chart == "p":
+                ref = A0 + 2 * B0 * s + C0 * s * s
+                Fu, Fv = Au + 2 * Bu * s + Cu * s * s, Av + 2 * Bv * s + Cv * s * s
+                Fp = 2 * B0 + 2 * C0 * s
+                Fuu, Fuv = Auu + 2 * Buu * s + Cuu * s * s, Auv + 2 * Buv * s + Cuv * s * s
+                Fvv = Avv + 2 * Bvv * s + Cvv * s * s
+                Fpu, Fpv, Fpp = 2 * Bu + 2 * Cu * s, 2 * Bv + 2 * Cv * s, 2 * C0
+                refJ = [[Fpu, Fpv, Fpp], [s * Fpu, s * Fpv, Fp + s * Fpp],
+                        [-(Fuu + s * Fuv), -(Fuv + s * Fvv), -(Fpu + Fv + s * Fpv)]]
+            else:
+                ref = A0 * s * s + 2 * B0 * s + C0
+                Fu, Fv = Au * s * s + 2 * Bu * s + Cu, Av * s * s + 2 * Bv * s + Cv
+                Fp = 2 * A0 * s + 2 * B0
+                Fuu, Fuv = Auu * s * s + 2 * Buu * s + Cuu, Auv * s * s + 2 * Buv * s + Cuv
+                Fvv = Avv * s * s + 2 * Bvv * s + Cvv
+                Fqu, Fqv, Fqq = 2 * Au * s + 2 * Bu, 2 * Av * s + 2 * Bv, 2 * A0
+                refJ = [[s * Fqu, s * Fqv, Fp + s * Fqq], [Fqu, Fqv, Fqq],
+                        [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fqv + Fu + s * Fqu)]]
+            assert (F, tuple(grad)) == (ref, (Fu, Fv, Fp))
+            assert np.array_equal(J, refJ)
+            assert bde.f_residual(fld, st) == ref

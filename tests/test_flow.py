@@ -390,7 +390,7 @@ def test_lane_error_ends_only_its_lane():
     assert flow.integrate_asymptotic(base, *jobs[0][:2], params).points[:, 0].max() > 0.5
     out = flow.integrate_many(fld, jobs, params)
     crossing, inner = out
-    assert crossing.termination == "left_domain"
+    assert crossing.termination == "evaluation_failed"
     assert crossing.points[:, 0].max() <= 0.3
     assert inner.termination == "max_length"
     for job, traj in zip(jobs, out):
@@ -517,3 +517,176 @@ def test_portrait_counts_dropped_reports(monkeypatch):
     assert p.integration.dropped_reports[0] == {"stage": "detect_special_points",
                                                 "reason": "ArithmeticError: scan failed"}
     assert p.integration.to_json_dict()["dropped_reports"] == p.integration.dropped_reports
+
+
+# -- one lockstep round against the former per-lane formulas ------------------
+
+
+def reference_rhs_lane(fld, y, chart_q, orient, ref_dir, params):
+    """The former ``_rhs`` of one lane: the per-branch velocity on Python
+    floats from the field's scalar jets, then the soft normalization."""
+    jets1 = fld.jet_coeff(float(y[0]), float(y[1]), 1)
+    slots = [float(x) for j in jets1 for x in j.coeffs]
+    from test_bde import reference_velocity
+    X, scale = reference_velocity(slots, float(y[2]), chart_q)
+    x = np.array(X)
+    n = float(np.sqrt(np.vecdot(x, x)))
+    if not n > 1e-9 * max(scale, 1e-30):
+        return flow._creep(fld, y, ref_dir, params), True
+    return np.array([orient * xi / math.sqrt(n * n + flow._ETA * flow._ETA) for xi in X]), False
+
+
+def reference_projection(fld, u, v, s, chart_q, iters):
+    """The former ``_project_slope`` of one lane on Python floats."""
+    A, B, C = (float(x) for x in fld.coeff(u, v))
+    norm = float(np.maximum(np.maximum(abs(A), abs(B)), abs(C)))
+    scale = max(norm, 1e-30)
+    for _ in range(iters):
+        F = A * s * s + 2 * B * s + C if chart_q else A + 2 * B * s + C * s * s
+        Fs = 2 * A * s + 2 * B if chart_q else 2 * B + 2 * C * s
+        if abs(Fs) <= 1e-6 * scale:
+            break
+        s = s - F / Fs
+    return s, norm
+
+
+RHS_FIELDS = {
+    "cusp_gauss": lambda: bde.extended_field_for(sf.catalog_surface(
+        "cusp_gauss", {"q21": 1.3, "q40": -0.3})),
+    "folded": lambda: bde.folded_model_field(-1.0),
+    # no slot evaluator: the slots are stacked from the field's jets
+    "torus": lambda: torus_field(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHS_FIELDS))
+@pytest.mark.parametrize("n", [1, 11, 12, 300])
+def test_rhs_and_projection_match_reference_bits(name, n):
+    fld = RHS_FIELDS[name]()
+    params = flow.IntegrationParams()
+    rng = np.random.default_rng([n, len(name)])
+    d = fld.domain
+    y = np.column_stack([rng.uniform(d.u0, d.u1, n), rng.uniform(d.v0, d.v1, n),
+                         rng.uniform(-1.5, 1.5, n)])
+    chart = rng.random(n) < 0.5
+    # signed-zero slopes in chart p (in chart q they put the folded and the
+    # torus lanes on the double direction, where most points have none)
+    y[~chart & (rng.random(n) < 0.2), 2] = -0.0
+    if name == "folded":
+        # the fold point: the lifted field vanishes there, so the lane creeps
+        y[0], chart[0] = (0.0, 0.0, 0.0), False
+    orient = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    ref_dir = rng.normal(size=(n, 3))
+    k, creep = flow._rhs(fld, y, chart, orient, ref_dir, params)
+    for j in range(n):
+        kj, cj = reference_rhs_lane(fld, y[j], bool(chart[j]), orient[j], ref_dir[j], params)
+        assert bool(creep[j]) == cj
+        assert np.array_equal(k[j], kj) and np.array_equal(np.signbit(k[j]), np.signbit(kj))
+    assert creep[0] == (name == "folded")
+    for iters in (1, 8):
+        s, norm = flow._project_slope(fld, y[:, 0], y[:, 1], y[:, 2], chart, iters)
+        for j in range(n):
+            ref = reference_projection(fld, float(y[j, 0]), float(y[j, 1]), float(y[j, 2]),
+                                       bool(chart[j]), iters)
+            assert (s[j], norm[j]) == ref
+            alone = flow._project_slope(fld, float(y[j, 0]), float(y[j, 1]), float(y[j, 2]),
+                                        bool(chart[j]), iters)
+            assert (float(alone[0]), float(alone[1])) == ref
+
+
+def test_stage_sums_add_in_stage_order():
+    # np.add.reduce(w * K, axis=0, initial=0.0) must give the bits of
+    # sum(w_j * K_j) over the stages, zero weights and signed zeros included
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308])
+    weights = [a for a in flow._CK_A if a] + [flow._CK_B5, flow._CK_B4]
+    with np.errstate(all="ignore"):
+        for n in (1, 7, 12, 300):
+            K = rng.normal(size=(6, n, 3)) * 10.0 ** rng.integers(-12, 12, size=(6, n, 3))
+            hit = rng.random(K.shape) < 0.1
+            K[hit] = rng.choice(special, size=int(hit.sum()))
+            for i, a in enumerate(flow._CK_A[1:], 1):
+                got = flow._stage_sum(flow._CK_AW[i], K[:i])
+                want = sum(w * k for w, k in zip(a, K))
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            both = flow._stage_sum(flow._CK_BW, K[:, None])
+            for got, b in zip(both, (flow._CK_B5, flow._CK_B4)):
+                want = sum(w * k for w, k in zip(b, K))
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert len(weights) == 7
+
+
+def layout_checks(fld, job, traj, params):
+    """The sample layout: the seed state first, then one row per accepted
+    step that moved, each adding math.hypot of its (u, v) step to the
+    arclength; only a terminating event rewrites the last row."""
+    (u0, v0, s0), chart_q = flow._start(fld, *job, params)[:2]
+    S = traj.samples
+    assert S[0].tolist() == [u0, v0, s0, float(chart_q), 0.0]
+    steps = [math.hypot(a, b) for a, b in np.diff(S[:, :2], axis=0).tolist()]
+    assert all(ds > 0 for ds in steps)
+    assert all(S[k + 1, 4] == S[k, 4] + ds for k, ds in enumerate(steps[:-1]))
+    assert np.all((S[:, 3] == 0) | (S[:, 3] == 1))
+    assert np.all(np.abs(S[:, 2]) <= params.chart_switch)
+    return S, steps[-1]
+
+
+def test_lockstep_sample_layout_through_events(monkeypatch):
+    params = flow.IntegrationParams(max_len=9.0)
+    cusp = RHS_FIELDS["cusp_gauss"]()
+    loops = bde.torus_extended_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0))
+    cusp_jobs = [((0.3, 0.2), "minus", -1), ((0.3, 0.2), "plus", 1), ((-0.1, 0.0), "minus", 1)]
+    loop_jobs = [((math.pi / 2, 6.0625), "plus", -1), ((math.pi / 2, 0.4375), "plus", 1)]
+    for fld, jobs in ((cusp, cusp_jobs), (loops, loop_jobs)):
+        out = flow.integrate_many(fld, jobs, params)
+        for job, traj in zip(jobs, out):
+            solo = flow.integrate_asymptotic(fld, *job[:2], params, job[2])
+            assert traj.termination == solo.termination
+            assert np.array_equal(traj.samples, solo.samples)
+
+    events = []
+    for name in ("_clip_to_domain", "_closest_on_segment"):
+        def spy(*args, fn=getattr(flow, name), name=name):
+            res = fn(*args)
+            events.append((name, [np.copy(a) if isinstance(a, np.ndarray) else a
+                                  for a in args], res))
+            return res
+        monkeypatch.setattr(flow, name, spy)
+    switched, clipped, _ = flow.integrate_many(cusp, cusp_jobs, params)
+    clips = {res[:2]: (args, res) for name, args, res in events if name == "_clip_to_domain"}
+    events.clear()
+    loop_out = flow.integrate_many(loops, loop_jobs, params)
+    # the closest-approach searches that ended a lane, by seed state
+    closest = {tuple(args[2]): args[:2] + list(res) for name, args, res in events
+               if res[1] < params.loop_tol}
+
+    # a chart switch: the flag flips where the slope is inverted
+    S, last = layout_checks(cusp, cusp_jobs[0], switched, params)
+    flips = np.flatnonzero(np.diff(S[:, 3]))
+    assert len(flips) == 1
+    k = flips[0] + 1
+    assert abs(S[k, 2]) <= 1 / params.chart_switch
+    st = LiftedState(S[k, 0], S[k, 1], S[k, 2], "q" if S[k, 3] else "p")
+    assert abs(bde.f_residual(cusp, st)) <= 1e-8 * max(map(abs, cusp.coeff(st.u, st.v)))
+
+    # clip: the last row is the step cut back onto the boundary from the
+    # row before, with its slope projected again
+    for traj, job in ((switched, cusp_jobs[0]), (clipped, cusp_jobs[1])):
+        S, last = layout_checks(cusp, job, traj, params)
+        assert traj.termination == "left_domain"
+        (prev_row, row, _), (cu, cv, cs, cflag, carc) = clips[tuple(S[-1, :2])]
+        assert [prev_row[k] for k in (0, 1, 4)] == S[-2, [0, 1, 4]].tolist()
+        assert row[3] == cflag == S[-1, 3] and carc == S[-1, 4]
+        assert S[-1, 2] == flow._project_slope(cusp, cu, cv, cs, bool(cflag), iters=8)[0]
+
+    # closed loops: a step that passes the seed is cut back to the closest
+    # approach on it
+    for traj, job in zip(loop_out, loop_jobs):
+        S, last = layout_checks(loops, job, traj, params)
+        assert traj.termination == "closed_loop"
+        a, b, t, d = closest[tuple(S[0, :3])]
+        assert a[:2].tolist() == S[-2, :2].tolist()
+        assert S[-1, :3].tolist() == (a + t * (b - a)).tolist()
+        assert S[-1, 4] == S[-2, 4] + t * math.hypot(*(b - a)[:2])
