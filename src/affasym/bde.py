@@ -86,14 +86,10 @@ class BDEField:
         if self.slots is not None:
             return self.slots(u, v, order)
         if order == 0:
-            parts = [np.asarray(x, dtype=float)[None] for x in self.coeff(u, v)]
-        else:
-            self.require_jets()
-            parts = [j.coeffs for j in self.jet_coeff(u, v, order)]
-        batch = np.broadcast_shapes(np.shape(u), np.shape(v))
-        return np.concatenate([np.broadcast_to(
-            p.reshape(p.shape[:1] + (1,) * (len(batch) + 1 - p.ndim) + p.shape[1:]),
-            p.shape[:1] + batch) for p in parts])
+            batch = np.broadcast_shapes(np.shape(u), np.shape(v))
+            return np.array([np.broadcast_to(x, batch) for x in self.coeff(u, v)], dtype=float)
+        self.require_jets()
+        return np.concatenate([j.coeffs for j in self.jet_coeff(u, v, order)])
 
 
 @dataclass

@@ -11,9 +11,10 @@ slope leaves [-1.5, 1.5].
 
 All trajectories of a portrait are integrated in lockstep
 (``integrate_many``): one Cash-Karp loop advances every job, each round
-evaluates the lifted field of all running lanes with one batched jet call
-per stage, and each lane keeps its own step size, chart, orientation,
-reference direction and event state.  Rare events (creeping where the lift
+evaluates the lifted field of all running lanes from one batched slot
+evaluation per stage, and each lane keeps its own step size, chart,
+orientation, reference direction and event state in one row of the lane
+state array.  Rare events (creeping where the lift
 vanishes, chart switches, domain clipping, the degenerate-point and
 closed-loop searches) run per lane through scalar helpers.  A lane sees the
 same floating-point expressions alone as inside a batch, so it gives the
@@ -499,9 +500,9 @@ def integrate_many(fld, jobs, params=None, stats=None):
     """Trace the asymptotic curves of many (seed, family, sweep) jobs at once.
 
     One Cash-Karp loop advances every job in lockstep: each round evaluates
-    the lifted field of all running lanes in one batched jet call per stage,
-    while each lane keeps its own step size, chart, orientation and
-    reference direction.  A lane gives the same bits as its job alone.
+    the lifted field of all running lanes from one batched slot evaluation
+    per stage, while each lane keeps its own step size, chart, orientation
+    and reference direction.  A lane gives the same bits as its job alone.
     Returns one Trajectory per job, in job order, or None for a job that
     could not start (or hit a lane error in the accepted-step bookkeeping);
     ``stats`` (an IntegrationStats) collects counters and the dropped jobs.

@@ -7,6 +7,7 @@ import pytest
 from affasym import affine as af, bde, flow, jets, singular as sg, surface as sf
 from affasym.bde import LiftedState
 from affasym.surface import Rect
+from test_bde import reference_velocity
 
 
 def torus_field(R=2.0, r=1.0):
@@ -527,7 +528,6 @@ def reference_rhs_lane(fld, y, chart_q, orient, ref_dir, params):
     floats from the field's scalar jets, then the soft normalization."""
     jets1 = fld.jet_coeff(float(y[0]), float(y[1]), 1)
     slots = [float(x) for j in jets1 for x in j.coeffs]
-    from test_bde import reference_velocity
     X, scale = reference_velocity(slots, float(y[2]), chart_q)
     x = np.array(X)
     n = float(np.sqrt(np.vecdot(x, x)))
@@ -599,7 +599,6 @@ def test_stage_sums_add_in_stage_order():
     # sum(w_j * K_j) over the stages, zero weights and signed zeros included
     rng = np.random.default_rng(11)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308])
-    weights = [a for a in flow._CK_A if a] + [flow._CK_B5, flow._CK_B4]
     with np.errstate(all="ignore"):
         for n in (1, 7, 12, 300):
             K = rng.normal(size=(6, n, 3)) * 10.0 ** rng.integers(-12, 12, size=(6, n, 3))
@@ -615,7 +614,6 @@ def test_stage_sums_add_in_stage_order():
                 want = sum(w * k for w, k in zip(b, K))
                 assert np.array_equal(got, want, equal_nan=True)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert len(weights) == 7
 
 
 def layout_checks(fld, job, traj, params):
