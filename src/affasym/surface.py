@@ -518,8 +518,13 @@ def _slot_arrays(polys, u, v, order):
     for k, entries in enumerate(tabs):
         acc = c[k, ...]
         for w, i, j in entries:
-            np.multiply(w, pu[i], out=term)
-            term *= pv[j]
+            # u^0 and v^0 are 1.0, and a product with 1.0 is exact: skip it
+            if not (i or j):
+                acc += w
+                continue
+            np.multiply(w, pu[i] if i else pv[j], out=term)
+            if i and j:
+                term *= pv[j]
             acc += term
     return c
 
