@@ -27,6 +27,8 @@ import os
 import sys
 import tempfile
 
+from affasym import cli
+
 # (|q21|, q40) of the portrait-cusp design points (bench/workloads.py CUSP_DESIGN)
 _CUSP = ((1.0, 0.1), (1.5, 0.4), (1.3, -0.3), (0.9, 0.35), (0.85, -0.2))
 
@@ -58,8 +60,6 @@ def _sha256(path):
 def hash_runs(outdir, names=None):
     """Run the commands into ``outdir``; returns the ``sha256  path`` lines
     and the names of the commands that did not exit 0."""
-    from affasym import cli
-
     lines, failed = [], []
     for name, argv in RUNS:
         if names and name not in names:
