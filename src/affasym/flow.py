@@ -162,15 +162,6 @@ def _project_slope(fld, u, v, slope, chart, iters=1):
     c = fld.coeff_slots(u, v, 0)
     norm = np.maximum.reduce(np.abs(c))
     scale = np.maximum(norm, 1e-30)
-    if c.ndim == 1:
-        # one point: the same expressions on Python floats
-        (A, B, C), s, scale = c.tolist(), float(slope), float(scale)
-        for _ in range(iters):
-            F, Fs, _ = bde.lift_terms(A, B, C, s, bool(chart))
-            if abs(Fs) <= 1e-6 * scale:
-                break
-            s = s - F / Fs
-        return s, norm
     s = np.asarray(slope, dtype=float)
     going = np.ones(s.shape, dtype=bool)
     for _ in range(iters):

@@ -546,7 +546,8 @@ def reference_projection(fld, u, v, s, chart_q, iters):
         Fs = 2 * A * s + 2 * B if chart_q else 2 * B + 2 * C * s
         if abs(Fs) <= 1e-6 * scale:
             break
-        s = s - F / Fs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = s - float(np.divide(F, Fs))    # inf or nan where Fs is 0
     return s, norm
 
 
@@ -592,6 +593,32 @@ def test_rhs_and_projection_match_reference_bits(name, n):
             alone = flow._project_slope(fld, float(y[j, 0]), float(y[j, 1]), float(y[j, 2]),
                                         bool(chart[j]), iters)
             assert (float(alone[0]), float(alone[1])) == ref
+
+
+def test_projection_with_non_finite_coefficients():
+    # row k of the table holds (A, B, C) at u = k; a NaN or infinite
+    # coefficient must give the reference's inf or nan, one point alone
+    # included, where F_s is 0 but fails the |F_s| <= 1e-6 scale test
+    special = [0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(5)
+    abc = rng.choice(special, size=(300, 3))
+    abc[0] = (math.nan, 0.0, 1.0)       # chart p at slope 0: F = nan, F_s = 0
+    table = abc.T.copy()
+    fld = bde.BDEField(lambda u, v: tuple(table[:, np.asarray(u, dtype=int)]))
+    u = np.arange(300.0)
+    slope = rng.choice([0.0, -0.0, 0.5, -1.0, 3.0], size=300)
+    slope[0] = 0.0
+    chart = rng.random(300) < 0.5
+    chart[0] = False
+    for iters in (1, 8):
+        with np.errstate(all="ignore"):
+            s, norm = flow._project_slope(fld, u, u, slope, chart, iters)
+            for j in range(300):
+                ref = reference_projection(fld, u[j], u[j], slope[j], bool(chart[j]), iters)
+                alone = flow._project_slope(fld, u[j], u[j], slope[j], bool(chart[j]), iters)
+                for got in ((s[j], norm[j]), alone):
+                    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.isnan(s[0])
 
 
 def test_stage_sums_add_in_stage_order():

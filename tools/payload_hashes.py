@@ -12,9 +12,8 @@ and analyze and conormal on a torus.
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
 
 ``--against FILE`` compares with an earlier output of this script and exits
-1 on any difference; a failed command exits 1 as well.  ``--only NAME``
-(repeatable) runs only the named commands; ``--out DIR`` keeps the outputs
-(default: a temporary directory, deleted at the end).
+1 on any difference; a failed command exits 1 as well.  The outputs go to
+a temporary directory, deleted at the end.
 """
 
 from __future__ import annotations
@@ -57,13 +56,11 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def hash_runs(outdir, names=None):
+def hash_runs(outdir):
     """Run the commands into ``outdir``; returns the ``sha256  path`` lines
     and the names of the commands that did not exit 0."""
     lines, failed = [], []
     for name, argv in RUNS:
-        if names and name not in names:
-            continue
         out = os.path.join(outdir, name)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv + ["--out", out])
@@ -79,12 +76,9 @@ def hash_runs(outdir, names=None):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", help="earlier output of this script to compare with")
-    ap.add_argument("--only", action="append", choices=[name for name, _ in RUNS])
-    ap.add_argument("--out", help="keep the outputs in this directory")
     args = ap.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        outdir = args.out or stack.enter_context(tempfile.TemporaryDirectory())
-        lines, failed = hash_runs(outdir, args.only)
+    with tempfile.TemporaryDirectory() as outdir:
+        lines, failed = hash_runs(outdir)
     print("\n".join(lines))
     status = 0
     for name in failed:
@@ -94,9 +88,8 @@ def main(argv=None):
         with open(args.against, encoding="utf-8") as fh:
             ref = dict(ln.split("  ", 1)[::-1] for ln in fh.read().splitlines() if "  " in ln)
         got = dict(ln.split("  ", 1)[::-1] for ln in lines)
-        ran = set(args.only or [name for name, _ in RUNS])
         for path in sorted(set(ref) | set(got)):
-            if path.split("/", 1)[0] in ran and ref.get(path) != got.get(path):
+            if ref.get(path) != got.get(path):
                 print(f"DIFFERS: {path} {ref.get(path)} -> {got.get(path)}", file=sys.stderr)
                 status = 1
     return status
