@@ -1,10 +1,10 @@
 """Quadratic direction equations A du^2 + 2B du dv + C dv^2 = 0 as fields.
 
-A field carries a pointwise coefficient evaluator and, when available, a jet
-evaluator for the same coefficients; the jets feed the lifted vector field
-and its linearization.  Directions are solved in whichever slope chart is
-better conditioned: chart ``p`` uses p = dv/du on F_P = A + 2Bp + Cp^2,
-chart ``q`` uses q = du/dv on F_Q = Aq^2 + 2Bq + C.
+A field carries one evaluator, the stacked jet slots of its coefficients
+(A, B, C) up to a requested order: order 0 gives the values, and the jets
+feed the lifted vector field and its linearization.  Directions are solved
+in whichever slope chart is better conditioned: chart ``p`` uses p = dv/du
+on F_P = A + 2Bp + Cp^2, chart ``q`` uses q = du/dv on F_Q = Aq^2 + 2Bq + C.
 
 The lift of the equation is the surface {F = 0} in (u, v, slope) space; the
 tangent vector field
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import affine, jets
 from .jets import Jet2
-from .surface import Poly, PolySet, Rect, _slot_arrays, poly_jets, poly_values
+from .surface import Poly, PolySet, Rect, _slot_arrays
 
 __all__ = [
     "BDEField",
@@ -37,6 +37,7 @@ __all__ = [
     "AsymptoticDirections",
     "CapabilityError",
     "LIFT_TOL",
+    "values_field",
     "field_from_polynomials",
     "monge_extended_field",
     "torus_extended_field",
@@ -67,29 +68,25 @@ class CapabilityError(RuntimeError):
 
 @dataclass
 class BDEField:
-    coeff: object            # (u, v) -> (A, B, C), batch-capable
-    jet_coeff: object = None  # (u, v, order) -> (Jet2, Jet2, Jet2)
+    """A direction equation with one evaluator: ``slots(u, v, order)`` gives
+    the jet slots of (A, B, C) at (u, v) up to ``order`` in one array of shape
+    (3 * slots,) + batch shape, the slots of A, then B, then C, each in the
+    jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...).  A field
+    without jets raises CapabilityError for order >= 1 (``values_field``)."""
+    slots: object
     domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
     name: str = "bde"
     period: tuple = None     # (Pu, Pv) when the parameters are angles
-    slots: object = None     # (u, v, order) -> coeff_slots without building jets
 
-    def require_jets(self):
-        if self.jet_coeff is None:
-            raise CapabilityError(f"field {self.name} has no jet evaluator")
+    def coeff(self, u, v):
+        """(A, B, C) at one point or a batch."""
+        return tuple(self.slots(u, v, 0))
 
-    def coeff_slots(self, u, v, order):
-        """Jet slots of (A, B, C) at (u, v) up to ``order``, stacked in one
-        array of shape (3 * slots,) + batch shape: the slots of A, then of B,
-        then of C, each in the jets' graded-lexicographic order (value, u, v,
-        uu, uv, vv, ...).  Order 0 needs only ``coeff``."""
-        if self.slots is not None:
-            return self.slots(u, v, order)
-        if order == 0:
-            batch = np.broadcast_shapes(np.shape(u), np.shape(v))
-            return np.array([np.broadcast_to(x, batch) for x in self.coeff(u, v)], dtype=float)
-        self.require_jets()
-        return np.concatenate([j.coeffs for j in self.jet_coeff(u, v, order)])
+    def jet_coeff(self, u, v, order=2):
+        """Jets of (A, B, C) up to ``order``, as three Jet2."""
+        c = self.slots(u, v, order)
+        n = len(c) // 3
+        return Jet2(order, c[:n]), Jet2(order, c[n:2 * n]), Jet2(order, c[2 * n:])
 
 
 @dataclass
@@ -111,22 +108,31 @@ class LiftedState:
 # -- constructors -------------------------------------------------------------
 
 
-def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
-    """Field with polynomial (A, B, C); each call evaluates all three at once
-    from their compiled derivative tables, flattened once per jet order, and
-    ``coeff_slots`` reads the evaluator's slot array without building jets."""
-    polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
+def _stacked(abc, u, v):
+    """Slots of (A, B, C) from three jets, or from three values at order 0."""
+    if isinstance(abc[0], Jet2):
+        return np.concatenate([j.coeffs for j in abc])
+    batch = np.broadcast_shapes(np.shape(u), np.shape(v))
+    return np.array([np.broadcast_to(x, batch) for x in abc], dtype=float)
 
-    def coeff(u, v):
-        return poly_values(polys, u, v)
 
-    def jet_coeff(u, v, order=2):
-        return poly_jets(polys, u, v, order)
+def values_field(values, domain=Rect(-1.0, 1.0, -1.0, 1.0), name="bde"):
+    """Field from a batch-capable (u, v) -> (A, B, C) without jets: its
+    evaluator gives the values at order 0 and raises CapabilityError above."""
 
     def slots(u, v, order):
-        return _slot_arrays(polys, u, v, order)
+        if order:
+            raise CapabilityError(f"field {name} has no jet evaluator")
+        return _stacked(values(u, v), u, v)
 
-    return BDEField(coeff, jet_coeff, domain, name, slots=slots)
+    return BDEField(slots, domain, name)
+
+
+def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
+    """Field with polynomial (A, B, C); each call evaluates all three at once
+    from their compiled derivative tables, flattened once per jet order."""
+    polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
+    return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, name)
 
 
 def folded_model_field(lam, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
@@ -158,13 +164,12 @@ def monge_extended_field(surf):
         return field_from_polynomials(-bl, -bm, -bn, surf.domain,
                                       f"extended({surf.describe()})")
 
-    def coeff(u, v):
-        return affine.extended_bde_coeffs(surf.height_jet(u, v, order=4, check=False))
+    def slots(u, v, order):
+        # an order-4 height jet gives values, a higher one jets
+        hj = surf.height_jet(u, v, order=4 + order, check=False)
+        return _stacked(affine.extended_bde_coeffs(hj), u, v)
 
-    def jet_coeff(u, v, order=2):
-        return affine.extended_bde_coeffs(surf.height_jet(u, v, order=4 + order, check=False))
-
-    return BDEField(coeff, jet_coeff, surf.domain, f"extended({surf.describe()})")
+    return BDEField(slots, surf.domain, f"extended({surf.describe()})")
 
 
 def torus_extended_field(R, r, domain=None):
@@ -180,32 +185,24 @@ def torus_extended_field(R, r, domain=None):
     np_dd = np.polynomial.polynomial.polyder(np_d)
     pval = np.polynomial.polynomial.polyval
 
-    def coeff(u, v):
-        c = np.cos(u)
-        z = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
-        return pval(c, lp) + z, z, pval(c, npol) + z
-
-    def jet_coeff(u, v, order=2):
+    def slots(u, v, order):
         if order > 2:
-            uj = Jet2.variable("u", u, order)
-            return affine.torus_extended_bde(R, r, uj)
-        # analytic branch: one point or a batch, the same expressions per point
+            return _stacked(affine.torus_extended_bde(R, r, Jet2.variable("u", u, order)), u, v)
+        # analytic branch: one point or a batch, the same expressions per
+        # point; B and the v-derivatives vanish
         c, s = np.cos(u), np.sin(u)
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-        n_terms = (order + 1) * (order + 2) // 2
+        n = (order + 1) * (order + 2) // 2
+        out = np.zeros((3 * n,) + np.broadcast_shapes(np.shape(u), np.shape(v)))
+        for k, p, p_d, p_dd in ((0, lp, lp_d, lp_dd), (2 * n, npol, np_d, np_dd)):
+            out[k] = pval(c, p)
+            if order:
+                fc = pval(c, p_d)
+                out[k + 1] = -s * fc
+                if order == 2:
+                    out[k + 3] = -c * fc + s * s * pval(c, p_dd)
+        return out
 
-        def build(p, p_d, p_dd):
-            fc = pval(c, p_d)
-            coeffs = np.zeros((n_terms,) + shape)
-            coeffs[0], coeffs[1] = pval(c, p), -s * fc
-            if order == 2:
-                coeffs[3] = -c * fc + s * s * pval(c, p_dd)
-            return Jet2(order, coeffs)
-
-        return (build(lp, lp_d, lp_dd), Jet2(order, np.zeros((n_terms,) + shape)),
-                build(npol, np_d, np_dd))
-
-    return BDEField(coeff, jet_coeff, domain, f"torus-extended(R={R},r={r})",
+    return BDEField(slots, domain, f"torus-extended(R={R},r={r})",
                     period=(2 * math.pi, 2 * math.pi))
 
 
@@ -214,7 +211,7 @@ def conormal_euclidean_field(surf, guard=1e-8):
     of the source parameters (u, v): the direction equation of the Euclidean
     asymptotic lines of that surface."""
 
-    def make(u, v, order):
+    def slots(u, v, order):
         fr = affine.frame_jets(surf, u, v, order=4 + order, guard=guard)
         nu = fr["nu"]
         nu_u, nu_v = fr["nu_u"], fr["nu_v"]
@@ -227,16 +224,9 @@ def conormal_euclidean_field(surf, guard=1e-8):
         e = affine.dot(nvec, nuu)
         f = affine.dot(nvec, nuv)
         g = affine.dot(nvec, nvv)
-        return e, f, g
+        return _stacked((e, f, g), u, v)
 
-    def coeff(u, v):
-        e, f, g = make(u, v, 0)
-        return e.value, f.value, g.value
-
-    def jet_coeff(u, v, order=2):
-        return make(u, v, order)
-
-    return BDEField(coeff, jet_coeff, surf.domain, f"conormal-II({surf.describe()})")
+    return BDEField(slots, surf.domain, f"conormal-II({surf.describe()})")
 
 
 def extended_field_for(surf):
@@ -246,18 +236,13 @@ def extended_field_for(surf):
     if surf.kind == "monge":
         return monge_extended_field(surf)
     # generic parametric: clear the same |LN - M^2| powers as the Monge case
-    def coeff(u, v):
-        fr = affine.frame_jets(surf, u, v, order=4)
-        d2 = 16.0 * fr["D"].value ** 2
-        return tuple(d2 * c.value for c in affine.lmn_from_frame(fr))
-
-    def jet_coeff(u, v, order=2):
+    def slots(u, v, order):
         fr = affine.frame_jets(surf, u, v, order=4 + order)
         lmn = affine.lmn_from_frame(fr)
-        d2 = (fr["D"] * fr["D"] * 16.0).truncate(lmn[0].order)
-        return tuple(d2 * c for c in lmn)
+        d2 = (fr["D"] * fr["D"] * 16.0).truncate(order)
+        return _stacked([d2 * c for c in lmn], u, v)
 
-    return BDEField(coeff, jet_coeff, surf.domain, f"extended({surf.describe()})")
+    return BDEField(slots, surf.domain, f"extended({surf.describe()})")
 
 
 # -- pointwise operations ------------------------------------------------------
@@ -323,7 +308,7 @@ def lift_state(field, u, v, du, dv):
 
 
 def f_residual(field, state):
-    A, B, C = field.coeff_slots(state.u, state.v, 0).tolist()
+    A, B, C = field.slots(state.u, state.v, 0).tolist()
     return lift_terms(A, B, C, state.slope, state.chart == "q")[0]
 
 
@@ -361,7 +346,7 @@ def _point_terms(A, B, C, slope, chart_q):
 
 def lifted_velocity(c, slope, chart_q):
     """Lifted velocity X and the coefficient scale max(|A|, |B|, |C|) from
-    the order-1 slots ``c`` of (A, B, C) (``BDEField.coeff_slots``, shape
+    the order-1 slots ``c`` of (A, B, C) (``BDEField.slots``, shape
     (9,) + batch).  ``slope`` and ``chart_q`` (True where the slope is du/dv)
     are scalars or arrays over the batch; X has the batch shape plus a last
     axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p, (s F_s, F_s,
@@ -379,7 +364,7 @@ def lifted_velocity(c, slope, chart_q):
 
 def lie_cartan_scaled(field, state):
     """Lifted velocity and the local coefficient scale, one jet evaluation."""
-    X, scale = lifted_velocity(field.coeff_slots(state.u, state.v, 1), state.slope,
+    X, scale = lifted_velocity(field.slots(state.u, state.v, 1), state.slope,
                                state.chart == "q")
     return X, float(scale)
 
@@ -412,7 +397,6 @@ def lifted_derivatives(Aj, Bj, Cj, state):
 
 def lie_cartan_jacobian(field, state):
     """3x3 Jacobian of the lifted field at the state, in (u, v, slope) order."""
-    field.require_jets()
     return lifted_derivatives(*field.jet_coeff(state.u, state.v, 2), state)[2]
 
 
@@ -459,7 +443,7 @@ def _cell_segments(pos, centre_positive):
     return segments
 
 
-def trace_zero_set(scalar, region, resolution=256, refine_iters=48):
+def trace_zero_set(scalar, region, resolution=256):
     """Polylines approximating {scalar = 0} on the region.
 
     ``scalar`` must accept numpy arrays (u, v) and return values of the same
@@ -486,7 +470,7 @@ def trace_zero_set(scalar, region, resolution=256, refine_iters=48):
         a_u, a_v = p0u.copy(), p0v.copy()
         b_u, b_v = p1u.copy(), p1v.copy()
         fa = f0
-        for _ in range(refine_iters):
+        for _ in range(48):    # bisection steps per edge crossing
             m_u, m_v = 0.5 * (a_u + b_u), 0.5 * (a_v + b_v)
             fm = np.asarray(scalar(m_u, m_v), dtype=float)
             fm = np.where(fm == 0.0, 1e-300, fm)

@@ -6,8 +6,8 @@ ambiguity of the planar direction field and carries trajectories through
 their projected cusps on the discriminant.  The field is softly normalized
 to near-unit speed so the integration parameter approximates lifted arc
 length; each accepted step re-projects the slope onto {F = 0} with one
-Newton correction, and the slope chart switches with hysteresis when the
-slope leaves [-1.5, 1.5].
+Newton correction (more where one does not reach the lift tolerance), and
+the slope chart switches with hysteresis when the slope leaves [-1.5, 1.5].
 
 All trajectories of a portrait are integrated in lockstep
 (``integrate_many``): one Cash-Karp loop advances every job, each round
@@ -113,6 +113,7 @@ def _stage_sum(w, K):
 # exceptions that end or drop one lane; anything else propagates
 _LANE_ERRORS = (ArithmeticError, bde.CapabilityError)
 _ETA = 1e-9    # soft normalization of the lifted speed
+_RING_SEEDS, _RING_RADIUS = 8, 0.05    # extra seeds around each singular point
 
 
 @dataclass
@@ -159,7 +160,7 @@ def _project_slope(fld, u, v, slope, chart, iters=1):
     """Newton-project slopes onto {F = 0} at (u, v), at one point or per lane
     (``chart`` True where the slope is du/dv).  Returns the slopes and the
     coefficient norm max(|A|, |B|, |C|) there."""
-    c = fld.coeff_slots(u, v, 0)
+    c = fld.slots(u, v, 0)
     norm = np.maximum.reduce(np.abs(c))
     scale = np.maximum(norm, 1e-30)
     s = np.asarray(slope, dtype=float)
@@ -189,7 +190,7 @@ def _creep(fld, y, ref_dir, params):
 
 def _rhs(fld, y, chart, orient, ref_dir, params):
     """Softly normalized lifted velocity per lane, and which lanes crept."""
-    X, scale = bde.lifted_velocity(fld.coeff_slots(y[:, 0], y[:, 1], 1), y[:, 2], chart)
+    X, scale = bde.lifted_velocity(fld.slots(y[:, 0], y[:, 1], 1), y[:, 2], chart)
     n = np.sqrt(np.vecdot(X, X))
     creep = ~(n > 1e-9 * np.maximum(scale, 1e-30))
     k = orient[:, None] * X / np.sqrt(n * n + _ETA * _ETA)[:, None]
@@ -358,8 +359,16 @@ def _integrate(fld, jobs, params, stats):
             for j, e in zip(acc.tolist(), errors):
                 reasons[j] = e
             ok = np.array([e is None for e in errors], dtype=bool)
-            acc, ya = acc[ok], ya[ok]
+            acc, ya, qa = acc[ok], ya[ok], qa[ok]
         if len(acc):
+            # F is quadratic in the slope: a Newton step ds leaves |F| <=
+            # max(|A|, |B|, |C|) ds^2, so only larger steps can miss the bound
+            s, norm = res
+            far = ((s - ya[:, 2]) ** 2 > params.lift_tol).nonzero()[0]
+            if len(far):
+                F = bde.lift_terms(*fld.slots(ya[far, 0], ya[far, 1], 0), s[far], qa[far])[0]
+                off = far[np.abs(F) > params.lift_tol * norm[far]]
+                s[off] = _project_slope(fld, ya[off, 0], ya[off, 1], s[off], qa[off], iters=7)[0]
             blocks.append(_accept(fld, params, stats, S, job, acc, ya, res, err[acc],
                                   ratio[acc], crept[acc], reasons, h_max, period))
         if any(r is not None for r in reasons):
@@ -439,7 +448,7 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
         return True
 
     def degenerate(j):
-        hit = _degenerate_on_segment(fld, y_old[j], y[j], params)
+        hit = _degenerate_on_segment(fld, y_old[j], y[j])
         if hit is None:
             return False
         yc, t_best = hit
@@ -525,7 +534,7 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
     return res
 
 
-def _degenerate_on_segment(fld, a, b, params, radius=1e-6):
+def _degenerate_on_segment(fld, a, b):
     def cnorm(t):
         p = a + t * (b - a)
         A, B, C = (float(x) for x in fld.coeff(p[0], p[1]))
@@ -550,7 +559,7 @@ def _degenerate_on_segment(fld, a, b, params, radius=1e-6):
     for j in (Aj, Bj, Cj):
         g += float(j.partial(1, 0)) ** 2 + float(j.partial(0, 1)) ** 2
     g = math.sqrt(g)
-    if g > 0 and cmin / g < radius:
+    if g > 0 and cmin / g < 1e-6:    # the pass comes within this radius
         return p, t_best
     return None
 
@@ -564,7 +573,9 @@ def _state_distance(a, b, period):
     return np.max(np.abs(d), axis=-1)
 
 
-def _closest_on_segment(a, b, target, period, n=64):
+def _closest_on_segment(a, b, target, period):
+    n = 64    # samples along the segment before the ternary refinement
+
     def dist(t):
         return _state_distance(a + t * (b - a), target, period)
 
@@ -633,7 +644,7 @@ class Portrait:
 
 
 def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resolution=192,
-                   detect=True, ring_seeds=8, ring_radius=0.05):
+                   detect=True):
     """Full phase portrait of the asymptotic net of a field or a surface.
 
     ``source`` is a coefficient field or a surface (in which case the
@@ -697,10 +708,10 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     vs = np.linspace(region.v0, region.v1, ny + 2)[1:-1]
     seeds = [(float(u), float(v)) for u in us for v in vs]
     for rep in sorted(reports, key=lambda r: (r.kind, r.location)):
-        for k in range(ring_seeds):
-            ang = 2 * math.pi * k / ring_seeds
-            seeds.append((rep.location[0] + ring_radius * math.cos(ang),
-                          rep.location[1] + ring_radius * math.sin(ang)))
+        for k in range(_RING_SEEDS):
+            ang = 2 * math.pi * k / _RING_SEEDS
+            seeds.append((rep.location[0] + _RING_RADIUS * math.cos(ang),
+                          rep.location[1] + _RING_RADIUS * math.sin(ang)))
 
     jobs = []
     for (su, sv) in seeds:
@@ -728,11 +739,11 @@ _STYLES = {
 }
 
 
-def portrait_svg(portrait, max_px=1024):
+def portrait_svg(portrait):
     """Deterministic SVG: u rightward, v upward, square aspect."""
     reg = portrait.region
     w, h = reg.u1 - reg.u0, reg.v1 - reg.v0
-    scale = max_px / max(w, h)
+    scale = 1024 / max(w, h)    # pixels along the longer side
     W, H = w * scale, h * scale
 
     def mapper(u, v):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine, bde
-from .bde import BDEField, LiftedState
+from .bde import LiftedState
 from .surface import EvalError, Rect
 
 __all__ = [
@@ -51,6 +51,7 @@ FOLD_KINDS = ("folded_saddle", "folded_node", "folded_focus")
 
 LAMBDA_EDGE_TOL = 1e-6
 ANGLE_TOL = 1e-3
+FLAT_TOL = 1e-10
 
 
 class NotSingularLiftError(ArithmeticError):
@@ -123,8 +124,7 @@ def _fold_function(fld, state):
     return float(bde.lie_cartan(fld, state)[2])
 
 
-def find_folded_points(fld, discriminant_polylines, newton_iters=25,
-                       merge_tol=1e-7, residual_tol=1e-9):
+def find_folded_points(fld, discriminant_polylines):
     """Fold-point candidates: zeros of the lifted field over the discriminant.
 
     Walks the traced discriminant, looks for sign changes of the vertical
@@ -132,7 +132,6 @@ def find_folded_points(fld, discriminant_polylines, newton_iters=25,
     each candidate with a 3D Newton iteration on
     (F, F_slope, vertical component) = 0.
     """
-    fld.require_jets()
     candidates = []
     for poly in discriminant_polylines:
         if len(poly) < 2:
@@ -150,21 +149,21 @@ def find_folded_points(fld, discriminant_polylines, newton_iters=25,
                 continue
             t = 0.5 if a == b else abs(a) / (abs(a) + abs(b))
             seed = (1 - t) * poly[k] + t * poly[k + 1]
-            pt = _newton_fold(fld, seed[0], seed[1], newton_iters, residual_tol)
+            pt = _newton_fold(fld, seed[0], seed[1])
             if pt is not None:
                 candidates.append(pt)
     merged = []
     for pt in sorted(candidates):
-        if all(math.hypot(pt[0] - q[0], pt[1] - q[1]) > merge_tol for q in merged):
+        if all(math.hypot(pt[0] - q[0], pt[1] - q[1]) > 1e-7 for q in merged):
             merged.append(pt)
     return merged
 
 
-def _newton_fold(fld, u, v, iters, residual_tol):
+def _newton_fold(fld, u, v):
     st = _double_root_state(fld, u, v)
     x = np.array([st.u, st.v, st.slope])
     chart = st.chart
-    for _ in range(iters):
+    for _ in range(25):
         state = LiftedState(x[0], x[1], x[2], chart)
         try:
             Aj, Bj, Cj = fld.jet_coeff(state.u, state.v, 2)
@@ -181,7 +180,7 @@ def _newton_fold(fld, u, v, iters, residual_tol):
             rows = [[Fu, Fv, Fs], Jx[1], -Jx[2]]
         Fvec = np.array([Fval, Fs, G])
         scale = max(abs(float(Aj.value)), abs(float(Bj.value)), abs(float(Cj.value)), 1e-30)
-        if np.max(np.abs(Fvec)) < residual_tol * scale:
+        if np.max(np.abs(Fvec)) < 1e-9 * scale:
             return (float(x[0]), float(x[1]))
         J = np.array(rows)
         try:
@@ -198,14 +197,14 @@ def _newton_fold(fld, u, v, iters, residual_tol):
     return None
 
 
-def classify_folded(fld, point, edge_tol=LAMBDA_EDGE_TOL, velocity_tol=1e-6):
+def classify_folded(fld, point):
     """Linearize the lifted field at the double-root lift of a fold point."""
     u, v = point
     state = _double_root_state(fld, u, v)
     X = bde.lie_cartan(fld, state)
     A, B, C = (float(x) for x in fld.coeff(u, v))
     scale = max(abs(A), abs(B), abs(C), 1e-30)
-    if np.linalg.norm(X) > velocity_tol * scale:
+    if np.linalg.norm(X) > 1e-6 * scale:
         raise NotSingularLiftError(
             f"lifted field does not vanish at {point}: |X| = {np.linalg.norm(X):.3e}")
     J = bde.lie_cartan_jacobian(fld, state)
@@ -214,11 +213,11 @@ def classify_folded(fld, point, edge_tol=LAMBDA_EDGE_TOL, velocity_tol=1e-6):
         lam = math.inf if e2 > 0 else (-math.inf if e2 < 0 else float("nan"))
     else:
         lam = e2 / (4.0 * tr * tr)
-    if lam < -edge_tol:
+    if lam < -LAMBDA_EDGE_TOL:
         kind = "folded_saddle"
-    elif edge_tol < lam < 1.0 / 16.0 - edge_tol:
+    elif LAMBDA_EDGE_TOL < lam < 1.0 / 16.0 - LAMBDA_EDGE_TOL:
         kind = "folded_node"
-    elif lam > 1.0 / 16.0 + edge_tol:
+    elif lam > 1.0 / 16.0 + LAMBDA_EDGE_TOL:
         kind = "folded_focus"
     else:
         kind = "boundary_uncertain"
@@ -228,22 +227,21 @@ def classify_folded(fld, point, edge_tol=LAMBDA_EDGE_TOL, velocity_tol=1e-6):
                                         "slope": state.slope, "chart": state.chart})
 
 
-def classify_flat_affine_umbilic(fld, point, degenerate_tol=1e-10, hessian_tol=1e-10):
+def classify_flat_affine_umbilic(fld, point):
     """Morse classification at a point where all three coefficients vanish."""
     u, v = point
-    fld.require_jets()
     Aj, Bj, Cj = fld.jet_coeff(u, v, 2)
     A0, B0, C0 = (float(j.value) for j in (Aj, Bj, Cj))
     scale = max(max(abs(float(j.partial(1, 0))), abs(float(j.partial(0, 1))))
                 for j in (Aj, Bj, Cj))
     scale = max(scale, 1e-30)
-    if max(abs(A0), abs(B0), abs(C0)) > degenerate_tol * max(1.0, scale):
+    if max(abs(A0), abs(B0), abs(C0)) > bde.DEGENERATE_TOL * max(1.0, scale):
         raise NotFlatUmbilicError(f"coefficients do not all vanish at {point}")
     delta = Bj * Bj - Aj * Cj
     H = np.array([[float(delta.partial(2, 0)), float(delta.partial(1, 1))],
                   [float(delta.partial(1, 1)), float(delta.partial(0, 2))]])
     detH = float(np.linalg.det(H))
-    if abs(detH) <= hessian_tol * scale ** 2:
+    if abs(detH) <= 1e-10 * scale ** 2:
         raise DegenerateHessianError(f"discriminant Hessian is degenerate at {point}")
     if detH > 0:
         if H[0, 0] < 0:
@@ -317,8 +315,7 @@ def _tangency_signal(fld, poly):
     return out
 
 
-def scan_tangency(fld, polylines, kind_label, angle_tol=ANGLE_TOL, noise_floor=1e-6,
-                  merge_radius=0.0):
+def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
     """Flag zero crossings of the tangency angle along traced curves.
 
     Curves where the direction is tangent identically (solution curves of the
@@ -332,7 +329,7 @@ def scan_tangency(fld, polylines, kind_label, angle_tol=ANGLE_TOL, noise_floor=1
             continue
         s = _tangency_signal(fld, poly)
         finite = np.isfinite(s)
-        if not finite.any() or np.nanmax(np.abs(s)) < noise_floor:
+        if not finite.any() or np.nanmax(np.abs(s)) < 1e-6:
             continue
         for k in range(len(poly) - 1):
             a, b = s[k], s[k + 1]
@@ -341,7 +338,7 @@ def scan_tangency(fld, polylines, kind_label, angle_tol=ANGLE_TOL, noise_floor=1
             t = 0.5 if a == b else abs(a) / (abs(a) + abs(b))
             loc = (1 - t) * poly[k] + t * poly[k + 1]
             angle = abs((1 - t) * a + t * b)
-            if angle < angle_tol:
+            if angle < ANGLE_TOL:
                 reports.append(SingularPointReport(
                     (float(loc[0]), float(loc[1])), kind_label,
                     tangency_angle=float(angle)))
@@ -402,9 +399,7 @@ def singular_sets(surf, fld, region, resolution):
             "discriminant": rest}
 
 
-def detect_special_points(surf, fld, sets, region, resolution, angle_tol=ANGLE_TOL,
-                          parabolic_kind="cusp_of_gauss",
-                          affine_kind="affine_cusp_of_gauss"):
+def detect_special_points(surf, fld, sets, region, resolution):
     """Cusp-of-Gauss style tangency points on both parabolic sets.
 
     ``sets`` are the ``singular_sets`` of the surface, traced from its
@@ -414,12 +409,11 @@ def detect_special_points(surf, fld, sets, region, resolution, angle_tol=ANGLE_T
     sign-changing tangencies.  Where the two sets meet, the meeting is
     reported with a tangential/transversal marker.
     """
-    euclid_field = BDEField(_euclid_second_form(surf), None, region, "euclid-II")
+    euclid_field = bde.values_field(_euclid_second_form(surf), region, "euclid-II")
     parabolic, affine_parabolic = sets["parabolic"], sets["affine_parabolic"]
     cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
-    reports = scan_tangency(euclid_field, parabolic, parabolic_kind, angle_tol,
-                            merge_radius=3 * cell)
-    reports += scan_tangency(fld, affine_parabolic, affine_kind, angle_tol,
+    reports = scan_tangency(euclid_field, parabolic, "cusp_of_gauss", merge_radius=3 * cell)
+    reports += scan_tangency(fld, affine_parabolic, "affine_cusp_of_gauss",
                              merge_radius=3 * cell)
 
     # meetings of the two sets: tangential per the double-direction test
@@ -480,8 +474,7 @@ def blowup_radial_coeffs(fld, t, r=0.0):
     return Abar, Bbar, Cbar
 
 
-def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=21,
-                                 flat_tol=1e-10):
+def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=21):
     """Classification at a flat point of a height function (zero 1-jet and
     2-jet): either no asymptotic net nearby, or a topological focus."""
     if surf.kind != "monge":
@@ -489,15 +482,15 @@ def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=
     u0, v0 = point
     hj = surf.height_jet(u0, v0, order=4, check=False)
     low = [hj.partial(1, 0), hj.partial(0, 1), hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2)]
-    if max(abs(float(x)) for x in low) > flat_tol:
+    if max(abs(float(x)) for x in low) > FLAT_TOL:
         raise NotFlatUmbilicError(f"height jet at {point} has nonvanishing 1st/2nd order terms")
     c30 = float(hj.partial(3, 0)) / 6.0
     c21 = float(hj.partial(2, 1)) / 2.0
     c12 = float(hj.partial(1, 2)) / 2.0
     c03 = float(hj.partial(0, 3)) / 6.0
-    if max(abs(c30), abs(c21), abs(c12), abs(c03)) < flat_tol:
+    if max(abs(c30), abs(c21), abs(c12), abs(c03)) < FLAT_TOL:
         raise NotFlatUmbilicError("cubic part vanishes; point is flatter than a cubic flat point")
-    roots = _cubic_real_root_count(c30, c21, c12, c03) if abs(c30) > flat_tol else \
+    roots = _cubic_real_root_count(c30, c21, c12, c03) if abs(c30) > FLAT_TOL else \
         _cubic_real_root_count(c03, c12, c21, c30)
     eps = -1 if roots == 3 else 1
 

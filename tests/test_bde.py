@@ -122,9 +122,66 @@ def test_lifted_field_morse_fiber():
 
 
 def test_lie_cartan_requires_jets():
-    fld = bde.BDEField(lambda u, v: (1.0, 0.0, 1.0), None)
+    fld = bde.values_field(lambda u, v: (1.0, 0.0, 1.0))
     with pytest.raises(bde.CapabilityError):
         bde.lie_cartan(fld, LiftedState(0.0, 0.0, 0.0, "p"))
+
+
+_HALF = Rect(-0.5, 0.5, -0.5, 0.5)
+_TORUS = sf.catalog_surface("torus", {"R": 3, "r": 1})
+# one field per constructor path; orders 0-3 cover both torus branches
+_EVALUATOR_FIELDS = {
+    "folded": lambda: bde.folded_model_field(-1.0),
+    "morse": lambda: bde.morse_model_field(-1),
+    "monge_polynomial": lambda: bde.extended_field_for(
+        sf.monge_surface("u^3 - u*v^2 + 0.2*v^4", _HALF)),
+    "monge_transcendental": lambda: bde.extended_field_for(
+        sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)", _HALF)),
+    "torus": lambda: bde.extended_field_for(_TORUS),
+    "parametric": lambda: bde.extended_field_for(sf.parametric_surface(
+        ["u + 0.2*v^2", "v + 0.1*sin(u)", "exp(u) + log(2 + v)"], _HALF)),
+    "conormal": lambda: bde.conormal_euclidean_field(_TORUS),
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATOR_FIELDS))
+def test_coeff_and_jets_read_the_one_evaluator(name):
+    fld = _EVALUATOR_FIELDS[name]()
+    d = fld.domain
+    rng = np.random.default_rng(23)
+    U, V = rng.uniform(d.u0, d.u1, 40), rng.uniform(d.v0, d.v1, 40)
+    for u, v in ((float(U[0]), float(V[0])), (U[:5], V[:5]), (U, V)):
+        for order in range(4):
+            c = fld.slots(u, v, order)
+            n = (order + 1) * (order + 2) // 2
+            assert c.shape == (3 * n,) + np.shape(u)
+            jets3 = fld.jet_coeff(u, v, order)
+            assert len(jets3) == 3
+            for k, jet in enumerate(jets3):
+                assert jet.order == order and _same_bits(jet.coeffs, c[k * n:(k + 1) * n])
+        values = fld.coeff(u, v)
+        assert len(values) == 3
+        for value, want in zip(values, fld.slots(u, v, 0)):
+            assert _same_bits(value, want)
+
+
+def test_values_field_gives_values_and_no_jets():
+    fld = bde.values_field(lambda u, v: (u * v, 0.5, v - u), name="values-only")
+    for u, v in ((0.3, -0.2), (np.linspace(-1, 1, 5), np.linspace(0, 1, 5))):
+        want = np.array([u * v, np.full(np.shape(u), 0.5), v - u])
+        assert _same_bits(fld.slots(u, v, 0), want)
+        for value, w in zip(fld.coeff(u, v), want):
+            assert _same_bits(value, w)
+        for order in (1, 2):
+            with pytest.raises(bde.CapabilityError, match="values-only"):
+                fld.slots(u, v, order)
+            with pytest.raises(bde.CapabilityError):
+                fld.jet_coeff(u, v, order)
 
 
 def test_tangency_identity():

@@ -371,3 +371,19 @@ def test_run_info_records_stage_wall_times(tmp_path, argv, stages):
     # the payloads carry no stage times and do not change from run to run
     assert payloads[0] == payloads[1]
     assert not any(b"stage_seconds" in text for text in payloads[0].values())
+
+
+def test_traced_portrait_runs(tmp_path):
+    # bench/tracer.py patches the module functions and the field's coeff and
+    # jet_coeff; the traced benchmark needs the patched run to complete
+    spans = tmp_path / "spans.npz"
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run(
+        [sys.executable, os.path.join(PKG_ROOT, "bench", "tracer.py"), str(spans),
+         "portrait", "--surface", "catalog:cusp_gauss", "--q", "21=1.0", "--q", "40=0.1",
+         "--res", "2", "--tol", "trace_res=64", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    with np.load(spans) as z:
+        assert len(z["name"]) >= 1
+        assert len(json.loads(str(z["names"]))) >= 1

@@ -34,6 +34,17 @@ def test_residual_control_along_trajectory():
     assert np.all(np.diff(traj.samples[:, 4]) > 0)
 
 
+def test_accepted_steps_meet_the_lift_bound_near_a_cusp():
+    # one Newton step per accepted step left one sample of two trajectories
+    # of this portrait at |F| / max(|A|, |B|, |C|) = 2.4e-8
+    surf = sf.catalog_surface("cusp_gauss", {"q21": -0.895189, "q40": 0.360151})
+    p = flow.build_portrait(surf, grid=(4, 4))
+    S = np.concatenate([t.samples for t in p.trajectories])
+    c = bde.extended_field_for(surf).slots(S[:, 0], S[:, 1], 0)
+    F = bde.lift_terms(*c, S[:, 2], S[:, 3] != 0)[0]
+    assert np.all(np.abs(F) <= 1e-8 * np.max(np.abs(c), axis=0))
+
+
 def boundary_sweep_trajectory(fld, params=None):
     """The sweep from (1.4, 0.5) that runs into the lower ring boundary."""
     params = params or flow.IntegrationParams(max_len=6.0)
@@ -379,12 +390,12 @@ def test_lockstep_lanes_equal_solo_runs(case, monkeypatch):
 def test_lane_error_ends_only_its_lane():
     base = bde.folded_model_field(-1.0)
 
-    def guarded(u, v, order=2):
-        if np.any(np.asarray(u) > 0.3):
+    def guarded(u, v, order):
+        if order and np.any(np.asarray(u) > 0.3):
             raise jets.JetDomainError("outside the jet domain")
-        return base.jet_coeff(u, v, order)
+        return base.slots(u, v, order)
 
-    fld = bde.BDEField(base.coeff, guarded, base.domain, "guarded")
+    fld = bde.BDEField(guarded, base.domain, "guarded")
     params = flow.IntegrationParams(max_len=0.5)
     jobs = [((0.1, 0.3), "plus", 1), ((-0.6, 0.5), "plus", 1)]
     # unguarded, the first lane runs to u = 0.52 and the second stays below 0
@@ -399,11 +410,13 @@ def test_lane_error_ends_only_its_lane():
         assert solo.termination == traj.termination
         assert np.array_equal(solo.samples, traj.samples)
 
-    def broken(u, v, order=2):
-        raise RuntimeError("not a lane error")
+    def broken(u, v, order):
+        if order:
+            raise RuntimeError("not a lane error")
+        return base.slots(u, v, order)
 
     with pytest.raises(RuntimeError):
-        flow.integrate_many(bde.BDEField(base.coeff, broken, base.domain), jobs, params)
+        flow.integrate_many(bde.BDEField(broken, base.domain), jobs, params)
 
 
 def test_integrate_many_reports_dropped_jobs():
@@ -503,7 +516,7 @@ def test_portrait_counts_dropped_reports(monkeypatch):
         for pt in folds]
 
     # a field without jets: the fold search cannot run, and no job starts
-    bare = bde.BDEField(fld.coeff, None, fld.domain, "no-jets")
+    bare = bde.values_field(fld.coeff, fld.domain, "no-jets")
     p = flow.build_portrait(bare, grid=(2, 2), params=params, trace_resolution=48)
     (drop,) = p.integration.dropped_reports
     assert drop["stage"] == "find_folded_points"
@@ -555,7 +568,7 @@ RHS_FIELDS = {
     "cusp_gauss": lambda: bde.extended_field_for(sf.catalog_surface(
         "cusp_gauss", {"q21": 1.3, "q40": -0.3})),
     "folded": lambda: bde.folded_model_field(-1.0),
-    # no slot evaluator: the slots are stacked from the field's jets
+    # not polynomial: the analytic torus evaluator
     "torus": lambda: torus_field(),
 }
 
@@ -604,7 +617,7 @@ def test_projection_with_non_finite_coefficients():
     abc = rng.choice(special, size=(300, 3))
     abc[0] = (math.nan, 0.0, 1.0)       # chart p at slope 0: F = nan, F_s = 0
     table = abc.T.copy()
-    fld = bde.BDEField(lambda u, v: tuple(table[:, np.asarray(u, dtype=int)]))
+    fld = bde.values_field(lambda u, v: tuple(table[:, np.asarray(u, dtype=int)]))
     u = np.arange(300.0)
     slope = rng.choice([0.0, -0.0, 0.5, -1.0, 3.0], size=300)
     slope[0] = 0.0
