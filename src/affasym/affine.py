@@ -32,7 +32,6 @@ from .jets import Jet2, JetDomainError, abs_pow
 __all__ = [
     "DegenerateImmersionError",
     "ParabolicPointError",
-    "NullDirectionError",
     "AffinePointData",
     "K_ZERO_TOL",
     "euclidean_data",
@@ -44,7 +43,6 @@ __all__ = [
     "extended_bde_coeffs",
     "lmn_numerators",
     "torus_extended_bde",
-    "affine_normal_curvature",
     "cross", "dot", "det3",
 ]
 
@@ -62,10 +60,6 @@ class ParabolicPointError(ArithmeticError):
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
-
-
-class NullDirectionError(ArithmeticError):
-    pass
 
 
 # -- small vector helpers over jets or floats --------------------------------
@@ -370,11 +364,3 @@ def torus_extended_bde(R, r, u):
             mbar = 0.0
     return lbar, mbar, nbar
 
-
-def affine_normal_curvature(data, a, b, tol=1e-12):
-    """Normal curvature of the affine structure along w = a alpha_u + b alpha_v."""
-    I_aff = data.g11 * a * a + 2 * data.g12 * a * b + data.g22 * b * b
-    if abs(float(I_aff)) <= tol:
-        raise NullDirectionError("direction is null for the affine metric")
-    III = data.l * a * a + 2 * data.m * a * b + data.n * b * b
-    return float(III / I_aff)

@@ -21,7 +21,6 @@ per-vertex root polishing), used for parabolic sets and discriminants.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -54,7 +53,6 @@ __all__ = [
     "lifted_derivatives",
     "lie_cartan_jacobian",
     "trace_zero_set",
-    "polylines_to_csv",
     "polyline_svg_path",
 ]
 
@@ -541,18 +539,6 @@ def trace_zero_set(scalar, region, resolution=256):
             if extent > 1e-3 * cell:
                 polylines.append(pts)
     return polylines
-
-
-def polylines_to_csv(polylines):
-    """u,v rows, blank-line-separated components."""
-    buf = io.StringIO()
-    buf.write("u,v\n")
-    for k, poly in enumerate(polylines):
-        if k:
-            buf.write("\n")
-        for (u, v) in poly:
-            buf.write(f"{float(u)!r},{float(v)!r}\n")
-    return buf.getvalue()
 
 
 def polyline_svg_path(poly, mapper):

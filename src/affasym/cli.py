@@ -31,7 +31,9 @@ import time
 
 import numpy as np
 
-from . import affine, bde, conormal, flow, singular, surface as surface_mod
+# bde, flow and singular are imported by the commands that run them, so that
+# analyze and conormal load only the modules they use
+from . import affine, conormal, surface as surface_mod
 from .jets import Jet2, JetDomainError
 from .jsontext import json_at, json_records
 from .surface import ParseError, Rect
@@ -240,6 +242,8 @@ def _analyze_csv(data):
 
 
 def cmd_portrait(args):
+    from . import bde, flow
+
     tol = _tolerances(args)
     params = flow.IntegrationParams(
         rel_tol=tol.get("rel_tol", 1e-8),
@@ -333,6 +337,7 @@ def cmd_conormal(args):
 
 def _verify_checks():
     """Numeric cross-checks of the documented identities; (name, fn) pairs."""
+    from . import bde, singular
 
     def check_torus_closed_forms():
         rng = np.random.default_rng(11)

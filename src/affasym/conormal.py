@@ -25,7 +25,6 @@ __all__ = [
     "conormal_mesh",
     "export_mesh",
     "correspondence_report_csv",
-    "conormal_point",
     "second_form_of_conormal",
     "verify_conormal_correspondence",
 ]
@@ -43,12 +42,6 @@ class ConormalMesh:
     params: np.ndarray            # (n, 2) source (u, v) per vertex
     clipped: np.ndarray           # (n,) bool: |vertex| exceeded the norm cap
     n_components: int = 0
-
-
-def conormal_point(surf, u, v, guard=jets.DEFAULT_EPS):
-    """Conormal vector at one parameter point."""
-    fr = affine.frame_jets(surf, u, v, order=2, guard=guard, depth=0)
-    return np.array([float(c.value) for c in fr["nu"]])
 
 
 def _grid_and_mask(surf, region, resolution, margin):

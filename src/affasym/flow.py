@@ -76,8 +76,10 @@ class Trajectory:
     samples: np.ndarray          # (n, 5): u, v, slope, chart flag (0=p, 1=q), arclength
     family: str                  # "plus" | "minus"
     # left_domain | hit_degenerate_point | max_length | closed_loop, or, for a
-    # lane whose field evaluation failed inside the domain, hit_parabolic_set
-    # (a ParabolicPointError) | evaluation_failed (any other lane error)
+    # lane whose stage failed inside the domain, hit_parabolic_set (a
+    # ParabolicPointError) | lost_direction_field (a NoDirectionError: no
+    # direction where the discriminant is negative) | evaluation_failed (any
+    # other lane error)
     termination: str
 
     @property
@@ -257,6 +259,8 @@ def _stage_end(domain, point, exc):
         return "left_domain"
     if isinstance(exc, ParabolicPointError):
         return "hit_parabolic_set"
+    if isinstance(exc, NoDirectionError):
+        return "lost_direction_field"
     return "evaluation_failed"
 
 

@@ -304,10 +304,7 @@ def _wide_product(ca, cb, plan, shape):
     """Leibniz sums of a product over ``shape`` lanes, one lane-sized array
     per pair, with the bits of ``np.add.reduceat`` over the gathered pairs.
 
-    reduceat sums a slot's terms as first + pairwise_sum(rest): numpy's
-    pairwise sum adds fewer than 8 terms in sequence, and from 8 terms on
-    keeps 8 running sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    before it adds the remaining n % 8 terms in sequence.
+    reduceat sums a slot's terms as first + ``_pairwise(rest)``.
     """
     def term(pair):
         a, b, w = pair
@@ -321,22 +318,27 @@ def _wide_product(ca, cb, plan, shape):
         if len(pairs) == 1:
             out[k, ...] = term(pairs[0])
             continue
-        rest = pairs[1:]
-        if len(rest) < 8:
-            acc, tail = term(rest[0]), rest[1:]
-        else:
-            r = [term(pair) for pair in rest[:8]]
-            full = len(rest) - len(rest) % 8
-            for i in range(8, full):
-                r[i % 8] += term(rest[i])
-            for step in (1, 2, 4):
-                for j in range(0, 8, 2 * step):
-                    r[j] += r[j + step]
-            acc, tail = r[0], rest[full:]
-        for pair in tail:
-            acc += term(pair)
+        acc = _pairwise([term(pair) for pair in pairs[1:]], lambda x, y: np.add(x, y, out=x))
         np.add(term(pairs[0]), acc, out=out[k, ...])
     return out
+
+
+def _pairwise(rest, add):
+    """numpy's pairwise sum of ``rest`` with ``add``: from 8 terms on, 8
+    running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); then the
+    remaining n % 8 terms, or all of fewer than 8, in sequence."""
+    if len(rest) >= 8:
+        r, full = list(rest[:8]), len(rest) - len(rest) % 8
+        for i in range(8, full):
+            r[i % 8] = add(r[i % 8], rest[i])
+        for step in (1, 2, 4):
+            for j in range(0, 8, 2 * step):
+                r[j] = add(r[j], r[j + step])
+        rest = [r[0]] + list(rest[full:])
+    acc = rest[0]
+    for x in rest[1:]:
+        acc = add(acc, x)
+    return acc
 
 
 # -- named operation aliases (functional style used throughout the package) --
@@ -388,20 +390,43 @@ def _compose(a, series):
     return result
 
 
+def _taylor(fn, x0, order, exponent=None):
+    """Taylor coefficients fn^(k)(x0)/k!, k = 0..order, of sin, cos, exp, log
+    or "pow" (|x|^exponent) at x0, for jets and compiled expressions alike."""
+    if fn in ("sin", "cos"):
+        s, c = np.sin(x0), np.cos(x0)
+        cycle = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
+        return [cycle[k % 4] / math.factorial(k) if k > 1 else cycle[k] for k in range(order + 1)]
+    if fn == "exp":
+        e0 = np.exp(x0)
+        return [e0 / math.factorial(k) if k > 1 else e0 for k in range(order + 1)]
+    if fn == "log":
+        return [np.log(x0)] + [((-1.0) ** (k + 1)) / (k * np.power(x0, k))
+                               for k in range(1, order + 1)]
+    sign = np.where(x0 >= 0, 1.0, -1.0)
+    ax = np.abs(x0)
+    # Taylor coefficients of |x|^e at x0: binom(e, k) sign^k |x0|^(e-k).
+    # np.power rounds a single point as it rounds inside a batch; the C
+    # library's pow, which ``**`` uses on a numpy scalar, can differ in the
+    # last bit.
+    series = [np.asarray(np.power(ax, exponent), dtype=float)]
+    binom = 1.0
+    for k in range(1, order + 1):
+        binom = binom * (exponent - (k - 1)) / k
+        series.append(binom * sign ** k * np.power(ax, exponent - k))
+    return series
+
+
 def sin(a):
     if not isinstance(a, Jet2):
         return np.sin(a)
-    s, c = np.sin(a.value), np.cos(a.value)
-    cycle = (s, c, -s, -c)
-    return _compose(a, [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)])
+    return _compose(a, _taylor("sin", a.value, a.order))
 
 
 def cos(a):
     if not isinstance(a, Jet2):
         return np.cos(a)
-    s, c = np.sin(a.value), np.cos(a.value)
-    cycle = (c, -s, -c, s)
-    return _compose(a, [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)])
+    return _compose(a, _taylor("cos", a.value, a.order))
 
 
 def tan(a, eps=DEFAULT_EPS):
@@ -413,20 +438,15 @@ def tan(a, eps=DEFAULT_EPS):
 def exp(a):
     if not isinstance(a, Jet2):
         return np.exp(a)
-    e0 = np.exp(a.value)
-    return _compose(a, [e0 / math.factorial(k) for k in range(a.order + 1)])
+    return _compose(a, _taylor("exp", a.value, a.order))
 
 
 def log(a, eps=DEFAULT_EPS):
     if not isinstance(a, Jet2):
         return np.log(a)
-    x0 = a.value
-    if np.any(x0 <= eps):
+    if np.any(a.value <= eps):
         raise JetDomainError("log of a jet with non-positive constant term")
-    series = [np.log(x0)]
-    for k in range(1, a.order + 1):
-        series.append(((-1.0) ** (k + 1)) / (k * np.power(x0, k)))
-    return _compose(a, series)
+    return _compose(a, _taylor("log", a.value, a.order))
 
 
 def sqrt(a, eps=DEFAULT_EPS):
@@ -445,23 +465,11 @@ def abs_pow(a, exponent, eps=DEFAULT_EPS):
     """
     if not isinstance(a, Jet2):
         return np.abs(a) ** exponent
-    x0 = a.value
-    if np.any(np.abs(x0) <= eps):
+    if np.any(np.abs(a.value) <= eps):
         raise JetDomainError(
             f"abs_pow at a degenerate base value (|x| <= {eps}): evaluation too near "
             "the parabolic set")
-    sign = np.where(x0 >= 0, 1.0, -1.0)
-    ax = np.abs(x0)
-    # Taylor coefficients of |x|^e at x0: binom(e, k) sign^k |x0|^(e-k).
-    # np.power rounds a single point as it rounds inside a batch; the C
-    # library's pow, which ``**`` uses on a numpy scalar, can differ in the
-    # last bit.
-    series = [np.asarray(np.power(ax, exponent), dtype=float)]
-    binom = 1.0
-    for k in range(1, a.order + 1):
-        binom = binom * (exponent - (k - 1)) / k
-        series.append(binom * sign ** k * np.power(ax, exponent - k))
-    return _compose(a, series)
+    return _compose(a, _taylor("pow", a.value, a.order, exponent))
 
 
 UNARY_FUNCTIONS = {

@@ -646,7 +646,8 @@ class SurfaceDef:
         if polys is None and exprs is not None:
             polys = tuple(as_polynomial(e) for e in exprs)
         self.polys = polys
-        self._compiled = tuple(None if p is None else Poly(p) for p in polys) if polys else None
+        self._compiled = tuple(None if p is None else Poly(p) for p in polys)
+        self._programs = {}
         self.periodic = (False, False)
         self.period_u = None
         self.period_v = None
@@ -662,12 +663,20 @@ class SurfaceDef:
                 if np.any(band.excludes(u, v)):
                     raise EvalError(f"point inside excluded band {band}")
 
-    def _component_jet(self, k, u, v, order):
-        if self._compiled is not None and self._compiled[k] is not None:
-            return poly_eval_jet(self._compiled[k], u, v, order)
-        uj = Jet2.variable("u", u, order)
-        vj = Jet2.variable("v", v, order)
-        return eval_expression_jet(self.exprs[k], uj, vj)
+    def _component_jets(self, u, v, order):
+        """Jets of the expressions: each polynomial from its tables, the others
+        from the program compiled for this order on its first use."""
+        walked = {}
+        if None in self._compiled:
+            if order not in self._programs:
+                from .program import Program  # loaded only for non-polynomial charts
+
+                self._programs[order] = Program(
+                    {k: e for k, (e, p) in enumerate(zip(self.exprs, self._compiled))
+                     if p is None}, order)
+            walked = self._programs[order](u, v)
+        return [walked[k] if p is None else poly_eval_jet(p, u, v, order)
+                for k, p in enumerate(self._compiled)]
 
     def eval_jets(self, u, v, order=jets.DEFAULT_ORDER, check=True, honor_excluded=False):
         """Position jets (3 components) at (u, v); batched when u, v are arrays."""
@@ -678,15 +687,15 @@ class SurfaceDef:
             shape = np.broadcast_shapes(ua.shape, va.shape)
             return (Jet2.variable("u", np.broadcast_to(ua, shape), order),
                     Jet2.variable("v", np.broadcast_to(va, shape), order),
-                    self._component_jet(0, u, v, order))
-        return tuple(self._component_jet(k, u, v, order) for k in range(3))
+                    self._component_jets(u, v, order)[0])
+        return tuple(self._component_jets(u, v, order))
 
     def height_jet(self, u, v, order=jets.DEFAULT_ORDER, check=True, honor_excluded=False):
         if self.kind != "monge":
             raise EvalError("height jets are defined for Monge surfaces only")
         if check:
             self.check_domain(u, v, honor_excluded)
-        return self._component_jet(0, u, v, order)
+        return self._component_jets(u, v, order)[0]
 
     def describe(self):
         if self.catalog_id:

@@ -328,25 +328,6 @@ def test_parabolic_error_names_first_batch_point():
     assert err.value.point == (0.3, 0.0)
 
 
-def test_affine_normal_curvature():
-    surf = pick(eps=1, sigma=1.0, q40=2.0, q22=2.0, q31=4.0, q04=-2.0)
-    d = af.affine_point_data(surf, 0.0, 0.0)
-    # root direction of the third form gives zero normal curvature
-    l, m, n = float(d.l), float(d.m), float(d.n)
-    disc = m * m - l * n
-    assert disc > 0
-    a = 1.0
-    b = (-m + math.sqrt(disc)) / n
-    # (a, b) solves l + 2 m b + n b^2 = 0 written in dv/du form
-    assert af.affine_normal_curvature(d, a, b) == pytest.approx(0.0, abs=1e-10)
-    # homogeneity
-    w = af.affine_normal_curvature(d, 0.7, 0.3)
-    assert af.affine_normal_curvature(d, 1.4, 0.6) == pytest.approx(w, rel=1e-12)
-    # flat quadric: zero in every direction
-    d0 = af.affine_point_data(pick(eps=1, sigma=0.0), 0.0, 0.0)
-    assert af.affine_normal_curvature(d0, 0.3, 0.9) == pytest.approx(0.0, abs=1e-13)
-
-
 def test_third_form_derivative_identity():
     # III(w) = -I_aff(w, D_w xi) with the shape-operator coordinates of D_w xi
     rng = np.random.default_rng(9)

@@ -362,11 +362,6 @@ def test_criminant_characterization():
 
 def test_csv_and_svg_exports():
     polys = [np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[4.0, 5.0], [6.0, 7.0]])]
-    text = bde.polylines_to_csv(polys)
-    blocks = text.strip().split("\n\n")
-    assert text.startswith("u,v\n")
-    assert len(blocks) == 2
-    assert "2.0,3.0" in blocks[0]
     path = bde.polyline_svg_path(polys[0], lambda u, v: (u, v))
     assert path.startswith("M 0.000 1.000 L 2.000 3.000")
 

@@ -387,3 +387,25 @@ def test_traced_portrait_runs(tmp_path):
     with np.load(spans) as z:
         assert len(z["name"]) >= 1
         assert len(json.loads(str(z["names"]))) >= 1
+
+
+def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
+    code = (
+        "import sys\n"
+        "from affasym import cli\n"
+        "assert cli.main(['analyze', '--surface', 'catalog:pick', '--res', '8',\n"
+        "                 '--out', sys.argv[1] + '/pick']) == 0\n"
+        "assert 'affasym.program' not in sys.modules  # polynomial charts only\n"
+        "for cmd in ('analyze', 'conormal'):\n"
+        "    out = sys.argv[1] + '/' + cmd\n"
+        "    assert cli.main([cmd, '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
+        "                     '--res', '16', '--out', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('affasym.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.strip().splitlines()[-1]
+    for name in ("affasym.flow", "affasym.bde", "affasym.singular"):
+        assert repr(name) not in loaded
+    assert "'affasym.conormal'" in loaded

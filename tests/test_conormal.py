@@ -23,12 +23,17 @@ def random_torus_points(n, rng, avoid=0.1):
     return pts
 
 
+def conormal_at(surf, u, v):
+    fr = af.frame_jets(surf, u, v, order=2, depth=0)
+    return np.array([float(c.value) for c in fr["nu"]])
+
+
 def test_conormal_point_value():
-    nu = cn.conormal_point(torus(), 0.0, 0.0)
+    nu = conormal_at(torus(), 0.0, 0.0)
     assert nu[0] < 0 and abs(nu[1]) < 1e-14 and abs(nu[2]) < 1e-14
     assert np.linalg.norm(nu) == pytest.approx(4 ** 0.25, rel=1e-12)
     q = sf.monge_surface("(u^2 + v^2)/2")
-    assert cn.conormal_point(q, 0.0, 0.0) == pytest.approx([0.0, 0.0, 1.0], abs=1e-14)
+    assert conormal_at(q, 0.0, 0.0) == pytest.approx([0.0, 0.0, 1.0], abs=1e-14)
 
 
 def test_mesh_components_and_immersion():
@@ -285,8 +290,8 @@ def test_source_vertices_are_surface_positions():
 def test_hyperbolic_band_vertex_norms_grow_near_band_edge():
     # the image runs away towards the parabolic set
     tor = torus()
-    near = cn.conormal_point(tor, math.pi / 2 + 0.02, 0.3)
-    far = cn.conormal_point(tor, math.pi, 0.3)
+    near = conormal_at(tor, math.pi / 2 + 0.02, 0.3)
+    far = conormal_at(tor, math.pi, 0.3)
     assert np.linalg.norm(near) > 2 * np.linalg.norm(far)
 
 

@@ -419,6 +419,24 @@ def test_lane_error_ends_only_its_lane():
         flow.integrate_many(bde.BDEField(broken, base.domain), jobs, params)
 
 
+def test_lane_that_loses_its_direction_field_says_so():
+    # On the epsilon = +1 flat umbilic chart the discriminant B^2 - AC is
+    # negative off the diagonal u = -v and 0 on it, up to rounding.  A lane
+    # can start on the diagonal along the double direction, but the set
+    # delta >= 0 has no interior, so its first step leaves it and the creep
+    # finds no direction: a geometric event, not a failed evaluation.
+    fld = bde.extended_field_for(sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1}))
+    seed = (-0.4230769230769231, 0.42307692307692313)
+    assert bde.asymptotic_directions(fld, *seed).kind == "double"
+    assert bde.discriminant(fld, *seed) == 0.0
+    for off in (1e-3, -1e-3):
+        assert bde.discriminant(fld, seed[0] + off, seed[1] + off) < 0
+    for family in ("plus", "minus"):
+        traj = flow.integrate_asymptotic(fld, seed, family)
+        assert traj.termination == "lost_direction_field"
+        assert np.array_equal(traj.points, [seed])
+
+
 def test_integrate_many_reports_dropped_jobs():
     fld = torus_field()
     stats = flow.IntegrationStats()

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from affasym import surface as sf
-from affasym.jets import Jet2
+from affasym.jets import Jet2, JetDomainError
+from affasym.program import Program
 from affasym.surface import ParseError, Rect
 
 
@@ -204,3 +206,129 @@ def test_rational_exponent_eval():
 ])
 def test_as_polynomial_ring(text, expected):
     assert sf.as_polynomial(sf.parse_expression(text)) == expected
+
+
+# -- compiled expression programs against the Jet2 walk ------------------------
+
+# values every grid contains: signed zeros, zeros of sin and cos, and an
+# argument at which exp overflows (exp(710) = inf; exp(-u) at u = -710)
+SPECIAL = np.array([0.0, -0.0, math.pi / 2, math.pi, 710.0, -710.0, 0.7, -1.3])
+
+
+def walked(exprs, u, v, order):
+    """Jets of the expressions on the Jet2 walk, the reference."""
+    uj, vj = Jet2.variable("u", u, order), Jet2.variable("v", v, order)
+    return [sf.eval_expression_jet(e, uj, vj) for e in exprs]
+
+
+def run_program(exprs, u, v, order, prog=None):
+    out = (prog or Program(dict(enumerate(exprs)), order))(u, v)
+    return [out[k] for k in range(len(exprs))]
+
+
+def lanes(n, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([SPECIAL, rng.uniform(-4.0, 4.0, 24)])
+    return rng.choice(pool, n), rng.choice(pool, n)
+
+
+def assert_same_bits(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.order == b.order and a.coeffs.shape == b.coeffs.shape
+        assert np.array_equal(a.coeffs, b.coeffs, equal_nan=True)
+        assert np.array_equal(np.signbit(a.coeffs), np.signbit(b.coeffs))
+
+
+def file_chart_exprs(tmp_path):
+    cfg = tmp_path / "chart.json"
+    cfg.write_text(json.dumps({
+        "kind": "parametric", "domain": [-4, 4, -4, 4],
+        "exprs": ["(2 + cos(u))*cos(v)/1.5 + 0.2*u*sin(u)", "u*sin(v) - v^3/7",
+                  "sqrt(3 + sin(u*v)) + exp(-u^2) + log(2 + cos(v))"]}))
+    surf = sf.load_surface_config(str(cfg))
+    assert surf._compiled == (None, None, None)
+    return surf.exprs
+
+
+def parsed(*texts):
+    return lambda tmp: tuple(map(sf.parse_expression, texts))
+
+
+# name: (expressions, whether the program compiles them)
+PROGRAM_EXPRESSIONS = {
+    "torus": (lambda tmp: sf.catalog_surface("torus", {"R": 3, "r": 1}).exprs, True),
+    "transcendental": (parsed("sin(u)*cos(v)+0.1*exp(u)"), True),
+    "file": (file_chart_exprs, True),
+    "signs": (parsed("-sin(u)", "-sin(u)/4 + cos(v)/(-3)"), True),
+    # the v slot of u*u is u*0 + 0*u, and that of sin(u)*(-1) is
+    # sin(u)*(-0.0) + 0.0*(-1): zeros of the sign of the data
+    "data-signs": (parsed("-(u*u)"), False),
+    "negative-constant": (parsed("sin(u)*(-1)"), False),
+    # a factor of value 0 would hide the other's overflow (710e400 = inf)
+    "zero-factor": (parsed("exp(-u)*(-v) + 0*u", "u + 0*(u*1e200*1e200)"), False),
+    "constant-division": (parsed("v/3 - sin(u)/(-4)", "sin(u*v)/7"), True),
+    "division": (parsed("u/(1 + v*v)", "tan(u/3) + (2 + u*u)^-2"), False),
+    # exp(800) overflows where the walk's jet is NaN; the outer exp of -inf
+    # is 0.0 with zero derivatives, so only the argument shows it
+    "non-finite-argument": (parsed("u + exp(-exp(800 + u - u))"), True),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(710) overflows on purpose
+@pytest.mark.parametrize("name", sorted(PROGRAM_EXPRESSIONS))
+def test_program_gives_the_bits_of_the_walk(name, tmp_path):
+    build, compiles = PROGRAM_EXPRESSIONS[name]
+    exprs = build(tmp_path)
+    points = [(float(a), float(b)) for a in SPECIAL for b in SPECIAL]
+    for order in range(6):
+        prog = Program(dict(enumerate(exprs)), order)
+        assert prog.compiled == compiles or not order  # order 0 has no zero slots
+        for u, v in points:
+            assert_same_bits(run_program(exprs, u, v, order, prog), walked(exprs, u, v, order))
+        for n in (5, 40, 300, 35_712):
+            u, v = lanes(n, n + order)
+            assert_same_bits(run_program(exprs, u, v, order, prog), walked(exprs, u, v, order))
+        grid = np.meshgrid(SPECIAL, SPECIAL[::-1])
+        assert_same_bits(run_program(exprs, *grid, order, prog), walked(exprs, *grid, order))
+
+
+def test_surface_jets_read_the_program_compiled_on_first_use():
+    tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
+    assert tor._programs == {}
+    u, v = lanes(40, 1)
+    assert_same_bits(tor.eval_jets(u, v, order=3, check=False), walked(tor.exprs, u, v, 3))
+    assert list(tor._programs) == [3]
+    surf = sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)")
+    assert_same_bits([surf.height_jet(u, v, order=5, check=False)], walked(surf.exprs, u, v, 5))
+    assert surf._programs[5].compiled
+
+
+def test_program_shares_subexpressions_and_prunes_zero_terms():
+    tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
+    tor.eval_jets(0.3, 0.2, order=3, check=False)
+    src = tor._programs[3].source
+    # (3 + cos(u)) is built once for x and y
+    assert src.count("_taylor('cos', u,") == src.count("_taylor('sin', u,") == 1
+    # a product of a u-only jet and a v-only jet keeps one of the Leibniz
+    # terms of each slot: 10 register products each for x and y, and the
+    # one addition is 3 + cos(u)
+    assert len(re.findall(r"= r\d+_\d+ \* r\d+_\d+$", src, re.M)) == 20
+    assert src.count(" + ") == 1
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("log(u)", 0.0), ("sqrt(u + v)", -0.5), ("(u - v)^(3/2)", -1.0),
+    ("u^(-1/3) + v", 0.0), ("v/(u - 0.5)", 0.5), ("tan(u)", math.pi / 2), ("u^-2", 0.0),
+])
+def test_program_raises_where_the_walk_raises(text, bad):
+    exprs = (sf.parse_expression(text),)
+    for order in (0, 1, 3, 5):
+        for u, v in ((bad, 0.0), (np.array([1.0, bad, 2.0]), np.array([0.5, 0.0, 0.25])),
+                     (np.full(40, bad), np.zeros(40))):
+            with pytest.raises(JetDomainError) as ref:
+                walked(exprs, u, v, order)
+            with pytest.raises(JetDomainError) as got:
+                run_program(exprs, u, v, order)
+            assert str(got.value) == str(ref.value)
+        u, v = np.array([1.0, 2.0, 3.0]), np.array([0.25, 0.5, 0.75])
+        assert_same_bits(run_program(exprs, u, v, order), walked(exprs, u, v, order))
