@@ -22,7 +22,6 @@ stage.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -35,7 +34,7 @@ import numpy as np
 # analyze and conormal load only the modules they use
 from . import affine, conormal, surface as surface_mod
 from .jets import Jet2, JetDomainError
-from .jsontext import json_at, json_records
+from .jsontext import float_texts, json_at, json_records
 from .surface import ParseError, Rect
 
 EXIT_OK = 0
@@ -233,9 +232,8 @@ _CSV_COLUMNS = ("u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_cl
 def _analyze_csv(data):
     """analyze.csv: a header, then one line per point of str() of each value."""
     cols = [getattr(data, c) for c in _CSV_COLUMNS]
-    line = ",".join("%r" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    cells = itertools.chain.from_iterable(zip(*[c.tolist() for c in cols]))
-    return ",".join(_CSV_COLUMNS) + "\n" + line * len(cols[0]) % tuple(cells)
+    texts = [float_texts(c) if c.dtype.kind == "f" else c.tolist() for c in cols]
+    return "\n".join([",".join(_CSV_COLUMNS), *map(",".join, zip(*texts))]) + "\n"
 
 
 # -- portrait ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affine, jets
+from .jsontext import float_texts
 from .surface import Band
 
 __all__ = [
@@ -209,12 +210,12 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
 
 
 def correspondence_report_csv(rows):
+    cells = [(*r["point"], r["lambda"], r["residual"], r["normal_cross"]) for r in rows]
+    texts = iter(float_texts(np.array(cells, dtype=float).reshape(-1, 5)))
     lines = ["u,v,degenerate,lambda,residual,normal_cross"]
-    for r in rows:
-        lam = "" if r["lambda"] is None else repr(r["lambda"])
-        res = "" if r["residual"] is None else repr(r["residual"])
-        lines.append(f"{r['point'][0]!r},{r['point'][1]!r},"
-                     f"{int(r['degenerate'])},{lam},{res},{r['normal_cross']!r}")
+    for r, row in zip(rows, cells):
+        u, v, lam, res, cross = ("" if c is None else t for c, t in zip(row, texts))
+        lines.append(f"{u},{v},{int(r['degenerate'])},{lam},{res},{cross}")
     return "\n".join(lines) + "\n"
 
 
@@ -222,8 +223,10 @@ def export_mesh(mesh):
     """Wavefront OBJ text: components as separate objects, 1-indexed faces.
 
     Vertices and faces are sorted by component once (stably, so each object
-    keeps the mesh order) and written object by object, each block of
-    ``v`` and ``f`` lines in one %-format pass."""
+    keeps the mesh order) and written object by object: ``v`` lines from one
+    ``float_texts`` call, ``f`` lines from one orjson pass."""
+    import orjson
+
     comp = mesh.component_id
     vorder = np.argsort(comp, kind="stable")
     remap = np.empty(len(comp), dtype=int)
@@ -240,6 +243,8 @@ def export_mesh(mesh):
         verts = mesh.vertices[vorder[vcut[c]:vcut[c + 1]]]
         quads = remap[mesh.faces[forder[fcut[c]:fcut[c + 1]]]]
         parts.append(f"o component_{c}\n")
-        parts.append("v %r %r %r\n" * len(verts) % tuple(verts.ravel().tolist()))
-        parts.append("f %d %d %d %d\n" * len(quads) % tuple(quads.ravel().tolist()))
+        parts.append("v %s %s %s\n" * len(verts) % tuple(float_texts(verts)))
+        if len(quads):
+            text = orjson.dumps(quads, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            parts.append("f " + text[2:-2].replace("],[", "\nf ").replace(",", " ") + "\n")
     return "".join(parts)

@@ -631,7 +631,7 @@ class Portrait:
     def to_json(self):
         """The payload, as ``json.dumps(..., indent=1, sort_keys=True)`` writes
         it, with sample and polyline arrays written row by row from one
-        ``float.__repr__`` pass each."""
+        ``float_texts`` call each."""
         region = [self.region.u0, self.region.u1, self.region.v0, self.region.v1]
         trajectories = [json_object([("family", json.dumps(t.family)),
                                      ("samples", json_rows(t.samples, 3)),

@@ -371,7 +371,8 @@ def jet_div(a, b, eps=DEFAULT_EPS):
                 s *= w.reshape((-1,) + (1,) * (s.ndim - 1))
             else:
                 s *= w
-            acc = acc - s.sum(axis=0)
+            # a left fold on every shape: numpy sums one lane pairwise
+            acc = acc - sum(s[1:], s[0])
         out[slot] = acc * inv0
     return Jet2(o, out)
 

@@ -2,9 +2,15 @@
 built directly from arrays.
 
 An item at nesting level L sits on its own line indented by L spaces.  The
-writers below fill one %-template per array with ``float.__repr__`` text,
-which is the text json writes for a finite float; anything else (non-finite
-values, small dicts) goes through ``json.dumps`` itself.
+writers below fill one %-template per array with ``float_texts``, repr's
+text, which json writes for a finite float; anything else (non-finite
+values, small dicts) goes through ``json.dumps`` itself.  ``float_texts``
+prints a whole array with orjson's shortest round-trip printer (Ryu), whose
+digits are repr's; its form differs where repr writes an exponent, and for
+NaN and infinities ("1e16", "0.00001", null against "1e+16", "1e-05",
+"nan"), so those entries (non-finite, or non-zero with |x| < 1e-4 or
+|x| >= 1e16) are re-written with ``float.__repr__``.  orjson is imported on
+the first call: a process that writes no payload never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,20 @@ import json
 
 import numpy as np
 
-__all__ = ["json_at", "json_block", "json_object", "json_rows", "json_records"]
+__all__ = ["float_texts", "json_at", "json_block", "json_object", "json_rows", "json_records"]
+
+
+def float_texts(arr):
+    """``float.__repr__`` of every entry of a float array, in C order."""
+    import orjson
+
+    a = np.ascontiguousarray(arr, dtype=float).reshape(-1)
+    texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(a)
+    odd = np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (mag != 0)))  # NaN is not < 1e16
+    for k, text in zip(odd.tolist(), map(float.__repr__, a[odd].tolist())):
+        texts[k] = text
+    return texts if a.size else []
 
 
 def json_at(obj, level):
@@ -48,7 +67,7 @@ def json_rows(arr, level):
         # json writes NaN and Infinity, which float repr does not
         return json_at(arr.tolist(), level)
     row = _list_template(arr.shape[1], level + 1)
-    return json_block([row] * len(arr), level) % tuple(map(float.__repr__, arr.ravel().tolist()))
+    return json_block([row] * len(arr), level) % tuple(float_texts(arr))
 
 
 def json_records(columns, level, apart):
@@ -64,10 +83,10 @@ def json_records(columns, level, apart):
     for key, col in columns:
         if np.ndim(col) == 2:
             slots.append((key, _list_template(len(col), level + 2)))
-            cells += [list(map(float.__repr__, c.tolist())) for c in np.asarray(col, float)]
+            cells += map(float_texts, np.asarray(col, float))
         elif isinstance(col, np.ndarray) and col.dtype.kind == "f":
             slots.append((key, "%s"))
-            cells.append(list(map(float.__repr__, col.tolist())))
+            cells.append(float_texts(col))
         else:
             text = {s: json.dumps(s) for s in set(col)}
             slots.append((key, "%s"))

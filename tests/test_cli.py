@@ -348,6 +348,27 @@ def test_analyze_writers_match_json_dumps_of_rows():
             json.dumps(rows, indent=1, sort_keys=True)
 
 
+def percent_analyze_csv(data):
+    """analyze.csv by the former formula: %r per float, %s per string."""
+    cols = [getattr(data, c) for c in cli._CSV_COLUMNS]
+    line = ",".join("%r" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    cells = [x for row in zip(*[c.tolist() for c in cols]) for x in row]
+    return ",".join(cli._CSV_COLUMNS) + "\n" + line * len(cols[0]) % tuple(cells)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_analyze_csv_matches_percent_format_on_exponent_and_non_finite_values():
+    surf = cli._build_surface(cli._make_parser().parse_args(
+        ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1"]))
+    us, vs = cli._analysis_grid(surf, surf.domain, (6, 4))
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    data = affine.affine_point_data(surf, U.ravel(), V.ravel(), guard=1e-9)
+    data.K[:6] = [np.nan, np.inf, -np.inf, 1e-5, -2.5e16, 5e-324]
+    data.l[6:10] = [9.999999999999999e-05, 1e-4, 1e16, -0.0]
+    data.H_aff *= 1e-7
+    assert cli._analyze_csv(data) == percent_analyze_csv(data)
+
+
 @pytest.mark.parametrize("argv, stages", [
     (["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "4"],
      {"evaluate", "write"}),
@@ -400,7 +421,7 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
         "    out = sys.argv[1] + '/' + cmd\n"
         "    assert cli.main([cmd, '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
         "                     '--res', '16', '--out', out]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('affasym.')))\n")
+        "print(sorted(m for m in sys.modules if m.startswith('affasym.') or m == 'orjson'))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
     res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True, env=env)
@@ -409,3 +430,4 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
     for name in ("affasym.flow", "affasym.bde", "affasym.singular"):
         assert repr(name) not in loaded
     assert "'affasym.conormal'" in loaded
+    assert "'orjson'" in loaded  # the payload writers load it on first use

@@ -489,3 +489,55 @@ def test_obj_export_matches_line_by_line_reference():
                           component_id=np.zeros(1, dtype=int), params=np.zeros((1, 2)),
                           clipped=np.zeros(1, dtype=bool), n_components=1)
     assert cn.export_mesh(one) == obj_reference(one)
+
+
+def percent_export_mesh(mesh):
+    """OBJ text by the former formula: %r per coordinate, %d per index."""
+    comp = mesh.component_id
+    order = np.argsort(comp, kind="stable")
+    remap = np.empty(len(comp), dtype=int)
+    remap[order] = np.arange(1, len(comp) + 1)
+    parts = ["# conormal mesh export\n"]
+    for c in range(mesh.n_components):
+        verts = mesh.vertices[comp == c]
+        quads = remap[mesh.faces[comp[mesh.faces[:, 0]] == c]]
+        if len(verts):
+            parts.append(f"o component_{c}\n")
+            parts.append("v %r %r %r\n" * len(verts) % tuple(verts.ravel().tolist()))
+            parts.append("f %d %d %d %d\n" * len(quads) % tuple(quads.ravel().tolist()))
+    return "".join(parts)
+
+
+def test_obj_export_matches_percent_format_on_exponent_and_non_finite_values():
+    rng = np.random.default_rng(13)
+    n = 400
+    verts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+    pick = rng.random((n, 3))
+    verts[pick < 0.03] = np.nan
+    verts[(pick >= 0.03) & (pick < 0.06)] = np.inf
+    verts[(pick >= 0.06) & (pick < 0.09)] = -np.inf
+    verts[(pick >= 0.09) & (pick < 0.12)] = -0.0
+    comp = rng.integers(0, 3, n)
+    comp[comp == 1] = 2   # component 1 is empty
+    faces = rng.integers(0, n, (300, 4))
+    mesh = cn.ConormalMesh(vertices=verts, faces=faces, component_id=comp,
+                           params=np.zeros((n, 2)), clipped=np.zeros(n, dtype=bool),
+                           n_components=3)
+    assert cn.export_mesh(mesh) == percent_export_mesh(mesh)
+
+
+def test_correspondence_csv_matches_repr_per_cell():
+    rows = [{"point": (0.5, -1e-5), "degenerate": False, "lambda": 2.5e16,
+             "residual": 5e-324, "normal_cross": 0.0},
+            {"point": (1e-4, 3.0), "degenerate": True, "lambda": None, "residual": None,
+             "normal_cross": -0.0},
+            {"point": (np.pi, 9.999999999999999e-05), "degenerate": False,
+             "lambda": float("nan"), "residual": float("inf"), "normal_cross": 1.5e-9}]
+    lines = ["u,v,degenerate,lambda,residual,normal_cross"]
+    for r in rows:
+        lam = "" if r["lambda"] is None else repr(r["lambda"])
+        res = "" if r["residual"] is None else repr(r["residual"])
+        lines.append(f"{r['point'][0]!r},{r['point'][1]!r},"
+                     f"{int(r['degenerate'])},{lam},{res},{r['normal_cross']!r}")
+    assert cn.correspondence_report_csv(rows) == "\n".join(lines) + "\n"
+    assert cn.correspondence_report_csv([]) == lines[0] + "\n"

@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-MODULES = ("affine", "bde", "conormal", "flow", "jets", "singular", "surface")
+MODULES = ("affine", "bde", "conormal", "flow", "jets", "jsontext", "singular", "surface")
 
 
 @pytest.mark.parametrize("name", MODULES)

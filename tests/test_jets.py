@@ -319,6 +319,25 @@ def test_point_jet_times_batch_jet(order, lanes):
             assert np.array_equal(got.coeffs[:, k], want.coeffs)
 
 
+@pytest.mark.parametrize("order", [4, 5, 6])
+@pytest.mark.parametrize("lanes", [1, 2, 6, 40])
+def test_division_gives_each_lane_its_bits_alone(order, lanes):
+    # a lane divided alone, as a batch of one and inside the batch: numpy's
+    # own sum adds one lane's terms pairwise but a batch's in sequence
+    rng = np.random.default_rng([order, lanes])
+    n = (order + 1) * (order + 2) // 2
+    a = rng.standard_normal((n, lanes))
+    b = rng.standard_normal((n, lanes))
+    b[0] += np.where(b[0] < 0, -2.0, 2.0)
+    batch = jet_div(Jet2(order, a), Jet2(order, b)).coeffs
+    for k in range(lanes):
+        alone = jet_div(Jet2(order, a[:, k]), Jet2(order, b[:, k])).coeffs
+        one = jet_div(Jet2(order, a[:, k:k + 1]), Jet2(order, b[:, k:k + 1])).coeffs[:, 0]
+        for got in (alone, one):
+            assert np.array_equal(got, batch[:, k])
+            assert np.array_equal(np.signbit(got), np.signbit(batch[:, k]))
+
+
 def test_point_jet_times_2d_batch_jet():
     us = np.linspace(0.1, 1.0, 6).reshape(2, 3)
     a = Jet2.variable("v", 0.3, 2)
