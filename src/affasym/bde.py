@@ -34,9 +34,7 @@ __all__ = [
     "BDEField",
     "LiftedState",
     "AsymptoticDirections",
-    "CapabilityError",
     "LIFT_TOL",
-    "values_field",
     "field_from_polynomials",
     "monge_extended_field",
     "torus_extended_field",
@@ -47,7 +45,6 @@ __all__ = [
     "discriminant",
     "asymptotic_directions",
     "lift_state",
-    "f_residual",
     "lie_cartan",
     "lifted_velocity",
     "lifted_derivatives",
@@ -60,17 +57,12 @@ LIFT_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 
 
-class CapabilityError(RuntimeError):
-    """The field lacks the jet evaluator an operation needs."""
-
-
 @dataclass
 class BDEField:
     """A direction equation with one evaluator: ``slots(u, v, order)`` gives
     the jet slots of (A, B, C) at (u, v) up to ``order`` in one array of shape
     (3 * slots,) + batch shape, the slots of A, then B, then C, each in the
-    jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...).  A field
-    without jets raises CapabilityError for order >= 1 (``values_field``)."""
+    jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...)."""
     slots: object
     domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
     name: str = "bde"
@@ -94,14 +86,6 @@ class LiftedState:
     slope: float
     chart: str  # "p" (slope = dv/du) or "q" (slope = du/dv)
 
-    def direction(self):
-        """Unit (du, dv) tangent of the projected curve."""
-        if self.chart == "p":
-            d = np.array([1.0, self.slope])
-        else:
-            d = np.array([self.slope, 1.0])
-        return d / math.hypot(d[0], d[1])
-
 
 # -- constructors -------------------------------------------------------------
 
@@ -112,18 +96,6 @@ def _stacked(abc, u, v):
         return np.concatenate([j.coeffs for j in abc])
     batch = np.broadcast_shapes(np.shape(u), np.shape(v))
     return np.array([np.broadcast_to(x, batch) for x in abc], dtype=float)
-
-
-def values_field(values, domain=Rect(-1.0, 1.0, -1.0, 1.0), name="bde"):
-    """Field from a batch-capable (u, v) -> (A, B, C) without jets: its
-    evaluator gives the values at order 0 and raises CapabilityError above."""
-
-    def slots(u, v, order):
-        if order:
-            raise CapabilityError(f"field {name} has no jet evaluator")
-        return _stacked(values(u, v), u, v)
-
-    return BDEField(slots, domain, name)
 
 
 def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
@@ -305,11 +277,6 @@ def lift_state(field, u, v, du, dv):
     return LiftedState(u, v, du / dv, "q")
 
 
-def f_residual(field, state):
-    A, B, C = field.slots(state.u, state.v, 0).tolist()
-    return lift_terms(A, B, C, state.slope, state.chart == "q")[0]
-
-
 def _pick(chart_q, a, b):
     """``a`` where ``chart_q``, else ``b``: per lane for an array of charts."""
     if isinstance(chart_q, np.ndarray):
@@ -358,6 +325,24 @@ def lifted_velocity(c, slope, chart_q):
     X[..., 1] = _pick(chart_q, Fs[0], sFs)
     X[..., 2] = -(Fa + slope * Fb)
     return X, np.maximum.reduce(np.abs(c[::3]))
+
+
+def _lanewise(fn, n):
+    """``fn(lanes)`` over all n lanes at once; if that raises an
+    ArithmeticError, once per lane.  Returns the results of the lanes that
+    did not raise, concatenated, and the exception per lane (None when no
+    lane raised)."""
+    try:
+        return fn(slice(None)), None
+    except ArithmeticError:
+        pass
+    parts, errors = [], [None] * n
+    for j in range(n):
+        try:
+            parts.append(fn(slice(j, j + 1)))
+        except ArithmeticError as exc:
+            errors[j] = exc
+    return tuple(np.concatenate(c) for c in zip(*parts)) if parts else None, errors
 
 
 def lie_cartan_scaled(field, state):

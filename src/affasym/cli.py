@@ -135,7 +135,14 @@ def _build_surface(args):
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
+# the --tol keys each command reads
+_TOL_KEYS = {"analyze": ("guard", "k_zero_tol", "degenerate"),
+             "portrait": ("rel_tol", "lift_tol", "max_len", "trace_res"),
+             "conormal": ("margin", "norm_cap")}
+
+
 def _tolerances(args):
+    keys = _TOL_KEYS.get(args.command, ())
     tol = {}
     for item in args.tol or ():
         try:
@@ -143,9 +150,13 @@ def _tolerances(args):
             tol[key] = float(val)
         except ValueError:
             raise ConfigError(f"--tol wants key=value; got {item!r}")
-    for key, val in tol.items():
-        if val <= 0:
-            raise ConfigError(f"tolerance {key} must be positive")
+        if key not in keys:
+            raise ConfigError(f"unknown --tol key {key!r} for {args.command}; "
+                              f"known keys: {', '.join(keys) or 'none'}")
+        if not (math.isfinite(tol[key]) and tol[key] > 0):
+            raise ConfigError(f"tolerance {key} must be positive and finite; got {val!r}")
+        if key == "trace_res" and tol[key] != int(tol[key]):
+            raise ConfigError(f"tolerance trace_res must be a whole number; got {val!r}")
     return tol
 
 
@@ -256,6 +267,8 @@ def cmd_portrait(args):
         if args.bde == "folded":
             if args.lam is None:
                 raise ConfigError("--bde folded needs --lam")
+            if not math.isfinite(args.lam):
+                raise ConfigError(f"--lam must be finite; got {args.lam}")
             fld = bde.folded_model_field(args.lam, region)
         elif args.bde == "morse":
             fld = bde.morse_model_field(args.eps1 or 1, region)
@@ -497,6 +510,7 @@ def _verify_checks():
 
 
 def cmd_verify(args):
+    _tolerances(args)    # verify reads no --tol key
     checks = _verify_checks()
     print(f"1..{len(checks)}")
     failures = 0

@@ -79,7 +79,7 @@ class Trajectory:
     # lane whose stage failed inside the domain, hit_parabolic_set (a
     # ParabolicPointError) | lost_direction_field (a NoDirectionError: no
     # direction where the discriminant is negative) | evaluation_failed (any
-    # other lane error)
+    # other ArithmeticError)
     termination: str
 
     @property
@@ -112,8 +112,6 @@ def _stage_sum(w, K):
     return np.add.reduce(w * K, axis=0, initial=0.0)
 
 
-# exceptions that end or drop one lane; anything else propagates
-_LANE_ERRORS = (ArithmeticError, bde.CapabilityError)
 _ETA = 1e-9    # soft normalization of the lifted speed
 _RING_SEEDS, _RING_RADIUS = 8, 0.05    # extra seeds around each singular point
 
@@ -201,23 +199,6 @@ def _rhs(fld, y, chart, orient, ref_dir, params):
     return k, creep
 
 
-def _lanewise(fn, n):
-    """``fn(lanes)`` over all n lanes at once; if that raises a lane error,
-    once per lane.  Returns the results of the lanes that did not raise,
-    concatenated, and the exception per lane (None when no lane raised)."""
-    try:
-        return fn(slice(None)), None
-    except _LANE_ERRORS:
-        pass
-    parts, errors = [], [None] * n
-    for j in range(n):
-        try:
-            parts.append(fn(slice(j, j + 1)))
-        except _LANE_ERRORS as exc:
-            errors[j] = exc
-    return tuple(np.concatenate(c) for c in zip(*parts)) if parts else None, errors
-
-
 def _start(fld, seed, family, sweep, params):
     """Lifted seed state, orientation and reference direction of one job."""
     u0, v0 = float(seed[0]), float(seed[1])
@@ -273,7 +254,7 @@ def _integrate(fld, jobs, params, stats):
         try:
             starts.append(_start(fld, seed, family, sweep, params))
             live.append(k)
-        except _LANE_ERRORS as exc:
+        except ArithmeticError as exc:
             out[k] = exc
     if not live:
         return out
@@ -317,7 +298,7 @@ def _integrate(fld, jobs, params, stats):
             yi = y if i == 0 else y + h[:, None] * _stage_sum(_CK_AW[i], K[:i])
             stats.rhs_evals += len(yi)
             orient, ref = S[:, _ORIENT], S[:, _REF]
-            res, errors = _lanewise(
+            res, errors = bde._lanewise(
                 lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl], params), len(yi))
             if errors is not None:
                 kept = finish([None if e is None else _stage_end(domain, yi[j], e)
@@ -357,7 +338,7 @@ def _integrate(fld, jobs, params, stats):
         reasons = [None] * len(job)
         ya = y5[acc]
         qa = S[acc, _Q] != 0
-        res, errors = _lanewise(
+        res, errors = bde._lanewise(
             lambda sl: _project_slope(fld, ya[sl, 0], ya[sl, 1], ya[sl, 2], qa[sl]), len(acc))
         if errors is not None:
             for j, e in zip(acc.tolist(), errors):
@@ -437,7 +418,7 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
         try:
             if fn():
                 end(j, reason)
-        except _LANE_ERRORS as exc:
+        except ArithmeticError as exc:
             end(j, exc)
 
     # The events below rewrite the lane's last sample row.  Its previous row
@@ -557,7 +538,7 @@ def _degenerate_on_segment(fld, a, b):
     p = a + t_best * (b - a)
     try:
         Aj, Bj, Cj = fld.jet_coeff(p[0], p[1], 1)
-    except (ArithmeticError, bde.CapabilityError, EvalError):
+    except (ArithmeticError, EvalError):
         return None
     g = 0.0
     for j in (Aj, Bj, Cj):
@@ -685,7 +666,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         try:
             reports.extend(singular.detect_special_points(surf, fld, sets, region,
                                                           trace_resolution))
-        except (ArithmeticError, bde.CapabilityError, EvalError) as exc:
+        except (ArithmeticError, EvalError) as exc:
             stats.drop_report("detect_special_points", exc)
         # the whole extended discriminant; find_folded_points sorts its
         # candidates, so the order of the components does not matter
@@ -697,14 +678,11 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         stage("trace")
     stage("detect")
     # folded points on the discriminant
-    try:
-        for pt in singular.find_folded_points(fld, disc_polys):
-            try:
-                reports.append(singular.classify_folded(fld, pt))
-            except singular.NotSingularLiftError as exc:
-                stats.drop_report("classify_folded", exc, pt)
-    except bde.CapabilityError as exc:
-        stats.drop_report("find_folded_points", exc)
+    for pt in singular.find_folded_points(fld, disc_polys):
+        try:
+            reports.append(singular.classify_folded(fld, pt))
+        except singular.NotSingularLiftError as exc:
+            stats.drop_report("classify_folded", exc, pt)
     stage("folds")
 
     nx, ny = grid if not np.isscalar(grid) else (int(grid), int(grid))
@@ -717,14 +695,18 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
             seeds.append((rep.location[0] + _RING_RADIUS * math.cos(ang),
                           rep.location[1] + _RING_RADIUS * math.sin(ang)))
 
+    # one discriminant evaluation for all the seeds inside the region
+    su, sv = np.array(seeds).T
+    inside = region.contains(su, sv)
+    negative = np.zeros(len(seeds), dtype=bool)
+    negative[inside] = bde.discriminant(fld, su[inside], sv[inside]) < 0
     jobs = []
-    for (su, sv) in seeds:
-        skip = ("outside the region" if not bool(region.contains(su, sv)) else
-                "negative discriminant" if float(bde.discriminant(fld, su, sv)) < 0 else None)
+    for seed, ins, neg in zip(seeds, inside.tolist(), negative.tolist()):
+        skip = "outside the region" if not ins else "negative discriminant" if neg else None
         if skip:
-            stats.skipped_seeds.append({"seed": [float(su), float(sv)], "reason": skip})
+            stats.skipped_seeds.append({"seed": list(seed), "reason": skip})
             continue
-        jobs += [((su, sv), fam, sweep) for fam in ("plus", "minus") for sweep in (1, -1)]
+        jobs += [(seed, fam, sweep) for fam in ("plus", "minus") for sweep in (1, -1)]
     trajectories = [t for t in integrate_many(fld, jobs, params, stats) if t is not None]
     reports.sort(key=lambda r: (r.kind, r.location))
     stage("integrate")

@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "MAX_ORDER",
     "DEFAULT_EPS",
-    "jet_seed",
     "jet_div",
     "jet_apply_unary",
     "sin",
@@ -342,10 +341,6 @@ def _pairwise(rest, add):
 
 
 # -- named operation aliases (functional style used throughout the package) --
-
-
-def jet_seed(which, value, order=DEFAULT_ORDER):
-    return Jet2.variable(which, value, order)
 
 
 def jet_div(a, b, eps=DEFAULT_EPS):

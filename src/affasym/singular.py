@@ -111,44 +111,67 @@ def restricted_eigenvalues(J):
     return (complex(tr / 2.0, rt / 2.0), complex(tr / 2.0, -rt / 2.0)), tr, e2
 
 
-def _double_root_state(fld, u, v):
-    A, B, C = (float(x) for x in fld.coeff(u, v))
-    if abs(C) >= abs(A):
-        return LiftedState(u, v, -B / C, "p") if C != 0 else LiftedState(u, v, 0.0, "p")
-    return LiftedState(u, v, -B / A, "q")
+def _double_roots(fld, u, v, order):
+    """The slots of ``fld`` up to ``order`` at (u, v), one point or a batch,
+    and per point the slope of the double root and whether its chart is q:
+    -B/C in chart p where |C| >= |A| (0.0 where C = 0 there), else -B/A."""
+    c = fld.slots(u, v, order)
+    n = len(c) // 3
+    A, B, C = c[0], c[n], c[2 * n]
+    chart_q = ~(np.abs(C) >= np.abs(A))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(chart_q, -B / A, np.where(C != 0, -B / C, 0.0))
+    return c, slope, chart_q
 
 
-def _fold_function(fld, state):
-    """Third lifted component at the double-root state; fold points are its
-    zeros along the discriminant."""
-    return float(bde.lie_cartan(fld, state)[2])
+def _along(poly, signal):
+    """``signal(lanes)`` at the vertices ``poly[lanes]`` of a polyline, for
+    all of them in one batch; a vertex whose evaluation raises an
+    ArithmeticError gets NaN."""
+    res, errors = bde._lanewise(lambda sl: (signal(sl),), len(poly))
+    if errors is None:
+        return res[0]
+    out = np.full(len(poly), np.nan)
+    ok = np.array([e is None for e in errors])
+    if ok.any():
+        out[ok] = res[0]
+    return out
+
+
+def _fold_signal(fld, poly):
+    """Third lifted component at the double-root lift of each vertex; fold
+    points are its zeros along the discriminant."""
+    def signal(sl):
+        c, slope, chart_q = _double_roots(fld, poly[sl, 0], poly[sl, 1], 1)
+        return bde.lifted_velocity(c, slope, chart_q)[0][:, 2]
+    return _along(poly, signal)
+
+
+def _sign_changes(poly, signal):
+    """The edges (k, k + 1) of a polyline where both signal values are
+    finite and their product is not positive: the values at both ends and
+    the interpolated zero of the signal."""
+    a, b = signal[:-1], signal[1:]
+    k = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ~(a * b > 0))
+    a, b = a[k], b[k]
+    with np.errstate(invalid="ignore"):
+        t = np.where(a == b, 0.5, np.abs(a) / (np.abs(a) + np.abs(b)))
+    return a, b, t, (1 - t)[:, None] * poly[k] + t[:, None] * poly[k + 1]
 
 
 def find_folded_points(fld, discriminant_polylines):
     """Fold-point candidates: zeros of the lifted field over the discriminant.
 
-    Walks the traced discriminant, looks for sign changes of the vertical
-    component of the lifted field along the double-root section, then polishes
-    each candidate with a 3D Newton iteration on
+    Evaluates the vertical component of the lifted field along the
+    double-root section of each traced polyline in one batch, then polishes
+    each sign change with a 3D Newton iteration on
     (F, F_slope, vertical component) = 0.
     """
     candidates = []
     for poly in discriminant_polylines:
         if len(poly) < 2:
             continue
-        vals = []
-        for (u, v) in poly:
-            try:
-                vals.append(_fold_function(fld, _double_root_state(fld, u, v)))
-            except (ZeroDivisionError, ArithmeticError):
-                vals.append(float("nan"))
-        vals = np.array(vals)
-        for k in range(len(poly) - 1):
-            a, b = vals[k], vals[k + 1]
-            if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
-                continue
-            t = 0.5 if a == b else abs(a) / (abs(a) + abs(b))
-            seed = (1 - t) * poly[k] + t * poly[k + 1]
+        for seed in _sign_changes(poly, _fold_signal(fld, poly))[3]:
             pt = _newton_fold(fld, seed[0], seed[1])
             if pt is not None:
                 candidates.append(pt)
@@ -160,14 +183,14 @@ def find_folded_points(fld, discriminant_polylines):
 
 
 def _newton_fold(fld, u, v):
-    st = _double_root_state(fld, u, v)
-    x = np.array([st.u, st.v, st.slope])
-    chart = st.chart
+    _, slope, chart_q = _double_roots(fld, u, v, 0)
+    x = np.array([u, v, float(slope)])
+    chart = "q" if chart_q else "p"
     for _ in range(25):
         state = LiftedState(x[0], x[1], x[2], chart)
         try:
             Aj, Bj, Cj = fld.jet_coeff(state.u, state.v, 2)
-        except (ArithmeticError, bde.CapabilityError, EvalError):
+        except (ArithmeticError, EvalError):
             return None
         s = state.slope
         Fval, (Fu, Fv, Fs), Jx = bde.lifted_derivatives(Aj, Bj, Cj, state)
@@ -200,10 +223,10 @@ def _newton_fold(fld, u, v):
 def classify_folded(fld, point):
     """Linearize the lifted field at the double-root lift of a fold point."""
     u, v = point
-    state = _double_root_state(fld, u, v)
-    X = bde.lie_cartan(fld, state)
-    A, B, C = (float(x) for x in fld.coeff(u, v))
-    scale = max(abs(A), abs(B), abs(C), 1e-30)
+    c, slope, chart_q = _double_roots(fld, u, v, 1)
+    state = LiftedState(u, v, float(slope), "q" if chart_q else "p")
+    X, scale = bde.lifted_velocity(c, state.slope, bool(chart_q))
+    scale = max(float(scale), 1e-30)
     if np.linalg.norm(X) > 1e-6 * scale:
         raise NotSingularLiftError(
             f"lifted field does not vanish at {point}: |X| = {np.linalg.norm(X):.3e}")
@@ -302,17 +325,17 @@ def _polyline_tangents(poly):
 
 
 def _tangency_signal(fld, poly):
-    """Signed sine of the angle between the double direction and the curve."""
+    """Signed sine of the angle between the double direction and the curve
+    at each vertex."""
     tangents = _polyline_tangents(poly)
-    out = np.full(len(poly), np.nan)
-    for k, (u, v) in enumerate(poly):
-        try:
-            st = _double_root_state(fld, u, v)
-        except ZeroDivisionError:
-            continue
-        d = st.direction()
-        out[k] = d[0] * tangents[k, 1] - d[1] * tangents[k, 0]
-    return out
+
+    def signal(sl):
+        _, slope, chart_q = _double_roots(fld, poly[sl, 0], poly[sl, 1], 0)
+        du, dv = np.where(chart_q, slope, 1.0), np.where(chart_q, 1.0, slope)
+        # math.hypot per vertex: np.hypot may round differently
+        h = np.array([math.hypot(a, b) for a, b in zip(du.tolist(), dv.tolist())])
+        return du / h * tangents[sl, 1] - dv / h * tangents[sl, 0]
+    return _along(poly, signal)
 
 
 def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
@@ -328,20 +351,14 @@ def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
         if len(poly) < 3:
             continue
         s = _tangency_signal(fld, poly)
-        finite = np.isfinite(s)
-        if not finite.any() or np.nanmax(np.abs(s)) < 1e-6:
+        if not np.isfinite(s).any() or np.nanmax(np.abs(s)) < 1e-6:
             continue
-        for k in range(len(poly) - 1):
-            a, b = s[k], s[k + 1]
-            if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0 or (a == 0 and b == 0):
-                continue
-            t = 0.5 if a == b else abs(a) / (abs(a) + abs(b))
-            loc = (1 - t) * poly[k] + t * poly[k + 1]
-            angle = abs((1 - t) * a + t * b)
-            if angle < ANGLE_TOL:
-                reports.append(SingularPointReport(
-                    (float(loc[0]), float(loc[1])), kind_label,
-                    tangency_angle=float(angle)))
+        a, b, t, loc = _sign_changes(poly, s)
+        angle = np.abs((1 - t) * a + t * b)
+        for k in np.flatnonzero(~((a == 0) & (b == 0)) & (angle < ANGLE_TOL)):
+            reports.append(SingularPointReport(
+                (float(loc[k, 0]), float(loc[k, 1])), kind_label,
+                tangency_angle=float(angle[k])))
     reports.sort(key=lambda r: r.location)
     if merge_radius > 0:
         kept = []
@@ -353,20 +370,20 @@ def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
     return reports
 
 
-def _euclid_second_form(surf):
-    """Batch-capable evaluator (u, v) -> (L, M, N) of the Euclidean second
-    form up to a positive factor: the height Hessian on a Monge chart, the
-    determinants |a_u, a_v, a_uu| etc. on a parametric surface."""
+def _euclid_field(surf, region):
+    """The Euclidean second form (L, M, N), up to a positive factor, as a
+    field: the height Hessian on a Monge chart, the determinants
+    |a_u, a_v, a_uu| etc. on a parametric surface; jets of order k come from
+    order-(2 + k) height or position jets."""
     if surf.kind == "monge":
-        def lmn(u, v):
-            hj = surf.height_jet(u, v, order=2, check=False)
-            return hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2)
-        return lmn
-
-    def lmn(u, v):
-        _, _, second = affine.second_form_jets(surf.eval_jets(u, v, order=2, check=False))
-        return tuple(c.value for c in second)
-    return lmn
+        def lmn(u, v, order):
+            hj = surf.height_jet(u, v, order=2 + order, check=False)
+            return hj.du().du(), hj.du().dv(), hj.dv().dv()
+    else:
+        def lmn(u, v, order):
+            return affine.second_form_jets(surf.eval_jets(u, v, order=2 + order, check=False))[2]
+    return bde.BDEField(lambda u, v, order: np.concatenate([j.coeffs for j in lmn(u, v, order)]),
+                        region, "euclid-II")
 
 
 def singular_sets(surf, fld, region, resolution):
@@ -378,10 +395,10 @@ def singular_sets(surf, fld, region, resolution):
     ``discriminant`` (the remaining components, which lie inside the parabolic
     set, where the extension degenerates).
     """
-    second_form = _euclid_second_form(surf)
+    second_form = _euclid_field(surf, region)
 
     def kscalar(u, v):
-        L, M, N = second_form(u, v)
+        L, M, N = second_form.coeff(u, v)
         return L * N - M * M
 
     parabolic = bde.trace_zero_set(kscalar, region, resolution)
@@ -409,7 +426,7 @@ def detect_special_points(surf, fld, sets, region, resolution):
     sign-changing tangencies.  Where the two sets meet, the meeting is
     reported with a tangential/transversal marker.
     """
-    euclid_field = bde.values_field(_euclid_second_form(surf), region, "euclid-II")
+    euclid_field = _euclid_field(surf, region)
     parabolic, affine_parabolic = sets["parabolic"], sets["affine_parabolic"]
     cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
     reports = scan_tangency(euclid_field, parabolic, "cusp_of_gauss", merge_radius=3 * cell)

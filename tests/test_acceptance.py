@@ -18,7 +18,7 @@ from affasym import affine as af, bde, conormal as cn, flow, singular as sg, sur
 from affasym.surface import Rect
 
 from test_jets import FD_CASES, fd_check_jet
-from affasym.jets import jet_seed
+from affasym.jets import Jet2
 
 
 def _criterion(num, desc, body):
@@ -342,10 +342,10 @@ def test_criterion_09_jet_oracle():
                 if checked >= 200:
                     break
                 u0, v0 = (float(x) for x in rng.uniform(-0.7, 0.7, 2))
-                jet = fn(jet_seed("u", u0), jet_seed("v", v0))
+                jet = fn(Jet2.variable("u", u0), Jet2.variable("v", v0))
 
                 def plain(uu, vv):
-                    return float(fn(jet_seed("u", uu, 2), jet_seed("v", vv, 2)).value)
+                    return float(fn(Jet2.variable("u", uu, 2), Jet2.variable("v", vv, 2)).value)
 
                 fd_check_jet(jet, plain, u0, v0)
                 checked += 1

@@ -9,6 +9,12 @@ from affasym.jets import Jet2
 from affasym.surface import Rect
 
 
+def lift_residual(fld, st):
+    """F at a lifted state, from ``lift_terms`` on the field's values."""
+    A, B, C = fld.slots(st.u, st.v, 0).tolist()
+    return bde.lift_terms(A, B, C, st.slope, st.chart == "q")[0]
+
+
 def test_discriminant_synthetic_parabola():
     lam = 0.7
     fld = bde.folded_model_field(lam)
@@ -78,11 +84,11 @@ def test_lifted_derivatives_match_residual_and_jacobian():
     h = 1e-6
     for st in (LiftedState(0.1, -0.05, 0.4, "p"), LiftedState(-0.2, 0.1, -0.3, "q")):
         F, grad, J = bde.lifted_derivatives(*fld.jet_coeff(st.u, st.v, 2), st)
-        assert F == pytest.approx(bde.f_residual(fld, st), rel=1e-13, abs=1e-15)
+        assert F == pytest.approx(lift_residual(fld, st), rel=1e-13, abs=1e-15)
         shifts = ((h, 0, 0), (0, h, 0), (0, 0, h))
         for k, (du, dv, ds) in enumerate(shifts):
-            fp = bde.f_residual(fld, LiftedState(st.u + du, st.v + dv, st.slope + ds, st.chart))
-            fm = bde.f_residual(fld, LiftedState(st.u - du, st.v - dv, st.slope - ds, st.chart))
+            fp = lift_residual(fld, LiftedState(st.u + du, st.v + dv, st.slope + ds, st.chart))
+            fm = lift_residual(fld, LiftedState(st.u - du, st.v - dv, st.slope - ds, st.chart))
             assert grad[k] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-9)
         assert np.array_equal(J, bde.lie_cartan_jacobian(fld, st))
         # the lifted field X = (F_p, p F_p, -(F_u + p F_v)) in chart p, mirrored in q
@@ -119,12 +125,6 @@ def test_lifted_field_morse_fiber():
             assert X[0] == pytest.approx(0.0, abs=1e-14)
             assert X[1] == pytest.approx(0.0, abs=1e-14)
             assert X[2] == pytest.approx(-p * (p * p - 3 * eps1), abs=1e-12)
-
-
-def test_lie_cartan_requires_jets():
-    fld = bde.values_field(lambda u, v: (1.0, 0.0, 1.0))
-    with pytest.raises(bde.CapabilityError):
-        bde.lie_cartan(fld, LiftedState(0.0, 0.0, 0.0, "p"))
 
 
 _HALF = Rect(-0.5, 0.5, -0.5, 0.5)
@@ -168,20 +168,6 @@ def test_coeff_and_jets_read_the_one_evaluator(name):
         assert len(values) == 3
         for value, want in zip(values, fld.slots(u, v, 0)):
             assert _same_bits(value, want)
-
-
-def test_values_field_gives_values_and_no_jets():
-    fld = bde.values_field(lambda u, v: (u * v, 0.5, v - u), name="values-only")
-    for u, v in ((0.3, -0.2), (np.linspace(-1, 1, 5), np.linspace(0, 1, 5))):
-        want = np.array([u * v, np.full(np.shape(u), 0.5), v - u])
-        assert _same_bits(fld.slots(u, v, 0), want)
-        for value, w in zip(fld.coeff(u, v), want):
-            assert _same_bits(value, w)
-        for order in (1, 2):
-            with pytest.raises(bde.CapabilityError, match="values-only"):
-                fld.slots(u, v, order)
-            with pytest.raises(bde.CapabilityError):
-                fld.jet_coeff(u, v, order)
 
 
 def test_tangency_identity():
@@ -602,4 +588,4 @@ def test_lifted_derivatives_match_the_former_formulas():
                         [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fqv + Fu + s * Fqu)]]
             assert (F, tuple(grad)) == (ref, (Fu, Fv, Fp))
             assert np.array_equal(J, refJ)
-            assert bde.f_residual(fld, st) == ref
+            assert lift_residual(fld, st) == ref

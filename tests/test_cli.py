@@ -240,6 +240,31 @@ def test_bad_res_is_a_configuration_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+_TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["portrait", "--bde", "folded", "--lam", "-1", "--tol", "trace_res=0.5"],
+     "tolerance trace_res must be a whole number"),
+    (["portrait", "--bde", "folded", "--lam", "-1", "--tol", "rel_tol=nan"],
+     "tolerance rel_tol must be positive and finite"),
+    (["portrait", "--bde", "folded", "--lam", "-1", "--tol", "max_len=inf"],
+     "tolerance max_len must be positive and finite"),
+    (["portrait", "--bde", "folded", "--lam", "-1", "--tol", "margin=0.1"],
+     "unknown --tol key 'margin' for portrait"),
+    (["analyze", *_TORUS3, "--tol", "guard=nan"], "tolerance guard must be positive"),
+    (["analyze", *_TORUS3, "--tol", "trace_res=48"], "unknown --tol key 'trace_res' for analyze"),
+    (["conormal", *_TORUS3, "--tol", "guard=1e-9"], "unknown --tol key 'guard' for conormal"),
+    (["verify", "--tol", "rel_tol=1e-8"], "unknown --tol key 'rel_tol' for verify"),
+    (["portrait", "--bde", "folded", "--lam", "nan"], "--lam must be finite"),
+])
+def test_bad_tol_or_lam_is_a_configuration_error(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--res", "3", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("eps1", ["2", "0"])
 def test_morse_eps1_must_be_a_sign(tmp_path, capsys, eps1):
     argv = ["portrait", "--bde", "morse", "--eps1", eps1, "--res", "3",

@@ -7,7 +7,7 @@ import pytest
 from affasym import affine as af, bde, flow, jets, singular as sg, surface as sf
 from affasym.bde import LiftedState
 from affasym.surface import Rect
-from test_bde import reference_velocity
+from test_bde import lift_residual, reference_velocity
 
 
 def torus_field(R=2.0, r=1.0):
@@ -30,7 +30,7 @@ def test_residual_control_along_trajectory():
         st = LiftedState(row[0], row[1], row[2], "p" if row[3] == 0 else "q")
         A, B, C = (float(x) for x in fld.coeff(st.u, st.v))
         scale = max(abs(A), abs(B), abs(C))
-        assert abs(bde.f_residual(fld, st)) <= 1e-8 * scale
+        assert abs(lift_residual(fld, st)) <= 1e-8 * scale
     assert np.all(np.diff(traj.samples[:, 4]) > 0)
 
 
@@ -533,13 +533,6 @@ def test_portrait_counts_dropped_reports(monkeypatch):
                                                f"vanish at {pt}", "location": list(pt)}
         for pt in folds]
 
-    # a field without jets: the fold search cannot run, and no job starts
-    bare = bde.values_field(fld.coeff, fld.domain, "no-jets")
-    p = flow.build_portrait(bare, grid=(2, 2), params=params, trace_resolution=48)
-    (drop,) = p.integration.dropped_reports
-    assert drop["stage"] == "find_folded_points"
-    assert drop["reason"].startswith("CapabilityError")
-
     def failing_scan(*args, **kwargs):
         raise ArithmeticError("scan failed")
 
@@ -549,6 +542,36 @@ def test_portrait_counts_dropped_reports(monkeypatch):
     assert p.integration.dropped_reports[0] == {"stage": "detect_special_points",
                                                 "reason": "ArithmeticError: scan failed"}
     assert p.integration.to_json_dict()["dropped_reports"] == p.integration.dropped_reports
+
+
+def test_seed_filter_makes_one_field_call(monkeypatch):
+    # with tracing, folds and integration stubbed out, the only field call
+    # left in a portrait is the seed filter's: one batch over the in-region
+    # seeds, skipping the same seeds for the same reasons as seed by seed
+    base = bde.folded_model_field(-1.0)
+    calls = []
+
+    def slots(u, v, order):
+        calls.append(int(np.size(u)))
+        return base.slots(u, v, order)
+
+    fld = bde.BDEField(slots, base.domain, base.name)
+    edge = sg.SingularPointReport((0.98, 0.0), "folded_saddle")
+    monkeypatch.setattr(bde, "trace_zero_set", lambda *args: [])
+    monkeypatch.setattr(sg, "find_folded_points", lambda fld, polys: [edge.location])
+    monkeypatch.setattr(sg, "classify_folded", lambda fld, pt: edge)
+    monkeypatch.setattr(flow, "integrate_many", lambda fld, jobs, params, stats: [])
+    p = flow.build_portrait(fld, grid=(3, 4))
+    seeds = [(float(u), float(v)) for u in np.linspace(-1, 1, 5)[1:-1]
+             for v in np.linspace(-1, 1, 6)[1:-1]]
+    seeds += [(0.98 + 0.05 * math.cos(2 * math.pi * k / 8), 0.05 * math.sin(2 * math.pi * k / 8))
+              for k in range(8)]
+    ref = [{"seed": [u, v], "reason": "outside the region" if u > 1 else "negative discriminant"}
+           for u, v in seeds if u > 1 or float(bde.discriminant(base, u, v)) < 0]
+    assert calls == [sum(u <= 1 for u, _ in seeds)]
+    assert p.integration.skipped_seeds == ref
+    assert any(r["reason"] == "outside the region" for r in ref)
+    assert any(r["reason"] == "negative discriminant" for r in ref)
 
 
 # -- one lockstep round against the former per-lane formulas ------------------
@@ -635,7 +658,7 @@ def test_projection_with_non_finite_coefficients():
     abc = rng.choice(special, size=(300, 3))
     abc[0] = (math.nan, 0.0, 1.0)       # chart p at slope 0: F = nan, F_s = 0
     table = abc.T.copy()
-    fld = bde.values_field(lambda u, v: tuple(table[:, np.asarray(u, dtype=int)]))
+    fld = bde.BDEField(lambda u, v, order: table[:, np.asarray(u, dtype=int)])
     u = np.arange(300.0)
     slope = rng.choice([0.0, -0.0, 0.5, -1.0, 3.0], size=300)
     slope[0] = 0.0
@@ -725,7 +748,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
     k = flips[0] + 1
     assert abs(S[k, 2]) <= 1 / params.chart_switch
     st = LiftedState(S[k, 0], S[k, 1], S[k, 2], "q" if S[k, 3] else "p")
-    assert abs(bde.f_residual(cusp, st)) <= 1e-8 * max(map(abs, cusp.coeff(st.u, st.v)))
+    assert abs(lift_residual(cusp, st)) <= 1e-8 * max(map(abs, cusp.coeff(st.u, st.v)))
 
     # clip: the last row is the step cut back onto the boundary from the
     # row before, with its slope projected again

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affasym import jets
-from affasym.jets import Jet2, JetDomainError, abs_pow, jet_div, jet_seed
+from affasym.jets import Jet2, JetDomainError, abs_pow, jet_div
 
 
 def entries(j):
@@ -16,7 +16,7 @@ def entries(j):
 
 
 def test_seed_u():
-    j = jet_seed("u", 3.0)
+    j = Jet2.variable("u", 3.0)
     assert len(j.coeffs) == 15
     e = entries(j)
     assert e[(0, 0)] == 3.0 and e[(1, 0)] == 1.0
@@ -24,22 +24,22 @@ def test_seed_u():
 
 
 def test_seed_v_and_mixed():
-    j = jet_seed("v", 0.0)
+    j = Jet2.variable("v", 0.0)
     e = entries(j)
     assert e[(0, 1)] == 1.0
     assert all(val == 0.0 for key, val in e.items() if key != (0, 1))
-    assert float(jet_seed("u", -1.0).partial(1, 1)) == 0.0
+    assert float(Jet2.variable("u", -1.0).partial(1, 1)) == 0.0
 
 
 def test_mul_uv():
-    p = jet_seed("u", 0.0) * jet_seed("v", 0.0)
+    p = Jet2.variable("u", 0.0) * Jet2.variable("v", 0.0)
     e = entries(p)
     assert e[(1, 1)] == 1.0
     assert all(val == 0.0 for key, val in e.items() if key != (1, 1))
 
 
 def test_mul_square_at_2():
-    u = jet_seed("u", 2.0)
+    u = Jet2.variable("u", 2.0)
     s = u * u
     e = entries(s)
     assert e[(0, 0)] == 4.0 and e[(1, 0)] == 4.0 and e[(2, 0)] == 2.0
@@ -51,13 +51,13 @@ def test_div_series_oracle():
     # independent oracle: Taylor coefficients of 1/(1+u) are (-1)^k, so the
     # raw partials are (-1)^k k!
     expected = [(-1.0) ** k * math.factorial(k) for k in range(5)]
-    q = jet_div(Jet2.constant(1.0), 1.0 + jet_seed("u", 0.0))
+    q = jet_div(Jet2.constant(1.0), 1.0 + Jet2.variable("u", 0.0))
     got = [float(q.partial(k, 0)) for k in range(5)]
     assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_sin_series():
-    s = jets.sin(jet_seed("u", 0.0))
+    s = jets.sin(Jet2.variable("u", 0.0))
     assert float(s.partial(1, 0)) == pytest.approx(1.0, abs=1e-15)
     assert float(s.partial(3, 0)) == pytest.approx(-1.0, abs=1e-13)
     assert float(s.partial(0, 0)) == 0.0
@@ -74,7 +74,7 @@ def test_sqrt_constant():
 
 def test_abs_pow_series_oracle():
     # univariate series oracle for (1+u)^(-1/4): first derivative is -1/4
-    a = abs_pow(1.0 + jet_seed("u", 0.0), -0.25)
+    a = abs_pow(1.0 + Jet2.variable("u", 0.0), -0.25)
     assert float(a.partial(1, 0)) == pytest.approx(-0.25, abs=1e-14)
     # second derivative: (-1/4)(-5/4) = 5/16
     assert float(a.partial(2, 0)) == pytest.approx(5.0 / 16.0, abs=1e-13)
@@ -82,23 +82,23 @@ def test_abs_pow_series_oracle():
 
 def test_abs_pow_negative_argument():
     # |x|^e branch for x < 0: d/du |c - u^...|: use f = -2 + u at u=0
-    a = abs_pow(jet_seed("u", 0.0) - 2.0, -0.25)
+    a = abs_pow(Jet2.variable("u", 0.0) - 2.0, -0.25)
     # |u-2|^(-1/4) = (2-u)^(-1/4); derivative at 0: (1/4) 2^(-5/4)
     assert float(a.partial(1, 0)) == pytest.approx(0.25 * 2 ** -1.25, rel=1e-13)
 
 
 def test_division_degenerate_error():
     with pytest.raises(JetDomainError):
-        jet_div(Jet2.constant(1.0), jet_seed("u", 0.0))
+        jet_div(Jet2.constant(1.0), Jet2.variable("u", 0.0))
 
 
 def test_unary_domain_errors():
     with pytest.raises(JetDomainError):
-        jets.log(jet_seed("u", 0.0))
+        jets.log(Jet2.variable("u", 0.0))
     with pytest.raises(JetDomainError):
-        jets.sqrt(jet_seed("u", -1.0))
+        jets.sqrt(Jet2.variable("u", -1.0))
     with pytest.raises(JetDomainError):
-        abs_pow(jet_seed("u", 0.0), -0.25)
+        abs_pow(Jet2.variable("u", 0.0), -0.25)
 
 
 def _random_poly_jet(rng, order=4):
@@ -194,10 +194,10 @@ def test_finite_difference_oracle():
     for fn in FD_CASES:
         for _ in range(4):
             u0, v0 = rng.uniform(-0.7, 0.7, 2)
-            jet = fn(jet_seed("u", u0), jet_seed("v", v0))
+            jet = fn(Jet2.variable("u", u0), Jet2.variable("v", v0))
 
             def plain(uu, vv):
-                return float(fn(jet_seed("u", uu, 2), jet_seed("v", vv, 2)).value)
+                return float(fn(Jet2.variable("u", uu, 2), Jet2.variable("v", vv, 2)).value)
 
             fd_check_jet(jet, plain, u0, v0)
 
@@ -218,7 +218,7 @@ def test_order4_entries_exact_on_polynomials():
 
     for _ in range(5):
         u0, v0 = rng.uniform(-1, 1, 2)
-        uj, vj = jet_seed("u", u0), jet_seed("v", v0)
+        uj, vj = Jet2.variable("u", u0), Jet2.variable("v", v0)
         jet = Jet2.constant(0.0)
         for (i, j), c in poly.items():
             jet = jet + c * uj ** i * vj ** j
@@ -232,14 +232,14 @@ def test_batch_matches_scalar():
     us = rng.uniform(-0.5, 0.5, 17)
     vs = rng.uniform(-0.5, 0.5, 17)
     fn = FD_CASES[0]
-    batch = fn(jet_seed("u", us), jet_seed("v", vs))
+    batch = fn(Jet2.variable("u", us), Jet2.variable("v", vs))
     for k in (0, 5, 16):
-        single = fn(jet_seed("u", us[k]), jet_seed("v", vs[k]))
+        single = fn(Jet2.variable("u", us[k]), Jet2.variable("v", vs[k]))
         assert np.max(np.abs(batch.coeffs[:, k] - single.coeffs)) < 1e-14
 
 
 def test_higher_order_support():
-    j = jets.sin(jet_seed("u", 0.0, order=6))
+    j = jets.sin(Jet2.variable("u", 0.0, order=6))
     assert float(j.partial(5, 0)) == pytest.approx(1.0, abs=1e-12)
     assert j.order == 6
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affasym import affine as af, bde, singular as sg, surface as sf
+from affasym.bde import LiftedState
 from affasym.surface import Poly, Rect
 
 
@@ -266,3 +267,182 @@ def test_fold_point_on_a_generic_surface():
     assert any(math.hypot(*f) < 5e-3 for f in flags)
     for p in pts:
         assert min(math.hypot(p[0] - f[0], p[1] - f[1]) for f in flags) < 1e-2, p
+
+
+# -- batched scans against the former per-vertex formulas ---------------------
+
+
+def vertex_double_root(fld, u, v):
+    """The former double-root rule of one vertex, on Python floats."""
+    A, B, C = (float(x) for x in fld.coeff(u, v))
+    if abs(C) >= abs(A):
+        return (-B / C if C != 0 else 0.0), "p"
+    return -B / A, "q"
+
+
+def vertex_fold_signal(fld, poly):
+    """The former fold scan: the third lifted component, vertex by vertex."""
+    out = []
+    for u, v in poly:
+        slope, chart = vertex_double_root(fld, u, v)
+        out.append(float(bde.lie_cartan(fld, LiftedState(u, v, slope, chart))[2]))
+    return np.array(out)
+
+
+def vertex_tangency_signal(fld, poly):
+    """The former tangency scan, vertex by vertex."""
+    tangents = sg._polyline_tangents(poly)
+    out = np.full(len(poly), np.nan)
+    for k, (u, v) in enumerate(poly):
+        slope, chart = vertex_double_root(fld, u, v)
+        d = np.array([1.0, slope] if chart == "p" else [slope, 1.0])
+        d = d / math.hypot(d[0], d[1])
+        out[k] = d[0] * tangents[k, 1] - d[1] * tangents[k, 0]
+    return out
+
+
+def edge_crossings(poly, vals):
+    """The former edge loop: per crossed edge, the interpolated point and
+    the interpolated signal."""
+    out = []
+    for k in range(len(poly) - 1):
+        a, b = vals[k], vals[k + 1]
+        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
+            continue
+        t = 0.5 if a == b else abs(a) / (abs(a) + abs(b))
+        out.append(((1 - t) * poly[k] + t * poly[k + 1], abs((1 - t) * a + t * b)))
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+FILE_CHART = sf.parametric_surface(
+    ["u", "v", "0.5*u^2-0.5*v^2+0.3*u^3+0.2*u*v^2+0.1*u^4"], Rect(-0.5, 0.5, -0.5, 0.5))
+
+
+def scan_cases():
+    """(field, polylines) pairs: the cusp field's discriminant, the torus
+    parabolic circles on the Euclidean field and the generic parametric
+    chart's discriminant, with the other nonempty sets of those surfaces."""
+    cusp = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
+    cases = []
+    for surf, res in ((cusp, 96), (tor, 64), (FILE_CHART, 48)):
+        fld = bde.extended_field_for(surf)
+        sets = sg.singular_sets(surf, fld, surf.domain, res)
+        cases.append((fld, sets["affine_parabolic"] + sets["discriminant"]))
+        cases.append((sg._euclid_field(surf, surf.domain), sets["parabolic"]))
+    return [(fld, polys) for fld, polys in cases if polys]
+
+
+def test_batched_signals_equal_the_vertex_formulas():
+    cases = scan_cases()
+    assert [(fld.name.split("(")[0], len(polys)) for fld, polys in cases] == [
+        ("extended", 1), ("euclid-II", 1), ("torus-extended", 4), ("euclid-II", 2),
+        ("extended", 2)]
+    for fld, polys in cases:
+        for poly in polys:
+            for batched, vertexwise in ((sg._fold_signal, vertex_fold_signal),
+                                        (sg._tangency_signal, vertex_tangency_signal)):
+                s, ref = batched(fld, poly), vertexwise(fld, poly)
+                assert same_bits(s, ref), (fld.name, batched.__name__)
+                a, b, t, loc = sg._sign_changes(poly, s)
+                crossings = edge_crossings(poly, ref)
+                assert len(loc) == len(crossings)
+                for k, (point, angle) in enumerate(crossings):
+                    assert same_bits(loc[k], point)
+                    assert same_bits(np.abs((1 - t[k]) * a[k] + t[k] * b[k]), angle)
+
+
+def test_euclid_field_values_equal_the_second_form():
+    rng = np.random.default_rng(3)
+    monge = sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)+u^3", Rect(-0.5, 0.5, -0.5, 0.5))
+    torus = sf.catalog_surface("torus", {"R": 2, "r": 1})
+    for surf in (monge, torus, FILE_CHART):
+        fld = sg._euclid_field(surf, surf.domain)
+        d = surf.domain
+        U, V = rng.uniform(d.u0, d.u1, 40), rng.uniform(d.v0, d.v1, 40)
+        for u, v in ((float(U[0]), float(V[0])), (U, V)):
+            if surf.kind == "monge":
+                hj = surf.height_jet(u, v, order=2, check=False)
+                ref = (hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2))
+            else:
+                _, _, lmn = af.second_form_jets(surf.eval_jets(u, v, order=2, check=False))
+                ref = tuple(c.value for c in lmn)
+            assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0), ref))
+        # jets of every order: the value slots stay, the u-slope matches a
+        # central difference
+        c0, c1 = fld.slots(U, V, 0), fld.slots(U, V, 1)
+        assert same_bits(c1[::3], c0)
+        h = 1e-6
+        fd = (fld.slots(U + h, V, 0) - fld.slots(U - h, V, 0)) / (2 * h)
+        assert np.allclose(c1[1::3], fd, rtol=1e-6, atol=1e-6)
+
+
+def fold_test_field():
+    # five fold candidates on one discriminant component
+    eps, sigma, q13, q32, q50 = 1, 1.0, 0.4, 0.6, 0.2
+    q40 = (6 * sigma ** 3 + q50 + eps * q32) / (6 * sigma)
+    surf = sf.catalog_surface("pick", {
+        "epsilon": eps, "sigma": sigma,
+        "q": {(1, 3): q13, (3, 1): -eps * q13,
+              (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
+              (3, 2): q32, (5, 0): q50, (0, 4): q40 + 0.7}},
+        domain=Rect(-0.3, 0.3, -0.3, 0.3))
+    fld = bde.monge_extended_field(surf)
+    return fld, bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 64)
+
+
+def test_a_vertex_that_raises_gives_nan_and_keeps_the_other_folds():
+    base, polys = fold_test_field()
+    (poly,) = polys
+    healthy = sg._fold_signal(base, poly)
+    want = sg.find_folded_points(base, polys)
+    assert len(want) >= 3
+    # the vertex with the largest signal whose two edges cross no zero
+    crossed = np.zeros(len(poly), dtype=bool)
+    edges = ~(healthy[:-1] * healthy[1:] > 0)
+    crossed[:-1] |= edges
+    crossed[1:] |= edges
+    k = int(np.argmax(np.where(crossed, 0.0, np.abs(healthy))))
+    bad = poly[k]
+
+    def slots(u, v, order):
+        if np.any((np.asarray(u) == bad[0]) & (np.asarray(v) == bad[1])):
+            raise ArithmeticError("no value at this vertex")
+        return base.slots(u, v, order)
+
+    broken = bde.BDEField(slots, base.domain, "broken")
+    s = sg._fold_signal(broken, poly)
+    assert np.isnan(s[k])
+    others = np.arange(len(poly)) != k
+    assert same_bits(s[others], healthy[others])
+    assert sg.find_folded_points(broken, polys) == want
+
+
+def counted(fld):
+    """The field with its ``slots`` calls recorded (their point counts)."""
+    calls = []
+
+    def slots(u, v, order):
+        calls.append(int(np.size(u)))
+        return fld.slots(u, v, order)
+
+    return bde.BDEField(slots, fld.domain, fld.name, fld.period), calls
+
+
+def test_one_slots_call_per_polyline(monkeypatch):
+    base, polys = fold_test_field()
+    cusp = bde.extended_field_for(sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1}))
+    polys = polys + bde.trace_zero_set(lambda u, v: bde.discriminant(cusp, u, v),
+                                       base.domain, 48)
+    fld, calls = counted(base)
+    sg.scan_tangency(fld, polys, "affine_cusp_of_gauss")
+    assert calls == [len(p) for p in polys if len(p) >= 3]
+    calls.clear()
+    monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: None)
+    assert sg.find_folded_points(fld, polys) == []
+    assert calls == [len(p) for p in polys if len(p) >= 2]

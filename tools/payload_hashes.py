@@ -6,7 +6,8 @@ prints one ``sha256  path`` line per payload file, in a fixed order.
 The set is the one whose payloads must stay byte-identical under a change
 that claims not to move them: the five portrait-cusp design points, torus,
 pick, the two model fields, a polynomial Monge chart, a flat umbilic chart,
-and analyze and conormal on a torus.
+a generic parametric chart (``file:``, its config written to the temporary
+directory), and analyze and conormal on a torus.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -30,6 +32,11 @@ from affasym import cli
 
 # (|q21|, q40) of the portrait-cusp design points (bench/workloads.py CUSP_DESIGN)
 _CUSP = ((1.0, 0.1), (1.5, 0.4), (1.3, -0.3), (0.9, 0.35), (0.85, -0.2))
+
+# a parametric chart with no special case: the generic parametric extended field
+_PARAMETRIC = {"kind": "parametric",
+               "exprs": ["u", "v", "0.5*u^2-0.5*v^2+0.3*u^3+0.2*u*v^2+0.1*u^4"],
+               "domain": [-0.5, 0.5, -0.5, 0.5]}
 
 RUNS = [
     *[(f"cusp-q21={a}-q40={b}",
@@ -45,6 +52,8 @@ RUNS = [
                     "--region=-0.5,0.5,-0.5,0.5", "--res", "3"]),
     ("flat-umbilic-eps-1", ["portrait", "--surface", "catalog:flat_umbilic_chart",
                             "--epsilon=-1"]),
+    ("file-parametric", ["portrait", "--surface", "file:{tmp}/parametric.json", "--res", "2",
+                         "--tol", "trace_res=48", "--tol", "max_len=1.0"]),
     ("analyze-torus-R3-r1", ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1",
                              "--res", "32", "--format", "json,csv"]),
     ("conormal-torus-R3-r1", ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1"]),
@@ -60,8 +69,11 @@ def hash_runs(outdir):
     """Run the commands into ``outdir``; returns the ``sha256  path`` lines
     and the names of the commands that did not exit 0."""
     lines, failed = [], []
+    with open(os.path.join(outdir, "parametric.json"), "w", encoding="utf-8") as fh:
+        json.dump(_PARAMETRIC, fh)
     for name, argv in RUNS:
         out = os.path.join(outdir, name)
+        argv = [a.format(tmp=outdir) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv + ["--out", out])
         if code != 0:
