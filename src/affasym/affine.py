@@ -14,10 +14,24 @@ The sign factor on xi makes <nu, xi> = 1 hold on both curvature regions (the
 bare cross-product formula yields <nu, xi> = sign(D)).  All derivatives come
 from jet arithmetic; nothing is differenced numerically.
 
-For Monge graphs z = h(u, v) the third-form coefficients also have closed
-rational forms whose common denominator is 16 (h_uu h_vv - h_uv^2)^2.  The
-numerators, negated, extend the asymptotic direction equation across the
-parabolic set; see ``extended_bde_coeffs``.
+The chain divides by |D|^(1/4), so it breaks down on the parabolic set.  The
+extended direction equation (A, B, C) = 16 D^2 (l, m, n) needs no division:
+it reads only the normal w = a_u ^ a_v, whose determinant
+
+    D = det(w, w_u, w_v)                              (= LN - M^2 identically)
+
+gives, for (i, j) in {uu, uv, vv},
+
+    E_ij = 4 D D_ij - 3 D_i D_j - 16 D det(w_u, w_v, w_ij)
+           + 4 D_u det(w, w_v, w_ij) - 4 D_v det(w, w_u, w_ij)
+
+and (A, B, C) = (E_uu, E_uv, E_vv).  With P_u = D w_u - D_u w / 4 one has
+nu_u = |D|^(-1/4) P_u / D, so l = det(P_u, d_u P_u, P_v) / D^4 on both sides
+of D = 0, and m, n likewise; expanding with det(w, w_u, w_v) = D cancels
+D^2.  ``extended_bde_coeffs`` runs unchanged over jets and over ``Poly``.
+The torus keeps its closed form in c = cos u (``torus_extended_bde``): the
+general formula on its trigonometric position jets costs five to ten times as
+much per portrait.
 """
 
 from __future__ import annotations
@@ -39,9 +53,7 @@ __all__ = [
     "affine_point_data",
     "frame_jets",
     "lmn_from_frame",
-    "monge_lmn_closed_form",
     "extended_bde_coeffs",
-    "lmn_numerators",
     "torus_extended_bde",
     "cross", "dot", "det3",
 ]
@@ -260,90 +272,37 @@ def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_T
     return data
 
 
-# -- Monge-chart closed forms -------------------------------------------------
+# -- the extended direction equation ------------------------------------------
 
 
-def lmn_numerators(huu, huv, hvv, huuu, huuv, huvv, hvvv,
-                   huuuu, huuuv, huuvv, huvvv, hvvvv):
-    """Numerator polynomials of (l, m, n) over a Monge chart.
+def extended_bde_coeffs(w):
+    """Coefficients (A, B, C) = 16 D^2 (l, m, n) of the extended direction
+    equation A du^2 + 2 B du dv + C dv^2 = 0, from the normal
+    w = a_u ^ a_v alone (see the module docstring).
 
-    (l, m, n) = -(bl, bm, bn) / (16 (h_uu h_vv - h_uv^2)^2).  Polynomial in
-    the twelve derivative slots, so the arguments may be floats, arrays, or
-    jets.  A single polynomial is valid on both sides of the parabolic set.
+    ``w`` is three jets or three ``Poly``; nothing is divided, so the result
+    is defined on the parabolic set D = 0 itself.  Jets of order k + 3 (from
+    order-(k + 4) positions) give jets of (A, B, C) of order k, or their
+    values for k = 0.
     """
-    hd = huu * hvv - huv * huv
-    bl = (-4 * (hvv * huuuu - 2 * huv * huuuv) * hd
-          - 4 * huu * hd * huuvv
-          + 7 * hvv * hvv * huuu * huuu
-          + 3 * huu * huu * huvv * huvv
-          + (-28 * huuv * huv * hvv + 2 * (huu * hvv + 8 * huv * huv) * huvv
-             - 4 * hvvv * huu * huv) * huuu
-          + 12 * (huu * hvv + huv * huv) * huuv * huuv
-          + 4 * (huu * huu * hvvv - 6 * huu * huv * huvv) * huuv)
-    bm = (-4 * (hvv * huuuv - 2 * huv * huuvv) * hd
-          + (7 * hvv * hvv * huuv - 10 * huv * hvv * huvv
-             + (-huu * hvv + 4 * huv * huv) * hvvv) * huuu
-          - 4 * huu * hd * huvvv
-          - 18 * huuv * huuv * huv * hvv
-          + 7 * huvv * hvvv * huu * huu
-          + ((15 * huu * hvv + 24 * huv * huv) * huvv - 10 * huu * huv * hvvv) * huuv
-          - 18 * huvv * huvv * huu * huv)
-    bn = (-4 * (hvv * huuvv - 2 * huv * huvvv) * hd
-          - 4 * huu * hvvvv * hd
-          + 4 * (-huv * hvv * hvvv + huvv * hvv * hvv) * huuu
-          + 3 * huuv * huuv * hvv * hvv
-          + 2 * (-12 * huv * hvv * huvv + (huu * hvv + 8 * huv * huv) * hvvv) * huuv
-          + 12 * (huu * hvv + huv * huv) * huvv * huvv
-          - 28 * huvv * hvvv * huu * huv
-          + 7 * hvvv * hvvv * huu * huu)
-    return bl, bm, bn, hd
-
-
-def _partials_from_height(height_jet, as_jets):
-    pairs = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
-             (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
-    if not as_jets:
-        return [height_jet.partial(i, j) for (i, j) in pairs]
+    wu = tuple(c.du() for c in w)
+    wv = tuple(c.dv() for c in w)
+    D = det3(w, wu, wv)
+    Du, Dv = D.du(), D.dv()
+    vecs = [w, wu, wv, tuple(c.du() for c in wu), tuple(c.dv() for c in wu),
+            tuple(c.dv() for c in wv), (D, Du, Dv, Du.du(), Du.dv(), Dv.dv())]
+    if isinstance(D, Jet2):
+        # from here on every factor is needed only to the order k of D_uu:
+        # cut the jets there, to plain values at k = 0 (the same bits)
+        k = vecs[-1][3].order
+        vecs = [tuple(c.value if k == 0 else c.truncate(k) for c in vec) for vec in vecs]
+    w, wu, wv, w_uu, w_uv, w_vv, (D, Du, Dv, Duu, Duv, Dvv) = vecs
+    n_uv, n_v, n_u = cross(wu, wv), cross(w, wv), cross(w, wu)
     out = []
-    for (i, j) in pairs:
-        d = height_jet
-        for _ in range(i):
-            d = d.du()
-        for _ in range(j):
-            d = d.dv()
-        out.append(d)
-    return out
-
-
-def monge_lmn_closed_form(height_jet, guard=jets.DEFAULT_EPS):
-    """(l, m, n) for z = h(u, v) evaluated directly from the height jet.
-
-    Pass an order-4 jet for plain values; higher orders yield jets of
-    (l, m, n) of order (height order - 4).
-    """
-    as_jets = height_jet.order > 4
-    bl, bm, bn, hd = lmn_numerators(*_partials_from_height(height_jet, as_jets))
-    hdv = hd.value if as_jets else hd
-    if np.any(np.abs(hdv) <= guard):
-        raise ParabolicPointError("closed-form l, m, n at a parabolic point (h_uu h_vv - h_uv^2 = 0)")
-    f = -1.0 / 16.0
-    inv = (1.0 / (hd * hd)) if not as_jets else jets.jet_div(Jet2.constant(
-        np.ones_like(hdv), hd.order), hd * hd, eps=guard ** 2)
-    return (bl * inv * f, bm * inv * f, bn * inv * f)
-
-
-def extended_bde_coeffs(height_jet):
-    """Coefficients (A, B, C) of the extended direction equation
-    A du^2 + 2 B du dv + C dv^2 = 0 for a Monge graph.
-
-    (A, B, C) = 16 (h_uu h_vv - h_uv^2)^2 (l, m, n): a positive multiple of
-    (l, m, n) away from the parabolic set, and polynomial in the derivatives
-    of h, hence defined on the parabolic set itself.  Returns values for an
-    order-4 height jet, jets of order (height order - 4) for higher orders.
-    """
-    as_jets = height_jet.order > 4
-    bl, bm, bn, _ = lmn_numerators(*_partials_from_height(height_jet, as_jets))
-    return (-bl, -bm, -bn)
+    for Di, Dj, Dij, wij in ((Du, Du, Duu, w_uu), (Du, Dv, Duv, w_uv), (Dv, Dv, Dvv, w_vv)):
+        out.append(4 * D * (Dij - 4 * dot(n_uv, wij)) - 3 * Di * Dj
+                   + 4 * (Du * dot(n_v, wij) - Dv * dot(n_u, wij)))
+    return tuple(out)
 
 
 def torus_extended_bde(R, r, u):

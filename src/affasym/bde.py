@@ -36,7 +36,6 @@ __all__ = [
     "AsymptoticDirections",
     "LIFT_TOL",
     "field_from_polynomials",
-    "monge_extended_field",
     "torus_extended_field",
     "conormal_euclidean_field",
     "folded_model_field",
@@ -119,29 +118,6 @@ def morse_model_field(eps1, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
                                   {(0, 1): 1.0}, domain, f"morse(eps1={eps1})")
 
 
-def monge_extended_field(surf):
-    """Extended coefficient field of a Monge surface (polynomial fast path
-    when the height is polynomial)."""
-    if surf.kind != "monge":
-        raise ValueError("monge_extended_field needs a Monge surface")
-    hp = surf.polys[0] if surf.polys else None
-    if hp is not None:
-        h = Poly(hp)
-        parts = [h.partial(i, j) for (i, j) in
-                 [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
-                  (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]]
-        bl, bm, bn, _ = affine.lmn_numerators(*parts)
-        return field_from_polynomials(-bl, -bm, -bn, surf.domain,
-                                      f"extended({surf.describe()})")
-
-    def slots(u, v, order):
-        # an order-4 height jet gives values, a higher one jets
-        hj = surf.height_jet(u, v, order=4 + order, check=False)
-        return _stacked(affine.extended_bde_coeffs(hj), u, v)
-
-    return BDEField(slots, surf.domain, f"extended({surf.describe()})")
-
-
 def torus_extended_field(R, r, domain=None):
     domain = domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi)
     # closed forms as polynomials in c = cos u (v-independent):
@@ -199,20 +175,34 @@ def conormal_euclidean_field(surf, guard=1e-8):
     return BDEField(slots, surf.domain, f"conormal-II({surf.describe()})")
 
 
+def _normal(surf, pos):
+    """w = a_u ^ a_v from jets or polynomials: ``pos`` is the height h on a
+    Monge chart, where w = (-h_u, -h_v, 1), and the three positions on a
+    parametric one."""
+    if surf.kind == "monge":
+        one = Poly.const(1.0) if isinstance(pos, Poly) else Jet2.constant(1.0, pos.order - 1)
+        return (-pos.du(), -pos.dv(), one)
+    return affine.cross(tuple(c.du() for c in pos), tuple(c.dv() for c in pos))
+
+
 def extended_field_for(surf):
-    """The extended asymptotic-direction field appropriate to a surface."""
+    """The extended asymptotic-direction field of a surface: the closed form
+    on the torus, else ``affine.extended_bde_coeffs`` of the normal, computed
+    once as polynomials when every component of the chart is polynomial."""
     if surf.catalog_id == "torus":
         return torus_extended_field(surf.params["R"], surf.params["r"], surf.domain)
-    if surf.kind == "monge":
-        return monge_extended_field(surf)
-    # generic parametric: clear the same |LN - M^2| powers as the Monge case
-    def slots(u, v, order):
-        fr = affine.frame_jets(surf, u, v, order=4 + order)
-        lmn = affine.lmn_from_frame(fr)
-        d2 = (fr["D"] * fr["D"] * 16.0).truncate(order)
-        return _stacked([d2 * c for c in lmn], u, v)
+    name = f"extended({surf.describe()})"
+    monge = surf.kind == "monge"
+    if None not in surf.polys:
+        polys = [Poly(p) for p in surf.polys]
+        w = _normal(surf, polys[0] if monge else polys)
+        return field_from_polynomials(*affine.extended_bde_coeffs(w), surf.domain, name)
 
-    return BDEField(slots, surf.domain, f"extended({surf.describe()})")
+    def slots(u, v, order):
+        pos = (surf.height_jet if monge else surf.eval_jets)(u, v, order=4 + order, check=False)
+        return _stacked(affine.extended_bde_coeffs(_normal(surf, pos)), u, v)
+
+    return BDEField(slots, surf.domain, name)
 
 
 # -- pointwise operations ------------------------------------------------------

@@ -89,9 +89,12 @@ def _parse_q(items):
         try:
             key, val = item.split("=", 1)
             key = key.replace(",", "")
-            q[(int(key[0]), int(key[1:]))] = float(val)
+            ij, x = (int(key[0]), int(key[1:])), float(val)
         except (ValueError, IndexError):
             raise ConfigError(f"--q wants ij=value (e.g. 21=1.5); got {item!r}")
+        if not math.isfinite(x):
+            raise ConfigError(f"--q values must be finite; got {item!r}")
+        q[ij] = x
     return q
 
 
@@ -120,6 +123,8 @@ def _build_surface(args):
                 raise ConfigError("catalog:torus needs --R and --r")
             params = {"R": args.R, "r": args.r}
         elif rest == "pick":
+            if args.sigma is not None and not math.isfinite(args.sigma):
+                raise ConfigError(f"--sigma must be finite; got {args.sigma}")
             params = {"epsilon": args.epsilon if args.epsilon is not None else 1,
                       "sigma": args.sigma or 0.0, "q": _parse_q(args.q)}
         elif rest in ("cusp_gauss", "flat_umbilic_chart"):
@@ -378,7 +383,8 @@ def _verify_checks():
                      ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))}
                 surf = surface_mod.catalog_surface(
                     "pick", {"epsilon": eps, "sigma": sig, "q": q})
-                l, m, n = affine.monge_lmn_closed_form(surf.height_jet(0.0, 0.0))
+                d = affine.affine_point_data(surf, 0.0, 0.0)
+                l, m, n = float(d.l), float(d.m), float(d.n)
                 le = -sig ** 2 / 2 + q[(4, 0)] / 4 + eps * q[(2, 2)] / 4
                 me = (q[(3, 1)] + eps * q[(1, 3)]) / 4
                 ne = -eps * sig ** 2 / 2 + q[(2, 2)] / 4 + eps * q[(0, 4)] / 4
@@ -412,7 +418,7 @@ def _verify_checks():
             if abs(q21 * q21 - 4 * q40) < 1e-3:
                 continue
             surf = surface_mod.catalog_surface("cusp_gauss", {"q21": q21, "q40": q40})
-            A, B, C = affine.extended_bde_coeffs(surf.height_jet(0.0, 0.0))
+            A, B, C = bde.extended_field_for(surf).coeff(0.0, 0.0)
             assert A == 0.0 and B == 0.0
             assert abs(C + 48 * q21 ** 2) <= 1e-12 * abs(48 * q21 ** 2)
 
@@ -420,7 +426,7 @@ def _verify_checks():
         for eps in (1, -1):
             model = surface_mod.monge_surface(
                 "u^3 + u*v^2" if eps == 1 else "u^3 - u*v^2")
-            fld = bde.monge_extended_field(model)
+            fld = bde.extended_field_for(model)
             rng = np.random.default_rng(7)
             pts = rng.uniform(-0.05, 0.05, size=(60, 2))
             dd = 4.0 * bde.discriminant(fld, pts[:, 0], pts[:, 1])

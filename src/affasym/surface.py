@@ -343,9 +343,9 @@ def _to_poly(node):
 class Poly:
     """Bivariate polynomial as a monomial dict, with ring operators.
 
-    Lets the closed-form invariant expressions run unchanged over
-    polynomials, producing exact coefficient tables once instead of jet
-    chains per evaluation point.  Evaluation goes through derivative tables
+    Lets ``affine.extended_bde_coeffs`` run unchanged over polynomials,
+    producing exact coefficient tables once instead of jet chains per
+    evaluation point.  Evaluation goes through derivative tables
     compiled once per jet order (``table``).
     """
 
@@ -361,22 +361,11 @@ class Poly:
     def const(c):
         return Poly({(0, 0): c})
 
-    def diff(self, var):
-        out = {}
-        for (i, j), c in self.terms.items():
-            if var == "u" and i > 0:
-                out[(i - 1, j)] = c * i
-            elif var == "v" and j > 0:
-                out[(i, j - 1)] = c * j
-        return Poly(out)
+    def du(self):
+        return Poly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
 
-    def partial(self, a, b):
-        p = self
-        for _ in range(a):
-            p = p.diff("u")
-        for _ in range(b):
-            p = p.diff("v")
-        return p
+    def dv(self):
+        return Poly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
     def table(self, order):
         """Derivative table of the order-``order`` jet, compiled on first use.

@@ -202,7 +202,7 @@ def test_criterion_06_cusp_of_gauss():
                      (2, 2): float(rng.uniform(-1, 1))}
             cg = sf.catalog_surface("cusp_gauss",
                                     {"q": {(2, 1): q21, (4, 0): q40, **extra}})
-            A, B, C = af.extended_bde_coeffs(cg.height_jet(0.0, 0.0))
+            A, B, C = bde.extended_field_for(cg).coeff(0.0, 0.0)
             assert float(A) == 0.0 and float(B) == 0.0
             assert float(C) == pytest.approx(-48 * q21 ** 2, rel=1e-14)
         # second-order contact of the two degenerate sets, fitted to 1e-3
@@ -219,7 +219,7 @@ def test_criterion_06_cusp_of_gauss():
                 hj = cg.height_jet(u, v, order=2, check=False)
                 return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
 
-            fld = bde.monge_extended_field(cg)
+            fld = bde.extended_field_for(cg)
             par = bde.trace_zero_set(kfun, cg.domain, 384)
             aff = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
                                      cg.domain, 384)
@@ -262,7 +262,7 @@ def test_criterion_07_flat_euclid_umbilic():
         rng = np.random.default_rng(107)
         for eps in (1, -1):
             model = sf.monge_surface("u^3 + u*v^2" if eps == 1 else "u^3 - u*v^2")
-            mfld = bde.monge_extended_field(model)
+            mfld = bde.extended_field_for(model)
             pts = rng.uniform(-0.05, 0.05, size=(80, 2))
             doubled = 4.0 * bde.discriminant(mfld, pts[:, 0], pts[:, 1])
             shape = eps * (eps * pts[:, 1] ** 2 - 3 * pts[:, 0] ** 2) ** 2
@@ -356,7 +356,7 @@ def test_criterion_09_jet_oracle():
         # their pointwise values
         fields = [
             bde.torus_extended_field(2.0, 1.0),
-            bde.monge_extended_field(sf.catalog_surface(
+            bde.extended_field_for(sf.catalog_surface(
                 "pick", {"epsilon": -1, "sigma": 0.7,
                          "q": {(4, 0): 0.6, (1, 3): 0.4, (2, 2): -0.3}})),
         ]

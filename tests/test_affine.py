@@ -4,8 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from affasym import affine as af, surface as sf
+from affasym import affine as af, bde, surface as sf
 from affasym.affine import ParabolicPointError
+from affasym.jets import Jet2
 from affasym.surface import Rect
 
 
@@ -16,6 +17,22 @@ def torus(R=3.0, r=1.0):
 def pick(eps=1, sigma=0.0, **q):
     qd = {(int(k[1]), int(k[2])): float(v) for k, v in q.items()}
     return sf.catalog_surface("pick", {"epsilon": eps, "sigma": sigma, "q": qd})
+
+
+def monge_extended(surf, u, v):
+    """(A, B, C) at a point of a Monge chart from ``extended_bde_coeffs`` of
+    its normal (-h_u, -h_v, 1), and D = h_uu h_vv - h_uv^2 there."""
+    hj = surf.height_jet(u, v)
+    w = (-hj.du(), -hj.dv(), Jet2.constant(1.0, 3))
+    hd = float(hj.partial(2, 0)) * float(hj.partial(0, 2)) - float(hj.partial(1, 1)) ** 2
+    return tuple(float(c) for c in af.extended_bde_coeffs(w)), hd
+
+
+def closed_lmn(surf, u, v):
+    """(l, m, n) = (A, B, C) / (16 D^2) on a Monge chart."""
+    (A, B, C), hd = monge_extended(surf, u, v)
+    f = 16.0 * hd * hd
+    return A / f, B / f, C / f
 
 
 def test_torus_curvature_oracle():
@@ -133,7 +150,7 @@ def test_flat_affine_umbilic_conditions():
 def test_closed_form_matches_frame_pipeline():
     surf = pick(eps=1, sigma=1.0, q40=1.0)
     d = af.affine_point_data(surf, 0.1, 0.2)
-    lc, mc, nc = af.monge_lmn_closed_form(surf.height_jet(0.1, 0.2))
+    lc, mc, nc = closed_lmn(surf, 0.1, 0.2)
     assert float(d.l) == pytest.approx(float(lc), rel=1e-8)
     assert float(d.m) == pytest.approx(float(mc), rel=1e-8, abs=1e-12)
     assert float(d.n) == pytest.approx(float(nc), rel=1e-8)
@@ -145,7 +162,7 @@ def test_closed_form_matches_pipeline_hyperbolic_region():
                             "+ 0.1*u^4 + 0.2*u^3*v + 0.15*u*v^3 + 0.05*v^4")
     for (u, v) in [(0.05, 0.03), (-0.1, 0.07)]:
         d = af.affine_point_data(surf, u, v)
-        lc, mc, nc = af.monge_lmn_closed_form(surf.height_jet(u, v))
+        lc, mc, nc = closed_lmn(surf, u, v)
         assert float(d.l) == pytest.approx(float(lc), rel=1e-8, abs=1e-12)
         assert float(d.m) == pytest.approx(float(mc), rel=1e-8, abs=1e-12)
         assert float(d.n) == pytest.approx(float(nc), rel=1e-8, abs=1e-12)
@@ -156,7 +173,7 @@ def test_saddle_quadric_flat():
     rng = np.random.default_rng(2)
     for _ in range(6):
         u, v = rng.uniform(-0.8, 0.8, 2)
-        l, m, n = af.monge_lmn_closed_form(surf.height_jet(u, v))
+        l, m, n = closed_lmn(surf, u, v)
         assert max(abs(float(l)), abs(float(m)), abs(float(n))) < 1e-14
 
 
@@ -185,7 +202,7 @@ def test_torus_chart_independence():
 
 def test_extended_coeffs_cusp_origin():
     surf = sf.catalog_surface("cusp_gauss", {"q21": 1.5, "q40": 0.3, "q03": 0.2})
-    A, B, C = af.extended_bde_coeffs(surf.height_jet(0.0, 0.0))
+    A, B, C = bde.extended_field_for(surf).coeff(0.0, 0.0)
     assert float(A) == 0.0 and float(B) == 0.0
     assert float(C) == pytest.approx(-48 * 1.5 ** 2, rel=1e-15)
 
@@ -193,10 +210,9 @@ def test_extended_coeffs_cusp_origin():
 def test_extended_coeffs_positive_multiple():
     surf = pick(eps=1, sigma=0.8, q40=1.0, q13=0.5)
     for (u, v) in [(0.12, -0.08), (0.3, 0.2)]:
-        hj = surf.height_jet(u, v)
-        A, B, C = (float(x) for x in af.extended_bde_coeffs(hj))
-        l, m, n = (float(x) for x in af.monge_lmn_closed_form(hj))
-        hd = float(hj.partial(2, 0)) * float(hj.partial(0, 2)) - float(hj.partial(1, 1)) ** 2
+        (A, B, C), hd = monge_extended(surf, u, v)
+        d = af.affine_point_data(surf, u, v)
+        l, m, n = float(d.l), float(d.m), float(d.n)
         factor = 16.0 * hd * hd
         assert factor > 0
         assert A == pytest.approx(factor * l, rel=1e-6, abs=1e-12)
@@ -204,10 +220,9 @@ def test_extended_coeffs_positive_multiple():
         assert C == pytest.approx(factor * n, rel=1e-6, abs=1e-12)
     # hyperbolic side too
     surf = pick(eps=-1, sigma=0.8, q40=1.0, q13=0.5)
-    hj = surf.height_jet(0.1, 0.05)
-    A, B, C = (float(x) for x in af.extended_bde_coeffs(hj))
-    l, m, n = (float(x) for x in af.monge_lmn_closed_form(hj))
-    hd = float(hj.partial(2, 0)) * float(hj.partial(0, 2)) - float(hj.partial(1, 1)) ** 2
+    (A, B, C), hd = monge_extended(surf, 0.1, 0.05)
+    d = af.affine_point_data(surf, 0.1, 0.05)
+    l, m, n = float(d.l), float(d.m), float(d.n)
     assert A == pytest.approx(16 * hd * hd * l, rel=1e-6, abs=1e-12)
     assert B == pytest.approx(16 * hd * hd * m, rel=1e-6, abs=1e-12)
 
@@ -215,11 +230,11 @@ def test_extended_coeffs_positive_multiple():
 def test_extended_coeffs_closed_on_parabolic_set():
     # defined (finite) on the parabolic set, where l, m, n themselves blow up
     surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.0})
-    hj = surf.height_jet(0.05, 0.0)  # near/on the parabolic curve
-    A, B, C = af.extended_bde_coeffs(hj)
+    A, B, C = monge_extended(surf, 0.05, 0.0)[0]  # near/on the parabolic curve
     assert all(np.isfinite(float(x)) for x in (A, B, C))
+    assert all(np.isfinite(monge_extended(surf, 0.0, 0.0)[0]))
     with pytest.raises(ParabolicPointError):
-        af.monge_lmn_closed_form(surf.height_jet(0.0, 0.0))
+        af.affine_point_data(surf, 0.0, 0.0)
 
 
 def test_flat_umbilic_discriminant_quartics():
@@ -231,7 +246,7 @@ def test_flat_umbilic_discriminant_quartics():
         deltas = []
         shapes = []
         for (u, v) in pts:
-            A, B, C = (float(x) for x in af.extended_bde_coeffs(surf.height_jet(u, v)))
+            A, B, C = monge_extended(surf, u, v)[0]
             deltas.append(B * B - A * C)
             shapes.append(eps * (u * u - eps * v * v) ** 2)
         deltas, shapes = np.array(deltas), np.array(shapes)
@@ -422,7 +437,7 @@ def test_randomized_consistency_sweep():
             tried += 1
             points += 1
             d = af.affine_point_data(surf, u, v)
-            lc, mc, nc = (float(x) for x in af.monge_lmn_closed_form(hj))
+            lc, mc, nc = closed_lmn(surf, u, v)
             scale = max(abs(lc), abs(mc), abs(nc), 1.0)
             assert abs(float(d.l) - lc) < 1e-8 * scale
             assert abs(float(d.m) - mc) < 1e-8 * scale
@@ -430,7 +445,7 @@ def test_randomized_consistency_sweep():
             assert float(np.sum(d.nu * d.xi)) == pytest.approx(1.0, abs=1e-8)
             assert abs(float(-d.l - (d.b11 * d.g11 + d.b21 * d.g12))) < 1e-8 * scale
             assert abs(float(-d.n - (d.b12 * d.g12 + d.b22 * d.g22))) < 1e-8 * scale
-            A, B, C = (float(x) for x in af.extended_bde_coeffs(hj))
+            A, B, C = monge_extended(surf, u, v)[0]
             factor = 16.0 * hd * hd
             assert abs(A - factor * lc) < 1e-6 * max(1.0, abs(A))
             assert abs(B - factor * mc) < 1e-6 * max(1.0, abs(B), abs(A))

@@ -71,7 +71,7 @@ def test_directions_two_roots_oracle():
 
 def test_directions_double_and_degenerate():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 1.0})
-    fld = bde.monge_extended_field(cg)
+    fld = bde.extended_field_for(cg)
     res = bde.asymptotic_directions(fld, 0.0, 0.0)
     assert res.kind == "double"
     assert res.dirs[0] == pytest.approx([1.0, 0.0], abs=1e-14)
@@ -80,7 +80,7 @@ def test_directions_double_and_degenerate():
 
 def test_lifted_derivatives_match_residual_and_jacobian():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
-    fld = bde.monge_extended_field(cg)
+    fld = bde.extended_field_for(cg)
     h = 1e-6
     for st in (LiftedState(0.1, -0.05, 0.4, "p"), LiftedState(-0.2, 0.1, -0.3, "q")):
         F, grad, J = bde.lifted_derivatives(*fld.jet_coeff(st.u, st.v, 2), st)
@@ -206,7 +206,7 @@ def test_tangency_identity():
 
 def test_chart_consistency():
     # same geometric state in both charts: planar velocities are parallel
-    fld = bde.monge_extended_field(
+    fld = bde.extended_field_for(
         sf.catalog_surface("pick", {"epsilon": -1, "sigma": 0.7,
                                     "q": {(4, 0): 0.6, (1, 3): 0.4}}))
     rng = np.random.default_rng(8)
@@ -366,6 +366,131 @@ def test_extended_field_for_parametric_clears_poles():
         assert np.linalg.norm(a - t * b) < 1e-7 * np.linalg.norm(a)
 
 
+# charts of the normal-only extended field: the torus (whose field keeps its
+# closed form, so the function is called directly), the hashed generic
+# parametric chart, a non-polynomial parametric chart and a transcendental
+# Monge chart
+_FILE_PARAMETRIC = {"kind": "parametric",
+                    "exprs": ["u", "v", "0.5*u^2-0.5*v^2+0.3*u^3+0.2*u*v^2+0.1*u^4"],
+                    "domain": [-0.5, 0.5, -0.5, 0.5]}
+_FILE_NONPOLY = {"kind": "parametric",
+                 "exprs": ["u + 0.2*sin(v)", "v + 0.3*u^2", "exp(0.4*u)*cos(v) + 0.5*u*v"],
+                 "domain": [-0.5, 0.5, -0.5, 0.5]}
+_NORMAL_CHARTS = {
+    "torus": lambda: sf.catalog_surface("torus", {"R": 2, "r": 1}),
+    "file-parametric": lambda: sf.surface_from_config(_FILE_PARAMETRIC),
+    "file-nonpoly": lambda: sf.surface_from_config(_FILE_NONPOLY),
+    "monge-transcendental": lambda: sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)"),
+}
+
+
+def _normal_jets(surf, u, v, order):
+    """w = a_u ^ a_v from order-(order + 4) position jets."""
+    pos = surf.eval_jets(u, v, order=order + 4, check=False)
+    return af.cross(tuple(c.du() for c in pos), tuple(c.dv() for c in pos))
+
+
+def _conditioned_points(surf, n, rng):
+    """n points, one float pair for n = 0, where |LN - M^2| is at least half
+    its largest value over 400 draws: the frame pipeline divides by
+    |LN - M^2|^(1/4) and loses digits near the parabolic set."""
+    d = surf.domain
+    u, v = rng.uniform(d.u0, d.u1, 400), rng.uniform(d.v0, d.v1, 400)
+    _, _, (L, M, N) = af.second_form_jets(surf.eval_jets(u, v, order=2, check=False))
+    D = np.abs((L * N - M * M).value)
+    keep = np.flatnonzero(D >= 0.5 * D.max())[:max(n, 1)]
+    assert len(keep) == max(n, 1)
+    return (float(u[keep[0]]), float(v[keep[0]])) if n == 0 else (u[keep], v[keep])
+
+
+def _slot_rows(abc):
+    """The slots of (A, B, C) stacked: jets, or values at order 0."""
+    return np.concatenate([c.coeffs if isinstance(c, Jet2) else np.asarray(c)[None]
+                           for c in abc])
+
+
+def _rel_err(got, ref):
+    """Largest slot error per lane over the largest reference slot there."""
+    return np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+
+
+@pytest.mark.parametrize("lanes", [0, 5, 40])
+@pytest.mark.parametrize("chart", sorted(_NORMAL_CHARTS))
+def test_extended_coeffs_from_the_normal_match_the_frame_pipeline(chart, lanes):
+    # (A, B, C) = 16 D^2 (l, m, n) with (l, m, n) from the frame chain, which
+    # divides by |D|^(1/4): to 1e-13 at orders 0 to 2
+    surf = _NORMAL_CHARTS[chart]()
+    u, v = _conditioned_points(surf, lanes, np.random.default_rng(31))
+    fld = None if chart == "torus" else bde.extended_field_for(surf)
+    for order in (0, 1, 2):
+        fr = af.frame_jets(surf, u, v, order=order + 4)
+        D = fr["D"]
+        ref = np.concatenate([(16.0 * D * D * c).truncate(order).coeffs
+                              for c in af.lmn_from_frame(fr)])
+        got = _slot_rows(af.extended_bde_coeffs(_normal_jets(surf, u, v, order)))
+        assert got.shape == ref.shape
+        assert np.all(_rel_err(got, ref) < 1e-13)
+        if fld is not None:
+            assert np.all(_rel_err(fld.slots(u, v, order), ref) < 1e-13)
+
+
+def test_extended_coeffs_from_the_normal_on_the_torus():
+    # finite across the parabolic circles u = pi/2, 3 pi/2 (D = 0), and a
+    # positive multiple of the closed form everywhere
+    R, r = 2.0, 1.0
+    surf = sf.catalog_surface("torus", {"R": R, "r": r})
+    u = np.concatenate([np.linspace(0.0, 2 * math.pi, 37), [math.pi / 2, 3 * math.pi / 2]])
+    for order in (0, 1, 2):
+        got = af.extended_bde_coeffs(_normal_jets(surf, u, np.full_like(u, 0.7), order))
+        assert np.all(np.isfinite(_slot_rows(got)))
+    a = np.array([c.value for c in got]).T
+    b = np.array([np.broadcast_to(c, u.shape) for c in af.torus_extended_bde(R, r, u)]).T
+    t = np.einsum("ij,ij->i", a, b) / np.einsum("ij,ij->i", b, b)
+    assert np.all(t > 0)
+    assert np.all(np.linalg.norm(a - t[:, None] * b, axis=1) < 1e-12 * np.linalg.norm(a, axis=1))
+
+
+@pytest.mark.parametrize("chart", sorted(_NORMAL_CHARTS))
+def test_normal_determinant_is_the_second_form_determinant(chart):
+    # det(w, w_u, w_v) = LN - M^2 identically, for w = a_u ^ a_v
+    surf = _NORMAL_CHARTS[chart]()
+    d = surf.domain
+    rng = np.random.default_rng(37)
+    u, v = rng.uniform(d.u0, d.u1, 40), rng.uniform(d.v0, d.v1, 40)
+    pos = surf.eval_jets(u, v, order=4, check=False)
+    w = _normal_jets(surf, u, v, 0)
+    got = af.det3(w, tuple(c.du() for c in w), tuple(c.dv() for c in w))
+    _, _, (L, M, N) = af.second_form_jets(pos)
+    ref = L * N - M * M
+    assert got.order == ref.order == 2
+    scale = np.max(np.abs(ref.coeffs))
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) < 1e-13 * scale
+
+
+_CLOSED_FORM_CHARTS = {
+    **{f"cusp-q21={a}-q40={b}": (lambda a=a, b=b: sf.catalog_surface(
+        "cusp_gauss", {"q21": a, "q40": b}))
+       for a, b in ((1.0, 0.1), (1.5, 0.4), (1.3, -0.3), (0.9, 0.35), (0.85, -0.2))},
+    "pick": lambda: sf.catalog_surface(
+        "pick", {"epsilon": 1, "sigma": 0.9, "q": {(4, 0): 0.5, (0, 4): 1.5, (2, 2): 1.12}}),
+    "flat-umbilic+1": lambda: sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1}),
+    "flat-umbilic-1": lambda: sf.catalog_surface("flat_umbilic_chart", {"epsilon": -1}),
+    "monge-poly": lambda: sf.monge_surface("u^3 - u*v^2 + 0.2*v^4"),
+}
+
+
+@pytest.mark.parametrize("chart", sorted(_CLOSED_FORM_CHARTS))
+def test_polynomial_extended_field_keeps_the_closed_form_monomials(chart):
+    # over Poly the normal-only formula gives the former Monge closed form:
+    # the same monomials, each coefficient within 1e-14 of the largest
+    surf = _CLOSED_FORM_CHARTS[chart]()
+    for new, old in zip(af.extended_bde_coeffs(monge_normal_polys(surf)),
+                        closed_form_polys(surf)):
+        assert set(new.terms) == set(old.terms)
+        scale = max(abs(c) for c in old.terms.values())
+        assert max(abs(new.terms[k] - c) for k, c in old.terms.items()) <= 1e-14 * scale
+
+
 def test_torus_field_analytic_jets_match_generic_chain():
     from affasym.jets import Jet2
     fld = bde.torus_extended_field(3.0, 1.5)
@@ -386,12 +511,65 @@ _HEIGHT_PARTIALS = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
                     (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
 
 
-def _extended_case(cat_id, params):
-    # (A, B, C) = -(bl, bm, bn), built here from the height polynomial
-    surf = sf.catalog_surface(cat_id, params)
+def lmn_numerators(huu, huv, hvv, huuu, huuv, huvv, hvvv,
+                   huuuu, huuuv, huuvv, huvvv, hvvvv):
+    """Reference: the closed-form numerators of (l, m, n) on a Monge chart,
+    (l, m, n) = -(bl, bm, bn) / (16 (h_uu h_vv - h_uv^2)^2), polynomial in the
+    twelve height partials (floats, jets or ``Poly``)."""
+    hd = huu * hvv - huv * huv
+    bl = (-4 * (hvv * huuuu - 2 * huv * huuuv) * hd
+          - 4 * huu * hd * huuvv
+          + 7 * hvv * hvv * huuu * huuu
+          + 3 * huu * huu * huvv * huvv
+          + (-28 * huuv * huv * hvv + 2 * (huu * hvv + 8 * huv * huv) * huvv
+             - 4 * hvvv * huu * huv) * huuu
+          + 12 * (huu * hvv + huv * huv) * huuv * huuv
+          + 4 * (huu * huu * hvvv - 6 * huu * huv * huvv) * huuv)
+    bm = (-4 * (hvv * huuuv - 2 * huv * huuvv) * hd
+          + (7 * hvv * hvv * huuv - 10 * huv * hvv * huvv
+             + (-huu * hvv + 4 * huv * huv) * hvvv) * huuu
+          - 4 * huu * hd * huvvv
+          - 18 * huuv * huuv * huv * hvv
+          + 7 * huvv * hvvv * huu * huu
+          + ((15 * huu * hvv + 24 * huv * huv) * huvv - 10 * huu * huv * hvvv) * huuv
+          - 18 * huvv * huvv * huu * huv)
+    bn = (-4 * (hvv * huuvv - 2 * huv * huvvv) * hd
+          - 4 * huu * hvvvv * hd
+          + 4 * (-huv * hvv * hvvv + huvv * hvv * hvv) * huuu
+          + 3 * huuv * huuv * hvv * hvv
+          + 2 * (-12 * huv * hvv * huvv + (huu * hvv + 8 * huv * huv) * hvvv) * huuv
+          + 12 * (huu * hvv + huv * huv) * huvv * huvv
+          - 28 * huvv * hvvv * huu * huv
+          + 7 * hvvv * hvvv * huu * huu)
+    return bl, bm, bn
+
+
+def _poly_partial(h, i, j):
+    for _ in range(i):
+        h = h.du()
+    for _ in range(j):
+        h = h.dv()
+    return h
+
+
+def closed_form_polys(surf):
+    """(A, B, C) = -(bl, bm, bn) of a polynomial Monge chart, as ``Poly``."""
     h = sf.Poly(surf.polys[0])
-    bl, bm, bn, _ = af.lmn_numerators(*(h.partial(i, j) for (i, j) in _HEIGHT_PARTIALS))
-    return bde.extended_field_for(surf), [(-p).terms for p in (bl, bm, bn)]
+    return tuple(-p for p in lmn_numerators(*(_poly_partial(h, i, j)
+                                              for (i, j) in _HEIGHT_PARTIALS)))
+
+
+def monge_normal_polys(surf):
+    """The normal (-h_u, -h_v, 1) of a polynomial Monge chart, as ``Poly``."""
+    h = sf.Poly(surf.polys[0])
+    return (-h.du(), -h.dv(), sf.Poly.const(1.0))
+
+
+def _extended_case(cat_id, params):
+    # the field against its own polynomials, summed here monomial by monomial
+    surf = sf.catalog_surface(cat_id, params)
+    return (bde.extended_field_for(surf),
+            [p.terms for p in af.extended_bde_coeffs(monge_normal_polys(surf))])
 
 
 _POLY_FIELDS = {
@@ -558,7 +736,7 @@ def test_lift_terms_match_the_former_residual_formulas(chart):
 
 
 def test_lifted_derivatives_match_the_former_formulas():
-    fld = bde.monge_extended_field(sf.catalog_surface("cusp_gauss", {"q21": 1.3, "q40": -0.3}))
+    fld = bde.extended_field_for(sf.catalog_surface("cusp_gauss", {"q21": 1.3, "q40": -0.3}))
     rng = np.random.default_rng(3)
     for chart in ("p", "q"):
         for _ in range(5):

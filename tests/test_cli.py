@@ -210,6 +210,8 @@ def test_analyze_is_one_batched_call(tmp_path, monkeypatch):
     "monge:0.5*u^2+v^2+0.3*sin(u)",
     {"kind": "parametric", "exprs": ["u", "v", "0.5*u^2+v^2+0.2*u^3"],
      "domain": [-0.5, 0.5, -0.5, 0.5]},
+    {"kind": "parametric", "exprs": ["u + 0.1*sin(v)", "v", "0.5*u^2+v^2+0.2*u^3"],
+     "domain": [-0.5, 0.5, -0.5, 0.5]},
 ])
 def test_portrait_without_polynomial_field_runs(tmp_path, surface):
     # Cash-Karp stages overshoot the region; those lanes end left_domain
@@ -223,6 +225,23 @@ def test_portrait_without_polynomial_field_runs(tmp_path, surface):
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
     assert json.loads((tmp_path / "out" / "portrait.json").read_text())["trajectories"]
+
+
+def test_parametric_chart_portrays_across_the_parabolic_set(tmp_path):
+    # the graph of u^3 + v^2 is parabolic along u = 0: as a parametric chart
+    # it gives the same portrait, byte for byte, as the Monge chart
+    cfg = tmp_path / "surf.json"
+    cfg.write_text(json.dumps({"kind": "parametric", "exprs": ["u", "v", "u^3+v^2"],
+                               "domain": [-0.5, 0.5, -0.5, 0.5]}))
+    for name, surface in (("file", f"file:{cfg}"), ("monge", "monge:u^3+v^2")):
+        assert cli.main(["portrait", "--surface", surface, "--region=-0.5,0.5,-0.5,0.5",
+                         "--res", "2", "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "file" / "portrait.json").read_text())
+    assert doc["singular_sets"]["parabolic"] and doc["trajectories"]
+    assert not {t["termination"] for t in doc["trajectories"]} & {
+        "hit_parabolic_set", "evaluation_failed"}
+    for fname in ("portrait.json", "portrait.svg"):
+        assert (tmp_path / "file" / fname).read_bytes() == (tmp_path / "monge" / fname).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,6 +276,10 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["conormal", *_TORUS3, "--tol", "guard=1e-9"], "unknown --tol key 'guard' for conormal"),
     (["verify", "--tol", "rel_tol=1e-8"], "unknown --tol key 'rel_tol' for verify"),
     (["portrait", "--bde", "folded", "--lam", "nan"], "--lam must be finite"),
+    (["portrait", "--surface", "catalog:pick", "--epsilon", "1", "--sigma", "nan"],
+     "--sigma must be finite"),
+    (["portrait", "--surface", "catalog:pick", "--q", "21=nan"],
+     "--q values must be finite"),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--res", "3", "--out", str(tmp_path)]) == cli.EXIT_CONFIG

@@ -359,7 +359,7 @@ def test_tangency_signals_agree_on_source_and_image():
     from affasym import singular as sg
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.3},
                             domain=Rect(-0.09, 0.09, -0.12, 0.12))
-    src = bde.monge_extended_field(cg)
+    src = bde.extended_field_for(cg)
     img = bde.conormal_euclidean_field(cg)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(src, u, v),
                                cg.domain, 256)

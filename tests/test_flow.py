@@ -73,7 +73,7 @@ def cusp_law_field():
         "q": {(1, 3): q13, (3, 1): -eps * q13,
               (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
               (0, 4): q40 + 1.0}}, domain=Rect(-0.35, 0.35, -0.35, 0.35))
-    return bde.monge_extended_field(surf)
+    return bde.extended_field_for(surf)
 
 
 def test_cusp_law_at_criminant_crossing():

@@ -101,7 +101,7 @@ def test_pick_flat_affine_umbilic_detected():
         "epsilon": eps, "sigma": sigma,
         "q": {(1, 3): q13, (3, 1): -eps * q13, (4, 0): q40, (0, 4): q40,
               (2, 2): -eps * (-2 * sigma ** 2 + q40)}})
-    fld = bde.monge_extended_field(surf)
+    fld = bde.extended_field_for(surf)
     rep = sg.classify_flat_affine_umbilic(fld, (0.0, 0.0))
     assert rep.kind in ("morse_isolated", "morse_crossing")
     assert rep.details["lifted_singularities"] >= 1
@@ -149,7 +149,7 @@ def test_cusp_chart_contact_coefficients():
         hj = cg.height_jet(u, v, order=2, check=False)
         return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
 
-    fld = bde.monge_extended_field(cg)
+    fld = bde.extended_field_for(cg)
     par = bde.trace_zero_set(kfun, cg.domain, 256)
     aff = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), cg.domain, 256)
     a_par = fit_quadratic(np.vstack(par))
@@ -175,7 +175,7 @@ def test_transversality_along_affine_parabolic_set():
         "q": {(1, 3): q13, (3, 1): -eps * q13,
               (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
               (0, 4): q40 + 1.0}})
-    fld = bde.monge_extended_field(surf)
+    fld = bde.extended_field_for(surf)
     region = Rect(-0.25, 0.25, -0.25, 0.25)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), region, 128)
     assert polys
@@ -250,7 +250,7 @@ def test_fold_point_on_a_generic_surface():
               (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
               (3, 2): q32, (5, 0): q50, (0, 4): q40 + 0.7}},
         domain=Rect(-0.3, 0.3, -0.3, 0.3))
-    fld = bde.monge_extended_field(surf)
+    fld = bde.extended_field_for(surf)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
                                fld.domain, 192)
     pts = sg.find_folded_points(fld, polys)
@@ -392,7 +392,7 @@ def fold_test_field():
               (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
               (3, 2): q32, (5, 0): q50, (0, 4): q40 + 0.7}},
         domain=Rect(-0.3, 0.3, -0.3, 0.3))
-    fld = bde.monge_extended_field(surf)
+    fld = bde.extended_field_for(surf)
     return fld, bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 64)
 
 

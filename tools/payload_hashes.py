@@ -6,8 +6,9 @@ prints one ``sha256  path`` line per payload file, in a fixed order.
 The set is the one whose payloads must stay byte-identical under a change
 that claims not to move them: the five portrait-cusp design points, torus,
 pick, the two model fields, a polynomial Monge chart, a flat umbilic chart,
-a generic parametric chart (``file:``, its config written to the temporary
-directory), and analyze and conormal on a torus.
+two parametric charts given as ``file:`` configs written to the temporary
+directory (a generic one, and one whose extended field crosses the
+parabolic set LN - M^2 = 0), and analyze and conormal on a torus.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -37,6 +38,9 @@ _CUSP = ((1.0, 0.1), (1.5, 0.4), (1.3, -0.3), (0.9, 0.35), (0.85, -0.2))
 _PARAMETRIC = {"kind": "parametric",
                "exprs": ["u", "v", "0.5*u^2-0.5*v^2+0.3*u^3+0.2*u*v^2+0.1*u^4"],
                "domain": [-0.5, 0.5, -0.5, 0.5]}
+# the graph of u^3 + v^2 as a parametric chart: parabolic along u = 0
+_PARABOLIC = {"kind": "parametric", "exprs": ["u", "v", "u^3+v^2"],
+              "domain": [-0.5, 0.5, -0.5, 0.5]}
 
 RUNS = [
     *[(f"cusp-q21={a}-q40={b}",
@@ -54,6 +58,8 @@ RUNS = [
                             "--epsilon=-1"]),
     ("file-parametric", ["portrait", "--surface", "file:{tmp}/parametric.json", "--res", "2",
                          "--tol", "trace_res=48", "--tol", "max_len=1.0"]),
+    ("file-parabolic", ["portrait", "--surface", "file:{tmp}/parabolic.json", "--res", "2",
+                        "--tol", "trace_res=48"]),
     ("analyze-torus-R3-r1", ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1",
                              "--res", "32", "--format", "json,csv"]),
     ("conormal-torus-R3-r1", ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1"]),
@@ -69,8 +75,9 @@ def hash_runs(outdir):
     """Run the commands into ``outdir``; returns the ``sha256  path`` lines
     and the names of the commands that did not exit 0."""
     lines, failed = [], []
-    with open(os.path.join(outdir, "parametric.json"), "w", encoding="utf-8") as fh:
-        json.dump(_PARAMETRIC, fh)
+    for fname, cfg in (("parametric.json", _PARAMETRIC), ("parabolic.json", _PARABOLIC)):
+        with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
     for name, argv in RUNS:
         out = os.path.join(outdir, name)
         argv = [a.format(tmp=outdir) for a in argv]
