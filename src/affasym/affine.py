@@ -28,7 +28,12 @@ gives, for (i, j) in {uu, uv, vv},
 and (A, B, C) = (E_uu, E_uv, E_vv).  With P_u = D w_u - D_u w / 4 one has
 nu_u = |D|^(-1/4) P_u / D, so l = det(P_u, d_u P_u, P_v) / D^4 on both sides
 of D = 0, and m, n likewise; expanding with det(w, w_u, w_v) = D cancels
-D^2.  ``extended_bde_coeffs`` runs unchanged over jets and over ``Poly``.
+D^2.  ``extended_bde_coeffs`` and ``second_form`` run unchanged over jets
+and over ``Poly``, for every chart: a Monge graph is the chart (u, v, h), whose
+tangents (1, 0, h_u) and (0, 1, h_v) carry their constant entries as floats,
+so the formulas spend no product on them and give w = (-h_u, -h_v, 1) and
+(L, M, N) = (h_uu, h_uv, h_vv) bit for bit.
+
 The torus keeps its closed form in c = cos u (``torus_extended_bde``): the
 general formula on its trigonometric position jets costs five to ten times as
 much per portrait.
@@ -49,6 +54,7 @@ __all__ = [
     "AffinePointData",
     "K_ZERO_TOL",
     "euclidean_data",
+    "second_form",
     "second_form_jets",
     "affine_point_data",
     "frame_jets",
@@ -74,17 +80,39 @@ class ParabolicPointError(ArithmeticError):
         self.point = point
 
 
-# -- small vector helpers over jets or floats --------------------------------
+# -- small vector helpers over jets, Poly, arrays or floats ------------------
+# A Python float is a constant partial (``SurfaceDef.tangent_jets``): a factor
+# 0.0 or 1.0 and a term 0.0 cost no product and no sum.
+
+
+def _times(a, b):
+    for x, y in ((a, b), (b, a)):
+        if type(x) is float and (x == 0.0 or x == 1.0):
+            return y if x else 0.0
+    return a * b
+
+
+def _plus(a, b):
+    return b if type(a) is float and a == 0.0 else a if type(b) is float and b == 0.0 else a + b
+
+
+def _minus(a, b):
+    return a if type(b) is float and b == 0.0 else -b if type(a) is float and a == 0.0 else a - b
+
+
+def _d(c, axis):
+    """du (axis 0) or dv (axis 1) of a jet or Poly; 0.0 for a float."""
+    return 0.0 if type(c) is float else c.du() if axis == 0 else c.dv()
 
 
 def cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
+    return (_minus(_times(a[1], b[2]), _times(a[2], b[1])),
+            _minus(_times(a[2], b[0]), _times(a[0], b[2])),
+            _minus(_times(a[0], b[1]), _times(a[1], b[0])))
 
 
 def dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return _plus(_plus(_times(a[0], b[0]), _times(a[1], b[1])), _times(a[2], b[2]))
 
 
 def det3(a, b, c):
@@ -150,14 +178,21 @@ class AffinePointData:
         return out
 
 
+def second_form(au, av):
+    """The determinant second-form coefficients (L, M, N) =
+    (|a_u, a_v, a_uu|, |a_u, a_v, a_uv|, |a_u, a_v, a_vv|) from the tangents
+    a_u, a_v: jets, Poly, or constant floats."""
+    second = (tuple(_d(c, 0) for c in au), tuple(_d(c, 1) for c in au),
+              tuple(_d(c, 1) for c in av))
+    return tuple(det3(au, av, d) for d in second)
+
+
 def second_form_jets(position_jets):
-    """Tangent jets a_u, a_v and the determinant second-form jets
-    (L, M, N) = (|a_u, a_v, a_uu|, |a_u, a_v, a_uv|, |a_u, a_v, a_vv|)."""
+    """Tangent jets a_u, a_v and the second-form jets (L, M, N) of position
+    jets."""
     au = tuple(c.du() for c in position_jets)
     av = tuple(c.dv() for c in position_jets)
-    second = (tuple(c.du() for c in au), tuple(c.dv() for c in au),
-              tuple(c.dv() for c in av))
-    return au, av, tuple(det3(au, av, d) for d in second)
+    return au, av, second_form(au, av)
 
 
 def euclidean_data(position_jets, k_zero_tol=K_ZERO_TOL):
@@ -202,7 +237,7 @@ def frame_jets(surface, u, v, order=jets.DEFAULT_ORDER, guard=jets.DEFAULT_EPS, 
     |LN - M^2| <= ``guard`` raises ``ParabolicPointError`` naming the first
     such point in batch order.
     """
-    al = surface.eval_jets(u, v, order=order, check=False)
+    al = surface.eval_jets(u, v, order=order)
     au, av, (L, M, N) = second_form_jets(al)
     D = L * N - M * M
     try:
@@ -249,7 +284,7 @@ def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_T
     """All pointwise invariants at (u, v), or at every point of a batch when
     u and v are arrays, read from one ``frame_jets`` call.  A point gives the
     same bits alone as inside a batch."""
-    surface.check_domain(u, v, honor_excluded=True)
+    surface.check_domain(u, v)
     fr = frame_jets(surface, u, v, guard=guard)
     data = AffinePointData(u=u, v=v)
     _fill_euclidean(data, fr["alpha_u"], fr["alpha_v"], fr["L"], fr["M"], fr["N"], k_zero_tol)
@@ -280,22 +315,24 @@ def extended_bde_coeffs(w):
     equation A du^2 + 2 B du dv + C dv^2 = 0, from the normal
     w = a_u ^ a_v alone (see the module docstring).
 
-    ``w`` is three jets or three ``Poly``; nothing is divided, so the result
-    is defined on the parabolic set D = 0 itself.  Jets of order k + 3 (from
-    order-(k + 4) positions) give jets of (A, B, C) of order k, or their
-    values for k = 0.
+    ``w`` is three jets or three ``Poly``, where a float entry is a constant;
+    nothing is divided, so the result is defined on the parabolic set D = 0
+    itself.  Jets of order k + 3 (from order-(k + 4) positions) give jets of
+    (A, B, C) of order k, or their values for k = 0.
     """
-    wu = tuple(c.du() for c in w)
-    wv = tuple(c.dv() for c in w)
+    wu = tuple(_d(c, 0) for c in w)
+    wv = tuple(_d(c, 1) for c in w)
     D = det3(w, wu, wv)
-    Du, Dv = D.du(), D.dv()
-    vecs = [w, wu, wv, tuple(c.du() for c in wu), tuple(c.dv() for c in wu),
-            tuple(c.dv() for c in wv), (D, Du, Dv, Du.du(), Du.dv(), Dv.dv())]
-    if isinstance(D, Jet2):
+    Du, Dv = _d(D, 0), _d(D, 1)
+    vecs = [w, wu, wv, tuple(_d(c, 0) for c in wu), tuple(_d(c, 1) for c in wu),
+            tuple(_d(c, 1) for c in wv), (D, Du, Dv, _d(Du, 0), _d(Du, 1), _d(Dv, 1))]
+    jet = next((c for c in w if isinstance(c, Jet2)), None)
+    if jet is not None:
         # from here on every factor is needed only to the order k of D_uu:
         # cut the jets there, to plain values at k = 0 (the same bits)
-        k = vecs[-1][3].order
-        vecs = [tuple(c.value if k == 0 else c.truncate(k) for c in vec) for vec in vecs]
+        k = jet.order - 3
+        vecs = [tuple(c if type(c) is float else c.value if k == 0 else c.truncate(k)
+                      for c in vec) for vec in vecs]
     w, wu, wv, w_uu, w_uv, w_vv, (D, Du, Dv, Duu, Duv, Dvv) = vecs
     n_uv, n_v, n_u = cross(wu, wv), cross(w, wv), cross(w, wu)
     out = []

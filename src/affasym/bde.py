@@ -41,6 +41,7 @@ __all__ = [
     "folded_model_field",
     "morse_model_field",
     "extended_field_for",
+    "euclidean_field_for",
     "discriminant",
     "asymptotic_directions",
     "lift_state",
@@ -89,12 +90,15 @@ class LiftedState:
 # -- constructors -------------------------------------------------------------
 
 
-def _stacked(abc, u, v):
-    """Slots of (A, B, C) from three jets, or from three values at order 0."""
-    if isinstance(abc[0], Jet2):
-        return np.concatenate([j.coeffs for j in abc])
+def _stacked(abc, u, v, order):
+    """Slots of (A, B, C) up to ``order`` from three jets of that order, values
+    at order 0, or constant floats."""
     batch = np.broadcast_shapes(np.shape(u), np.shape(v))
-    return np.array([np.broadcast_to(x, batch) for x in abc], dtype=float)
+    if order == 0:
+        return np.array([np.broadcast_to(c.value if isinstance(c, Jet2) else c, batch)
+                         for c in abc], dtype=float)
+    return np.concatenate([c.coeffs if isinstance(c, Jet2) else
+                           Jet2.constant(np.broadcast_to(c, batch), order).coeffs for c in abc])
 
 
 def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
@@ -133,7 +137,8 @@ def torus_extended_field(R, r, domain=None):
 
     def slots(u, v, order):
         if order > 2:
-            return _stacked(affine.torus_extended_bde(R, r, Jet2.variable("u", u, order)), u, v)
+            return _stacked(affine.torus_extended_bde(R, r, Jet2.variable("u", u, order)), u, v,
+                            order)
         # analytic branch: one point or a batch, the same expressions per
         # point; B and the v-derivatives vanish
         c, s = np.cos(u), np.sin(u)
@@ -170,39 +175,42 @@ def conormal_euclidean_field(surf, guard=1e-8):
         e = affine.dot(nvec, nuu)
         f = affine.dot(nvec, nuv)
         g = affine.dot(nvec, nvv)
-        return _stacked((e, f, g), u, v)
+        return _stacked((e, f, g), u, v, order)
 
     return BDEField(slots, surf.domain, f"conormal-II({surf.describe()})")
 
 
-def _normal(surf, pos):
-    """w = a_u ^ a_v from jets or polynomials: ``pos`` is the height h on a
-    Monge chart, where w = (-h_u, -h_v, 1), and the three positions on a
-    parametric one."""
-    if surf.kind == "monge":
-        one = Poly.const(1.0) if isinstance(pos, Poly) else Jet2.constant(1.0, pos.order - 1)
-        return (-pos.du(), -pos.dv(), one)
-    return affine.cross(tuple(c.du() for c in pos), tuple(c.dv() for c in pos))
+def _chart_field(surf, depth, coeffs, name):
+    """The field of three coefficients ``coeffs(a_u, a_v)`` of a chart's
+    tangents, one construction for every chart: built once as polynomials
+    when every component is polynomial, else evaluated on the tangents of
+    order-(depth + k) position jets for slots up to order k."""
+    if None not in surf.polys:
+        chart = [Poly(p) for p in surf.polys]
+        au, av = tuple(c.du() for c in chart), tuple(c.dv() for c in chart)
+        return field_from_polynomials(*coeffs(au, av), surf.domain, name)
+
+    def slots(u, v, order):
+        return _stacked(coeffs(*surf.tangent_jets(u, v, depth + order)), u, v, order)
+
+    return BDEField(slots, surf.domain, name)
 
 
 def extended_field_for(surf):
     """The extended asymptotic-direction field of a surface: the closed form
-    on the torus, else ``affine.extended_bde_coeffs`` of the normal, computed
-    once as polynomials when every component of the chart is polynomial."""
+    on the torus, else ``affine.extended_bde_coeffs`` of the normal
+    w = a_u ^ a_v."""
     if surf.catalog_id == "torus":
         return torus_extended_field(surf.params["R"], surf.params["r"], surf.domain)
-    name = f"extended({surf.describe()})"
-    monge = surf.kind == "monge"
-    if None not in surf.polys:
-        polys = [Poly(p) for p in surf.polys]
-        w = _normal(surf, polys[0] if monge else polys)
-        return field_from_polynomials(*affine.extended_bde_coeffs(w), surf.domain, name)
+    return _chart_field(surf, 4, lambda au, av: affine.extended_bde_coeffs(affine.cross(au, av)),
+                        f"extended({surf.describe()})")
 
-    def slots(u, v, order):
-        pos = (surf.height_jet if monge else surf.eval_jets)(u, v, order=4 + order, check=False)
-        return _stacked(affine.extended_bde_coeffs(_normal(surf, pos)), u, v)
 
-    return BDEField(slots, surf.domain, name)
+def euclidean_field_for(surf):
+    """The Euclidean second form (L, M, N) of a surface as a field, whose
+    direction equation gives the Euclidean asymptotic lines and whose
+    LN - M^2 vanishes on the parabolic set."""
+    return _chart_field(surf, 2, affine.second_form, "euclid-II")
 
 
 # -- pointwise operations ------------------------------------------------------

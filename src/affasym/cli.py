@@ -56,12 +56,15 @@ def _atomic_write(path, text):
 
 def _parse_region(text):
     try:
-        u0, u1, v0, v1 = (float(x) for x in text.split(","))
+        bounds = [float(x) for x in text.split(",")]
     except ValueError:
+        bounds = []
+    if len(bounds) != 4:
         raise ConfigError(f"--region needs u0,u1,v0,v1; got {text!r}")
-    if not (u0 < u1 and v0 < v1):
-        raise ConfigError("region rectangle is degenerate")
-    return Rect(u0, u1, v0, v1)
+    try:
+        return surface_mod.rect(bounds)
+    except ValueError as exc:
+        raise ConfigError(f"--region: {exc}")
 
 
 def _parse_res(text):
@@ -92,8 +95,6 @@ def _parse_q(items):
             ij, x = (int(key[0]), int(key[1:])), float(val)
         except (ValueError, IndexError):
             raise ConfigError(f"--q wants ij=value (e.g. 21=1.5); got {item!r}")
-        if not math.isfinite(x):
-            raise ConfigError(f"--q values must be finite; got {item!r}")
         q[ij] = x
     return q
 
@@ -123,16 +124,12 @@ def _build_surface(args):
                 raise ConfigError("catalog:torus needs --R and --r")
             params = {"R": args.R, "r": args.r}
         elif rest == "pick":
-            if args.sigma is not None and not math.isfinite(args.sigma):
-                raise ConfigError(f"--sigma must be finite; got {args.sigma}")
             params = {"epsilon": args.epsilon if args.epsilon is not None else 1,
                       "sigma": args.sigma or 0.0, "q": _parse_q(args.q)}
         elif rest in ("cusp_gauss", "flat_umbilic_chart"):
             params = {"q": _parse_q(args.q)}
             if rest == "flat_umbilic_chart":
                 params["epsilon"] = args.epsilon if args.epsilon is not None else 1
-        else:
-            raise ConfigError(f"unknown catalog id {rest!r}")
         try:
             return surface_mod.catalog_surface(rest, params, region)
         except ValueError as exc:

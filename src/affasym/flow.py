@@ -661,10 +661,11 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         stages[name], last = now - last, now
 
     if surf is not None and detect:
-        sets = singular.singular_sets(surf, fld, region, trace_resolution)
+        euclid = bde.euclidean_field_for(surf)
+        sets = singular.singular_sets(euclid, fld, region, trace_resolution)
         stage("trace")
         try:
-            reports.extend(singular.detect_special_points(surf, fld, sets, region,
+            reports.extend(singular.detect_special_points(euclid, fld, sets, region,
                                                           trace_resolution))
         except (ArithmeticError, EvalError) as exc:
             stats.drop_report("detect_special_points", exc)

@@ -9,9 +9,10 @@ Four species are located and classified:
 * cusp-of-Gauss style tangencies, where the unique (double) direction of the
   net is tangent to the singular curve carrying it, detected on both the
   Euclidean parabolic set and the affine parabolic set;
-* flat Euclidean umbilics, classified by the real-root count of the cubic
-  part of the height function, with a polar blow-up sign check for the
-  spiral case.
+* flat Euclidean umbilics, where the second form (L, M, N) vanishes,
+  classified by the real-root count of the cubic read from its first
+  derivatives, on any chart, with a polar blow-up sign check for the spiral
+  case.
 
 Eigenvalues of the restriction of the lifted linearization to the lifted
 surface are obtained from the trace and second elementary symmetric function
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import affine, bde
+from . import bde
 from .bde import LiftedState
 from .surface import EvalError, Rect
 
@@ -282,22 +283,15 @@ def classify_flat_affine_umbilic(fld, point):
     Cu, Cv = float(Cj.partial(1, 0)), float(Cj.partial(0, 1))
     cubic = [Cv, Cu + 2 * Bv, 2 * Bu + Av, Au]  # highest power first
     roots = np.roots(cubic) if any(abs(c) > 0 for c in cubic) else np.array([])
+    states = [LiftedState(u, v, float(z.real), "p")
+              for z in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+              if abs(z.imag) <= 1e-9 * max(1.0, abs(z))]
+    if abs(Cv) <= 1e-12 * max(1.0, max(abs(c) for c in cubic)):
+        states.append(LiftedState(u, v, 0.0, "q"))   # the root at du = 0
     lifted = []
-    coef_scale = max(abs(c) for c in cubic) if len(cubic) else 1.0
-    for z in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-        if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
-            continue
-        p = float(z.real)
-        st = LiftedState(u, v, p, "p")
-        J = bde.lie_cartan_jacobian(fld, st)
-        (mu1, mu2), tr, e2 = restricted_eigenvalues(J)
-        lifted.append({"slope": p, "chart": "p", "eigenvalues": [mu1, mu2],
-                       "saddle": not isinstance(mu1, complex) and e2 < 0})
-    if abs(Cv) <= 1e-12 * max(1.0, coef_scale):
-        st = LiftedState(u, v, 0.0, "q")
-        J = bde.lie_cartan_jacobian(fld, st)
-        (mu1, mu2), tr, e2 = restricted_eigenvalues(J)
-        lifted.append({"slope": 0.0, "chart": "q", "eigenvalues": [mu1, mu2],
+    for st in states:
+        (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lie_cartan_jacobian(fld, st))
+        lifted.append({"slope": st.slope, "chart": st.chart, "eigenvalues": [mu1, mu2],
                        "saddle": not isinstance(mu1, complex) and e2 < 0})
     eigs = []
     for entry in lifted:
@@ -370,35 +364,19 @@ def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
     return reports
 
 
-def _euclid_field(surf, region):
-    """The Euclidean second form (L, M, N), up to a positive factor, as a
-    field: the height Hessian on a Monge chart, the determinants
-    |a_u, a_v, a_uu| etc. on a parametric surface; jets of order k come from
-    order-(2 + k) height or position jets."""
-    if surf.kind == "monge":
-        def lmn(u, v, order):
-            hj = surf.height_jet(u, v, order=2 + order, check=False)
-            return hj.du().du(), hj.du().dv(), hj.dv().dv()
-    else:
-        def lmn(u, v, order):
-            return affine.second_form_jets(surf.eval_jets(u, v, order=2 + order, check=False))[2]
-    return bde.BDEField(lambda u, v, order: np.concatenate([j.coeffs for j in lmn(u, v, order)]),
-                        region, "euclid-II")
-
-
-def singular_sets(surf, fld, region, resolution):
+def singular_sets(euclid, fld, region, resolution):
     """Trace the singular sets of a surface's asymptotic net once.
 
-    ``fld`` is the surface's extended field.  Returns polylines keyed
+    ``euclid`` and ``fld`` are the surface's Euclidean second form and
+    extended field (``bde.euclidean_field_for``, ``bde.extended_field_for``).
+    Returns polylines keyed
     ``parabolic`` (zero Gaussian curvature, LN - M^2 = 0), ``affine_parabolic``
     (components of the extended discriminant away from the parabolic set) and
     ``discriminant`` (the remaining components, which lie inside the parabolic
     set, where the extension degenerates).
     """
-    second_form = _euclid_field(surf, region)
-
     def kscalar(u, v):
-        L, M, N = second_form.coeff(u, v)
+        L, M, N = euclid.coeff(u, v)
         return L * N - M * M
 
     parabolic = bde.trace_zero_set(kscalar, region, resolution)
@@ -416,20 +394,20 @@ def singular_sets(surf, fld, region, resolution):
             "discriminant": rest}
 
 
-def detect_special_points(surf, fld, sets, region, resolution):
+def detect_special_points(euclid, fld, sets, region, resolution):
     """Cusp-of-Gauss style tangency points on both parabolic sets.
 
     ``sets`` are the ``singular_sets`` of the surface, traced from its
-    extended field ``fld`` over ``region`` at ``resolution``.  Along the
+    Euclidean and extended fields ``euclid`` and ``fld`` over ``region`` at
+    ``resolution``.  Along the
     Euclidean parabolic set and the affine parabolic set, computes the
     unique double direction of the matching direction equation and flags
     sign-changing tangencies.  Where the two sets meet, the meeting is
     reported with a tangential/transversal marker.
     """
-    euclid_field = _euclid_field(surf, region)
     parabolic, affine_parabolic = sets["parabolic"], sets["affine_parabolic"]
     cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
-    reports = scan_tangency(euclid_field, parabolic, "cusp_of_gauss", merge_radius=3 * cell)
+    reports = scan_tangency(euclid, parabolic, "cusp_of_gauss", merge_radius=3 * cell)
     reports += scan_tangency(fld, affine_parabolic, "affine_cusp_of_gauss",
                              merge_radius=3 * cell)
 
@@ -492,19 +470,22 @@ def blowup_radial_coeffs(fld, t, r=0.0):
 
 
 def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=21):
-    """Classification at a flat point of a height function (zero 1-jet and
-    2-jet): either no asymptotic net nearby, or a topological focus."""
-    if surf.kind != "monge":
-        raise NotFlatUmbilicError("flat-umbilic classification needs a Monge surface")
+    """Classification at a flat umbilic, where the second form (L, M, N)
+    vanishes: either no asymptotic net nearby, or a topological focus.
+
+    The chart is any chart.  In its coordinates, the height over the tangent
+    plane at the point has a zero 2-jet and, times |a_u ^ a_v|, the cubic
+    part c30 u^3 + c21 u^2 v + c12 u v^2 + c03 v^3, whose Hessian is
+    (L, M, N) to first order (the shape operator vanishes at the point):
+    c30 = L_u/6, c21 = L_v/2 = M_u/2, c12 = M_v/2 = N_u/2 and c03 = N_v/6."""
     u0, v0 = point
-    hj = surf.height_jet(u0, v0, order=4, check=False)
-    low = [hj.partial(1, 0), hj.partial(0, 1), hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2)]
-    if max(abs(float(x)) for x in low) > FLAT_TOL:
-        raise NotFlatUmbilicError(f"height jet at {point} has nonvanishing 1st/2nd order terms")
-    c30 = float(hj.partial(3, 0)) / 6.0
-    c21 = float(hj.partial(2, 1)) / 2.0
-    c12 = float(hj.partial(1, 2)) / 2.0
-    c03 = float(hj.partial(0, 3)) / 6.0
+    L, M, N = bde.euclidean_field_for(surf).jet_coeff(u0, v0, 1)
+    if max(abs(float(j.value)) for j in (L, M, N)) > FLAT_TOL:
+        raise NotFlatUmbilicError(f"second form (L, M, N) does not vanish at {point}")
+    c30 = float(L.partial(1, 0)) / 6.0
+    c21 = float(L.partial(0, 1)) / 2.0
+    c12 = float(M.partial(0, 1)) / 2.0
+    c03 = float(N.partial(0, 1)) / 6.0
     if max(abs(c30), abs(c21), abs(c12), abs(c03)) < FLAT_TOL:
         raise NotFlatUmbilicError("cubic part vanishes; point is flatter than a cubic flat point")
     roots = _cubic_real_root_count(c30, c21, c12, c03) if abs(c30) > FLAT_TOL else \

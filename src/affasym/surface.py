@@ -1,5 +1,7 @@
-"""Surface definitions: parsed Monge height expressions, parametric triples,
-and the catalog of polynomial local models plus the torus of revolution.
+"""Surface definitions: every surface is one chart (u, v) -> (x, y, z) of
+three parsed expressions or polynomials; a Monge graph of a height h is the
+chart (u, v, h).  Also the catalog of polynomial local models (graphs) plus
+the torus of revolution.
 
 Expression grammar (whitespace-insensitive)::
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +35,8 @@ __all__ = [
     "Num", "Const", "Var", "Unary", "Bin", "Pow",
     "parse_expression", "pretty",
     "eval_expression_jet",
-    "as_polynomial", "PolySet", "poly_values", "poly_jets", "poly_eval_jet",
-    "Rect", "Band", "SurfaceDef", "PickParams",
+    "as_polynomial", "PolySet", "poly_values", "poly_jets",
+    "Rect", "Band", "rect", "SurfaceDef",
     "catalog_surface", "monge_surface", "parametric_surface",
     "surface_from_config", "load_surface_config",
 ]
@@ -530,11 +532,6 @@ def poly_jets(polys, u, v, order=jets.DEFAULT_ORDER):
     return tuple(Jet2(order, c[k:k + n]) for k in range(0, len(c), n))
 
 
-def poly_eval_jet(poly, u, v, order=jets.DEFAULT_ORDER):
-    """Exact jet of one polynomial (a ``Poly`` or a monomial dict) at (u, v)."""
-    return poly_jets((poly if isinstance(poly, Poly) else Poly(poly),), u, v, order)[0]
-
-
 def _poly_pretty(poly):
     terms = []
     for (i, j) in sorted(poly, key=lambda k: (k[0] + k[1], -k[0])):
@@ -580,62 +577,32 @@ class Band:
         return np.abs(np.asarray(x) - self.center) < self.halfwidth
 
 
-@dataclass(frozen=True)
-class PickParams:
-    """Coefficients of the graph normal form at a non-parabolic point.
-
-    epsilon +1 for the elliptic model, -1 for the hyperbolic one; sigma is the
-    cubic coefficient; q maps (i, j) with 3 <= i+j <= 7 to the raw partial
-    q_ij (missing entries are zero).
-    """
-    epsilon: int
-    sigma: float
-    q: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
-        for (i, j) in self.q:
-            if not (3 <= i + j <= 7):
-                raise ValueError(f"q index {(i, j)} outside supported orders 3..7")
-
-    def height_poly(self):
-        h = {(2, 0): 0.5, (0, 2): 0.5 * self.epsilon,
-             (3, 0): self.sigma / 6.0, (1, 2): -self.epsilon * self.sigma / 2.0}
-        for (i, j), val in self.q.items():
-            if val:
-                k = (i, j)
-                h[k] = h.get(k, 0.0) + val / (math.factorial(i) * math.factorial(j))
-        return {k: c for k, c in h.items() if c != 0}
-
-
 class SurfaceDef:
-    """A surface given as a Monge graph or a parametric triple.
+    """A surface as one chart (u, v) -> (x, y, z) of three components.
 
-    Monge surfaces carry one expression/polynomial h(u, v) and evaluate to
-    position jets (u, v, h); parametric surfaces carry three expressions.
-    ``excluded`` strips are consulted only by operations that need the inverse
-    quarter power of |LN - M^2| (the homogeneous extended equation has no such
+    Each component is an expression; a polynomial one also has its monomial
+    dict in ``polys`` (None for the others).  A Monge graph h(u, v) is the
+    chart (u, v, h): nothing downstream tells it from any other chart.
+    ``excluded`` strips are consulted only by operations that need the
+    inverse quarter power of |LN - M^2| (the extended equation has no such
     exclusions).
     """
 
-    def __init__(self, kind, exprs, domain, excluded=(), catalog_id=None, params=None,
-                 polys=None):
-        if kind not in ("monge", "parametric"):
-            raise ValueError("kind must be 'monge' or 'parametric'")
-        n = 1 if kind == "monge" else 3
-        if exprs is not None and len(exprs) != n:
-            raise ValueError(f"{kind} surface needs {n} expression(s)")
-        self.kind = kind
+    def __init__(self, exprs, domain, excluded=(), catalog_id=None, params=None, polys=None):
+        if len(exprs if exprs is not None else polys) != 3:
+            raise ValueError("a chart needs 3 components")
         self.exprs = tuple(exprs) if exprs is not None else None
         self.domain = domain
         self.excluded = tuple(excluded)
         self.catalog_id = catalog_id
         self.params = dict(params) if params else {}
-        if polys is None and exprs is not None:
+        if polys is None:
             polys = tuple(as_polynomial(e) for e in exprs)
         self.polys = polys
-        self._compiled = tuple(None if p is None else Poly(p) for p in polys)
+        self._compiled = tuple(None if p is None else PolySet((Poly(p),)) for p in polys)
+        # the constant partials (x_u, x_v) of a component linear in (u, v)
+        self._linear = tuple(None if p is None or any(i + j > 1 for i, j in p)
+                             else (float(p.get((1, 0), 0.0)), float(p.get((0, 1), 0.0))) for p in polys)
         self._programs = {}
         self.periodic = (False, False)
         self.period_u = None
@@ -643,20 +610,19 @@ class SurfaceDef:
 
     # -- evaluation -----------------------------------------------------
 
-    def check_domain(self, u, v, honor_excluded=True):
+    def check_domain(self, u, v):
         inside = self.domain.contains(np.asarray(u, float), np.asarray(v, float))
         if not np.all(inside):
             raise EvalError(f"point outside surface domain {self.domain}")
-        if honor_excluded:
-            for band in self.excluded:
-                if np.any(band.excludes(u, v)):
-                    raise EvalError(f"point inside excluded band {band}")
+        for band in self.excluded:
+            if np.any(band.excludes(u, v)):
+                raise EvalError(f"point inside excluded band {band}")
 
-    def _component_jets(self, u, v, order):
-        """Jets of the expressions: each polynomial from its tables, the others
-        from the program compiled for this order on its first use."""
+    def _component_jets(self, u, v, order, which):
+        """Jets of the components ``which``: each polynomial from its tables,
+        the others from the program compiled for this order on its first use."""
         walked = {}
-        if None in self._compiled:
+        if any(self._compiled[k] is None for k in which):
             if order not in self._programs:
                 from .program import Program  # loaded only for non-polynomial charts
 
@@ -664,50 +630,70 @@ class SurfaceDef:
                     {k: e for k, (e, p) in enumerate(zip(self.exprs, self._compiled))
                      if p is None}, order)
             walked = self._programs[order](u, v)
-        return [walked[k] if p is None else poly_eval_jet(p, u, v, order)
-                for k, p in enumerate(self._compiled)]
+        return {k: walked[k] if self._compiled[k] is None
+                else poly_jets(self._compiled[k], u, v, order)[0] for k in which}
 
-    def eval_jets(self, u, v, order=jets.DEFAULT_ORDER, check=True, honor_excluded=False):
-        """Position jets (3 components) at (u, v); batched when u, v are arrays."""
-        if check:
-            self.check_domain(u, v, honor_excluded)
-        if self.kind == "monge":
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            shape = np.broadcast_shapes(ua.shape, va.shape)
-            return (Jet2.variable("u", np.broadcast_to(ua, shape), order),
-                    Jet2.variable("v", np.broadcast_to(va, shape), order),
-                    self._component_jets(u, v, order)[0])
-        return tuple(self._component_jets(u, v, order))
+    def eval_jets(self, u, v, order=jets.DEFAULT_ORDER):
+        """Position jets (3 components) at (u, v); batched when u, v are
+        arrays.  The domain is not checked (see ``check_domain``)."""
+        return tuple(self._component_jets(u, v, order, (0, 1, 2)).values())
 
-    def height_jet(self, u, v, order=jets.DEFAULT_ORDER, check=True, honor_excluded=False):
-        if self.kind != "monge":
-            raise EvalError("height jets are defined for Monge surfaces only")
-        if check:
-            self.check_domain(u, v, honor_excluded)
-        return self._component_jets(u, v, order)[0]
+    def tangent_jets(self, u, v, order=jets.DEFAULT_ORDER):
+        """Jets of a_u and a_v from order-``order`` positions.  A component
+        linear in (u, v), such as u and v on a graph, is not evaluated: its
+        partials are constant and come as floats, which ``affine.cross`` and
+        ``affine.dot`` apply without a product when they are 0.0 or 1.0."""
+        lin = self._linear
+        pos = self._component_jets(u, v, order, [k for k in range(3) if lin[k] is None])
+        au = tuple(lin[k][0] if lin[k] else pos[k].du() for k in range(3))
+        av = tuple(lin[k][1] if lin[k] else pos[k].dv() for k in range(3))
+        return au, av
 
     def describe(self):
         if self.catalog_id:
             return f"catalog:{self.catalog_id}({self.params})"
-        if self.kind == "monge":
-            return f"monge:{pretty(self.exprs[0])}"
-        return "parametric:(" + ", ".join(pretty(e) for e in self.exprs) + ")"
+        parts = map(pretty, self.exprs) if self.exprs else map(_poly_pretty, self.polys)
+        return "(" + ", ".join(parts) + ")"
 
 
-def monge_surface(expr, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
-    if isinstance(expr, str):
-        expr = parse_expression(expr)
-    return SurfaceDef("monge", (expr,), domain)
+_U, _V = {(1, 0): 1.0}, {(0, 1): 1.0}
+
+
+def monge_surface(height, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
+    """The graph of a height, as the chart (u, v, h): ``height`` is an
+    expression (text or AST) or a monomial dict."""
+    if isinstance(height, dict):
+        return SurfaceDef(None, domain, polys=(_U, _V, height))
+    if isinstance(height, str):
+        height = parse_expression(height)
+    return SurfaceDef((Var("u"), Var("v"), height), domain)
 
 
 def parametric_surface(exprs, domain, excluded=()):
     parsed = tuple(parse_expression(e) if isinstance(e, str) else e for e in exprs)
-    return SurfaceDef("parametric", parsed, domain, excluded)
+    return SurfaceDef(parsed, domain, excluded)
 
 
-def _monomial_height(kind_terms, extra_q, allowed, what):
-    h = dict(kind_terms)
-    for (i, j), val in extra_q.items():
+def rect(bounds):
+    """The rectangle [u0, u1] x [v0, v1] of four finite bounds, or ValueError."""
+    u0, u1, v0, v1 = (float(x) for x in bounds)
+    if not all(map(math.isfinite, (u0, u1, v0, v1))):
+        raise ValueError(f"rectangle bounds must be finite; got {[u0, u1, v0, v1]}")
+    if not (u0 < u1 and v0 < v1):
+        raise ValueError("degenerate domain rectangle")
+    return Rect(u0, u1, v0, v1)
+
+
+def _finite(name, x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite; got {x}")
+    return x
+
+
+def _monomial_height(base, q, allowed, what):
+    h = dict(base)
+    for (i, j), val in q.items():
         if i + j not in allowed:
             raise ValueError(f"{what}: q index {(i, j)} outside orders {sorted(allowed)}")
         if val:
@@ -715,93 +701,73 @@ def _monomial_height(kind_terms, extra_q, allowed, what):
     return {k: c for k, c in h.items() if c != 0}
 
 
+def _finite_q(params):
+    """The q table of catalog ``params``, from its ``q`` entry and from
+    keyword-style ``qij`` entries (e.g. q21=...), each checked finite."""
+    q = dict(params.pop("q", {}))
+    for name in list(params):
+        if name.startswith("q") and len(name) == 3 and name[1:].isdigit():
+            q[(int(name[1]), int(name[2]))] = params.pop(name)
+    return {ij: _finite(f"q{ij[0]}{ij[1]}", x) for ij, x in q.items()}
+
+
+def _epsilon(params):
+    eps = int(params.pop("epsilon", 1))
+    if eps not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
+    return eps
+
+
 def catalog_surface(cat_id, params=None, domain=None, parabolic_guard=1e-3):
     """Build a catalog surface.
 
-    ids: ``pick`` (graph normal form at a non-parabolic point), ``cusp_gauss``
-    (parabolic point with degenerate tangency), ``flat_umbilic_chart`` (cubic
-    flat-point chart), ``torus`` (surface of revolution).
+    ids: ``pick`` (graph normal form at a non-parabolic point: epsilon +1
+    elliptic, -1 hyperbolic, the cubic coefficient sigma and raw partials
+    q_ij, 3 <= i + j <= 7), ``cusp_gauss`` (parabolic point with degenerate
+    tangency), ``flat_umbilic_chart`` (cubic flat-point chart), ``torus``
+    (surface of revolution).  Every parameter must be finite.
     """
     params = dict(params or {})
     if cat_id == "torus":
-        R = float(params.pop("R"))
-        r = float(params.pop("r"))
-        if params:
-            raise ValueError(f"unknown torus parameters {sorted(params)}")
+        R, r = _finite("R", params.pop("R")), _finite("r", params.pop("r"))
+        kept = {"R": R, "r": r}
         if not 0 < r < R:
             raise ValueError(f"torus needs 0 < r < R, got r={r}, R={R}")
-        exprs = (
-            f"({R} + {r}*cos(u))*cos(v)",
-            f"({R} + {r}*cos(u))*sin(v)",
-            f"{r}*sin(u)",
-        )
-        dom = domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi)
+        exprs = (f"({R} + {r}*cos(u))*cos(v)", f"({R} + {r}*cos(u))*sin(v)", f"{r}*sin(u)")
         excl = (Band("u", math.pi / 2, parabolic_guard), Band("u", 3 * math.pi / 2, parabolic_guard))
-        sd = parametric_surface(exprs, dom, excl)
-        sd.catalog_id = "torus"
-        sd.params = {"R": R, "r": r}
+        sd = parametric_surface(exprs, domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi), excl)
         sd.periodic = (True, True)
-        sd.period_u = 2 * math.pi
-        sd.period_v = 2 * math.pi
-        return sd
-
-    if cat_id == "pick":
-        eps = int(params.pop("epsilon", 1))
-        sigma = float(params.pop("sigma", 0.0))
-        q = dict(params.pop("q", {}))
-        if params:
-            raise ValueError(f"unknown pick parameters {sorted(params)}")
-        pp = PickParams(eps, sigma, q)
-        poly = pp.height_poly()
-        dom = domain or Rect(-1.0, 1.0, -1.0, 1.0)
-        sd = SurfaceDef("monge", None, dom, polys=(poly,))
-        sd.catalog_id = "pick"
-        sd.params = {"epsilon": eps, "sigma": sigma, "q": dict(q)}
-        return sd
-
-    if cat_id == "cusp_gauss":
-        q = dict(params.pop("q", {}))
-        for name in list(params):
-            # convenience: q21=..., q40=... keyword style
-            if name.startswith("q") and len(name) == 3 and name[1:].isdigit():
-                q[(int(name[1]), int(name[2]))] = float(params.pop(name))
-        if params:
-            raise ValueError(f"unknown cusp_gauss parameters {sorted(params)}")
-        q21 = q.get((2, 1), 0.0)
-        q40 = q.get((4, 0), 0.0)
-        if abs(q21 ** 2 - 4 * q40) <= 1e-12:
+        sd.period_u = sd.period_v = 2 * math.pi
+    elif cat_id == "pick":
+        eps, sigma = _epsilon(params), _finite("sigma", params.pop("sigma", 0.0))
+        q = _finite_q(params)
+        kept = {"epsilon": eps, "sigma": sigma, "q": q}
+        base = {(2, 0): 0.5, (0, 2): 0.5 * eps, (3, 0): sigma / 6.0, (1, 2): -eps * sigma / 2.0}
+        q = {(i, j): val / (math.factorial(i) * math.factorial(j)) for (i, j), val in q.items()}
+        sd = monge_surface(_monomial_height(base, q, set(range(3, 8)), "pick"),
+                           domain or Rect(-1.0, 1.0, -1.0, 1.0))
+    elif cat_id == "cusp_gauss":
+        q = _finite_q(params)
+        kept = {"q": q}
+        if abs(q.get((2, 1), 0.0) ** 2 - 4 * q.get((4, 0), 0.0)) <= 1e-12:
             raise ValueError("cusp_gauss needs q21^2 - 4*q40 != 0")
-        base = {(0, 2): 1.0}
-        extra = {k: val for k, val in q.items()}
-        for (i, j) in extra:
+        for (i, j) in q:
             if i + j == 3 and (i, j) not in ((2, 1), (0, 3)):
                 raise ValueError(f"cusp_gauss cubic terms are limited to q21, q03; got q{i}{j}")
-        poly = _monomial_height(base, extra, {3, 4, 5, 6}, "cusp_gauss")
-        dom = domain or Rect(-0.5, 0.5, -0.5, 0.5)
-        sd = SurfaceDef("monge", None, dom, polys=(poly,))
-        sd.catalog_id = "cusp_gauss"
-        sd.params = {"q": dict(q)}
-        return sd
-
-    if cat_id == "flat_umbilic_chart":
-        eps = int(params.pop("epsilon", 1))
-        if eps not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
-        q = dict(params.pop("q", {}))
-        for name in list(params):
-            if name.startswith("q") and len(name) == 3 and name[1:].isdigit():
-                q[(int(name[1]), int(name[2]))] = float(params.pop(name))
-        if params:
-            raise ValueError(f"unknown flat_umbilic_chart parameters {sorted(params)}")
-        base = {(3, 0): 1.0, (1, 2): 3.0 * eps}
-        poly = _monomial_height(base, q, {4, 5}, "flat_umbilic_chart")
-        dom = domain or Rect(-0.5, 0.5, -0.5, 0.5)
-        sd = SurfaceDef("monge", None, dom, polys=(poly,))
-        sd.catalog_id = "flat_umbilic_chart"
-        sd.params = {"epsilon": eps, "q": dict(q)}
-        return sd
-
-    raise ValueError(f"unknown catalog id {cat_id!r}")
+        sd = monge_surface(_monomial_height({(0, 2): 1.0}, q, {3, 4, 5, 6}, "cusp_gauss"),
+                           domain or Rect(-0.5, 0.5, -0.5, 0.5))
+    elif cat_id == "flat_umbilic_chart":
+        eps, q = _epsilon(params), _finite_q(params)
+        kept = {"epsilon": eps, "q": q}
+        sd = monge_surface(_monomial_height({(3, 0): 1.0, (1, 2): 3.0 * eps}, q, {4, 5},
+                                            "flat_umbilic_chart"),
+                           domain or Rect(-0.5, 0.5, -0.5, 0.5))
+    else:
+        raise ValueError(f"unknown catalog id {cat_id!r}")
+    if params:
+        raise ValueError(f"unknown {cat_id} parameters {sorted(params)}")
+    sd.catalog_id, sd.params = cat_id, kept
+    return sd
 
 
 # -- configuration files (JSON) ----------------------------------------------
@@ -821,12 +787,7 @@ def surface_from_config(cfg):
     ``"i,j"`` keys.
     """
     kind = cfg.get("kind")
-    dom = None
-    if "domain" in cfg:
-        u0, u1, v0, v1 = (float(x) for x in cfg["domain"])
-        if not (u0 < u1 and v0 < v1):
-            raise ValueError("degenerate domain rectangle")
-        dom = Rect(u0, u1, v0, v1)
+    dom = rect(cfg["domain"]) if "domain" in cfg else None
     if kind == "monge":
         return monge_surface(cfg["expr"], dom or Rect(-1.0, 1.0, -1.0, 1.0))
     if kind == "parametric":

@@ -78,7 +78,7 @@ def test_criterion_02_torus_singular_sets():
         surf = torus(2.0, 1.0)
 
         def kfun(u, v):
-            al = surf.eval_jets(u, v, order=2, check=False)
+            al = surf.eval_jets(u, v, order=2)
             return af.euclidean_data(al).K
 
         polys = bde.trace_zero_set(kfun, Rect(0, 2 * math.pi, 0, 2 * math.pi), 128)
@@ -216,7 +216,7 @@ def test_criterion_06_cusp_of_gauss():
                                     domain=Rect(-0.09, 0.09, -0.12, 0.12))
 
             def kfun(u, v):
-                hj = cg.height_jet(u, v, order=2, check=False)
+                hj = cg.eval_jets(u, v, order=2)[2]
                 return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
 
             fld = bde.extended_field_for(cg)

@@ -22,7 +22,7 @@ def pick(eps=1, sigma=0.0, **q):
 def monge_extended(surf, u, v):
     """(A, B, C) at a point of a Monge chart from ``extended_bde_coeffs`` of
     its normal (-h_u, -h_v, 1), and D = h_uu h_vv - h_uv^2 there."""
-    hj = surf.height_jet(u, v)
+    hj = surf.eval_jets(u, v)[2]
     w = (-hj.du(), -hj.dv(), Jet2.constant(1.0, 3))
     hd = float(hj.partial(2, 0)) * float(hj.partial(0, 2)) - float(hj.partial(1, 1)) ** 2
     return tuple(float(c) for c in af.extended_bde_coeffs(w)), hd
@@ -42,7 +42,7 @@ def test_torus_curvature_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
         u, v = rng.uniform(0, 2 * math.pi, 2)
-        d = af.euclidean_data(surf.eval_jets(u, v, order=2, check=False))
+        d = af.euclidean_data(surf.eval_jets(u, v, order=2))
         expected = math.cos(u) / (r * (R + r * math.cos(u)))
         assert float(d.K) == pytest.approx(expected, abs=1e-10)
     d = af.euclidean_data(surf.eval_jets(0.0, 0.0))
@@ -51,7 +51,7 @@ def test_torus_curvature_oracle():
 
 
 def test_torus_parabolic_classification():
-    d = af.euclidean_data(torus().eval_jets(math.pi / 2, 0.3, order=2, check=False))
+    d = af.euclidean_data(torus().eval_jets(math.pi / 2, 0.3, order=2))
     assert abs(float(d.K)) < 1e-12
     assert d.euclid_class == "parabolic"
 
@@ -424,12 +424,12 @@ def test_randomized_consistency_sweep():
         for (i, j) in [(3, 0), (2, 1), (1, 2), (0, 3), (4, 0), (3, 1), (2, 2),
                        (1, 3), (0, 4)]:
             poly[(i, j)] = float(rng.uniform(-1, 1))
-        surf = sf.SurfaceDef("monge", None, Rect(-1, 1, -1, 1), polys=(poly,))
+        surf = sf.monge_surface(poly, Rect(-1, 1, -1, 1))
         surfaces += 1
         tried = 0
         while tried < 6:
             u, v = (float(x) for x in rng.uniform(-0.4, 0.4, 2))
-            hj = surf.height_jet(u, v)
+            hj = surf.eval_jets(u, v)[2]
             hd = float(hj.partial(2, 0)) * float(hj.partial(0, 2)) \
                 - float(hj.partial(1, 1)) ** 2
             if abs(hd) < 0.05:

@@ -224,7 +224,7 @@ def test_trace_parabolic_circles():
     tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
 
     def kfun(u, v):
-        al = tor.eval_jets(u, v, order=2, check=False)
+        al = tor.eval_jets(u, v, order=2)
         return af.euclidean_data(al).K
 
     polys = bde.trace_zero_set(kfun, Rect(0, 2 * math.pi, 0, 2 * math.pi), 96)
@@ -386,7 +386,7 @@ _NORMAL_CHARTS = {
 
 def _normal_jets(surf, u, v, order):
     """w = a_u ^ a_v from order-(order + 4) position jets."""
-    pos = surf.eval_jets(u, v, order=order + 4, check=False)
+    pos = surf.eval_jets(u, v, order=order + 4)
     return af.cross(tuple(c.du() for c in pos), tuple(c.dv() for c in pos))
 
 
@@ -396,7 +396,7 @@ def _conditioned_points(surf, n, rng):
     |LN - M^2|^(1/4) and loses digits near the parabolic set."""
     d = surf.domain
     u, v = rng.uniform(d.u0, d.u1, 400), rng.uniform(d.v0, d.v1, 400)
-    _, _, (L, M, N) = af.second_form_jets(surf.eval_jets(u, v, order=2, check=False))
+    _, _, (L, M, N) = af.second_form_jets(surf.eval_jets(u, v, order=2))
     D = np.abs((L * N - M * M).value)
     keep = np.flatnonzero(D >= 0.5 * D.max())[:max(n, 1)]
     assert len(keep) == max(n, 1)
@@ -457,7 +457,7 @@ def test_normal_determinant_is_the_second_form_determinant(chart):
     d = surf.domain
     rng = np.random.default_rng(37)
     u, v = rng.uniform(d.u0, d.u1, 40), rng.uniform(d.v0, d.v1, 40)
-    pos = surf.eval_jets(u, v, order=4, check=False)
+    pos = surf.eval_jets(u, v, order=4)
     w = _normal_jets(surf, u, v, 0)
     got = af.det3(w, tuple(c.du() for c in w), tuple(c.dv() for c in w))
     _, _, (L, M, N) = af.second_form_jets(pos)
@@ -465,6 +465,37 @@ def test_normal_determinant_is_the_second_form_determinant(chart):
     assert got.order == ref.order == 2
     scale = np.max(np.abs(ref.coeffs))
     assert np.max(np.abs(got.coeffs - ref.coeffs)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("height", ["u^3 - u*v^2 + 0.2*v^4", "sin(u)*cos(v)+0.1*exp(u)"])
+def test_graph_and_its_file_chart_give_the_same_fields(height):
+    # monge:EXPR and the file: chart ["u", "v", EXPR] are one chart (u, v, h):
+    # both surface fields agree bit for bit, polynomial and transcendental
+    dom = [-0.5, 0.5, -0.5, 0.5]
+    graph = sf.surface_from_config({"kind": "monge", "expr": height, "domain": dom})
+    chart = sf.surface_from_config({"kind": "parametric", "exprs": ["u", "v", height],
+                                    "domain": dom})
+    rng = np.random.default_rng(41)
+    points = [(0.3, -0.2)] + [tuple(rng.uniform(-0.5, 0.5, (2, n))) for n in (7, 600)]
+    for make in (bde.extended_field_for, bde.euclidean_field_for):
+        a, b = make(graph), make(chart)
+        for u, v in points:
+            for order in (0, 1, 2):
+                x, y = a.slots(u, v, order), b.slots(u, v, order)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_fields_of_a_plane_chart_are_zero_with_the_slots_of_any_field():
+    # on (sin u, v, 0) every tangent entry but x_u is a constant float, and
+    # so are D, L, M and N: the fields still give one slot array per order
+    plane = sf.parametric_surface(["sin(u)", "v", "0"], Rect(-0.5, 0.5, -0.5, 0.5))
+    for make in (bde.extended_field_for, bde.euclidean_field_for):
+        fld = make(plane)
+        for u, v in ((0.3, -0.2), (np.array([0.1, 0.2]), np.array([0.0, 0.3]))):
+            for order in (0, 1, 2):
+                c = fld.slots(u, v, order)
+                assert c.shape == (3 * (order + 1) * (order + 2) // 2,) + np.shape(u)
+                assert not c.any()
 
 
 _CLOSED_FORM_CHARTS = {
@@ -553,15 +584,15 @@ def _poly_partial(h, i, j):
 
 
 def closed_form_polys(surf):
-    """(A, B, C) = -(bl, bm, bn) of a polynomial Monge chart, as ``Poly``."""
-    h = sf.Poly(surf.polys[0])
+    """(A, B, C) = -(bl, bm, bn) of a polynomial graph (u, v, h), as ``Poly``."""
+    h = sf.Poly(surf.polys[2])
     return tuple(-p for p in lmn_numerators(*(_poly_partial(h, i, j)
                                               for (i, j) in _HEIGHT_PARTIALS)))
 
 
 def monge_normal_polys(surf):
-    """The normal (-h_u, -h_v, 1) of a polynomial Monge chart, as ``Poly``."""
-    h = sf.Poly(surf.polys[0])
+    """The normal (-h_u, -h_v, 1) of a polynomial graph (u, v, h), as ``Poly``."""
+    h = sf.Poly(surf.polys[2])
     return (-h.du(), -h.dv(), sf.Poly.const(1.0))
 
 

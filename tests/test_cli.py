@@ -166,7 +166,7 @@ def assert_first_parabolic_point_reported(tmp_path, surface_args):
     surf = cli._build_surface(args)
     us, vs = cli._analysis_grid(surf, Rect(-0.2, 0.2, -0.2, 0.2), (5, 5))
     hits = [(u, v) for u in us for v in vs
-            if abs(hessian_det(surf.height_jet(u, v, order=2))) <= 1e-9]
+            if abs(hessian_det(surf.eval_jets(u, v, order=2)[2])) <= 1e-9]
     u, v = hits[0]
     assert f"domain failure at (u, v) = ({u:.6g}, {v:.6g}):" in res.stderr
 
@@ -277,14 +277,32 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["verify", "--tol", "rel_tol=1e-8"], "unknown --tol key 'rel_tol' for verify"),
     (["portrait", "--bde", "folded", "--lam", "nan"], "--lam must be finite"),
     (["portrait", "--surface", "catalog:pick", "--epsilon", "1", "--sigma", "nan"],
-     "--sigma must be finite"),
+     "sigma must be finite"),
     (["portrait", "--surface", "catalog:pick", "--q", "21=nan"],
-     "--q values must be finite"),
+     "q21 must be finite"),
+    (["portrait", "--surface", "catalog:pick", "--region=-inf,1,-1,1", "--tol", "trace_res=8"],
+     "--region: rectangle bounds must be finite"),
+    (["portrait", "--surface", "catalog:torus", "--R", "inf", "--r", "1"],
+     "R must be finite"),
+    (["portrait", "--surface", {"kind": "catalog", "id": "pick", "params": {"q": {"4,0": "nan"}}}],
+     "bad surface config {cfg!r}: q40 must be finite"),
+    (["analyze", "--surface", {"kind": "parametric", "exprs": ["u", "v", "u^2 + v^2"],
+                               "domain": [-1, "inf", 0, 1]}],
+     "bad surface config {cfg!r}: rectangle bounds must be finite"),
 ])
-def test_bad_tol_or_lam_is_a_configuration_error(tmp_path, capsys, argv, message):
+def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
+                                                 message):
+    # a surface config (a dict) is written outside the output directory
+    cfg = str(tmp_path_factory.mktemp("config") / "surf.json")
+    for k, item in enumerate(argv):
+        if isinstance(item, dict):
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(item, fh)
+            argv = argv[:k] + [f"file:{cfg}"] + argv[k + 1:]
     assert cli.main(argv + ["--res", "3", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert err.startswith(f"configuration error: {message.format(cfg=cfg)}")
+    assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -283,7 +283,7 @@ def test_mesh_faces_and_obj_match_cell_scan(region, res, norm_cap):
 def test_source_vertices_are_surface_positions():
     for surf in (torus(), sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)")):
         src, _ = cn.conormal_mesh(surf, resolution=(32, 32))
-        al = surf.eval_jets(src.params[:, 0], src.params[:, 1], order=1, check=False)
+        al = surf.eval_jets(src.params[:, 0], src.params[:, 1], order=1)
         assert np.array_equal(src.vertices, np.stack([c.value for c in al], axis=1))
 
 

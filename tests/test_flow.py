@@ -313,7 +313,7 @@ def test_surface_portrait_traces_each_set_once(monkeypatch):
                             trace_resolution=64)
     assert len(calls) == 2
     fld = bde.extended_field_for(surf)
-    expect = sg.singular_sets(surf, fld, surf.domain, 64)
+    expect = sg.singular_sets(bde.euclidean_field_for(surf), fld, surf.domain, 64)
     assert sorted(p.singular_sets) == sorted(expect) == [
         "affine_parabolic", "discriminant", "parabolic"]
     assert p.singular_sets["parabolic"] and p.singular_sets["affine_parabolic"]

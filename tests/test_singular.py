@@ -9,9 +9,9 @@ from affasym.surface import Poly, Rect
 
 
 def special_points(surf, resolution):
-    fld = bde.extended_field_for(surf)
-    sets = sg.singular_sets(surf, fld, surf.domain, resolution)
-    return sg.detect_special_points(surf, fld, sets, surf.domain, resolution)
+    fld, euclid = bde.extended_field_for(surf), bde.euclidean_field_for(surf)
+    sets = sg.singular_sets(euclid, fld, surf.domain, resolution)
+    return sg.detect_special_points(euclid, fld, sets, surf.domain, resolution)
 
 
 def folded_points(lam, res=96):
@@ -146,7 +146,7 @@ def test_cusp_chart_contact_coefficients():
                             domain=Rect(-0.1, 0.1, -0.05, 0.05))
 
     def kfun(u, v):
-        hj = cg.height_jet(u, v, order=2, check=False)
+        hj = cg.eval_jets(u, v, order=2)[2]
         return hj.partial(2, 0) * hj.partial(0, 2) - hj.partial(1, 1) ** 2
 
     fld = bde.extended_field_for(cg)
@@ -208,6 +208,34 @@ def test_flat_euclid_umbilic_focus_blowup():
     assert rep.details["branch1_radial_onesigned"]
     assert rep.details["branch2_radial_onesigned"]
     assert rep.details["angular_onesigned"]
+
+
+def _flat_umbilic_kind(eps):
+    fu = sf.catalog_surface("flat_umbilic_chart", {"epsilon": eps}, Rect(-1, 1, -1, 1))
+    return fu, sg.classify_flat_euclid_umbilic(fu).kind
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_flat_euclid_umbilic_of_a_tilted_graph(eps):
+    # a tilt adds a linear part to the height but leaves (L, M, N) as they are
+    fu, kind = _flat_umbilic_kind(eps)
+    tilted = sf.monge_surface({**fu.polys[2], (1, 0): 0.3, (0, 1): 0.2}, fu.domain)
+    rep = sg.classify_flat_euclid_umbilic(tilted)
+    assert rep.kind == kind
+    assert rep.details["epsilon"] == eps
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_flat_euclid_umbilic_on_a_chart_that_is_not_a_graph(eps):
+    # the same surface over (x, y) = (u + 0.3 v, v)
+    _, kind = _flat_umbilic_kind(eps)
+    x = "(u + 0.3*v)"
+    chart = sf.surface_from_config({"kind": "parametric",
+                                    "exprs": [x, "v", f"{x}^3 + {3 * eps}*{x}*v^2"],
+                                    "domain": [-1, 1, -1, 1]})
+    rep = sg.classify_flat_euclid_umbilic(chart)
+    assert rep.kind == kind
+    assert rep.details["epsilon"] == eps
 
 
 def test_blowup_reference_value():
@@ -331,10 +359,10 @@ def scan_cases():
     tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
     cases = []
     for surf, res in ((cusp, 96), (tor, 64), (FILE_CHART, 48)):
-        fld = bde.extended_field_for(surf)
-        sets = sg.singular_sets(surf, fld, surf.domain, res)
+        fld, euclid = bde.extended_field_for(surf), bde.euclidean_field_for(surf)
+        sets = sg.singular_sets(euclid, fld, surf.domain, res)
         cases.append((fld, sets["affine_parabolic"] + sets["discriminant"]))
-        cases.append((sg._euclid_field(surf, surf.domain), sets["parabolic"]))
+        cases.append((euclid, sets["parabolic"]))
     return [(fld, polys) for fld, polys in cases if polys]
 
 
@@ -362,17 +390,18 @@ def test_euclid_field_values_equal_the_second_form():
     monge = sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)+u^3", Rect(-0.5, 0.5, -0.5, 0.5))
     torus = sf.catalog_surface("torus", {"R": 2, "r": 1})
     for surf in (monge, torus, FILE_CHART):
-        fld = sg._euclid_field(surf, surf.domain)
+        fld = bde.euclidean_field_for(surf)
         d = surf.domain
         U, V = rng.uniform(d.u0, d.u1, 40), rng.uniform(d.v0, d.v1, 40)
         for u, v in ((float(U[0]), float(V[0])), (U, V)):
-            if surf.kind == "monge":
-                hj = surf.height_jet(u, v, order=2, check=False)
-                ref = (hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2))
-            else:
-                _, _, lmn = af.second_form_jets(surf.eval_jets(u, v, order=2, check=False))
-                ref = tuple(c.value for c in lmn)
+            _, _, lmn = af.second_form_jets(surf.eval_jets(u, v, order=2))
+            ref = tuple(c.value for c in lmn)
             assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0), ref))
+            if surf is monge:
+                # on a graph (u, v, h), L, M, N are the height Hessian
+                hj = surf.eval_jets(u, v, order=2)[2]
+                hess = (hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2))
+                assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0), hess))
         # jets of every order: the value slots stay, the u-slope matches a
         # central difference
         c0, c1 = fld.slots(U, V, 0), fld.slots(U, V, 1)

@@ -68,7 +68,7 @@ def test_torus_parametrization_formula():
     rng = np.random.default_rng(0)
     for _ in range(10):
         u, v = rng.uniform(0, 2 * math.pi, 2)
-        x, y, z = (float(c.value) for c in tor.eval_jets(u, v, check=False))
+        x, y, z = (float(c.value) for c in tor.eval_jets(u, v))
         assert x == pytest.approx((2 + math.cos(u)) * math.cos(v), abs=1e-14)
         assert y == pytest.approx((2 + math.cos(u)) * math.sin(v), abs=1e-14)
         assert z == pytest.approx(math.sin(u), abs=1e-14)
@@ -83,7 +83,7 @@ def test_torus_constraint():
 
 def test_monge_uv_jet():
     surf = sf.monge_surface("u*v", Rect(-3, 3, -3, 3))
-    h = surf.height_jet(1.0, 2.0)
+    h = surf.eval_jets(1.0, 2.0)[2]
     assert float(h.partial(1, 1)) == 1.0
     assert float(h.partial(2, 0)) == 0.0
     assert float(h.value) == 2.0
@@ -91,7 +91,7 @@ def test_monge_uv_jet():
 
 def test_pick_origin_jets():
     pick = sf.catalog_surface("pick", {"epsilon": 1, "sigma": 1.0})
-    h = pick.height_jet(0.0, 0.0)
+    h = pick.eval_jets(0.0, 0.0)[2]
     assert float(h.partial(2, 0)) == 1.0
     assert float(h.partial(0, 2)) == 1.0
     assert float(h.partial(3, 0)) == 1.0
@@ -105,7 +105,7 @@ def test_pick_origin_jets():
 
 def test_pick_hyperbolic_origin():
     pick = sf.catalog_surface("pick", {"epsilon": -1, "sigma": 0.5})
-    h = pick.height_jet(0.0, 0.0)
+    h = pick.eval_jets(0.0, 0.0)[2]
     assert float(h.partial(0, 2)) == -1.0
     assert float(h.partial(1, 2)) == 0.5  # -eps*sigma
 
@@ -114,7 +114,7 @@ def test_pick_q_orders():
     with pytest.raises(ValueError):
         sf.catalog_surface("pick", {"epsilon": 1, "sigma": 0.0, "q": {(8, 0): 1.0}})
     pick = sf.catalog_surface("pick", {"epsilon": 1, "sigma": 0.0, "q": {(4, 0): 2.0}})
-    assert float(pick.height_jet(0.0, 0.0).partial(4, 0)) == pytest.approx(2.0)
+    assert float(pick.eval_jets(0.0, 0.0)[2].partial(4, 0)) == pytest.approx(2.0)
 
 
 def test_cusp_gauss_constraint():
@@ -125,9 +125,9 @@ def test_cusp_gauss_constraint():
 
 def test_flat_umbilic_chart_poly():
     fu = sf.catalog_surface("flat_umbilic_chart", {"epsilon": -1})
-    assert fu.polys[0] == {(3, 0): 1.0, (1, 2): -3.0}
+    assert fu.polys == ({(1, 0): 1.0}, {(0, 1): 1.0}, {(3, 0): 1.0, (1, 2): -3.0})
     fu2 = sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1})
-    assert fu2.polys[0] == {(3, 0): 1.0, (1, 2): 3.0}
+    assert fu2.polys[2] == {(3, 0): 1.0, (1, 2): 3.0}
 
 
 def test_polynomial_eval_exact():
@@ -135,7 +135,7 @@ def test_polynomial_eval_exact():
     rng = np.random.default_rng(1)
     poly = {(i, j): float(rng.uniform(-1, 1)) for i in range(4) for j in range(4)
             if 0 < i + j <= 4}
-    surf = sf.SurfaceDef("monge", None, Rect(-1, 1, -1, 1), polys=(poly,))
+    surf = sf.monge_surface(poly, Rect(-1, 1, -1, 1))
 
     def direct(a, b, u, v):
         return sum(c * math.perm(i, a) * math.perm(j, b) * u ** (i - a) * v ** (j - b)
@@ -143,7 +143,7 @@ def test_polynomial_eval_exact():
 
     for _ in range(10):
         u, v = rng.uniform(-1, 1, 2)
-        h = surf.height_jet(u, v)
+        h = surf.eval_jets(u, v)[2]
         for g in range(5):
             for a in range(g, -1, -1):
                 assert abs(float(h.partial(a, g - a)) - direct(a, g - a, u, v)) < 1e-12
@@ -153,19 +153,28 @@ def test_expression_matches_poly_path():
     text = "u^3 + 3*u*v^2 + 0.5*u^2 - v^4"
     surf_a = sf.monge_surface(text)
     poly = sf.as_polynomial(sf.parse_expression(text))
-    surf_b = sf.SurfaceDef("monge", None, Rect(-1, 1, -1, 1), polys=(poly,))
-    ja = surf_a.height_jet(0.3, -0.2)
-    jb = surf_b.height_jet(0.3, -0.2)
+    surf_b = sf.monge_surface(poly, Rect(-1, 1, -1, 1))
+    ja = surf_a.eval_jets(0.3, -0.2)[2]
+    jb = surf_b.eval_jets(0.3, -0.2)[2]
     assert np.max(np.abs(ja.coeffs - jb.coeffs)) < 1e-12
 
 
 def test_domain_and_bands():
     tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
     with pytest.raises(sf.EvalError):
-        tor.eval_jets(7.0, 0.0)
+        tor.check_domain(7.0, 0.0)
     with pytest.raises(sf.EvalError):
-        tor.eval_jets(math.pi / 2, 0.0, honor_excluded=True)
-    tor.eval_jets(math.pi / 2, 0.0, honor_excluded=False)  # extended ops allowed
+        tor.check_domain(math.pi / 2, 0.0)
+    tor.eval_jets(math.pi / 2, 0.0)  # extended ops allowed: eval_jets checks nothing
+
+
+def test_tangents_of_linear_components_are_constant_floats():
+    surf = sf.parametric_surface(["u + 0.3*v", "v", "sin(u)*v"], Rect(-1, 1, -1, 1))
+    au, av = surf.tangent_jets(0.2, 0.1, order=3)
+    assert au[:2] == (1.0, 0.0) and av[:2] == (0.3, 1.0)
+    assert all(type(x) is float for x in au[:2] + av[:2])
+    z = surf.eval_jets(0.2, 0.1, order=3)[2]
+    assert_same_bits([au[2], av[2]], [z.du(), z.dv()])
 
 
 def test_config_round_trip(tmp_path):
@@ -180,7 +189,7 @@ def test_config_round_trip(tmp_path):
     cfg3 = {"kind": "catalog", "id": "pick",
             "params": {"epsilon": -1, "sigma": 1.0, "q": {"4,0": 2.0}}}
     surf3 = sf.surface_from_config(cfg3)
-    assert float(surf3.height_jet(0.0, 0.0).partial(4, 0)) == pytest.approx(2.0)
+    assert float(surf3.eval_jets(0.0, 0.0)[2].partial(4, 0)) == pytest.approx(2.0)
 
     with pytest.raises(ValueError):
         sf.surface_from_config({"kind": "monge", "expr": "u", "domain": [1, 0, 0, 1]})
@@ -188,7 +197,7 @@ def test_config_round_trip(tmp_path):
 
 def test_rational_exponent_eval():
     surf = sf.monge_surface("(1 + u^2 + v^2)^(1/4)")
-    h = surf.height_jet(0.2, 0.1)
+    h = surf.eval_jets(0.2, 0.1)[2]
     w = (1 + 0.2 ** 2 + 0.1 ** 2)
     assert float(h.value) == pytest.approx(w ** 0.25, rel=1e-14)
     # d/du (w^(1/4)) = (1/4) w^(-3/4) * 2u
@@ -296,16 +305,16 @@ def test_surface_jets_read_the_program_compiled_on_first_use():
     tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
     assert tor._programs == {}
     u, v = lanes(40, 1)
-    assert_same_bits(tor.eval_jets(u, v, order=3, check=False), walked(tor.exprs, u, v, 3))
+    assert_same_bits(tor.eval_jets(u, v, order=3), walked(tor.exprs, u, v, 3))
     assert list(tor._programs) == [3]
     surf = sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)")
-    assert_same_bits([surf.height_jet(u, v, order=5, check=False)], walked(surf.exprs, u, v, 5))
+    assert_same_bits(surf.eval_jets(u, v, order=5)[2:], walked(surf.exprs[2:], u, v, 5))
     assert surf._programs[5].compiled
 
 
 def test_program_shares_subexpressions_and_prunes_zero_terms():
     tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
-    tor.eval_jets(0.3, 0.2, order=3, check=False)
+    tor.eval_jets(0.3, 0.2, order=3)
     src = tor._programs[3].source
     # (3 + cos(u)) is built once for x and y
     assert src.count("_taylor('cos', u,") == src.count("_taylor('sin', u,") == 1

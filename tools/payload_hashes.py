@@ -6,9 +6,12 @@ prints one ``sha256  path`` line per payload file, in a fixed order.
 The set is the one whose payloads must stay byte-identical under a change
 that claims not to move them: the five portrait-cusp design points, torus,
 pick, the two model fields, a polynomial Monge chart, a flat umbilic chart,
-two parametric charts given as ``file:`` configs written to the temporary
-directory (a generic one, and one whose extended field crosses the
-parabolic set LN - M^2 = 0), and analyze and conormal on a torus.
+a transcendental Monge chart, three parametric charts given as ``file:``
+configs written to the temporary directory (a generic one, one whose
+extended field crosses the parabolic set LN - M^2 = 0, and a
+non-polynomial graph), analyze of that graph, and analyze and conormal on a
+torus.  The transcendental and non-polynomial runs pin the jet route of the
+surface fields; every other surface run has polynomial fields.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -41,6 +44,11 @@ _PARAMETRIC = {"kind": "parametric",
 # the graph of u^3 + v^2 as a parametric chart: parabolic along u = 0
 _PARABOLIC = {"kind": "parametric", "exprs": ["u", "v", "u^3+v^2"],
               "domain": [-0.5, 0.5, -0.5, 0.5]}
+# a graph over (u + 0.1 sin v, v): no component is a polynomial field
+_NONPOLY = {"kind": "parametric", "exprs": ["u + 0.1*sin(v)", "v", "0.5*u^2+v^2+0.2*u^3"],
+            "domain": [-0.5, 0.5, -0.5, 0.5]}
+_CONFIGS = (("parametric.json", _PARAMETRIC), ("parabolic.json", _PARABOLIC),
+            ("nonpoly.json", _NONPOLY))
 
 RUNS = [
     *[(f"cusp-q21={a}-q40={b}",
@@ -60,6 +68,11 @@ RUNS = [
                          "--tol", "trace_res=48", "--tol", "max_len=1.0"]),
     ("file-parabolic", ["portrait", "--surface", "file:{tmp}/parabolic.json", "--res", "2",
                         "--tol", "trace_res=48"]),
+    ("monge-nonpoly", ["portrait", "--surface", "monge:u^3+v^2+0.1*sin(u+v)",
+                       "--region=-0.5,0.5,-0.5,0.5", "--res", "2", "--tol", "trace_res=48"]),
+    ("file-nonpoly", ["portrait", "--surface", "file:{tmp}/nonpoly.json", "--res", "2"]),
+    ("analyze-file-nonpoly", ["analyze", "--surface", "file:{tmp}/nonpoly.json",
+                              "--res", "16"]),
     ("analyze-torus-R3-r1", ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1",
                              "--res", "32", "--format", "json,csv"]),
     ("conormal-torus-R3-r1", ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1"]),
@@ -75,7 +88,7 @@ def hash_runs(outdir):
     """Run the commands into ``outdir``; returns the ``sha256  path`` lines
     and the names of the commands that did not exit 0."""
     lines, failed = [], []
-    for fname, cfg in (("parametric.json", _PARAMETRIC), ("parabolic.json", _PARABOLIC)):
+    for fname, cfg in _CONFIGS:
         with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
     for name, argv in RUNS:
