@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import affine, jets
+from . import affine
 from .jets import Jet2
 from .surface import Poly, PolySet, Rect, _slot_arrays
 
@@ -37,7 +37,6 @@ __all__ = [
     "LIFT_TOL",
     "field_from_polynomials",
     "torus_extended_field",
-    "conormal_euclidean_field",
     "folded_model_field",
     "morse_model_field",
     "extended_field_for",
@@ -101,11 +100,11 @@ def _stacked(abc, u, v, order):
                            Jet2.constant(np.broadcast_to(c, batch), order).coeffs for c in abc])
 
 
-def field_from_polynomials(pa, pb, pc, domain, name="poly-bde"):
+def field_from_polynomials(pa, pb, pc, domain, name="poly-bde", period=None):
     """Field with polynomial (A, B, C); each call evaluates all three at once
     from their compiled derivative tables, flattened once per jet order."""
     polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
-    return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, name)
+    return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, name, period)
 
 
 def folded_model_field(lam, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
@@ -122,8 +121,9 @@ def morse_model_field(eps1, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
                                   {(0, 1): 1.0}, domain, f"morse(eps1={eps1})")
 
 
-def torus_extended_field(R, r, domain=None):
-    domain = domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi)
+def torus_extended_field(surf):
+    """The closed-form extended field of a catalog torus, with its domain and period."""
+    R, r = surf.params["R"], surf.params["r"]
     # closed forms as polynomials in c = cos u (v-independent):
     #   lbar = 16 r^2 c^4 + 36 rR c^3 + 15 R^2 c^2 - 8 rR c - 3 R^2
     #   nbar = 16 r^2 c^6 + 28 rR c^5 + 12 R^2 c^4 + 4 rR c^3 + 4 R^2 c^2
@@ -153,31 +153,7 @@ def torus_extended_field(R, r, domain=None):
                     out[k + 3] = -c * fc + s * s * pval(c, p_dd)
         return out
 
-    return BDEField(slots, domain, f"torus-extended(R={R},r={r})",
-                    period=(2 * math.pi, 2 * math.pi))
-
-
-def conormal_euclidean_field(surf, guard=1e-8):
-    """Euclidean second-form coefficients of the conormal image, as functions
-    of the source parameters (u, v): the direction equation of the Euclidean
-    asymptotic lines of that surface."""
-
-    def slots(u, v, order):
-        fr = affine.frame_jets(surf, u, v, order=4 + order, guard=guard)
-        nu = fr["nu"]
-        nu_u, nu_v = fr["nu_u"], fr["nu_v"]
-        nuu = tuple(c.du() for c in nu_u)
-        nuv = tuple(c.dv() for c in nu_u)
-        nvv = tuple(c.dv() for c in nu_v)
-        w = affine.cross(nu_u, nu_v)
-        norm = jets.sqrt(affine.dot(w, w), eps=guard ** 2)
-        nvec = tuple(jets.jet_div(c, norm.truncate(c.order)) for c in w)
-        e = affine.dot(nvec, nuu)
-        f = affine.dot(nvec, nuv)
-        g = affine.dot(nvec, nvv)
-        return _stacked((e, f, g), u, v, order)
-
-    return BDEField(slots, surf.domain, f"conormal-II({surf.describe()})")
+    return BDEField(slots, surf.domain, f"torus-extended(R={R},r={r})", surf.period)
 
 
 def _chart_field(surf, depth, coeffs, name):
@@ -188,12 +164,12 @@ def _chart_field(surf, depth, coeffs, name):
     if None not in surf.polys:
         chart = [Poly(p) for p in surf.polys]
         au, av = tuple(c.du() for c in chart), tuple(c.dv() for c in chart)
-        return field_from_polynomials(*coeffs(au, av), surf.domain, name)
+        return field_from_polynomials(*coeffs(au, av), surf.domain, name, surf.period)
 
     def slots(u, v, order):
         return _stacked(coeffs(*surf.tangent_jets(u, v, depth + order)), u, v, order)
 
-    return BDEField(slots, surf.domain, name)
+    return BDEField(slots, surf.domain, name, surf.period)
 
 
 def extended_field_for(surf):
@@ -201,7 +177,7 @@ def extended_field_for(surf):
     on the torus, else ``affine.extended_bde_coeffs`` of the normal
     w = a_u ^ a_v."""
     if surf.catalog_id == "torus":
-        return torus_extended_field(surf.params["R"], surf.params["r"], surf.domain)
+        return torus_extended_field(surf)
     return _chart_field(surf, 4, lambda au, av: affine.extended_bde_coeffs(affine.cross(au, av)),
                         f"extended({surf.describe()})")
 

@@ -72,11 +72,9 @@ def _components(surf, region, mask):
     flattens the forest, until no edge joins two roots.  Each root ends as
     its component's first valid point in row-major order, so components are
     numbered in the order of their first points."""
-    per_u, per_v = getattr(surf, "periodic", (False, False))
-    wrap_u = bool(per_u and surf.period_u and
-                  abs((region.u1 - region.u0) - surf.period_u) < 1e-9)
-    wrap_v = bool(per_v and surf.period_v and
-                  abs((region.v1 - region.v0) - surf.period_v) < 1e-9)
+    wrap_u, wrap_v = (bool(p) and abs(span - p) < 1e-9 for p, span in
+                      zip(surf.period or (None, None),
+                          (region.u1 - region.u0, region.v1 - region.v0)))
     n = np.count_nonzero(mask)
     index = -np.ones(mask.shape, dtype=np.intp)
     index[mask] = np.arange(n)

@@ -604,9 +604,7 @@ class SurfaceDef:
         self._linear = tuple(None if p is None or any(i + j > 1 for i, j in p)
                              else (float(p.get((1, 0), 0.0)), float(p.get((0, 1), 0.0))) for p in polys)
         self._programs = {}
-        self.periodic = (False, False)
-        self.period_u = None
-        self.period_v = None
+        self.period = None    # (Pu, Pv) when the parameters are angles
 
     # -- evaluation -----------------------------------------------------
 
@@ -736,8 +734,7 @@ def catalog_surface(cat_id, params=None, domain=None, parabolic_guard=1e-3):
         exprs = (f"({R} + {r}*cos(u))*cos(v)", f"({R} + {r}*cos(u))*sin(v)", f"{r}*sin(u)")
         excl = (Band("u", math.pi / 2, parabolic_guard), Band("u", 3 * math.pi / 2, parabolic_guard))
         sd = parametric_surface(exprs, domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi), excl)
-        sd.periodic = (True, True)
-        sd.period_u = sd.period_v = 2 * math.pi
+        sd.period = (2 * math.pi, 2 * math.pi)
     elif cat_id == "pick":
         eps, sigma = _epsilon(params), _finite("sigma", params.pop("sigma", 0.0))
         q = _finite_q(params)

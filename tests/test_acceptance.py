@@ -12,11 +12,11 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from affasym import affine as af, bde, conormal as cn, flow, singular as sg, surface as sf
+from affasym import affine as af, bde, checks, flow, singular as sg, surface as sf
 from affasym.surface import Rect
 
+from test_conormal import conormal_image_field
 from test_jets import FD_CASES, fd_check_jet
 from affasym.jets import Jet2
 
@@ -39,13 +39,7 @@ def test_criterion_01_torus_extended_bde():
         rng = np.random.default_rng(101)
         for (R, r) in ((2.0, 1.0), (3.0, 1.0), (5.0, 2.0)):
             surf = torus(R, r)
-            count = 0
-            while count < 50:
-                u = float(rng.uniform(0, 2 * math.pi))
-                if min(abs(u - math.pi / 2), abs(u - 3 * math.pi / 2)) < 0.02:
-                    continue
-                count += 1
-                v = float(rng.uniform(0, 2 * math.pi))
+            for u, v in checks.torus_points(rng, 50, 0.02):
                 fr = af.frame_jets(surf, u, v, order=4)
                 trip = np.array([
                     float(af.dot(fr["nu_u"], fr["xi_u"]).value),
@@ -92,7 +86,7 @@ def test_criterion_02_torus_singular_sets():
                         if abs(c.imag) < 1e-10 and -1 < c.real < 1)
         u1, u2 = math.acos(c2), math.acos(c1)
         u3, u4 = 2 * math.pi - u2, 2 * math.pi - u1
-        fld = bde.torus_extended_field(2.0, 1.0)
+        fld = bde.torus_extended_field(torus(2.0, 1.0))
         us = np.linspace(0, 2 * math.pi, 512, endpoint=False)
         deltas = bde.discriminant(fld, us, np.zeros_like(us))
         for u, d in zip(us, deltas):
@@ -108,21 +102,7 @@ def test_criterion_02_torus_singular_sets():
 
 def test_criterion_03_pick_constants():
     def body():
-        rng = np.random.default_rng(103)
-        for eps in (1, -1):
-            for _ in range(20):
-                sigma = float(rng.uniform(-1.5, 1.5))
-                q = {k: float(rng.uniform(-2, 2))
-                     for k in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))}
-                surf = sf.catalog_surface("pick",
-                                          {"epsilon": eps, "sigma": sigma, "q": q})
-                d = af.affine_point_data(surf, 0.0, 0.0)
-                le = -sigma ** 2 / 2 + q[(4, 0)] / 4 + eps * q[(2, 2)] / 4
-                me = (q[(3, 1)] + eps * q[(1, 3)]) / 4
-                ne = -eps * sigma ** 2 / 2 + q[(2, 2)] / 4 + eps * q[(0, 4)] / 4
-                assert abs(float(d.l) - le) < 1e-9
-                assert abs(float(d.m) - me) < 1e-9
-                assert abs(float(d.n) - ne) < 1e-9
+        checks.pick_constants(20, 103)
 
     _criterion(3, "graph normal-form constant terms of (l, m, n) at the origin "
                   "(20 draws, both signs, 1e-9)", body)
@@ -142,15 +122,7 @@ def test_criterion_04_flat_affine_umbilic():
                           (2, 2): -eps * (-2 * sigma ** 2 + q40)}})
                 d = af.affine_point_data(surf, 0.0, 0.0)
                 assert max(abs(float(d.l)), abs(float(d.m)), abs(float(d.n))) < 1e-10
-        rep = sg.classify_flat_affine_umbilic(bde.morse_model_field(-1), (0.0, 0.0))
-        eig = sorted(complex(z).real for z in rep.eigenvalues)
-        assert rep.kind == "morse_crossing"
-        assert abs(eig[0] + 3.0) < 1e-6 and abs(eig[1] - 2.0) < 1e-6
-        rep = sg.classify_flat_affine_umbilic(bde.morse_model_field(1), (0.0, 0.0))
-        slopes = sorted(rep.details["lifted_slopes"])
-        assert rep.kind == "morse_isolated"
-        for got, want in zip(slopes, (-math.sqrt(3), 0.0, math.sqrt(3))):
-            assert abs(got - want) < 1e-6
+        checks.morse_models()
 
     _criterion(4, "totally degenerate origin: coefficient conditions kill (l, m, n) "
                   "to 1e-10; crossing model eigenvalues (2, -3); isolated model "
@@ -159,26 +131,13 @@ def test_criterion_04_flat_affine_umbilic():
 
 def test_criterion_05_folded_classification():
     def body():
-        kinds = {-2.0: "folded_saddle", -0.5: "folded_saddle",
-                 0.01: "folded_node", 0.05: "folded_node",
-                 0.2: "folded_focus", 1.0: "folded_focus"}
-        for lam, kind in kinds.items():
-            fld = bde.folded_model_field(lam)
-            polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
-                                       fld.domain, 96)
-            pts = sg.find_folded_points(fld, polys)
-            assert len(pts) == 1
-            rep = sg.classify_folded(fld, pts[0])
-            assert rep.kind == kind
-            assert abs(rep.lambda_invariant - lam) < 1e-4
-            disc = 1 - 16 * lam
-            mu = complex(sorted(rep.eigenvalues,
-                                key=lambda z: (complex(z).real, -abs(complex(z).imag)))[-1])
-            expect = (1 + complex(disc) ** 0.5) / 2
-            assert abs(mu - expect) < 1e-6 or abs(mu.conjugate() - expect) < 1e-6
+        checks.fold_family(((-2.0, "folded_saddle"), (-0.5, "folded_saddle"),
+                            (0.01, "folded_node"), (0.05, "folded_node"),
+                            (0.2, "folded_focus"), (1.0, "folded_focus")))
 
     _criterion(5, "fold classification over the model family: recovered parameter "
-                  "to 1e-4, kind exact, eigenvalues (1 +- sqrt(1-16 lam))/2 to 1e-6", body)
+                  "to 1e-4 at the traced fold and 1e-6 at the origin, kind exact, "
+                  "eigenvalues (1 +- sqrt(1-16 lam))/2 to 1e-6", body)
 
 
 def _fit_quartic_quadcoef(poly, window=0.05):
@@ -193,18 +152,7 @@ def test_criterion_06_cusp_of_gauss():
     def body():
         rng = np.random.default_rng(106)
         # exact coefficients at the origin, 10 draws
-        for _ in range(10):
-            q21 = float(rng.uniform(0.5, 2.0)) * (1 if rng.uniform() < 0.5 else -1)
-            q40 = float(rng.uniform(-1.0, 1.0))
-            if abs(q21 * q21 - 4 * q40) < 1e-3:
-                continue
-            extra = {(0, 3): float(rng.uniform(-1, 1)), (3, 1): float(rng.uniform(-1, 1)),
-                     (2, 2): float(rng.uniform(-1, 1))}
-            cg = sf.catalog_surface("cusp_gauss",
-                                    {"q": {(2, 1): q21, (4, 0): q40, **extra}})
-            A, B, C = bde.extended_field_for(cg).coeff(0.0, 0.0)
-            assert float(A) == 0.0 and float(B) == 0.0
-            assert float(C) == pytest.approx(-48 * q21 ** 2, rel=1e-14)
+        checks.cusp_origin(10, rng)
         # second-order contact of the two degenerate sets, fitted to 1e-3
         for _ in range(3):
             while True:
@@ -230,8 +178,8 @@ def test_criterion_06_cusp_of_gauss():
             assert abs(a_par - e_par) < 1e-3 * abs(e_par), (q21, q40, a_par, e_par)
             assert abs(a_aff - e_aff) < 1e-3 * abs(e_aff), (q21, q40, a_aff, e_aff)
 
-    _criterion(6, "degenerate tangency point: extended coefficients (0, 0, -48 q21^2) "
-                  "exactly; second-order contact coefficients fitted to 1e-3", body)
+    _criterion(6, "degenerate tangency point: extended coefficients (0, 0, -48 q21^2), "
+                  "C to 1e-14 relative; second-order contact coefficients fitted to 1e-3", body)
 
 
 def test_criterion_07_flat_euclid_umbilic():
@@ -259,48 +207,22 @@ def test_criterion_07_flat_euclid_umbilic():
         # leading discriminant quartic on the cubic classification chart;
         # the published constant carries the doubled-middle-coefficient
         # convention, i.e. it equals 4 (B^2 - AC)
-        rng = np.random.default_rng(107)
-        for eps in (1, -1):
-            model = sf.monge_surface("u^3 + u*v^2" if eps == 1 else "u^3 - u*v^2")
-            mfld = bde.extended_field_for(model)
-            pts = rng.uniform(-0.05, 0.05, size=(80, 2))
-            doubled = 4.0 * bde.discriminant(mfld, pts[:, 0], pts[:, 1])
-            shape = eps * (eps * pts[:, 1] ** 2 - 3 * pts[:, 0] ** 2) ** 2
-            coef = float(doubled @ shape / (shape @ shape))
-            assert abs(coef - (-589824.0)) < 1e-3 * 589824.0, coef
-            resid = float(np.linalg.norm(doubled - coef * shape) / np.linalg.norm(doubled))
-            assert resid < 1e-3
+        checks.flat_quartic(80, 107)
 
     _criterion(7, "flat point of the height function: nonpositive discriminant "
                   "(+ chart), focus with winding > 2 (- chart), leading quartic "
-                  "coefficient -589824 matched to 1e-3", body)
+                  "coefficient -589824 matched to 1e-3, residual < 1e-9", body)
 
 
 def test_criterion_08_conormal_correspondence():
     def body():
         t0 = time.time()
-        rng = np.random.default_rng(108)
-        surf_t = torus(2.0, 1.0)
-        pts = []
-        while len(pts) < 60:
-            u = float(rng.uniform(0, 2 * math.pi))
-            if min(abs(u - math.pi / 2), abs(u - 3 * math.pi / 2)) < 0.08:
-                continue
-            pts.append((u, float(rng.uniform(0, 2 * math.pi))))
-        rows = cn.verify_conormal_correspondence(surf_t, pts)
-        pick = sf.catalog_surface("pick", {"epsilon": -1, "sigma": 0.8,
-                                           "q": {(4, 0): 1.0, (1, 3): 0.5}})
-        pick_pts = [(float(a), float(b)) for (a, b) in rng.uniform(-0.25, 0.25, (40, 2))]
-        rows += cn.verify_conormal_correspondence(pick, pick_pts)
-        assert len(rows) == 100
-        for row in rows:
-            assert not row["degenerate"]
-            assert row["residual"] < 1e-7
-            assert row["normal_cross"] < 1e-7
+        checks.conormal_correspondence(60, 108, n_pick=40)
 
         # matched asymptotic trajectories under the conormal map
-        src_field = bde.torus_extended_field(2.0, 1.0)
-        img_field = bde.conormal_euclidean_field(surf_t)
+        surf_t = torus(2.0, 1.0)
+        src_field = bde.torus_extended_field(surf_t)
+        img_field = conormal_image_field(surf_t)
         seed = (1.35, 1.0)
         params = flow.IntegrationParams(max_len=0.35, max_step_frac=5e-4)
         t_src = flow.integrate_asymptotic(src_field, seed, "plus", params)
@@ -355,7 +277,7 @@ def test_criterion_09_jet_oracle():
         # of the extended coefficient fields against finite differences of
         # their pointwise values
         fields = [
-            bde.torus_extended_field(2.0, 1.0),
+            bde.torus_extended_field(torus(2.0, 1.0)),
             bde.extended_field_for(sf.catalog_surface(
                 "pick", {"epsilon": -1, "sigma": 0.7,
                          "q": {(4, 0): 0.6, (1, 3): 0.4, (2, 2): -0.3}})),

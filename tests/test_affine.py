@@ -398,7 +398,7 @@ def test_asymptotic_root_count():
     # two roots when m^2 - ln > 0, one double root at zero, none when negative
     from affasym import bde
     surf = torus(2.0, 1.0)
-    fld = bde.torus_extended_field(2.0, 1.0)
+    fld = bde.torus_extended_field(torus(2.0, 1.0))
     res = bde.asymptotic_directions(fld, 1.4, 0.0)   # inside a ring
     assert res.kind == "two" and len(res.dirs) == 2
     res = bde.asymptotic_directions(fld, 0.2, 0.0)   # outside

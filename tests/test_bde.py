@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from affasym import affine as af, bde, surface as sf
+from affasym import affine as af, bde, checks, surface as sf
 from affasym.bde import LiftedState
 from affasym.jets import Jet2
 from affasym.surface import Rect
+
+from test_conormal import conormal_image_field
 
 
 def lift_residual(fld, st):
@@ -36,7 +38,7 @@ def test_discriminant_morse_models():
 
 def test_discriminant_torus_rings():
     R, r = 2.0, 1.0
-    fld = bde.torus_extended_field(R, r)
+    fld = bde.torus_extended_field(sf.catalog_surface("torus", {"R": R, "r": r}))
     # delta = -lbar nbar; ring bounds are the two quartic roots in cos u
     coefs = [-3 * R ** 2, -2 * r * R * 4, 15 * R ** 2, 9 * 4 * r * R / 4 * 4, 16 * r ** 2]
     coefs = [-3 * R ** 2, -8 * r * R, 15 * R ** 2, 36 * r * R, 16 * r ** 2]
@@ -56,7 +58,7 @@ def test_discriminant_torus_rings():
 def test_directions_two_roots_oracle():
     # explicit quadratic roots with m = 0: directions (du, dv) = (+-sqrt(-n/l), 1)
     R, r = 2.0, 1.0
-    fld = bde.torus_extended_field(R, r)
+    fld = bde.torus_extended_field(sf.catalog_surface("torus", {"R": R, "r": r}))
     u = 1.4
     lb, _, nb = (float(x) for x in af.torus_extended_bde(R, r, u))
     res = bde.asymptotic_directions(fld, u, 0.0)
@@ -140,7 +142,7 @@ _EVALUATOR_FIELDS = {
     "torus": lambda: bde.extended_field_for(_TORUS),
     "parametric": lambda: bde.extended_field_for(sf.parametric_surface(
         ["u + 0.2*v^2", "v + 0.1*sin(u)", "exp(u) + log(2 + v)"], _HALF)),
-    "conormal": lambda: bde.conormal_euclidean_field(_TORUS),
+    "conormal": lambda: conormal_image_field(_TORUS),
 }
 
 
@@ -172,36 +174,7 @@ def test_coeff_and_jets_read_the_one_evaluator(name):
 
 def test_tangency_identity():
     # X annihilates F: F_u udot + F_v vdot + F_p pdot = 0
-    fld = bde.torus_extended_field(3.0, 1.0)
-    rng = np.random.default_rng(5)
-    checked = 0
-    while checked < 30:
-        u, v = rng.uniform(0, 2 * math.pi, 2)
-        res = bde.asymptotic_directions(fld, u, v)
-        if not res.dirs:
-            continue
-        checked += 1
-        d = res.dirs[0]
-        st = bde.lift_state(fld, u, v, d[0], d[1])
-        X = bde.lie_cartan(fld, st)
-        Aj, Bj, Cj = fld.jet_coeff(u, v, 1)
-        s = st.slope
-        if st.chart == "p":
-            grad = np.array([
-                float(Aj.partial(1, 0)) + 2 * s * float(Bj.partial(1, 0))
-                + s * s * float(Cj.partial(1, 0)),
-                float(Aj.partial(0, 1)) + 2 * s * float(Bj.partial(0, 1))
-                + s * s * float(Cj.partial(0, 1)),
-                2 * float(Bj.value) + 2 * s * float(Cj.value)])
-        else:
-            grad = np.array([
-                s * s * float(Aj.partial(1, 0)) + 2 * s * float(Bj.partial(1, 0))
-                + float(Cj.partial(1, 0)),
-                s * s * float(Aj.partial(0, 1)) + 2 * s * float(Bj.partial(0, 1))
-                + float(Cj.partial(0, 1)),
-                2 * s * float(Aj.value) + 2 * float(Bj.value)])
-        scale = max(float(np.linalg.norm(grad)) * float(np.linalg.norm(X)), 1e-30)
-        assert abs(float(grad @ X)) / scale < 1e-9
+    checks.lifted_tangency(30, 5)
 
 
 def test_chart_consistency():
@@ -238,7 +211,7 @@ def test_trace_parabolic_circles():
 
 
 def test_trace_affine_parabolic_circles():
-    fld = bde.torus_extended_field(2.0, 1.0)
+    fld = bde.torus_extended_field(sf.catalog_surface("torus", {"R": 2.0, "r": 1.0}))
     polys = bde.trace_zero_set(lambda u, v: fld.coeff(u, v)[0],
                                Rect(0, 2 * math.pi, 0, 2 * math.pi), 96)
     assert len(polys) == 4
@@ -357,7 +330,7 @@ def test_extended_field_for_parametric_clears_poles():
     generic = bde.extended_field_for(
         sf.parametric_surface(("(2 + cos(u))*cos(v)", "(2 + cos(u))*sin(v)", "sin(u)"),
                               Rect(0, 2 * math.pi, 0, 2 * math.pi)))
-    closed = bde.torus_extended_field(2.0, 1.0)
+    closed = bde.torus_extended_field(surf)
     for u in (0.4, 2.3):
         a = np.array(generic.coeff(u, 0.3))
         b = np.array([float(x) for x in closed.coeff(u, 0.3)])
@@ -524,7 +497,7 @@ def test_polynomial_extended_field_keeps_the_closed_form_monomials(chart):
 
 def test_torus_field_analytic_jets_match_generic_chain():
     from affasym.jets import Jet2
-    fld = bde.torus_extended_field(3.0, 1.5)
+    fld = bde.torus_extended_field(sf.catalog_surface("torus", {"R": 3.0, "r": 1.5}))
     rng = np.random.default_rng(17)
     for _ in range(12):
         u, v = float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 2 * math.pi))

@@ -128,12 +128,24 @@ def test_conormal_domain_failure(tmp_path):
     assert "domain failure" in res.stderr
 
 
+VERIFY_NAMES = [
+    "torus extended coefficients match the frame pipeline",
+    "graph normal form constants at the origin",
+    "fold classification and eigenvalues",
+    "totally degenerate Morse models",
+    "degenerate-tangency chart at the origin",
+    "flat-point discriminant quartic",
+    "conormal correspondence",
+    "jet derivatives vs finite differences",
+    "lifted field tangency",
+]
+
+
 def test_verify_passes():
     res = run_cli("verify")
     assert res.returncode == 0, res.stdout + res.stderr
     lines = res.stdout.strip().splitlines()
-    assert lines[0].startswith("1..")
-    assert all(ln.startswith("ok ") for ln in lines[1:])
+    assert lines == ["1..9"] + [f"ok {k} - {name}" for k, name in enumerate(VERIFY_NAMES, 1)]
 
 
 def test_unknown_catalog(tmp_path):
@@ -493,7 +505,7 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     loaded = res.stdout.strip().splitlines()[-1]
-    for name in ("affasym.flow", "affasym.bde", "affasym.singular"):
+    for name in ("affasym.flow", "affasym.bde", "affasym.singular", "affasym.checks"):
         assert repr(name) not in loaded
     assert "'affasym.conormal'" in loaded
     assert "'orjson'" in loaded  # the payload writers load it on first use

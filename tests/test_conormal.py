@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from affasym import affine as af, bde, conormal as cn, flow, surface as sf
+from affasym import affine as af, bde, checks, conormal as cn, flow, surface as sf
 from affasym.jets import Jet2
 from affasym.surface import Rect
 
@@ -13,14 +13,16 @@ def torus(R=3.0, r=1.0):
     return sf.catalog_surface("torus", {"R": R, "r": r})
 
 
-def random_torus_points(n, rng, avoid=0.1):
-    pts = []
-    while len(pts) < n:
-        u = float(rng.uniform(0, 2 * math.pi))
-        if min(abs(u - math.pi / 2), abs(u - 3 * math.pi / 2)) < avoid:
-            continue
-        pts.append((u, float(rng.uniform(0, 2 * math.pi))))
-    return pts
+def conormal_image_field(surf):
+    """The Euclidean second form (L, M, N) of the conormal image nu(u, v), in
+    the source parameters: the direction equation of that surface's
+    Euclidean asymptotic lines."""
+
+    def slots(u, v, order):
+        fr = af.frame_jets(surf, u, v, order=4 + order, guard=1e-8, depth=1)
+        return np.concatenate([c.coeffs for c in af.second_form(fr["nu_u"], fr["nu_v"])])
+
+    return bde.BDEField(slots, surf.domain, "conormal-II")
 
 
 def conormal_at(surf, u, v):
@@ -50,7 +52,7 @@ def test_mesh_components_and_immersion():
 
 def test_correspondence_torus_and_pick():
     rng = np.random.default_rng(0)
-    rows = cn.verify_conormal_correspondence(torus(), random_torus_points(30, rng))
+    rows = cn.verify_conormal_correspondence(torus(), checks.torus_points(rng, 30, 0.1))
     for row in rows:
         assert not row["degenerate"]
         assert row["lambda"] is not None and abs(row["lambda"]) > 0
@@ -75,7 +77,7 @@ def test_correspondence_builds_one_frame_per_sample(monkeypatch):
 
     monkeypatch.setattr(af, "frame_jets", counting)
     rng = np.random.default_rng(3)
-    pts = random_torus_points(10, rng)
+    pts = checks.torus_points(rng, 10, 0.1)
     rows = cn.verify_conormal_correspondence(torus(), pts)
     assert len(rows) == 10 and calls == [3]
     # the full frame gives the same second form as a depth-1 frame of its own
@@ -87,8 +89,8 @@ def test_correspondence_builds_one_frame_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("surf, pts", [
-    (torus(), random_torus_points(25, np.random.default_rng(8))),
-    (torus(2.5, 1.0), random_torus_points(25, np.random.default_rng(9))),
+    (torus(), checks.torus_points(np.random.default_rng(8), 25, 0.1)),
+    (torus(2.5, 1.0), checks.torus_points(np.random.default_rng(9), 25, 0.1)),
     (sf.catalog_surface("pick", {"epsilon": -1, "sigma": 0.8,
                                  "q": {(4, 0): 1.0, (1, 3): 0.5}}),
      [tuple(p) for p in np.random.default_rng(10).uniform(-0.2, 0.2, (25, 2)).tolist()]),
@@ -142,7 +144,7 @@ def test_parabolic_sign_correspondence():
     # sign of the image second-form determinant matches sign of ln - m^2
     rng = np.random.default_rng(5)
     surf = torus()
-    for (u, v) in random_torus_points(40, rng):
+    for (u, v) in checks.torus_points(rng, 40, 0.1):
         fr = af.frame_jets(surf, u, v, order=4)
         l = float(af.dot(fr["nu_u"], fr["xi_u"]).value)
         m = float(af.dot(fr["nu_u"], fr["xi_v"]).value)
@@ -299,8 +301,8 @@ def test_matched_asymptotic_trajectories():
     # the Euclidean asymptotic net of the conormal image, integrated in the
     # shared parameters, retraces the affine asymptotic net of the source
     R, r = 2.0, 1.0
-    src_field = bde.torus_extended_field(R, r)
-    img_field = bde.conormal_euclidean_field(torus(R, r))
+    src_field = bde.torus_extended_field(torus(R, r))
+    img_field = conormal_image_field(torus(R, r))
     seed = (1.35, 1.0)
     # steps small enough that polyline chord sagitta sits well under the
     # comparison tolerance, and short enough to stop before the projected
@@ -360,7 +362,7 @@ def test_tangency_signals_agree_on_source_and_image():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.3},
                             domain=Rect(-0.09, 0.09, -0.12, 0.12))
     src = bde.extended_field_for(cg)
-    img = bde.conormal_euclidean_field(cg)
+    img = conormal_image_field(cg)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(src, u, v),
                                cg.domain, 256)
     poly = max(polys, key=len)
@@ -410,7 +412,7 @@ def components_reference(mask, wrap_u, wrap_v):
 
 
 def periodic_surface(wrap_u, wrap_v):
-    return SimpleNamespace(periodic=(wrap_u, wrap_v), period_u=1.0, period_v=1.0)
+    return SimpleNamespace(period=(1.0 if wrap_u else None, 1.0 if wrap_v else None))
 
 
 def labelling_cases():
@@ -463,9 +465,9 @@ def test_components_match_flood_fill():
 def test_mesh_components_match_flood_fill(surf, region, res):
     region = region or surf.domain
     mask = cn._grid_and_mask(surf, region, res, 0.05)[2]
-    per_u, per_v = surf.periodic
-    wrap_u = per_u and abs((region.u1 - region.u0) - surf.period_u) < 1e-9
-    wrap_v = per_v and abs((region.v1 - region.v0) - surf.period_v) < 1e-9
+    per_u, per_v = surf.period or (None, None)
+    wrap_u = per_u is not None and abs((region.u1 - region.u0) - per_u) < 1e-9
+    wrap_v = per_v is not None and abs((region.v1 - region.v0) - per_v) < 1e-9
     got, count = cn._components(surf, region, mask)
     want, want_count = components_reference(mask, wrap_u, wrap_v)
     assert count == want_count and np.array_equal(got, want)

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = ("affine", "bde", "conormal", "flow", "jets", "jsontext", "program", "singular",
-           "surface")
+MODULES = ("affine", "bde", "checks", "conormal", "flow", "jets", "jsontext", "program",
+           "singular", "surface")
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -10,8 +10,8 @@ from affasym.surface import Rect
 from test_bde import lift_residual, reference_velocity
 
 
-def torus_field(R=2.0, r=1.0):
-    return bde.torus_extended_field(R, r)
+def torus_field(R=2.0, r=1.0, domain=None):
+    return bde.torus_extended_field(sf.catalog_surface("torus", {"R": R, "r": r}, domain))
 
 
 def ring_bounds(R=2.0, r=1.0):
@@ -221,7 +221,7 @@ def test_determinism():
 def test_closed_loop_detection():
     # the profile circle is a closed solution: the angular parameter advances
     # by a full period and the lifted state returns to the seed
-    fld = bde.torus_extended_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0))
+    fld = torus_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0))
     terms = {}
     for sweep in (1, -1):
         traj = flow.integrate_asymptotic(fld, (math.pi / 2, 0.0), "plus",
@@ -341,8 +341,7 @@ LOCKSTEP_CASES = {
                       dict(grid=(4, 4), trace_resolution=96), {}),
     # seeds on the parabolic circles u = pi/2, 3pi/2: the lifted field
     # vanishes there, so these lanes creep, and the v range holds a period
-    "torus_loops": lambda: (bde.torus_extended_field(2.0, 1.0,
-                                                     Rect(0.0, 2 * math.pi, -0.5, 7.0)),
+    "torus_loops": lambda: (torus_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0)),
                             dict(grid=(3, 7), trace_resolution=96),
                             {"closed_loop", "creep"}),
     "morse": lambda: (bde.morse_model_field(-1), dict(grid=(4, 4), trace_resolution=96),
@@ -715,7 +714,7 @@ def layout_checks(fld, job, traj, params):
 def test_lockstep_sample_layout_through_events(monkeypatch):
     params = flow.IntegrationParams(max_len=9.0)
     cusp = RHS_FIELDS["cusp_gauss"]()
-    loops = bde.torus_extended_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0))
+    loops = torus_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0))
     cusp_jobs = [((0.3, 0.2), "minus", -1), ((0.3, 0.2), "plus", 1), ((-0.1, 0.0), "minus", 1)]
     loop_jobs = [((math.pi / 2, 6.0625), "plus", -1), ((math.pi / 2, 0.4375), "plus", 1)]
     for fld, jobs in ((cusp, cusp_jobs), (loops, loop_jobs)):

@@ -162,7 +162,7 @@ def test_torus_no_cusps_no_folds():
     tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
     reps = special_points(tor, 128)
     assert not [r for r in reps if r.kind in ("cusp_of_gauss", "affine_cusp_of_gauss")]
-    fld = bde.torus_extended_field(2.0, 1.0)
+    fld = bde.torus_extended_field(tor)
     circles = bde.trace_zero_set(lambda u, v: fld.coeff(u, v)[0], fld.domain, 96)
     assert sg.find_folded_points(fld, circles) == []
 
