@@ -34,14 +34,17 @@ tangents (1, 0, h_u) and (0, 1, h_v) carry their constant entries as floats,
 so the formulas spend no product on them and give w = (-h_u, -h_v, 1) and
 (L, M, N) = (h_uu, h_uv, h_vv) bit for bit.
 
-The torus keeps its closed form in c = cos u (``torus_extended_bde``): the
-general formula on its trigonometric position jets costs five to ten times as
-much per portrait.
+The torus keeps its closed form: lbar and nbar are polynomials in c = cos u,
+one coefficient table (``_torus_coefficients``) that ``torus_extended_bde``
+evaluates by Horner's rule on floats, arrays and jets and that the closed-form
+field ``bde.torus_extended_field`` differentiates.  The general formula on
+its trigonometric position jets costs five to ten times as much per portrait.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -342,6 +345,13 @@ def extended_bde_coeffs(w):
     return tuple(out)
 
 
+def _torus_coefficients(R, r):
+    """lbar and nbar of the torus (mbar = 0) as polynomials in c = cos u:
+    their coefficient lists, lowest degree first."""
+    return ([-3 * R * R, -8 * r * R, 15 * R * R, 36 * r * R, 16 * r * r],
+            [0.0, 0.0, 4 * R * R, 4 * r * R, 12 * R * R, 28 * r * R, 16 * r * r])
+
+
 def torus_extended_bde(R, r, u):
     """Closed-form extended coefficients (lbar, mbar, nbar) on the torus
     ((R + r cos u) cos v, (R + r cos u) sin v, r sin u); u may be a float,
@@ -349,9 +359,8 @@ def torus_extended_bde(R, r, u):
     if not 0 < r < R:
         raise ValueError(f"torus needs 0 < r < R, got r={r}, R={R}")
     c = jets.cos(u)
-    c2 = c * c
-    lbar = (15 * c2 - 3) * R ** 2 + (4 * r * R) * c * (9 * c2 - 2) + (16 * r ** 2) * c2 * c2
-    nbar = 4 * c2 * ((3 * c2 + 1) * R + 4 * r * c2 * c) * (R + r * c)
+    lbar, nbar = (reduce(lambda acc, a: acc * c + a, p[-2::-1], p[-1])    # Horner in c
+                  for p in _torus_coefficients(R, r))
     if isinstance(u, Jet2):
         mbar = Jet2.constant(np.zeros_like(u.value), u.order)
     else:
@@ -359,4 +368,3 @@ def torus_extended_bde(R, r, u):
         if mbar.ndim == 0:
             mbar = 0.0
     return lbar, mbar, nbar
-

@@ -44,10 +44,8 @@ __all__ = [
     "discriminant",
     "asymptotic_directions",
     "lift_state",
-    "lie_cartan",
     "lifted_velocity",
     "lifted_derivatives",
-    "lie_cartan_jacobian",
     "trace_zero_set",
     "polyline_svg_path",
 ]
@@ -64,7 +62,6 @@ class BDEField:
     jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...)."""
     slots: object
     domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
-    name: str = "bde"
     period: tuple = None     # (Pu, Pv) when the parameters are angles
 
     def coeff(self, u, v):
@@ -100,17 +97,16 @@ def _stacked(abc, u, v, order):
                            Jet2.constant(np.broadcast_to(c, batch), order).coeffs for c in abc])
 
 
-def field_from_polynomials(pa, pb, pc, domain, name="poly-bde", period=None):
+def field_from_polynomials(pa, pb, pc, domain, period=None):
     """Field with polynomial (A, B, C); each call evaluates all three at once
     from their compiled derivative tables, flattened once per jet order."""
     polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
-    return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, name, period)
+    return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, period)
 
 
 def folded_model_field(lam, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
     """(-v + lam u^2) du^2 + dv^2 = 0: one fold point at the origin."""
-    return field_from_polynomials({(2, 0): lam, (0, 1): -1.0}, {}, {(0, 0): 1.0},
-                                  domain, f"folded(lambda={lam})")
+    return field_from_polynomials({(2, 0): lam, (0, 1): -1.0}, {}, {(0, 0): 1.0}, domain)
 
 
 def morse_model_field(eps1, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
@@ -118,17 +114,13 @@ def morse_model_field(eps1, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
     if eps1 not in (1, -1):
         raise ValueError("eps1 must be +1 or -1")
     return field_from_polynomials({(0, 1): -float(eps1)}, {(1, 0): -float(eps1)},
-                                  {(0, 1): 1.0}, domain, f"morse(eps1={eps1})")
+                                  {(0, 1): 1.0}, domain)
 
 
 def torus_extended_field(surf):
     """The closed-form extended field of a catalog torus, with its domain and period."""
     R, r = surf.params["R"], surf.params["r"]
-    # closed forms as polynomials in c = cos u (v-independent):
-    #   lbar = 16 r^2 c^4 + 36 rR c^3 + 15 R^2 c^2 - 8 rR c - 3 R^2
-    #   nbar = 16 r^2 c^6 + 28 rR c^5 + 12 R^2 c^4 + 4 rR c^3 + 4 R^2 c^2
-    lp = np.array([-3 * R * R, -8 * r * R, 15 * R * R, 36 * r * R, 16 * r * r])
-    npol = np.array([0.0, 0.0, 4 * R * R, 4 * r * R, 12 * R * R, 28 * r * R, 16 * r * r])
+    lp, npol = (np.array(p) for p in affine._torus_coefficients(R, r))
     lp_d = np.polynomial.polynomial.polyder(lp)
     lp_dd = np.polynomial.polynomial.polyder(lp_d)
     np_d = np.polynomial.polynomial.polyder(npol)
@@ -153,10 +145,10 @@ def torus_extended_field(surf):
                     out[k + 3] = -c * fc + s * s * pval(c, p_dd)
         return out
 
-    return BDEField(slots, surf.domain, f"torus-extended(R={R},r={r})", surf.period)
+    return BDEField(slots, surf.domain, surf.period)
 
 
-def _chart_field(surf, depth, coeffs, name):
+def _chart_field(surf, depth, coeffs):
     """The field of three coefficients ``coeffs(a_u, a_v)`` of a chart's
     tangents, one construction for every chart: built once as polynomials
     when every component is polynomial, else evaluated on the tangents of
@@ -164,12 +156,12 @@ def _chart_field(surf, depth, coeffs, name):
     if None not in surf.polys:
         chart = [Poly(p) for p in surf.polys]
         au, av = tuple(c.du() for c in chart), tuple(c.dv() for c in chart)
-        return field_from_polynomials(*coeffs(au, av), surf.domain, name, surf.period)
+        return field_from_polynomials(*coeffs(au, av), surf.domain, surf.period)
 
     def slots(u, v, order):
         return _stacked(coeffs(*surf.tangent_jets(u, v, depth + order)), u, v, order)
 
-    return BDEField(slots, surf.domain, name, surf.period)
+    return BDEField(slots, surf.domain, surf.period)
 
 
 def extended_field_for(surf):
@@ -178,15 +170,14 @@ def extended_field_for(surf):
     w = a_u ^ a_v."""
     if surf.catalog_id == "torus":
         return torus_extended_field(surf)
-    return _chart_field(surf, 4, lambda au, av: affine.extended_bde_coeffs(affine.cross(au, av)),
-                        f"extended({surf.describe()})")
+    return _chart_field(surf, 4, lambda au, av: affine.extended_bde_coeffs(affine.cross(au, av)))
 
 
 def euclidean_field_for(surf):
     """The Euclidean second form (L, M, N) of a surface as a field, whose
     direction equation gives the Euclidean asymptotic lines and whose
     LN - M^2 vanishes on the parabolic set."""
-    return _chart_field(surf, 2, affine.second_form, "euclid-II")
+    return _chart_field(surf, 2, affine.second_form)
 
 
 # -- pointwise operations ------------------------------------------------------
@@ -263,11 +254,11 @@ def lift_terms(A, B, C, slope, chart_q):
     slope, F = A + 2Bs + Cs^2 in chart p and As^2 + 2Bs + C in chart q
     (``chart_q`` True), so from the slots (value, u, v, ...) of each
     coefficient come F, F_u, F_v, ... and F_s, F_su, F_sv, ...  A, B and C
-    are arrays of one shape, or Python floats at one point with a bool
-    chart; ``slope`` and ``chart_q`` are scalars or arrays over the batch.
-    Every lane sees the same floating-point expressions in either chart and
-    on either path, so a point gives the same bits alone as inside a batch:
-    the chart only picks factors, and multiplying by 1.0 is exact."""
+    are arrays of one shape, (slots,) at one point or (slots,) + batch;
+    ``slope`` and ``chart_q`` are scalars or arrays over the batch.  Every
+    lane sees the same floating-point expressions in either chart, so a
+    point gives the same bits alone as inside a batch: the chart only picks
+    factors, and multiplying by 1.0 is exact."""
     s = slope
     f, g = _pick(chart_q, s, 1.0), _pick(chart_q, 1.0, s)
     B2 = 2 * B
@@ -276,29 +267,22 @@ def lift_terms(A, B, C, slope, chart_q):
     return F, B2 + Fss * s, Fss
 
 
-def _point_terms(A, B, C, slope, chart_q):
-    """``lift_terms`` at one point from 1-D slot arrays, slot by slot on
-    Python floats: F, F_s and F_ss as tuples."""
-    return zip(*(lift_terms(a, b, c, slope, bool(chart_q))
-                 for a, b, c in zip(A.tolist(), B.tolist(), C.tolist())))
-
-
 def lifted_velocity(c, slope, chart_q):
     """Lifted velocity X and the coefficient scale max(|A|, |B|, |C|) from
-    the order-1 slots ``c`` of (A, B, C) (``BDEField.slots``, shape
-    (9,) + batch).  ``slope`` and ``chart_q`` (True where the slope is du/dv)
-    are scalars or arrays over the batch; X has the batch shape plus a last
-    axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p, (s F_s, F_s,
-    -(F_v + s F_u)) in chart q."""
-    terms = _point_terms if c.ndim == 1 else lift_terms
-    F, Fs, _ = terms(*c.reshape((3, 3) + c.shape[1:]), slope, chart_q)
+    the slots ``c`` of (A, B, C) of order 1 or more (``BDEField.slots``,
+    shape (3 * slots,) + batch).  ``slope`` and ``chart_q`` (True where the
+    slope is du/dv) are scalars or arrays over the batch; X has the batch
+    shape plus a last axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p,
+    (s F_s, F_s, -(F_v + s F_u)) in chart q."""
+    abc = c.reshape((3, -1) + c.shape[1:])[:, :3]
+    F, Fs, _ = lift_terms(*abc, slope, chart_q)
     sFs = slope * Fs[0]
     Fa, Fb = _pick(chart_q, F[2:0:-1], F[1:3])
     X = np.empty(np.shape(slope) + (3,))
     X[..., 0] = _pick(chart_q, sFs, Fs[0])
     X[..., 1] = _pick(chart_q, Fs[0], sFs)
     X[..., 2] = -(Fa + slope * Fb)
-    return X, np.maximum.reduce(np.abs(c[::3]))
+    return X, np.maximum.reduce(np.abs(abc[:, 0]))
 
 
 def _lanewise(fn, n):
@@ -320,23 +304,20 @@ def _lanewise(fn, n):
 
 
 def lie_cartan_scaled(field, state):
-    """Lifted velocity and the local coefficient scale, one jet evaluation."""
+    """Velocity of the lifted tangent field at the state, in its chart, and
+    the local coefficient scale, from one slot evaluation."""
     X, scale = lifted_velocity(field.slots(state.u, state.v, 1), state.slope,
                                state.chart == "q")
     return X, float(scale)
 
 
-def lie_cartan(field, state):
-    """Velocity of the lifted tangent field at the state, in its chart."""
-    return lie_cartan_scaled(field, state)[0]
-
-
-def lifted_derivatives(Aj, Bj, Cj, state):
+def lifted_derivatives(c, state):
     """F, its gradient (F_u, F_v, F_slope) and the 3x3 Jacobian of the lifted
-    field in (u, v, slope) order, at the state, from order-2 jets of (A, B, C)."""
+    field in (u, v, slope) order, at the state, from the order-2 slots ``c``
+    of (A, B, C) at its point (``BDEField.slots``, shape (18,))."""
     s = state.slope
-    F, Fs, Fss = _point_terms(*(j.coeffs[:6] for j in (Aj, Bj, Cj)), s, state.chart == "q")
-    (F0, Fu, Fv, Fuu, Fuv, Fvv), (Fs0, Fsu, Fsv), Fss = F, Fs[:3], Fss[0]
+    F, Fs, Fss = lift_terms(*c.reshape(3, 6), s, state.chart == "q")
+    (F0, Fu, Fv, Fuu, Fuv, Fvv), (Fs0, Fsu, Fsv), Fss = F.tolist(), Fs[:3].tolist(), float(Fss[0])
     if state.chart == "p":
         J = np.array([
             [Fsu, Fsv, Fss],
@@ -350,11 +331,6 @@ def lifted_derivatives(Aj, Bj, Cj, state):
             [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fsv + Fu + s * Fsu)],
         ])
     return F0, (Fu, Fv, Fs0), J
-
-
-def lie_cartan_jacobian(field, state):
-    """3x3 Jacobian of the lifted field at the state, in (u, v, slope) order."""
-    return lifted_derivatives(*field.jet_coeff(state.u, state.v, 2), state)[2]
 
 
 # -- implicit-curve tracing ----------------------------------------------------

@@ -1,9 +1,10 @@
 """The documented numeric checks, one function per identity.
 
 ``affasym verify`` runs ``CHECKS`` at each function's default sample count
-and seed; the tests call the same functions with their own.  A check asserts
-its bound, and the message carries the measured value.  A ``seed`` may also
-be a numpy Generator, which the check draws from in place.
+and seed; the tests call the same functions with their own.  A check raises
+AssertionError when it misses its bound, also under ``python -O``, and the
+message carries the measured value.  A ``seed`` may also be a numpy
+Generator, which the check draws from in place.
 """
 
 import numpy as np
@@ -14,6 +15,12 @@ from .jets import Jet2
 __all__ = ["CHECKS", "torus_points", "torus_closed_forms", "pick_constants", "fold_family",
            "morse_models", "cusp_origin", "flat_quartic", "conormal_correspondence",
            "jets_fd", "lifted_tangency"]
+
+
+def _require(ok, msg):
+    """Raise AssertionError(msg) unless ``ok``: an ``assert`` that ``-O`` keeps."""
+    if not ok:
+        raise AssertionError(msg)
 
 
 def torus_points(rng, n, margin):
@@ -36,11 +43,11 @@ def torus_closed_forms(n=8, seed=11):
             trip = np.array([float(c.value) for c in affine.lmn_from_frame(fr)])
             closed = np.array([float(x) for x in affine.torus_extended_bde(R, r, u)])
             t = float(trip @ closed / (closed @ closed))
-            assert t > 0, f"factor {t} at (R, r, u) = ({R}, {r}, {u})"
+            _require(t > 0, f"factor {t} at (R, r, u) = ({R}, {r}, {u})")
             resid = float(np.linalg.norm(trip - t * closed) / np.linalg.norm(trip))
-            assert resid < 1e-7, f"residual {resid} at (R, r, u) = ({R}, {r}, {u})"
+            _require(resid < 1e-7, f"residual {resid} at (R, r, u) = ({R}, {r}, {u})")
     lb, _, nb = affine.torus_extended_bde(2.0, 1.0, np.pi / 2)
-    assert abs(lb + 3 * 2.0 ** 2) < 1e-12 and abs(nb) < 1e-12, (lb, nb)
+    _require(abs(lb + 3 * 2.0 ** 2) < 1e-12 and abs(nb) < 1e-12, (lb, nb))
 
 
 def pick_constants(n=5, seed=5):
@@ -56,7 +63,7 @@ def pick_constants(n=5, seed=5):
                     (q[(3, 1)] + eps * q[(1, 3)]) / 4,
                     -eps * sig ** 2 / 2 + q[(2, 2)] / 4 + eps * q[(0, 4)] / 4)
             err = max(abs(float(got) - w) for got, w in zip((d.l, d.m, d.n), want))
-            assert err < 1e-9, f"error {err} at eps={eps}, sigma={sig}"
+            _require(err < 1e-9, f"error {err} at eps={eps}, sigma={sig}")
 
 
 def fold_family(kinds=((-1.0, "folded_saddle"), (1 / 32, "folded_node"), (1.0, "folded_focus"))):
@@ -66,29 +73,29 @@ def fold_family(kinds=((-1.0, "folded_saddle"), (1 / 32, "folded_node"), (1.0, "
         fld = bde.folded_model_field(lam)
         polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 96)
         pts = singular.find_folded_points(fld, polys)
-        assert len(pts) == 1, f"lam={lam}: {len(pts)} fold points"
+        _require(len(pts) == 1, f"lam={lam}: {len(pts)} fold points")
         expect = (1 + complex(1 - 16 * lam) ** 0.5) / 2
         for at, tol in ((pts[0], 1e-4), ((0.0, 0.0), 1e-6)):
             rep = singular.classify_folded(fld, at)
-            assert rep.kind == kind, f"lam={lam} at {at}: {rep.kind}"
+            _require(rep.kind == kind, f"lam={lam} at {at}: {rep.kind}")
             err = abs(rep.lambda_invariant - lam)
-            assert err < tol, f"lam={lam} at {at}: lam error {err}"
+            _require(err < tol, f"lam={lam} at {at}: lam error {err}")
             mu = max(map(complex, rep.eigenvalues), key=lambda z: (z.real, -abs(z.imag)))
             err = min(abs(mu - expect), abs(mu.conjugate() - expect))
-            assert err < 1e-6, f"lam={lam} at {at}: eigenvalue {mu}, error {err}"
+            _require(err < 1e-6, f"lam={lam} at {at}: eigenvalue {mu}, error {err}")
 
 
 def morse_models():
     """Crossing Morse model: eigenvalues (2, -3); isolated: slopes {0, +-sqrt 3}."""
     rep = singular.classify_flat_affine_umbilic(bde.morse_model_field(-1), (0.0, 0.0))
     eig = sorted(complex(z).real for z in rep.eigenvalues)
-    assert rep.kind == "morse_crossing", rep.kind
-    assert abs(eig[0] + 3.0) < 1e-6 and abs(eig[1] - 2.0) < 1e-6, eig
+    _require(rep.kind == "morse_crossing", rep.kind)
+    _require(abs(eig[0] + 3.0) < 1e-6 and abs(eig[1] - 2.0) < 1e-6, eig)
     rep = singular.classify_flat_affine_umbilic(bde.morse_model_field(1), (0.0, 0.0))
     slopes = sorted(rep.details["lifted_slopes"])
-    assert rep.kind == "morse_isolated", rep.kind
+    _require(rep.kind == "morse_isolated", rep.kind)
     for got, want in zip(slopes, (-np.sqrt(3), 0.0, np.sqrt(3))):
-        assert abs(got - want) < 1e-6, slopes
+        _require(abs(got - want) < 1e-6, slopes)
 
 
 def cusp_origin(n=5, seed=3):
@@ -104,9 +111,9 @@ def cusp_origin(n=5, seed=3):
         extra = {k: float(rng.uniform(-1, 1)) for k in ((0, 3), (3, 1), (2, 2))}
         cg = surface.catalog_surface("cusp_gauss", {"q": {(2, 1): q21, (4, 0): q40, **extra}})
         A, B, C = (float(c) for c in bde.extended_field_for(cg).coeff(0.0, 0.0))
-        assert A == 0.0 and B == 0.0, (A, B)
+        _require(A == 0.0 and B == 0.0, (A, B))
         err = abs(C + 48 * q21 ** 2) / (48 * q21 ** 2)
-        assert err <= 1e-14, f"C={C} at q21={q21}: relative error {err}"
+        _require(err <= 1e-14, f"C={C} at q21={q21}: relative error {err}")
 
 
 def flat_quartic(n=60, seed=7):
@@ -119,9 +126,9 @@ def flat_quartic(n=60, seed=7):
         dd = 4.0 * bde.discriminant(fld, pts[:, 0], pts[:, 1])
         shape = eps * (eps * pts[:, 1] ** 2 - 3 * pts[:, 0] ** 2) ** 2
         coef = float(dd @ shape / (shape @ shape))
-        assert abs(coef + 589824.0) < 1e-3 * 589824.0, f"eps={eps}: coefficient {coef}"
+        _require(abs(coef + 589824.0) < 1e-3 * 589824.0, f"eps={eps}: coefficient {coef}")
         resid = float(np.linalg.norm(dd - coef * shape) / np.linalg.norm(dd))
-        assert resid < 1e-9, f"eps={eps}: residual {resid}"
+        _require(resid < 1e-9, f"eps={eps}: residual {resid}")
 
 
 def conormal_correspondence(n=12, seed=23, n_pick=8):
@@ -133,10 +140,10 @@ def conormal_correspondence(n=12, seed=23, n_pick=8):
                                             "q": {(4, 0): 1.0, (1, 3): 0.5}})
     rows += conormal.verify_conormal_correspondence(
         pick, [(float(a), float(b)) for a, b in rng.uniform(-0.25, 0.25, (n_pick, 2))])
-    assert len(rows) == n + n_pick, len(rows)
+    _require(len(rows) == n + n_pick, len(rows))
     for row in rows:
-        assert not row["degenerate"] and abs(row["lambda"]) > 0, row
-        assert max(row["residual"], row["normal_cross"]) < 1e-7, row
+        _require(not row["degenerate"] and abs(row["lambda"]) > 0, row)
+        _require(max(row["residual"], row["normal_cross"]) < 1e-7, row)
 
 
 def jets_fd(n=6, seed=2):
@@ -156,8 +163,8 @@ def jets_fd(n=6, seed=2):
             for got, want in ((float(jet.partial(1, 0)), (f[0] - f[1]) / (2 * h)),
                               (float(jet.partial(1, 1)),
                                (f[2] - f[3] - f[4] + f[5]) / (4 * h * h))):
-                assert abs(got - want) < max(1e-5, 1e-3 * abs(want)), \
-                    f"{text} at ({u0}, {v0}): jet {got}, difference {want}"
+                _require(abs(got - want) < max(1e-5, 1e-3 * abs(want)),
+                         f"{text} at ({u0}, {v0}): jet {got}, difference {want}")
 
 
 def lifted_tangency(n=20, seed=4):
@@ -172,7 +179,7 @@ def lifted_tangency(n=20, seed=4):
             continue
         checked += 1
         st = bde.lift_state(fld, u, v, *res.dirs[0])
-        X = bde.lie_cartan(fld, st)
+        X = bde.lie_cartan_scaled(fld, st)[0]
         J = fld.slots(u, v, 1).reshape(3, 3)   # rows A, B, C; columns value, d/du, d/dv
         s = st.slope
         # weights of (A, B, C) in F = A + 2Bs + Cs^2 (chart p) or As^2 + 2Bs + C, and in dF/ds
@@ -181,7 +188,7 @@ def lifted_tangency(n=20, seed=4):
         grad = np.array([w @ J[:, 1], w @ J[:, 2], ws @ J[:, 0]])
         scale = max(float(np.linalg.norm(grad)) * float(np.linalg.norm(X)), 1e-30)
         err = abs(float(grad @ X)) / scale
-        assert err < 1e-9, f"relative F-gradient component {err} at ({u}, {v})"
+        _require(err < 1e-9, f"relative F-gradient component {err} at ({u}, {v})")
 
 
 CHECKS = [

@@ -118,18 +118,12 @@ def _build_surface(args):
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(f"bad surface config {rest!r}: {exc}")
     if kind == "catalog":
-        params = {}
-        if rest == "torus":
-            if args.R is None or args.r is None:
-                raise ConfigError("catalog:torus needs --R and --r")
-            params = {"R": args.R, "r": args.r}
-        elif rest == "pick":
-            params = {"epsilon": args.epsilon if args.epsilon is not None else 1,
-                      "sigma": args.sigma or 0.0, "q": _parse_q(args.q)}
-        elif rest in ("cusp_gauss", "flat_umbilic_chart"):
-            params = {"q": _parse_q(args.q)}
-            if rest == "flat_umbilic_chart":
-                params["epsilon"] = args.epsilon if args.epsilon is not None else 1
+        # the flags given, as they are: catalog_surface applies the defaults
+        # and rejects a parameter that its id does not take
+        params = {k: getattr(args, k) for k in ("R", "r", "epsilon", "sigma")
+                  if getattr(args, k) is not None}
+        if args.q:
+            params["q"] = _parse_q(args.q)
         try:
             return surface_mod.catalog_surface(rest, params, region)
         except ValueError as exc:

@@ -214,10 +214,9 @@ def _start(fld, seed, family, sweep, params):
     d = dirs.dirs[pick]
     state = bde.lift_state(fld, u0, v0, d[0], d[1])
     orient = float(sweep)
-    X0 = bde.lie_cartan(fld, state)
+    X0, scale = bde.lie_cartan_scaled(fld, state)
     n0 = float(np.linalg.norm(X0))
-    A0, B0, C0 = (float(x) for x in fld.coeff(u0, v0))
-    if n0 > 1e-9 * max(abs(A0), abs(B0), abs(C0), 1e-30):
+    if n0 > 1e-9 * max(scale, 1e-30):
         ref_dir = orient * X0 / n0
     else:
         ref_dir = orient * np.array([d[0], d[1], 0.0])
@@ -522,8 +521,7 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
 def _degenerate_on_segment(fld, a, b):
     def cnorm(t):
         p = a + t * (b - a)
-        A, B, C = (float(x) for x in fld.coeff(p[0], p[1]))
-        return max(abs(A), abs(B), abs(C))
+        return max(abs(x) for x in fld.slots(p[0], p[1], 0).tolist())
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -537,13 +535,10 @@ def _degenerate_on_segment(fld, a, b):
     cmin = cnorm(t_best)
     p = a + t_best * (b - a)
     try:
-        Aj, Bj, Cj = fld.jet_coeff(p[0], p[1], 1)
+        c = fld.slots(p[0], p[1], 1).tolist()
     except (ArithmeticError, EvalError):
         return None
-    g = 0.0
-    for j in (Aj, Bj, Cj):
-        g += float(j.partial(1, 0)) ** 2 + float(j.partial(0, 1)) ** 2
-    g = math.sqrt(g)
+    g = math.sqrt(sum(c[k + 1] ** 2 + c[k + 2] ** 2 for k in (0, 3, 6)))
     if g > 0 and cmin / g < 1e-6:    # the pass comes within this radius
         return p, t_best
     return None

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import bde
 from .bde import LiftedState
+from .jets import Jet2
 from .surface import EvalError, Rect
 
 __all__ = [
@@ -190,11 +191,11 @@ def _newton_fold(fld, u, v):
     for _ in range(25):
         state = LiftedState(x[0], x[1], x[2], chart)
         try:
-            Aj, Bj, Cj = fld.jet_coeff(state.u, state.v, 2)
+            c = fld.slots(state.u, state.v, 2)
         except (ArithmeticError, EvalError):
             return None
         s = state.slope
-        Fval, (Fu, Fv, Fs), Jx = bde.lifted_derivatives(Aj, Bj, Cj, state)
+        Fval, (Fu, Fv, Fs), Jx = bde.lifted_derivatives(c, state)
         # rows: gradient of F, gradient of F_slope, gradient of G = -X_3
         if chart == "p":
             G = Fu + s * Fv
@@ -203,7 +204,7 @@ def _newton_fold(fld, u, v):
             G = Fv + s * Fu
             rows = [[Fu, Fv, Fs], Jx[1], -Jx[2]]
         Fvec = np.array([Fval, Fs, G])
-        scale = max(abs(float(Aj.value)), abs(float(Bj.value)), abs(float(Cj.value)), 1e-30)
+        scale = max(abs(float(c[0])), abs(float(c[6])), abs(float(c[12])), 1e-30)
         if np.max(np.abs(Fvec)) < 1e-9 * scale:
             return (float(x[0]), float(x[1]))
         J = np.array(rows)
@@ -224,15 +225,14 @@ def _newton_fold(fld, u, v):
 def classify_folded(fld, point):
     """Linearize the lifted field at the double-root lift of a fold point."""
     u, v = point
-    c, slope, chart_q = _double_roots(fld, u, v, 1)
+    c, slope, chart_q = _double_roots(fld, u, v, 2)
     state = LiftedState(u, v, float(slope), "q" if chart_q else "p")
     X, scale = bde.lifted_velocity(c, state.slope, bool(chart_q))
     scale = max(float(scale), 1e-30)
     if np.linalg.norm(X) > 1e-6 * scale:
         raise NotSingularLiftError(
             f"lifted field does not vanish at {point}: |X| = {np.linalg.norm(X):.3e}")
-    J = bde.lie_cartan_jacobian(fld, state)
-    (mu1, mu2), tr, e2 = restricted_eigenvalues(J)
+    (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, state)[2])
     if tr == 0:
         lam = math.inf if e2 > 0 else (-math.inf if e2 < 0 else float("nan"))
     else:
@@ -254,7 +254,8 @@ def classify_folded(fld, point):
 def classify_flat_affine_umbilic(fld, point):
     """Morse classification at a point where all three coefficients vanish."""
     u, v = point
-    Aj, Bj, Cj = fld.jet_coeff(u, v, 2)
+    c = fld.slots(u, v, 2)
+    Aj, Bj, Cj = (Jet2(2, x) for x in c.reshape(3, 6))
     A0, B0, C0 = (float(j.value) for j in (Aj, Bj, Cj))
     scale = max(max(abs(float(j.partial(1, 0))), abs(float(j.partial(0, 1))))
                 for j in (Aj, Bj, Cj))
@@ -290,7 +291,7 @@ def classify_flat_affine_umbilic(fld, point):
         states.append(LiftedState(u, v, 0.0, "q"))   # the root at du = 0
     lifted = []
     for st in states:
-        (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lie_cartan_jacobian(fld, st))
+        (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, st)[2])
         lifted.append({"slope": st.slope, "chart": st.chart, "eigenvalues": [mu1, mu2],
                        "saddle": not isinstance(mu1, complex) and e2 < 0})
     eigs = []

@@ -33,7 +33,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "Num", "Const", "Var", "Unary", "Bin", "Pow",
-    "parse_expression", "pretty",
+    "parse_expression",
     "eval_expression_jet",
     "as_polynomial", "PolySet", "poly_values", "poly_jets",
     "Rect", "Band", "rect", "SurfaceDef",
@@ -239,29 +239,6 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-def pretty(node):
-    """Canonical text form; parse(pretty(parse(s))) == parse(s)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            return f"(-{pretty(node.arg)})"
-        return f"{node.fn}({pretty(node.arg)})"
-    if isinstance(node, Bin):
-        return f"({pretty(node.left)} {node.op} {pretty(node.right)})"
-    if isinstance(node, Pow):
-        if node.den == 1:
-            return f"{pretty(node.base)}^{node.num}" if isinstance(node.base, (Num, Const, Var)) \
-                else f"({pretty(node.base)})^{node.num}"
-        b = pretty(node.base) if isinstance(node.base, (Num, Const, Var)) else f"({pretty(node.base)})"
-        return f"{b}^({node.num}/{node.den})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def eval_expression_jet(node, uj, vj, eps=jets.DEFAULT_EPS):
     """Evaluate an AST to a jet, given jets (or batches) for u and v."""
     if isinstance(node, Num):
@@ -424,9 +401,6 @@ class Poly:
     def __call__(self, u, v):
         return poly_values((self,), u, v)[0]
 
-    def __repr__(self):
-        return f"Poly({_poly_pretty(self.terms)})"
-
 
 def _powers(x, n):
     """[x**0, ..., x**n] for a float or an array x, each rounded as numpy
@@ -532,21 +506,6 @@ def poly_jets(polys, u, v, order=jets.DEFAULT_ORDER):
     return tuple(Jet2(order, c[k:k + n]) for k in range(0, len(c), n))
 
 
-def _poly_pretty(poly):
-    terms = []
-    for (i, j) in sorted(poly, key=lambda k: (k[0] + k[1], -k[0])):
-        coef = poly[(i, j)]
-        if coef == 0:
-            continue
-        parts = [repr(coef)]
-        if i:
-            parts.append("u" if i == 1 else f"u^{i}")
-        if j:
-            parts.append("v" if j == 1 else f"v^{j}")
-        terms.append("*".join(parts))
-    return " + ".join(terms) if terms else "0"
-
-
 # -- domains and surface definitions -----------------------------------------
 
 
@@ -647,12 +606,6 @@ class SurfaceDef:
         av = tuple(lin[k][1] if lin[k] else pos[k].dv() for k in range(3))
         return au, av
 
-    def describe(self):
-        if self.catalog_id:
-            return f"catalog:{self.catalog_id}({self.params})"
-        parts = map(pretty, self.exprs) if self.exprs else map(_poly_pretty, self.polys)
-        return "(" + ", ".join(parts) + ")"
-
 
 _U, _V = {(1, 0): 1.0}, {(0, 1): 1.0}
 
@@ -727,6 +680,8 @@ def catalog_surface(cat_id, params=None, domain=None, parabolic_guard=1e-3):
     """
     params = dict(params or {})
     if cat_id == "torus":
+        if "R" not in params or "r" not in params:
+            raise ValueError("torus needs R and r")
         R, r = _finite("R", params.pop("R")), _finite("r", params.pop("r"))
         kept = {"R": R, "r": r}
         if not 0 < r < R:

@@ -85,16 +85,15 @@ def test_lifted_derivatives_match_residual_and_jacobian():
     fld = bde.extended_field_for(cg)
     h = 1e-6
     for st in (LiftedState(0.1, -0.05, 0.4, "p"), LiftedState(-0.2, 0.1, -0.3, "q")):
-        F, grad, J = bde.lifted_derivatives(*fld.jet_coeff(st.u, st.v, 2), st)
+        F, grad, J = bde.lifted_derivatives(fld.slots(st.u, st.v, 2), st)
         assert F == pytest.approx(lift_residual(fld, st), rel=1e-13, abs=1e-15)
         shifts = ((h, 0, 0), (0, h, 0), (0, 0, h))
         for k, (du, dv, ds) in enumerate(shifts):
             fp = lift_residual(fld, LiftedState(st.u + du, st.v + dv, st.slope + ds, st.chart))
             fm = lift_residual(fld, LiftedState(st.u - du, st.v - dv, st.slope - ds, st.chart))
             assert grad[k] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-9)
-        assert np.array_equal(J, bde.lie_cartan_jacobian(fld, st))
         # the lifted field X = (F_p, p F_p, -(F_u + p F_v)) in chart p, mirrored in q
-        X = bde.lie_cartan(fld, st)
+        X = bde.lie_cartan_scaled(fld, st)[0]
         if st.chart == "p":
             assert X[2] == pytest.approx(-(grad[0] + st.slope * grad[1]), abs=1e-14)
         else:
@@ -105,8 +104,8 @@ def test_lifted_field_zero_and_eigenvalues():
     for lam in (-1.0, 0.03, 0.5):
         fld = bde.folded_model_field(lam)
         st = LiftedState(0.0, 0.0, 0.0, "p")
-        assert np.linalg.norm(bde.lie_cartan(fld, st)) == 0.0
-        J = bde.lie_cartan_jacobian(fld, st)
+        assert np.linalg.norm(bde.lie_cartan_scaled(fld, st)[0]) == 0.0
+        J = bde.lifted_derivatives(fld.slots(0.0, 0.0, 2), st)[2]
         tr = float(np.trace(J))
         e2 = float((tr * tr - np.trace(J @ J)) / 2)
         # model eigenvalues (1 +- sqrt(1 - 16 lam))/2
@@ -123,7 +122,7 @@ def test_lifted_field_morse_fiber():
     for eps1 in (1, -1):
         fld = bde.morse_model_field(eps1)
         for p in (0.0, 0.8, math.sqrt(3), -math.sqrt(3), 2.4):
-            X = bde.lie_cartan(fld, LiftedState(0.0, 0.0, p, "p"))
+            X = bde.lie_cartan_scaled(fld, LiftedState(0.0, 0.0, p, "p"))[0]
             assert X[0] == pytest.approx(0.0, abs=1e-14)
             assert X[1] == pytest.approx(0.0, abs=1e-14)
             assert X[2] == pytest.approx(-p * (p * p - 3 * eps1), abs=1e-12)
@@ -186,8 +185,8 @@ def test_chart_consistency():
     for _ in range(15):
         u, v = rng.uniform(-0.3, 0.3, 2)
         slope = rng.uniform(0.5, 2.0)
-        Xp = bde.lie_cartan(fld, LiftedState(u, v, slope, "p"))
-        Xq = bde.lie_cartan(fld, LiftedState(u, v, 1.0 / slope, "q"))
+        Xp = bde.lie_cartan_scaled(fld, LiftedState(u, v, slope, "p"))[0]
+        Xq = bde.lie_cartan_scaled(fld, LiftedState(u, v, 1.0 / slope, "q"))[0]
         a = Xp[:2] / max(np.linalg.norm(Xp[:2]), 1e-30)
         b = Xq[:2] / max(np.linalg.norm(Xq[:2]), 1e-30)
         assert abs(a[0] * b[1] - a[1] * b[0]) < 1e-7
@@ -745,10 +744,10 @@ def test_lifted_derivatives_match_the_former_formulas():
     for chart in ("p", "q"):
         for _ in range(5):
             st = LiftedState(*rng.uniform(-0.4, 0.4, 2), float(rng.uniform(-1.5, 1.5)), chart)
-            jets = fld.jet_coeff(st.u, st.v, 2)
-            F, grad, J = bde.lifted_derivatives(*jets, st)
+            c = fld.slots(st.u, st.v, 2)
+            F, grad, J = bde.lifted_derivatives(c, st)
             (A0, Au, Av, Auu, Auv, Avv), (B0, Bu, Bv, Buu, Buv, Bvv), (C0, Cu, Cv, Cuu, Cuv, Cvv) = (
-                j.coeffs.tolist() for j in jets)
+                c.reshape(3, 6).tolist())
             s = st.slope
             if chart == "p":
                 ref = A0 + 2 * B0 * s + C0 * s * s

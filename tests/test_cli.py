@@ -148,6 +148,16 @@ def test_verify_passes():
     assert lines == ["1..9"] + [f"ok {k} - {name}" for k, name in enumerate(VERIFY_NAMES, 1)]
 
 
+def test_checks_still_check_under_python_O():
+    # -O strips assert statements; a missed bound must still raise
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    code = "from affasym import checks; checks.fold_family(((-1.0, 'folded_node'),))"
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode != 0
+    assert "AssertionError: lam=-1.0 at" in res.stderr
+
+
 def test_unknown_catalog(tmp_path):
     res = run_cli("analyze", "--surface", "catalog:sphere", "--out", str(tmp_path))
     assert res.returncode == 2
@@ -301,6 +311,12 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["analyze", "--surface", {"kind": "parametric", "exprs": ["u", "v", "u^2 + v^2"],
                                "domain": [-1, "inf", 0, 1]}],
      "bad surface config {cfg!r}: rectangle bounds must be finite"),
+    # a flag that the catalog id does not read, or a missing one
+    (["portrait", "--surface", "catalog:torus", "--R", "2", "--r", "1", "--sigma", "5",
+      "--q", "21=3"], "unknown torus parameters ['q', 'sigma']"),
+    (["portrait", "--surface", "catalog:torus", "--R", "2"], "torus needs R and r"),
+    (["portrait", "--surface", "catalog:cusp_gauss", "--q", "21=1", "--epsilon", "1"],
+     "unknown cusp_gauss parameters ['epsilon']"),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
                                                  message):

@@ -22,7 +22,7 @@ def conormal_image_field(surf):
         fr = af.frame_jets(surf, u, v, order=4 + order, guard=1e-8, depth=1)
         return np.concatenate([c.coeffs for c in af.second_form(fr["nu_u"], fr["nu_v"])])
 
-    return bde.BDEField(slots, surf.domain, "conormal-II")
+    return bde.BDEField(slots, surf.domain)
 
 
 def conormal_at(surf, u, v):

@@ -42,3 +42,12 @@ def test_every_export_has_a_caller_or_is_documented(name):
     orphans = [n for n in mod.__all__
                if n not in refs and not re.search(rf"\b{re.escape(n)}\b", readme)]
     assert not orphans
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check must raise instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "affasym").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found

@@ -108,7 +108,7 @@ def test_cusp_law_at_criminant_crossing():
     st = LiftedState(row[0], row[1], row[2], chart)
     A, B, C = (float(x) for x in fld.coeff(st.u, st.v))
     scale = max(abs(A), abs(B), abs(C))
-    X = bde.lie_cartan(fld, st)
+    X = bde.lie_cartan_scaled(fld, st)[0]
     # projected tangent vanishes at the crossing
     assert math.hypot(X[0], X[1]) < 1e-3 * float(np.linalg.norm(X))
     # slope equals the double root of the quadratic there
@@ -184,7 +184,7 @@ def test_folded_saddle_separatrix_shooting():
     # field's own time orientation
     lam = -1.0
     fld = bde.folded_model_field(lam)
-    J = bde.lie_cartan_jacobian(fld, LiftedState(0.0, 0.0, 0.0, "p"))
+    J = bde.lifted_derivatives(fld.slots(0.0, 0.0, 2), LiftedState(0.0, 0.0, 0.0, "p"))[2]
     vals, vecs = np.linalg.eig(J)
     order = np.argsort(vals.real)
     stable = vecs[:, order[0]].real / np.linalg.norm(vecs[:, order[0]].real)
@@ -394,7 +394,7 @@ def test_lane_error_ends_only_its_lane():
             raise jets.JetDomainError("outside the jet domain")
         return base.slots(u, v, order)
 
-    fld = bde.BDEField(guarded, base.domain, "guarded")
+    fld = bde.BDEField(guarded, base.domain)
     params = flow.IntegrationParams(max_len=0.5)
     jobs = [((0.1, 0.3), "plus", 1), ((-0.6, 0.5), "plus", 1)]
     # unguarded, the first lane runs to u = 0.52 and the second stays below 0
@@ -554,7 +554,7 @@ def test_seed_filter_makes_one_field_call(monkeypatch):
         calls.append(int(np.size(u)))
         return base.slots(u, v, order)
 
-    fld = bde.BDEField(slots, base.domain, base.name)
+    fld = bde.BDEField(slots, base.domain)
     edge = sg.SingularPointReport((0.98, 0.0), "folded_saddle")
     monkeypatch.setattr(bde, "trace_zero_set", lambda *args: [])
     monkeypatch.setattr(sg, "find_folded_points", lambda fld, polys: [edge.location])

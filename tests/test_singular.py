@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affasym import affine as af, bde, singular as sg, surface as sf
+from affasym import affine as af, bde, flow, singular as sg, surface as sf
 from affasym.bde import LiftedState
 from affasym.surface import Poly, Rect
 
@@ -313,7 +313,7 @@ def vertex_fold_signal(fld, poly):
     out = []
     for u, v in poly:
         slope, chart = vertex_double_root(fld, u, v)
-        out.append(float(bde.lie_cartan(fld, LiftedState(u, v, slope, chart))[2]))
+        out.append(float(bde.lie_cartan_scaled(fld, LiftedState(u, v, slope, chart))[0][2]))
     return np.array(out)
 
 
@@ -352,31 +352,32 @@ FILE_CHART = sf.parametric_surface(
 
 
 def scan_cases():
-    """(field, polylines) pairs: the cusp field's discriminant, the torus
-    parabolic circles on the Euclidean field and the generic parametric
+    """(label, field, polylines) triples: the cusp field's discriminant, the
+    torus parabolic circles on the Euclidean field and the generic parametric
     chart's discriminant, with the other nonempty sets of those surfaces."""
     cusp = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
     tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
     cases = []
-    for surf, res in ((cusp, 96), (tor, 64), (FILE_CHART, 48)):
+    for surf, res, label in ((cusp, 96, "extended"), (tor, 64, "torus-extended"),
+                             (FILE_CHART, 48, "extended")):
         fld, euclid = bde.extended_field_for(surf), bde.euclidean_field_for(surf)
         sets = sg.singular_sets(euclid, fld, surf.domain, res)
-        cases.append((fld, sets["affine_parabolic"] + sets["discriminant"]))
-        cases.append((euclid, sets["parabolic"]))
-    return [(fld, polys) for fld, polys in cases if polys]
+        cases.append((label, fld, sets["affine_parabolic"] + sets["discriminant"]))
+        cases.append(("euclid-II", euclid, sets["parabolic"]))
+    return [case for case in cases if case[2]]
 
 
 def test_batched_signals_equal_the_vertex_formulas():
     cases = scan_cases()
-    assert [(fld.name.split("(")[0], len(polys)) for fld, polys in cases] == [
+    assert [(label, len(polys)) for label, _, polys in cases] == [
         ("extended", 1), ("euclid-II", 1), ("torus-extended", 4), ("euclid-II", 2),
         ("extended", 2)]
-    for fld, polys in cases:
+    for label, fld, polys in cases:
         for poly in polys:
             for batched, vertexwise in ((sg._fold_signal, vertex_fold_signal),
                                         (sg._tangency_signal, vertex_tangency_signal)):
                 s, ref = batched(fld, poly), vertexwise(fld, poly)
-                assert same_bits(s, ref), (fld.name, batched.__name__)
+                assert same_bits(s, ref), (label, batched.__name__)
                 a, b, t, loc = sg._sign_changes(poly, s)
                 crossings = edge_crossings(poly, ref)
                 assert len(loc) == len(crossings)
@@ -444,7 +445,7 @@ def test_a_vertex_that_raises_gives_nan_and_keeps_the_other_folds():
             raise ArithmeticError("no value at this vertex")
         return base.slots(u, v, order)
 
-    broken = bde.BDEField(slots, base.domain, "broken")
+    broken = bde.BDEField(slots, base.domain)
     s = sg._fold_signal(broken, poly)
     assert np.isnan(s[k])
     others = np.arange(len(poly)) != k
@@ -460,7 +461,7 @@ def counted(fld):
         calls.append(int(np.size(u)))
         return fld.slots(u, v, order)
 
-    return bde.BDEField(slots, fld.domain, fld.name, fld.period), calls
+    return bde.BDEField(slots, fld.domain, fld.period), calls
 
 
 def test_one_slots_call_per_polyline(monkeypatch):
@@ -475,3 +476,17 @@ def test_one_slots_call_per_polyline(monkeypatch):
     monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: None)
     assert sg.find_folded_points(fld, polys) == []
     assert calls == [len(p) for p in polys if len(p) >= 2]
+
+
+def test_one_slots_call_per_classification_and_two_per_job_start():
+    fld, calls = counted(bde.folded_model_field(-1.0))
+    assert sg.classify_folded(fld, (0.0, 0.0)).kind == "folded_saddle"
+    assert calls == [1]
+    for eps1, lifted in ((1, 3), (-1, 1)):
+        fld, calls = counted(bde.morse_model_field(eps1))
+        rep = sg.classify_flat_affine_umbilic(fld, (0.0, 0.0))
+        assert rep.details["lifted_singularities"] == lifted
+        assert calls == [1]
+    fld, calls = counted(bde.folded_model_field(-1.0))
+    flow._start(fld, (0.3, 0.5), "plus", 1, flow.IntegrationParams())
+    assert calls == [1, 1]

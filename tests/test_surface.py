@@ -50,11 +50,16 @@ ROUND_TRIP_CORPUS = [
 
 
 def test_parser_round_trip():
+    # each text means what Python means by it, with ^ as ** and math's functions
     assert len(ROUND_TRIP_CORPUS) >= 30
+    names = {k: getattr(math, k) for k in ("pi", "sin", "cos", "tan", "exp", "log", "sqrt")}
     for text in ROUND_TRIP_CORPUS:
         ast = sf.parse_expression(text)
-        again = sf.parse_expression(sf.pretty(ast))
-        assert again == ast, text
+        for u, v in ((0.7, 0.3), (1.3, -0.45)):
+            got = float(sf.eval_expression_jet(ast, Jet2.variable("u", u),
+                                               Jet2.variable("v", v)).value)
+            want = eval(text.replace("^", "**"), {"__builtins__": {}}, {**names, "u": u, "v": v})
+            assert math.isclose(got, want, rel_tol=1e-12), (text, u, v, got, want)
 
 
 def test_torus_position():
