@@ -386,6 +386,20 @@ def test_batched_signals_equal_the_vertex_formulas():
                     assert same_bits(np.abs((1 - t[k]) * a[k] + t[k] * b[k]), angle)
 
 
+def test_the_catalog_torus_gets_the_closed_form_field():
+    tor = sf.catalog_surface("torus", {"R": 2, "r": 1})
+    rng = np.random.default_rng(5)
+    d = tor.domain
+    U, V = rng.uniform(d.u0, d.u1, 8), rng.uniform(d.v0, d.v1, 8)
+    fld, closed = bde.extended_field_for(tor), bde.torus_extended_field(tor)
+    chart = bde.extended_field_for(sf.parametric_surface(
+        ["(2+cos(u))*cos(v)", "(2+cos(u))*sin(v)", "sin(u)"], d))
+    for k in range(3):
+        got = np.asarray(fld.slots(U, V, k))
+        assert same_bits(got, closed.slots(U, V, k))
+        assert not same_bits(got, chart.slots(U, V, k))
+
+
 def test_euclid_field_values_equal_the_second_form():
     rng = np.random.default_rng(3)
     monge = sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)+u^3", Rect(-0.5, 0.5, -0.5, 0.5))
