@@ -69,6 +69,16 @@ __all__ = [
 
 K_ZERO_TOL = 1e-9
 
+# Lanes per ``frame_jets`` call and per block of payload text: the frame chain
+# keeps about a hundred jets alive, so one call over a whole grid holds memory
+# in proportion to the grid (1024 lanes are slower, 8192 keep more memory).
+_LANES = 4096
+
+
+def _lane_blocks(n):
+    """Slices of at most ``_LANES`` lanes covering range(n); n = 0 is one block."""
+    return [slice(k, k + _LANES) for k in range(0, max(n, 1), _LANES)]
+
 
 class DegenerateImmersionError(ArithmeticError):
     pass
@@ -200,17 +210,17 @@ def second_form_jets(position_jets):
 
 def euclidean_data(position_jets, k_zero_tol=K_ZERO_TOL):
     """First/second form scalars from order->=2 position jets (batch-capable)."""
-    au, av, (L, M, N) = second_form_jets(position_jets)
-    return _fill_euclidean(AffinePointData(), au, av, L, M, N, k_zero_tol)
+    au, av, LMN = second_form_jets(position_jets)
+    return _fill_euclidean(AffinePointData(), _values(au), _values(av),
+                           *(c.value for c in LMN), k_zero_tol)
 
 
 def _fill_euclidean(data, au, av, L, M, N, k_zero_tol):
-    au, av = [c.value for c in au], [c.value for c in av]
+    """Fill the form fields of ``data`` from values: a_u, a_v as (3, ...), L, M, N."""
     E, F, G = dot(au, au), dot(au, av), dot(av, av)
     w = cross(au, av)
     if np.any(dot(w, w) < 1e-20):
         raise DegenerateImmersionError("surface parametrization degenerates (|a_u ^ a_v| < 1e-10)")
-    L, M, N = L.value, M.value, N.value
     det_I = E * G - F * F
     data.E, data.F, data.G = E, F, G
     data.Ldet, data.Mdet, data.Ndet = L, M, N
@@ -283,21 +293,39 @@ def lmn_from_frame(fr):
             dot(fr["nu_v"], fr["xi_v"]))
 
 
+_VECTORS = ("nu", "nu_u", "nu_v", "xi", "xi_u", "xi_v", "alpha_u", "alpha_v")
+
+
+def _frame_values(surface, u, v, guard):
+    """The frame values ``affine_point_data`` reads, vectors as (3, ...) arrays."""
+    fr = frame_jets(surface, u, v, guard=guard)
+    out = {name: _values(fr[name]) for name in _VECTORS}
+    out.update((name, fr[name].value) for name in ("L", "M", "N", "D"))
+    out["l"], out["m"], out["n"] = (c.value for c in lmn_from_frame(fr))
+    return out
+
+
 def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_TOL):
     """All pointwise invariants at (u, v), or at every point of a batch when
-    u and v are arrays, read from one ``frame_jets`` call.  A point gives the
-    same bits alone as inside a batch."""
+    u and v are 1-D arrays, read from one ``frame_jets`` call per block of
+    ``_LANES`` points.  A point gives the same bits alone as inside a batch,
+    so the blocks join to the one-call result; a ``ParabolicPointError``
+    names the first such point of the whole batch."""
     surface.check_domain(u, v)
-    fr = frame_jets(surface, u, v, guard=guard)
+    parts = [_frame_values(surface, *(x[s] if np.ndim(x) else x for x in (u, v)), guard)
+             for s in _lane_blocks(np.broadcast(u, v).size)]
+    val = parts[0] if len(parts) == 1 else \
+        {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
     data = AffinePointData(u=u, v=v)
-    _fill_euclidean(data, fr["alpha_u"], fr["alpha_v"], fr["L"], fr["M"], fr["N"], k_zero_tol)
-    for name in ("nu", "nu_u", "nu_v", "xi", "xi_u", "xi_v", "alpha_u", "alpha_v"):
-        setattr(data, name, _values(fr[name]))
-    adq = np.power(np.abs(fr["D"].value), 0.25)
+    _fill_euclidean(data, val["alpha_u"], val["alpha_v"], val["L"], val["M"], val["N"],
+                    k_zero_tol)
+    for name in _VECTORS:
+        setattr(data, name, val[name])
+    adq = np.power(np.abs(val["D"]), 0.25)
     g11 = data.g11 = data.Ldet / adq
     g12 = data.g12 = data.Mdet / adq
     g22 = data.g22 = data.Ndet / adq
-    l, m, n = data.l, data.m, data.n = tuple(c.value for c in lmn_from_frame(fr))
+    l, m, n = data.l, data.m, data.n = val["l"], val["m"], val["n"]
     det_g = g11 * g22 - g12 * g12
     data.b11 = -(l * g22 - m * g12) / det_g
     data.b21 = -(-l * g12 + m * g11) / det_g

@@ -22,6 +22,7 @@ stage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -47,11 +48,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write an iterable of text chunks to ``path`` through a temporary file,
+    which a failed write removes, leaving ``path`` untouched."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _parse_region(text):
@@ -162,7 +170,7 @@ def _write_run_info(outdir, args, **extra):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **extra,
     }
-    _atomic_write(os.path.join(outdir, "run_info.json"), json.dumps(info, indent=1) + "\n")
+    _atomic_write(os.path.join(outdir, "run_info.json"), (json.dumps(info, indent=1) + "\n",))
 
 
 # -- analyze -------------------------------------------------------------------
@@ -206,7 +214,7 @@ def cmd_analyze(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if "json" in formats:
-        _atomic_write(os.path.join(outdir, "analyze.json"), _analyze_json(data, flat) + "\n")
+        _atomic_write(os.path.join(outdir, "analyze.json"), _analyze_json(data, flat))
     if "csv" in formats:
         _atomic_write(os.path.join(outdir, "analyze.csv"), _analyze_csv(data))
     _write_run_info(outdir, args, stage_seconds={"evaluate": t_write - t_start,
@@ -216,19 +224,24 @@ def cmd_analyze(args):
 
 
 def _analyze_json(data, flat):
-    """The text of ``json.dumps(rows, indent=1, sort_keys=True)`` for the
-    rows ``data.to_json_dict(k)``, written from the column arrays.  A row
-    with a flag or a non-finite value goes through json.dumps."""
+    """analyze.json in chunks: the text of ``json.dumps(rows, indent=1,
+    sort_keys=True)`` and a newline for the rows ``data.to_json_dict(k)``,
+    written from the column arrays in blocks of ``affine._LANES`` rows.  A
+    row with a flag or a non-finite value goes through json.dumps."""
     columns = data.json_columns()
-    floats = np.vstack([np.reshape(c, (-1, len(flat))) for _, c in columns
-                        if c.dtype.kind == "f"])
-    apart = {}
-    for k in np.flatnonzero(flat | ~np.isfinite(floats).all(axis=0)).tolist():
-        row = data.to_json_dict(k)
-        if flat[k]:
-            row["flags"] = ["flat_affine_umbilic"]
-        apart[k] = json_at(row, 1)
-    return json_records(columns, 0, apart)
+    for b, s in enumerate(affine._lane_blocks(len(flat))):
+        block = [(name, c[..., s]) for name, c in columns]
+        floats = np.vstack([np.reshape(c, (-1, len(flat[s]))) for _, c in block
+                            if c.dtype.kind == "f"])
+        apart = {}
+        for k in np.flatnonzero(flat[s] | ~np.isfinite(floats).all(axis=0)).tolist():
+            row = data.to_json_dict(s.start + k)
+            if flat[s.start + k]:
+                row["flags"] = ["flat_affine_umbilic"]
+            apart[k] = json_at(row, 1)
+        # the block's rows without the list's closing "\n]", after "[" or ","
+        yield ("," if b else "[") + json_records(block, 0, apart)[1:-2]
+    yield "\n]\n"
 
 
 _CSV_COLUMNS = ("u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_class",
@@ -237,10 +250,13 @@ _CSV_COLUMNS = ("u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_cl
 
 
 def _analyze_csv(data):
-    """analyze.csv: a header, then one line per point of str() of each value."""
+    """analyze.csv in chunks: a header, then one line per point of str() of
+    each value, in blocks of ``affine._LANES`` points."""
     cols = [getattr(data, c) for c in _CSV_COLUMNS]
-    texts = [float_texts(c) if c.dtype.kind == "f" else c.tolist() for c in cols]
-    return "\n".join([",".join(_CSV_COLUMNS), *map(",".join, zip(*texts))]) + "\n"
+    yield ",".join(_CSV_COLUMNS) + "\n"
+    for s in affine._lane_blocks(len(cols[0])):
+        texts = [float_texts(c[s]) if c.dtype.kind == "f" else c[s].tolist() for c in cols]
+        yield "".join(line + "\n" for line in map(",".join, zip(*texts)))
 
 
 # -- portrait ------------------------------------------------------------------
@@ -281,9 +297,9 @@ def cmd_portrait(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if "svg" in formats:
-        _atomic_write(os.path.join(outdir, "portrait.svg"), flow.portrait_svg(portrait))
+        _atomic_write(os.path.join(outdir, "portrait.svg"), (flow.portrait_svg(portrait),))
     if "json" in formats:
-        _atomic_write(os.path.join(outdir, "portrait.json"), portrait.to_json() + "\n")
+        _atomic_write(os.path.join(outdir, "portrait.json"), (portrait.to_json() + "\n",))
     stages = dict(portrait.stage_seconds, write=time.perf_counter() - t_write)
     _write_run_info(outdir, args, integration=portrait.integration.to_json_dict(),
                     stage_seconds=stages)
@@ -320,9 +336,9 @@ def cmd_conormal(args):
     _atomic_write(os.path.join(outdir, "conormal.obj"), conormal.export_mesh(mesh))
     _atomic_write(os.path.join(outdir, "source.obj"), conormal.export_mesh(src))
     _atomic_write(os.path.join(outdir, "correspondence.json"),
-                  json.dumps(report, indent=1) + "\n")
+                  (json.dumps(report, indent=1) + "\n",))
     _atomic_write(os.path.join(outdir, "correspondence.csv"),
-                  conormal.correspondence_report_csv(report))
+                  (conormal.correspondence_report_csv(report),))
     _write_run_info(outdir, args, stage_seconds={"mesh": t_verify - t_mesh,
                                                  "verify": t_export - t_verify,
                                                  "export": time.perf_counter() - t_export})

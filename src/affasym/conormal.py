@@ -116,10 +116,19 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
+def _mesh_rows(surf, u, v, guard):
+    """Conormal rows, |nu_u ^ nu_v| and position rows of one block of grid
+    points, from one ``frame_jets`` call."""
+    fr = affine.frame_jets(surf, u, v, order=3, guard=guard, depth=1)
+    wnorm = np.linalg.norm(np.cross(_rows(fr["nu_u"]), _rows(fr["nu_v"])), axis=1)
+    return _rows(fr["nu"]), wnorm, _rows(fr["alpha"])
+
+
 def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
                   guard=jets.DEFAULT_EPS, norm_cap=1e3):
     """Grid meshes ``(source, image)`` of the surface and of its conormal
-    image, from one grid, one frame and one component labelling.
+    image, from one grid, one component labelling and one ``frame_jets``
+    call per block of ``affine._LANES`` valid grid points.
 
     Exclusion strips carried by the surface are widened to at least
     ``margin`` (the map blows up at the parabolic set; a finite mesh needs a
@@ -132,9 +141,8 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
     region = region or surf.domain
     U, V, mask = _grid_and_mask(surf, region, resolution, margin)
     uu, vv = U[mask], V[mask]
-    fr = affine.frame_jets(surf, uu, vv, order=3, guard=guard, depth=1)
-    verts = _rows(fr["nu"])
-    wnorm = np.linalg.norm(np.cross(_rows(fr["nu_u"]), _rows(fr["nu_v"])), axis=1)
+    verts, wnorm, alpha = map(np.concatenate, zip(*(
+        _mesh_rows(surf, uu[s], vv[s], guard) for s in affine._lane_blocks(len(uu)))))
     bad = wnorm <= 1e-10
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
@@ -151,7 +159,7 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
     comp_grid, n_comp = _components(surf, region, mask)
     shared = dict(component_id=comp_grid[mask], params=np.stack([uu, vv], axis=1),
                   n_components=n_comp)
-    source = ConormalMesh(vertices=_rows(fr["alpha"]), faces=faces,
+    source = ConormalMesh(vertices=alpha, faces=faces,
                           clipped=np.zeros(len(uu), dtype=bool), **shared)
     image = ConormalMesh(vertices=verts, faces=faces[~clipped[faces].any(axis=1)],
                          clipped=clipped, **shared)
@@ -218,11 +226,13 @@ def correspondence_report_csv(rows):
 
 
 def export_mesh(mesh):
-    """Wavefront OBJ text: components as separate objects, 1-indexed faces.
+    """Wavefront OBJ text in chunks: components as separate objects,
+    1-indexed faces.
 
     Vertices and faces are sorted by component once (stably, so each object
-    keeps the mesh order) and written object by object: ``v`` lines from one
-    ``float_texts`` call, ``f`` lines from one orjson pass."""
+    keeps the mesh order) and written object by object, in blocks of
+    ``affine._LANES``: ``v`` lines from one ``float_texts`` call, ``f`` lines
+    from one orjson pass."""
     import orjson
 
     comp = mesh.component_id
@@ -234,15 +244,17 @@ def export_mesh(mesh):
     labels = np.arange(mesh.n_components + 1)
     vcut = np.searchsorted(comp[vorder], labels)
     fcut = np.searchsorted(face_comp[forder], labels)
-    parts = ["# conormal mesh export\n"]
+    yield "# conormal mesh export\n"
     for c in range(mesh.n_components):
         if vcut[c] == vcut[c + 1]:
             continue
-        verts = mesh.vertices[vorder[vcut[c]:vcut[c + 1]]]
-        quads = remap[mesh.faces[forder[fcut[c]:fcut[c + 1]]]]
-        parts.append(f"o component_{c}\n")
-        parts.append("v %s %s %s\n" * len(verts) % tuple(float_texts(verts)))
-        if len(quads):
-            text = orjson.dumps(quads, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            parts.append("f " + text[2:-2].replace("],[", "\nf ").replace(",", " ") + "\n")
-    return "".join(parts)
+        vsel, fsel = vorder[vcut[c]:vcut[c + 1]], forder[fcut[c]:fcut[c + 1]]
+        yield f"o component_{c}\n"
+        for s in affine._lane_blocks(len(vsel)):
+            verts = mesh.vertices[vsel[s]]
+            yield "v %s %s %s\n" * len(verts) % tuple(float_texts(verts))
+        for s in affine._lane_blocks(len(fsel)):
+            quads = remap[mesh.faces[fsel[s]]]
+            if len(quads):
+                text = orjson.dumps(quads, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+                yield "f " + text[2:-2].replace("],[", "\nf ").replace(",", " ") + "\n"

@@ -389,8 +389,10 @@ def singular_sets(euclid, fld, region, resolution):
     kscale = np.nanmax(np.abs(np.asarray(kscalar(ug, vg)))) or 1.0
     affine_parabolic, rest = [], []
     for poly in ext_disc:
-        ks = np.abs(np.asarray(kscalar(poly[:, 0], poly[:, 1])))
-        (affine_parabolic if np.median(ks) > 1e-7 * kscale else rest).append(poly)
+        ks = np.sort(np.abs(np.asarray(kscalar(poly[:, 0], poly[:, 1]))), axis=None)
+        # np.median (NaN sorts last) without its numpy.ma import on first call
+        med = np.nan if np.isnan(ks[-1]) else ks[(len(ks) - 1) // 2:len(ks) // 2 + 1].mean()
+        (affine_parabolic if med > 1e-7 * kscale else rest).append(poly)
     return {"parabolic": parabolic, "affine_parabolic": affine_parabolic,
             "discriminant": rest}
 

@@ -4,7 +4,6 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all);
 tolerances are fixed here and match the package's documented guarantees.
 """
 
-import json
 import math
 import os
 import subprocess

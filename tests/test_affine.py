@@ -451,3 +451,49 @@ def test_randomized_consistency_sweep():
             assert abs(B - factor * mc) < 1e-6 * max(1.0, abs(B), abs(A))
             assert abs(C - factor * nc) < 1e-6 * max(1.0, abs(C))
     assert points >= 48
+
+
+# the non-polynomial parametric chart of tools/payload_hashes.py (file-nonpoly)
+NONPOLY = sf.parametric_surface(["u + 0.1*sin(v)", "v", "0.5*u^2+v^2+0.2*u^3"],
+                                Rect(-0.5, 0.5, -0.5, 0.5))
+
+
+def counted_frame_jets(monkeypatch):
+    """Lanes of each ``af.frame_jets`` call from here on."""
+    calls = []
+    frame_jets = af.frame_jets
+
+    def counting(surf, u, v, **kwargs):
+        calls.append(np.size(u))
+        return frame_jets(surf, u, v, **kwargs)
+
+    monkeypatch.setattr(af, "frame_jets", counting)
+    return calls
+
+
+@pytest.mark.parametrize("surf, lo, hi", [(torus(), (0.1, 0.0), (1.4, 6.2)),
+                                          (NONPOLY, (-0.45, -0.45), (0.45, 0.45))],
+                         ids=["torus", "file-nonpoly"])
+def test_point_data_is_the_same_in_blocks_of_seven_lanes(monkeypatch, surf, lo, hi):
+    us, vs = np.random.default_rng(18).uniform(lo, hi, (40, 2)).T
+    calls = counted_frame_jets(monkeypatch)
+    whole = af.affine_point_data(surf, us, vs)
+    monkeypatch.setattr(af, "_LANES", 7)
+    blocked = af.affine_point_data(surf, us, vs)
+    # one call for the batch, then six blocks, the last one ragged
+    assert calls == [40, 7, 7, 7, 7, 7, 5]
+    for f in fields(af.AffinePointData):
+        a, b = getattr(whole, f.name), getattr(blocked, f.name)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), f.name
+
+
+def test_parabolic_error_names_first_batch_point_in_a_later_block(monkeypatch):
+    # LN - M^2 = uv on h = (u^3 + v^3)/6; in blocks of 7 lanes the first
+    # parabolic point is lane 16 (block 2) and the next is lane 22 (block 3)
+    surf = sf.monge_surface("(u^3 + v^3)/6")
+    us, vs = np.linspace(0.1, 0.4, 24), np.linspace(0.1, 0.3, 24)
+    us[16] = vs[22] = 0.0
+    monkeypatch.setattr(af, "_LANES", 7)
+    with pytest.raises(ParabolicPointError) as err:
+        af.affine_point_data(surf, us, vs)
+    assert err.value.point == (0.0, float(vs[16]))

@@ -433,13 +433,79 @@ def test_analyze_writers_match_json_dumps_of_rows():
     data.E[4] = -0.0
     data.m[5] = 5e-324
     rows = old_analyze_rows(data, flat)
-    assert cli._analyze_json(data, flat) == json.dumps(rows, indent=1, sort_keys=True)
-    assert cli._analyze_csv(data) == old_analyze_csv(rows)
+    assert "".join(cli._analyze_json(data, flat)) == \
+        json.dumps(rows, indent=1, sort_keys=True) + "\n"
+    assert "".join(cli._analyze_csv(data)) == old_analyze_csv(rows)
     one = affine.affine_point_data(surf, U.ravel()[:1], V.ravel()[:1], guard=1e-9)
     for flag in (False, True):
         rows = old_analyze_rows(one, np.array([flag]))
-        assert cli._analyze_json(one, np.array([flag])) == \
-            json.dumps(rows, indent=1, sort_keys=True)
+        assert "".join(cli._analyze_json(one, np.array([flag]))) == \
+            json.dumps(rows, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_analyze_writers_are_the_same_in_blocks_of_seven_rows(monkeypatch):
+    surf = cli._build_surface(cli._make_parser().parse_args(
+        ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1"]))
+    us, vs = cli._analysis_grid(surf, surf.domain, (8, 4))
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    data = affine.affine_point_data(surf, U.ravel(), V.ravel(), guard=1e-9)
+    # 32 rows in blocks of 7, the last of 4; rows written apart in three blocks
+    flat = np.zeros(U.size, dtype=bool)
+    flat[[0, 15, 30]] = True
+    data.K_aff[17] = np.nan
+    data.nu[1, 29] = np.inf
+    rows = json.dumps(old_analyze_rows(data, flat), indent=1, sort_keys=True) + "\n"
+    csv = "".join(cli._analyze_csv(data))
+    monkeypatch.setattr(affine, "_LANES", 7)
+    chunks = list(cli._analyze_json(data, flat))
+    assert len(chunks) == 6 and "".join(chunks) == rows
+    chunks = list(cli._analyze_csv(data))
+    assert len(chunks) == 6 and "".join(chunks) == csv
+
+
+@pytest.mark.parametrize("surface", ["torus", "file-nonpoly"])
+def test_payloads_are_the_same_in_blocks_of_seven_lanes(tmp_path, monkeypatch, surface):
+    spec = ["catalog:torus", "--R", "3", "--r", "1"]
+    if surface == "file-nonpoly":
+        # the non-polynomial parametric chart of tools/payload_hashes.py
+        cfg = tmp_path / "nonpoly.json"
+        cfg.write_text(json.dumps({"kind": "parametric",
+                                   "exprs": ["u + 0.1*sin(v)", "v", "0.5*u^2+v^2+0.2*u^3"],
+                                   "domain": [-0.5, 0.5, -0.5, 0.5]}))
+        spec = [f"file:{cfg}"]
+
+    def payloads(lanes):
+        monkeypatch.setattr(affine, "_LANES", lanes)
+        out = tmp_path / str(lanes)
+        # 30 analyze rows and over 100 mesh vertices: ragged last blocks of 7
+        assert cli.main(["analyze", "--surface", *spec, "--res", "6x5",
+                         "--format", "json,csv", "--out", str(out)]) == 0
+        assert cli.main(["conormal", "--surface", *spec, "--res", "12x10",
+                         "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_info.json"}
+
+    whole = payloads(4096)
+    assert sorted(whole) == ["analyze.csv", "analyze.json", "conormal.obj",
+                             "correspondence.csv", "correspondence.json", "source.obj"]
+    assert payloads(7) == whole
+
+
+def test_atomic_write_removes_its_temporary_file_when_writing_fails(tmp_path):
+    target = tmp_path / "payload.txt"
+    target.write_text("earlier payload\n")
+
+    def chunks():
+        yield "first chunk\n"
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._atomic_write(str(target), chunks())
+    assert target.read_text() == "earlier payload\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["payload.txt"]
+    cli._atomic_write(str(target), ("one", " chunk\n"))
+    assert target.read_text() == "one chunk\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["payload.txt"]
 
 
 def percent_analyze_csv(data):
@@ -460,7 +526,7 @@ def test_analyze_csv_matches_percent_format_on_exponent_and_non_finite_values():
     data.K[:6] = [np.nan, np.inf, -np.inf, 1e-5, -2.5e16, 5e-324]
     data.l[6:10] = [9.999999999999999e-05, 1e-4, 1e16, -0.0]
     data.H_aff *= 1e-7
-    assert cli._analyze_csv(data) == percent_analyze_csv(data)
+    assert "".join(cli._analyze_csv(data)) == percent_analyze_csv(data)
 
 
 @pytest.mark.parametrize("argv, stages", [

@@ -165,7 +165,7 @@ def test_quadric_degenerate_marker():
 def test_obj_export_small_grid():
     q = sf.monge_surface("(u^2 + v^2)/2")
     _, mesh = cn.conormal_mesh(q, region=Rect(-0.5, 0.5, -0.5, 0.5), resolution=(2, 2))
-    obj = cn.export_mesh(mesh)
+    obj = "".join(cn.export_mesh(mesh))
     lines = obj.strip().split("\n")
     assert sum(1 for ln in lines if ln.startswith("v ")) == 4
     assert sum(1 for ln in lines if ln.startswith("f ")) == 1
@@ -174,7 +174,7 @@ def test_obj_export_small_grid():
 
 def test_obj_export_torus_two_objects():
     _, mesh = cn.conormal_mesh(torus(), resolution=(36, 18))
-    obj = cn.export_mesh(mesh)
+    obj = "".join(cn.export_mesh(mesh))
     objects = [ln for ln in obj.split("\n") if ln.startswith("o ")]
     assert objects == ["o component_0", "o component_1"]
     # faces reference valid 1-based vertices
@@ -191,7 +191,7 @@ def test_obj_export_empty_region():
     _, mesh = cn.conormal_mesh(tor, region=Rect(math.pi / 2 - 0.01, math.pi / 2 + 0.01,
                                                 0.0, 1.0), resolution=(4, 4), margin=0.05)
     assert len(mesh.vertices) == 0
-    obj = cn.export_mesh(mesh)
+    obj = "".join(cn.export_mesh(mesh))
     assert obj.strip() == "# conormal mesh export"
 
 
@@ -279,7 +279,7 @@ def test_mesh_faces_and_obj_match_cell_scan(region, res, norm_cap):
                                   grid_faces_reference(tor, region, res, 0.05, img.clipped)]
     assert (len(img.faces) < len(src.faces)) == bool(img.clipped.any())
     for mesh in (src, img):
-        assert cn.export_mesh(mesh) == obj_reference(mesh)
+        assert "".join(cn.export_mesh(mesh)) == obj_reference(mesh)
 
 
 def test_source_vertices_are_surface_positions():
@@ -486,11 +486,11 @@ def test_obj_export_matches_line_by_line_reference():
     mesh = cn.ConormalMesh(vertices=verts, faces=faces, component_id=comp,
                            params=np.zeros((n, 2)), clipped=np.zeros(n, dtype=bool),
                            n_components=int(comp.max()) + 1)
-    assert cn.export_mesh(mesh) == obj_reference(mesh)
+    assert "".join(cn.export_mesh(mesh)) == obj_reference(mesh)
     one = cn.ConormalMesh(vertices=verts[:1], faces=np.zeros((0, 4), dtype=int),
                           component_id=np.zeros(1, dtype=int), params=np.zeros((1, 2)),
                           clipped=np.zeros(1, dtype=bool), n_components=1)
-    assert cn.export_mesh(one) == obj_reference(one)
+    assert "".join(cn.export_mesh(one)) == obj_reference(one)
 
 
 def percent_export_mesh(mesh):
@@ -525,7 +525,7 @@ def test_obj_export_matches_percent_format_on_exponent_and_non_finite_values():
     mesh = cn.ConormalMesh(vertices=verts, faces=faces, component_id=comp,
                            params=np.zeros((n, 2)), clipped=np.zeros(n, dtype=bool),
                            n_components=3)
-    assert cn.export_mesh(mesh) == percent_export_mesh(mesh)
+    assert "".join(cn.export_mesh(mesh)) == percent_export_mesh(mesh)
 
 
 def test_correspondence_csv_matches_repr_per_cell():
@@ -543,3 +543,31 @@ def test_correspondence_csv_matches_repr_per_cell():
                      f"{int(r['degenerate'])},{lam},{res},{r['normal_cross']!r}")
     assert cn.correspondence_report_csv(rows) == "\n".join(lines) + "\n"
     assert cn.correspondence_report_csv([]) == lines[0] + "\n"
+
+
+@pytest.mark.parametrize("surf, res, norm_cap", [
+    (torus(), (36, 18), 2.0),
+    (sf.parametric_surface(["u + 0.1*sin(v)", "v", "0.5*u^2+v^2+0.2*u^3"],
+                           Rect(-0.5, 0.5, -0.5, 0.5)), (12, 10), 1e3),
+], ids=["torus", "file-nonpoly"])
+def test_meshes_and_obj_are_the_same_in_blocks_of_seven_lanes(monkeypatch, surf, res,
+                                                              norm_cap):
+    whole = cn.conormal_mesh(surf, resolution=res, norm_cap=norm_cap)
+    texts = ["".join(cn.export_mesh(mesh)) for mesh in whole]
+    calls = []
+    frame_jets = af.frame_jets
+
+    def counting(surf, u, v, **kwargs):
+        calls.append(len(u))
+        return frame_jets(surf, u, v, **kwargs)
+
+    monkeypatch.setattr(af, "frame_jets", counting)
+    monkeypatch.setattr(af, "_LANES", 7)
+    blocked = cn.conormal_mesh(surf, resolution=res, norm_cap=norm_cap)
+    n = len(whole[0].vertices)
+    assert n % 7 and calls == [7] * (n // 7) + [n % 7]
+    for a, b in zip(whole, blocked):
+        for name in ("vertices", "faces", "component_id", "params", "clipped"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.n_components == b.n_components
+    assert ["".join(cn.export_mesh(mesh)) for mesh in blocked] == texts

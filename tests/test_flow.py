@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from affasym import affine as af, bde, flow, jets, singular as sg, surface as sf
+from affasym import bde, flow, jets, singular as sg, surface as sf
 from affasym.bde import LiftedState
 from affasym.surface import Rect
 from test_bde import lift_residual, reference_velocity

@@ -10,8 +10,10 @@ a transcendental Monge chart, three parametric charts given as ``file:``
 configs written to the temporary directory (a generic one, one whose
 extended field crosses the parabolic set LN - M^2 = 0, and a
 non-polynomial graph), analyze of that graph, and analyze and conormal on a
-torus.  The transcendental and non-polynomial runs pin the jet route of the
-surface fields; every other surface run has polynomial fields.
+torus, each once within one block of evaluated lanes and once over several
+(``affine._LANES``; the larger conormal run is the benchmark's grid-torus
+command).  The transcendental and non-polynomial runs pin the jet route of
+the surface fields; every other surface run has polynomial fields.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -76,6 +78,12 @@ RUNS = [
     ("analyze-torus-R3-r1", ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1",
                              "--res", "32", "--format", "json,csv"]),
     ("conormal-torus-R3-r1", ["conormal", "--surface", "catalog:torus", "--R", "3", "--r", "1"]),
+    # 9,216 points: two full blocks of 4096 lanes and a ragged third
+    ("analyze-torus-R3-r1-res96", ["analyze", "--surface", "catalog:torus", "--R", "3",
+                                   "--r", "1", "--res", "96", "--format", "json,csv"]),
+    # 35,712 mesh vertices, nine blocks
+    ("conormal-torus-R3-r1-res192", ["conormal", "--surface", "catalog:torus", "--R", "3",
+                                     "--r", "1", "--res", "192"]),
 ]
 
 
