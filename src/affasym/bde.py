@@ -32,7 +32,6 @@ from .surface import Poly, PolySet, Rect, _slot_arrays
 
 __all__ = [
     "BDEField",
-    "LiftedState",
     "AsymptoticDirections",
     "LIFT_TOL",
     "field_from_polynomials",
@@ -43,7 +42,7 @@ __all__ = [
     "euclidean_field_for",
     "discriminant",
     "asymptotic_directions",
-    "lift_state",
+    "lift_slope",
     "lifted_velocity",
     "lifted_derivatives",
     "trace_zero_set",
@@ -73,14 +72,6 @@ class BDEField:
         c = self.slots(u, v, order)
         n = len(c) // 3
         return Jet2(order, c[:n]), Jet2(order, c[n:2 * n]), Jet2(order, c[2 * n:])
-
-
-@dataclass
-class LiftedState:
-    u: float
-    v: float
-    slope: float
-    chart: str  # "p" (slope = dv/du) or "q" (slope = du/dv)
 
 
 # -- constructors -------------------------------------------------------------
@@ -209,11 +200,11 @@ def _unit(du, dv):
     return d
 
 
-def asymptotic_directions(field, u, v, lift_tol=LIFT_TOL, degenerate_tol=DEGENERATE_TOL):
+def asymptotic_directions(field, u, v, lift_tol=LIFT_TOL):
     """Solve the direction equation at one point, chart-robustly."""
     A, B, C = (float(x) for x in field.coeff(u, v))
     scale = max(abs(A), abs(B), abs(C))
-    if scale < degenerate_tol:
+    if scale < DEGENERATE_TOL:
         return AsymptoticDirections("degenerate", [])
     delta = B * B - A * C
     double_thr = (lift_tol * scale) ** 2
@@ -235,11 +226,12 @@ def asymptotic_directions(field, u, v, lift_tol=LIFT_TOL, degenerate_tol=DEGENER
     return AsymptoticDirections("two", dirs)
 
 
-def lift_state(field, u, v, du, dv):
-    """Lifted state for a projected direction, in the better slope chart."""
+def lift_slope(du, dv):
+    """The slope of a projected direction in the better slope chart, and
+    whether that chart is q."""
     if abs(dv) <= abs(du):
-        return LiftedState(u, v, dv / du, "p")
-    return LiftedState(u, v, du / dv, "q")
+        return dv / du, False
+    return du / dv, True
 
 
 def _pick(chart_q, a, b):
@@ -303,34 +295,30 @@ def _lanewise(fn, n):
     return tuple(np.concatenate(c) for c in zip(*parts)) if parts else None, errors
 
 
-def lie_cartan_scaled(field, state):
-    """Velocity of the lifted tangent field at the state, in its chart, and
-    the local coefficient scale, from one slot evaluation."""
-    X, scale = lifted_velocity(field.slots(state.u, state.v, 1), state.slope,
-                               state.chart == "q")
+def lie_cartan_scaled(field, u, v, slope, chart_q):
+    """Velocity of the lifted tangent field at one lifted point, in its
+    chart, and the local coefficient scale, from one slot evaluation."""
+    X, scale = lifted_velocity(field.slots(u, v, 1), slope, chart_q)
     return X, float(scale)
 
 
-def lifted_derivatives(c, state):
+def lifted_derivatives(c, slope, chart_q):
     """F, its gradient (F_u, F_v, F_slope) and the 3x3 Jacobian of the lifted
-    field in (u, v, slope) order, at the state, from the order-2 slots ``c``
-    of (A, B, C) at its point (``BDEField.slots``, shape (18,))."""
-    s = state.slope
-    F, Fs, Fss = lift_terms(*c.reshape(3, 6), s, state.chart == "q")
-    (F0, Fu, Fv, Fuu, Fuv, Fvv), (Fs0, Fsu, Fsv), Fss = F.tolist(), Fs[:3].tolist(), float(Fss[0])
-    if state.chart == "p":
-        J = np.array([
-            [Fsu, Fsv, Fss],
-            [s * Fsu, s * Fsv, Fs0 + s * Fss],
-            [-(Fuu + s * Fuv), -(Fuv + s * Fvv), -(Fsu + Fv + s * Fsv)],
-        ])
-    else:
-        J = np.array([
-            [s * Fsu, s * Fsv, Fs0 + s * Fss],
-            [Fsu, Fsv, Fss],
-            [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fsv + Fu + s * Fsu)],
-        ])
-    return F0, (Fu, Fv, Fs0), J
+    field in (u, v, slope) order at one lifted point, from the order-2 slots
+    ``c`` of (A, B, C) there (``BDEField.slots``, shape (18,)).  The rows of
+    F_s and s F_s come in the order of X's first two components; chart q is
+    chart p with u and v swapped, so the third row, -grad(F_a + s F_b),
+    reads a = u, b = v in chart p and a = v, b = u in chart q."""
+    s, q = slope, int(chart_q)
+    a, b = 1 + q, 2 - q    # the slots of the a- and b-partials
+    F, Fs, Fss = lift_terms(*c.reshape(3, 6), s, chart_q)
+    F, Fs, Fss = F.tolist(), Fs[:3].tolist(), float(Fss[0])
+    Fs0, Fsu, Fsv = Fs
+    rows = [Fsu, Fsv, Fss], [s * Fsu, s * Fsv, Fs0 + s * Fss]
+    J = np.array([rows[q], rows[1 - q],
+                  [-(F[a + 2] + s * F[b + 2]), -(F[a + 3] + s * F[b + 3]),
+                   -(Fs[a] + F[b] + s * Fs[b])]])
+    return F[0], (F[1], F[2], Fs0), J
 
 
 # -- implicit-curve tracing ----------------------------------------------------

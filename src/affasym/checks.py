@@ -178,13 +178,12 @@ def lifted_tangency(n=20, seed=4):
         if not res.dirs:
             continue
         checked += 1
-        st = bde.lift_state(fld, u, v, *res.dirs[0])
-        X = bde.lie_cartan_scaled(fld, st)[0]
+        s, chart_q = bde.lift_slope(*res.dirs[0])
+        X = bde.lie_cartan_scaled(fld, u, v, s, chart_q)[0]
         J = fld.slots(u, v, 1).reshape(3, 3)   # rows A, B, C; columns value, d/du, d/dv
-        s = st.slope
         # weights of (A, B, C) in F = A + 2Bs + Cs^2 (chart p) or As^2 + 2Bs + C, and in dF/ds
-        w, ws = np.array(((1, 2 * s, s * s), (0, 2, 2 * s)) if st.chart == "p" else
-                         ((s * s, 2 * s, 1), (2 * s, 2, 0)))
+        w, ws = np.array(((s * s, 2 * s, 1), (2 * s, 2, 0)) if chart_q else
+                         ((1, 2 * s, s * s), (0, 2, 2 * s)))
         grad = np.array([w @ J[:, 1], w @ J[:, 2], ws @ J[:, 0]])
         scale = max(float(np.linalg.norm(grad)) * float(np.linalg.norm(X)), 1e-30)
         err = abs(float(grad @ X)) / scale

@@ -185,15 +185,14 @@ def second_form_of_conormal(frame):
     return (e, f, g), nvec
 
 
-def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
-                                   degenerate_tol=1e-12):
+def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS):
     """Proportionality report between II of the conormal image and (l, m, n).
 
     One row per sample, all read from one ``frame_jets`` call: the scalar
     factor lambda (ratio in the best-conditioned slot), the normalized
     residual of (e, f, g) - lambda (l, m, n), and the alignment of the image
     normal with the affine normal.  Samples where all of l, m, n vanish are
-    marked degenerate and carry no factor.
+    marked degenerate (all below 1e-12) and carry no factor.
     """
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 2)
     fr = affine.frame_jets(surf, pts[:, 0], pts[:, 1], order=4, guard=guard)
@@ -202,7 +201,7 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS,
     efg = np.stack(efg, axis=-1)
     xi = _rows(fr["xi"])
     cross = _norms(np.cross(nvec, xi / _norms(xi)[:, None]))
-    degenerate = np.max(np.abs(lmn), axis=1) < degenerate_tol
+    degenerate = np.max(np.abs(lmn), axis=1) < 1e-12
     # best-conditioned slot: the first of l, m, n with the largest modulus
     k = np.argmax(np.abs(lmn), axis=1)
     at = np.arange(len(pts))

@@ -66,9 +66,6 @@ class IntegrationParams:
     max_len: float = 20.0
     max_steps: int = 20000
     max_step_frac: float = 1e-2    # of the region diagonal
-    loop_tol: float = 1e-6
-    degenerate_tol: float = 1e-10
-    chart_switch: float = 1.5
 
 
 @dataclass
@@ -113,6 +110,8 @@ def _stage_sum(w, K):
 
 
 _ETA = 1e-9    # soft normalization of the lifted speed
+_CHART_SWITCH = 1.5    # |slope| beyond which a lane switches slope chart
+_LOOP_TOL = 1e-6    # state distance to the seed that closes a loop
 _RING_SEEDS, _RING_RADIUS = 8, 0.05    # extra seeds around each singular point
 
 
@@ -178,7 +177,7 @@ def _creep(fld, y, ref_dir, params):
     # and solution (e.g. profile circles of a surface of revolution) the
     # lifted field vanishes identically while the planar double direction
     # stays well defined; creep along it.
-    dd = bde.asymptotic_directions(fld, y[0], y[1], params.lift_tol, params.degenerate_tol)
+    dd = bde.asymptotic_directions(fld, y[0], y[1], params.lift_tol)
     if not dd.dirs:
         raise NoDirectionError("lost the direction field")
     best = max(dd.dirs, key=lambda w: abs(w[0] * ref_dir[0] + w[1] * ref_dir[1]))
@@ -202,8 +201,7 @@ def _rhs(fld, y, chart, orient, ref_dir, params):
 def _start(fld, seed, family, sweep, params):
     """Lifted seed state, orientation and reference direction of one job."""
     u0, v0 = float(seed[0]), float(seed[1])
-    dirs = bde.asymptotic_directions(fld, u0, v0, lift_tol=params.lift_tol,
-                                     degenerate_tol=params.degenerate_tol)
+    dirs = bde.asymptotic_directions(fld, u0, v0, lift_tol=params.lift_tol)
     if dirs.kind == "none":
         raise NoDirectionError(f"seed {seed} lies where the discriminant is negative")
     if dirs.kind == "degenerate":
@@ -212,15 +210,15 @@ def _start(fld, seed, family, sweep, params):
         raise ValueError("family must be 'plus' or 'minus'")
     pick = 0 if family == "plus" or dirs.kind == "double" else min(1, len(dirs.dirs) - 1)
     d = dirs.dirs[pick]
-    state = bde.lift_state(fld, u0, v0, d[0], d[1])
+    slope, chart_q = bde.lift_slope(d[0], d[1])
     orient = float(sweep)
-    X0, scale = bde.lie_cartan_scaled(fld, state)
+    X0, scale = bde.lie_cartan_scaled(fld, u0, v0, slope, chart_q)
     n0 = float(np.linalg.norm(X0))
     if n0 > 1e-9 * max(scale, 1e-30):
         ref_dir = orient * X0 / n0
     else:
         ref_dir = orient * np.array([d[0], d[1], 0.0])
-    return (state.u, state.v, state.slope), state.chart == "q", orient, ref_dir
+    return (u0, v0, slope), chart_q, orient, ref_dir
 
 
 # Columns of the lane state, one row per running lane.  A lane's sample row
@@ -388,7 +386,7 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
             for r, e in zip(ratio.tolist(), err.tolist())]
     h = np.minimum(lane[:, _H] * grow, h_max)
     q = lane[:, _Q].copy()
-    for j in (np.abs(y[:, 2]) > params.chart_switch).nonzero()[0]:
+    for j in (np.abs(y[:, 2]) > _CHART_SWITCH).nonzero()[0]:
         stats.chart_switches += 1
         slope_old = y[j, 2]
         y[j, 2] = 1.0 / y[j, 2]
@@ -443,7 +441,7 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     def closest(j):
         prev, seed = y_old[j], lane[j, _SEED]
         t_best, d_best = _closest_on_segment(prev, y[j], seed, period)
-        if d_best >= params.loop_tol:
+        if d_best >= _LOOP_TOL:
             return False
         yc = prev + t_best * (y[j] - prev)
         last_row(j, [yc[0], yc[1], yc[2], q[j], lane[j, _ARC] + t_best * ds[j]])
@@ -452,7 +450,7 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     # terminations, in order; each test sees only the lanes still running
     for j in (~fld.domain.contains(y[:, 0], y[:, 1])).nonzero()[0]:
         event(j, "left_domain", lambda: clip(j))
-    for j in (running & (coefnorm < params.degenerate_tol)).nonzero()[0]:
+    for j in (running & (coefnorm < bde.DEGENERATE_TOL)).nonzero()[0]:
         end(j, "hit_degenerate_point")
     # a step may jump across a totally degenerate point; when the
     # coefficient norm is small compared to its change over the step,
@@ -466,12 +464,12 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
     if len(near):
         dist = _state_distance(y[near], lane[near, _SEED], period)
-        for j in near[dist < params.loop_tol]:
+        for j in near[dist < _LOOP_TOL]:
             end(j, "closed_loop")
         # closest-approach event: a step can overshoot the seed state, so
         # bracket the local minimum of the distance along the last segment
         d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
-        for j in near[(dist >= params.loop_tol) & same_chart[near] & (d_prev < dist)
+        for j in near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
                       & (d_prev < 2 * ds[near])]:
             event(j, "closed_loop", lambda: closest(j))
     lane[:, _ROW], lane[:, _H], lane[:, _REF] = rows, h, ref
@@ -518,20 +516,25 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
     return res
 
 
+def _ternary_min(f, lo, hi, iters):
+    """The middle of the bracket [lo, hi] after ``iters`` ternary-search
+    steps towards a minimum of ``f``."""
+    for _ in range(iters):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if f(m1) <= f(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
 def _degenerate_on_segment(fld, a, b):
     def cnorm(t):
         p = a + t * (b - a)
         return max(abs(x) for x in fld.slots(p[0], p[1], 0).tolist())
 
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if cnorm(m1) <= cnorm(m2):
-            hi = m2
-        else:
-            lo = m1
-    t_best = 0.5 * (lo + hi)
+    t_best = _ternary_min(cnorm, 0.0, 1.0, 80)
     cmin = cnorm(t_best)
     p = a + t_best * (b - a)
     try:
@@ -567,15 +570,7 @@ def _closest_on_segment(a, b, target, period):
             best_t, best_d = t, d
     # ternary refinement: along a segment the distance is piecewise linear in
     # t and unimodal near an isolated closest approach
-    lo, hi = max(0.0, best_t - 1.0 / n), min(1.0, best_t + 1.0 / n)
-    for _ in range(100):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if dist(m1) <= dist(m2):
-            hi = m2
-        else:
-            lo = m1
-    best_t = 0.5 * (lo + hi)
+    best_t = _ternary_min(dist, max(0.0, best_t - 1.0 / n), min(1.0, best_t + 1.0 / n), 100)
     return best_t, float(dist(best_t))
 
 

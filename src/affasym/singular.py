@@ -11,8 +11,8 @@ Four species are located and classified:
   Euclidean parabolic set and the affine parabolic set;
 * flat Euclidean umbilics, where the second form (L, M, N) vanishes,
   classified by the real-root count of the cubic read from its first
-  derivatives, on any chart, with a polar blow-up sign check for the spiral
-  case.
+  derivatives, on any chart; ``blowup_radial_coeffs`` gives a field's polar
+  blow-up coefficients at such a point.
 
 Eigenvalues of the restriction of the lifted linearization to the lifted
 surface are obtained from the trace and second elementary symmetric function
@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bde
-from .bde import LiftedState
 from .jets import Jet2
-from .surface import EvalError, Rect
+from .surface import EvalError
 
 __all__ = [
     "SingularPointReport",
@@ -177,37 +176,37 @@ def find_folded_points(fld, discriminant_polylines):
             pt = _newton_fold(fld, seed[0], seed[1])
             if pt is not None:
                 candidates.append(pt)
-    merged = []
-    for pt in sorted(candidates):
-        if all(math.hypot(pt[0] - q[0], pt[1] - q[1]) > 1e-7 for q in merged):
-            merged.append(pt)
-    return merged
+    return _merged(sorted(candidates), lambda pt: pt, 1e-7)
+
+
+def _merged(items, location, radius):
+    """The items, in their order, without those within ``radius`` of an
+    earlier kept one."""
+    kept = []
+    for it in items:
+        p = location(it)
+        if all(math.hypot(p[0] - k[0], p[1] - k[1]) > radius for k in map(location, kept)):
+            kept.append(it)
+    return kept
 
 
 def _newton_fold(fld, u, v):
     _, slope, chart_q = _double_roots(fld, u, v, 0)
     x = np.array([u, v, float(slope)])
-    chart = "q" if chart_q else "p"
     for _ in range(25):
-        state = LiftedState(x[0], x[1], x[2], chart)
         try:
-            c = fld.slots(state.u, state.v, 2)
+            c = fld.slots(x[0], x[1], 2)
         except (ArithmeticError, EvalError):
             return None
-        s = state.slope
-        Fval, (Fu, Fv, Fs), Jx = bde.lifted_derivatives(c, state)
-        # rows: gradient of F, gradient of F_slope, gradient of G = -X_3
-        if chart == "p":
-            G = Fu + s * Fv
-            rows = [[Fu, Fv, Fs], Jx[0], -Jx[2]]
-        else:
-            G = Fv + s * Fu
-            rows = [[Fu, Fv, Fs], Jx[1], -Jx[2]]
-        Fvec = np.array([Fval, Fs, G])
+        s, q = x[2], int(chart_q)
+        Fval, grad, Jx = bde.lifted_derivatives(c, s, chart_q)
+        # (F, F_slope, G = -X_3 = F_x + s F_y), x the chart's first
+        # coordinate: u in chart p, v in chart q; rows their gradients
+        Fvec = np.array([Fval, grad[2], grad[q] + s * grad[1 - q]])
         scale = max(abs(float(c[0])), abs(float(c[6])), abs(float(c[12])), 1e-30)
         if np.max(np.abs(Fvec)) < 1e-9 * scale:
             return (float(x[0]), float(x[1]))
-        J = np.array(rows)
+        J = np.array([grad, Jx[q], -Jx[2]])
         try:
             dx = np.linalg.solve(J, -Fvec)
         except np.linalg.LinAlgError:
@@ -217,7 +216,7 @@ def _newton_fold(fld, u, v):
             dx = dx * (0.5 / step)
         x = x + dx
         if abs(x[2]) > 2.0:  # switch slope chart when it degrades
-            chart = "q" if chart == "p" else "p"
+            chart_q = not chart_q
             x[2] = 1.0 / x[2]
     return None
 
@@ -226,13 +225,13 @@ def classify_folded(fld, point):
     """Linearize the lifted field at the double-root lift of a fold point."""
     u, v = point
     c, slope, chart_q = _double_roots(fld, u, v, 2)
-    state = LiftedState(u, v, float(slope), "q" if chart_q else "p")
-    X, scale = bde.lifted_velocity(c, state.slope, bool(chart_q))
+    slope, chart_q = float(slope), bool(chart_q)
+    X, scale = bde.lifted_velocity(c, slope, chart_q)
     scale = max(float(scale), 1e-30)
     if np.linalg.norm(X) > 1e-6 * scale:
         raise NotSingularLiftError(
             f"lifted field does not vanish at {point}: |X| = {np.linalg.norm(X):.3e}")
-    (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, state)[2])
+    (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, slope, chart_q)[2])
     if tr == 0:
         lam = math.inf if e2 > 0 else (-math.inf if e2 < 0 else float("nan"))
     else:
@@ -248,7 +247,7 @@ def classify_folded(fld, point):
     return SingularPointReport((u, v), kind, lambda_invariant=lam,
                                eigenvalues=[mu1, mu2],
                                details={"trace": tr, "e2": e2,
-                                        "slope": state.slope, "chart": state.chart})
+                                        "slope": slope, "chart": "q" if chart_q else "p"})
 
 
 def classify_flat_affine_umbilic(fld, point):
@@ -284,15 +283,15 @@ def classify_flat_affine_umbilic(fld, point):
     Cu, Cv = float(Cj.partial(1, 0)), float(Cj.partial(0, 1))
     cubic = [Cv, Cu + 2 * Bv, 2 * Bu + Av, Au]  # highest power first
     roots = np.roots(cubic) if any(abs(c) > 0 for c in cubic) else np.array([])
-    states = [LiftedState(u, v, float(z.real), "p")
-              for z in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-              if abs(z.imag) <= 1e-9 * max(1.0, abs(z))]
+    lifts = [(float(z.real), False)
+             for z in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+             if abs(z.imag) <= 1e-9 * max(1.0, abs(z))]
     if abs(Cv) <= 1e-12 * max(1.0, max(abs(c) for c in cubic)):
-        states.append(LiftedState(u, v, 0.0, "q"))   # the root at du = 0
+        lifts.append((0.0, True))   # the root at du = 0, in chart q
     lifted = []
-    for st in states:
-        (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, st)[2])
-        lifted.append({"slope": st.slope, "chart": st.chart, "eigenvalues": [mu1, mu2],
+    for slope, chart_q in lifts:
+        (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, slope, chart_q)[2])
+        lifted.append({"slope": slope, "eigenvalues": [mu1, mu2],
                        "saddle": not isinstance(mu1, complex) and e2 < 0})
     eigs = []
     for entry in lifted:
@@ -356,12 +355,7 @@ def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
                 tangency_angle=float(angle[k])))
     reports.sort(key=lambda r: r.location)
     if merge_radius > 0:
-        kept = []
-        for r in reports:
-            if all(math.hypot(r.location[0] - q.location[0],
-                              r.location[1] - q.location[1]) > merge_radius for q in kept):
-                kept.append(r)
-        reports = kept
+        reports = _merged(reports, lambda r: r.location, merge_radius)
     return reports
 
 
@@ -456,13 +450,13 @@ def _cubic_real_root_count(a, b, c, d):
     return 3 if disc > 0 else 1
 
 
-def blowup_radial_coeffs(fld, t, r=0.0):
+def blowup_radial_coeffs(fld, t):
     """Polar blow-up coefficients (Abar, Bbar, Cbar) at angle t.
 
     For a field with homogeneous quadratic coefficients the r-dependence
-    cancels exactly, so r = 0 is evaluated via any small r.
+    cancels exactly, so r = 0 is evaluated at r = 1e-3.
     """
-    rr = r if r > 0 else 1e-3
+    rr = 1e-3
     u, v = rr * np.cos(t), rr * np.sin(t)
     A, B, C = fld.coeff(u, v)
     ct, st = np.cos(t), np.sin(t)
@@ -472,7 +466,7 @@ def blowup_radial_coeffs(fld, t, r=0.0):
     return Abar, Bbar, Cbar
 
 
-def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=21):
+def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0)):
     """Classification at a flat umbilic, where the second form (L, M, N)
     vanishes: either no asymptotic net nearby, or a topological focus.
 
@@ -480,7 +474,9 @@ def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=
     plane at the point has a zero 2-jet and, times |a_u ^ a_v|, the cubic
     part c30 u^3 + c21 u^2 v + c12 u v^2 + c03 v^3, whose Hessian is
     (L, M, N) to first order (the shape operator vanishes at the point):
-    c30 = L_u/6, c21 = L_v/2 = M_u/2, c12 = M_v/2 = N_u/2 and c03 = N_v/6."""
+    c30 = L_u/6, c21 = L_v/2 = M_u/2, c12 = M_v/2 = N_u/2 and c03 = N_v/6.
+    ``delta_max_punctured`` is the largest extended discriminant on a
+    21 x 21 grid of half-width 1e-2 around the point, the point left out."""
     u0, v0 = point
     L, M, N = bde.euclidean_field_for(surf).jet_coeff(u0, v0, 1)
     if max(abs(float(j.value)) for j in (L, M, N)) > FLAT_TOL:
@@ -496,34 +492,12 @@ def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0), grid_half=1e-2, grid_n=
     eps = -1 if roots == 3 else 1
 
     ext = bde.extended_field_for(surf)
-    xs = np.linspace(u0 - grid_half, u0 + grid_half, grid_n)
-    ys = np.linspace(v0 - grid_half, v0 + grid_half, grid_n)
+    xs = np.linspace(u0 - 1e-2, u0 + 1e-2, 21)
+    ys = np.linspace(v0 - 1e-2, v0 + 1e-2, 21)
     U, V = np.meshgrid(xs, ys, indexing="ij")
     mask = (np.abs(U - u0) > 1e-12) | (np.abs(V - v0) > 1e-12)
     delta = bde.discriminant(ext, U, V)
     details = {"epsilon": eps, "delta_max_punctured": float(np.max(delta[mask]))}
 
-    if eps == 1:
-        kind = "flat_euclid_umbilic_no_lines"
-    else:
-        kind = "flat_euclid_umbilic_focus"
-        # blow-up sign checks on the cubic classification model u^3 + eps u v^2
-        from .surface import monge_surface
-        model = monge_surface("u^3 - u*v^2", Rect(-1, 1, -1, 1))
-        mfld = bde.extended_field_for(model)
-        ts = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-        Ab, Bb, Cb = blowup_radial_coeffs(mfld, ts)
-        ref = blowup_radial_coeffs(mfld, np.array(math.pi / 2))[0]
-        Ahat = Ab / ref
-        expected = (1 + 2 * np.cos(ts) ** 2) ** 2
-        details["blowup_A_matches"] = bool(np.max(np.abs(Ahat - expected)) < 1e-6)
-        details["blowup_A_nonvanishing"] = bool(np.min(np.abs(Ab)) > 0)
-        db = Bb * Bb - Ab * Cb
-        rtd = np.sqrt(np.maximum(db, 0.0))
-        f1_1 = -Bb - rtd     # radial component of the first branch, / r
-        f1_2 = -Bb + rtd     # and of the second branch
-        sgn = np.sign(ref)
-        details["branch1_radial_onesigned"] = bool(np.all(sgn * f1_1 < 0) or np.all(sgn * f1_1 > 0))
-        details["branch2_radial_onesigned"] = bool(np.all(sgn * f1_2 < 0) or np.all(sgn * f1_2 > 0))
-        details["angular_onesigned"] = bool(np.all(Ab * sgn > 0))
+    kind = "flat_euclid_umbilic_no_lines" if eps == 1 else "flat_euclid_umbilic_focus"
     return SingularPointReport((float(u0), float(v0)), kind, details=details)

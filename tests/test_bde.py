@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from affasym import affine as af, bde, checks, surface as sf
-from affasym.bde import LiftedState
 from affasym.jets import Jet2
 from affasym.surface import Rect
 
 from test_conormal import conormal_image_field
 
 
-def lift_residual(fld, st):
-    """F at a lifted state, from ``lift_terms`` on the field's values."""
-    A, B, C = fld.slots(st.u, st.v, 0).tolist()
-    return bde.lift_terms(A, B, C, st.slope, st.chart == "q")[0]
+def lift_residual(fld, u, v, slope, chart_q):
+    """F at a lifted point, from ``lift_terms`` on the field's values."""
+    A, B, C = fld.slots(u, v, 0).tolist()
+    return bde.lift_terms(A, B, C, slope, chart_q)[0]
 
 
 def test_discriminant_synthetic_parabola():
@@ -84,28 +83,27 @@ def test_lifted_derivatives_match_residual_and_jacobian():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
     fld = bde.extended_field_for(cg)
     h = 1e-6
-    for st in (LiftedState(0.1, -0.05, 0.4, "p"), LiftedState(-0.2, 0.1, -0.3, "q")):
-        F, grad, J = bde.lifted_derivatives(fld.slots(st.u, st.v, 2), st)
-        assert F == pytest.approx(lift_residual(fld, st), rel=1e-13, abs=1e-15)
+    for u, v, slope, chart_q in ((0.1, -0.05, 0.4, False), (-0.2, 0.1, -0.3, True)):
+        F, grad, J = bde.lifted_derivatives(fld.slots(u, v, 2), slope, chart_q)
+        assert F == pytest.approx(lift_residual(fld, u, v, slope, chart_q), rel=1e-13, abs=1e-15)
         shifts = ((h, 0, 0), (0, h, 0), (0, 0, h))
         for k, (du, dv, ds) in enumerate(shifts):
-            fp = lift_residual(fld, LiftedState(st.u + du, st.v + dv, st.slope + ds, st.chart))
-            fm = lift_residual(fld, LiftedState(st.u - du, st.v - dv, st.slope - ds, st.chart))
+            fp = lift_residual(fld, u + du, v + dv, slope + ds, chart_q)
+            fm = lift_residual(fld, u - du, v - dv, slope - ds, chart_q)
             assert grad[k] == pytest.approx((fp - fm) / (2 * h), rel=1e-6, abs=1e-9)
         # the lifted field X = (F_p, p F_p, -(F_u + p F_v)) in chart p, mirrored in q
-        X = bde.lie_cartan_scaled(fld, st)[0]
-        if st.chart == "p":
-            assert X[2] == pytest.approx(-(grad[0] + st.slope * grad[1]), abs=1e-14)
+        X = bde.lie_cartan_scaled(fld, u, v, slope, chart_q)[0]
+        if not chart_q:
+            assert X[2] == pytest.approx(-(grad[0] + slope * grad[1]), abs=1e-14)
         else:
-            assert X[2] == pytest.approx(-(grad[1] + st.slope * grad[0]), abs=1e-14)
+            assert X[2] == pytest.approx(-(grad[1] + slope * grad[0]), abs=1e-14)
 
 
 def test_lifted_field_zero_and_eigenvalues():
     for lam in (-1.0, 0.03, 0.5):
         fld = bde.folded_model_field(lam)
-        st = LiftedState(0.0, 0.0, 0.0, "p")
-        assert np.linalg.norm(bde.lie_cartan_scaled(fld, st)[0]) == 0.0
-        J = bde.lifted_derivatives(fld.slots(0.0, 0.0, 2), st)[2]
+        assert np.linalg.norm(bde.lie_cartan_scaled(fld, 0.0, 0.0, 0.0, False)[0]) == 0.0
+        J = bde.lifted_derivatives(fld.slots(0.0, 0.0, 2), 0.0, False)[2]
         tr = float(np.trace(J))
         e2 = float((tr * tr - np.trace(J @ J)) / 2)
         # model eigenvalues (1 +- sqrt(1 - 16 lam))/2
@@ -122,7 +120,7 @@ def test_lifted_field_morse_fiber():
     for eps1 in (1, -1):
         fld = bde.morse_model_field(eps1)
         for p in (0.0, 0.8, math.sqrt(3), -math.sqrt(3), 2.4):
-            X = bde.lie_cartan_scaled(fld, LiftedState(0.0, 0.0, p, "p"))[0]
+            X = bde.lie_cartan_scaled(fld, 0.0, 0.0, p, False)[0]
             assert X[0] == pytest.approx(0.0, abs=1e-14)
             assert X[1] == pytest.approx(0.0, abs=1e-14)
             assert X[2] == pytest.approx(-p * (p * p - 3 * eps1), abs=1e-12)
@@ -185,8 +183,8 @@ def test_chart_consistency():
     for _ in range(15):
         u, v = rng.uniform(-0.3, 0.3, 2)
         slope = rng.uniform(0.5, 2.0)
-        Xp = bde.lie_cartan_scaled(fld, LiftedState(u, v, slope, "p"))[0]
-        Xq = bde.lie_cartan_scaled(fld, LiftedState(u, v, 1.0 / slope, "q"))[0]
+        Xp = bde.lie_cartan_scaled(fld, u, v, slope, False)[0]
+        Xq = bde.lie_cartan_scaled(fld, u, v, 1.0 / slope, True)[0]
         a = Xp[:2] / max(np.linalg.norm(Xp[:2]), 1e-30)
         b = Xq[:2] / max(np.linalg.norm(Xq[:2]), 1e-30)
         assert abs(a[0] * b[1] - a[1] * b[0]) < 1e-7
@@ -743,12 +741,11 @@ def test_lifted_derivatives_match_the_former_formulas():
     rng = np.random.default_rng(3)
     for chart in ("p", "q"):
         for _ in range(5):
-            st = LiftedState(*rng.uniform(-0.4, 0.4, 2), float(rng.uniform(-1.5, 1.5)), chart)
-            c = fld.slots(st.u, st.v, 2)
-            F, grad, J = bde.lifted_derivatives(c, st)
+            (u, v), s = rng.uniform(-0.4, 0.4, 2), float(rng.uniform(-1.5, 1.5))
+            c = fld.slots(u, v, 2)
+            F, grad, J = bde.lifted_derivatives(c, s, chart == "q")
             (A0, Au, Av, Auu, Auv, Avv), (B0, Bu, Bv, Buu, Buv, Bvv), (C0, Cu, Cv, Cuu, Cuv, Cvv) = (
                 c.reshape(3, 6).tolist())
-            s = st.slope
             if chart == "p":
                 ref = A0 + 2 * B0 * s + C0 * s * s
                 Fu, Fv = Au + 2 * Bu * s + Cu * s * s, Av + 2 * Bv * s + Cv * s * s
@@ -769,4 +766,4 @@ def test_lifted_derivatives_match_the_former_formulas():
                         [-(Fuv + s * Fuu), -(Fvv + s * Fuv), -(Fqv + Fu + s * Fqu)]]
             assert (F, tuple(grad)) == (ref, (Fu, Fv, Fp))
             assert np.array_equal(J, refJ)
-            assert lift_residual(fld, st) == ref
+            assert lift_residual(fld, u, v, s, chart == "q") == ref

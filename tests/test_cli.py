@@ -317,13 +317,32 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["portrait", "--surface", "catalog:torus", "--R", "2"], "torus needs R and r"),
     (["portrait", "--surface", "catalog:cusp_gauss", "--q", "21=1", "--epsilon", "1"],
      "unknown cusp_gauss parameters ['epsilon']"),
+    # config entries of the wrong JSON type
+    (["analyze", "--surface", {"kind": "catalog", "id": "torus", "params": [1, 2]}],
+     "bad surface config {cfg!r}: catalog params must be a JSON object"),
+    (["analyze", "--surface", {"kind": "monge", "expr": 5}],
+     "bad surface config {cfg!r}: monge expr must be a string"),
+    (["analyze", "--surface", [1]],
+     "bad surface config {cfg!r}: a surface config must be a JSON object"),
+    (["analyze", "--surface", {"kind": "monge", "expr": "u^2", "domain": 5}],
+     "bad surface config {cfg!r}: domain must be a list of 4 numbers"),
+    (["analyze", "--surface", {"kind": "parametric", "exprs": [1, 2, 3],
+                               "domain": [-1, 1, -1, 1]}],
+     "bad surface config {cfg!r}: parametric exprs must be 3 strings"),
+    (["analyze", "--surface", {"kind": "catalog", "id": "pick", "params": {"q": {"21": 1.0}}}],
+     'bad surface config {cfg!r}: catalog q must map "i,j" keys to numbers'),
+    (["analyze", "--surface", {"kind": "catalog", "id": "pick", "params": {"q": [1]}}],
+     'bad surface config {cfg!r}: catalog q must map "i,j" keys to numbers'),
+    (["analyze", "--surface", {"kind": "catalog", "id": "torus", "params": {"R": [2], "r": 1}}],
+     "bad surface config {cfg!r}: catalog parameters other than q must be numbers"),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
                                                  message):
-    # a surface config (a dict) is written outside the output directory
+    # a surface config (a dict, or a list where a dict belongs) is written
+    # outside the output directory
     cfg = str(tmp_path_factory.mktemp("config") / "surf.json")
     for k, item in enumerate(argv):
-        if isinstance(item, dict):
+        if isinstance(item, (dict, list)):
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(item, fh)
             argv = argv[:k] + [f"file:{cfg}"] + argv[k + 1:]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from affasym import bde, flow, jets, singular as sg, surface as sf
-from affasym.bde import LiftedState
 from affasym.surface import Rect
 from test_bde import lift_residual, reference_velocity
 
@@ -27,10 +26,9 @@ def test_residual_control_along_trajectory():
                                      flow.IntegrationParams(max_len=6.0))
     assert len(traj.samples) > 50
     for row in traj.samples:
-        st = LiftedState(row[0], row[1], row[2], "p" if row[3] == 0 else "q")
-        A, B, C = (float(x) for x in fld.coeff(st.u, st.v))
+        A, B, C = (float(x) for x in fld.coeff(row[0], row[1]))
         scale = max(abs(A), abs(B), abs(C))
-        assert abs(lift_residual(fld, st)) <= 1e-8 * scale
+        assert abs(lift_residual(fld, row[0], row[1], row[2], row[3] != 0)) <= 1e-8 * scale
     assert np.all(np.diff(traj.samples[:, 4]) > 0)
 
 
@@ -88,34 +86,32 @@ def test_cusp_law_at_criminant_crossing():
         s = traj.samples
         fp = []
         for row in s:
-            st = LiftedState(row[0], row[1], row[2], "p" if row[3] == 0 else "q")
-            A, B, C = (float(x) for x in fld.coeff(st.u, st.v))
-            if st.chart == "p":
-                fp.append(2 * B + 2 * C * st.slope)
+            A, B, C = (float(x) for x in fld.coeff(row[0], row[1]))
+            if row[3] == 0:
+                fp.append(2 * B + 2 * C * row[2])
             else:
-                fp.append(2 * A * st.slope + 2 * B)
+                fp.append(2 * A * row[2] + 2 * B)
         fp = np.array(fp)
         for k in range(len(s) - 1):
             if fp[k] == 0 or fp[k] * fp[k + 1] > 0 or s[k, 3] != s[k + 1, 3]:
                 continue
             t = abs(fp[k]) / (abs(fp[k]) + abs(fp[k + 1]))
-            crossing = ((1 - t) * s[k] + t * s[k + 1], "p" if s[k, 3] == 0 else "q")
+            crossing = ((1 - t) * s[k] + t * s[k + 1], s[k, 3] != 0)
             break
         if crossing:
             break
     assert crossing is not None, "no criminant crossing found"
-    row, chart = crossing
-    st = LiftedState(row[0], row[1], row[2], chart)
-    A, B, C = (float(x) for x in fld.coeff(st.u, st.v))
+    row, chart_q = crossing
+    A, B, C = (float(x) for x in fld.coeff(row[0], row[1]))
     scale = max(abs(A), abs(B), abs(C))
-    X = bde.lie_cartan_scaled(fld, st)[0]
+    X = bde.lie_cartan_scaled(fld, row[0], row[1], row[2], chart_q)[0]
     # projected tangent vanishes at the crossing
     assert math.hypot(X[0], X[1]) < 1e-3 * float(np.linalg.norm(X))
     # slope equals the double root of the quadratic there
-    if chart == "p":
-        assert abs(st.slope - (-B / C)) < 1e-4
+    if not chart_q:
+        assert abs(row[2] - (-B / C)) < 1e-4
     else:
-        assert abs(st.slope - (-B / A)) < 1e-4
+        assert abs(row[2] - (-B / A)) < 1e-4
 
 
 def test_bde_residual_of_projected_curve():
@@ -184,7 +180,7 @@ def test_folded_saddle_separatrix_shooting():
     # field's own time orientation
     lam = -1.0
     fld = bde.folded_model_field(lam)
-    J = bde.lifted_derivatives(fld.slots(0.0, 0.0, 2), LiftedState(0.0, 0.0, 0.0, "p"))[2]
+    J = bde.lifted_derivatives(fld.slots(0.0, 0.0, 2), 0.0, False)[2]
     vals, vecs = np.linalg.eig(J)
     order = np.argsort(vals.real)
     stable = vecs[:, order[0]].real / np.linalg.norm(vecs[:, order[0]].real)
@@ -707,7 +703,7 @@ def layout_checks(fld, job, traj, params):
     assert all(ds > 0 for ds in steps)
     assert all(S[k + 1, 4] == S[k, 4] + ds for k, ds in enumerate(steps[:-1]))
     assert np.all((S[:, 3] == 0) | (S[:, 3] == 1))
-    assert np.all(np.abs(S[:, 2]) <= params.chart_switch)
+    assert np.all(np.abs(S[:, 2]) <= flow._CHART_SWITCH)
     return S, steps[-1]
 
 
@@ -738,16 +734,16 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
     loop_out = flow.integrate_many(loops, loop_jobs, params)
     # the closest-approach searches that ended a lane, by seed state
     closest = {tuple(args[2]): args[:2] + list(res) for name, args, res in events
-               if res[1] < params.loop_tol}
+               if res[1] < flow._LOOP_TOL}
 
     # a chart switch: the flag flips where the slope is inverted
     S, last = layout_checks(cusp, cusp_jobs[0], switched, params)
     flips = np.flatnonzero(np.diff(S[:, 3]))
     assert len(flips) == 1
     k = flips[0] + 1
-    assert abs(S[k, 2]) <= 1 / params.chart_switch
-    st = LiftedState(S[k, 0], S[k, 1], S[k, 2], "q" if S[k, 3] else "p")
-    assert abs(lift_residual(cusp, st)) <= 1e-8 * max(map(abs, cusp.coeff(st.u, st.v)))
+    assert abs(S[k, 2]) <= 1 / flow._CHART_SWITCH
+    assert abs(lift_residual(cusp, *S[k, :3], S[k, 3] != 0)) <= \
+        1e-8 * max(map(abs, cusp.coeff(S[k, 0], S[k, 1])))
 
     # clip: the last row is the step cut back onto the boundary from the
     # row before, with its slope projected again

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from affasym import affine as af, bde, flow, singular as sg, surface as sf
-from affasym.bde import LiftedState
 from affasym.surface import Poly, Rect
 
 
@@ -199,15 +198,49 @@ def test_flat_euclid_umbilic_no_lines():
     assert rep.details["delta_max_punctured"] <= 1e-12
 
 
+def model_focus_blowup():
+    """Blow-up sign checks on the cubic classification model u^3 - u v^2 of
+    a focus: the normalized radial coefficient against (1 + 2 cos^2 t)^2, and
+    whether it and the radial components of both branches keep one sign."""
+    mfld = bde.extended_field_for(sf.monge_surface("u^3 - u*v^2", Rect(-1, 1, -1, 1)))
+    ts = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+    Ab, Bb, Cb = sg.blowup_radial_coeffs(mfld, ts)
+    ref = sg.blowup_radial_coeffs(mfld, np.array(math.pi / 2))[0]
+    expected = (1 + 2 * np.cos(ts) ** 2) ** 2
+    rtd = np.sqrt(np.maximum(Bb * Bb - Ab * Cb, 0.0))
+    sgn = np.sign(ref)
+    out = {"blowup_A_matches": bool(np.max(np.abs(Ab / ref - expected)) < 1e-6),
+           "blowup_A_nonvanishing": bool(np.min(np.abs(Ab)) > 0),
+           "angular_onesigned": bool(np.all(Ab * sgn > 0))}
+    # radial components of the two branches, / r
+    for name, f1 in (("branch1_radial_onesigned", -Bb - rtd),
+                     ("branch2_radial_onesigned", -Bb + rtd)):
+        out[name] = bool(np.all(sgn * f1 < 0) or np.all(sgn * f1 > 0))
+    return out
+
+
 def test_flat_euclid_umbilic_focus_blowup():
     fu = sf.catalog_surface("flat_umbilic_chart", {"epsilon": -1})
     rep = sg.classify_flat_euclid_umbilic(fu)
     assert rep.kind == "flat_euclid_umbilic_focus"
-    assert rep.details["blowup_A_matches"]
-    assert rep.details["blowup_A_nonvanishing"]
-    assert rep.details["branch1_radial_onesigned"]
-    assert rep.details["branch2_radial_onesigned"]
-    assert rep.details["angular_onesigned"]
+    blowup = model_focus_blowup()
+    assert blowup["blowup_A_matches"]
+    assert blowup["blowup_A_nonvanishing"]
+    assert blowup["branch1_radial_onesigned"]
+    assert blowup["branch2_radial_onesigned"]
+    assert blowup["angular_onesigned"]
+
+
+def test_flat_euclid_umbilic_focus_details_come_from_the_surface():
+    # two focus charts: every detail is read from the surface classified
+    reps = [sg.classify_flat_euclid_umbilic(surf) for surf in (
+        sf.catalog_surface("flat_umbilic_chart", {"epsilon": -1}),
+        sf.monge_surface("u^3 - 3*u*v^2 + 2*u^2*v"))]
+    for rep in reps:
+        assert rep.kind == "flat_euclid_umbilic_focus"
+        assert set(rep.details) == {"epsilon", "delta_max_punctured"}
+    deltas = [rep.details["delta_max_punctured"] for rep in reps]
+    assert deltas == pytest.approx([12.8994509, 41.6179814], rel=1e-8)
 
 
 def _flat_umbilic_kind(eps):
@@ -313,7 +346,7 @@ def vertex_fold_signal(fld, poly):
     out = []
     for u, v in poly:
         slope, chart = vertex_double_root(fld, u, v)
-        out.append(float(bde.lie_cartan_scaled(fld, LiftedState(u, v, slope, chart))[0][2]))
+        out.append(float(bde.lie_cartan_scaled(fld, u, v, slope, chart == "q")[0][2]))
     return np.array(out)
 
 
