@@ -297,9 +297,9 @@ def cmd_portrait(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if "svg" in formats:
-        _atomic_write(os.path.join(outdir, "portrait.svg"), (flow.portrait_svg(portrait),))
+        _atomic_write(os.path.join(outdir, "portrait.svg"), flow.portrait_svg(portrait))
     if "json" in formats:
-        _atomic_write(os.path.join(outdir, "portrait.json"), (portrait.to_json() + "\n",))
+        _atomic_write(os.path.join(outdir, "portrait.json"), portrait.to_json())
     stages = dict(portrait.stage_seconds, write=time.perf_counter() - t_write)
     _write_run_info(outdir, args, integration=portrait.integration.to_json_dict(),
                     stage_seconds=stages)
@@ -312,6 +312,16 @@ def cmd_portrait(args):
 # -- conormal ------------------------------------------------------------------
 
 
+def _halton(n, base):
+    """Points 1..n of the van der Corput sequence in ``base``, in (0, 1)."""
+    k, x, f = np.arange(1, n + 1), np.zeros(n), 1.0
+    while k.any():
+        f /= base
+        x += f * (k % base)
+        k //= base
+    return x
+
+
 def cmd_conormal(args):
     surf = _build_surface(args)
     region = _parse_region(args.region) if args.region else surf.domain
@@ -322,9 +332,9 @@ def cmd_conormal(args):
     src, mesh = conormal.conormal_mesh(surf, region, res, margin=margin,
                                        norm_cap=tol.get("norm_cap", 1e3))
     t_verify = time.perf_counter()
-    # the first 64 of 4096 seeded draws that keep clear of the excluded strips
-    uv = np.random.default_rng(20260808).uniform((region.u0, region.v0),
-                                                 (region.u1, region.v1), (4096, 2))
+    # the first 64 of 4096 Halton points (bases 2, 3) that keep clear of the excluded strips
+    uv = np.column_stack([region.u0 + (region.u1 - region.u0) * _halton(4096, 2),
+                          region.v0 + (region.v1 - region.v0) * _halton(4096, 3)])
     keep = np.ones(len(uv), dtype=bool)
     for band in surf.excluded:
         keep &= np.abs(uv[:, int(band.axis == "v")] - band.center) >= max(band.halfwidth, margin)

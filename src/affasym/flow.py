@@ -321,7 +321,7 @@ def _integrate(fld, jobs, params, stats):
         y5, y4 = y + h[:, None] * _stage_sum(_CK_BW, K[:, None])
         err = np.max(np.abs(y5 - y4), axis=1)
         tol = params.rel_tol * (1.0 + np.max(np.abs(y5), axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = tol / err    # read only where err > 0
         rej = (err > tol) & (h > h_min)
         if rej.any():
@@ -356,11 +356,15 @@ def _integrate(fld, jobs, params, stats):
         if any(r is not None for r in reasons):
             finish(reasons)
 
-    # each trajectory's samples: its rows of every block, in round order
-    row_job = np.concatenate([b[0] for b in blocks])
-    order = np.argsort(row_job, kind="stable")
-    ends = np.cumsum(np.bincount(row_job, minlength=len(jobs)))
-    samples = np.split(np.concatenate([b[1] for b in blocks])[order], ends[:-1])
+    # each trajectory's samples: its rows of every block, in round order,
+    # written once into one array; a block has at most one row per job
+    counts = np.bincount(np.concatenate([b[0] for b in blocks]), minlength=len(jobs))
+    ends = np.cumsum(counts)
+    rows, at = np.empty((ends[-1], 5)), ends - counts
+    for jb, block in blocks:
+        rows[at[jb]] = block
+        at[jb] += 1
+    samples = np.split(rows, ends[:-1])
     for k, r in enumerate(out):
         if isinstance(r, str):
             out[k] = Trajectory(samples[k], jobs[k][1], r)
@@ -600,22 +604,29 @@ class Portrait:
     stage_seconds: dict = None             # wall time per stage, likewise
 
     def to_json(self):
-        """The payload, as ``json.dumps(..., indent=1, sort_keys=True)`` writes
-        it, with sample and polyline arrays written row by row from one
-        ``float_texts`` call each."""
+        """The payload in chunks: the text of ``json.dumps(..., indent=1,
+        sort_keys=True)`` and a newline, with sample and polyline arrays
+        written row by row from one ``float_texts`` call each.  The head
+        holds everything before the trajectories, then one chunk per
+        trajectory, then the tail."""
         region = [self.region.u0, self.region.u1, self.region.v0, self.region.v1]
-        trajectories = [json_object([("family", json.dumps(t.family)),
-                                     ("samples", json_rows(t.samples, 3)),
-                                     ("termination", json.dumps(t.termination))], 2)
-                        for t in self.trajectories]
         sets = [(name, json_block([json_rows(p, 3) for p in polys], 2))
                 for name, polys in sorted(self.singular_sets.items())]
-        return json_object([
+        head = json_object([
             ("region", json_at(region, 1)),
             ("reports", json_block([json_at(r.to_json_dict(), 2) for r in self.reports], 1)),
             ("singular_sets", json_object(sets, 1)),
-            ("trajectories", json_block(trajectories, 1)),
+            ("trajectories", "[]"),
         ], 0)
+        if not self.trajectories:
+            yield head + "\n"
+            return
+        yield head[:-len("]\n}")]
+        for k, t in enumerate(self.trajectories):
+            yield ("," if k else "") + "\n  " + json_object(
+                [("family", json.dumps(t.family)), ("samples", json_rows(t.samples, 3)),
+                 ("termination", json.dumps(t.termination))], 2)
+        yield "\n ]\n}\n"
 
 
 def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resolution=192,
@@ -717,7 +728,8 @@ _STYLES = {
 
 
 def portrait_svg(portrait):
-    """Deterministic SVG: u rightward, v upward, square aspect."""
+    """Deterministic SVG in chunks (an element, or a report's marker and
+    label): u rightward, v upward, square aspect."""
     reg = portrait.region
     w, h = reg.u1 - reg.u0, reg.v1 - reg.v0
     scale = 1024 / max(w, h)    # pixels along the longer side
@@ -727,24 +739,21 @@ def portrait_svg(portrait):
         # one point or arrays of points, the same operations either way
         return ((u - reg.u0) * scale, (reg.v1 - v) * scale)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
-        f'viewBox="0 0 {W:.3f} {H:.3f}">',
-        f'<rect x="0" y="0" width="{W:.3f}" height="{H:.3f}" fill="#ffffff"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
+           f'viewBox="0 0 {W:.3f} {H:.3f}">\n')
+    yield f'<rect x="0" y="0" width="{W:.3f}" height="{H:.3f}" fill="#ffffff"/>\n'
     for traj in portrait.trajectories:
         if len(traj.samples) >= 2:
-            parts.append(f'<path d="{bde.polyline_svg_path(traj.points, mapper)}" '
-                         f'{_STYLES[traj.family]}/>')
+            yield (f'<path d="{bde.polyline_svg_path(traj.points, mapper)}" '
+                   f'{_STYLES[traj.family]}/>\n')
     for name, polys in sorted(portrait.singular_sets.items()):
         style = _STYLES.get(name, _STYLES["discriminant"])
         for poly in polys:
             if len(poly) >= 2:
-                parts.append(f'<path d="{bde.polyline_svg_path(poly, mapper)}" {style}/>')
+                yield f'<path d="{bde.polyline_svg_path(poly, mapper)}" {style}/>\n'
     for rep in portrait.reports:
         x, y = mapper(*rep.location)
-        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#ff7f0e"/>')
-        parts.append(f'<text x="{x + 7:.3f}" y="{y - 7:.3f}" font-size="12" '
-                     f'font-family="monospace">{rep.kind}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield (f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#ff7f0e"/>\n'
+               f'<text x="{x + 7:.3f}" y="{y - 7:.3f}" font-size="12" '
+               f'font-family="monospace">{rep.kind}</text>\n')
+    yield "</svg>\n"

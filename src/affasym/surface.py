@@ -663,10 +663,10 @@ def _finite_q(params):
 
 
 def _epsilon(params):
-    eps = int(params.pop("epsilon", 1))
-    if eps not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
-    return eps
+    eps = float(params.pop("epsilon", 1))
+    if eps not in (1.0, -1.0):    # 1.9, inf and nan are none of them
+        raise ValueError(f"epsilon must be +1 or -1; got {eps!r}")
+    return int(eps)
 
 
 def catalog_surface(cat_id, params=None, domain=None):

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +337,14 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
      'bad surface config {cfg!r}: catalog q must map "i,j" keys to numbers'),
     (["analyze", "--surface", {"kind": "catalog", "id": "torus", "params": {"R": [2], "r": 1}}],
      "bad surface config {cfg!r}: catalog parameters other than q must be numbers"),
+    # epsilon is a sign: neither truncated nor overflowing
+    (["analyze", "--surface", {"kind": "catalog", "id": "pick", "params": {"epsilon": 1.9}}],
+     "bad surface config {cfg!r}: epsilon must be +1 or -1; got 1.9"),
+    (["analyze", "--surface", {"kind": "catalog", "id": "pick", "params": {"epsilon": -1.5}}],
+     "bad surface config {cfg!r}: epsilon must be +1 or -1; got -1.5"),
+    (["analyze", "--surface", {"kind": "catalog", "id": "pick",
+                               "params": {"epsilon": math.inf}}],
+     "bad surface config {cfg!r}: epsilon must be +1 or -1; got inf"),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
                                                  message):
@@ -351,6 +361,17 @@ def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, cap
     assert err.startswith(f"configuration error: {message.format(cfg=cfg)}")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_overflowing_step_ratio_warns_nothing(tmp_path, capsys):
+    # tol / err overflows to inf where err is tiny against rel_tol=1e300; an
+    # infinite ratio gives the capped growth factor, as it should, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["portrait", "--bde", "folded", "--lam", "-1", "--tol", "rel_tol=1e300",
+                         "--res", "3", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("eps1", ["2", "0"])
@@ -600,13 +621,22 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
         "    out = sys.argv[1] + '/' + cmd\n"
         "    assert cli.main([cmd, '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
         "                     '--res', '16', '--out', out]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('affasym.') or m == 'orjson'))\n")
+        "names = ('orjson', 'numpy.random')\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('affasym.') or m in names)\n"
+        "assert cli.main(['portrait', '--surface', 'catalog:cusp_gauss', '--q', '21=1.0',\n"
+        "                 '--q', '40=0.1', '--res', '2', '--tol', 'trace_res=32',\n"
+        "                 '--out', sys.argv[1] + '/portrait']) == 0\n"
+        "print(loaded)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('affasym.') or m in names))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
     res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    loaded = res.stdout.strip().splitlines()[-1]
+    loaded, after_portrait = res.stdout.strip().splitlines()[-2:]
     for name in ("affasym.flow", "affasym.bde", "affasym.singular", "affasym.checks"):
         assert repr(name) not in loaded
     assert "'affasym.conormal'" in loaded
     assert "'orjson'" in loaded  # the payload writers load it on first use
+    # only verify draws random points
+    assert "'numpy.random'" not in loaded
+    assert "'affasym.flow'" in after_portrait and "'numpy.random'" not in after_portrait

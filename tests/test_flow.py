@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,10 +246,10 @@ def test_portrait_build_and_svg():
     assert p.trajectories
     assert p.reports and p.reports[0].kind == "folded_saddle"
     assert p.singular_sets["discriminant"]
-    svg = flow.portrait_svg(p)
+    svg = "".join(flow.portrait_svg(p))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "folded_saddle" in svg
-    js = p.to_json()
+    js = "".join(p.to_json())
     assert '"folded_saddle"' in js
 
 
@@ -326,7 +327,7 @@ def test_torus_portrait_singular_sets():
                             trace_resolution=96)
     assert len(p.singular_sets["parabolic"]) == 2
     assert len(p.singular_sets["affine_parabolic"]) == 4
-    svg = flow.portrait_svg(p)
+    svg = "".join(flow.portrait_svg(p))
     assert svg.count('stroke-width="3"') >= 6
 
 
@@ -468,8 +469,9 @@ def test_portrait_bits_do_not_depend_on_the_lane_crossover(monkeypatch):
     surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
 
     def payload():
-        return flow.build_portrait(surf, grid=(2, 2), params=flow.IntegrationParams(max_len=0.5),
-                                   trace_resolution=48).to_json()
+        return "".join(flow.build_portrait(surf, grid=(2, 2),
+                                           params=flow.IntegrationParams(max_len=0.5),
+                                           trace_resolution=48).to_json())
 
     ref = payload()
     monkeypatch.setattr(sf, "SCALAR_LANES", 0)
@@ -502,11 +504,27 @@ def test_to_json_writes_json_dumps_text():
         (0.25, -0.5), "boundary_uncertain", lambda_invariant=math.inf,
         eigenvalues=[complex(math.nan, 0.0), complex(math.inf, -math.inf)],
         details={"trace": 0.0, "e2": -math.inf, "chart": "p", "tangential": True}))
-    text = p.to_json()
-    assert text == json.dumps(payload_dict(p), indent=1, sort_keys=True)
+    text = "".join(p.to_json())
+    assert text == json.dumps(payload_dict(p), indent=1, sort_keys=True) + "\n"
     assert '"region": [\n  -1,' in text and "NaN" in text and "-Infinity" in text
     empty = flow.Portrait(Rect(0.0, 1.0, 0.0, 1.0))
-    assert empty.to_json() == json.dumps(payload_dict(empty), indent=1, sort_keys=True)
+    assert "".join(empty.to_json()) == json.dumps(payload_dict(empty), indent=1,
+                                                  sort_keys=True) + "\n"
+
+
+def test_portrait_writers_hold_one_trajectory_at_a_time():
+    # the writers yield the payload chunk by chunk, so the most memory they
+    # hold is one trajectory's (or one polyline's) text and its pieces
+    p = flow.build_portrait(bde.folded_model_field(-1.0))
+    for write in (p.to_json, lambda: flow.portrait_svg(p)):
+        length = sum(len(chunk) for chunk in write())    # imports orjson once
+        tracemalloc.start()
+        try:
+            assert sum(len(chunk) for chunk in write()) == length
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length / 2
 
 
 def test_portrait_counts_dropped_reports(monkeypatch):
