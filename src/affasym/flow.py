@@ -382,12 +382,13 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     lane = S[acc]    # the state before the step, written back at the end
     y_old = lane[:, _Y]
     step = y - y_old
-    ds = np.array([math.hypot(a, b) for a, b in step[:, :2].tolist()])
+    ds = np.array(list(map(math.hypot, step[:, 0].tolist(), step[:, 1].tolist())))
     nstep = np.hypot(np.hypot(step[:, 0], step[:, 1]), step[:, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
         ref = np.where((nstep > 0)[:, None], step / nstep[:, None], lane[:, _REF])
-    grow = [min(5.0, 0.9 * r ** 0.2) if e > 0 else 5.0
-            for r, e in zip(ratio.tolist(), err.tolist())]
+    # powers on Python floats, as for the shrink factor
+    grow = np.where(err > 0, np.minimum(5.0, 0.9 * np.array(
+        list(map(pow, ratio.tolist(), [0.2] * len(ratio))))), 5.0)
     h = np.minimum(lane[:, _H] * grow, h_max)
     q = lane[:, _Q].copy()
     for j in (np.abs(y[:, 2]) > _CHART_SWITCH).nonzero()[0]:
@@ -425,14 +426,6 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     # The events below rewrite the lane's last sample row.  Its previous row
     # holds the lane's state before the step: only slope steps, which do not
     # move the lane, come between them.
-    def clip(j):
-        cu, cv, cs, cflag, carc = _clip_to_domain(lane[j, _ROW].tolist(), rows[j].tolist(),
-                                                  fld.domain)
-        cs = float(_project_slope(fld, cu, cv, cs, q[j] != 0, iters=8)[0])
-        if moved[j]:    # a lane that did not move has no row this round
-            last_row(j, [cu, cv, cs, cflag, carc])
-        return True
-
     def degenerate(j):
         hit = _degenerate_on_segment(fld, y_old[j], y[j])
         if hit is None:
@@ -452,8 +445,21 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
         return True
 
     # terminations, in order; each test sees only the lanes still running
-    for j in (~fld.domain.contains(y[:, 0], y[:, 1])).nonzero()[0]:
-        event(j, "left_domain", lambda: clip(j))
+    gone = (~fld.domain.contains(y[:, 0], y[:, 1])).nonzero()[0]
+    if len(gone):
+        # the steps cut back onto the boundary, their slopes projected in one batch
+        cut = np.array([_clip_to_domain(lane[j, _ROW].tolist(), rows[j].tolist(), fld.domain)
+                        for j in gone.tolist()])
+        res, errors = bde._lanewise(lambda sl: _project_slope(
+            fld, cut[sl, 0], cut[sl, 1], cut[sl, 2], q[gone[sl]] != 0, iters=8), len(gone))
+        errors = errors or [None] * len(gone)
+        ok = np.array([e is None for e in errors])
+        if ok.any():
+            cut[ok, 2] = res[0]
+        for j, row, e in zip(gone.tolist(), cut, errors):
+            if e is None and moved[j]:    # a lane that did not move has no row this round
+                last_row(j, row)
+            end(j, "left_domain" if e is None else e)
     for j in (running & (coefnorm < bde.DEGENERATE_TOL)).nonzero()[0]:
         end(j, "hit_degenerate_point")
     # a step may jump across a totally degenerate point; when the
@@ -636,10 +642,12 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     ``source`` is a coefficient field or a surface (in which case the
     extended field is built).  Both root families are integrated from a seed
     grid (cells with negative discriminant are skipped), plus a ring of seeds
-    around each located singular point, all in one ``integrate_many`` call
-    whose statistics the portrait keeps as ``integration``, and the wall
-    time of each stage (trace, detect, folds, integrate) as
-    ``stage_seconds``.  The payload is deterministic for fixed inputs.
+    around each located singular point (a seed within ``_LOOP_TOL`` of an
+    earlier one is skipped, so coincident reports share one ring), all in
+    one ``integrate_many`` call whose statistics the portrait keeps as
+    ``integration``, and the wall time of each stage (trace, detect, folds,
+    integrate) as ``stage_seconds``.  The payload is deterministic for fixed
+    inputs.
     """
     surf = None
     if isinstance(source, BDEField):
@@ -667,7 +675,7 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         stage("trace")
         try:
             reports.extend(singular.detect_special_points(euclid, fld, sets, region,
-                                                          trace_resolution))
+                                                          trace_resolution, stats.drop_report))
         except (ArithmeticError, EvalError) as exc:
             stats.drop_report("detect_special_points", exc)
         # the whole extended discriminant; find_folded_points sorts its
@@ -680,7 +688,8 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
         stage("trace")
     stage("detect")
     # folded points on the discriminant
-    for pt in singular.find_folded_points(fld, disc_polys):
+    for pt in singular.find_folded_points(fld, disc_polys, region, trace_resolution,
+                                          stats.drop_report):
         try:
             reports.append(singular.classify_folded(fld, pt))
         except singular.NotSingularLiftError as exc:
@@ -697,14 +706,25 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
             seeds.append((rep.location[0] + _RING_RADIUS * math.cos(ang),
                           rep.location[1] + _RING_RADIUS * math.sin(ang)))
 
-    # one discriminant evaluation for all the seeds inside the region
-    su, sv = np.array(seeds).T
-    inside = region.contains(su, sv)
+    # a seed within _LOOP_TOL (max-norm) of an earlier one is the same
+    # point: look for it in its own and the neighbouring cells of that size
+    cells, same = {}, []
+    for u, v in seeds:
+        i, j = math.floor(u / _LOOP_TOL), math.floor(v / _LOOP_TOL)
+        same.append(any(max(abs(u - a), abs(v - b)) < _LOOP_TOL
+                        for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                        for a, b in cells.get((i + di, j + dj), ())))
+        cells.setdefault((i, j), []).append((u, v))
+    # one discriminant evaluation for all the other seeds inside the region
+    pts, same = np.array(seeds), np.array(same)
+    inside = region.contains(*pts.T)
     negative = np.zeros(len(seeds), dtype=bool)
-    negative[inside] = bde.discriminant(fld, su[inside], sv[inside]) < 0
+    ask = inside & ~same
+    negative[ask] = bde.discriminant(fld, *pts[ask].T) < 0
     jobs = []
-    for seed, ins, neg in zip(seeds, inside.tolist(), negative.tolist()):
-        skip = "outside the region" if not ins else "negative discriminant" if neg else None
+    for seed, dup, ins, neg in zip(seeds, same.tolist(), inside.tolist(), negative.tolist()):
+        skip = ("same point as an earlier seed" if dup else "outside the region" if not ins
+                else "negative discriminant" if neg else None)
         if skip:
             stats.skipped_seeds.append({"seed": list(seed), "reason": skip})
             continue

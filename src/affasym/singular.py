@@ -1,14 +1,15 @@
 """Singular points of the affine asymptotic net.
 
-Four species are located and classified:
+Three species are located and classified:
 
-* fold points on the degenerate-direction curve (discriminant), split into
-  saddle / node / focus by the eigenvalues of the linearized lifted field;
+* fold points of a direction equation on its discriminant, where the
+  unique (double) direction is tangent to the curve carrying it, split into
+  saddle / node / focus by the eigenvalues of the linearized lifted field:
+  on the extended discriminant (the paper's affine cusp points are those on
+  its affine parabolic part) and, for the Euclidean second form, on the
+  parabolic set (the cusps of Gauss);
 * totally degenerate points where all three coefficients vanish (flat affine
   umbilics), split by the Morse type of the discriminant function;
-* cusp-of-Gauss style tangencies, where the unique (double) direction of the
-  net is tangent to the singular curve carrying it, detected on both the
-  Euclidean parabolic set and the affine parabolic set;
 * flat Euclidean umbilics, where the second form (L, M, N) vanishes,
   classified by the real-root count of the cubic read from its first
   derivatives, on any chart; ``blowup_radial_coeffs`` gives a field's polar
@@ -51,7 +52,6 @@ __all__ = [
 FOLD_KINDS = ("folded_saddle", "folded_node", "folded_focus")
 
 LAMBDA_EDGE_TOL = 1e-6
-ANGLE_TOL = 1e-3
 FLAT_TOL = 1e-10
 
 
@@ -73,7 +73,6 @@ class SingularPointReport:
     kind: str
     lambda_invariant: float = None
     eigenvalues: list = field(default_factory=list)
-    tangency_angle: float = None
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self):
@@ -88,8 +87,6 @@ class SingularPointReport:
         }
         if self.lambda_invariant is not None:
             out["lambda_invariant"] = float(self.lambda_invariant)
-        if self.tangency_angle is not None:
-            out["tangency_angle"] = float(self.tangency_angle)
         if self.details:
             out["details"] = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                               for k, v in self.details.items()}
@@ -125,68 +122,81 @@ def _double_roots(fld, u, v, order):
     return c, slope, chart_q
 
 
-def _along(poly, signal):
-    """``signal(lanes)`` at the vertices ``poly[lanes]`` of a polyline, for
-    all of them in one batch; a vertex whose evaluation raises an
-    ArithmeticError gets NaN."""
-    res, errors = bde._lanewise(lambda sl: (signal(sl),), len(poly))
-    if errors is None:
-        return res[0]
-    out = np.full(len(poly), np.nan)
-    ok = np.array([e is None for e in errors])
-    if ok.any():
-        out[ok] = res[0]
-    return out
-
-
 def _fold_signal(fld, poly):
-    """Third lifted component at the double-root lift of each vertex; fold
-    points are its zeros along the discriminant."""
+    """Third lifted component at the double-root lift of each vertex, and
+    the coefficient scale max(|A|, |B|, |C|) there; a vertex whose
+    evaluation raises an ArithmeticError gets NaN.  The component is
+    multiplied by the orientation of the double direction, (1, s) in chart p
+    and (s, 1) in chart q, carried from vertex to vertex as the integrator
+    carries its reference direction: a chart switch at slope s scales the
+    direction by 1/s and the component by 1/s^3, so a sign change that
+    survives is a zero.  Fold points are its zeros along the discriminant."""
     def signal(sl):
         c, slope, chart_q = _double_roots(fld, poly[sl, 0], poly[sl, 1], 1)
-        return bde.lifted_velocity(c, slope, chart_q)[0][:, 2]
-    return _along(poly, signal)
+        X, scale = bde.lifted_velocity(c, slope, chart_q)
+        return (np.column_stack([X[:, 2], np.where(chart_q, slope, 1.0),
+                                 np.where(chart_q, 1.0, slope), scale]),)
+
+    res, errors = bde._lanewise(signal, len(poly))
+    out = np.full((len(poly), 4), np.nan)
+    ok = slice(None) if errors is None else np.array([e is None for e in errors])
+    if res is not None:
+        out[ok] = res[0]
+    k = np.flatnonzero(np.isfinite(out).all(axis=1))
+    d = out[k, 1:3]
+    turn = np.vecdot(d[1:], d[:-1]) < 0
+    out[k[1:], 0] *= np.cumprod(np.where(turn, -1.0, 1.0))
+    return out[:, 0], out[:, 3]
 
 
 def _sign_changes(poly, signal):
-    """The edges (k, k + 1) of a polyline where both signal values are
-    finite and their product is not positive: the values at both ends and
-    the interpolated zero of the signal."""
+    """The interpolated zeros of the signal on the edges (k, k + 1) of a
+    polyline where both values are finite and their product is not
+    positive."""
     a, b = signal[:-1], signal[1:]
     k = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ~(a * b > 0))
-    a, b = a[k], b[k]
+    a, b = np.abs(a[k]), np.abs(b[k])
     with np.errstate(invalid="ignore"):
-        t = np.where(a == b, 0.5, np.abs(a) / (np.abs(a) + np.abs(b)))
-    return a, b, t, (1 - t)[:, None] * poly[k] + t[:, None] * poly[k + 1]
+        t = np.where(a == b, 0.5, a / (a + b))
+    return (1 - t)[:, None] * poly[k] + t[:, None] * poly[k + 1]
 
 
-def find_folded_points(fld, discriminant_polylines):
-    """Fold-point candidates: zeros of the lifted field over the discriminant.
+def find_folded_points(fld, polylines, region=None, resolution=192, drop=None):
+    """Fold points: zeros of the lifted field over the discriminant of ``fld``.
 
-    Evaluates the vertical component of the lifted field along the
-    double-root section of each traced polyline in one batch, then polishes
-    each sign change with a 3D Newton iteration on
-    (F, F_slope, vertical component) = 0.
+    ``polylines`` are traced at ``resolution`` over ``region`` (the field's
+    domain by default).  Evaluates the fold signal along each polyline in
+    one batch, then polishes each sign change with a 3D Newton iteration on
+    (F, F_slope, vertical component) = 0.  A polyline whose signal stays
+    within 1e-9 of the coefficient scale is a solution curve of the field,
+    where the lifted field vanishes identically, and gives no seeds.  A
+    Newton result outside the region or more than 3 trace cells from its
+    seed is dropped and passed to ``drop(stage, exc, location)``.
     """
+    region = region or fld.domain
+    reach = 3 * max(region.u1 - region.u0, region.v1 - region.v0) / resolution
     candidates = []
-    for poly in discriminant_polylines:
+    for poly in polylines:
         if len(poly) < 2:
             continue
-        for seed in _sign_changes(poly, _fold_signal(fld, poly))[3]:
+        signal, scale = _fold_signal(fld, poly)
+        if not (np.abs(signal) > 1e-9 * scale).any():
+            continue
+        for seed in _sign_changes(poly, signal):
             pt = _newton_fold(fld, seed[0], seed[1])
-            if pt is not None:
+            if pt is None:
+                continue
+            inside, gap = region.contains(*pt), math.hypot(pt[0] - seed[0], pt[1] - seed[1])
+            if inside and gap <= reach:
                 candidates.append(pt)
-    return _merged(sorted(candidates), lambda pt: pt, 1e-7)
-
-
-def _merged(items, location, radius):
-    """The items, in their order, without those within ``radius`` of an
-    earlier kept one."""
-    kept = []
-    for it in items:
-        p = location(it)
-        if all(math.hypot(p[0] - k[0], p[1] - k[1]) > radius for k in map(location, kept)):
-            kept.append(it)
+            elif drop is not None:
+                where = f"{gap:.3g} from its seed" if inside else "outside the region"
+                drop("find_folded_points", ArithmeticError(
+                    f"Newton from ({seed[0]:.6g}, {seed[1]:.6g}) ends {where}"), pt)
+    kept = []    # in order, without a point within 1e-7 of an earlier kept one
+    for pt in sorted(candidates):
+        if all(math.hypot(pt[0] - k[0], pt[1] - k[1]) > 1e-7 for k in kept):
+            kept.append(pt)
     return kept
 
 
@@ -305,60 +315,6 @@ def classify_flat_affine_umbilic(fld, point):
                                         "lifted_saddles": sum(1 for e in lifted if e["saddle"])})
 
 
-# -- tangency scanning along singular curves -----------------------------------
-
-
-def _polyline_tangents(poly):
-    t = np.empty_like(poly)
-    t[1:-1] = poly[2:] - poly[:-2]
-    t[0] = poly[1] - poly[0]
-    t[-1] = poly[-1] - poly[-2]
-    norms = np.hypot(t[:, 0], t[:, 1])
-    norms[norms == 0] = 1.0
-    return t / norms[:, None]
-
-
-def _tangency_signal(fld, poly):
-    """Signed sine of the angle between the double direction and the curve
-    at each vertex."""
-    tangents = _polyline_tangents(poly)
-
-    def signal(sl):
-        _, slope, chart_q = _double_roots(fld, poly[sl, 0], poly[sl, 1], 0)
-        du, dv = np.where(chart_q, slope, 1.0), np.where(chart_q, 1.0, slope)
-        # math.hypot per vertex: np.hypot may round differently
-        h = np.array([math.hypot(a, b) for a, b in zip(du.tolist(), dv.tolist())])
-        return du / h * tangents[sl, 1] - dv / h * tangents[sl, 0]
-    return _along(poly, signal)
-
-
-def scan_tangency(fld, polylines, kind_label, merge_radius=0.0):
-    """Flag zero crossings of the tangency angle along traced curves.
-
-    Curves where the direction is tangent identically (solution curves of the
-    net, e.g. the profile circles of a surface of revolution) produce no
-    flags: a crossing requires the signal to exceed the noise floor somewhere
-    on the component.
-    """
-    reports = []
-    for poly in polylines:
-        if len(poly) < 3:
-            continue
-        s = _tangency_signal(fld, poly)
-        if not np.isfinite(s).any() or np.nanmax(np.abs(s)) < 1e-6:
-            continue
-        a, b, t, loc = _sign_changes(poly, s)
-        angle = np.abs((1 - t) * a + t * b)
-        for k in np.flatnonzero(~((a == 0) & (b == 0)) & (angle < ANGLE_TOL)):
-            reports.append(SingularPointReport(
-                (float(loc[k, 0]), float(loc[k, 1])), kind_label,
-                tangency_angle=float(angle[k])))
-    reports.sort(key=lambda r: r.location)
-    if merge_radius > 0:
-        reports = _merged(reports, lambda r: r.location, merge_radius)
-    return reports
-
-
 def singular_sets(euclid, fld, region, resolution):
     """Trace the singular sets of a surface's asymptotic net once.
 
@@ -391,24 +347,34 @@ def singular_sets(euclid, fld, region, resolution):
             "discriminant": rest}
 
 
-def detect_special_points(euclid, fld, sets, region, resolution):
-    """Cusp-of-Gauss style tangency points on both parabolic sets.
+def detect_special_points(euclid, fld, sets, region, resolution, drop=None):
+    """Cusps of Gauss, and the meetings of the two parabolic sets.
 
     ``sets`` are the ``singular_sets`` of the surface, traced from its
     Euclidean and extended fields ``euclid`` and ``fld`` over ``region`` at
-    ``resolution``.  Along the
-    Euclidean parabolic set and the affine parabolic set, computes the
-    unique double direction of the matching direction equation and flags
-    sign-changing tangencies.  Where the two sets meet, the meeting is
-    reported with a tangential/transversal marker.
+    ``resolution``.  A cusp of Gauss is a fold of the Euclidean direction
+    equation on the parabolic set, where its double direction is tangent to
+    that set: ``find_folded_points`` on ``euclid`` finds it, and it is
+    reported as ``cusp_of_gauss`` with its fold kind in ``details``.  (The
+    affine cusp points, the folds of ``fld`` on the affine parabolic set,
+    are found with the rest of the extended discriminant's folds.)  Where
+    the two parabolic sets meet, the meeting is reported with the sine of
+    their angle and a tangential/transversal marker.  Searches and reports
+    that fail go to ``drop(stage, exc, location)``.
     """
     parabolic, affine_parabolic = sets["parabolic"], sets["affine_parabolic"]
-    cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
-    reports = scan_tangency(euclid, parabolic, "cusp_of_gauss", merge_radius=3 * cell)
-    reports += scan_tangency(fld, affine_parabolic, "affine_cusp_of_gauss",
-                             merge_radius=3 * cell)
+    reports = []
+    for pt in find_folded_points(euclid, parabolic, region, resolution, drop):
+        try:
+            rep = classify_folded(euclid, pt)
+        except NotSingularLiftError as exc:
+            if drop is not None:
+                drop("classify_folded", exc, pt)
+            continue
+        rep.details["fold_kind"], rep.kind = rep.kind, "cusp_of_gauss"
+        reports.append(rep)
 
-    # meetings of the two sets: tangential per the double-direction test
+    cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
     for pa in parabolic:
         for pb in affine_parabolic:
             meet = _closest_pair(pa, pb)
@@ -417,17 +383,22 @@ def detect_special_points(euclid, fld, sets, region, resolution):
             (ka, kb, dist) = meet
             if dist > 2.0 * cell:
                 continue
-            ta = _polyline_tangents(pa)[ka]
-            tb = _polyline_tangents(pb)[kb]
+            ta, tb = _tangent(pa, ka), _tangent(pb, kb)
             sine = abs(ta[0] * tb[1] - ta[1] * tb[0])
             loc = 0.5 * (pa[ka] + pb[kb])
             reports.append(SingularPointReport(
-                (float(loc[0]), float(loc[1])),
-                "parabolic_meeting",
-                tangency_angle=float(sine),
-                details={"tangential": bool(sine < math.sqrt(max(dist, 1e-12)) + 5e-2)}))
+                (float(loc[0]), float(loc[1])), "parabolic_meeting",
+                details={"sine": float(sine),
+                         "tangential": bool(sine < math.sqrt(max(dist, 1e-12)) + 5e-2)}))
     reports.sort(key=lambda r: (r.kind, r.location))
     return reports
+
+
+def _tangent(poly, k):
+    """Unit tangent of a polyline at vertex k, from its neighbours."""
+    t = poly[min(k + 1, len(poly) - 1)] - poly[max(k - 1, 0)]
+    n = math.hypot(t[0], t[1])
+    return t / n if n else t
 
 
 def _closest_pair(pa, pb):

@@ -357,7 +357,7 @@ def test_affine_parabolic_point_both_determinants_vanish():
 def test_tangency_signals_agree_on_source_and_image():
     # along the shared degenerate curve, away from the Euclidean parabolic
     # point at the origin, the double directions of the source equation and
-    # of the image second form coincide, so their tangency signals do too
+    # of the image second form coincide
     from affasym import singular as sg
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.3},
                             domain=Rect(-0.09, 0.09, -0.12, 0.12))
@@ -366,21 +366,23 @@ def test_tangency_signals_agree_on_source_and_image():
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(src, u, v),
                                cg.domain, 256)
     poly = max(polys, key=len)
-    keep = np.abs(poly[:, 0]) > 0.015  # stand off the parabolic point
-    poly = poly[keep]
-    s_src = sg._tangency_signal(src, poly)
-    s_img = sg._tangency_signal(img, poly)
+    off = poly[np.abs(poly[:, 0]) > 0.015]  # stand off the parabolic point
+    _, s_src, q_src = sg._double_roots(src, off[:, 0], off[:, 1], 0)
+    _, s_img, q_img = sg._double_roots(img, off[:, 0], off[:, 1], 0)
     ok = np.isfinite(s_src) & np.isfinite(s_img)
     assert ok.sum() > 20
-    # same signal up to overall sign of the tangent convention
-    agree = np.max(np.abs(s_src[ok] - s_img[ok]))
-    flip = np.max(np.abs(s_src[ok] + s_img[ok]))
-    assert min(agree, flip) < 1e-6
-    # and it changes sign across the tangency point at the origin
-    left = s_src[ok & (poly[:, 0] < 0)]
-    right = s_src[ok & (poly[:, 0] > 0)]
+    assert np.array_equal(q_src[ok], q_img[ok])
+    assert np.max(np.abs(s_src[ok] - s_img[ok])) < 1e-6
+    # the source's fold signal changes sign across the tangency point at the
+    # origin, and only there
+    s, _ = sg._fold_signal(src, poly)
+    ok = np.isfinite(s)
+    left = s[ok & (poly[:, 0] < 0)]
+    right = s[ok & (poly[:, 0] > 0)]
     assert left.size and right.size
     assert np.sign(np.median(left)) != np.sign(np.median(right))
+    assert sg.find_folded_points(src, polys, cg.domain, 256) == [
+        pytest.approx((0.0, 0.0), abs=1e-9)]
 
 
 def components_reference(mask, wrap_u, wrap_v):

@@ -571,7 +571,7 @@ def test_seed_filter_makes_one_field_call(monkeypatch):
     fld = bde.BDEField(slots, base.domain)
     edge = sg.SingularPointReport((0.98, 0.0), "folded_saddle")
     monkeypatch.setattr(bde, "trace_zero_set", lambda *args: [])
-    monkeypatch.setattr(sg, "find_folded_points", lambda fld, polys: [edge.location])
+    monkeypatch.setattr(sg, "find_folded_points", lambda fld, polys, *args: [edge.location])
     monkeypatch.setattr(sg, "classify_folded", lambda fld, pt: edge)
     monkeypatch.setattr(flow, "integrate_many", lambda fld, jobs, params, stats: [])
     p = flow.build_portrait(fld, grid=(3, 4))
@@ -782,3 +782,60 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
         assert a[:2].tolist() == S[-2, :2].tolist()
         assert S[-1, :3].tolist() == (a + t * (b - a)).tolist()
         assert S[-1, 4] == S[-2, 4] + t * math.hypot(*(b - a)[:2])
+
+
+def test_a_cusp_portrait_integrates_each_seed_once(monkeypatch):
+    # the cusp of Gauss, the affine fold and the meeting of the two
+    # parabolic sets all lie at the origin: their three rings are one
+    params = flow.IntegrationParams(max_len=0.3)
+    integrate_many, seen = flow.integrate_many, []
+
+    def spy(fld, jobs, params, stats):
+        seen.append((fld, jobs))
+        return integrate_many(fld, jobs, params, stats)
+
+    monkeypatch.setattr(flow, "integrate_many", spy)
+    surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    p = flow.build_portrait(surf, grid=(2, 2), params=params, trace_resolution=96)
+    at_origin = [r.kind for r in p.reports if math.hypot(*r.location) < 1e-9]
+    assert sorted(at_origin) == ["cusp_of_gauss", "folded_saddle", "parabolic_meeting"]
+    ((fld, jobs),) = seen
+    seeds = np.array(list(dict.fromkeys(seed for seed, _, _ in jobs)))
+    gaps = np.max(np.abs(seeds[:, None] - seeds[None]), axis=2)
+    assert np.all(gaps[~np.eye(len(seeds), dtype=bool)] >= flow._LOOP_TOL)
+    merged, others = [], [seeds]
+    for s in p.integration.skipped_seeds:
+        (merged if s["reason"] == "same point as an earlier seed" else others).append([s["seed"]])
+    assert len(merged) == 2 * flow._RING_SEEDS
+    others = np.vstack(others)
+    assert all(np.min(np.max(np.abs(others - s), axis=1)) < flow._LOOP_TOL for s in merged)
+    assert len(p.trajectories) == len(jobs)
+    for job, traj in zip(jobs, p.trajectories):
+        solo = flow.integrate_asymptotic(fld, *job[:2], params, job[2])
+        assert traj.termination == solo.termination
+        assert np.array_equal(traj.samples, solo.samples)
+
+
+def test_lanes_that_clip_in_one_round_project_in_one_batch(monkeypatch):
+    # the field depends on u alone, so lanes seeded on a vertical segment move
+    # alike and leave the domain through u = 1 in the same round
+    fld = bde.field_from_polynomials({(0, 0): 1.0}, {}, {(0, 0): -1.0, (2, 0): -1.0},
+                                     Rect(-1, 1, -1, 1))
+    jobs = [((0.9, float(v)), "plus", sweep)
+            for v in np.linspace(-0.3, 0.3, sf.SCALAR_LANES + 4) for sweep in (1, -1)]
+    params = flow.IntegrationParams(max_len=0.5)
+    project, clips = flow._project_slope, []
+
+    def spy(fld, u, v, slope, chart, iters=1):
+        if iters == 8:
+            clips.append(np.size(u))
+        return project(fld, u, v, slope, chart, iters)
+
+    monkeypatch.setattr(flow, "_project_slope", spy)
+    out = flow.integrate_many(fld, jobs, params)
+    assert max(clips) >= sf.SCALAR_LANES
+    assert sum(t.termination == "left_domain" for t in out) == max(clips)
+    for job, traj in zip(jobs, out):
+        solo = flow.integrate_asymptotic(fld, *job[:2], params, job[2])
+        assert traj.termination == solo.termination
+        assert np.array_equal(traj.samples, solo.samples)

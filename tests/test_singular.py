@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -118,18 +119,25 @@ def test_degenerate_hessian_error():
 
 
 def test_cusp_chart_flags_both_kinds():
+    # the cusp of Gauss is the Euclidean fold on the parabolic set, the
+    # affine cusp point the extended field's fold on the affine parabolic set
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.0},
                             domain=Rect(-0.4, 0.4, -0.2, 0.2))
     reps = special_points(cg, 256)
     kinds = {}
     for r in reps:
         kinds.setdefault(r.kind, []).append(r)
-    assert len(kinds.get("cusp_of_gauss", [])) == 1
-    assert len(kinds.get("affine_cusp_of_gauss", [])) == 1
-    assert kinds["cusp_of_gauss"][0].location == pytest.approx((0.0, 0.0), abs=1e-3)
-    assert kinds["affine_cusp_of_gauss"][0].location == pytest.approx((0.0, 0.0), abs=1e-3)
-    meet = kinds.get("parabolic_meeting", [])
-    assert meet and meet[0].details["tangential"]
+    assert set(kinds) == {"cusp_of_gauss", "parabolic_meeting"}
+    (cusp,) = kinds["cusp_of_gauss"]
+    assert cusp.location == pytest.approx((0.0, 0.0), abs=1e-9)
+    assert cusp.details["fold_kind"] in sg.FOLD_KINDS
+    fld, euclid = bde.extended_field_for(cg), bde.euclidean_field_for(cg)
+    sets = sg.singular_sets(euclid, fld, cg.domain, 256)
+    folds = sg.find_folded_points(fld, sets["affine_parabolic"], cg.domain, 256)
+    assert folds == [pytest.approx((0.0, 0.0), abs=1e-9)]
+    assert sg.classify_folded(fld, folds[0]).kind in sg.FOLD_KINDS
+    meet = kinds["parabolic_meeting"]
+    assert meet[0].details["tangential"]
 
 
 def fit_quadratic(poly, window=0.05):
@@ -167,7 +175,9 @@ def test_torus_no_cusps_no_folds():
 
 
 def test_transversality_along_affine_parabolic_set():
-    # ordinary degenerate points: the double direction stays transversal
+    # ordinary degenerate points: the double direction stays transversal,
+    # so the fold signal keeps away from 0 but near the one fold, at the
+    # region's edge, and no fold lies near the origin
     eps, sigma, q13, q40 = 1, 0.9, 0.3, 0.5
     surf = sf.catalog_surface("pick", {
         "epsilon": eps, "sigma": sigma,
@@ -178,17 +188,17 @@ def test_transversality_along_affine_parabolic_set():
     region = Rect(-0.25, 0.25, -0.25, 0.25)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), region, 128)
     assert polys
-    reps = sg.scan_tangency(fld, polys, "affine_cusp_of_gauss")
-    flagged = [r.location for r in reps]
+    folds = sg.find_folded_points(fld, polys, region, 128)
+    assert all(math.hypot(*f) > 0.2 for f in folds)
     for poly in polys:
-        s = sg._tangency_signal(fld, poly)
+        s, scale = sg._fold_signal(fld, poly)
         for k, val in enumerate(s[1:-1], start=1):
             if not np.isfinite(val):
                 continue
-            near_flag = any(math.hypot(poly[k][0] - fu, poly[k][1] - fv) < 0.02
-                            for (fu, fv) in flagged)
-            if not near_flag:
-                assert abs(val) > 1e-2
+            near_fold = any(math.hypot(poly[k][0] - fu, poly[k][1] - fv) < 0.02
+                            for (fu, fv) in folds)
+            if not near_fold:
+                assert abs(val) > 0.1 * scale[k]
 
 
 def test_flat_euclid_umbilic_no_lines():
@@ -320,14 +330,15 @@ def test_fold_point_on_a_generic_surface():
     assert origin_pts, pts
     rep = sg.classify_folded(fld, origin_pts[0])
     assert rep.kind in sg.FOLD_KINDS
-    # fold points and degenerate-direction tangency flags coincide: a zero
-    # of the lifted field on the criminant is exactly a point where the
-    # double direction is tangent to the discriminant
-    reps = special_points(surf, 192)
-    flags = [r.location for r in reps if r.kind == "affine_cusp_of_gauss"]
-    assert any(math.hypot(*f) < 5e-3 for f in flags)
+    # a zero of the lifted field on the criminant is exactly a point where
+    # the double direction is tangent to the discriminant
     for p in pts:
-        assert min(math.hypot(p[0] - f[0], p[1] - f[1]) for f in flags) < 1e-2, p
+        poly = min(polys, key=lambda q: np.min(np.hypot(*(q - p).T)))
+        k = int(np.argmin(np.hypot(*(poly - p).T)))
+        t = poly[min(k + 1, len(poly) - 1)] - poly[max(k - 1, 0)]
+        _, slope, chart_q = sg._double_roots(fld, p[0], p[1], 0)
+        d = (float(slope), 1.0) if chart_q else (1.0, float(slope))
+        assert abs(d[0] * t[1] - d[1] * t[0]) / math.hypot(*d) / math.hypot(*t) < 1e-2, p
 
 
 # -- batched scans against the former per-vertex formulas ---------------------
@@ -342,36 +353,31 @@ def vertex_double_root(fld, u, v):
 
 
 def vertex_fold_signal(fld, poly):
-    """The former fold scan: the third lifted component, vertex by vertex."""
-    out = []
+    """The fold scan vertex by vertex: the third lifted component, its sign
+    flipped wherever the double direction turns by more than a right angle
+    from the last vertex with a finite value."""
+    out, last, sign = [], None, 1.0
     for u, v in poly:
         slope, chart = vertex_double_root(fld, u, v)
-        out.append(float(bde.lie_cartan_scaled(fld, u, v, slope, chart == "q")[0][2]))
+        x3 = float(bde.lie_cartan_scaled(fld, u, v, slope, chart == "q")[0][2])
+        d = (1.0, slope) if chart == "p" else (slope, 1.0)
+        if math.isfinite(x3) and all(map(math.isfinite, d)):
+            if last is not None and d[0] * last[0] + d[1] * last[1] < 0:
+                sign = -sign
+            last = d
+        out.append(sign * x3)
     return np.array(out)
 
 
-def vertex_tangency_signal(fld, poly):
-    """The former tangency scan, vertex by vertex."""
-    tangents = sg._polyline_tangents(poly)
-    out = np.full(len(poly), np.nan)
-    for k, (u, v) in enumerate(poly):
-        slope, chart = vertex_double_root(fld, u, v)
-        d = np.array([1.0, slope] if chart == "p" else [slope, 1.0])
-        d = d / math.hypot(d[0], d[1])
-        out[k] = d[0] * tangents[k, 1] - d[1] * tangents[k, 0]
-    return out
-
-
 def edge_crossings(poly, vals):
-    """The former edge loop: per crossed edge, the interpolated point and
-    the interpolated signal."""
+    """The former edge loop: per crossed edge, the interpolated point."""
     out = []
     for k in range(len(poly) - 1):
         a, b = vals[k], vals[k + 1]
         if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
             continue
         t = 0.5 if a == b else abs(a) / (abs(a) + abs(b))
-        out.append(((1 - t) * poly[k] + t * poly[k + 1], abs((1 - t) * a + t * b)))
+        out.append((1 - t) * poly[k] + t * poly[k + 1])
     return out
 
 
@@ -407,16 +413,13 @@ def test_batched_signals_equal_the_vertex_formulas():
         ("extended", 2)]
     for label, fld, polys in cases:
         for poly in polys:
-            for batched, vertexwise in ((sg._fold_signal, vertex_fold_signal),
-                                        (sg._tangency_signal, vertex_tangency_signal)):
-                s, ref = batched(fld, poly), vertexwise(fld, poly)
-                assert same_bits(s, ref), (label, batched.__name__)
-                a, b, t, loc = sg._sign_changes(poly, s)
-                crossings = edge_crossings(poly, ref)
-                assert len(loc) == len(crossings)
-                for k, (point, angle) in enumerate(crossings):
-                    assert same_bits(loc[k], point)
-                    assert same_bits(np.abs((1 - t[k]) * a[k] + t[k] * b[k]), angle)
+            s, ref = sg._fold_signal(fld, poly)[0], vertex_fold_signal(fld, poly)
+            assert same_bits(s, ref), label
+            loc = sg._sign_changes(poly, s)
+            crossings = edge_crossings(poly, ref)
+            assert len(loc) == len(crossings)
+            for k, point in enumerate(crossings):
+                assert same_bits(loc[k], point)
 
 
 def test_the_catalog_torus_gets_the_closed_form_field():
@@ -476,7 +479,7 @@ def fold_test_field():
 def test_a_vertex_that_raises_gives_nan_and_keeps_the_other_folds():
     base, polys = fold_test_field()
     (poly,) = polys
-    healthy = sg._fold_signal(base, poly)
+    healthy = sg._fold_signal(base, poly)[0]
     want = sg.find_folded_points(base, polys)
     assert len(want) >= 3
     # the vertex with the largest signal whose two edges cross no zero
@@ -493,7 +496,7 @@ def test_a_vertex_that_raises_gives_nan_and_keeps_the_other_folds():
         return base.slots(u, v, order)
 
     broken = bde.BDEField(slots, base.domain)
-    s = sg._fold_signal(broken, poly)
+    s = sg._fold_signal(broken, poly)[0]
     assert np.isnan(s[k])
     others = np.arange(len(poly)) != k
     assert same_bits(s[others], healthy[others])
@@ -517,9 +520,6 @@ def test_one_slots_call_per_polyline(monkeypatch):
     polys = polys + bde.trace_zero_set(lambda u, v: bde.discriminant(cusp, u, v),
                                        base.domain, 48)
     fld, calls = counted(base)
-    sg.scan_tangency(fld, polys, "affine_cusp_of_gauss")
-    assert calls == [len(p) for p in polys if len(p) >= 3]
-    calls.clear()
     monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: None)
     assert sg.find_folded_points(fld, polys) == []
     assert calls == [len(p) for p in polys if len(p) >= 2]
@@ -537,3 +537,103 @@ def test_one_slots_call_per_classification_and_two_per_job_start():
     fld, calls = counted(bde.folded_model_field(-1.0))
     flow._start(fld, (0.3, 0.5), "plus", 1, flow.IntegrationParams())
     assert calls == [1, 1]
+
+
+# -- one fold search for both nets ---------------------------------------------
+
+
+def portrait_reports(monkeypatch, surf, resolution):
+    """A surface portrait's reports and dropped reports, without integration."""
+    monkeypatch.setattr(flow, "integrate_many", lambda *args: [])
+    p = flow.build_portrait(surf, grid=(1, 1), trace_resolution=resolution)
+    return p.reports, p.integration.dropped_reports
+
+
+PICK = {"epsilon": 1, "sigma": 0.9, "q": {(4, 0): 0.5, (0, 4): 1.5, (2, 2): 1.12}}
+
+# charts symmetric under v -> -v, with a trace resolution
+SYMMETRIC = {
+    "pick": (lambda: sf.catalog_surface("pick", PICK), 192),
+    "monge-poly": (lambda: sf.monge_surface("u^3 - u*v^2 + 0.2*v^4",
+                                            Rect(-0.5, 0.5, -0.5, 0.5)), 192),
+    "transcendental": (lambda: sf.monge_surface("sin(u)*cos(v)+0.1*exp(u)"), 48),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_fold_reports_are_mirrored_and_do_not_depend_on_the_trace(name, monkeypatch):
+    # every fold-derived report lies in the region and has a mirror partner;
+    # a parabolic_meeting is sampled at trace vertices and is not held to these
+    make, res = SYMMETRIC[name]
+    surf = make()
+    runs = []
+    for r in (res, 2 * res):
+        reps, _ = portrait_reports(monkeypatch, surf, r)
+        folds = [rep for rep in reps if rep.kind != "parabolic_meeting"]
+        assert folds
+        for rep in folds:
+            u, v = rep.location
+            assert surf.domain.contains(u, v)
+            assert any(m.kind == rep.kind and math.hypot(m.location[0] - u, m.location[1] + v)
+                       < 1e-6 for m in folds), rep
+        # no two reports of one field (Euclidean or extended) coincide
+        for euclidean in (True, False):
+            same_field = [rep for rep in folds if (rep.kind == "cusp_of_gauss") == euclidean]
+            for a, b in itertools.combinations(same_field, 2):
+                assert math.dist(a.location, b.location) > 1e-6
+        runs.append(folds)
+    coarse, fine = runs
+    assert sorted(r.kind for r in coarse) == sorted(r.kind for r in fine)
+    for rep in coarse:
+        assert any(m.kind == rep.kind and math.dist(m.location, rep.location) < 1e-8
+                   for m in fine), rep
+
+
+@pytest.mark.parametrize("cat_id,params,point", [
+    ("pick", PICK, (-0.3601, -0.1065)),
+    ("cusp_gauss", {"q21": 1.0, "q40": 0.1}, (-0.313, 0.451)),
+    ("cusp_gauss", {"q21": 1.3, "q40": -0.3}, (-0.071, 0.091)),
+    ("cusp_gauss", {"q21": 0.9, "q40": 0.35}, (0.182, -0.199)),
+    ("cusp_gauss", {"q21": 0.85, "q40": -0.2}, (-0.085, 0.107)),
+])
+def test_no_report_at_a_slope_chart_switch(cat_id, params, point, monkeypatch):
+    # the double direction's slope passes +-1 at these points, where the
+    # slope chart switches; the fold signal keeps its sign there, so no
+    # Newton search starts at them
+    reps, dropped = portrait_reports(monkeypatch, sf.catalog_surface(cat_id, params), 192)
+    assert all(math.dist(r.location, point) > 1e-2 for r in reps)
+    assert dropped == []
+    if cat_id == "cusp_gauss":
+        kinds = {r.kind for r in reps if math.hypot(*r.location) < 1e-9}
+        assert {"cusp_of_gauss", "folded_saddle"} <= kinds
+    else:
+        # nor does one end at pick's fold outside the region
+        assert all(math.dist(r.location, (-1.0242, -0.2400)) > 1e-2 for r in reps)
+
+
+def test_a_far_newton_result_is_dropped_and_counted(monkeypatch):
+    fld = bde.folded_model_field(-1.0)
+    polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 96)
+    seeds = np.vstack([sg._sign_changes(p, sg._fold_signal(fld, p)[0]) for p in polys])
+    assert len(seeds)
+    cell = 2 / 96
+    for shift, where in ((2.9 * cell, None), (3.1 * cell, "from its seed"),
+                         (1.5, "outside the region")):
+        monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: (u + shift, v))
+        dropped = []
+        pts = sg.find_folded_points(fld, polys, resolution=96,
+                                    drop=lambda *args: dropped.append(args))
+        if where is None:
+            assert pts and not dropped
+            continue
+        assert pts == []
+        assert [(stage, loc) for stage, _, loc in dropped] == [
+            ("find_folded_points", (u + shift, v)) for u, v in seeds]
+        assert all(str(exc).endswith(where) for _, exc, _ in dropped)
+    monkeypatch.setattr(flow, "integrate_many", lambda *args: [])
+    p = flow.build_portrait(fld, grid=(1, 1), trace_resolution=96)
+    assert p.reports == []
+    assert [r["location"] for r in p.integration.dropped_reports] == [[u + 1.5, v]
+                                                                      for u, v in seeds]
+    assert all(r["stage"] == "find_folded_points" and r["reason"].startswith("ArithmeticError")
+               for r in p.integration.dropped_reports)

@@ -1,0 +1,116 @@
+"""Compare the portraits of two output directories of ``payload_hashes.py --keep``.
+
+    PYTHONPATH=src python tools/payload_hashes.py --keep old   # at one commit
+    PYTHONPATH=src python tools/payload_hashes.py --keep new   # at another
+    PYTHONPATH=src python tools/compare_portraits.py old new
+
+For each run with a ``portrait.json`` in either directory it prints the
+reports removed and added (kind and location), the trajectories kept
+byte-identical (and whether in the same order), dropped and new, and for
+each dropped trajectory its nearest kept partner: a kept trajectory of the
+same family whose seed lies within ``flow._LOOP_TOL`` (max-norm) of its
+seed, at the smallest Hausdorff distance of their (u, v) samples.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from collections import Counter
+
+import numpy as np
+
+from affasym.flow import _LOOP_TOL
+
+
+def _load(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _report_key(rep):
+    return rep["kind"], tuple(rep["location"])
+
+
+def _text(traj):
+    return json.dumps(traj, sort_keys=True)
+
+
+def hausdorff(a, b, block=512):
+    """Hausdorff distance of two (n, 2) point sets, in blocks of rows."""
+    def directed(p, q):
+        return max(float(np.min(np.hypot(p[i:i + block, None, 0] - q[None, :, 0],
+                                         p[i:i + block, None, 1] - q[None, :, 1]), axis=1).max())
+                   for i in range(0, len(p), block))
+    return max(directed(a, b), directed(b, a))
+
+
+def compare(old, new):
+    """The lines describing the changes from portrait ``old`` to ``new``."""
+    lines = []
+    before = Counter(map(_report_key, old["reports"]))
+    after = Counter(map(_report_key, new["reports"]))
+    for label, diff in (("removed", before - after), ("added", after - before)):
+        for (kind, loc), n in sorted(diff.items()):
+            lines.append(f"  report {label}: {kind} ({loc[0]:.6g}, {loc[1]:.6g})"
+                         + (f" x{n}" if n > 1 else ""))
+    # trajectories matched by their text, first unmatched occurrence first
+    pool = {}
+    for k, t in enumerate(old["trajectories"]):
+        pool.setdefault(_text(t), []).append(k)
+    kept, fresh = [], []
+    for k, t in enumerate(new["trajectories"]):
+        same = pool.get(_text(t))
+        if same:
+            kept.append((same.pop(0), k))
+        else:
+            fresh.append(k)
+    dropped = sorted(k for ks in pool.values() for k in ks)
+    order = [k for k, _ in kept] == sorted(k for k, _ in kept)
+    lines.append(f"  trajectories: {len(kept)} kept byte-identical"
+                 f" ({'same' if order else 'other'} order), {len(dropped)} dropped,"
+                 f" {len(fresh)} new")
+    olds = old["trajectories"]
+    for k in dropped:
+        t = olds[k]
+        pts = np.asarray(t["samples"], dtype=float)[:, :2]
+        best = None
+        for j, _ in kept:
+            other = olds[j]
+            seed = np.asarray(other["samples"][0][:2], dtype=float)
+            if other["family"] != t["family"] or np.max(np.abs(seed - pts[0])) >= _LOOP_TOL:
+                continue
+            d = hausdorff(pts, np.asarray(other["samples"], dtype=float)[:, :2])
+            if best is None or d < best[1]:
+                best = (j, d)
+        where = (f"kept {best[0]} at Hausdorff {best[1]:.3g}" if best
+                 else "no kept partner")
+        lines.append(f"  dropped {k} ({t['family']}, seed ({pts[0, 0]:.6g}, {pts[0, 1]:.6g}),"
+                     f" {len(pts)} samples): {where}")
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old", help="output directory of the earlier run")
+    ap.add_argument("new", help="output directory of the later run")
+    args = ap.parse_args(argv)
+    runs = sorted(set(os.listdir(args.old)) | set(os.listdir(args.new)))
+    for run in runs:
+        old, new = (_load(os.path.join(d, run, "portrait.json")) for d in (args.old, args.new))
+        if old is None and new is None:
+            continue
+        print(run)
+        if old is None or new is None:
+            print(f"  only in {args.new if old is None else args.old}")
+            continue
+        print("\n".join(compare(old, new)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

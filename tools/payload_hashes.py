@@ -20,7 +20,8 @@ the surface fields; every other surface run has polynomial fields.
 
 ``--against FILE`` compares with an earlier output of this script and exits
 1 on any difference; a failed command exits 1 as well.  The outputs go to
-a temporary directory, deleted at the end.
+a temporary directory, deleted at the end, or with ``--keep DIR`` to DIR,
+kept there (``tools/compare_portraits.py`` compares two such directories).
 """
 
 from __future__ import annotations
@@ -116,8 +117,12 @@ def hash_runs(outdir):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", help="earlier output of this script to compare with")
+    ap.add_argument("--keep", metavar="DIR", help="write the outputs to DIR and keep them")
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory() as outdir:
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
+    with contextlib.nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() \
+            as outdir:
         lines, failed = hash_runs(outdir)
     print("\n".join(lines))
     status = 0
