@@ -53,6 +53,7 @@ from .jets import Jet2, JetDomainError, abs_pow
 
 __all__ = [
     "DegenerateImmersionError",
+    "ImmersionError",
     "ParabolicPointError",
     "AffinePointData",
     "K_ZERO_TOL",
@@ -82,6 +83,11 @@ def _lane_blocks(n):
 
 class DegenerateImmersionError(ArithmeticError):
     pass
+
+
+class ImmersionError(ArithmeticError):
+    """The conormal map fails to immerse (raised by ``conormal``; defined here
+    so that the command line maps it without loading ``conormal``)."""
 
 
 class ParabolicPointError(ArithmeticError):

@@ -31,9 +31,9 @@ import time
 
 import numpy as np
 
-# bde, flow, singular and checks are imported by the commands that run them,
-# so that analyze and conormal load only the modules they use
-from . import affine, conormal, surface as surface_mod
+# bde, flow, singular, conormal and checks are imported by the commands that
+# run them, so that each command loads only the modules it uses
+from . import affine, surface as surface_mod
 from .jets import JetDomainError
 from .jsontext import float_texts, json_at, json_records
 from .surface import ParseError, Rect
@@ -166,7 +166,7 @@ def _tolerances(args):
 
 def _write_run_info(outdir, args, **extra):
     info = {
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **extra,
     }
@@ -323,6 +323,8 @@ def _halton(n, base):
 
 
 def cmd_conormal(args):
+    from . import conormal
+
     surf = _build_surface(args)
     region = _parse_region(args.region) if args.region else surf.domain
     res = _parse_res(args.res or "48")
@@ -408,11 +410,13 @@ def _make_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = _make_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    args.argv = argv    # run_info.json records the arguments parsed
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -422,10 +426,6 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (affine.ParabolicPointError, affine.DegenerateImmersionError,
-            conormal.ImmersionError, JetDomainError, surface_mod.EvalError) as exc:
+            affine.ImmersionError, JetDomainError, surface_mod.EvalError) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return EXIT_MATH
-
-
-if __name__ == "__main__":
-    sys.exit(main())

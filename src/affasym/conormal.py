@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affine, jets
+from .affine import ImmersionError
 from .jsontext import float_texts
 from .surface import Band
 
@@ -29,10 +30,6 @@ __all__ = [
     "second_form_of_conormal",
     "verify_conormal_correspondence",
 ]
-
-
-class ImmersionError(ArithmeticError):
-    pass
 
 
 @dataclass

@@ -166,11 +166,12 @@ def test_unknown_catalog(tmp_path):
 
 
 def test_run_info_sidecar(tmp_path):
-    res = run_cli("portrait", "--bde", "morse", "--eps1", "-1", "--res", "3",
-                  "--tol", "max_len=1.0", "--out", str(tmp_path))
+    argv = ["portrait", "--bde", "morse", "--eps1", "-1", "--res", "3",
+            "--tol", "max_len=1.0", "--out", str(tmp_path)]
+    res = run_cli(*argv)
     assert res.returncode == 0, res.stderr
     info = json.loads((tmp_path / "run_info.json").read_text())
-    assert "timestamp" in info and "argv" in info
+    assert "timestamp" in info and info["argv"] == argv
     # payloads carry no timestamps
     assert "timestamp" not in (tmp_path / "portrait.json").read_text()
 
@@ -587,6 +588,8 @@ def test_run_info_records_stage_wall_times(tmp_path, argv, stages):
         payloads.append({p.name: p.read_bytes() for p in out.iterdir()
                          if p.name != "run_info.json"})
     info = json.loads((tmp_path / "a" / "run_info.json").read_text())
+    # the arguments main parsed, not those of the process calling it
+    assert info["argv"] == argv + ["--out", str(tmp_path / "a")]
     assert set(info["stage_seconds"]) == stages
     assert all(isinstance(t, float) and t >= 0.0 for t in info["stage_seconds"].values())
     # the payloads carry no stage times and do not change from run to run
@@ -640,3 +643,84 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
     # only verify draws random points
     assert "'numpy.random'" not in loaded
     assert "'affasym.flow'" in after_portrait and "'numpy.random'" not in after_portrait
+
+
+def test_portrait_does_not_load_conormal(tmp_path):
+    # main maps the conormal immersion error to exit 3 without loading conormal
+    code = (
+        "import sys\n"
+        "from affasym import cli\n"
+        "assert cli.main(['analyze', '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
+        "                 '--res', '4', '--out', sys.argv[1] + '/analyze']) == 0\n"
+        "assert cli.main(['portrait', '--bde', 'folded', '--lam', '-1', '--res', '3',\n"
+        "                 '--tol', 'max_len=1.0', '--out', sys.argv[1] + '/portrait']) == 0\n"
+        "print('affasym.conormal' in sys.modules)\n"
+        "from affasym import conormal\n"
+        "def fail(*args, **kwargs):\n"
+        "    raise conormal.ImmersionError('conormal map fails to immerse at (0, 0)')\n"
+        "conormal.conormal_mesh = fail\n"
+        "print(cli.main(['conormal', '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
+        "                '--res', '4', '--out', sys.argv[1] + '/conormal']))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-2:] == ["False", str(cli.EXIT_MATH)]
+    assert res.stderr == "domain failure: conormal map fails to immerse at (0, 0)\n"
+
+
+def test_in_process_callers_keep_the_default_collector(tmp_path):
+    # only the process entry point run() freezes the heap; importing the
+    # module that holds it, as the console script does, runs no command
+    code = (
+        "import gc, sys\n"
+        "from affasym import bde, cli, conormal, flow, singular\n"
+        "assert cli.main(['analyze', '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
+        "                 '--res', '4', '--out', sys.argv[1]]) == 0\n"
+        "import affasym.__main__\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [f"analyze: wrote 16 rows to {tmp_path}", "True 0"]
+
+
+def test_run_imports_without_collecting_and_freezes_the_heap():
+    # no cyclic collection walks the modules while they import; the command
+    # runs with the collector on, the imported heap frozen
+    code = (
+        "import contextlib, gc, io, sys\n"
+        "unfrozen = []\n"
+        "gc.callbacks.append(lambda phase, info: unfrozen.append(gc.get_freeze_count() == 0))\n"
+        "sys.argv = ['affasym', '--help']\n"
+        "from affasym.__main__ import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run()\n"
+        "print(code, any(unfrozen), gc.isenabled(), gc.get_freeze_count() > 10000,\n"
+        "      'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "False", "True", "True", "True"]
+
+
+def test_both_entry_points_write_the_same_portrait(tmp_path):
+    argv = ["portrait", "--bde", "folded", "--lam", "-1", "--res", "3", "--tol", "max_len=1.0"]
+    res = run_cli(*argv, "--out", str(tmp_path / "run"))
+    assert res.returncode == cli.main(argv + ["--out", str(tmp_path / "main")]) == 0, res.stderr
+    for name in ("portrait.json", "portrait.svg"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["portrait", "--bde", "folded"], cli.EXIT_CONFIG),
+    (["analyze", "--no-such-flag"], cli.EXIT_CONFIG),
+    (["--help"], cli.EXIT_OK),
+])
+def test_both_entry_points_keep_exit_codes_and_output(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its text to the terminal
+    res = run_cli(*argv)
+    assert cli.main(argv) == res.returncode == code
+    assert capsys.readouterr() == (res.stdout, res.stderr)
+    assert res.stdout or res.stderr
