@@ -35,9 +35,10 @@ so the formulas spend no product on them and give w = (-h_u, -h_v, 1) and
 (L, M, N) = (h_uu, h_uv, h_vv) bit for bit.
 
 The torus keeps its closed form: lbar and nbar are polynomials in c = cos u,
-one coefficient table (``_torus_coefficients``) that ``torus_extended_bde``
-evaluates by Horner's rule on floats, arrays and jets and that the closed-form
-field ``bde.torus_extended_field`` differentiates.  The general formula on
+one coefficient table (``_torus_coefficients``), evaluated by one Horner
+step (``_horner``) on floats, arrays and jets in ``torus_extended_bde``, and on
+the table and its derivative lists in the closed-form field
+``bde.torus_extended_field``.  The general formula on
 its trigonometric position jets costs five to ten times as much per portrait.
 """
 
@@ -386,19 +387,21 @@ def _torus_coefficients(R, r):
             [0.0, 0.0, 4 * R * R, 4 * r * R, 12 * R * R, 28 * r * R, 16 * r * r])
 
 
+def _horner(p, x):
+    """p[0] + p[1] x + p[2] x^2 + ... by Horner's rule, on floats, arrays, jets."""
+    return reduce(lambda acc, a: acc * x + a, p[-2::-1], p[-1])
+
+
 def torus_extended_bde(R, r, u):
     """Closed-form extended coefficients (lbar, mbar, nbar) on the torus
     ((R + r cos u) cos v, (R + r cos u) sin v, r sin u); u may be a float,
     an array, or a jet."""
     if not 0 < r < R:
         raise ValueError(f"torus needs 0 < r < R, got r={r}, R={R}")
-    c = jets.cos(u)
-    lbar, nbar = (reduce(lambda acc, a: acc * c + a, p[-2::-1], p[-1])    # Horner in c
-                  for p in _torus_coefficients(R, r))
     if isinstance(u, Jet2):
-        mbar = Jet2.constant(np.zeros_like(u.value), u.order)
+        c, mbar = jets.jet_apply_unary("cos", u), Jet2.constant(np.zeros_like(u.value), u.order)
     else:
-        mbar = np.zeros_like(np.asarray(u, dtype=float))
-        if mbar.ndim == 0:
-            mbar = 0.0
+        c, mbar = np.cos(u), np.zeros_like(np.asarray(u, dtype=float))
+        mbar = mbar if mbar.ndim else 0.0
+    lbar, nbar = (_horner(p, c) for p in _torus_coefficients(R, r))
     return lbar, mbar, nbar

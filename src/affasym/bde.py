@@ -111,12 +111,12 @@ def morse_model_field(eps1, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
 def torus_extended_field(surf):
     """The closed-form extended field of a catalog torus, with its domain and period."""
     R, r = surf.params["R"], surf.params["r"]
-    lp, npol = (np.array(p) for p in affine._torus_coefficients(R, r))
-    lp_d = np.polynomial.polynomial.polyder(lp)
-    lp_dd = np.polynomial.polynomial.polyder(lp_d)
-    np_d = np.polynomial.polynomial.polyder(npol)
-    np_dd = np.polynomial.polynomial.polyder(np_d)
-    pval = np.polynomial.polynomial.polyval
+
+    def derivative(p):
+        return [k * p[k] for k in range(1, len(p))]
+
+    tables = [(p, derivative(p), derivative(derivative(p)))
+              for p in affine._torus_coefficients(R, r)]
 
     def slots(u, v, order):
         if order > 2:
@@ -127,13 +127,13 @@ def torus_extended_field(surf):
         c, s = np.cos(u), np.sin(u)
         n = (order + 1) * (order + 2) // 2
         out = np.zeros((3 * n,) + np.broadcast_shapes(np.shape(u), np.shape(v)))
-        for k, p, p_d, p_dd in ((0, lp, lp_d, lp_dd), (2 * n, npol, np_d, np_dd)):
-            out[k] = pval(c, p)
+        for k, (p, p_d, p_dd) in zip((0, 2 * n), tables):
+            out[k] = affine._horner(p, c)
             if order:
-                fc = pval(c, p_d)
+                fc = affine._horner(p_d, c)
                 out[k + 1] = -s * fc
                 if order == 2:
-                    out[k + 3] = -c * fc + s * s * pval(c, p_dd)
+                    out[k + 3] = -c * fc + s * s * affine._horner(p_dd, c)
         return out
 
     return BDEField(slots, surf.domain, surf.period)

@@ -642,9 +642,9 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     ``source`` is a coefficient field or a surface (in which case the
     extended field is built).  Both root families are integrated from a seed
     grid (cells with negative discriminant are skipped), plus a ring of seeds
-    around each located singular point (a seed within ``_LOOP_TOL`` of an
-    earlier one is skipped, so coincident reports share one ring), all in
-    one ``integrate_many`` call whose statistics the portrait keeps as
+    around each located singular point (a report within three trace cells of
+    an earlier one that has a ring joins that ring: its seeds are skipped),
+    all in one ``integrate_many`` call whose statistics the portrait keeps as
     ``integration``, and the wall time of each stage (trace, detect, folds,
     integrate) as ``stage_seconds``.  The payload is deterministic for fixed
     inputs.
@@ -700,31 +700,29 @@ def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resoluti
     us = np.linspace(region.u0, region.u1, nx + 2)[1:-1]
     vs = np.linspace(region.v0, region.v1, ny + 2)[1:-1]
     seeds = [(float(u), float(v)) for u in us for v in vs]
+    # a report within reach of an earlier one that has a ring joins that ring
+    reach, rings, joins = singular._reach(region, trace_resolution), [], [None] * len(seeds)
     for rep in sorted(reports, key=lambda r: (r.kind, r.location)):
+        near = next((r for r in rings if math.dist(r.location, rep.location) <= reach), None)
+        if near is None:
+            rings.append(rep)
+        join = near and "joins the ring of the {} at ({:.6g}, {:.6g})".format(near.kind,
+                                                                             *near.location)
         for k in range(_RING_SEEDS):
             ang = 2 * math.pi * k / _RING_SEEDS
             seeds.append((rep.location[0] + _RING_RADIUS * math.cos(ang),
                           rep.location[1] + _RING_RADIUS * math.sin(ang)))
-
-    # a seed within _LOOP_TOL (max-norm) of an earlier one is the same
-    # point: look for it in its own and the neighbouring cells of that size
-    cells, same = {}, []
-    for u, v in seeds:
-        i, j = math.floor(u / _LOOP_TOL), math.floor(v / _LOOP_TOL)
-        same.append(any(max(abs(u - a), abs(v - b)) < _LOOP_TOL
-                        for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                        for a, b in cells.get((i + di, j + dj), ())))
-        cells.setdefault((i, j), []).append((u, v))
+            joins.append(join)
     # one discriminant evaluation for all the other seeds inside the region
-    pts, same = np.array(seeds), np.array(same)
+    pts = np.array(seeds)
     inside = region.contains(*pts.T)
     negative = np.zeros(len(seeds), dtype=bool)
-    ask = inside & ~same
+    ask = inside & np.array([join is None for join in joins])
     negative[ask] = bde.discriminant(fld, *pts[ask].T) < 0
     jobs = []
-    for seed, dup, ins, neg in zip(seeds, same.tolist(), inside.tolist(), negative.tolist()):
-        skip = ("same point as an earlier seed" if dup else "outside the region" if not ins
-                else "negative discriminant" if neg else None)
+    for seed, join, ins, neg in zip(seeds, joins, inside.tolist(), negative.tolist()):
+        skip = join or ("outside the region" if not ins else "negative discriminant" if neg
+                        else None)
         if skip:
             stats.skipped_seeds.append({"seed": list(seed), "reason": skip})
             continue

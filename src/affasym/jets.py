@@ -31,14 +31,8 @@ __all__ = [
     "DEFAULT_EPS",
     "jet_div",
     "jet_apply_unary",
-    "sin",
-    "cos",
-    "tan",
-    "exp",
-    "log",
-    "sqrt",
     "abs_pow",
-    "UNARY_FUNCTIONS",
+    "FUNCTIONS",
 ]
 
 DEFAULT_ORDER = 4
@@ -343,17 +337,14 @@ def _pairwise(rest, add):
 # -- named operation aliases (functional style used throughout the package) --
 
 
-def jet_div(a, b, eps=DEFAULT_EPS):
-    if not isinstance(b, Jet2):
-        return a * (1.0 / np.asarray(b, dtype=float))
-    if not isinstance(a, Jet2):
-        a = Jet2.constant(np.broadcast_to(np.asarray(a, float), np.shape(b.value)), b.order)
+def jet_div(a, b):
     o = min(a.order, b.order)
     n = _term_count(o)
     ca, cb = _aligned(a.coeffs[:n], b.coeffs[:n])
     b0 = cb[0]
-    if np.any(np.abs(b0) <= eps):
-        raise JetDomainError(f"jet division by degenerate jet (|constant term| <= {eps})")
+    if np.any(np.abs(b0) <= DEFAULT_EPS):
+        raise JetDomainError(
+            f"jet division by degenerate jet (|constant term| <= {DEFAULT_EPS})")
     inv0 = 1.0 / b0
     out = np.empty_like(np.broadcast_arrays(ca, cb)[0])
     # graded forward substitution for q in a = q * b
@@ -413,44 +404,28 @@ def _taylor(fn, x0, order, exponent=None):
     return series
 
 
-def sin(a):
-    if not isinstance(a, Jet2):
-        return np.sin(a)
-    return _compose(a, _taylor("sin", a.value, a.order))
+# Each function of the expression language by name: (series of ``_taylor``,
+# exponent, whether the argument must be positive).  ``tan`` is sin / cos
+# through ``jet_div``.
+FUNCTIONS = {"sin": ("sin", None, False), "cos": ("cos", None, False),
+             "tan": ("tan", None, False), "exp": ("exp", None, False),
+             "log": ("log", None, True), "sqrt": ("pow", 0.5, True)}
 
 
-def cos(a):
-    if not isinstance(a, Jet2):
-        return np.cos(a)
-    return _compose(a, _taylor("cos", a.value, a.order))
+def _rule(fn, exponent=None):
+    """The rule of a name of ``FUNCTIONS``, or of "pow" (of a positive base)."""
+    return ("pow", exponent, True) if fn == "pow" else FUNCTIONS[fn]
 
 
-def tan(a, eps=DEFAULT_EPS):
-    if not isinstance(a, Jet2):
-        return np.tan(a)
-    return jet_div(sin(a), cos(a), eps=eps)
-
-
-def exp(a):
-    if not isinstance(a, Jet2):
-        return np.exp(a)
-    return _compose(a, _taylor("exp", a.value, a.order))
-
-
-def log(a, eps=DEFAULT_EPS):
-    if not isinstance(a, Jet2):
-        return np.log(a)
-    if np.any(a.value <= eps):
-        raise JetDomainError("log of a jet with non-positive constant term")
-    return _compose(a, _taylor("log", a.value, a.order))
-
-
-def sqrt(a, eps=DEFAULT_EPS):
-    if not isinstance(a, Jet2):
-        return np.sqrt(a)
-    if np.any(a.value <= eps):
-        raise JetDomainError("sqrt of a jet with non-positive constant term")
-    return abs_pow(a, 0.5, eps=eps)
+def jet_apply_unary(fn, a, exponent=None):
+    """fn(a) for a jet ``a``, by a name of ``FUNCTIONS`` or "pow"."""
+    series, exponent, positive = _rule(fn, exponent)
+    if series == "tan":
+        return jet_div(jet_apply_unary("sin", a), jet_apply_unary("cos", a))
+    if positive and np.any(a.value <= DEFAULT_EPS):
+        raise JetDomainError("rational power of a non-positive base" if fn == "pow"
+                             else f"{fn} of a jet with non-positive constant term")
+    return _compose(a, _taylor(series, a.value, a.order, exponent))
 
 
 def abs_pow(a, exponent, eps=DEFAULT_EPS):
@@ -459,31 +434,8 @@ def abs_pow(a, exponent, eps=DEFAULT_EPS):
     The form needed by the quarter-root scalings |LN - M^2|^(+-1/4): smooth on
     each side of the degeneracy locus, for either sign of the argument.
     """
-    if not isinstance(a, Jet2):
-        return np.abs(a) ** exponent
     if np.any(np.abs(a.value) <= eps):
         raise JetDomainError(
             f"abs_pow at a degenerate base value (|x| <= {eps}): evaluation too near "
             "the parabolic set")
     return _compose(a, _taylor("pow", a.value, a.order, exponent))
-
-
-UNARY_FUNCTIONS = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-}
-
-
-def jet_apply_unary(fn, a, eps=DEFAULT_EPS):
-    """Apply a unary function of ``UNARY_FUNCTIONS`` by name."""
-    try:
-        f = UNARY_FUNCTIONS[fn]
-    except KeyError:
-        raise ValueError(f"unknown unary function {fn!r}") from None
-    if fn in ("tan", "log", "sqrt"):
-        return f(a, eps=eps)
-    return f(a)

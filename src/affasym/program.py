@@ -94,7 +94,9 @@ class _Compiler:
             a = self.mul(a, a) if k else a
         return out
 
-    def unary(self, fn, a, exponent=None, positive=False):
+    def unary(self, fn, a, exponent=None):
+        # jets.jet_apply_unary but for tan; fn becomes the name of its series
+        fn, exponent, positive = jets._rule(fn, exponent)
         x = a[0]
         if x is None or positive and isinstance(x, float) and x <= jets.DEFAULT_EPS:
             raise _Uncompiled
@@ -124,19 +126,16 @@ class _Compiler:
         if isinstance(e, Var):
             return [e.name] + [float(k == (1 if e.name == "u" else 2)) for k in range(1, self.n)]
         if isinstance(e, (Num, Const)):
-            return [float(e.value) if isinstance(e, Num) else math.pi] + [0.0] * (self.n - 1)
+            return [float(e.value)] + [0.0] * (self.n - 1)
         if isinstance(e, Pow):
             a = self.node(e.base)
-            return (self.power(a, e.num) if e.den == 1
-                    else self.unary("pow", a, e.num / e.den, positive=True))
+            return self.power(a, e.num) if e.den == 1 else self.unary("pow", a, e.num / e.den)
         if isinstance(e, Unary):
             a = self.node(e.arg)
             if e.fn in ("neg", "tan"):
                 return ([self.neg(x) for x in a] if e.fn == "neg"
                         else self.div(self.unary("sin", a), self.unary("cos", a)))
-            sqrt = e.fn == "sqrt"
-            return self.unary("pow" if sqrt else e.fn, a, 0.5 if sqrt else None,
-                              positive=sqrt or e.fn == "log")
+            return self.unary(e.fn, a)
         a, b = self.node(e.left), self.node(e.right)
         if e.op in "*/":
             return self.mul(a, b) if e.op == "*" else self.div(a, b)

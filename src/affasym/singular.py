@@ -161,6 +161,12 @@ def _sign_changes(poly, signal):
     return (1 - t)[:, None] * poly[k] + t[:, None] * poly[k + 1]
 
 
+def _reach(region, resolution):
+    """Three trace cells: how far a polished point may lie from its seed, and
+    how near two reports must lie to share one ring of portrait seeds."""
+    return 3 * max(region.u1 - region.u0, region.v1 - region.v0) / resolution
+
+
 def find_folded_points(fld, polylines, region=None, resolution=192, drop=None):
     """Fold points: zeros of the lifted field over the discriminant of ``fld``.
 
@@ -174,7 +180,7 @@ def find_folded_points(fld, polylines, region=None, resolution=192, drop=None):
     seed is dropped and passed to ``drop(stage, exc, location)``.
     """
     region = region or fld.domain
-    reach = 3 * max(region.u1 - region.u0, region.v1 - region.v0) / resolution
+    reach = _reach(region, resolution)
     candidates = []
     for poly in polylines:
         if len(poly) < 2:

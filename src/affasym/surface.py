@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .jets import Jet2, JetDomainError
+from .jets import Jet2
 
 __all__ = [
     "ParseError",
@@ -63,6 +63,7 @@ class Num:
 @dataclass(frozen=True)
 class Const:
     name: str  # only "pi"
+    value = math.pi
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    fn: str  # neg, sin, cos, tan, exp, log, sqrt
+    fn: str  # neg or a name of jets.FUNCTIONS
     arg: object
 
 
@@ -88,9 +89,6 @@ class Pow:
     base: object
     num: int
     den: int  # den >= 1; non-literal exponents are rejected at parse time
-
-
-_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 
 class _Parser:
@@ -224,7 +222,7 @@ class _Parser:
             return Var(name)
         if name == "pi":
             return Const("pi")
-        if name in _FUNCS:
+        if name in jets.FUNCTIONS:
             if self.peek() != "(":
                 self.error(f"function {name} needs a parenthesized argument")
             self.pos += 1
@@ -240,22 +238,17 @@ def parse_expression(text):
 
 
 def eval_expression_jet(node, uj, vj):
-    """Evaluate an AST to a jet, given jets (or batches) for u and v."""
-    if isinstance(node, Num):
-        order = uj.order if isinstance(uj, Jet2) else jets.DEFAULT_ORDER
-        shape = np.shape(uj.value) if isinstance(uj, Jet2) else ()
-        return Jet2.constant(np.broadcast_to(node.value, shape).copy() if shape else node.value, order)
-    if isinstance(node, Const):
-        order = uj.order if isinstance(uj, Jet2) else jets.DEFAULT_ORDER
-        shape = np.shape(uj.value) if isinstance(uj, Jet2) else ()
-        return Jet2.constant(np.broadcast_to(math.pi, shape).copy() if shape else math.pi, order)
+    """Evaluate an AST to a jet, given the jets of u and v (of one point or a
+    batch)."""
+    if isinstance(node, (Num, Const)):
+        shape = np.shape(uj.value)
+        return Jet2.constant(np.broadcast_to(node.value, shape).copy() if shape else node.value,
+                             uj.order)
     if isinstance(node, Var):
         return uj if node.name == "u" else vj
     if isinstance(node, Unary):
         a = eval_expression_jet(node.arg, uj, vj)
-        if node.fn == "neg":
-            return -a
-        return jets.jet_apply_unary(node.fn, a)
+        return -a if node.fn == "neg" else jets.jet_apply_unary(node.fn, a)
     if isinstance(node, Bin):
         a = eval_expression_jet(node.left, uj, vj)
         b = eval_expression_jet(node.right, uj, vj)
@@ -270,9 +263,7 @@ def eval_expression_jet(node, uj, vj):
         a = eval_expression_jet(node.base, uj, vj)
         if node.den == 1:
             return a ** node.num
-        if np.any(a.value <= jets.DEFAULT_EPS):
-            raise JetDomainError("rational power of a non-positive base")
-        return jets.abs_pow(a, node.num / node.den)
+        return jets.jet_apply_unary("pow", a, node.num / node.den)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -294,10 +285,8 @@ class _NotPolynomial(Exception):
 def _to_poly(node):
     """Evaluate an AST in the ``Poly`` ring; raise _NotPolynomial where it
     leaves the ring."""
-    if isinstance(node, Num):
+    if isinstance(node, (Num, Const)):
         return Poly.const(node.value)
-    if isinstance(node, Const):
-        return Poly.const(math.pi)
     if isinstance(node, Var):
         return Poly({(1, 0) if node.name == "u" else (0, 1): 1.0})
     if isinstance(node, Unary) and node.fn == "neg":

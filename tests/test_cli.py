@@ -624,11 +624,14 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
         "    out = sys.argv[1] + '/' + cmd\n"
         "    assert cli.main([cmd, '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
         "                     '--res', '16', '--out', out]) == 0\n"
-        "names = ('orjson', 'numpy.random')\n"
+        "names = ('orjson', 'numpy.random', 'numpy.polynomial')\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('affasym.') or m in names)\n"
         "assert cli.main(['portrait', '--surface', 'catalog:cusp_gauss', '--q', '21=1.0',\n"
         "                 '--q', '40=0.1', '--res', '2', '--tol', 'trace_res=32',\n"
         "                 '--out', sys.argv[1] + '/portrait']) == 0\n"
+        "assert cli.main(['portrait', '--surface', 'catalog:torus', '--R', '2', '--r', '1',\n"
+        "                 '--res', '2', '--tol', 'trace_res=32',\n"
+        "                 '--out', sys.argv[1] + '/torus']) == 0\n"
         "print(loaded)\n"
         "print(sorted(m for m in sys.modules if m.startswith('affasym.') or m in names))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
@@ -643,6 +646,8 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
     # only verify draws random points
     assert "'numpy.random'" not in loaded
     assert "'affasym.flow'" in after_portrait and "'numpy.random'" not in after_portrait
+    # the torus closed form evaluates its tables by Horner's rule
+    assert "'numpy.polynomial'" not in after_portrait
 
 
 def test_portrait_does_not_load_conormal(tmp_path):

@@ -587,6 +587,32 @@ def test_seed_filter_makes_one_field_call(monkeypatch):
     assert any(r["reason"] == "negative discriminant" for r in ref)
 
 
+def test_a_report_within_reach_of_another_shares_its_ring(monkeypatch):
+    # a report 0.005 from another, inside three trace cells (3 * 2 / 192),
+    # gets no ring of its own: its seeds are skipped, naming the ring it joins
+    fld = bde.folded_model_field(-1.0)
+    reports = {loc: sg.SingularPointReport(loc, kind) for loc, kind in (
+        ((0.0, 0.0), "folded_saddle"), ((0.005, 0.0), "parabolic_meeting"),
+        ((0.5, 0.0), "parabolic_meeting"))}
+    seeds = []
+    monkeypatch.setattr(bde, "trace_zero_set", lambda *args: [])
+    monkeypatch.setattr(sg, "find_folded_points", lambda fld, polys, *args: list(reports))
+    monkeypatch.setattr(sg, "classify_folded", lambda fld, pt: reports[pt])
+    monkeypatch.setattr(flow, "integrate_many", lambda fld, jobs, params, stats:
+                        seeds.extend(seed for seed, _, _ in jobs) or [])
+    p = flow.build_portrait(fld, grid=(1, 1))
+
+    def ring(u, v):
+        return [(u + 0.05 * math.cos(a), v + 0.05 * math.sin(a))
+                for a in 2 * math.pi * np.arange(8) / 8]
+
+    joined = [s for s in p.integration.skipped_seeds if s["reason"].startswith("joins")]
+    reason = "joins the ring of the folded_saddle at (0, 0)"
+    assert joined == [{"seed": list(seed), "reason": reason} for seed in ring(0.005, 0.0)]
+    kept = [(0.0, 0.0), *ring(0.0, 0.0), *ring(0.5, 0.0)]
+    assert seeds == [s for s in kept if not bde.discriminant(fld, *s) < 0 for _ in range(4)]
+
+
 # -- one lockstep round against the former per-lane formulas ------------------
 
 
@@ -805,7 +831,8 @@ def test_a_cusp_portrait_integrates_each_seed_once(monkeypatch):
     assert np.all(gaps[~np.eye(len(seeds), dtype=bool)] >= flow._LOOP_TOL)
     merged, others = [], [seeds]
     for s in p.integration.skipped_seeds:
-        (merged if s["reason"] == "same point as an earlier seed" else others).append([s["seed"]])
+        (merged if s["reason"].startswith("joins the ring of the cusp_of_gauss at")
+         else others).append([s["seed"]])
     assert len(merged) == 2 * flow._RING_SEEDS
     others = np.vstack(others)
     assert all(np.min(np.max(np.abs(others - s), axis=1)) < flow._LOOP_TOL for s in merged)

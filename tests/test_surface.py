@@ -246,6 +246,20 @@ def lanes(n, seed):
     return rng.choice(pool, n), rng.choice(pool, n)
 
 
+def assert_same_result(exprs, u, v, order, prog):
+    """The program gives the walk's bits, or raises the walk's domain error;
+    returns whether it raised."""
+    try:
+        ref = walked(exprs, u, v, order)
+    except JetDomainError as exc:
+        with pytest.raises(JetDomainError) as got:
+            run_program(exprs, u, v, order, prog)
+        assert str(got.value) == str(exc)
+        return True
+    assert_same_bits(run_program(exprs, u, v, order, prog), ref)
+    return False
+
+
 def assert_same_bits(got, ref):
     for a, b in zip(got, ref, strict=True):
         assert a.order == b.order and a.coeffs.shape == b.coeffs.shape
@@ -285,7 +299,14 @@ PROGRAM_EXPRESSIONS = {
     # exp(800) overflows where the walk's jet is NaN; the outer exp of -inf
     # is 0.0 with zero derivatives, so only the argument shows it
     "non-finite-argument": (parsed("u + exp(-exp(800 + u - u))"), True),
+    # every function of jets.FUNCTIONS, tan and a rational power, each outside
+    # its domain at some points: log(u) at u <= 0, sqrt(v) at v <= 0, the
+    # power at u <= v, tan(u) at u = pi/2
+    "functions": (parsed("sin(u)*cos(v) + exp(u)", "log(u)", "sqrt(v)", "(u - v)^(3/2)"), True),
+    "tan": (parsed("tan(u)", "tan(v/2)"), False),
 }
+# the expressions above that leave their domain: no other one raises
+LEAVE_DOMAIN = {"functions", "tan"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(710) overflows on purpose
@@ -297,13 +318,11 @@ def test_program_gives_the_bits_of_the_walk(name, tmp_path):
     for order in range(6):
         prog = Program(dict(enumerate(exprs)), order)
         assert prog.compiled == compiles or not order  # order 0 has no zero slots
-        for u, v in points:
-            assert_same_bits(run_program(exprs, u, v, order, prog), walked(exprs, u, v, order))
+        raised = {assert_same_result(exprs, u, v, order, prog) for u, v in points}
         for n in (5, 40, 300, 35_712):
-            u, v = lanes(n, n + order)
-            assert_same_bits(run_program(exprs, u, v, order, prog), walked(exprs, u, v, order))
-        grid = np.meshgrid(SPECIAL, SPECIAL[::-1])
-        assert_same_bits(run_program(exprs, *grid, order, prog), walked(exprs, *grid, order))
+            raised.add(assert_same_result(exprs, *lanes(n, n + order), order, prog))
+        raised.add(assert_same_result(exprs, *np.meshgrid(SPECIAL, SPECIAL[::-1]), order, prog))
+        assert raised == ({False, True} if name in LEAVE_DOMAIN else {False})
 
 
 def test_surface_jets_read_the_program_compiled_on_first_use():

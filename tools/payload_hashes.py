@@ -4,16 +4,17 @@ Runs each command below in this process through ``affasym.cli.main`` and
 prints one ``sha256  path`` line per payload file, in a fixed order.
 ``run_info.json`` holds timestamps and wall times, so it is not hashed.
 The set is the one whose payloads must stay byte-identical under a change
-that claims not to move them: the five portrait-cusp design points, torus,
-pick, the two model fields, a polynomial Monge chart, a flat umbilic chart,
-a transcendental Monge chart, three parametric charts given as ``file:``
-configs written to the temporary directory (a generic one, one whose
-extended field crosses the parabolic set LN - M^2 = 0, and a
-non-polynomial graph), analyze of that graph, and analyze and conormal on a
-torus, each once within one block of evaluated lanes and once over several
-(``affine._LANES``; the larger conormal run is the benchmark's grid-torus
-command).  The transcendental and non-polynomial runs pin the jet route of
-the surface fields; every other surface run has polynomial fields.
+that claims not to move them: the five portrait-cusp design points and one
+draw whose reports share a ring of seeds, torus, pick, the two model fields,
+a polynomial Monge chart, a flat umbilic chart, a transcendental Monge
+chart, three parametric charts given as ``file:`` configs written to the
+temporary directory (a generic one, one whose extended field crosses the
+parabolic set LN - M^2 = 0, and a non-polynomial graph), analyze of that
+graph, and analyze and conormal on a torus, each once within one block of
+evaluated lanes and once over several (``affine._LANES``; the larger
+conormal run is the benchmark's grid-torus command).  The transcendental
+and non-polynomial runs pin the jet route of the surface fields; every other
+surface run has polynomial fields.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -57,6 +58,11 @@ RUNS = [
     *[(f"cusp-q21={a}-q40={b}",
        ["portrait", "--surface", "catalog:cusp_gauss", "--q", f"21={a}", "--q", f"40={b}",
         "--res", "4"]) for a, b in _CUSP],
+    # a draw near design point 4 whose parabolic meeting lies one trace cell
+    # from the cusp of Gauss and the fold: its report joins their ring of seeds
+    ("cusp-q21=0.894058-q40=0.350283",
+     ["portrait", "--surface", "catalog:cusp_gauss", "--q", "21=0.894058", "--q", "40=0.350283",
+      "--res", "4"]),
     ("torus-R2-r1", ["portrait", "--surface", "catalog:torus", "--R", "2", "--r", "1",
                      "--res", "4"]),
     ("pick", ["portrait", "--surface", "catalog:pick", "--epsilon", "1", "--sigma", "0.9",
