@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 K_ZERO_TOL = 1e-9
+FLAT_UMBILIC_TOL = 1e-8    # (l, m, n) all below it in modulus: a flat affine umbilic
 
 # Lanes per ``frame_jets`` call and per block of payload text: the frame chain
 # keeps about a hundred jets alive, so one call over a whole grid holds memory
@@ -215,14 +216,13 @@ def second_form_jets(position_jets):
     return au, av, second_form(au, av)
 
 
-def euclidean_data(position_jets, k_zero_tol=K_ZERO_TOL):
+def euclidean_data(position_jets):
     """First/second form scalars from order->=2 position jets (batch-capable)."""
     au, av, LMN = second_form_jets(position_jets)
-    return _fill_euclidean(AffinePointData(), _values(au), _values(av),
-                           *(c.value for c in LMN), k_zero_tol)
+    return _fill_euclidean(AffinePointData(), _values(au), _values(av), *(c.value for c in LMN))
 
 
-def _fill_euclidean(data, au, av, L, M, N, k_zero_tol):
+def _fill_euclidean(data, au, av, L, M, N):
     """Fill the form fields of ``data`` from values: a_u, a_v as (3, ...), L, M, N."""
     E, F, G = dot(au, au), dot(au, av), dot(av, av)
     w = cross(au, av)
@@ -232,7 +232,7 @@ def _fill_euclidean(data, au, av, L, M, N, k_zero_tol):
     data.E, data.F, data.G = E, F, G
     data.Ldet, data.Mdet, data.Ndet = L, M, N
     data.K = (L * N - M * M) / (det_I * det_I)
-    data.euclid_class = _classify_array(data.K, k_zero_tol, ("elliptic", "parabolic", "hyperbolic"))
+    data.euclid_class = _classify_array(data.K, K_ZERO_TOL, ("elliptic", "parabolic", "hyperbolic"))
     return data
 
 
@@ -312,20 +312,19 @@ def _frame_values(surface, u, v, guard):
     return out
 
 
-def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_TOL):
+def affine_point_data(surface, u, v, guard=1e-9):
     """All pointwise invariants at (u, v), or at every point of a batch when
     u and v are 1-D arrays, read from one ``frame_jets`` call per block of
     ``_LANES`` points.  A point gives the same bits alone as inside a batch,
     so the blocks join to the one-call result; a ``ParabolicPointError``
-    names the first such point of the whole batch."""
+    names the first point of the whole batch where |LN - M^2| <= ``guard``."""
     surface.check_domain(u, v)
     parts = [_frame_values(surface, *(x[s] if np.ndim(x) else x for x in (u, v)), guard)
              for s in _lane_blocks(np.broadcast(u, v).size)]
     val = parts[0] if len(parts) == 1 else \
         {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
     data = AffinePointData(u=u, v=v)
-    _fill_euclidean(data, val["alpha_u"], val["alpha_v"], val["L"], val["M"], val["N"],
-                    k_zero_tol)
+    _fill_euclidean(data, val["alpha_u"], val["alpha_v"], val["L"], val["M"], val["N"])
     for name in _VECTORS:
         setattr(data, name, val[name])
     adq = np.power(np.abs(val["D"]), 0.25)
@@ -341,7 +340,7 @@ def affine_point_data(surface, u, v, guard=jets.DEFAULT_EPS, k_zero_tol=K_ZERO_T
     data.K_aff = (l * n - m * m) / det_g
     data.H_aff = (l * g22 - 2 * m * g12 + n * g11) / det_g
     data.aff_class = _classify_array(
-        data.K_aff, k_zero_tol, ("affine elliptic", "affine parabolic", "affine hyperbolic"))
+        data.K_aff, K_ZERO_TOL, ("affine elliptic", "affine parabolic", "affine hyperbolic"))
     return data
 
 

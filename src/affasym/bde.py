@@ -95,12 +95,12 @@ def field_from_polynomials(pa, pb, pc, domain, period=None):
     return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, period)
 
 
-def folded_model_field(lam, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
+def folded_model_field(lam, domain=Rect(-1, 1, -1, 1)):
     """(-v + lam u^2) du^2 + dv^2 = 0: one fold point at the origin."""
     return field_from_polynomials({(2, 0): lam, (0, 1): -1.0}, {}, {(0, 0): 1.0}, domain)
 
 
-def morse_model_field(eps1, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
+def morse_model_field(eps1, domain=Rect(-1, 1, -1, 1)):
     """(-e1 v) du^2 + 2(-e1 u) du dv + v dv^2 = 0: totally degenerate origin."""
     if eps1 not in (1, -1):
         raise ValueError("eps1 must be +1 or -1")
@@ -200,14 +200,14 @@ def _unit(du, dv):
     return d
 
 
-def asymptotic_directions(field, u, v, lift_tol=LIFT_TOL):
+def asymptotic_directions(field, u, v):
     """Solve the direction equation at one point, chart-robustly."""
     A, B, C = (float(x) for x in field.coeff(u, v))
     scale = max(abs(A), abs(B), abs(C))
     if scale < DEGENERATE_TOL:
         return AsymptoticDirections("degenerate", [])
     delta = B * B - A * C
-    double_thr = (lift_tol * scale) ** 2
+    double_thr = (LIFT_TOL * scale) ** 2
     if abs(delta) < double_thr:
         # single direction of multiplicity two
         if abs(C) >= abs(A):

@@ -11,7 +11,8 @@ Surfaces are given as ``--surface catalog:ID`` (with catalog parameters
 ``--R --r --epsilon --sigma --q ij=value``), ``--surface monge:EXPR``, or
 ``--surface file:PATH`` (JSON config; see surface module).  Synthetic model
 fields for ``portrait`` come from ``--bde folded --lam L`` or ``--bde morse
---eps1 +-1``.
+--eps1 +-1``.  A command accepts only the flags it reads (``_COMMANDS``,
+``_SOURCES``) and passes on only the values given, so each default is the library's.
 
 Exit codes: 0 success, 1 verification failures, 2 configuration errors,
 3 mathematical domain failures.  Payload outputs carry no timestamps; a
@@ -36,7 +37,7 @@ import numpy as np
 from . import affine, surface as surface_mod
 from .jets import JetDomainError
 from .jsontext import float_texts, json_at, json_records
-from .surface import ParseError, Rect
+from .surface import ParseError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,6 +47,44 @@ EXIT_MATH = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are configuration errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# how argparse reads each flag that is not text; a flag not given reads None
+_FLAG_SPECS = {"--tol": {"action": "append"}, "--q": {"action": "append"},
+               "--R": {"type": float}, "--r": {"type": float}, "--sigma": {"type": float},
+               "--epsilon": {"type": int}, "--eps1": {"type": int, "choices": (1, -1)},
+               "--lam": {"type": float}, "--bde": {"choices": ("folded", "morse")}}
+_CATALOG_FLAGS = ("--R", "--r", "--epsilon", "--sigma", "--q")
+_SURFACE_FLAGS = ("--surface", "--region", *_CATALOG_FLAGS)
+# the flags each command reads, and its --tol keys, each named after the
+# library parameter it sets (trace_res sets build_portrait's trace_resolution)
+_COMMANDS = {"analyze": ((*_SURFACE_FLAGS, "--res", "--format", "--tol", "--out"), ("guard",)),
+             "portrait": ((*_SURFACE_FLAGS, "--bde", "--lam", "--eps1", "--res", "--format",
+                           "--tol", "--out"), ("rel_tol", "max_len", "trace_res")),
+             "conormal": ((*_SURFACE_FLAGS, "--res", "--tol", "--out"), ("margin", "norm_cap")),
+             "verify": ((), ())}
+# the flags each kind of surface or model field reads (--region serves all)
+_SOURCES = {"--surface catalog:": ("--surface", *_CATALOG_FLAGS),
+            "--surface monge:": ("--surface",), "--surface file:": ("--surface",),
+            "--bde folded": ("--bde", "--lam"), "--bde morse": ("--bde", "--eps1")}
+
+
+def _check_source_flags(args):
+    """ConfigError naming the flags given that the surface or field kind does not read."""
+    given = [f for f in _COMMANDS[args.command][0] if getattr(args, f[2:]) is not None]
+    kind = f"--bde {args.bde}" if "--bde" in given else \
+        f"--surface {args.surface.split(':', 1)[0]}:" if "--surface" in given else None
+    named = {f for flags in _SOURCES.values() for f in flags}
+    stray = [f for f in given if f in named and f not in _SOURCES.get(kind, named)]
+    if stray:
+        raise ConfigError(f"{args.command} with {kind} does not read {', '.join(stray)}")
 
 
 def _atomic_write(path, chunks):
@@ -117,7 +156,7 @@ def _build_surface(args):
     region = _parse_region(args.region) if args.region else None
     if kind == "monge":
         try:
-            return surface_mod.monge_surface(rest, region or Rect(-1, 1, -1, 1))
+            return surface_mod.monge_surface(rest, region)
         except ParseError as exc:
             raise ConfigError(f"bad expression: {exc}")
     if kind == "file":
@@ -139,14 +178,8 @@ def _build_surface(args):
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
-# the --tol keys each command reads
-_TOL_KEYS = {"analyze": ("guard", "k_zero_tol", "degenerate"),
-             "portrait": ("rel_tol", "lift_tol", "max_len", "trace_res"),
-             "conormal": ("margin", "norm_cap")}
-
-
 def _tolerances(args):
-    keys = _TOL_KEYS.get(args.command, ())
+    keys = _COMMANDS[args.command][1]
     tol = {}
     for item in args.tol or ():
         try:
@@ -156,7 +189,7 @@ def _tolerances(args):
             raise ConfigError(f"--tol wants key=value; got {item!r}")
         if key not in keys:
             raise ConfigError(f"unknown --tol key {key!r} for {args.command}; "
-                              f"known keys: {', '.join(keys) or 'none'}")
+                              f"known keys: {', '.join(keys)}")
         if not (math.isfinite(tol[key]) and tol[key] > 0):
             raise ConfigError(f"tolerance {key} must be positive and finite; got {val!r}")
         if key == "trace_res" and tol[key] != int(tol[key]):
@@ -196,20 +229,17 @@ def cmd_analyze(args):
     res = _parse_res(args.res or "32")
     formats = _formats(args, "json", ("json", "csv"))
     tol = _tolerances(args)
-    guard = tol.get("guard", 1e-9)
-    kzero = tol.get("k_zero_tol", affine.K_ZERO_TOL)
     t_start = time.perf_counter()
     us, vs = _analysis_grid(surf, region, res)
     U, V = np.meshgrid(us, vs, indexing="ij")  # u-major point order
     try:
-        data = affine.affine_point_data(surf, U.ravel(), V.ravel(), guard=guard,
-                                        k_zero_tol=kzero)
+        data = affine.affine_point_data(surf, U.ravel(), V.ravel(), **tol)
     except affine.ParabolicPointError as exc:
         u, v = exc.point
         print(f"domain failure at (u, v) = ({u:.6g}, {v:.6g}): {exc}", file=sys.stderr)
         return EXIT_MATH
     flat = np.maximum(np.maximum(np.abs(data.l), np.abs(data.m)), np.abs(data.n)) \
-        < tol.get("degenerate", 1e-8)
+        < affine.FLAT_UMBILIC_TOL
     t_write = time.perf_counter()
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -266,33 +296,22 @@ def cmd_portrait(args):
     from . import bde, flow
 
     tol = _tolerances(args)
-    params = flow.IntegrationParams(
-        rel_tol=tol.get("rel_tol", 1e-8),
-        lift_tol=tol.get("lift_tol", 1e-8),
-        max_len=tol.get("max_len", 20.0),
-    )
-    res = _parse_res(args.res or "12")
+    given = {"trace_resolution": int(tol.pop("trace_res"))} if "trace_res" in tol else {}
+    if args.res:
+        given["grid"] = _parse_res(args.res)
     formats = _formats(args, "svg,json", ("svg", "json"))
-    trace_res = int(tol.get("trace_res", 192))
-    if args.bde:
-        region = _parse_region(args.region) if args.region else Rect(-1, 1, -1, 1)
-        if args.bde == "folded":
-            if args.lam is None:
-                raise ConfigError("--bde folded needs --lam")
-            if not math.isfinite(args.lam):
-                raise ConfigError(f"--lam must be finite; got {args.lam}")
-            fld = bde.folded_model_field(args.lam, region)
-        elif args.bde == "morse":
-            fld = bde.morse_model_field(args.eps1 or 1, region)
-        else:
-            raise ConfigError(f"unknown synthetic bde {args.bde!r}")
-        portrait = flow.build_portrait(fld, region, grid=res, params=params,
-                                       trace_resolution=trace_res)
+    if args.bde == "folded":
+        if args.lam is None:
+            raise ConfigError("--bde folded needs --lam")
+        if not math.isfinite(args.lam):
+            raise ConfigError(f"--lam must be finite; got {args.lam}")
+        source = bde.folded_model_field(args.lam)
+    elif args.bde == "morse":
+        source = bde.morse_model_field(args.eps1 or 1)
     else:
-        surf = _build_surface(args)
-        region = _parse_region(args.region) if args.region else surf.domain
-        portrait = flow.build_portrait(surf, region, grid=res, params=params,
-                                       trace_resolution=trace_res)
+        source = _build_surface(args)
+    region = _parse_region(args.region) if args.region else None
+    portrait = flow.build_portrait(source, region, params=flow.IntegrationParams(**tol), **given)
     t_write = time.perf_counter()
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -327,12 +346,11 @@ def cmd_conormal(args):
 
     surf = _build_surface(args)
     region = _parse_region(args.region) if args.region else surf.domain
-    res = _parse_res(args.res or "48")
+    given = {"resolution": _parse_res(args.res)} if args.res else {}
     tol = _tolerances(args)
-    margin = tol.get("margin", 0.05)
+    margin = tol.get("margin", conormal.MARGIN)
     t_mesh = time.perf_counter()
-    src, mesh = conormal.conormal_mesh(surf, region, res, margin=margin,
-                                       norm_cap=tol.get("norm_cap", 1e3))
+    src, mesh = conormal.conormal_mesh(surf, region, **given, **tol)
     t_verify = time.perf_counter()
     # the first 64 of 4096 Halton points (bases 2, 3) that keep clear of the excluded strips
     uv = np.column_stack([region.u0 + (region.u1 - region.u0) * _halton(4096, 2),
@@ -366,7 +384,6 @@ def cmd_conormal(args):
 def cmd_verify(args):
     from . import checks
 
-    _tolerances(args)    # verify reads no --tol key
     print(f"1..{len(checks.CHECKS)}")
     failures = 0
     for k, (name, fn) in enumerate(checks.CHECKS, 1):
@@ -384,45 +401,28 @@ def cmd_verify(args):
 
 
 def _make_parser():
-    ap = argparse.ArgumentParser(prog="affasym",
-                                 description="affine asymptotic-line toolkit")
+    ap = _Parser(prog="affasym", description="affine asymptotic-line toolkit", allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn in (("analyze", cmd_analyze), ("portrait", cmd_portrait),
                      ("conormal", cmd_conormal), ("verify", cmd_verify)):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
-        p.add_argument("--surface")
-        p.add_argument("--region")
-        p.add_argument("--res")
-        p.add_argument("--tol", action="append")
-        p.add_argument("--out")
-        p.add_argument("--format")
-        p.add_argument("--R", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--epsilon", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--q", action="append")
-        if name == "portrait":
-            p.add_argument("--bde", choices=("folded", "morse"))
-            p.add_argument("--lam", "--lambda", dest="lam", type=float)
-            p.add_argument("--eps1", type=int, choices=(1, -1))
+        for flag in _COMMANDS[name][0]:
+            p.add_argument(flag, **_FLAG_SPECS.get(flag, {}))
     return ap
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = _make_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    args.argv = argv    # run_info.json records the arguments parsed
-    try:
+        try:
+            args = _make_parser().parse_args(argv)
+        except SystemExit:    # --help printed its text
+            return EXIT_OK
+        args.argv = argv    # run_info.json records the arguments parsed
+        _check_source_flags(args)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
+    except (ConfigError, ParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (affine.ParabolicPointError, affine.DegenerateImmersionError,

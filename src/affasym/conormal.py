@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import affine, jets
+from . import affine
 from .affine import ImmersionError
 from .jsontext import float_texts
 from .surface import Band
@@ -30,6 +30,9 @@ __all__ = [
     "second_form_of_conormal",
     "verify_conormal_correspondence",
 ]
+
+# the least standoff of a mesh or sample point from an excluded strip
+MARGIN = 0.05
 
 
 @dataclass
@@ -113,16 +116,15 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _mesh_rows(surf, u, v, guard):
+def _mesh_rows(surf, u, v):
     """Conormal rows, |nu_u ^ nu_v| and position rows of one block of grid
     points, from one ``frame_jets`` call."""
-    fr = affine.frame_jets(surf, u, v, order=3, guard=guard, depth=1)
+    fr = affine.frame_jets(surf, u, v, order=3, depth=1)
     wnorm = np.linalg.norm(np.cross(_rows(fr["nu_u"]), _rows(fr["nu_v"])), axis=1)
     return _rows(fr["nu"]), wnorm, _rows(fr["alpha"])
 
 
-def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
-                  guard=jets.DEFAULT_EPS, norm_cap=1e3):
+def conormal_mesh(surf, region=None, resolution=(48, 48), margin=MARGIN, norm_cap=1e3):
     """Grid meshes ``(source, image)`` of the surface and of its conormal
     image, from one grid, one component labelling and one ``frame_jets``
     call per block of ``affine._LANES`` valid grid points.
@@ -139,7 +141,7 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=0.05,
     U, V, mask = _grid_and_mask(surf, region, resolution, margin)
     uu, vv = U[mask], V[mask]
     verts, wnorm, alpha = map(np.concatenate, zip(*(
-        _mesh_rows(surf, uu[s], vv[s], guard) for s in affine._lane_blocks(len(uu)))))
+        _mesh_rows(surf, uu[s], vv[s]) for s in affine._lane_blocks(len(uu)))))
     bad = wnorm <= 1e-10
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
@@ -182,7 +184,7 @@ def second_form_of_conormal(frame):
     return (e, f, g), nvec
 
 
-def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS):
+def verify_conormal_correspondence(surf, sample_points):
     """Proportionality report between II of the conormal image and (l, m, n).
 
     One row per sample, all read from one ``frame_jets`` call: the scalar
@@ -192,7 +194,7 @@ def verify_conormal_correspondence(surf, sample_points, guard=jets.DEFAULT_EPS):
     marked degenerate (all below 1e-12) and carry no factor.
     """
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 2)
-    fr = affine.frame_jets(surf, pts[:, 0], pts[:, 1], order=4, guard=guard)
+    fr = affine.frame_jets(surf, pts[:, 0], pts[:, 1], order=4)
     lmn = _rows(affine.lmn_from_frame(fr))
     efg, nvec = second_form_of_conormal(fr)
     efg = np.stack(efg, axis=-1)

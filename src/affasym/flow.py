@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bde, singular
-from .affine import ParabolicPointError
 from .bde import BDEField
 from .jsontext import json_at, json_block, json_object, json_rows
 from .surface import EvalError, Rect
@@ -62,7 +61,6 @@ class NoDirectionError(ArithmeticError):
 @dataclass
 class IntegrationParams:
     rel_tol: float = 1e-8
-    lift_tol: float = 1e-8
     max_len: float = 20.0
     max_steps: int = 20000
     max_step_frac: float = 1e-2    # of the region diagonal
@@ -73,10 +71,9 @@ class Trajectory:
     samples: np.ndarray          # (n, 5): u, v, slope, chart flag (0=p, 1=q), arclength
     family: str                  # "plus" | "minus"
     # left_domain | hit_degenerate_point | max_length | closed_loop, or, for a
-    # lane whose stage failed inside the domain, hit_parabolic_set (a
-    # ParabolicPointError) | lost_direction_field (a NoDirectionError: no
-    # direction where the discriminant is negative) | evaluation_failed (any
-    # other ArithmeticError)
+    # lane whose stage failed inside the domain, lost_direction_field (a
+    # NoDirectionError: no direction where the discriminant is negative) |
+    # evaluation_failed (any other ArithmeticError)
     termination: str
 
     @property
@@ -172,12 +169,12 @@ def _project_slope(fld, u, v, slope, chart, iters=1):
     return s, norm
 
 
-def _creep(fld, y, ref_dir, params):
+def _creep(fld, y, ref_dir):
     # Degenerate-lift fallback: on curves that are simultaneously criminant
     # and solution (e.g. profile circles of a surface of revolution) the
     # lifted field vanishes identically while the planar double direction
     # stays well defined; creep along it.
-    dd = bde.asymptotic_directions(fld, y[0], y[1], params.lift_tol)
+    dd = bde.asymptotic_directions(fld, y[0], y[1])
     if not dd.dirs:
         raise NoDirectionError("lost the direction field")
     best = max(dd.dirs, key=lambda w: abs(w[0] * ref_dir[0] + w[1] * ref_dir[1]))
@@ -187,21 +184,21 @@ def _creep(fld, y, ref_dir, params):
     return fall
 
 
-def _rhs(fld, y, chart, orient, ref_dir, params):
+def _rhs(fld, y, chart, orient, ref_dir):
     """Softly normalized lifted velocity per lane, and which lanes crept."""
     X, scale = bde.lifted_velocity(fld.slots(y[:, 0], y[:, 1], 1), y[:, 2], chart)
     n = np.sqrt(np.vecdot(X, X))
     creep = ~(n > 1e-9 * np.maximum(scale, 1e-30))
     k = orient[:, None] * X / np.sqrt(n * n + _ETA * _ETA)[:, None]
     for j in creep.nonzero()[0]:
-        k[j] = _creep(fld, y[j], ref_dir[j], params)
+        k[j] = _creep(fld, y[j], ref_dir[j])
     return k, creep
 
 
-def _start(fld, seed, family, sweep, params):
+def _start(fld, seed, family, sweep):
     """Lifted seed state, orientation and reference direction of one job."""
     u0, v0 = float(seed[0]), float(seed[1])
-    dirs = bde.asymptotic_directions(fld, u0, v0, lift_tol=params.lift_tol)
+    dirs = bde.asymptotic_directions(fld, u0, v0)
     if dirs.kind == "none":
         raise NoDirectionError(f"seed {seed} lies where the discriminant is negative")
     if dirs.kind == "degenerate":
@@ -235,8 +232,6 @@ def _stage_end(domain, point, exc):
     lane error ``exc``."""
     if not domain.contains(point[0], point[1]):
         return "left_domain"
-    if isinstance(exc, ParabolicPointError):
-        return "hit_parabolic_set"
     if isinstance(exc, NoDirectionError):
         return "lost_direction_field"
     return "evaluation_failed"
@@ -249,7 +244,7 @@ def _integrate(fld, jobs, params, stats):
     starts, live = [], []
     for k, (seed, family, sweep) in enumerate(jobs):
         try:
-            starts.append(_start(fld, seed, family, sweep, params))
+            starts.append(_start(fld, seed, family, sweep))
             live.append(k)
         except ArithmeticError as exc:
             out[k] = exc
@@ -296,7 +291,7 @@ def _integrate(fld, jobs, params, stats):
             stats.rhs_evals += len(yi)
             orient, ref = S[:, _ORIENT], S[:, _REF]
             res, errors = bde._lanewise(
-                lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl], params), len(yi))
+                lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl]), len(yi))
             if errors is not None:
                 kept = finish([None if e is None else _stage_end(domain, yi[j], e)
                                for j, e in enumerate(errors)])
@@ -346,10 +341,10 @@ def _integrate(fld, jobs, params, stats):
             # F is quadratic in the slope: a Newton step ds leaves |F| <=
             # max(|A|, |B|, |C|) ds^2, so only larger steps can miss the bound
             s, norm = res
-            far = ((s - ya[:, 2]) ** 2 > params.lift_tol).nonzero()[0]
+            far = ((s - ya[:, 2]) ** 2 > bde.LIFT_TOL).nonzero()[0]
             if len(far):
                 F = bde.lift_terms(*fld.slots(ya[far, 0], ya[far, 1], 0), s[far], qa[far])[0]
-                off = far[np.abs(F) > params.lift_tol * norm[far]]
+                off = far[np.abs(F) > bde.LIFT_TOL * norm[far]]
                 s[off] = _project_slope(fld, ya[off, 0], ya[off, 1], s[off], qa[off], iters=7)[0]
             blocks.append(_accept(fld, params, stats, S, job, acc, ya, res, err[acc],
                                   ratio[acc], crept[acc], reasons, h_max, period))
@@ -635,7 +630,7 @@ class Portrait:
         yield "\n ]\n}\n"
 
 
-def build_portrait(source, region=None, grid=(8, 8), params=None, trace_resolution=192,
+def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolution=192,
                    detect=True):
     """Full phase portrait of the asymptotic net of a field or a surface.
 

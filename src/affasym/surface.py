@@ -599,9 +599,10 @@ class SurfaceDef:
 _U, _V = {(1, 0): 1.0}, {(0, 1): 1.0}
 
 
-def monge_surface(height, domain=Rect(-1.0, 1.0, -1.0, 1.0)):
-    """The graph of a height, as the chart (u, v, h): ``height`` is an
-    expression (text or AST) or a monomial dict."""
+def monge_surface(height, domain=None):
+    """The graph of a height over ``domain`` (by default Rect(-1, 1, -1, 1)), as the
+    chart (u, v, h): ``height`` is an expression (text or AST) or a monomial dict."""
+    domain = domain or Rect(-1, 1, -1, 1)
     if isinstance(height, dict):
         return SurfaceDef(None, domain, polys=(_U, _V, height))
     if isinstance(height, str):
@@ -643,11 +644,14 @@ def _monomial_height(base, q, allowed, what):
 
 def _finite_q(params):
     """The q table of catalog ``params``, from its ``q`` entry and from
-    keyword-style ``qij`` entries (e.g. q21=...), each checked finite."""
+    keyword-style ``qij`` entries (e.g. q21=...): non-negative integer indices, finite values."""
     q = dict(params.pop("q", {}))
     for name in list(params):
         if name.startswith("q") and len(name) == 3 and name[1:].isdigit():
             q[(int(name[1]), int(name[2]))] = params.pop(name)
+    for ij in q:
+        if not all(isinstance(k, int) and k >= 0 for k in ij):
+            raise ValueError(f"q indices must be non-negative integers; got {ij}")
     return {ij: _finite(f"q{ij[0]}{ij[1]}", x) for ij, x in q.items()}
 
 

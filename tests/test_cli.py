@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -299,7 +301,7 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["analyze", *_TORUS3, "--tol", "guard=nan"], "tolerance guard must be positive"),
     (["analyze", *_TORUS3, "--tol", "trace_res=48"], "unknown --tol key 'trace_res' for analyze"),
     (["conormal", *_TORUS3, "--tol", "guard=1e-9"], "unknown --tol key 'guard' for conormal"),
-    (["verify", "--tol", "rel_tol=1e-8"], "unknown --tol key 'rel_tol' for verify"),
+    (["verify", "--tol", "rel_tol=1e-8"], "unrecognized arguments: --tol rel_tol=1e-8 --res 3"),
     (["portrait", "--bde", "folded", "--lam", "nan"], "--lam must be finite"),
     (["portrait", "--surface", "catalog:pick", "--epsilon", "1", "--sigma", "nan"],
      "sigma must be finite"),
@@ -346,6 +348,30 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["analyze", "--surface", {"kind": "catalog", "id": "pick",
                                "params": {"epsilon": math.inf}}],
      "bad surface config {cfg!r}: epsilon must be +1 or -1; got inf"),
+    # a flag that the command, or its kind of surface or field, does not read
+    (["verify", "--surface", "catalog:torus"],
+     "unrecognized arguments: --surface catalog:torus --res 3"),
+    (["conormal", *_TORUS3, "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["analyze", "--surface", "catalog:pick", "--sig", "0.5"], "unrecognized arguments: --sig 0.5"),
+    (["portrait", "--bde", "folded", "--lam", "-1", *_TORUS3],
+     "portrait with --bde folded does not read --surface, --R, --r"),
+    (["portrait", "--surface", "catalog:cusp_gauss", "--q", "21=1", "--q", "40=0.1",
+      "--lam", "3", "--eps1", "1"], "portrait with --surface catalog: does not read --lam, --eps1"),
+    (["portrait", "--bde", "morse", "--eps1", "1", "--lam", "3"],
+     "portrait with --bde morse does not read --lam"),
+    (["analyze", "--surface", "monge:u^2+v^3", "--R", "3", "--q", "21=1"],
+     "analyze with --surface monge: does not read --R, --q"),
+    (["analyze", *_TORUS3, "--tol", "k_zero_tol=1e-9"], "unknown --tol key 'k_zero_tol'"),
+    (["analyze", *_TORUS3, "--tol", "degenerate=1e-8"], "unknown --tol key 'degenerate'"),
+    (["portrait", "--bde", "folded", "--lam", "-1", "--tol", "lift_tol=1e-8"],
+     "unknown --tol key 'lift_tol'"),
+    # a q index is a non-negative integer
+    (["analyze", "--surface", "catalog:cusp_gauss", "--q", "21=1", "--q", "6-2=1"],
+     "q indices must be non-negative integers; got (6, -2)"),
+    (["portrait", "--surface", "catalog:flat_umbilic_chart", "--q", "6-2=1"],
+     "q indices must be non-negative integers; got (6, -2)"),
+    (["portrait", "--surface", "catalog:pick", "--q", "2-1=1"],
+     "q indices must be non-negative integers; got (2, -1)"),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
                                                  message):
@@ -362,6 +388,31 @@ def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, cap
     assert err.startswith(f"configuration error: {message.format(cfg=cfg)}")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_table_lists_each_commands_flags_and_tol_defaults():
+    # the README's table of commands names exactly the flags and --tol keys
+    # that cli declares, and each key's default is that of the library
+    # parameter it sets
+    from affasym import conormal, flow
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    defaults = {"guard": default(affine.affine_point_data, "guard"),
+                "rel_tol": flow.IntegrationParams.rel_tol,
+                "max_len": flow.IntegrationParams.max_len,
+                "trace_res": default(flow.build_portrait, "trace_resolution"),
+                "margin": default(conormal.conormal_mesh, "margin"),
+                "norm_cap": default(conormal.conormal_mesh, "norm_cap")}
+    with open(os.path.join(PKG_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    rows = re.findall(r"^\| `(\w+)` +\| (.*?) \| (.*?) \|$", readme, re.MULTILINE)
+    table = {cmd: (tuple(re.findall(r"--\w+", flags)),
+                   dict(re.findall(r"`(\w+)` \(([^)]+)\)", keys)))
+             for cmd, flags, keys in rows if cmd in cli._COMMANDS}
+    assert {cmd: (flags, tuple(keys)) for cmd, (flags, keys) in table.items()} == cli._COMMANDS
+    assert {k: float(v) for _, keys in table.values() for k, v in keys.items()} == defaults
 
 
 def test_overflowing_step_ratio_warns_nothing(tmp_path, capsys):
@@ -419,11 +470,14 @@ MATRIX_SURFACES = {
 }
 
 
-@pytest.mark.parametrize("res", ["6", "12"])
-@pytest.mark.parametrize("command", ["analyze", "conormal"])
+@pytest.mark.parametrize("command, res", [("analyze", "6"), ("analyze", "12"),
+                                          ("conormal", "6"), ("conormal", "12"),
+                                          ("portrait", "2")])
 @pytest.mark.parametrize("surface", sorted(MATRIX_SURFACES))
 def test_cli_matrix_analyze_and_conormal(tmp_path, capsys, surface, command, res):
-    # every documented surface kind ends in a documented exit code
+    # every documented surface kind ends in a documented exit code, for each
+    # command; portraits are cut to short lanes, and the transcendental chart
+    # to a coarser trace, to keep the column within seconds
     spec = MATRIX_SURFACES[surface]
     if spec is None:
         cfg = tmp_path / "surf.json"
@@ -431,13 +485,19 @@ def test_cli_matrix_analyze_and_conormal(tmp_path, capsys, surface, command, res
                                    "exprs": ["u", "v", "0.5*u^2+v^2+0.2*u^3"],
                                    "domain": [-0.5, 0.5, -0.5, 0.5]}))
         spec = [f"file:{cfg}"]
+    tol = []
+    if command == "portrait":
+        tol = ["--tol", "max_len=1.0"]
+        if surface == "monge_transcendental":
+            tol += ["--tol", "trace_res=48"]
     out = tmp_path / "out"
-    code = cli.main([command, "--surface", *spec, "--res", res, "--out", str(out)])
+    code = cli.main([command, "--surface", *spec, "--res", res, *tol, "--out", str(out)])
     err = capsys.readouterr().err
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_MATH), err
     assert (code == cli.EXIT_OK) == (err == "")
     if code == cli.EXIT_OK:
-        payload = "analyze.json" if command == "analyze" else "correspondence.json"
+        payload = {"analyze": "analyze.json", "conormal": "correspondence.json",
+                   "portrait": "portrait.json"}[command]
         assert json.loads((out / payload).read_text())
 
 

@@ -616,7 +616,7 @@ def test_a_report_within_reach_of_another_shares_its_ring(monkeypatch):
 # -- one lockstep round against the former per-lane formulas ------------------
 
 
-def reference_rhs_lane(fld, y, chart_q, orient, ref_dir, params):
+def reference_rhs_lane(fld, y, chart_q, orient, ref_dir):
     """The former ``_rhs`` of one lane: the per-branch velocity on Python
     floats from the field's scalar jets, then the soft normalization."""
     jets1 = fld.jet_coeff(float(y[0]), float(y[1]), 1)
@@ -625,7 +625,7 @@ def reference_rhs_lane(fld, y, chart_q, orient, ref_dir, params):
     x = np.array(X)
     n = float(np.sqrt(np.vecdot(x, x)))
     if not n > 1e-9 * max(scale, 1e-30):
-        return flow._creep(fld, y, ref_dir, params), True
+        return flow._creep(fld, y, ref_dir), True
     return np.array([orient * xi / math.sqrt(n * n + flow._ETA * flow._ETA) for xi in X]), False
 
 
@@ -657,7 +657,6 @@ RHS_FIELDS = {
 @pytest.mark.parametrize("n", [1, 11, 12, 300])
 def test_rhs_and_projection_match_reference_bits(name, n):
     fld = RHS_FIELDS[name]()
-    params = flow.IntegrationParams()
     rng = np.random.default_rng([n, len(name)])
     d = fld.domain
     y = np.column_stack([rng.uniform(d.u0, d.u1, n), rng.uniform(d.v0, d.v1, n),
@@ -671,9 +670,9 @@ def test_rhs_and_projection_match_reference_bits(name, n):
         y[0], chart[0] = (0.0, 0.0, 0.0), False
     orient = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     ref_dir = rng.normal(size=(n, 3))
-    k, creep = flow._rhs(fld, y, chart, orient, ref_dir, params)
+    k, creep = flow._rhs(fld, y, chart, orient, ref_dir)
     for j in range(n):
-        kj, cj = reference_rhs_lane(fld, y[j], bool(chart[j]), orient[j], ref_dir[j], params)
+        kj, cj = reference_rhs_lane(fld, y[j], bool(chart[j]), orient[j], ref_dir[j])
         assert bool(creep[j]) == cj
         assert np.array_equal(k[j], kj) and np.array_equal(np.signbit(k[j]), np.signbit(kj))
     assert creep[0] == (name == "folded")
@@ -736,11 +735,11 @@ def test_stage_sums_add_in_stage_order():
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def layout_checks(fld, job, traj, params):
+def layout_checks(fld, job, traj):
     """The sample layout: the seed state first, then one row per accepted
     step that moved, each adding math.hypot of its (u, v) step to the
     arclength; only a terminating event rewrites the last row."""
-    (u0, v0, s0), chart_q = flow._start(fld, *job, params)[:2]
+    (u0, v0, s0), chart_q = flow._start(fld, *job)[:2]
     S = traj.samples
     assert S[0].tolist() == [u0, v0, s0, float(chart_q), 0.0]
     steps = [math.hypot(a, b) for a, b in np.diff(S[:, :2], axis=0).tolist()]
@@ -781,7 +780,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
                if res[1] < flow._LOOP_TOL}
 
     # a chart switch: the flag flips where the slope is inverted
-    S, last = layout_checks(cusp, cusp_jobs[0], switched, params)
+    S, last = layout_checks(cusp, cusp_jobs[0], switched)
     flips = np.flatnonzero(np.diff(S[:, 3]))
     assert len(flips) == 1
     k = flips[0] + 1
@@ -792,7 +791,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
     # clip: the last row is the step cut back onto the boundary from the
     # row before, with its slope projected again
     for traj, job in ((switched, cusp_jobs[0]), (clipped, cusp_jobs[1])):
-        S, last = layout_checks(cusp, job, traj, params)
+        S, last = layout_checks(cusp, job, traj)
         assert traj.termination == "left_domain"
         (prev_row, row, _), (cu, cv, cs, cflag, carc) = clips[tuple(S[-1, :2])]
         assert [prev_row[k] for k in (0, 1, 4)] == S[-2, [0, 1, 4]].tolist()
@@ -802,7 +801,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
     # closed loops: a step that passes the seed is cut back to the closest
     # approach on it
     for traj, job in zip(loop_out, loop_jobs):
-        S, last = layout_checks(loops, job, traj, params)
+        S, last = layout_checks(loops, job, traj)
         assert traj.termination == "closed_loop"
         a, b, t, d = closest[tuple(S[0, :3])]
         assert a[:2].tolist() == S[-2, :2].tolist()

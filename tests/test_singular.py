@@ -535,7 +535,7 @@ def test_one_slots_call_per_classification_and_two_per_job_start():
         assert rep.details["lifted_singularities"] == lifted
         assert calls == [1]
     fld, calls = counted(bde.folded_model_field(-1.0))
-    flow._start(fld, (0.3, 0.5), "plus", 1, flow.IntegrationParams())
+    flow._start(fld, (0.3, 0.5), "plus", 1)
     assert calls == [1, 1]
 
 
