@@ -28,7 +28,7 @@ import numpy as np
 
 from . import affine
 from .jets import Jet2
-from .surface import Poly, PolySet, Rect, _slot_arrays
+from .surface import DEFAULT_DOMAIN, Poly, PolySet, Rect, _slot_arrays
 
 __all__ = [
     "BDEField",
@@ -60,7 +60,7 @@ class BDEField:
     (3 * slots,) + batch shape, the slots of A, then B, then C, each in the
     jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...)."""
     slots: object
-    domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
+    domain: Rect = DEFAULT_DOMAIN
     period: tuple = None     # (Pu, Pv) when the parameters are angles
 
     def coeff(self, u, v):
@@ -95,12 +95,12 @@ def field_from_polynomials(pa, pb, pc, domain, period=None):
     return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, period)
 
 
-def folded_model_field(lam, domain=Rect(-1, 1, -1, 1)):
+def folded_model_field(lam, domain=DEFAULT_DOMAIN):
     """(-v + lam u^2) du^2 + dv^2 = 0: one fold point at the origin."""
     return field_from_polynomials({(2, 0): lam, (0, 1): -1.0}, {}, {(0, 0): 1.0}, domain)
 
 
-def morse_model_field(eps1, domain=Rect(-1, 1, -1, 1)):
+def morse_model_field(eps1, domain=DEFAULT_DOMAIN):
     """(-e1 v) du^2 + 2(-e1 u) du dv + v dv^2 = 0: totally degenerate origin."""
     if eps1 not in (1, -1):
         raise ValueError("eps1 must be +1 or -1")
@@ -364,7 +364,7 @@ def _cell_segments(pos, centre_positive):
     return segments
 
 
-def trace_zero_set(scalar, region, resolution=256):
+def trace_zero_set(scalar, region, resolution):
     """Polylines approximating {scalar = 0} on the region.
 
     ``scalar`` must accept numpy arrays (u, v) and return values of the same

@@ -72,7 +72,7 @@ def fold_family(kinds=((-1.0, "folded_saddle"), (1 / 32, "folded_node"), (1.0, "
     for lam, kind in kinds:
         fld = bde.folded_model_field(lam)
         polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 96)
-        pts = singular.find_folded_points(fld, polys, resolution=96)
+        pts = singular.find_folded_points(fld, polys, fld.domain, 96)
         _require(len(pts) == 1, f"lam={lam}: {len(pts)} fold points")
         expect = (1 + complex(1 - 16 * lam) ** 0.5) / 2
         for at, tol in ((pts[0], 1e-4), ((0.0, 0.0), 1e-6)):

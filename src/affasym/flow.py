@@ -14,12 +14,15 @@ All trajectories of a portrait are integrated in lockstep
 evaluates the lifted field of all running lanes from one batched slot
 evaluation per stage, and each lane keeps its own step size, chart,
 orientation, reference direction and event state in one row of the lane
-state array.  Rare events (creeping where the lift
-vanishes, chart switches, domain clipping, the degenerate-point and
-closed-loop searches) run per lane through scalar helpers.  A lane sees the
-same floating-point expressions alone as inside a batch, so it gives the
-same bits as its job integrated alone; ``integrate_asymptotic`` is the
-one-job case.
+state array.  Rare events (creeping where the lift vanishes, chart
+switches, the searches of a step for a closed loop or a degenerate pass) run
+per lane.  A lane that ends at an event inside its step, where it leaves the
+domain, closes its loop or passes a totally degenerate point, ends at a
+fraction t of that step, and ``_event_samples`` writes the last samples of
+all such lanes of a round by one recipe.  A lane sees the same
+floating-point expressions alone as inside a batch, so it gives the same
+bits as its job integrated alone; ``integrate_asymptotic`` is the one-job
+case.
 
 The embedded Cash-Karp 4(5) pair is implemented here rather than taken from
 a library because the projection and chart bookkeeping live inside the step
@@ -399,71 +402,46 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     moved = ds > 0
     arclen = lane[:, _ARC] + np.where(moved, ds, 0.0)
     rows = np.column_stack([y, q, arclen])
-    block = rows[moved]
-
-    def last_row(j, row):
-        block[np.count_nonzero(moved[:j])] = row
-
     running = np.ones(len(acc), dtype=bool)
+    cut, frac = [], []    # lanes whose last sample an event moves back into the step
 
-    def end(j, reason):
+    def end(j, reason, t=None):
         reasons[acc[j]] = reason
         running[j] = False
-
-    def event(j, reason, fn):
-        # a rare per-lane event; a lane error in it drops the lane
-        try:
-            if fn():
-                end(j, reason)
-        except ArithmeticError as exc:
-            end(j, exc)
-
-    # The events below rewrite the lane's last sample row.  Its previous row
-    # holds the lane's state before the step: only slope steps, which do not
-    # move the lane, come between them.
-    def degenerate(j):
-        hit = _degenerate_on_segment(fld, y_old[j], y[j])
-        if hit is None:
-            return False
-        yc, t_best = hit
-        cs = float(_project_slope(fld, yc[0], yc[1], yc[2], q[j] != 0, iters=8)[0])
-        last_row(j, [yc[0], yc[1], cs, q[j], lane[j, _ARC] + t_best * ds[j]])
-        return True
-
-    def closest(j):
-        prev, seed = y_old[j], lane[j, _SEED]
-        t_best, d_best = _closest_on_segment(prev, y[j], seed, period)
-        if d_best >= _LOOP_TOL:
-            return False
-        yc = prev + t_best * (y[j] - prev)
-        last_row(j, [yc[0], yc[1], yc[2], q[j], lane[j, _ARC] + t_best * ds[j]])
-        return True
+        if t is not None:
+            cut.append(j)
+            frac.append(t)
 
     # terminations, in order; each test sees only the lanes still running
     gone = (~fld.domain.contains(y[:, 0], y[:, 1])).nonzero()[0]
-    if len(gone):
-        # the steps cut back onto the boundary, their slopes projected in one batch
-        cut = np.array([_clip_to_domain(lane[j, _ROW].tolist(), rows[j].tolist(), fld.domain)
-                        for j in gone.tolist()])
-        res, errors = bde._lanewise(lambda sl: _project_slope(
-            fld, cut[sl, 0], cut[sl, 1], cut[sl, 2], q[gone[sl]] != 0, iters=8), len(gone))
-        errors = errors or [None] * len(gone)
-        ok = np.array([e is None for e in errors])
-        if ok.any():
-            cut[ok, 2] = res[0]
-        for j, row, e in zip(gone.tolist(), cut, errors):
-            if e is None and moved[j]:    # a lane that did not move has no row this round
-                last_row(j, row)
-            end(j, "left_domain" if e is None else e)
+    # a lane that did not move has no row this round
+    t_edge = _edge_fraction(fld.domain, y_old[gone, :2], y[gone, :2])
+    for j, t in zip(gone.tolist(), t_edge.tolist()):
+        end(j, "left_domain", t if moved[j] else None)
     for j in (running & (coefnorm < bde.DEGENERATE_TOL)).nonzero()[0]:
         end(j, "hit_degenerate_point")
     # a step may jump across a totally degenerate point; when the
     # coefficient norm is small compared to its change over the step,
-    # search the segment for a pass within radius 1e-6
+    # search the step for a pass within radius 1e-6
     same_chart = (lane[:, _HAS_PREV] != 0) & moved & (lane[:, _Q] == q)
     jump = coefnorm < 2.0 * np.abs(coefnorm - lane[:, _NORM])
     for j in (running & same_chart & jump).nonzero()[0]:
-        event(j, "hit_degenerate_point", lambda: degenerate(j))
+        a, b = y_old[j, :2], y[j, :2]
+        try:
+            t, cmin = _step_minimum(lambda t: np.max(np.abs(fld.slots(
+                *(a + t[:, None] * (b - a)).T, 0)), axis=0))
+        except ArithmeticError as exc:
+            end(j, exc)
+            continue
+        p = a + t * (b - a)
+        try:
+            c = fld.slots(p[0], p[1], 1).tolist()
+        except (ArithmeticError, EvalError):
+            continue
+        g = math.sqrt(sum(c[k + 1] ** 2 + c[k + 2] ** 2 for k in (0, 3, 6)))
+        # an exact hit is a pass too: there a quadratic field's gradient vanishes
+        if cmin == 0 or (g > 0 and cmin / g < 1e-6):
+            end(j, "hit_degenerate_point", t)
     for j in (running & (arclen >= params.max_len)).nonzero()[0]:
         end(j, "max_length")
     near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
@@ -471,16 +449,24 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
         dist = _state_distance(y[near], lane[near, _SEED], period)
         for j in near[dist < _LOOP_TOL]:
             end(j, "closed_loop")
-        # closest-approach event: a step can overshoot the seed state, so
-        # bracket the local minimum of the distance along the last segment
+        # closest approach: a step can overshoot the seed state, so search
+        # the step for the minimum of the distance
         d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
         for j in near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
                       & (d_prev < 2 * ds[near])]:
-            event(j, "closed_loop", lambda: closest(j))
+            a, b, seed = y_old[j], y[j], lane[j, _SEED]
+            t, d = _step_minimum(lambda t: _state_distance(a + t[:, None] * (b - a), seed, period))
+            if d < _LOOP_TOL:
+                end(j, "closed_loop", t)
+    if cut:
+        rows[cut], errors = _event_samples(fld, lane[cut, _ROW], rows[cut], np.array(frac))
+        for j, e in zip(cut, errors):
+            if e is not None:
+                reasons[acc[j]] = e
     lane[:, _ROW], lane[:, _H], lane[:, _REF] = rows, h, ref
     lane[:, _NORM], lane[:, _HAS_PREV] = coefnorm, 1.0
     S[acc] = lane
-    return job[acc][moved], block
+    return job[acc][moved], rows[moved]
 
 
 def integrate_many(fld, jobs, params=None, stats=None):
@@ -521,37 +507,6 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
     return res
 
 
-def _ternary_min(f, lo, hi, iters):
-    """The middle of the bracket [lo, hi] after ``iters`` ternary-search
-    steps towards a minimum of ``f``."""
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
-
-
-def _degenerate_on_segment(fld, a, b):
-    def cnorm(t):
-        p = a + t * (b - a)
-        return max(abs(x) for x in fld.slots(p[0], p[1], 0).tolist())
-
-    t_best = _ternary_min(cnorm, 0.0, 1.0, 80)
-    cmin = cnorm(t_best)
-    p = a + t_best * (b - a)
-    try:
-        c = fld.slots(p[0], p[1], 1).tolist()
-    except (ArithmeticError, EvalError):
-        return None
-    g = math.sqrt(sum(c[k + 1] ** 2 + c[k + 2] ** 2 for k in (0, 3, 6)))
-    if g > 0 and cmin / g < 1e-6:    # the pass comes within this radius
-        return p, t_best
-    return None
-
-
 def _state_distance(a, b, period):
     """Largest coordinate gap between lifted states (..., 3), angles wrapped."""
     d = a - b
@@ -561,38 +516,55 @@ def _state_distance(a, b, period):
     return np.max(np.abs(d), axis=-1)
 
 
-def _closest_on_segment(a, b, target, period):
-    n = 64    # samples along the segment before the ternary refinement
+def _step_minimum(f):
+    """A minimum of ``f`` over the fractions t in [0, 1] of a step: the best
+    of 65 evenly spaced fractions, refined by 100 ternary-search steps inside
+    its neighbours' bracket.  ``f`` maps an array of fractions to their
+    values.  Returns t and f(t)."""
+    n = 64
+    t = int(np.argmin(f(np.arange(n + 1) / n))) / n
+    lo, hi = max(0.0, t - 1.0 / n), min(1.0, t + 1.0 / n)
+    for _ in range(100):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        f1, f2 = f(np.array([m1, m2]))
+        if f1 <= f2:
+            hi = m2
+        else:
+            lo = m1
+    t = 0.5 * (lo + hi)
+    return t, float(f(np.array([t]))[0])
 
-    def dist(t):
-        return _state_distance(a + t * (b - a), target, period)
 
-    best_t, best_d = 0.0, dist(0.0)
-    for k in range(1, n + 1):
-        t = k / n
-        d = dist(t)
-        if d < best_d:
-            best_t, best_d = t, d
-    # ternary refinement: along a segment the distance is piecewise linear in
-    # t and unimodal near an isolated closest approach
-    best_t = _ternary_min(dist, max(0.0, best_t - 1.0 / n), min(1.0, best_t + 1.0 / n), 100)
-    return best_t, float(dist(best_t))
+def _edge_fraction(domain, a, b):
+    """Per step from (u, v) ``a`` to ``b`` outside ``domain``: the fraction
+    of the chord at which it leaves the domain through an edge that ``b``
+    lies beyond (0 at the least)."""
+    t = np.ones(len(a))
+    for k, (lo, hi) in enumerate(((domain.u0, domain.u1), (domain.v0, domain.v1))):
+        cross = ((b[:, k] > hi) | (b[:, k] < lo)) & (b[:, k] != a[:, k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at = (np.where(b[:, k] > hi, hi, lo) - a[:, k]) / (b[:, k] - a[:, k])
+        t = np.minimum(t, np.where(cross, at, 1.0))
+    return np.maximum(t, 0.0)
 
 
-def _clip_to_domain(prev_row, row, domain):
-    p = np.array(prev_row[:2])
-    q = np.array(row[:2])
-    t = 1.0
-    for (lo, hi, idx) in ((domain.u0, domain.u1, 0), (domain.v0, domain.v1, 1)):
-        d = q[idx] - p[idx]
-        if d != 0:
-            if q[idx] > hi:
-                t = min(t, (hi - p[idx]) / d)
-            if q[idx] < lo:
-                t = min(t, (lo - p[idx]) / d)
-    c = p + max(t, 0.0) * (q - p)
-    ds = float(np.hypot(*(c - p)))
-    return (float(c[0]), float(c[1]), row[2], row[3], prev_row[4] + ds)
+def _event_samples(fld, before, after, t):
+    """The last sample rows of lanes that end at the fractions ``t`` of their
+    steps from the rows ``before`` to the rows ``after``: the (u, v) point
+    on the chord, its slope projected onto {F = 0} from the step's end slope
+    in the end chart, and the arclength of the chord piece added.  Returns
+    the rows and per row None or the lane error of its projection."""
+    rows = after.copy()
+    a = before[:, :2]
+    p = a + t[:, None] * (after[:, :2] - a)
+    rows[:, :2], rows[:, 4] = p, before[:, 4] + np.hypot(*(p - a).T)
+    res, errors = bde._lanewise(lambda sl: _project_slope(
+        fld, p[sl, 0], p[sl, 1], after[sl, 2], after[sl, 3] != 0, iters=8), len(t))
+    errors = errors or [None] * len(t)
+    if res is not None:
+        rows[[e is None for e in errors], 2] = res[0]
+    return rows, errors
 
 
 @dataclass
@@ -630,8 +602,7 @@ class Portrait:
         yield "\n ]\n}\n"
 
 
-def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolution=192,
-                   detect=True):
+def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolution=192):
     """Full phase portrait of the asymptotic net of a field or a surface.
 
     ``source`` is a coefficient field or a surface (in which case the
@@ -664,7 +635,7 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
         now = time.perf_counter()
         stages[name], last = now - last, now
 
-    if surf is not None and detect:
+    if surf is not None:
         euclid = bde.euclidean_field_for(surf)
         sets = singular.singular_sets(euclid, fld, region, trace_resolution)
         stage("trace")

@@ -167,19 +167,18 @@ def _reach(region, resolution):
     return 3 * max(region.u1 - region.u0, region.v1 - region.v0) / resolution
 
 
-def find_folded_points(fld, polylines, region=None, resolution=192, drop=None):
+def find_folded_points(fld, polylines, region, resolution, drop=None):
     """Fold points: zeros of the lifted field over the discriminant of ``fld``.
 
-    ``polylines`` are traced at ``resolution`` over ``region`` (the field's
-    domain by default).  Evaluates the fold signal along each polyline in
-    one batch, then polishes each sign change with a 3D Newton iteration on
-    (F, F_slope, vertical component) = 0.  A polyline whose signal stays
+    ``polylines`` are traced at ``resolution`` over ``region``.  Evaluates
+    the fold signal along each polyline in one batch, then polishes each
+    sign change with a 3D Newton iteration on (F, F_slope, vertical
+    component) = 0.  A polyline whose signal stays
     within 1e-9 of the coefficient scale is a solution curve of the field,
     where the lifted field vanishes identically, and gives no seeds.  A
     Newton result outside the region or more than 3 trace cells from its
     seed is dropped and passed to ``drop(stage, exc, location)``.
     """
-    region = region or fld.domain
     reach = _reach(region, resolution)
     candidates = []
     for poly in polylines:

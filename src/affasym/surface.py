@@ -36,7 +36,7 @@ __all__ = [
     "parse_expression",
     "eval_expression_jet",
     "as_polynomial", "PolySet", "poly_values", "poly_jets",
-    "Rect", "Band", "rect", "SurfaceDef",
+    "Rect", "DEFAULT_DOMAIN", "Band", "rect", "SurfaceDef",
     "catalog_surface", "monge_surface", "parametric_surface",
     "surface_from_config", "load_surface_config",
 ]
@@ -513,6 +513,11 @@ class Rect:
         return math.hypot(self.u1 - self.u0, self.v1 - self.v0)
 
 
+# the domain of a graph, a model field or a field given without one; its
+# bounds are written into portrait.json as given
+DEFAULT_DOMAIN = Rect(-1, 1, -1, 1)
+
+
 @dataclass(frozen=True)
 class Band:
     """Excluded strip |axis_value - center| < halfwidth (axis 'u' or 'v')."""
@@ -600,9 +605,9 @@ _U, _V = {(1, 0): 1.0}, {(0, 1): 1.0}
 
 
 def monge_surface(height, domain=None):
-    """The graph of a height over ``domain`` (by default Rect(-1, 1, -1, 1)), as the
+    """The graph of a height over ``domain`` (by default ``DEFAULT_DOMAIN``), as the
     chart (u, v, h): ``height`` is an expression (text or AST) or a monomial dict."""
-    domain = domain or Rect(-1, 1, -1, 1)
+    domain = domain or DEFAULT_DOMAIN
     if isinstance(height, dict):
         return SurfaceDef(None, domain, polys=(_U, _V, height))
     if isinstance(height, str):
@@ -690,8 +695,7 @@ def catalog_surface(cat_id, params=None, domain=None):
         kept = {"epsilon": eps, "sigma": sigma, "q": q}
         base = {(2, 0): 0.5, (0, 2): 0.5 * eps, (3, 0): sigma / 6.0, (1, 2): -eps * sigma / 2.0}
         q = {(i, j): val / (math.factorial(i) * math.factorial(j)) for (i, j), val in q.items()}
-        sd = monge_surface(_monomial_height(base, q, set(range(3, 8)), "pick"),
-                           domain or Rect(-1.0, 1.0, -1.0, 1.0))
+        sd = monge_surface(_monomial_height(base, q, set(range(3, 8)), "pick"), domain)
     elif cat_id == "cusp_gauss":
         q = _finite_q(params)
         kept = {"q": q}
@@ -751,7 +755,7 @@ def surface_from_config(cfg):
         dom = rect(dom)
     if kind == "monge":
         _expect(isinstance(cfg.get("expr"), str), "monge expr must be a string")
-        return monge_surface(cfg["expr"], dom or Rect(-1.0, 1.0, -1.0, 1.0))
+        return monge_surface(cfg["expr"], dom)
     if kind == "parametric":
         exprs = cfg.get("exprs")
         _expect(isinstance(exprs, list) and len(exprs) == 3

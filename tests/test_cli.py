@@ -271,6 +271,17 @@ def test_parametric_chart_portrays_across_the_parabolic_set(tmp_path):
         assert (tmp_path / "file" / fname).read_bytes() == (tmp_path / "monge" / fname).read_bytes()
 
 
+def test_a_monge_config_without_domain_is_the_monge_chart(tmp_path):
+    # both take the one default square, so both write its region text
+    cfg = tmp_path / "surf.json"
+    cfg.write_text(json.dumps({"kind": "monge", "expr": "u^2+2*v^2"}))
+    for name, surface in (("file", f"file:{cfg}"), ("monge", "monge:u^2+2*v^2")):
+        assert cli.main(["portrait", "--surface", surface, "--res", "1", "--tol", "max_len=0.2",
+                         "--tol", "trace_res=16", "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    assert (tmp_path / "file" / "portrait.json").read_bytes() == \
+        (tmp_path / "monge" / "portrait.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "6,5"],
     ["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "1", "--res", "-2"],

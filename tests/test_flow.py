@@ -275,9 +275,9 @@ def test_portrait_pick_generic_nonempty():
     surf = sf.catalog_surface("pick", {"epsilon": -1, "sigma": 0.5,
                                        "q": {(4, 0): 0.7, (1, 3): 0.2}},
                               domain=Rect(-0.4, 0.4, -0.4, 0.4))
-    p = flow.build_portrait(surf, grid=(4, 4),
+    p = flow.build_portrait(bde.extended_field_for(surf), grid=(4, 4),
                             params=flow.IntegrationParams(max_len=1.0),
-                            trace_resolution=64, detect=False)
+                            trace_resolution=64)
     assert p.trajectories
 
 
@@ -754,30 +754,29 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
     params = flow.IntegrationParams(max_len=9.0)
     cusp = RHS_FIELDS["cusp_gauss"]()
     loops = torus_field(2.0, 1.0, Rect(0.0, 2 * math.pi, -0.5, 7.0))
+    morse = bde.morse_model_field(-1)
     cusp_jobs = [((0.3, 0.2), "minus", -1), ((0.3, 0.2), "plus", 1), ((-0.1, 0.0), "minus", 1)]
     loop_jobs = [((math.pi / 2, 6.0625), "plus", -1), ((math.pi / 2, 0.4375), "plus", 1)]
-    for fld, jobs in ((cusp, cusp_jobs), (loops, loop_jobs)):
+    # seeds on the u-axis, a solution line that passes the degenerate origin
+    pass_jobs = [((0.05, 0.0), "plus", -1), ((-0.05, 0.0), "plus", -1)]
+    cases = ((cusp, cusp_jobs), (loops, loop_jobs), (morse, pass_jobs))
+    for fld, jobs in cases:
         out = flow.integrate_many(fld, jobs, params)
         for job, traj in zip(jobs, out):
             solo = flow.integrate_asymptotic(fld, *job[:2], params, job[2])
             assert traj.termination == solo.termination
             assert np.array_equal(traj.samples, solo.samples)
 
-    events = []
-    for name in ("_clip_to_domain", "_closest_on_segment"):
-        def spy(*args, fn=getattr(flow, name), name=name):
-            res = fn(*args)
-            events.append((name, [np.copy(a) if isinstance(a, np.ndarray) else a
-                                  for a in args], res))
-            return res
-        monkeypatch.setattr(flow, name, spy)
-    switched, clipped, _ = flow.integrate_many(cusp, cusp_jobs, params)
-    clips = {res[:2]: (args, res) for name, args, res in events if name == "_clip_to_domain"}
-    events.clear()
-    loop_out = flow.integrate_many(loops, loop_jobs, params)
-    # the closest-approach searches that ended a lane, by seed state
-    closest = {tuple(args[2]): args[:2] + list(res) for name, args, res in events
-               if res[1] < flow._LOOP_TOL}
+    events, event_samples = [], flow._event_samples
+
+    def spy_samples(fld, before, after, t):
+        rows, errors = event_samples(fld, before, after, t)
+        events.extend(zip(before.copy(), after.copy(), t.tolist(), rows.copy()))
+        return rows, errors
+
+    monkeypatch.setattr(flow, "_event_samples", spy_samples)
+    (switched, clipped, _), loop_out, pass_out = (flow.integrate_many(fld, jobs, params)
+                                                  for fld, jobs in cases)
 
     # a chart switch: the flag flips where the slope is inverted
     S, last = layout_checks(cusp, cusp_jobs[0], switched)
@@ -788,25 +787,64 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
     assert abs(lift_residual(cusp, *S[k, :3], S[k, 3] != 0)) <= \
         1e-8 * max(map(abs, cusp.coeff(S[k, 0], S[k, 1])))
 
-    # clip: the last row is the step cut back onto the boundary from the
-    # row before, with its slope projected again
-    for traj, job in ((switched, cusp_jobs[0]), (clipped, cusp_jobs[1])):
-        S, last = layout_checks(cusp, job, traj)
-        assert traj.termination == "left_domain"
-        (prev_row, row, _), (cu, cv, cs, cflag, carc) = clips[tuple(S[-1, :2])]
-        assert [prev_row[k] for k in (0, 1, 4)] == S[-2, [0, 1, 4]].tolist()
-        assert row[3] == cflag == S[-1, 3] and carc == S[-1, 4]
-        assert S[-1, 2] == flow._project_slope(cusp, cu, cv, cs, bool(cflag), iters=8)[0]
+    def event_row(fld, job, traj):
+        """The one event recipe: the last row is the point at the event's
+        fraction t of the step from the row before, its slope projected from
+        the step's end slope in the end chart, and the arclength of the
+        piece added.  Returns the rows before and at the end of the step,
+        and t."""
+        S, _ = layout_checks(fld, job, traj)
+        (before, after, t, row), = [e for e in events if np.array_equal(e[3], S[-1])]
+        assert before[[0, 1, 4]].tolist() == S[-2, [0, 1, 4]].tolist()
+        assert 0.0 <= t <= 1.0
+        p = before[:2] + t * (after[:2] - before[:2])
+        assert S[-1, :2].tolist() == p.tolist()
+        assert S[-1, 2] == flow._project_slope(fld, *p, after[2], after[3] != 0, iters=8)[0]
+        assert S[-1, 3] == after[3]
+        assert S[-1, 4] == before[4] + np.hypot(*(p - before[:2]))
+        return before, after, t
 
-    # closed loops: a step that passes the seed is cut back to the closest
-    # approach on it
-    for traj, job in zip(loop_out, loop_jobs):
-        S, last = layout_checks(loops, job, traj)
-        assert traj.termination == "closed_loop"
-        a, b, t, d = closest[tuple(S[0, :3])]
-        assert a[:2].tolist() == S[-2, :2].tolist()
-        assert S[-1, :3].tolist() == (a + t * (b - a)).tolist()
-        assert S[-1, 4] == S[-2, 4] + t * math.hypot(*(b - a)[:2])
+    # the domain edge: the fraction where the chord leaves the domain
+    for traj, job in ((switched, cusp_jobs[0]), (clipped, cusp_jobs[1])):
+        assert traj.termination == "left_domain"
+        _, after, t = event_row(cusp, job, traj)
+        d, (u, v) = cusp.domain, traj.samples[-1, :2]
+        assert not d.contains(*after[:2])
+        assert min(abs(u - d.u0), abs(u - d.u1), abs(v - d.v0), abs(v - d.v1)) < 1e-15
+        assert [t] == flow._edge_fraction(d, traj.samples[-2:-1, :2],
+                                          after[None, :2]).tolist()
+    # closed loops and degenerate passes: the step's minimum of the state
+    # distance to the seed or of the coefficient norm
+    for fld, jobs, out, reason in ((loops, loop_jobs, loop_out, "closed_loop"),
+                                   (morse, pass_jobs, pass_out, "hit_degenerate_point")):
+        for traj, job in zip(out, jobs):
+            assert traj.termination == reason
+            before, after, t = event_row(fld, job, traj)
+            a, b = before[:3], after[:3]
+            if reason == "closed_loop":
+                t_min, value = flow._step_minimum(lambda t: flow._state_distance(
+                    a + t[:, None] * (b - a), traj.samples[0, :3], fld.period))
+                assert value < flow._LOOP_TOL
+            else:
+                t_min, value = flow._step_minimum(lambda t: np.max(np.abs(fld.slots(
+                    *(a[:2] + t[:, None] * (b[:2] - a[:2])).T, 0)), axis=0))
+                assert math.hypot(*traj.samples[-1, :2]) < 1e-5
+            assert t_min == t
+
+
+def test_every_event_sample_meets_the_lift_bound():
+    # two families of circles through a totally degenerate origin: lanes
+    # close loops, leave the square and run into the origin
+    fld = bde.field_from_polynomials({(1, 1): 1.0}, {(0, 2): 0.5, (2, 0): -0.5},
+                                     {(1, 1): -1.0}, Rect(-1, 1, -1, 1))
+    p = flow.build_portrait(fld, grid=(4, 4), params=flow.IntegrationParams(max_len=6.0))
+    assert len(p.trajectories) == 64
+    assert p.integration.terminations["closed_loop"] == 4
+    for traj in p.trajectories:
+        u, v, s, q, _ = traj.samples[-1]
+        scale = max(map(abs, fld.coeff(u, v)))
+        if scale >= bde.DEGENERATE_TOL:
+            assert abs(lift_residual(fld, u, v, s, q != 0)) <= 1e-8 * scale, traj.termination
 
 
 def test_a_cusp_portrait_integrates_each_seed_once(monkeypatch):

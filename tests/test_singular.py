@@ -18,7 +18,7 @@ def folded_points(lam, res=96):
     fld = bde.folded_model_field(lam)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
                                fld.domain, res)
-    return fld, sg.find_folded_points(fld, polys)
+    return fld, sg.find_folded_points(fld, polys, fld.domain, res)
 
 
 @pytest.mark.parametrize("lam,kind", [
@@ -58,7 +58,7 @@ def test_kind_invariant_under_positive_factor():
     pc = Poly({(0, 0): 1.0}) * fac
     fld = bde.field_from_polynomials(pa, pb, pc, Rect(-1, 1, -1, 1))
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 96)
-    pts = sg.find_folded_points(fld, polys)
+    pts = sg.find_folded_points(fld, polys, fld.domain, 96)
     rep = sg.classify_folded(fld, pts[0])
     assert rep.kind == "folded_node"
     assert abs(rep.lambda_invariant - lam) < 1e-4
@@ -171,7 +171,7 @@ def test_torus_no_cusps_no_folds():
     assert not [r for r in reps if r.kind in ("cusp_of_gauss", "affine_cusp_of_gauss")]
     fld = bde.torus_extended_field(tor)
     circles = bde.trace_zero_set(lambda u, v: fld.coeff(u, v)[0], fld.domain, 96)
-    assert sg.find_folded_points(fld, circles) == []
+    assert sg.find_folded_points(fld, circles, fld.domain, 96) == []
 
 
 def test_transversality_along_affine_parabolic_set():
@@ -324,7 +324,7 @@ def test_fold_point_on_a_generic_surface():
     fld = bde.extended_field_for(surf)
     polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
                                fld.domain, 192)
-    pts = sg.find_folded_points(fld, polys)
+    pts = sg.find_folded_points(fld, polys, fld.domain, 192)
     assert pts, "no fold point located"
     origin_pts = [p for p in pts if math.hypot(*p) < 1e-6]
     assert origin_pts, pts
@@ -480,7 +480,7 @@ def test_a_vertex_that_raises_gives_nan_and_keeps_the_other_folds():
     base, polys = fold_test_field()
     (poly,) = polys
     healthy = sg._fold_signal(base, poly)[0]
-    want = sg.find_folded_points(base, polys)
+    want = sg.find_folded_points(base, polys, base.domain, 64)
     assert len(want) >= 3
     # the vertex with the largest signal whose two edges cross no zero
     crossed = np.zeros(len(poly), dtype=bool)
@@ -500,7 +500,7 @@ def test_a_vertex_that_raises_gives_nan_and_keeps_the_other_folds():
     assert np.isnan(s[k])
     others = np.arange(len(poly)) != k
     assert same_bits(s[others], healthy[others])
-    assert sg.find_folded_points(broken, polys) == want
+    assert sg.find_folded_points(broken, polys, base.domain, 64) == want
 
 
 def counted(fld):
@@ -521,7 +521,7 @@ def test_one_slots_call_per_polyline(monkeypatch):
                                        base.domain, 48)
     fld, calls = counted(base)
     monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: None)
-    assert sg.find_folded_points(fld, polys) == []
+    assert sg.find_folded_points(fld, polys, base.domain, 64) == []
     assert calls == [len(p) for p in polys if len(p) >= 2]
 
 
@@ -621,7 +621,7 @@ def test_a_far_newton_result_is_dropped_and_counted(monkeypatch):
                          (1.5, "outside the region")):
         monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: (u + shift, v))
         dropped = []
-        pts = sg.find_folded_points(fld, polys, resolution=96,
+        pts = sg.find_folded_points(fld, polys, fld.domain, 96,
                                     drop=lambda *args: dropped.append(args))
         if where is None:
             assert pts and not dropped

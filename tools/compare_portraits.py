@@ -6,10 +6,11 @@
 
 For each run with a ``portrait.json`` in either directory it prints the
 reports removed and added (kind and location), the trajectories kept
-byte-identical (and whether in the same order), dropped and new, and for
-each dropped trajectory its nearest kept partner: a kept trajectory of the
-same family whose seed lies within ``flow._LOOP_TOL`` (max-norm) of its
-seed, at the smallest Hausdorff distance of their (u, v) samples.
+byte-identical (and whether in the same order), those that changed only in
+their last row (each with the largest change in that row), dropped and new,
+and for each dropped trajectory its nearest kept partner: a kept trajectory
+of the same family whose seed lies within ``flow._LOOP_TOL`` (max-norm) of
+its seed, at the smallest Hausdorff distance of their (u, v) samples.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ def _report_key(rep):
 
 def _text(traj):
     return json.dumps(traj, sort_keys=True)
+
+
+_COLUMNS = ("u", "v", "slope", "chart", "arclength")
 
 
 def hausdorff(a, b, block=512):
@@ -70,11 +74,33 @@ def compare(old, new):
         else:
             fresh.append(k)
     dropped = sorted(k for ks in pool.values() for k in ks)
+    olds, news = old["trajectories"], new["trajectories"]
+    # a dropped and a new trajectory of one family that agree in every row
+    # but the last
+    last = []
+    for m in list(fresh):
+        t = news[m]
+        k = next((k for k in dropped if olds[k]["family"] == t["family"]
+                  and len(olds[k]["samples"]) == len(t["samples"])
+                  and olds[k]["samples"][:-1] == t["samples"][:-1]), None)
+        if k is not None:
+            last.append((k, m))
+            dropped.remove(k)
+            fresh.remove(m)
     order = [k for k, _ in kept] == sorted(k for k, _ in kept)
     lines.append(f"  trajectories: {len(kept)} kept byte-identical"
-                 f" ({'same' if order else 'other'} order), {len(dropped)} dropped,"
-                 f" {len(fresh)} new")
-    olds = old["trajectories"]
+                 f" ({'same' if order else 'other'} order), {len(last)} changed only in"
+                 f" the last row, {len(dropped)} dropped, {len(fresh)} new")
+    for k, m in last:
+        a, b = olds[k], news[m]
+        change = np.abs(np.subtract(b["samples"][-1], a["samples"][-1]))
+        col = int(np.argmax(change))
+        ends = a["termination"] + ("" if a["termination"] == b["termination"]
+                                   else f" -> {b['termination']}")
+        lines.append(f"  last row of {k} -> {m} ({a['family']}, seed"
+                     f" ({a['samples'][0][0]:.6g}, {a['samples'][0][1]:.6g}),"
+                     f" {len(a['samples'])} samples, {ends}): largest change"
+                     f" {change[col]:.3g} in {_COLUMNS[col]}")
     for k in dropped:
         t = olds[k]
         pts = np.asarray(t["samples"], dtype=float)[:, :2]
