@@ -21,6 +21,7 @@ per-vertex root polishing), used for parabolic sets and discriminants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .surface import DEFAULT_DOMAIN, Poly, PolySet, Rect, _slot_arrays
 
 __all__ = [
     "BDEField",
-    "AsymptoticDirections",
     "LIFT_TOL",
     "field_from_polynomials",
     "torus_extended_field",
@@ -41,8 +41,7 @@ __all__ = [
     "extended_field_for",
     "euclidean_field_for",
     "discriminant",
-    "asymptotic_directions",
-    "lift_slope",
+    "direction_roots",
     "lifted_velocity",
     "lifted_derivatives",
     "trace_zero_set",
@@ -179,59 +178,47 @@ def discriminant(field, u, v):
     return B * B - A * C
 
 
-@dataclass
-class AsymptoticDirections:
-    kind: str          # "two" | "double" | "none" | "degenerate"
-    dirs: list         # unit (du, dv) arrays; the double root appears once
-
-    def __iter__(self):
-        return iter(self.dirs)
-
-    def __len__(self):
-        return len(self.dirs)
+def _on_floats(fn, a, *rest):
+    """``fn(a, *rest)`` element by element on Python floats, for math.hypot
+    and ``pow``, which round differently from their numpy counterparts;
+    ``rest`` holds arrays of the shape of ``a``, or numbers."""
+    a = np.asarray(a)
+    rest = (np.ravel(r).tolist() if np.ndim(r) else itertools.repeat(r) for r in rest)
+    return np.array(list(map(fn, a.ravel().tolist(), *rest)), dtype=float).reshape(a.shape)
 
 
-def _unit(du, dv):
-    h = math.hypot(du, dv)
-    d = np.array([du / h, dv / h])
-    # fix an orientation so output is deterministic
-    if d[0] < 0 or (d[0] == 0 and d[1] < 0):
-        d = -d
-    return d
-
-
-def asymptotic_directions(field, u, v):
-    """Solve the direction equation at one point, chart-robustly."""
-    A, B, C = (float(x) for x in field.coeff(u, v))
-    scale = max(abs(A), abs(B), abs(C))
-    if scale < DEGENERATE_TOL:
-        return AsymptoticDirections("degenerate", [])
+def direction_roots(A, B, C):
+    """The roots of A du^2 + 2B du dv + C dv^2 = 0 per point, from arrays of
+    coefficient values: per point the kind ("two", "double", "none" or
+    "degenerate") and the unit (du, dv) roots, shape (..., 2, 2), each with
+    du > 0 or du = 0 < dv.  A root is solved as a slope, dv/du where
+    |C| >= |A| and du/dv elsewhere; a double root fills both rows, and a
+    point without a root holds NaN."""
+    A, B, C = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, B, C)))
+    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
     delta = B * B - A * C
-    double_thr = (LIFT_TOL * scale) ** 2
-    if abs(delta) < double_thr:
-        # single direction of multiplicity two
-        if abs(C) >= abs(A):
-            return AsymptoticDirections("double", [_unit(1.0, -B / C)])
-        return AsymptoticDirections("double", [_unit(-B / A, 1.0)])
-    if delta < 0:
-        return AsymptoticDirections("none", [])
-    rt = math.sqrt(delta)
-    if max(abs(A), abs(C)) < 1e-13 * scale:
-        # both extreme coefficients vanish: the equation is 2B du dv = 0
-        return AsymptoticDirections("two", [_unit(1.0, 0.0), _unit(0.0, 1.0)])
-    if abs(C) >= abs(A):
-        dirs = [_unit(1.0, (-B + rt) / C), _unit(1.0, (-B - rt) / C)]
-    else:
-        dirs = [_unit((-B + rt) / A, 1.0), _unit((-B - rt) / A, 1.0)]
-    return AsymptoticDirections("two", dirs)
-
-
-def lift_slope(du, dv):
-    """The slope of a projected direction in the better slope chart, and
-    whether that chart is q."""
-    if abs(dv) <= abs(du):
-        return dv / du, False
-    return du / dv, True
+    degenerate = scale < DEGENERATE_TOL
+    double = ~degenerate & (np.abs(delta) < _on_floats(pow, LIFT_TOL * scale, 2))
+    none = ~degenerate & ~double & (delta < 0)
+    # both extreme coefficients vanish: the equation is 2B du dv = 0
+    axes = ~(degenerate | double | none) & (np.maximum(np.abs(A), np.abs(C)) < 1e-13 * scale)
+    chart_p = np.abs(C) >= np.abs(A)    # the slopes are dv/du
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rt = np.sqrt(delta)
+        ends = np.stack([-B + rt, -B - rt], -1)
+        ends[double] = -B[double][:, None]    # -B itself, a zero keeping its sign
+        slope = ends / np.where(chart_p, C, A)[..., None]
+        p = chart_p[..., None]
+        du, dv = np.where(p, 1.0, slope), np.where(p, slope, 1.0)
+        du[axes], dv[axes] = (1.0, 0.0), (0.0, 1.0)
+        h = _on_floats(math.hypot, du, dv)
+        d = np.stack([du / h, dv / h], -1)
+    # fix an orientation so output is deterministic
+    flip = (d[..., 0] < 0) | ((d[..., 0] == 0) & (d[..., 1] < 0))
+    d = np.where(flip[..., None], -d, d)
+    d[degenerate | none] = np.nan
+    kind = np.select([degenerate, double, none], ["degenerate", "double", "none"], "two")
+    return kind, d
 
 
 def _pick(chart_q, a, b):
@@ -266,7 +253,7 @@ def lifted_velocity(c, slope, chart_q):
     slope is du/dv) are scalars or arrays over the batch; X has the batch
     shape plus a last axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p,
     (s F_s, F_s, -(F_v + s F_u)) in chart q."""
-    abc = c.reshape((3, -1) + c.shape[1:])[:, :3]
+    abc = c.reshape((3, len(c) // 3) + c.shape[1:])[:, :3]
     F, Fs, _ = lift_terms(*abc, slope, chart_q)
     sFs = slope * Fs[0]
     Fa, Fb = _pick(chart_q, F[2:0:-1], F[1:3])

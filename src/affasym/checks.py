@@ -174,11 +174,13 @@ def lifted_tangency(n=20, seed=4):
     checked = 0
     while checked < n:
         u, v = rng.uniform(0, 2 * np.pi, 2)
-        res = bde.asymptotic_directions(fld, u, v)
-        if not res.dirs:
+        kind, roots = bde.direction_roots(*fld.coeff(u, v))
+        if kind in ("none", "degenerate"):
             continue
         checked += 1
-        s, chart_q = bde.lift_slope(*res.dirs[0])
+        du, dv = roots[0]
+        chart_q = abs(dv) > abs(du)
+        s = du / dv if chart_q else dv / du
         X = bde.lie_cartan_scaled(fld, u, v, s, chart_q)[0]
         J = fld.slots(u, v, 1).reshape(3, 3)   # rows A, B, C; columns value, d/du, d/dv
         # weights of (A, B, C) in F = A + 2Bs + Cs^2 (chart p) or As^2 + 2Bs + C, and in dF/ds

@@ -10,13 +10,15 @@ Newton correction (more where one does not reach the lift tolerance), and
 the slope chart switches with hysteresis when the slope leaves [-1.5, 1.5].
 
 All trajectories of a portrait are integrated in lockstep
-(``integrate_many``): one Cash-Karp loop advances every job, each round
+(``integrate_many``): all lanes start from one batched slot evaluation
+over their seeds, one Cash-Karp loop advances every job, each round
 evaluates the lifted field of all running lanes from one batched slot
 evaluation per stage, and each lane keeps its own step size, chart,
 orientation, reference direction and event state in one row of the lane
-state array.  Rare events (creeping where the lift vanishes, chart
-switches, the searches of a step for a closed loop or a degenerate pass) run
-per lane.  A lane that ends at an event inside its step, where it leaves the
+state array.  The lanes that creep where the lift vanishes are solved as
+one batch from their stage's slots.  Rare events (chart switches, the
+searches of a step for a closed loop or a degenerate pass) run per lane.
+A lane that ends at an event inside its step, where it leaves the
 domain, closes its loop or passes a totally degenerate point, ends at a
 fraction t of that step, and ``_event_samples`` writes the last samples of
 all such lanes of a round by one recipe.  A lane sees the same
@@ -155,70 +157,57 @@ class IntegrationStats:
         return out
 
 
-def _project_slope(fld, u, v, slope, chart, iters=1):
+def _project_slope(fld, u, v, slope, chart, iters=None):
     """Newton-project slopes onto {F = 0} at (u, v), at one point or per lane
-    (``chart`` True where the slope is du/dv).  Returns the slopes and the
-    coefficient norm max(|A|, |B|, |C|) there."""
+    (``chart`` True where the slope is du/dv), from one slot evaluation:
+    ``iters`` steps, or one step and seven more for the lanes that need them.
+    Returns the slopes and the coefficient norm max(|A|, |B|, |C|) there."""
     c = fld.slots(u, v, 0)
     norm = np.maximum.reduce(np.abs(c))
     scale = np.maximum(norm, 1e-30)
-    s = np.asarray(slope, dtype=float)
+    s0 = s = np.asarray(slope, dtype=float)
     going = np.ones(s.shape, dtype=bool)
-    for _ in range(iters):
+    for k in range(iters or 8):
+        if k == 1 and iters is None:
+            # F is quadratic in the slope: a Newton step ds leaves |F| <=
+            # max(|A|, |B|, |C|) ds^2, so only larger steps can miss the bound
+            going &= (s - s0) ** 2 > bde.LIFT_TOL
+        if not going.any():
+            break
         F, Fs, _ = bde.lift_terms(*c, s, chart)
+        if k == 1 and iters is None:
+            going &= np.abs(F) > bde.LIFT_TOL * norm
         going &= ~(np.abs(Fs) <= 1e-6 * scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(going, s - F / Fs, s)
     return s, norm
 
 
-def _creep(fld, y, ref_dir):
-    # Degenerate-lift fallback: on curves that are simultaneously criminant
-    # and solution (e.g. profile circles of a surface of revolution) the
-    # lifted field vanishes identically while the planar double direction
-    # stays well defined; creep along it.
-    dd = bde.asymptotic_directions(fld, y[0], y[1])
-    if not dd.dirs:
+def _creep(abc, ref_dir):
+    """Degenerate-lift fallback: on curves that are simultaneously criminant
+    and solution (e.g. profile circles of a surface of revolution) the lifted
+    field vanishes identically while the planar double direction stays well
+    defined.  Per lane, from the values ``abc`` (3, lanes) of (A, B, C):
+    creep along the root nearest the reference direction."""
+    kind, roots = bde.direction_roots(*abc)
+    if np.isin(kind, ("none", "degenerate")).any():
         raise NoDirectionError("lost the direction field")
-    best = max(dd.dirs, key=lambda w: abs(w[0] * ref_dir[0] + w[1] * ref_dir[1]))
-    fall = np.array([best[0], best[1], 0.0])
-    if fall @ ref_dir < 0:
-        fall = -fall
-    return fall
+    along = np.abs(roots[..., 0] * ref_dir[:, None, 0] + roots[..., 1] * ref_dir[:, None, 1])
+    best = roots[np.arange(len(roots)), (along[:, 1] > along[:, 0]).astype(int)]
+    fall = np.column_stack([best, np.zeros(len(best))])
+    return np.where((np.vecdot(fall, ref_dir) < 0)[:, None], -fall, fall)
 
 
 def _rhs(fld, y, chart, orient, ref_dir):
     """Softly normalized lifted velocity per lane, and which lanes crept."""
-    X, scale = bde.lifted_velocity(fld.slots(y[:, 0], y[:, 1], 1), y[:, 2], chart)
+    c = fld.slots(y[:, 0], y[:, 1], 1)
+    X, scale = bde.lifted_velocity(c, y[:, 2], chart)
     n = np.sqrt(np.vecdot(X, X))
     creep = ~(n > 1e-9 * np.maximum(scale, 1e-30))
     k = orient[:, None] * X / np.sqrt(n * n + _ETA * _ETA)[:, None]
-    for j in creep.nonzero()[0]:
-        k[j] = _creep(fld, y[j], ref_dir[j])
+    if creep.any():
+        k[creep] = _creep(c[::3, creep], ref_dir[creep])
     return k, creep
-
-
-def _start(fld, seed, family, sweep):
-    """Lifted seed state, orientation and reference direction of one job."""
-    u0, v0 = float(seed[0]), float(seed[1])
-    dirs = bde.asymptotic_directions(fld, u0, v0)
-    if dirs.kind == "none":
-        raise NoDirectionError(f"seed {seed} lies where the discriminant is negative")
-    if dirs.kind == "degenerate":
-        raise NoDirectionError(f"seed {seed} is a totally degenerate point")
-    if family not in ("plus", "minus"):
-        raise ValueError("family must be 'plus' or 'minus'")
-    pick = 0 if family == "plus" or dirs.kind == "double" else min(1, len(dirs.dirs) - 1)
-    d = dirs.dirs[pick]
-    slope, chart_q = bde.lift_slope(d[0], d[1])
-    orient = float(sweep)
-    X0, scale = bde.lie_cartan_scaled(fld, u0, v0, slope, chart_q)
-    n0 = float(np.linalg.norm(X0))
-    if n0 > 1e-9 * max(scale, 1e-30):
-        ref_dir = orient * X0 / n0
-    else:
-        ref_dir = orient * np.array([d[0], d[1], 0.0])
-    return (u0, v0, slope), chart_q, orient, ref_dir
 
 
 # Columns of the lane state, one row per running lane.  A lane's sample row
@@ -228,6 +217,43 @@ _ROW, _Y, _Q, _ARC = slice(0, 5), slice(0, 3), 3, 4
 _H, _ORIENT, _NORM, _HAS_PREV, _SEED_Q = 5, 6, 7, 8, 9
 _REF, _SEED = slice(10, 13), slice(13, 16)
 _WIDTH = 16
+
+
+def _start(fld, jobs):
+    """Lane states of (seed, family, sweep) jobs from one slot evaluation over
+    their seeds: the seed lifted on the family's root in the chart where its
+    slope is at most 1 in magnitude, the sweep as orientation and the unit
+    lifted velocity (the root where it vanishes) as reference direction.
+    Returns the jobs that start, their lane states and per job None or the
+    lane error that dropped it."""
+    seeds = np.array([seed for seed, _, _ in jobs], dtype=float)
+    res, errors = bde._lanewise(
+        lambda sl: (fld.slots(seeds[sl, 0], seeds[sl, 1], 1).T,), len(jobs))
+    errors = errors or [None] * len(jobs)
+    job = np.array([k for k, e in enumerate(errors) if e is None], dtype=int)
+    c = res[0].T if len(job) else np.zeros((9, 0))
+    kind, roots = bde.direction_roots(*c[::3])
+    why = {"none": "lies where the discriminant is negative",
+           "degenerate": "is a totally degenerate point"}
+    for k, kd in zip(job.tolist(), kind.tolist()):
+        if kd in why:
+            errors[k] = NoDirectionError(f"seed {jobs[k][0]} {why[kd]}")
+    ok = np.isin(kind, ("two", "double"))
+    job, c, roots = job[ok], c[:, ok], roots[ok]
+    d = roots[np.arange(len(job)), [int(jobs[k][1] == "minus") for k in job.tolist()]]
+    chart_q = np.abs(d[:, 1]) > np.abs(d[:, 0])
+    orient = np.array([jobs[k][2] for k in job.tolist()], dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(chart_q, d[:, 0] / d[:, 1], d[:, 1] / d[:, 0])
+        X, scale = bde.lifted_velocity(c, slope, chart_q)
+        n = np.sqrt(np.vecdot(X, X))[:, None]
+        ref = np.where(n > 1e-9 * np.maximum(scale, 1e-30)[:, None], orient * X / n,
+                       orient * np.column_stack([d, np.zeros(len(job))]))
+    S = np.zeros((len(job), _WIDTH))
+    S[:, _Y], S[:, _Q], S[:, _ORIENT], S[:, _REF] = (
+        np.column_stack([seeds[job], slope]), chart_q, orient[:, 0], ref)
+    S[:, _SEED], S[:, _SEED_Q] = S[:, _Y], S[:, _Q]
+    return job, S, errors
 
 
 def _stage_end(domain, point, exc):
@@ -243,29 +269,19 @@ def _stage_end(domain, point, exc):
 def _integrate(fld, jobs, params, stats):
     """Integrate (seed, family, sweep) jobs in lockstep.  Returns per job its
     Trajectory or the lane error that dropped it."""
-    out = [None] * len(jobs)
-    starts, live = [], []
-    for k, (seed, family, sweep) in enumerate(jobs):
-        try:
-            starts.append(_start(fld, seed, family, sweep))
-            live.append(k)
-        except ArithmeticError as exc:
-            out[k] = exc
-    if not live:
-        return out
-    stats.lanes += len(live)
+    for _, family, sweep in jobs:
+        if family not in ("plus", "minus") or sweep not in (1, -1):
+            raise ValueError(f"a job's family must be 'plus' or 'minus' and its sweep +1 "
+                             f"or -1, not {family!r} and {sweep!r}")
+    if not jobs:
+        return []
+    job, S, out = _start(fld, jobs)
+    stats.lanes += len(job)
     domain, period = fld.domain, fld.period
     diag = domain.diagonal
     h_max = params.max_step_frac * diag
     h_min = 1e-12 * diag
-    job = np.array(live)
-    S = np.zeros((len(live), _WIDTH))
-    S[:, _Y] = [st[0] for st in starts]
-    S[:, _Q] = [st[1] for st in starts]
-    S[:, _ORIENT] = [st[2] for st in starts]
-    S[:, _REF] = [st[3] for st in starts]
     S[:, _H] = h_max / 8
-    S[:, _SEED], S[:, _SEED_Q] = S[:, _Y], S[:, _Q]
     # (jobs, sample rows) per round that moved lanes, the seeds first
     blocks = [(job, S[:, _ROW].copy())]
 
@@ -323,8 +339,7 @@ def _integrate(fld, jobs, params, stats):
             ratio = tol / err    # read only where err > 0
         rej = (err > tol) & (h > h_min)
         if rej.any():
-            # powers on Python floats: numpy's array power rounds differently
-            shrink = [max(0.2, 0.9 * r ** 0.25) for r in ratio[rej].tolist()]
+            shrink = np.maximum(0.2, 0.9 * bde._on_floats(pow, ratio[rej], 0.25))
             S[rej, _H] = np.maximum(h[rej] * shrink, h_min)
             stats.rejected += int(rej.sum())
         acc = (~rej).nonzero()[0]
@@ -341,14 +356,6 @@ def _integrate(fld, jobs, params, stats):
             ok = np.array([e is None for e in errors], dtype=bool)
             acc, ya, qa = acc[ok], ya[ok], qa[ok]
         if len(acc):
-            # F is quadratic in the slope: a Newton step ds leaves |F| <=
-            # max(|A|, |B|, |C|) ds^2, so only larger steps can miss the bound
-            s, norm = res
-            far = ((s - ya[:, 2]) ** 2 > bde.LIFT_TOL).nonzero()[0]
-            if len(far):
-                F = bde.lift_terms(*fld.slots(ya[far, 0], ya[far, 1], 0), s[far], qa[far])[0]
-                off = far[np.abs(F) > bde.LIFT_TOL * norm[far]]
-                s[off] = _project_slope(fld, ya[off, 0], ya[off, 1], s[off], qa[off], iters=7)[0]
             blocks.append(_accept(fld, params, stats, S, job, acc, ya, res, err[acc],
                                   ratio[acc], crept[acc], reasons, h_max, period))
         if any(r is not None for r in reasons):
@@ -380,13 +387,11 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     lane = S[acc]    # the state before the step, written back at the end
     y_old = lane[:, _Y]
     step = y - y_old
-    ds = np.array(list(map(math.hypot, step[:, 0].tolist(), step[:, 1].tolist())))
+    ds = bde._on_floats(math.hypot, step[:, 0], step[:, 1])
     nstep = np.hypot(np.hypot(step[:, 0], step[:, 1]), step[:, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
         ref = np.where((nstep > 0)[:, None], step / nstep[:, None], lane[:, _REF])
-    # powers on Python floats, as for the shrink factor
-    grow = np.where(err > 0, np.minimum(5.0, 0.9 * np.array(
-        list(map(pow, ratio.tolist(), [0.2] * len(ratio))))), 5.0)
+    grow = np.where(err > 0, np.minimum(5.0, 0.9 * bde._on_floats(pow, ratio, 0.2)), 5.0)
     h = np.minimum(lane[:, _H] * grow, h_max)
     q = lane[:, _Q].copy()
     for j in (np.abs(y[:, 2]) > _CHART_SWITCH).nonzero()[0]:
@@ -479,6 +484,8 @@ def integrate_many(fld, jobs, params=None, stats=None):
     Returns one Trajectory per job, in job order, or None for a job that
     could not start (or hit a lane error in the accepted-step bookkeeping);
     ``stats`` (an IntegrationStats) collects counters and the dropped jobs.
+    A family other than "plus" or "minus", or a sweep other than +1 or -1,
+    raises ValueError before any evaluation.
     """
     params = params or IntegrationParams()
     stats = stats if stats is not None else IntegrationStats()

@@ -399,14 +399,14 @@ def test_asymptotic_root_count():
     from affasym import bde
     surf = torus(2.0, 1.0)
     fld = bde.torus_extended_field(torus(2.0, 1.0))
-    res = bde.asymptotic_directions(fld, 1.4, 0.0)   # inside a ring
-    assert res.kind == "two" and len(res.dirs) == 2
-    res = bde.asymptotic_directions(fld, 0.2, 0.0)   # outside
-    assert res.kind == "none"
+    kind, dirs = bde.direction_roots(*fld.coeff(1.4, 0.0))   # inside a ring
+    assert kind == "two" and not np.array_equal(dirs[0], dirs[1])
+    kind, dirs = bde.direction_roots(*fld.coeff(0.2, 0.0))   # outside
+    assert kind == "none" and np.isnan(dirs).all()
     # the profile circle u = pi/2 carries the exactly-double direction (0, 1)
-    res = bde.asymptotic_directions(fld, math.pi / 2, 0.0)
-    assert res.kind == "double" and len(res.dirs) == 1
-    assert res.dirs[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+    kind, dirs = bde.direction_roots(*fld.coeff(math.pi / 2, 0.0))
+    assert kind == "double" and np.array_equal(dirs[0], dirs[1])
+    assert dirs[0] == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_randomized_consistency_sweep():

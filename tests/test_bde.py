@@ -60,12 +60,12 @@ def test_directions_two_roots_oracle():
     fld = bde.torus_extended_field(sf.catalog_surface("torus", {"R": R, "r": r}))
     u = 1.4
     lb, _, nb = (float(x) for x in af.torus_extended_bde(R, r, u))
-    res = bde.asymptotic_directions(fld, u, 0.0)
-    assert res.kind == "two"
+    kind, dirs = bde.direction_roots(*fld.coeff(u, 0.0))
+    assert kind == "two"
     expect = math.sqrt(-nb / lb)
-    slopes = sorted(d[0] / d[1] for d in res.dirs)
+    slopes = sorted(d[0] / d[1] for d in dirs)
     assert slopes == pytest.approx([-expect, expect], rel=1e-12)
-    for d in res.dirs:
+    for d in dirs:
         quad = lb * d[0] ** 2 + nb * d[1] ** 2
         assert abs(quad) / max(abs(lb), abs(nb)) < 1e-9
 
@@ -73,10 +73,67 @@ def test_directions_two_roots_oracle():
 def test_directions_double_and_degenerate():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 1.0})
     fld = bde.extended_field_for(cg)
-    res = bde.asymptotic_directions(fld, 0.0, 0.0)
-    assert res.kind == "double"
-    assert res.dirs[0] == pytest.approx([1.0, 0.0], abs=1e-14)
-    assert bde.asymptotic_directions(bde.morse_model_field(1), 0.0, 0.0).kind == "degenerate"
+    kind, dirs = bde.direction_roots(*fld.coeff(0.0, 0.0))
+    assert kind == "double"
+    assert dirs[0] == pytest.approx([1.0, 0.0], abs=1e-14)
+    assert bde.direction_roots(*bde.morse_model_field(1).coeff(0.0, 0.0))[0] == "degenerate"
+
+
+def former_directions(A, B, C):
+    """The former scalar solver of the direction equation at one point, on
+    Python floats: its kind and its unit roots, the double root once."""
+    def unit(du, dv):
+        h = math.hypot(du, dv)
+        d = np.array([du / h, dv / h])
+        return -d if d[0] < 0 or (d[0] == 0 and d[1] < 0) else d
+
+    scale = max(abs(A), abs(B), abs(C))
+    if scale < bde.DEGENERATE_TOL:
+        return "degenerate", []
+    delta = B * B - A * C
+    if abs(delta) < (bde.LIFT_TOL * scale) ** 2:
+        if abs(C) >= abs(A):
+            return "double", [unit(1.0, -B / C)]
+        return "double", [unit(-B / A, 1.0)]
+    if delta < 0:
+        return "none", []
+    rt = math.sqrt(delta)
+    if max(abs(A), abs(C)) < 1e-13 * scale:
+        return "two", [unit(1.0, 0.0), unit(0.0, 1.0)]
+    if abs(C) >= abs(A):
+        return "two", [unit(1.0, (-B + rt) / C), unit(1.0, (-B - rt) / C)]
+    return "two", [unit((-B + rt) / A, 1.0), unit((-B - rt) / A, 1.0)]
+
+
+def test_direction_roots_match_the_former_scalar_solver():
+    rng = np.random.default_rng(3)
+    cases = [
+        (1.0, 0.5, -2.0), (-3.0, 1.0, 0.5),              # two roots, |slope| > 1 in chart q
+        (1.0, 1.0, 1.0), (4.0, -2.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, -2.0),   # double
+        (0.0, -0.0, 1.0), (-0.0, 0.0, -1.0), (1.0, -0.0, 1e-30),   # signed zeros
+        (1.0, 0.1, 1.0), (2.0, 0.0, 3.0),                 # none
+        (0.0, 0.0, 0.0), (1e-11, -1e-11, 0.0),            # degenerate
+        (0.0, 1.0, 0.0), (1e-14, -1.0, -1e-14), (-0.0, 2.0, 0.0),   # 2B du dv = 0
+        (1.0, 1.0 + 1e-9, 1.0), (1.0, 3.0, -0.0), (-0.0, 3.0, 1.0),
+    ]
+    abc = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(-12, 3, size=(400, 3))
+    abc[::4, 2] = abc[::4, 1] ** 2 / abc[::4, 0]     # near-double roots
+    abc[1::7] *= 1e-11
+    abc = np.vstack([cases, abc])
+    kind, roots = bde.direction_roots(*abc.T)
+    assert roots.shape == (len(abc), 2, 2)
+    assert set(kind.tolist()) == {"two", "double", "none", "degenerate"}
+    for (A, B, C), k, r in zip(abc.tolist(), kind.tolist(), roots):
+        want_kind, dirs = former_directions(A, B, C)
+        assert k == want_kind
+        if not dirs:
+            assert np.isnan(r).all()
+            continue
+        want = np.array(dirs * (3 - len(dirs)))   # a double root in both rows
+        assert np.array_equal(r, want) and np.array_equal(np.signbit(r), np.signbit(want))
+        # one point alone gives the same bits
+        alone = bde.direction_roots(A, B, C)
+        assert alone[0] == k and np.array_equal(alone[1], r)
 
 
 def test_lifted_derivatives_match_residual_and_jacobian():

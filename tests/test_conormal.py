@@ -310,10 +310,10 @@ def test_matched_asymptotic_trajectories():
     params = flow.IntegrationParams(max_len=0.35, max_step_frac=5e-4)
     t_src = flow.integrate_asymptotic(src_field, seed, "plus", params)
     # match the image family to the source root at the seed
-    d_src = bde.asymptotic_directions(src_field, *seed).dirs[0]
-    img_dirs = bde.asymptotic_directions(img_field, *seed)
-    fam = "plus" if abs(float(np.dot(img_dirs.dirs[0], d_src))) >= \
-        abs(float(np.dot(img_dirs.dirs[-1], d_src))) else "minus"
+    d_src = bde.direction_roots(*src_field.coeff(*seed))[1][0]
+    img_dirs = bde.direction_roots(*img_field.coeff(*seed))[1]
+    fam = "plus" if abs(float(np.dot(img_dirs[0], d_src))) >= \
+        abs(float(np.dot(img_dirs[-1], d_src))) else "minus"
     t_img = flow.integrate_asymptotic(img_field, seed, fam, params)
     if float(np.dot(t_img.points[5] - t_img.points[0],
                     t_src.points[5] - t_src.points[0])) < 0:

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,14 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_the_benchmark_tracer_installs():
+    # bench/tracer.py wraps functions it looks up by name; a deleted or
+    # renamed one would fail every traced benchmark run
+    code = ("import sys; sys.path.insert(0, 'bench'); import tracer; "
+            "tracer.install(tracer.Recorder())")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

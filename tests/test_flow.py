@@ -192,9 +192,9 @@ def test_folded_saddle_separatrix_shooting():
         y0 = 1e-4 * vec
         u0, p0 = y0[0], y0[2]
         v0 = lam * u0 * u0 + p0 * p0  # project the seed onto the lift
-        dirs = bde.asymptotic_directions(fld, u0, v0)
-        fam = "plus" if abs(dirs.dirs[0][1] / dirs.dirs[0][0] - p0) <= \
-            abs(dirs.dirs[-1][1] / dirs.dirs[-1][0] - p0) else "minus"
+        dirs = bde.direction_roots(*fld.coeff(u0, v0))[1]
+        fam = "plus" if abs(dirs[0][1] / dirs[0][0] - p0) <= \
+            abs(dirs[-1][1] / dirs[-1][0] - p0) else "minus"
         traj = flow.integrate_asymptotic(fld, (u0, v0), fam, params)
         d = np.hypot(traj.points[:, 0], traj.points[:, 1])
         return float(d.min())
@@ -423,7 +423,7 @@ def test_lane_that_loses_its_direction_field_says_so():
     # finds no direction: a geometric event, not a failed evaluation.
     fld = bde.extended_field_for(sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1}))
     seed = (-0.4230769230769231, 0.42307692307692313)
-    assert bde.asymptotic_directions(fld, *seed).kind == "double"
+    assert bde.direction_roots(*fld.coeff(*seed))[0] == "double"
     assert bde.discriminant(fld, *seed) == 0.0
     for off in (1e-3, -1e-3):
         assert bde.discriminant(fld, seed[0] + off, seed[1] + off) < 0
@@ -431,6 +431,23 @@ def test_lane_that_loses_its_direction_field_says_so():
         traj = flow.integrate_asymptotic(fld, seed, family)
         assert traj.termination == "lost_direction_field"
         assert np.array_equal(traj.points, [seed])
+
+
+def test_a_bad_job_raises_before_any_evaluation():
+    # a family other than plus/minus or a sweep other than +-1 is a caller's
+    # error wherever the seed lies: (0.1, -0.5) has no direction, and a zero
+    # sweep would never move
+    base, calls = bde.folded_model_field(-1.0), []
+    fld = bde.BDEField(lambda u, v, order: calls.append(order) or base.slots(u, v, order),
+                       base.domain)
+    good = ((0.1, 0.5), "plus", 1)
+    for seed, family, sweep in (((0.1, -0.5), "both", 1), ((0.1, 0.5), "both", 1),
+                                ((0.1, 0.5), "plus", 0), ((0.1, -0.5), "minus", 2)):
+        with pytest.raises(ValueError):
+            flow.integrate_many(fld, [good, (seed, family, sweep)])
+        with pytest.raises(ValueError):
+            flow.integrate_asymptotic(fld, seed, family, sweep=sweep)
+    assert calls == []
 
 
 def test_integrate_many_reports_dropped_jobs():
@@ -625,7 +642,7 @@ def reference_rhs_lane(fld, y, chart_q, orient, ref_dir):
     x = np.array(X)
     n = float(np.sqrt(np.vecdot(x, x)))
     if not n > 1e-9 * max(scale, 1e-30):
-        return flow._creep(fld, y, ref_dir), True
+        return flow._creep(np.array(slots[::3])[:, None], ref_dir[None])[0], True
     return np.array([orient * xi / math.sqrt(n * n + flow._ETA * flow._ETA) for xi in X]), False
 
 
@@ -739,9 +756,9 @@ def layout_checks(fld, job, traj):
     """The sample layout: the seed state first, then one row per accepted
     step that moved, each adding math.hypot of its (u, v) step to the
     arclength; only a terminating event rewrites the last row."""
-    (u0, v0, s0), chart_q = flow._start(fld, *job)[:2]
+    start = flow._start(fld, [job])[1][0]
     S = traj.samples
-    assert S[0].tolist() == [u0, v0, s0, float(chart_q), 0.0]
+    assert S[0].tolist() == [*start[flow._Y], start[flow._Q], 0.0]
     steps = [math.hypot(a, b) for a, b in np.diff(S[:, :2], axis=0).tolist()]
     assert all(ds > 0 for ds in steps)
     assert all(S[k + 1, 4] == S[k, 4] + ds for k, ds in enumerate(steps[:-1]))
@@ -890,7 +907,7 @@ def test_lanes_that_clip_in_one_round_project_in_one_batch(monkeypatch):
     params = flow.IntegrationParams(max_len=0.5)
     project, clips = flow._project_slope, []
 
-    def spy(fld, u, v, slope, chart, iters=1):
+    def spy(fld, u, v, slope, chart, iters=None):
         if iters == 8:
             clips.append(np.size(u))
         return project(fld, u, v, slope, chart, iters)

@@ -525,7 +525,7 @@ def test_one_slots_call_per_polyline(monkeypatch):
     assert calls == [len(p) for p in polys if len(p) >= 2]
 
 
-def test_one_slots_call_per_classification_and_two_per_job_start():
+def test_one_slots_call_per_classification_and_per_start():
     fld, calls = counted(bde.folded_model_field(-1.0))
     assert sg.classify_folded(fld, (0.0, 0.0)).kind == "folded_saddle"
     assert calls == [1]
@@ -534,9 +534,13 @@ def test_one_slots_call_per_classification_and_two_per_job_start():
         rep = sg.classify_flat_affine_umbilic(fld, (0.0, 0.0))
         assert rep.details["lifted_singularities"] == lifted
         assert calls == [1]
+    # the starts of all jobs of one integrate_many call
     fld, calls = counted(bde.folded_model_field(-1.0))
-    flow._start(fld, (0.3, 0.5), "plus", 1)
-    assert calls == [1, 1]
+    jobs = [(seed, family, sweep) for seed in ((0.3, 0.5), (0.1, -0.5), (0.0, 0.0))
+            for family in ("plus", "minus") for sweep in (1, -1)]
+    job, _, errors = flow._start(fld, jobs)
+    assert calls == [len(jobs)]
+    assert len(job) == 8 and sum(e is not None for e in errors) == 4
 
 
 # -- one fold search for both nets ---------------------------------------------
