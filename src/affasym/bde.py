@@ -267,10 +267,10 @@ def lifted_velocity(c, slope, chart_q):
 def _lanewise(fn, n):
     """``fn(lanes)`` over all n lanes at once; if that raises an
     ArithmeticError, once per lane.  Returns the results of the lanes that
-    did not raise, concatenated, and the exception per lane (None when no
-    lane raised)."""
+    did not raise, concatenated (None when every lane raised), and per lane
+    None or its exception."""
     try:
-        return fn(slice(None)), None
+        return fn(slice(None)), [None] * n
     except ArithmeticError:
         pass
     parts, errors = [], [None] * n

@@ -16,15 +16,16 @@ evaluates the lifted field of all running lanes from one batched slot
 evaluation per stage, and each lane keeps its own step size, chart,
 orientation, reference direction and event state in one row of the lane
 state array.  The lanes that creep where the lift vanishes are solved as
-one batch from their stage's slots.  Rare events (chart switches, the
-searches of a step for a closed loop or a degenerate pass) run per lane.
-A lane that ends at an event inside its step, where it leaves the
-domain, closes its loop or passes a totally degenerate point, ends at a
-fraction t of that step, and ``_event_samples`` writes the last samples of
-all such lanes of a round by one recipe.  A lane sees the same
-floating-point expressions alone as inside a batch, so it gives the same
-bits as its job integrated alone; ``integrate_asymptotic`` is the one-job
-case.
+one batch from their stage's slots; chart switches run per lane.  A lane
+that ends at an event inside its step, where it leaves the domain, closes
+its loop or passes a totally degenerate point, ends at a fraction t of
+that step.  The searches of a round's steps for a closed loop or a
+degenerate pass run as one batch per round (``_step_minimum``), each lane
+stopping once its bracket stops moving, and ``_event_samples`` writes the
+last samples of all such lanes of a round by one recipe.  A lane sees the
+same floating-point expressions alone as inside a batch, so it gives the
+same bits as its job integrated alone; ``integrate_asymptotic`` is the
+one-job case.
 
 The embedded Cash-Karp 4(5) pair is implemented here rather than taken from
 a library because the projection and chart bookkeeping live inside the step
@@ -44,7 +45,7 @@ import numpy as np
 from . import bde, singular
 from .bde import BDEField
 from .jsontext import json_at, json_block, json_object, json_rows
-from .surface import EvalError, Rect
+from .surface import Rect
 
 __all__ = [
     "Trajectory",
@@ -179,7 +180,10 @@ def _project_slope(fld, u, v, slope, chart, iters=None):
             going &= np.abs(F) > bde.LIFT_TOL * norm
         going &= ~(np.abs(Fs) <= 1e-6 * scale)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(going, s - F / Fs, s)
+            new = np.where(going, s - F / Fs, s)
+        # a step that leaves a slope's bits unchanged repeats at every later step
+        going &= (new != s) | (np.signbit(new) != np.signbit(s))
+        s = new
     return s, norm
 
 
@@ -229,7 +233,6 @@ def _start(fld, jobs):
     seeds = np.array([seed for seed, _, _ in jobs], dtype=float)
     res, errors = bde._lanewise(
         lambda sl: (fld.slots(seeds[sl, 0], seeds[sl, 1], 1).T,), len(jobs))
-    errors = errors or [None] * len(jobs)
     job = np.array([k for k, e in enumerate(errors) if e is None], dtype=int)
     c = res[0].T if len(job) else np.zeros((9, 0))
     kind, roots = bde.direction_roots(*c[::3])
@@ -311,7 +314,7 @@ def _integrate(fld, jobs, params, stats):
             orient, ref = S[:, _ORIENT], S[:, _REF]
             res, errors = bde._lanewise(
                 lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl]), len(yi))
-            if errors is not None:
+            if any(errors):
                 kept = finish([None if e is None else _stage_end(domain, yi[j], e)
                                for j, e in enumerate(errors)])
                 K, crept = K[:, kept], crept[kept]
@@ -350,7 +353,7 @@ def _integrate(fld, jobs, params, stats):
         qa = S[acc, _Q] != 0
         res, errors = bde._lanewise(
             lambda sl: _project_slope(fld, ya[sl, 0], ya[sl, 1], ya[sl, 2], qa[sl]), len(acc))
-        if errors is not None:
+        if any(errors):
             for j, e in zip(acc.tolist(), errors):
                 reasons[j] = e
             ok = np.array([e is None for e in errors], dtype=bool)
@@ -408,66 +411,60 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, re
     arclen = lane[:, _ARC] + np.where(moved, ds, 0.0)
     rows = np.column_stack([y, q, arclen])
     running = np.ones(len(acc), dtype=bool)
-    cut, frac = [], []    # lanes whose last sample an event moves back into the step
+    # the lanes whose last sample an event moves back to a fraction of the step
+    cut, frac = np.zeros(len(acc), dtype=bool), np.zeros(len(acc))
 
-    def end(j, reason, t=None):
-        reasons[acc[j]] = reason
-        running[j] = False
+    def end(lanes, reason, t=None):
+        for k in acc[lanes].tolist():
+            reasons[k] = reason
+        running[lanes] = False
         if t is not None:
-            cut.append(j)
-            frac.append(t)
+            cut[lanes], frac[lanes] = True, t
 
     # terminations, in order; each test sees only the lanes still running
-    gone = (~fld.domain.contains(y[:, 0], y[:, 1])).nonzero()[0]
-    # a lane that did not move has no row this round
-    t_edge = _edge_fraction(fld.domain, y_old[gone, :2], y[gone, :2])
-    for j, t in zip(gone.tolist(), t_edge.tolist()):
-        end(j, "left_domain", t if moved[j] else None)
-    for j in (running & (coefnorm < bde.DEGENERATE_TOL)).nonzero()[0]:
-        end(j, "hit_degenerate_point")
+    gone = ~fld.domain.contains(y[:, 0], y[:, 1])
+    if gone.any():
+        # a lane that did not move has no row this round
+        end(gone & ~moved, "left_domain")
+        out = gone & moved
+        end(out, "left_domain", _edge_fraction(fld.domain, y_old[out, :2], y[out, :2]))
+    end(running & (coefnorm < bde.DEGENERATE_TOL), "hit_degenerate_point")
     # a step may jump across a totally degenerate point; when the
     # coefficient norm is small compared to its change over the step,
     # search the step for a pass within radius 1e-6
     same_chart = (lane[:, _HAS_PREV] != 0) & moved & (lane[:, _Q] == q)
     jump = coefnorm < 2.0 * np.abs(coefnorm - lane[:, _NORM])
-    for j in (running & same_chart & jump).nonzero()[0]:
-        a, b = y_old[j, :2], y[j, :2]
-        try:
-            t, cmin = _step_minimum(lambda t: np.max(np.abs(fld.slots(
-                *(a + t[:, None] * (b - a)).T, 0)), axis=0))
-        except ArithmeticError as exc:
-            end(j, exc)
-            continue
-        p = a + t * (b - a)
-        try:
-            c = fld.slots(p[0], p[1], 1).tolist()
-        except (ArithmeticError, EvalError):
-            continue
-        g = math.sqrt(sum(c[k + 1] ** 2 + c[k + 2] ** 2 for k in (0, 3, 6)))
-        # an exact hit is a pass too: there a quadratic field's gradient vanishes
-        if cmin == 0 or (g > 0 and cmin / g < 1e-6):
-            end(j, "hit_degenerate_point", t)
-    for j in (running & (arclen >= params.max_len)).nonzero()[0]:
-        end(j, "max_length")
+    look = (running & same_chart & jump).nonzero()[0]
+    if len(look):
+        a, b = y_old[look, :2], y[look, :2]
+        res, errors = bde._lanewise(lambda sl: _degenerate_pass(fld, a[sl], b[sl]), len(look))
+        for j, e in zip(look.tolist(), errors):
+            if e is not None:
+                end([j], e)
+        if res is not None:
+            t, hit = res
+            end(look[running[look]][hit], "hit_degenerate_point", t[hit])
+    end(running & (arclen >= params.max_len), "max_length")
     near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
     if len(near):
         dist = _state_distance(y[near], lane[near, _SEED], period)
-        for j in near[dist < _LOOP_TOL]:
-            end(j, "closed_loop")
+        end(near[dist < _LOOP_TOL], "closed_loop")
         # closest approach: a step can overshoot the seed state, so search
         # the step for the minimum of the distance
         d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
-        for j in near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
-                      & (d_prev < 2 * ds[near])]:
-            a, b, seed = y_old[j], y[j], lane[j, _SEED]
-            t, d = _step_minimum(lambda t: _state_distance(a + t[:, None] * (b - a), seed, period))
-            if d < _LOOP_TOL:
-                end(j, "closed_loop", t)
-    if cut:
-        rows[cut], errors = _event_samples(fld, lane[cut, _ROW], rows[cut], np.array(frac))
-        for j, e in zip(cut, errors):
+        look = near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
+                    & (d_prev < 2 * ds[near])]
+        if len(look):
+            a, b, seed = y_old[look], y[look], lane[look, _SEED][:, None]
+            t, d = _step_minimum(lambda lanes, t: _state_distance(
+                _chord(a[lanes], b[lanes], t), seed[lanes], period), len(look))
+            end(look[d < _LOOP_TOL], "closed_loop", t[d < _LOOP_TOL])
+    if cut.any():
+        c = cut.nonzero()[0]
+        rows[c], errors = _event_samples(fld, lane[c, _ROW], rows[c], frac[c])
+        for k, e in zip(acc[c].tolist(), errors):
             if e is not None:
-                reasons[acc[j]] = e
+                reasons[k] = e
     lane[:, _ROW], lane[:, _H], lane[:, _REF] = rows, h, ref
     lane[:, _NORM], lane[:, _HAS_PREV] = coefnorm, 1.0
     S[acc] = lane
@@ -523,24 +520,50 @@ def _state_distance(a, b, period):
     return np.max(np.abs(d), axis=-1)
 
 
-def _step_minimum(f):
-    """A minimum of ``f`` over the fractions t in [0, 1] of a step: the best
-    of 65 evenly spaced fractions, refined by 100 ternary-search steps inside
-    its neighbours' bracket.  ``f`` maps an array of fractions to their
-    values.  Returns t and f(t)."""
-    n = 64
-    t = int(np.argmin(f(np.arange(n + 1) / n))) / n
-    lo, hi = max(0.0, t - 1.0 / n), min(1.0, t + 1.0 / n)
+def _step_minimum(f, k):
+    """Per lane of k, a minimum over the fractions t in [0, 1] of its step:
+    the best of 65 evenly spaced fractions, refined inside its neighbours'
+    bracket by ternary-search steps, 100 at most, until one leaves the
+    bracket unchanged, as every later one would.  ``f(lanes, t)`` maps lane
+    indices and their fractions, shape (len(lanes), m), to values; each
+    call takes all lanes still searching.  Returns t and f(t) per lane."""
+    n, lanes = 64, np.arange(k)
+    t = np.argmin(f(lanes, np.tile(np.arange(n + 1) / n, (k, 1))), axis=1) / n
+    lo, hi = np.maximum(t - 1.0 / n, 0.0), np.minimum(t + 1.0 / n, 1.0)
     for _ in range(100):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        f1, f2 = f(np.array([m1, m2]))
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
+        if not len(lanes):
+            break
+        l, h = lo[lanes], hi[lanes]
+        m1, m2 = l + (h - l) / 3, h - (h - l) / 3
+        f1, f2 = f(lanes, np.column_stack([m1, m2])).T
+        left = f1 <= f2
+        hi[lanes[left]], lo[lanes[~left]] = m2[left], m1[~left]
+        lanes = lanes[np.where(left, m2 != h, m1 != l)]
     t = 0.5 * (lo + hi)
-    return t, float(f(np.array([t]))[0])
+    return t, f(np.arange(k), t[:, None])[:, 0]
+
+
+def _chord(a, b, t):
+    """The points at the fractions t (lanes, m) of the steps from a to b."""
+    return a[:, None] + t[..., None] * (b - a)[:, None]
+
+
+def _degenerate_pass(fld, a, b):
+    """Per step from (u, v) ``a`` to ``b``: the fraction t where the
+    coefficient norm is least, and whether the step passes a totally
+    degenerate point there, where that norm is below 1e-6 times the norm of
+    its gradient."""
+    def norm(lanes, t):
+        p = _chord(a[lanes], b[lanes], t).reshape(-1, 2)
+        return np.max(np.abs(fld.slots(p[:, 0], p[:, 1], 0)), axis=0).reshape(t.shape)
+
+    t, cmin = _step_minimum(norm, len(a))
+    p = _chord(a, b, t[:, None])[:, 0]
+    sq = bde._on_floats(pow, fld.slots(p[:, 0], p[:, 1], 1)[[1, 2, 4, 5, 7, 8]], 2)
+    g = np.sqrt(sq[0] + sq[1] + (sq[2] + sq[3]) + (sq[4] + sq[5]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # an exact hit is a pass too: there a quadratic field's gradient vanishes
+        return t, (cmin == 0) | ((g > 0) & (cmin / g < 1e-6))
 
 
 def _edge_fraction(domain, a, b):
@@ -568,7 +591,6 @@ def _event_samples(fld, before, after, t):
     rows[:, :2], rows[:, 4] = p, before[:, 4] + np.hypot(*(p - a).T)
     res, errors = bde._lanewise(lambda sl: _project_slope(
         fld, p[sl, 0], p[sl, 1], after[sl, 2], after[sl, 3] != 0, iters=8), len(t))
-    errors = errors or [None] * len(t)
     if res is not None:
         rows[[e is None for e in errors], 2] = res[0]
     return rows, errors
@@ -649,7 +671,7 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
         try:
             reports.extend(singular.detect_special_points(euclid, fld, sets, region,
                                                           trace_resolution, stats.drop_report))
-        except (ArithmeticError, EvalError) as exc:
+        except ArithmeticError as exc:
             stats.drop_report("detect_special_points", exc)
         # the whole extended discriminant; find_folded_points sorts its
         # candidates, so the order of the components does not matter

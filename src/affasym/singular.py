@@ -31,7 +31,6 @@ import numpy as np
 
 from . import bde
 from .jets import Jet2
-from .surface import EvalError
 
 __all__ = [
     "SingularPointReport",
@@ -139,7 +138,7 @@ def _fold_signal(fld, poly):
 
     res, errors = bde._lanewise(signal, len(poly))
     out = np.full((len(poly), 4), np.nan)
-    ok = slice(None) if errors is None else np.array([e is None for e in errors])
+    ok = np.array([e is None for e in errors], dtype=bool)
     if res is not None:
         out[ok] = res[0]
     k = np.flatnonzero(np.isfinite(out).all(axis=1))
@@ -211,7 +210,7 @@ def _newton_fold(fld, u, v):
     for _ in range(25):
         try:
             c = fld.slots(x[0], x[1], 2)
-        except (ArithmeticError, EvalError):
+        except ArithmeticError:
             return None
         s, q = x[2], int(chart_q)
         Fval, grad, Jx = bde.lifted_derivatives(c, s, chart_q)

@@ -839,14 +839,110 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
             before, after, t = event_row(fld, job, traj)
             a, b = before[:3], after[:3]
             if reason == "closed_loop":
-                t_min, value = flow._step_minimum(lambda t: flow._state_distance(
-                    a + t[:, None] * (b - a), traj.samples[0, :3], fld.period))
+                (t_min,), (value,) = flow._step_minimum(lambda _, t: flow._state_distance(
+                    a + t[0, :, None] * (b - a), traj.samples[0, :3], fld.period)[None], 1)
                 assert value < flow._LOOP_TOL
             else:
-                t_min, value = flow._step_minimum(lambda t: np.max(np.abs(fld.slots(
-                    *(a[:2] + t[:, None] * (b[:2] - a[:2])).T, 0)), axis=0))
+                (t_min,), (value,) = flow._step_minimum(lambda _, t: np.max(np.abs(fld.slots(
+                    *(a[:2] + t[0, :, None] * (b[:2] - a[:2])).T, 0)), axis=0)[None], 1)
                 assert math.hypot(*traj.samples[-1, :2]) < 1e-5
             assert t_min == t
+
+
+def reference_step_minimum(f):
+    """The former search of one step: the best of 65 fractions, then always
+    100 ternary-search steps."""
+    n = 64
+    t = int(np.argmin(f(np.arange(n + 1) / n))) / n
+    lo, hi = max(0.0, t - 1.0 / n), min(1.0, t + 1.0 / n)
+    for _ in range(100):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        f1, f2 = f(np.array([m1, m2]))
+        if f1 <= f2:
+            hi = m2
+        else:
+            lo = m1
+    t = 0.5 * (lo + hi)
+    return t, float(f(np.array([t]))[0])
+
+
+def test_batched_step_minimum_matches_the_scalar_search():
+    funcs = [
+        lambda t: (t - 0.3) ** 2,                      # inside the step
+        lambda t: np.abs(t - 0.5),                     # on a grid fraction
+        lambda t: np.cos(40 * t) + t,                  # several local minima
+        lambda t: t + 1.0,                             # at t = 0
+        lambda t: -t,                                  # at t = 1
+        lambda t: np.zeros_like(t),                    # constant: ties go left
+        lambda t: np.full_like(t, np.nan),             # no value at all
+        lambda t: np.where(t > 0.7, np.nan, (t - 0.6) ** 2),
+    ]
+    calls = []
+
+    def f(lanes, t):
+        calls.append(len(lanes))
+        return np.array([funcs[k](row) for k, row in zip(lanes.tolist(), t)])
+
+    t, value = flow._step_minimum(f, len(funcs))
+    for k, g in enumerate(funcs):
+        assert np.array_equal((t[k], value[k]), reference_step_minimum(g), equal_nan=True)
+    # a lane leaves the batch once its bracket stops moving
+    assert calls[1] == len(funcs) and calls[-2] < len(funcs) and len(calls) <= 102
+    assert calls[1:-1] == sorted(calls[1:-1], reverse=True)
+
+
+def test_lanes_that_search_in_one_round_search_in_one_batch(monkeypatch):
+    # the mirrored seeds of test_lockstep_sample_layout_through_events both
+    # search their steps for a pass of the degenerate origin in the same
+    # rounds: the pair evaluates the field as often as one of them alone
+    morse, searching, calls = bde.morse_model_field(-1), [False], []
+
+    def slots(u, v, order):
+        if searching[0]:
+            calls.append(order)
+        return morse.slots(u, v, order)
+
+    def spy(*args):
+        searching[0] = True
+        try:
+            return step_minimum(*args)
+        finally:
+            searching[0] = False
+
+    step_minimum = flow._step_minimum
+    monkeypatch.setattr(flow, "_step_minimum", spy)
+    fld = bde.BDEField(slots, morse.domain, morse.period)
+    pass_jobs = [((0.05, 0.0), "plus", -1), ((-0.05, 0.0), "plus", -1)]
+    counts = []
+    for jobs in (pass_jobs, pass_jobs[:1], pass_jobs[1:]):
+        calls.clear()
+        out = flow.integrate_many(fld, jobs, flow.IntegrationParams(max_len=9.0))
+        assert [t.termination for t in out] == ["hit_degenerate_point"] * len(jobs)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_a_lane_whose_search_raises_ends_alone(monkeypatch):
+    # both mirrored lanes search their steps in the same rounds; the search
+    # of the lane that comes from u < 0 raises, in a batch and alone
+    morse, params = bde.morse_model_field(-1), flow.IntegrationParams(max_len=9.0)
+    jobs = [((0.05, 0.0), "plus", -1), ((-0.05, 0.0), "plus", -1)]
+    solo = flow.integrate_asymptotic(morse, *jobs[0][:2], params, jobs[0][2])
+    degenerate_pass = flow._degenerate_pass
+
+    def spy(fld, a, b):
+        if (a[:, 0] < 0).any():
+            raise ArithmeticError("a search left of the axis")
+        return degenerate_pass(fld, a, b)
+
+    monkeypatch.setattr(flow, "_degenerate_pass", spy)
+    stats = flow.IntegrationStats()
+    right, left = flow.integrate_many(morse, jobs, params, stats)
+    assert left is None
+    assert [d["reason"] for d in stats.dropped] == ["ArithmeticError: a search left of the axis"]
+    assert right.termination == solo.termination == "hit_degenerate_point"
+    assert np.array_equal(right.samples, solo.samples)
 
 
 def test_every_event_sample_meets_the_lift_bound():

@@ -6,15 +6,17 @@ prints one ``sha256  path`` line per payload file, in a fixed order.
 The set is the one whose payloads must stay byte-identical under a change
 that claims not to move them: the five portrait-cusp design points and one
 draw whose reports share a ring of seeds, torus, pick, the two model fields,
-a polynomial Monge chart, a flat umbilic chart, a transcendental Monge
-chart, three parametric charts given as ``file:`` configs written to the
-temporary directory (a generic one, one whose extended field crosses the
-parabolic set LN - M^2 = 0, and a non-polynomial graph), analyze of that
-graph, and analyze and conormal on a torus, each once within one block of
-evaluated lanes and once over several (``affine._LANES``; the larger
-conormal run is the benchmark's grid-torus command).  The transcendental
-and non-polynomial runs pin the jet route of the surface fields; every other
-surface run has polynomial fields.
+a polynomial Monge chart, both flat umbilic charts, a torus window whose
+lanes close their loops, a transcendental Monge chart, three parametric
+charts given as ``file:`` configs written to the temporary directory (a
+generic one, one whose extended field crosses the parabolic set
+LN - M^2 = 0, and a non-polynomial graph), analyze of that graph, and
+analyze and conormal on a torus, each once within one block of evaluated
+lanes and once over several (``affine._LANES``; the larger conormal run is
+the benchmark's grid-torus command).  The transcendental and non-polynomial
+runs pin the jet route of the surface fields; every other surface run has
+polynomial fields.  The morse, flat umbilic +1 and torus-loops runs pin the
+integrator's searches of a step for a degenerate pass or a closed loop.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -73,6 +75,14 @@ RUNS = [
                     "--region=-0.5,0.5,-0.5,0.5", "--res", "3"]),
     ("flat-umbilic-eps-1", ["portrait", "--surface", "catalog:flat_umbilic_chart",
                             "--epsilon=-1"]),
+    # 868 searches of a step for a pass of the totally degenerate umbilic
+    ("flat-umbilic-eps1", ["portrait", "--surface", "catalog:flat_umbilic_chart",
+                           "--epsilon=1"]),
+    # eight searches of a step for the closest approach to the seed, and
+    # eight lanes that end closed_loop
+    ("torus-loops", ["portrait", "--surface", "catalog:torus", "--R", "2", "--r", "1",
+                     "--region=0,6.283185307179586,-0.5,7.0", "--res", "3x7",
+                     "--tol", "trace_res=96", "--tol", "max_len=9.0"]),
     ("file-parametric", ["portrait", "--surface", "file:{tmp}/parametric.json", "--res", "2",
                          "--tol", "trace_res=48", "--tol", "max_len=1.0"]),
     ("file-parabolic", ["portrait", "--surface", "file:{tmp}/parabolic.json", "--res", "2",
