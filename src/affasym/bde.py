@@ -183,8 +183,8 @@ def _on_floats(fn, a, *rest):
     and ``pow``, which round differently from their numpy counterparts;
     ``rest`` holds arrays of the shape of ``a``, or numbers."""
     a = np.asarray(a)
-    rest = (np.ravel(r).tolist() if np.ndim(r) else itertools.repeat(r) for r in rest)
-    return np.array(list(map(fn, a.ravel().tolist(), *rest)), dtype=float).reshape(a.shape)
+    rest = [r.ravel().tolist() if np.ndim(r) else itertools.repeat(r) for r in rest]
+    return np.fromiter(map(fn, a.ravel().tolist(), *rest), float, a.size).reshape(a.shape)
 
 
 def direction_roots(A, B, C):
@@ -221,11 +221,29 @@ def direction_roots(A, B, C):
     return kind, d
 
 
-def _pick(chart_q, a, b):
-    """``a`` where ``chart_q``, else ``b``: per lane for an array of charts."""
-    if isinstance(chart_q, np.ndarray):
-        return np.where(chart_q, a, b)
-    return a if chart_q else b
+def _chart_factors(chart_q, slope, Pq, Pp):
+    """The chart's factors of F = A f f + 2B s + C g g and F_s = 2B + P s in
+    either chart, s the slope: (f, g) = (s, 1) and P = ``Pq`` (2A) in chart
+    q, (1, s) and ``Pp`` (2C) in chart p, a product with 1.0 being exact.
+    An array of charts picks all three in one ``np.where`` on the stacked
+    rows (Pp, s, 1, Pq); (f, g) comes stacked to broadcast against P."""
+    if not isinstance(chart_q, np.ndarray):
+        fg = np.array((slope, 1.0) if chart_q else (1.0, slope))
+        return fg.reshape((2,) + (1,) * np.ndim(Pq)), Pq if chart_q else Pp
+    rows = np.empty((4,) + np.shape(Pq))
+    rows[0], rows[1], rows[2], rows[3] = Pp, slope, 1.0, Pq
+    fgP = np.where(chart_q, rows[1:], rows[2::-1])
+    return fgP[:2], fgP[2]
+
+
+def _lift_F(AC, B2, slope, fg):
+    """F = A f f + 2B s + C g g from A and C stacked in ``AC``, 2B, and the
+    factors (f, g) stacked in ``fg`` to broadcast against ``AC``."""
+    T = AC * fg
+    T *= fg
+    F = T[0] + B2 * slope
+    F += T[1]
+    return F
 
 
 def lift_terms(A, B, C, slope, chart_q):
@@ -237,13 +255,10 @@ def lift_terms(A, B, C, slope, chart_q):
     ``slope`` and ``chart_q`` are scalars or arrays over the batch.  Every
     lane sees the same floating-point expressions in either chart, so a
     point gives the same bits alone as inside a batch: the chart only picks
-    factors, and multiplying by 1.0 is exact."""
-    s = slope
-    f, g = _pick(chart_q, s, 1.0), _pick(chart_q, 1.0, s)
-    B2 = 2 * B
-    F = A * f * f + B2 * s + C * g * g
-    Fss = 2 * _pick(chart_q, A, C)
-    return F, B2 + Fss * s, Fss
+    factors."""
+    fg, Fss = _chart_factors(chart_q, slope, 2.0 * A, 2.0 * C)
+    B2 = 2.0 * B
+    return _lift_F(np.array((A, C)), B2, slope, fg), B2 + Fss * slope, Fss
 
 
 def lifted_velocity(c, slope, chart_q):
@@ -252,16 +267,23 @@ def lifted_velocity(c, slope, chart_q):
     shape (3 * slots,) + batch).  ``slope`` and ``chart_q`` (True where the
     slope is du/dv) are scalars or arrays over the batch; X has the batch
     shape plus a last axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p,
-    (s F_s, F_s, -(F_v + s F_u)) in chart q."""
-    abc = c.reshape((3, len(c) // 3) + c.shape[1:])[:, :3]
-    F, Fs, _ = lift_terms(*abc, slope, chart_q)
-    sFs = slope * Fs[0]
-    Fa, Fb = _pick(chart_q, F[2:0:-1], F[1:3])
+    (s F_s, F_s, -(F_v + s F_u)) in chart q, that is (f F_s, g F_s,
+    -(f F_u + g F_v)) in either chart, with F at the value, u and v slots
+    and F_s at the value slot only."""
+    k = len(c) // 3
+    c2 = 2.0 * c
+    fg, Fss = _chart_factors(chart_q, slope, c2[0], c2[2 * k])
+    AC = c.reshape((3, k) + c.shape[1:])[::2, :3]
+    F = _lift_F(AC, c2[k:k + 3], slope, fg[:, None])[1:]
+    F *= fg
+    Fs = Fss * slope
+    Fs += c2[k]
     X = np.empty(np.shape(slope) + (3,))
-    X[..., 0] = _pick(chart_q, sFs, Fs[0])
-    X[..., 1] = _pick(chart_q, Fs[0], sFs)
-    X[..., 2] = -(Fa + slope * Fb)
-    return X, np.maximum.reduce(np.abs(abc[:, 0]))
+    Xt = X.T
+    np.multiply(fg, Fs, out=Xt[:2])
+    np.negative(np.add(F[0], F[1], out=Xt[2, ...]), out=Xt[2, ...])
+    a = np.abs(c)
+    return X, np.maximum(np.maximum(a[0], a[k]), a[2 * k])
 
 
 def _lanewise(fn, n):

@@ -15,8 +15,11 @@ over their seeds, one Cash-Karp loop advances every job, each round
 evaluates the lifted field of all running lanes from one batched slot
 evaluation per stage, and each lane keeps its own step size, chart,
 orientation, reference direction and event state in one row of the lane
-state array.  The lanes that creep where the lift vanishes are solved as
-one batch from their stage's slots; chart switches run per lane.  A lane
+state array.  A round costs a fixed count of numpy calls whatever its
+lane count: each stage writes its velocities in place, the lanes that
+creep where the lift vanishes are solved as one batch from their stage's
+slots, chart switches are one batch, and the termination tests run only
+on the lanes that one screen of the round finds they could end.  A lane
 that ends at an event inside its step, where it leaves the domain, closes
 its loop or passes a totally degenerate point, ends at a fraction t of
 that step.  The searches of a round's steps for a closed loop or a
@@ -123,7 +126,8 @@ class IntegrationStats:
     """What a lockstep integration did, kept beside the payloads and never in
     them: ``lanes`` started trajectories, ``rounds`` lockstep rounds,
     ``accepted``/``rejected`` Cash-Karp steps summed over lanes, ``rhs_evals``
-    lane evaluations of the lifted field, ``creep_steps`` accepted steps with
+    lane evaluations of the lifted field, ``chart_switches`` accepted steps
+    that switched slope chart, ``creep_steps`` accepted steps with
     a stage that crept along the planar double direction, ``terminations`` a
     histogram of termination reasons, ``dropped`` the jobs that gave no
     trajectory, ``skipped_seeds`` the portrait seeds that gave no job and
@@ -164,26 +168,28 @@ def _project_slope(fld, u, v, slope, chart, iters=None):
     ``iters`` steps, or one step and seven more for the lanes that need them.
     Returns the slopes and the coefficient norm max(|A|, |B|, |C|) there."""
     c = fld.slots(u, v, 0)
+    c2 = 2.0 * c
     norm = np.maximum.reduce(np.abs(c))
-    scale = np.maximum(norm, 1e-30)
+    scale = 1e-6 * np.maximum(norm, 1e-30)
     s0 = s = np.asarray(slope, dtype=float)
     going = np.ones(s.shape, dtype=bool)
-    for k in range(iters or 8):
-        if k == 1 and iters is None:
-            # F is quadratic in the slope: a Newton step ds leaves |F| <=
-            # max(|A|, |B|, |C|) ds^2, so only larger steps can miss the bound
-            going &= (s - s0) ** 2 > bde.LIFT_TOL
-        if not going.any():
-            break
-        F, Fs, _ = bde.lift_terms(*c, s, chart)
-        if k == 1 and iters is None:
-            going &= np.abs(F) > bde.LIFT_TOL * norm
-        going &= ~(np.abs(Fs) <= 1e-6 * scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(iters or 8):
+            if k == 1 and iters is None:
+                # F is quadratic in the slope: a Newton step ds leaves |F| <=
+                # max(|A|, |B|, |C|) ds^2, so only larger steps can miss the bound
+                going &= (s - s0) ** 2 > bde.LIFT_TOL
+            if not np.count_nonzero(going):
+                break
+            fg, Fss = bde._chart_factors(chart, s, c2[0], c2[2])
+            F, Fs = bde._lift_F(c[::2], c2[1], s, fg), c2[1] + Fss * s
+            if k == 1 and iters is None:
+                going &= np.abs(F) > bde.LIFT_TOL * norm
+            going &= ~(np.abs(Fs) <= scale)
             new = np.where(going, s - F / Fs, s)
-        # a step that leaves a slope's bits unchanged repeats at every later step
-        going &= (new != s) | (np.signbit(new) != np.signbit(s))
-        s = new
+            # a step that leaves a slope's bits unchanged repeats at every later step
+            going &= new.view(np.int64) != s.view(np.int64)
+            s = new
     return s, norm
 
 
@@ -202,25 +208,27 @@ def _creep(abc, ref_dir):
     return np.where((np.vecdot(fall, ref_dir) < 0)[:, None], -fall, fall)
 
 
-def _rhs(fld, y, chart, orient, ref_dir):
-    """Softly normalized lifted velocity per lane, and which lanes crept."""
+def _rhs(fld, y, chart, orient, ref_dir, out):
+    """Softly normalized lifted velocity per lane, written into ``out``
+    (lanes, 3), and which lanes crept."""
     c = fld.slots(y[:, 0], y[:, 1], 1)
     X, scale = bde.lifted_velocity(c, y[:, 2], chart)
     n = np.sqrt(np.vecdot(X, X))
     creep = ~(n > 1e-9 * np.maximum(scale, 1e-30))
-    k = orient[:, None] * X / np.sqrt(n * n + _ETA * _ETA)[:, None]
-    if creep.any():
+    # X / (orient |X|) has the bits of orient X / |X|: only signs differ
+    k = np.divide(X, (orient * np.sqrt(n * n + _ETA * _ETA))[:, None], out=out)
+    if np.count_nonzero(creep):
         k[creep] = _creep(c[::3, creep], ref_dir[creep])
     return k, creep
 
 
 # Columns of the lane state, one row per running lane.  A lane's sample row
 # (u, v, slope, chart flag, arclength) comes first, so that the rows of a
-# round are one slice; flags are 0.0 or 1.0.
+# round are one slice; flags are 0.0 or 1.0.  _DIST: the row's state distance to the seed.
 _ROW, _Y, _Q, _ARC = slice(0, 5), slice(0, 3), 3, 4
-_H, _ORIENT, _NORM, _HAS_PREV, _SEED_Q = 5, 6, 7, 8, 9
-_REF, _SEED = slice(10, 13), slice(13, 16)
-_WIDTH = 16
+_H, _ORIENT, _NORM, _HAS_PREV, _SEED_Q, _DIST = 5, 6, 7, 8, 9, 10
+_REF, _SEED = slice(11, 14), slice(14, 17)
+_WIDTH = 17
 
 
 def _start(fld, jobs):
@@ -306,62 +314,62 @@ def _integrate(fld, jobs, params, stats):
             break
         stats.rounds += 1
         steps += 1
+        # the state's columns, read again only after finish drops lanes
+        y, h, chart, orient, ref = S[:, _Y], S[:, _H, None], S[:, _Q] != 0, S[:, _ORIENT], S[:, _REF]
         K, crept = np.empty((6, len(job), 3)), np.zeros(len(job), dtype=bool)
         for i in range(6):
-            y, h, chart = S[:, _Y], S[:, _H], S[:, _Q] != 0
-            yi = y if i == 0 else y + h[:, None] * _stage_sum(_CK_AW[i], K[:i])
+            yi = y if i == 0 else y + h * _stage_sum(_CK_AW[i], K[:i])
             stats.rhs_evals += len(yi)
-            orient, ref = S[:, _ORIENT], S[:, _REF]
+            Ki = K[i]
             res, errors = bde._lanewise(
-                lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl]), len(yi))
+                lambda sl: _rhs(fld, yi[sl], chart[sl], orient[sl], ref[sl], Ki[sl]), len(yi))
             if any(errors):
                 kept = finish([None if e is None else _stage_end(domain, yi[j], e)
                                for j, e in enumerate(errors)])
                 K, crept = K[:, kept], crept[kept]
                 if not len(job):
                     break
-            k, creep = res
-            crept |= creep
+                y, h, chart = S[:, _Y], S[:, _H, None], S[:, _Q] != 0
+                orient, ref = S[:, _ORIENT], S[:, _REF]
+            crept |= res[1]
             if i == 0:
                 # Orientation continuity: each slope chart carries its own
                 # time orientation, so a chart switch (or a creep-mode exit)
                 # may hand back the reversed field.  The lifted velocity is
                 # continuous along the lift, cusps included, so a reversal
                 # against the last step direction can only be such an artifact.
-                flip = np.vecdot(k, S[:, _REF]) < 0
-                S[flip, _ORIENT] = -S[flip, _ORIENT]
-                k[flip] = -k[flip]
-            K[i] = k
+                flip = np.vecdot(K[0], ref) < 0
+                if np.count_nonzero(flip):
+                    orient[flip] = -orient[flip]
+                    K[0, flip] = -K[0, flip]
         if not len(job):
             break
-        y, h = S[:, _Y], S[:, _H]
-        y5, y4 = y + h[:, None] * _stage_sum(_CK_BW, K[:, None])
-        err = np.max(np.abs(y5 - y4), axis=1)
-        tol = params.rel_tol * (1.0 + np.max(np.abs(y5), axis=1))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = tol / err    # read only where err > 0
-        rej = (err > tol) & (h > h_min)
-        if rej.any():
-            shrink = np.maximum(0.2, 0.9 * bde._on_floats(pow, ratio[rej], 0.25))
-            S[rej, _H] = np.maximum(h[rej] * shrink, h_min)
-            stats.rejected += int(rej.sum())
+        y5, y4 = y + h * _stage_sum(_CK_BW, K[:, None])
+        err = np.maximum.reduce(np.abs(y5 - y4), axis=1)
+        tol = params.rel_tol * (1.0 + np.maximum.reduce(np.abs(y5), axis=1))
+        rej = (err > tol) & (h[:, 0] > h_min)
+        if np.count_nonzero(rej):
+            # err > tol >= 0 on these lanes, so tol / err is finite
+            shrink = np.maximum(0.2, 0.9 * bde._on_floats(pow, tol[rej] / err[rej], 0.25))
+            S[rej, _H] = np.maximum(h[rej, 0] * shrink, h_min)
+            stats.rejected += int(np.count_nonzero(rej))
         acc = (~rej).nonzero()[0]
         if not len(acc):
             continue
+        y5 = y5[acc]
         reasons = [None] * len(job)
-        ya = y5[acc]
-        qa = S[acc, _Q] != 0
+        qa = chart[acc]
         res, errors = bde._lanewise(
-            lambda sl: _project_slope(fld, ya[sl, 0], ya[sl, 1], ya[sl, 2], qa[sl]), len(acc))
+            lambda sl: _project_slope(fld, y5[sl, 0], y5[sl, 1], y5[sl, 2], qa[sl]), len(acc))
         if any(errors):
             for j, e in zip(acc.tolist(), errors):
                 reasons[j] = e
             ok = np.array([e is None for e in errors], dtype=bool)
-            acc, ya, qa = acc[ok], ya[ok], qa[ok]
+            acc, y5 = acc[ok], y5[ok]
         if len(acc):
-            blocks.append(_accept(fld, params, stats, S, job, acc, ya, res, err[acc],
-                                  ratio[acc], crept[acc], reasons, h_max, period))
-        if any(r is not None for r in reasons):
+            blocks.append(_accept(fld, params, stats, S, job, acc, y5, res, err[acc], tol[acc],
+                                  crept[acc], reasons, h_max, period))
+        if reasons.count(None) < len(reasons):
             finish(reasons)
 
     # each trajectory's samples: its rows of every block, in round order,
@@ -379,96 +387,113 @@ def _integrate(fld, jobs, params, stats):
     return out
 
 
-def _accept(fld, params, stats, S, job, acc, y, projected, err, ratio, crept, reasons,
+def _accept(fld, params, stats, S, job, acc, y, projected, err, tol, crept, reasons,
             h_max, period):
     """Accepted steps of lanes ``acc``: bookkeeping and termination events.
     Updates the lane state ``S`` and returns the jobs and the sample rows of
-    the lanes whose step moved."""
+    the lanes whose step moved.  The termination tests run on the lanes
+    that one screen finds they could end."""
     stats.accepted += len(acc)
-    stats.creep_steps += int(crept.sum())
+    stats.creep_steps += int(np.count_nonzero(crept))
     y[:, 2], coefnorm = projected
-    lane = S[acc]    # the state before the step, written back at the end
-    y_old = lane[:, _Y]
-    step = y - y_old
+    every = len(acc) == len(S)    # then S itself takes the state after the step
+    lane = S.copy() if every else S[acc]    # the state before the step
+    new = S if every else lane.copy()
+    step = y - lane[:, _Y]
     ds = bde._on_floats(math.hypot, step[:, 0], step[:, 1])
     nstep = np.hypot(np.hypot(step[:, 0], step[:, 1]), step[:, 2])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref = np.where((nstep > 0)[:, None], step / nstep[:, None], lane[:, _REF])
+    ref = new[:, _REF]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(step, nstep[:, None], out=ref, where=(nstep > 0)[:, None])
+        ratio = tol / err    # read only where err > 0
     grow = np.where(err > 0, np.minimum(5.0, 0.9 * bde._on_floats(pow, ratio, 0.2)), 5.0)
-    h = np.minimum(lane[:, _H] * grow, h_max)
-    q = lane[:, _Q].copy()
-    for j in (np.abs(y[:, 2]) > _CHART_SWITCH).nonzero()[0]:
-        stats.chart_switches += 1
-        slope_old = y[j, 2]
-        y[j, 2] = 1.0 / y[j, 2]
-        q[j] = 1.0 - q[j]
+    np.minimum(lane[:, _H] * grow, h_max, out=new[:, _H])
+    q = new[:, _Q]
+    switch = (np.abs(y[:, 2]) > _CHART_SWITCH).nonzero()[0]
+    if len(switch):
+        stats.chart_switches += len(switch)
+        s = y[switch, 2]
+        y[switch, 2] = 1.0 / s
+        q[switch] = 1.0 - q[switch]
         # carry the reference direction into the new chart:
         # d(1/s)/dt = -sdot / s^2
-        r = np.array([ref[j, 0], ref[j, 1], -ref[j, 2] / (slope_old * slope_old)])
-        nr = float(np.linalg.norm(r))
-        ref[j] = r / nr if nr > 0 else r
+        r = ref[switch]
+        r[:, 2] = -r[:, 2] / (s * s)
+        nr = np.sqrt(np.vecdot(r, r))[:, None]
+        ref[switch] = np.divide(r, nr, out=r, where=nr > 0)
     moved = ds > 0
-    arclen = lane[:, _ARC] + np.where(moved, ds, 0.0)
-    rows = np.column_stack([y, q, arclen])
-    running = np.ones(len(acc), dtype=bool)
-    # the lanes whose last sample an event moves back to a fraction of the step
-    cut, frac = np.zeros(len(acc), dtype=bool), np.zeros(len(acc))
-
-    def end(lanes, reason, t=None):
-        for k in acc[lanes].tolist():
-            reasons[k] = reason
-        running[lanes] = False
-        if t is not None:
-            cut[lanes], frac[lanes] = True, t
-
-    # terminations, in order; each test sees only the lanes still running
+    arclen = np.add(lane[:, _ARC], np.where(moved, ds, 0.0), out=new[:, _ARC])
+    new[:, _Y], new[:, _NORM], new[:, _HAS_PREV] = y, coefnorm, 1.0
+    new[:, _DIST] = _state_distance(y, lane[:, _SEED], period)
+    keep = moved.nonzero()[0]
+    # the screen, a superset of the triggers of the tests below (_DIST before
+    # the step is the previous distance of the closest approach search)
     gone = ~fld.domain.contains(y[:, 0], y[:, 1])
-    if gone.any():
+    sub = (gone | (arclen >= params.max_len) | (new[:, _DIST] < _LOOP_TOL)
+           | (lane[:, _DIST] < 2 * ds)
+           | (coefnorm < np.fmax(2.0 * np.abs(coefnorm - lane[:, _NORM]), bde.DEGENERATE_TOL))
+           ).nonzero()[0]
+    if len(sub):
+        # the terminations, in order, each test seeing only the lanes still running
+        lane, y, q, arclen, ds, coefnorm, gone, rows, who = (
+            lane[sub], y[sub], q[sub], arclen[sub], ds[sub], coefnorm[sub], gone[sub],
+            new[sub, _ROW], acc[sub])
+        y_old, moved, running = lane[:, _Y], ds > 0, np.ones(len(sub), dtype=bool)
+        # the lanes whose last sample an event moves back to a fraction of the step
+        cut, frac = np.zeros(len(sub), dtype=bool), np.zeros(len(sub))
+
+        def end(lanes, reason, t=None):
+            for k in who[lanes].tolist():
+                reasons[k] = reason
+            running[lanes] = False
+            if t is not None:
+                cut[lanes], frac[lanes] = True, t
+
         # a lane that did not move has no row this round
         end(gone & ~moved, "left_domain")
         out = gone & moved
         end(out, "left_domain", _edge_fraction(fld.domain, y_old[out, :2], y[out, :2]))
-    end(running & (coefnorm < bde.DEGENERATE_TOL), "hit_degenerate_point")
-    # a step may jump across a totally degenerate point; when the
-    # coefficient norm is small compared to its change over the step,
-    # search the step for a pass within radius 1e-6
-    same_chart = (lane[:, _HAS_PREV] != 0) & moved & (lane[:, _Q] == q)
-    jump = coefnorm < 2.0 * np.abs(coefnorm - lane[:, _NORM])
-    look = (running & same_chart & jump).nonzero()[0]
-    if len(look):
-        a, b = y_old[look, :2], y[look, :2]
-        res, errors = bde._lanewise(lambda sl: _degenerate_pass(fld, a[sl], b[sl]), len(look))
-        for j, e in zip(look.tolist(), errors):
-            if e is not None:
-                end([j], e)
-        if res is not None:
-            t, hit = res
-            end(look[running[look]][hit], "hit_degenerate_point", t[hit])
-    end(running & (arclen >= params.max_len), "max_length")
-    near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
-    if len(near):
-        dist = _state_distance(y[near], lane[near, _SEED], period)
-        end(near[dist < _LOOP_TOL], "closed_loop")
-        # closest approach: a step can overshoot the seed state, so search
-        # the step for the minimum of the distance
-        d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
-        look = near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
-                    & (d_prev < 2 * ds[near])]
+        end(running & (coefnorm < bde.DEGENERATE_TOL), "hit_degenerate_point")
+        # a step may jump across a totally degenerate point; when the
+        # coefficient norm is small compared to its change over the step,
+        # search the step for a pass within radius 1e-6
+        same_chart = (lane[:, _HAS_PREV] != 0) & moved & (lane[:, _Q] == q)
+        jump = coefnorm < 2.0 * np.abs(coefnorm - lane[:, _NORM])
+        look = (running & same_chart & jump).nonzero()[0]
         if len(look):
-            a, b, seed = y_old[look], y[look], lane[look, _SEED][:, None]
-            t, d = _step_minimum(lambda lanes, t: _state_distance(
-                _chord(a[lanes], b[lanes], t), seed[lanes], period), len(look))
-            end(look[d < _LOOP_TOL], "closed_loop", t[d < _LOOP_TOL])
-    if cut.any():
-        c = cut.nonzero()[0]
-        rows[c], errors = _event_samples(fld, lane[c, _ROW], rows[c], frac[c])
-        for k, e in zip(acc[c].tolist(), errors):
-            if e is not None:
-                reasons[k] = e
-    lane[:, _ROW], lane[:, _H], lane[:, _REF] = rows, h, ref
-    lane[:, _NORM], lane[:, _HAS_PREV] = coefnorm, 1.0
-    S[acc] = lane
-    return job[acc][moved], rows[moved]
+            a, b = y_old[look, :2], y[look, :2]
+            res, errors = bde._lanewise(lambda sl: _degenerate_pass(fld, a[sl], b[sl]), len(look))
+            for j, e in zip(look.tolist(), errors):
+                if e is not None:
+                    end([j], e)
+            if res is not None:
+                t, hit = res
+                end(look[running[look]][hit], "hit_degenerate_point", t[hit])
+        end(running & (arclen >= params.max_len), "max_length")
+        near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
+        if len(near):
+            dist = _state_distance(y[near], lane[near, _SEED], period)
+            end(near[dist < _LOOP_TOL], "closed_loop")
+            # closest approach: a step can overshoot the seed state, so search
+            # the step for the minimum of the distance
+            d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
+            look = near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
+                        & (d_prev < 2 * ds[near])]
+            if len(look):
+                a, b, seed = y_old[look], y[look], lane[look, _SEED][:, None]
+                t, d = _step_minimum(lambda lanes, t: _state_distance(
+                    _chord(a[lanes], b[lanes], t), seed[lanes], period), len(look))
+                end(look[d < _LOOP_TOL], "closed_loop", t[d < _LOOP_TOL])
+        if cut.any():
+            c = cut.nonzero()[0]
+            rows[c], errors = _event_samples(fld, lane[c, _ROW], rows[c], frac[c])
+            for k, e in zip(who[c].tolist(), errors):
+                if e is not None:
+                    reasons[k] = e
+        new[sub, _ROW] = rows
+    if not every:
+        S[acc] = new
+    return job[acc[keep]], new[keep, _ROW]
 
 
 def integrate_many(fld, jobs, params=None, stats=None):
@@ -517,7 +542,8 @@ def _state_distance(a, b, period):
     for axis, p in enumerate(period or ()):
         if p:
             d[..., axis] = (d[..., axis] + p / 2) % p - p / 2
-    return np.max(np.abs(d), axis=-1)
+    d = np.abs(d, out=d)
+    return np.maximum(np.maximum(d[..., 0], d[..., 1]), d[..., 2])
 
 
 def _step_minimum(f, k):
@@ -570,13 +596,13 @@ def _edge_fraction(domain, a, b):
     """Per step from (u, v) ``a`` to ``b`` outside ``domain``: the fraction
     of the chord at which it leaves the domain through an edge that ``b``
     lies beyond (0 at the least)."""
-    t = np.ones(len(a))
-    for k, (lo, hi) in enumerate(((domain.u0, domain.u1), (domain.v0, domain.v1))):
-        cross = ((b[:, k] > hi) | (b[:, k] < lo)) & (b[:, k] != a[:, k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at = (np.where(b[:, k] > hi, hi, lo) - a[:, k]) / (b[:, k] - a[:, k])
-        t = np.minimum(t, np.where(cross, at, 1.0))
-    return np.maximum(t, 0.0)
+    lo, hi = np.array([domain.u0, domain.v0], float), np.array([domain.u1, domain.v1], float)
+    beyond = b > hi
+    cross = (beyond | (b < lo)) & (b != a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = (np.where(beyond, hi, lo) - a) / (b - a)
+    # min(min(1, t_u), t_v), as the edges are taken in turn
+    return np.maximum(np.minimum.reduce(np.where(cross, at, 1.0), axis=1, initial=1.0), 0.0)
 
 
 def _event_samples(fld, before, after, t):

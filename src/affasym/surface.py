@@ -391,15 +391,21 @@ class Poly:
         return poly_values((self,), u, v)[0]
 
 
+_EXPONENTS = {}    # per degree n, the exponents 3.0, ..., n that _powers raises a float to
+
+
 def _powers(x, n):
     """[x**0, ..., x**n] for a float or an array x, each rounded as numpy
     rounds ``x ** k``.  numpy's power loop and the C library's ``pow`` can
     differ in the last bit, and a point must give the same bits on its own
     as inside a batch.  x**0 and x**1 stay the scalar 1.0 and x itself, so a
     batch allocates no array for them."""
-    pw = [1.0, x, x * x][: n + 1]
+    pw = [1.0, x][: n + 1] + ([x * x] if n > 1 else [])
     if n > 2 and isinstance(x, float):
-        pw += (np.asarray(x) ** np.arange(3.0, n + 1)).tolist()
+        exponents = _EXPONENTS.get(n)
+        if exponents is None:
+            exponents = _EXPONENTS[n] = np.arange(3.0, n + 1)
+        pw += (np.asarray(x) ** exponents).tolist()
     elif n > 2:
         pw += [x ** k for k in range(3, n + 1)]
     return pw
@@ -470,7 +476,7 @@ def _slot_arrays(polys, u, v, order):
     c = np.zeros((len(tabs),) + shape)
     term = np.empty(c.shape[1:])
     for k, entries in enumerate(tabs):
-        acc = c[k, ...]
+        acc = c[k, ...] if entries else None
         for w, i, j in entries:
             # u^0 and v^0 are 1.0, and a product with 1.0 is exact: skip it
             if not (i or j):

@@ -687,7 +687,7 @@ def test_rhs_and_projection_match_reference_bits(name, n):
         y[0], chart[0] = (0.0, 0.0, 0.0), False
     orient = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     ref_dir = rng.normal(size=(n, 3))
-    k, creep = flow._rhs(fld, y, chart, orient, ref_dir)
+    k, creep = flow._rhs(fld, y, chart, orient, ref_dir, np.empty((n, 3)))
     for j in range(n):
         kj, cj = reference_rhs_lane(fld, y[j], bool(chart[j]), orient[j], ref_dir[j])
         assert bool(creep[j]) == cj
@@ -728,6 +728,59 @@ def test_projection_with_non_finite_coefficients():
                 for got in ((s[j], norm[j]), alone):
                     assert np.array_equal(got, ref, equal_nan=True)
     assert np.isnan(s[0])
+
+
+def slot_table_field(c):
+    """A field whose order-1 slots at u = k are column k of ``c`` (9, n)."""
+    return bde.BDEField(lambda u, v, order: c[:, np.asarray(u, dtype=int)])
+
+
+@pytest.mark.parametrize("n", [1, 11, 12, 300])
+@pytest.mark.parametrize("charts", ["p", "q", "mixed"])
+def test_rhs_writes_the_reference_velocity_bits(n, charts):
+    # per lane, reference_velocity on Python floats, normalized and oriented
+    # as the former _rhs did; creeping lanes take the double direction
+    rng = np.random.default_rng([n, len(charts), 5])
+    chart = {"p": np.zeros(n, bool), "q": np.ones(n, bool), "mixed": rng.random(n) < 0.5}[charts]
+    c = rng.normal(size=(9, n)) * 10.0 ** rng.integers(-6, 6, size=(9, n))
+    hit = rng.random((9, n)) < 0.08
+    c[hit] = rng.choice([0.0, -0.0, 5e-324], size=int(hit.sum()))
+    s = rng.uniform(-1.5, 1.5, n)
+    s[rng.random(n) < 0.1] = -0.0
+    creeping = (np.arange(n) % 5 == 2) if n > 1 else np.zeros(1, bool)
+    # X vanishes where only A (chart p) or only C (chart q) is nonzero
+    c[:, creeping] = 0.0
+    c[np.where(chart[creeping], 6, 0), creeping.nonzero()[0]] = 0.5
+    y = np.column_stack([np.arange(n, dtype=float), np.zeros(n), s])
+    orient = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    ref_dir = rng.normal(size=(n, 3))
+    out = np.empty((n, 3))
+    k, creep = flow._rhs(slot_table_field(c), y, chart, orient, ref_dir, out)
+    assert k is out and creep[creeping].all()
+    for j in range(n):
+        slots = c[:, j].tolist()
+        X, scale = reference_velocity(slots, float(s[j]), bool(chart[j]))
+        norm = float(np.sqrt(np.vecdot(np.array(X), np.array(X))))
+        assert creep[j] == (not norm > 1e-9 * max(scale, 1e-30))
+        if creep[j]:
+            want = flow._creep(np.array(slots[::3])[:, None], ref_dir[j][None])[0]
+        else:
+            want = np.array([orient[j] * x / math.sqrt(norm * norm + flow._ETA * flow._ETA)
+                             for x in X])
+        assert np.array_equal(k[j], want) and np.array_equal(np.signbit(k[j]), np.signbit(want))
+
+
+def test_a_round_without_events_makes_seven_slot_calls():
+    # six stage evaluations and one projection, for all lanes at once
+    base, orders = bde.folded_model_field(-1.0), []
+    fld = bde.BDEField(lambda u, v, order: orders.append(order) or base.slots(u, v, order),
+                       base.domain)
+    jobs = [((0.1, 0.5), "plus", 1), ((0.1, 0.5), "minus", -1), ((-0.2, 0.4), "plus", 1)]
+    stats = flow.IntegrationStats()
+    out = flow.integrate_many(fld, jobs, flow.IntegrationParams(max_steps=5), stats)
+    assert [t.termination for t in out] == ["max_length"] * 3
+    assert (stats.rounds, stats.accepted, stats.rejected) == (5, 15, 0)
+    assert orders == [1] + ([1] * 6 + [0]) * 5
 
 
 def test_stage_sums_add_in_stage_order():
