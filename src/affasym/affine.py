@@ -78,9 +78,12 @@ FLAT_UMBILIC_TOL = 1e-8    # (l, m, n) all below it in modulus: a flat affine um
 _LANES = 4096
 
 
-def _lane_blocks(n):
-    """Slices of at most ``_LANES`` lanes covering range(n); n = 0 is one block."""
-    return [slice(k, k + _LANES) for k in range(0, max(n, 1), _LANES)]
+def _lane_blocks(n, width=1):
+    """Slices covering range(n) of at most ``_LANES`` lanes, or of
+    ``_LANES // width`` (at least one) where each lane holds ``width`` times
+    its output; n = 0 is one block."""
+    step = max(1, _LANES // width)
+    return [slice(k, k + step) for k in range(0, max(n, 1), step)]
 
 
 class DegenerateImmersionError(ArithmeticError):

@@ -89,7 +89,8 @@ def _stacked(abc, u, v, order):
 
 def field_from_polynomials(pa, pb, pc, domain, period=None):
     """Field with polynomial (A, B, C); each call evaluates all three at once
-    from their compiled derivative tables, flattened once per jet order."""
+    by ``surface._slot_arrays``, from the plan that their ``PolySet``
+    compiles once per jet order."""
     polys = PolySet(p if isinstance(p, Poly) else Poly(p) for p in (pa, pb, pc))
     return BDEField(lambda u, v, order: _slot_arrays(polys, u, v, order), domain, period)
 
@@ -396,31 +397,28 @@ def trace_zero_set(scalar, region, resolution):
     pos = Z > 0
 
     # edge crossings, vectorized bisection
-    def crossings(p0u, p0v, p1u, p1v, f0):
-        a_u, a_v = p0u.copy(), p0v.copy()
-        b_u, b_v = p1u.copy(), p1v.copy()
-        fa = f0
+    def crossings(a, b, fa):
+        """Bisect the edges from a to b, (u, v) rows of shape (2, edges),
+        where the scalar is fa at a."""
         for _ in range(48):    # bisection steps per edge crossing
-            m_u, m_v = 0.5 * (a_u + b_u), 0.5 * (a_v + b_v)
-            fm = np.asarray(scalar(m_u, m_v), dtype=float)
+            m = 0.5 * (a + b)
+            fm = np.asarray(scalar(m[0], m[1]), dtype=float)
             fm = np.where(fm == 0.0, 1e-300, fm)
             left = (fa > 0) != (fm > 0)
-            a_u, a_v = np.where(left, a_u, m_u), np.where(left, a_v, m_v)
-            b_u, b_v = np.where(left, m_u, b_u), np.where(left, m_v, b_v)
+            a, b = np.where(left, a, m), np.where(left, m, b)
             fa = np.where(left, fa, fm)
-        return 0.5 * (a_u + b_u), 0.5 * (a_v + b_v)
+        return 0.5 * (a + b)
 
-    # horizontal edges: between (i, j) and (i+1, j)
-    hx = pos[:-1, :] != pos[1:, :]
-    hi, hj = np.nonzero(hx)
-    hu, hv = crossings(U[:-1, :][hx], V[:-1, :][hx], U[1:, :][hx], V[1:, :][hx], Z[:-1, :][hx])
-    # vertical edges: between (i, j) and (i, j+1)
-    vx = pos[:, :-1] != pos[:, 1:]
-    vi, vj = np.nonzero(vx)
-    vu, vv_ = crossings(U[:, :-1][vx], V[:, :-1][vx], U[:, 1:][vx], V[:, 1:][vx], Z[:, :-1][vx])
-
-    hpoint = {(i, j): (hu[k], hv[k]) for k, (i, j) in enumerate(zip(hi, hj))}
-    vpoint = {(i, j): (vu[k], vv_[k]) for k, (i, j) in enumerate(zip(vi, vj))}
+    # horizontal edges, between (i, j) and (i+1, j), then vertical edges,
+    # between (i, j) and (i, j+1), bisected in one batch
+    hx, vx = pos[:-1, :] != pos[1:, :], pos[:, :-1] != pos[:, 1:]
+    a = np.array([np.concatenate((x[:-1, :][hx], x[:, :-1][vx])) for x in (U, V, Z)])
+    b = np.array([np.concatenate((x[1:, :][hx], x[:, 1:][vx])) for x in (U, V)])
+    c = crossings(a[:2], b, a[2])
+    n = np.count_nonzero(hx)
+    hpoint = {(i, j): (c[0, k], c[1, k]) for k, (i, j) in enumerate(zip(*np.nonzero(hx)))}
+    vpoint = {(i, j): (c[0, n + k], c[1, n + k])
+              for k, (i, j) in enumerate(zip(*np.nonzero(vx)))}
 
     def centre_positive(i, j):
         cu, cv = 0.5 * (us[i] + us[i + 1]), 0.5 * (vs[j] + vs[j + 1])

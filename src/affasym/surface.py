@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import affine, jets
 from .jets import Jet2
 
 __all__ = [
@@ -317,13 +317,14 @@ class Poly:
     compiled once per jet order (``table``).
     """
 
-    __slots__ = ("terms", "degree", "_tables")
+    __slots__ = ("terms", "degree", "_tables", "_set")
 
     def __init__(self, terms=None):
         self.terms = {k: float(c) for k, c in (terms or {}).items() if c != 0}
         self.degree = (max((i for i, _ in self.terms), default=0),
                        max((j for _, j in self.terms), default=0))
         self._tables = {}
+        self._set = None
 
     @staticmethod
     def const(c):
@@ -388,52 +389,23 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, u, v):
-        return poly_values((self,), u, v)[0]
-
-
-_EXPONENTS = {}    # per degree n, the exponents 3.0, ..., n that _powers raises a float to
-
-
-def _powers(x, n):
-    """[x**0, ..., x**n] for a float or an array x, each rounded as numpy
-    rounds ``x ** k``.  numpy's power loop and the C library's ``pow`` can
-    differ in the last bit, and a point must give the same bits on its own
-    as inside a batch.  x**0 and x**1 stay the scalar 1.0 and x itself, so a
-    batch allocates no array for them."""
-    pw = [1.0, x][: n + 1] + ([x * x] if n > 1 else [])
-    if n > 2 and isinstance(x, float):
-        exponents = _EXPONENTS.get(n)
-        if exponents is None:
-            exponents = _EXPONENTS[n] = np.arange(3.0, n + 1)
-        pw += (np.asarray(x) ** exponents).tolist()
-    elif n > 2:
-        pw += [x ** k for k in range(3, n + 1)]
-    return pw
-
-
-# A 1-D batch of fewer lanes than this is summed one lane at a time on Python
-# floats.  A batch makes three numpy calls per table term whatever its size;
-# the per-lane loop was measured cheaper below about 8 lanes on the cusp_gauss
-# extended field and 13 to 23 on the pick and cusp-law fields (orders 0 and
-# 1), and portrait times do not move between 8 and 12.
-SCALAR_LANES = 12
-
-
-def _point_slots(tabs, pu, pv):
-    """Table sums at one point from its powers, on Python floats."""
-    vals = []
-    for entries in tabs:
-        acc = 0.0
-        for w, i, j in entries:
-            acc = acc + w * pu[i] * pv[j]
-        vals.append(acc)
-    return vals
+        if self._set is None:
+            self._set = PolySet((self,))
+        return poly_values(self._set, u, v)[0]
 
 
 class PolySet(tuple):
-    """Polynomials evaluated together, holding per jet order the flat table
-    list and the degree maxima that ``_slot_arrays`` sums from, so that a
-    field built once does not rebuild them on every call."""
+    """Polynomials evaluated together, holding per jet order the plan that
+    ``_slot_arrays`` sums from, so that a field built once does not rebuild
+    it on every call.
+
+    The plan of an order compiles the flat table list of all polynomials
+    into padded (m, slots) arrays: the weights, and the power rows that each
+    entry's u and v factors read.  Column k lists slot k's entries in table
+    order, then entries of weight 0.0 on the row 1.0 up to the longest
+    slot's m.  The power rows are 1.0, u, ..., u^du, v, ..., v^dv, with du
+    and dv the degree maxima.
+    """
 
     def __new__(cls, polys):
         self = super().__new__(cls, polys)
@@ -443,50 +415,69 @@ class PolySet(tuple):
     def plan(self, order):
         plan = self._plans.get(order)
         if plan is None:
+            tabs = [entries for p in self for entries in p.table(order)]
+            du, dv = max([p.degree[0] for p in self]), max([p.degree[1] for p in self])
+            m = max([1] + [len(entries) for entries in tabs])
+            # at least two slot columns: np.add.reduce sums one slot of one
+            # lane as a 1-D array, pairwise
+            pad = [entries + [(0.0, 0, 0)] * (m - len(entries))
+                   for entries in tabs + [[]] * (2 - len(tabs))]
+            w, i, j = np.array(pad, dtype=float).reshape(len(pad), m, 3).T
             plan = self._plans[order] = (
-                [entries for p in self for entries in p.table(order)],
-                max([p.degree[0] for p in self]), max([p.degree[1] for p in self]))
+                len(tabs), w[:, :, None].copy(),
+                np.array([i, np.where(j > 0, j + du, 0)], dtype=np.intp),
+                du, dv, np.arange(3.0, max(du, dv) + 1)[:, None])
         return plan
+
+
+def _powers(u, v, du, dv, exponents):
+    """The power rows 1.0, u, ..., u^du, v, ..., v^dv of 1-D lanes (u, v):
+    x, x * x, then x ** k for k >= 3 as numpy rounds it (the C library's
+    ``pow`` can differ in the last bit)."""
+    p = np.empty((1 + du + dv, len(u)))
+    p[0] = 1.0
+    for x, d, r in ((u, du, 1), (v, dv, 1 + du)):
+        if d:
+            p[r] = x
+        if d > 1:
+            np.multiply(x, x, out=p[r + 1])
+        if d > 2:
+            np.power(x, exponents[:d - 2], out=p[r + 2:r + d])
+    return p
 
 
 def _slot_arrays(polys, u, v, order):
     """Jet slots of several polynomials at (u, v), stacked in one array of
     shape (polynomials * slots,) + batch shape: the one polynomial evaluator.
-    ``polys`` is a ``PolySet`` or any sequence of ``Poly``.
+    ``polys`` is a ``PolySet`` or any sequence of ``Poly``; (u, v) is a
+    point, a batch of lanes, a grid or two shapes that broadcast.
 
-    Each power of u and of v is computed once per call and shared by every
-    table entry of every polynomial.  A scalar point, and each lane of a 1-D
-    batch of fewer than ``SCALAR_LANES`` lanes, sums on Python floats; a larger
-    batch sums in place on numpy arrays.  Both add the same terms in the same
-    order, so a point gives the same bits on every path.
+    One recipe for every shape: the lanes are flattened and taken in blocks
+    whose gathered terms hold at most one ``affine._LANES`` block of output.
+    Each table entry's term (w u^i) v^j comes from two gathers of the power
+    rows, and each slot adds its terms in table order to +0.0
+    (``np.add.reduce`` over the entry axis, which runs one lane-wise add per
+    entry as long as a block holds more than one slot and lane).  A product
+    with the row 1.0 is exact, and a padded entry adds +0.0 to a sum that
+    started at +0.0, which leaves it unchanged, so a lane gives the same
+    bits alone as in any batch.
     """
     if not isinstance(polys, PolySet):
         polys = PolySet(polys)
-    tabs, du, dv = polys.plan(order)
-    if isinstance(u, float) and isinstance(v, float):
-        return np.array(_point_slots(tabs, _powers(float(u), du), _powers(float(v), dv)))
+    n, w, rows, du, dv, exponents = polys.plan(order)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if u.ndim == 1 and u.shape == v.shape and len(u) < SCALAR_LANES:
-        c = np.empty((len(tabs), len(u)))
-        for k, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
-            c[:, k] = _point_slots(tabs, _powers(a, du), _powers(b, dv))
-        return c
-    pu, pv = _powers(u, du), _powers(v, dv)
-    shape = u.shape if u.shape == v.shape else np.broadcast_shapes(u.shape, v.shape)
-    c = np.zeros((len(tabs),) + shape)
-    term = np.empty(c.shape[1:])
-    for k, entries in enumerate(tabs):
-        acc = c[k, ...] if entries else None
-        for w, i, j in entries:
-            # u^0 and v^0 are 1.0, and a product with 1.0 is exact: skip it
-            if not (i or j):
-                acc += w
-                continue
-            np.multiply(w, pu[i] if i else pv[j], out=term)
-            if i and j:
-                term *= pv[j]
-            acc += term
-    return c
+    shape = u.shape
+    if v.shape != shape:
+        shape = np.broadcast_shapes(shape, v.shape)
+        u, v = np.broadcast_to(u, shape), np.broadcast_to(v, shape)
+    u, v = u.reshape(-1), v.reshape(-1)
+    out = np.empty((w.shape[1], len(u)))
+    for s in affine._lane_blocks(len(u), 2 * len(w)):
+        terms, vj = np.take(_powers(u[s], v[s], du, dv, exponents), rows, axis=0)
+        terms *= w
+        terms *= vj
+        np.add.reduce(terms, axis=0, out=out[:, s], initial=0.0)
+    return out[:n].reshape((n,) + shape)
 
 
 def poly_values(polys, u, v):

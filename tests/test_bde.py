@@ -355,6 +355,21 @@ def test_trace_cell_pass_matches_per_cell_loop(case, monkeypatch):
         assert len(fast) == 2
 
 
+def test_trace_bisects_every_crossed_edge_in_one_batch():
+    # one evaluation of the grid, then one of all crossed edges, horizontal
+    # and vertical together, per bisection step; the loop has no saddle cell
+    scalar, region, res, _ = TRACE_CASES["closed_loop"]
+    sizes = []
+
+    def counted(u, v):
+        sizes.append(np.size(u))
+        return scalar(u, v)
+
+    assert len(bde.trace_zero_set(counted, region, res)) == 1
+    assert len(sizes) == 1 + 48 and sizes[0] == (res + 1) ** 2
+    assert len(set(sizes[1:])) == 1 and sizes[1] > 0
+
+
 def test_criminant_characterization():
     # at traced discriminant vertices the double direction satisfies F = F_p = 0
     lam = -0.8

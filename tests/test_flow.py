@@ -461,40 +461,6 @@ def test_integrate_many_reports_dropped_jobs():
     assert stats.dropped[0]["reason"].startswith("NoDirectionError")
 
 
-def test_one_lane_evaluates_on_python_floats(monkeypatch):
-    fld = cusp_law_field()
-    params = flow.IntegrationParams(max_len=0.004, max_step_frac=5e-4)
-    powers = sf._powers
-    batched = []
-
-    def spy(x, n):
-        batched.append(isinstance(x, np.ndarray))
-        return powers(x, n)
-
-    monkeypatch.setattr(sf, "_powers", spy)
-    few = flow.integrate_asymptotic(fld, (-0.12, 0.0), "plus", params)
-    assert len(few.samples) > 10 and batched and not any(batched)
-    monkeypatch.setattr(sf, "SCALAR_LANES", 0)
-    batched.clear()
-    wide = flow.integrate_asymptotic(fld, (-0.12, 0.0), "plus", params)
-    assert any(batched)
-    assert wide.termination == few.termination
-    assert np.array_equal(wide.samples, few.samples)
-
-
-def test_portrait_bits_do_not_depend_on_the_lane_crossover(monkeypatch):
-    surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
-
-    def payload():
-        return "".join(flow.build_portrait(surf, grid=(2, 2),
-                                           params=flow.IntegrationParams(max_len=0.5),
-                                           trace_resolution=48).to_json())
-
-    ref = payload()
-    monkeypatch.setattr(sf, "SCALAR_LANES", 0)
-    assert payload() == ref
-
-
 def payload_dict(p):
     """The payload as plain dicts and lists, for json.dumps to write."""
     return {
@@ -1052,7 +1018,7 @@ def test_lanes_that_clip_in_one_round_project_in_one_batch(monkeypatch):
     fld = bde.field_from_polynomials({(0, 0): 1.0}, {}, {(0, 0): -1.0, (2, 0): -1.0},
                                      Rect(-1, 1, -1, 1))
     jobs = [((0.9, float(v)), "plus", sweep)
-            for v in np.linspace(-0.3, 0.3, sf.SCALAR_LANES + 4) for sweep in (1, -1)]
+            for v in np.linspace(-0.3, 0.3, 16) for sweep in (1, -1)]
     params = flow.IntegrationParams(max_len=0.5)
     project, clips = flow._project_slope, []
 
@@ -1063,7 +1029,7 @@ def test_lanes_that_clip_in_one_round_project_in_one_batch(monkeypatch):
 
     monkeypatch.setattr(flow, "_project_slope", spy)
     out = flow.integrate_many(fld, jobs, params)
-    assert max(clips) >= sf.SCALAR_LANES
+    assert max(clips) >= 12
     assert sum(t.termination == "left_domain" for t in out) == max(clips)
     for job, traj in zip(jobs, out):
         solo = flow.integrate_asymptotic(fld, *job[:2], params, job[2])

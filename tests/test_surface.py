@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from affasym import surface as sf
+from affasym import affine, surface as sf
 from affasym.jets import Jet2, JetDomainError
 from affasym.program import Program
 from affasym.surface import ParseError, Rect
@@ -162,6 +162,86 @@ def test_expression_matches_poly_path():
     ja = surf_a.eval_jets(0.3, -0.2)[2]
     jb = surf_b.eval_jets(0.3, -0.2)[2]
     assert np.max(np.abs(ja.coeffs - jb.coeffs)) < 1e-12
+
+
+def reference_slots(polys, u, v, order):
+    """The former evaluator's per-entry recipe: per slot, the terms
+    (w u^i) v^j of its table entries added in table order to +0.0, with the
+    powers 1.0, x, x * x and numpy's x ** k for k >= 3."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    tabs = [entries for p in polys for entries in p.table(order)]
+    c = np.zeros((len(tabs),) + np.broadcast_shapes(u.shape, v.shape))
+
+    def power(x, k):
+        return 1.0 if k == 0 else x if k == 1 else x * x if k == 2 else x ** k
+
+    for k, entries in enumerate(tabs):
+        for w, i, j in entries:
+            c[k] += w * power(u, i) * power(v, j)
+    return c
+
+
+def extended_polys(surf):
+    """(A, B, C) of a polynomial chart's extended field, as ``Poly``."""
+    chart = [sf.Poly(p) for p in surf.polys]
+    au, av = tuple(c.du() for c in chart), tuple(c.dv() for c in chart)
+    return affine.extended_bde_coeffs(affine.cross(au, av))
+
+
+def same_slot_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("name, entries",
+                         [("cusp_gauss", [4, 7, 8]), ("cusp_law", [83, 209, 344])])
+def test_slot_arrays_keep_the_bits_of_the_per_entry_sums(name, entries):
+    # every shape takes the one stacked recipe; each lane keeps the bits and
+    # sign bits of the per-entry sums, alone, in a batch and across blocks
+    if name == "cusp_gauss":
+        surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    else:    # the cusp-law field of tests/test_flow.py
+        eps, sigma, q13, q40 = 1, 0.9, 0.3, 0.5
+        surf = sf.catalog_surface("pick", {
+            "epsilon": eps, "sigma": sigma,
+            "q": {(1, 3): q13, (3, 1): -eps * q13,
+                  (2, 2): -eps * (-2 * sigma ** 2 + q40), (4, 0): q40,
+                  (0, 4): q40 + 1.0}}, domain=Rect(-0.35, 0.35, -0.35, 0.35))
+    polys = sf.PolySet(extended_polys(surf))
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-0.35, 0.35, 193)
+    signed_zeros = [0.0, -0.0, 0.0, -0.0]
+    points = [(0.12, -0.07), (0.0, -0.0), (np.asarray(-0.2), np.asarray(0.31)),
+              (0.05, rng.uniform(-0.35, 0.35, 9)), (np.empty(0), np.empty(0)),
+              (np.array(signed_zeros + [0.1] * 7), np.array([-0.0, 0.2] * 5 + [0.0])),
+              (*np.meshgrid(grid, grid, indexing="ij"),)]
+    points += [tuple(rng.uniform(-0.35, 0.35, (2, n))) for n in (1, 2, 11, 12, 300, 4097)]
+    for order in (0, 1, 2):
+        assert sum(len(e) for p in polys for e in p.table(order)) == entries[order]
+        for u, v in points:
+            assert same_slot_bits(sf._slot_arrays(polys, u, v, order),
+                                  reference_slots(polys, u, v, order))
+
+
+def test_one_polynomial_at_one_point_sums_in_order():
+    # one slot of one lane: a sum that numpy took as one 1-D reduction would
+    # run pairwise and differ in the last bits for many of these polynomials,
+    # and one that started from its first term would keep a -0.0
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        keys = rng.permutation([(i, j) for i in range(6) for j in range(6)])[:15]
+        coeffs = rng.normal(size=15) * 10.0 ** rng.integers(-3, 4, 15)
+        poly = sf.Poly({(int(i), int(j)): float(c) for (i, j), c in zip(keys, coeffs)})
+        u, v = rng.uniform(-2, 2, 2)
+        assert same_slot_bits(poly(float(u), float(v)),
+                              reference_slots((poly,), float(u), float(v), 0)[0])
+        assert same_slot_bits(sf._slot_arrays((poly,), np.array([u]), np.array([v]), 0),
+                              reference_slots((poly,), np.array([u]), np.array([v]), 0))
+    # every term is -0.0 at (-0.0, 0.0), and the sum from +0.0 is +0.0
+    poly = sf.Poly({(1, 0): 2.0, (0, 1): -3.0})
+    for u, v in ((-0.0, 0.0), (np.array([-0.0, 1.0]), np.array([0.0, -0.0]))):
+        assert same_slot_bits(poly(u, v), reference_slots((poly,), u, v, 0)[0])
+    assert not np.signbit(poly(-0.0, 0.0))
 
 
 def test_domain_and_bands():

@@ -13,7 +13,8 @@ generic one, one whose extended field crosses the parabolic set
 LN - M^2 = 0, and a non-polynomial graph), analyze of that graph, and
 analyze and conormal on a torus, each once within one block of evaluated
 lanes and once over several (``affine._LANES``; the larger conormal run is
-the benchmark's grid-torus command).  The transcendental and non-polynomial
+the benchmark's grid-torus command), and analyze and conormal on a
+polynomial Monge chart over several blocks.  The transcendental and non-polynomial
 runs pin the jet route of the surface fields; every other surface run has
 polynomial fields.  The morse, flat umbilic +1 and torus-loops runs pin the
 integrator's searches of a step for a degenerate pass or a closed loop.
@@ -101,6 +102,12 @@ RUNS = [
     # 35,712 mesh vertices, nine blocks
     ("conormal-torus-R3-r1-res192", ["conormal", "--surface", "catalog:torus", "--R", "3",
                                      "--r", "1", "--res", "192"]),
+    # a polynomial chart's position jets over 9,216 points: two full blocks
+    # and a ragged third
+    *[(f"{cmd}-monge-poly-res96",
+       [cmd, "--surface", "monge:u^2+2*v^2+0.3*u^3+0.2*u*v^2", "--region=-0.5,0.5,-0.5,0.5",
+        "--res", "96", *fmt]) for cmd, fmt in (("analyze", ["--format", "json,csv"]),
+                                                ("conormal", []))],
 ]
 
 

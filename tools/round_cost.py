@@ -2,6 +2,7 @@
 
     python tools/round_cost.py --src src
     python tools/round_cost.py --src OTHER/src --repeat 5
+    python tools/round_cost.py --src src --against OTHER/src --pairs 10
 
 Imports affasym from the given ``src`` tree and runs, in this one process,
 the five seed-0 portrait-cusp commands (``catalog:cusp_gauss`` at the
@@ -12,7 +13,13 @@ extended field of a generic pick graph, both sweeps, ``max_step_frac``
 ``--repeat`` runs, the one least disturbed by other load), the lockstep
 rounds and the microseconds per round, then the sums over the five portraits, and a sha256 of every
 case's ``integration`` counters, so that two trees can be checked to do the
-same work.  Run two trees alternately, one process each, to compare them.
+same work.
+
+``--against OTHER_SRC --pairs N`` compares two trees: it runs N pairs of
+processes, one per tree, the tree that goes first alternating from pair to
+pair, and prints per tree the median and quartiles of the five portraits'
+and the cusp-law lane's microseconds per round and the pairs that each tree
+won.  It exits 1 if the two trees' counter digests differ.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ import hashlib
 import io
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -65,11 +74,52 @@ def _line(name, seconds, rounds):
           f"{seconds / rounds * 1e6:8.1f} us/round")
 
 
+def _child(src, repeat):
+    """(five-portrait us/round, cusp-law us/round, counters sha256) of one
+    process importing affasym from ``src``."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
+                          "--repeat", str(repeat)],
+                         capture_output=True, text=True, check=True).stdout
+    per_round = {ln[:26].strip(): float(ln.split()[-2])
+                 for ln in out.splitlines() if ln.endswith("us/round")}
+    return (per_round["five portraits"], per_round["cusp-law lane"],
+            out.split("counters sha256 ")[1].split()[0])
+
+
+def _compare(srcs, pairs, repeat):
+    """Alternating process pairs of the two trees ``srcs``; 1 if their
+    counter digests differ."""
+    runs = {src: [] for src in srcs}
+    for k in range(pairs):
+        for src in srcs[::-1] if k % 2 else srcs:
+            runs[src].append(_child(src, repeat))
+        print(f"pair {k + 1:2d}  " + "  ".join(
+            f"{src}: {runs[src][-1][0]:7.1f} {runs[src][-1][1]:7.1f}" for src in srcs),
+            flush=True)
+    for col, name in ((0, "five portraits"), (1, "cusp-law lane")):
+        for src in srcs:
+            q1, q2, q3 = statistics.quantiles([r[col] for r in runs[src]], n=4)
+            other = srcs[1] if src == srcs[0] else srcs[0]
+            wins = sum(a[col] < b[col] for a, b in zip(runs[src], runs[other]))
+            print(f"{name:15s} {src}: median {q2:7.1f} us/round, quartiles {q1:7.1f} "
+                  f"{q3:7.1f}, won {wins} of {pairs} pairs")
+    digests = {src: {r[2] for r in runs[src]} for src in srcs}
+    for src in srcs:
+        print(f"counters sha256 {src}: {' '.join(sorted(digests[src]))}")
+    return int(digests[srcs[0]] != digests[srcs[1]])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default="src", help="the src tree to import affasym from")
     ap.add_argument("--repeat", type=int, default=3, help="runs per case (the fastest counts)")
+    ap.add_argument("--against", metavar="OTHER_SRC", help="a second src tree to compare with")
+    ap.add_argument("--pairs", type=int, default=10, help="process pairs for --against")
     args = ap.parse_args(argv)
+    if args.against and args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
+    if args.against:
+        return _compare([args.src, args.against], args.pairs, args.repeat)
     sys.path.insert(0, os.path.abspath(args.src))
     from affasym import bde, cli, flow, surface as sf
 
