@@ -226,11 +226,9 @@ def _chart_factors(chart_q, slope, Pq, Pp):
     """The chart's factors of F = A f f + 2B s + C g g and F_s = 2B + P s in
     either chart, s the slope: (f, g) = (s, 1) and P = ``Pq`` (2A) in chart
     q, (1, s) and ``Pp`` (2C) in chart p, a product with 1.0 being exact.
-    An array of charts picks all three in one ``np.where`` on the stacked
-    rows (Pp, s, 1, Pq); (f, g) comes stacked to broadcast against P."""
-    if not isinstance(chart_q, np.ndarray):
-        fg = np.array((slope, 1.0) if chart_q else (1.0, slope))
-        return fg.reshape((2,) + (1,) * np.ndim(Pq)), Pq if chart_q else Pp
+    One chart or an array of charts picks all three in one ``np.where`` on
+    the stacked rows (Pp, s, 1, Pq); (f, g) comes stacked to broadcast
+    against P."""
     rows = np.empty((4,) + np.shape(Pq))
     rows[0], rows[1], rows[2], rows[3] = Pp, slope, 1.0, Pq
     fgP = np.where(chart_q, rows[1:], rows[2::-1])
@@ -335,43 +333,34 @@ def lifted_derivatives(c, slope, chart_q):
 
 _SEG_TABLE = {
     # corner order: (i,j)=BL, (i+1,j)=BR, (i+1,j+1)=TR, (i,j+1)=TL
-    # edges: 0 bottom, 1 right, 2 top, 3 left
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
-    8: [(2, 3)], 9: [(0, 2)], 11: [(1, 2)],
-    12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
+    # edges: 0 bottom, 1 right, 2 top, 3 left; a saddle cell (codes 5 and 10)
+    # adds 16 to its code where the scalar is positive at its centre
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 5: [(3, 0), (1, 2)], 6: [(0, 2)],
+    7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)], 10: [(0, 1), (2, 3)], 11: [(1, 2)],
+    12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)], 21: [(0, 1), (2, 3)], 26: [(3, 0), (1, 2)],
 }
 
 
-def _edge_key(cell_i, cell_j, e):
-    if e == 0:
-        return ("h", cell_i, cell_j)
-    if e == 2:
-        return ("h", cell_i, cell_j + 1)
-    if e == 3:
-        return ("v", cell_i, cell_j)
-    return ("v", cell_i + 1, cell_j)
-
-
 def _cell_segments(pos, centre_positive):
-    """Marching-squares segments, as pairs of edge keys, from the corner signs
-    ``pos`` of the grid.  One array pass gives the case code of every cell;
-    only the cells the zero set crosses are visited, in (i, j) order.  A
-    saddle cell (codes 5 and 10) pairs its edges by ``centre_positive(i, j)``,
-    the sign of the scalar at its centre."""
-    p = pos.astype(np.uint8)
+    """Marching-squares segments, as pairs of edge ids, from the corner signs
+    ``pos`` of an (nx + 1, ny + 1) grid.  The horizontal edge (i, j)-(i+1, j)
+    has id i (ny + 1) + j, the vertical edge (i, j)-(i, j+1) has id
+    nx (ny + 1) + i ny + j.  One array pass gives the case code of every
+    cell; only the cells the zero set crosses are visited, in (i, j) order.
+    The saddle cells (codes 5 and 10) pair their edges by the sign of the
+    scalar at their centres: ``centre_positive(i, j)`` on the arrays of their
+    cell indices, one call for all of them and none when there are none."""
+    p = pos.astype(int)
     codes = p[:-1, :-1] | p[1:, :-1] << 1 | p[1:, 1:] << 2 | p[:-1, 1:] << 3
+    si, sj = np.nonzero((codes == 5) | (codes == 10))
+    if si.size:
+        codes[si, sj] += 16 * centre_positive(si, sj)
     ci, cj = np.nonzero((codes != 0) & (codes != 15))
-    segments = []
-    for i, j, code in zip(ci.tolist(), cj.tolist(), codes[ci, cj].tolist()):
-        if code == 5:    # positive BL/TR corners
-            segs = [(0, 1), (2, 3)] if centre_positive(i, j) else [(3, 0), (1, 2)]
-        elif code == 10:  # positive BR/TL corners
-            segs = [(3, 0), (1, 2)] if centre_positive(i, j) else [(0, 1), (2, 3)]
-        else:
-            segs = _SEG_TABLE[code]
-        for (e1, e2) in segs:
-            segments.append((_edge_key(i, j, e1), _edge_key(i, j, e2)))
-    return segments
+    nx, ny = codes.shape
+    h, v = ci * (ny + 1) + cj, nx * (ny + 1) + ci * ny + cj
+    edges = np.stack((h, v + ny, h + 1, v), -1).tolist()    # bottom, right, top, left
+    return [(e[a], e[b]) for e, code in zip(edges, codes[ci, cj].tolist())
+            for a, b in _SEG_TABLE[code]]
 
 
 def trace_zero_set(scalar, region, resolution):
@@ -410,21 +399,20 @@ def trace_zero_set(scalar, region, resolution):
         return 0.5 * (a + b)
 
     # horizontal edges, between (i, j) and (i+1, j), then vertical edges,
-    # between (i, j) and (i, j+1), bisected in one batch
+    # between (i, j) and (i, j+1), bisected in one batch: one row of
+    # ``point`` per crossed edge, in the order of the edge ids ``crossed``
     hx, vx = pos[:-1, :] != pos[1:, :], pos[:, :-1] != pos[:, 1:]
     a = np.array([np.concatenate((x[:-1, :][hx], x[:, :-1][vx])) for x in (U, V, Z)])
     b = np.array([np.concatenate((x[1:, :][hx], x[:, 1:][vx])) for x in (U, V)])
-    c = crossings(a[:2], b, a[2])
-    n = np.count_nonzero(hx)
-    hpoint = {(i, j): (c[0, k], c[1, k]) for k, (i, j) in enumerate(zip(*np.nonzero(hx)))}
-    vpoint = {(i, j): (c[0, n + k], c[1, n + k])
-              for k, (i, j) in enumerate(zip(*np.nonzero(vx)))}
+    point = crossings(a[:2], b, a[2]).T
+    crossed = np.concatenate((np.flatnonzero(hx), hx.size + np.flatnonzero(vx)))
 
     def centre_positive(i, j):
         cu, cv = 0.5 * (us[i] + us[i + 1]), 0.5 * (vs[j] + vs[j + 1])
-        return float(scalar(np.asarray(cu), np.asarray(cv))) > 0
+        return np.asarray(scalar(cu, cv), dtype=float) > 0
 
-    segments = _cell_segments(pos, centre_positive)
+    # the segments as pairs of rows of ``point``, which sort as their ids
+    segments = np.searchsorted(crossed, _cell_segments(pos, centre_positive)).tolist()
 
     # chain segments into polylines
     adj = {}
@@ -432,16 +420,12 @@ def trace_zero_set(scalar, region, resolution):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
 
-    def point_of(key):
-        kind, i, j = key
-        return hpoint[(i, j)] if kind == "h" else vpoint[(i, j)]
-
     visited = set()
     polylines = []
     endpoints = sorted(k for k, nb in adj.items() if len(nb) == 1)
     starters = endpoints + sorted(adj.keys())
     for start in starters:
-        if start in visited or start not in adj:
+        if start in visited:
             continue
         chain = [start]
         visited.add(start)
@@ -454,14 +438,14 @@ def trace_zero_set(scalar, region, resolution):
                     break
             if nxt is None:
                 # close cycles back to the start
-                if len(chain) > 2 and start in adj[cur] and chain[1] != start:
+                if len(chain) > 2 and start in adj[cur]:
                     chain.append(start)
                 break
             chain.append(nxt)
             visited.add(nxt)
             cur = nxt
         if len(chain) >= 2:
-            pts = np.array([point_of(k) for k in chain])
+            pts = point[chain]
             # discard tie-break artifacts around isolated zeros: their
             # extent is far below anything a grid cell can resolve
             extent = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))

@@ -425,6 +425,9 @@ def main(argv=None):
     except (ConfigError, ParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print("configuration error: out of memory; lower --res or trace_res", file=sys.stderr)
+        return EXIT_CONFIG
     except (affine.ParabolicPointError, affine.DegenerateImmersionError,
             affine.ImmersionError, JetDomainError, surface_mod.EvalError) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)

@@ -208,10 +208,14 @@ class _Parser:
             else:
                 self.pos = mark
         try:
-            return Num(float(self.text[start:self.pos]))
+            value = float(self.text[start:self.pos])
         except ValueError:
             self.pos = start
             self.error("malformed number")
+        if not math.isfinite(value):    # an overflowing literal reads as inf
+            self.pos = start
+            self.error("number out of range")
+        return Num(value)
 
     def identifier(self):
         start = self.pos

@@ -289,12 +289,13 @@ def test_trace_isolated_zero_is_empty():
 def reference_cell_segments(pos, centre_positive, seen=None):
     """The marching-squares cell pass as a plain per-cell loop over the whole
     grid; ``seen`` collects (code, centre sign) of every saddle cell."""
-    edge = {0: lambda i, j: ("h", i, j), 1: lambda i, j: ("v", i + 1, j),
-            2: lambda i, j: ("h", i, j + 1), 3: lambda i, j: ("v", i, j)}
+    nx, ny = pos.shape[0] - 1, pos.shape[1] - 1
+    h = lambda i, j: i * (ny + 1) + j              # edge (i, j)-(i+1, j)
+    v = lambda i, j: nx * (ny + 1) + i * ny + j    # edge (i, j)-(i, j+1)
+    edge = {0: h, 1: lambda i, j: v(i + 1, j), 2: lambda i, j: h(i, j + 1), 3: v}
     table = {1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
              8: [(2, 3)], 9: [(0, 2)], 11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)]}
     segments = []
-    nx, ny = pos.shape[0] - 1, pos.shape[1] - 1
     for i in range(nx):
         for j in range(ny):
             code = (int(pos[i, j]) | int(pos[i + 1, j]) << 1
@@ -302,7 +303,7 @@ def reference_cell_segments(pos, centre_positive, seen=None):
             if code in (0, 15):
                 continue
             if code in (5, 10):
-                centre = centre_positive(i, j)
+                centre = bool(centre_positive(np.array([i]), np.array([j]))[0])
                 if seen is not None:
                     seen.add((code, centre))
                 pairs = [(0, 1), (2, 3)] if centre == (code == 5) else [(3, 0), (1, 2)]
@@ -320,6 +321,11 @@ TRACE_CASES = {
     "saddle5_centre_neg": (lambda u, v: u * v - 0.01, SQUARE, 9, {(5, False)}),
     "saddle10_centre_pos": (lambda u, v: -u * v + 0.01, SQUARE, 9, {(10, True)}),
     "saddle10_centre_neg": (lambda u, v: -u * v - 0.01, SQUARE, 9, {(10, False)}),
+    # the zeros of sin(1.5 pi u) sin(1.5 pi v) cross at nine cell centres of a
+    # 9 x 9 grid; the offset is negative at the three with u = -2/3
+    "nine_saddles": (lambda u, v: np.sin(1.5 * np.pi * u) * np.sin(1.5 * np.pi * v)
+                     + 0.01 * (u + 0.1), SQUARE, 9,
+                     {(5, False), (5, True), (10, False), (10, True)}),
     "closed_loop": (lambda u, v: u * u + 0.5 * v * v - 0.3, SQUARE, 24, set()),
     # zeros on whole grid lines and at grid vertices, broken by the tie-break
     "exact_zeros": (lambda u, v: u * (v - 0.5), SQUARE, 8, set()),
@@ -357,17 +363,21 @@ def test_trace_cell_pass_matches_per_cell_loop(case, monkeypatch):
 
 def test_trace_bisects_every_crossed_edge_in_one_batch():
     # one evaluation of the grid, then one of all crossed edges, horizontal
-    # and vertical together, per bisection step; the loop has no saddle cell
-    scalar, region, res, _ = TRACE_CASES["closed_loop"]
-    sizes = []
+    # and vertical together, per bisection step, then one of all saddle cell
+    # centres, none where there is no saddle cell
+    for case, saddles, lines in (("closed_loop", 0, 1), ("saddle5_centre_pos", 1, 2),
+                                 ("nine_saddles", 9, 7)):
+        scalar, region, res, _ = TRACE_CASES[case]
+        sizes = []
 
-    def counted(u, v):
-        sizes.append(np.size(u))
-        return scalar(u, v)
+        def counted(u, v):
+            sizes.append(np.size(u))
+            return scalar(u, v)
 
-    assert len(bde.trace_zero_set(counted, region, res)) == 1
-    assert len(sizes) == 1 + 48 and sizes[0] == (res + 1) ** 2
-    assert len(set(sizes[1:])) == 1 and sizes[1] > 0
+        assert len(bde.trace_zero_set(counted, region, res)) == lines
+        assert len(sizes) == 1 + 48 + (saddles > 0) and sizes[0] == (res + 1) ** 2
+        assert len(set(sizes[1:49])) == 1 and sizes[1] > 0
+        assert sizes[49:] == ([saddles] if saddles else [])
 
 
 def test_criminant_characterization():

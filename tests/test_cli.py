@@ -297,6 +297,21 @@ def test_bad_res_is_a_configuration_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_out_of_memory_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # a trace grid too large to allocate gives one line, not a traceback
+    from affasym import bde
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bde, "trace_zero_set", no_memory)
+    argv = ["portrait", "--surface", "monge:u^2+v^2", "--res", "1",
+            "--tol", "trace_res=100000", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: out of memory; lower --res or trace_res\n"
+
+
 _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
 
 
@@ -383,6 +398,12 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
      "q indices must be non-negative integers; got (6, -2)"),
     (["portrait", "--surface", "catalog:pick", "--q", "2-1=1"],
      "q indices must be non-negative integers; got (2, -1)"),
+    # a number literal that rounds to inf
+    (["portrait", "--surface", "monge:1e309*u^2+v^2"],
+     "bad expression: number out of range (offset 1)"),
+    (["analyze", "--surface", {"kind": "parametric", "exprs": ["u", "v", "u^2 + 1e309*v^2"],
+                               "domain": [-1, 1, -1, 1]}],
+     "bad surface config {cfg!r}: number out of range (offset 7)"),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
                                                  message):

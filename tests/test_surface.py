@@ -22,6 +22,14 @@ def test_parse_error_offset():
     assert err.value.offset == 6
 
 
+def test_overflowing_literal_is_a_parse_error():
+    # 1e309 rounds to inf; the largest finite literals still parse
+    with pytest.raises(ParseError, match="number out of range") as err:
+        sf.parse_expression("u + 1e309*v")
+    assert err.value.offset == 5
+    assert sf.as_polynomial(sf.parse_expression("1e308*u^2")) == {(2, 0): 1e308}
+
+
 def test_named_constant():
     ast = sf.parse_expression("2*pi")
     val = sf.eval_expression_jet(ast, Jet2.variable("u", 0.0), Jet2.variable("v", 0.0))

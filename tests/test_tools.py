@@ -1,0 +1,32 @@
+import importlib.util
+import os
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_portraits_accounts_for_each_polyline():
+    # of three parabolic polylines one is kept, one moves by a 3-4-5 step at
+    # one vertex and one is dropped; the discriminant gains a polyline
+    compare = load_tool("compare_portraits").compare
+    kept, moved, gone = [[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]], [[2.0, 2.0], [3.0, 2.0]]
+    old = {"reports": [], "trajectories": [],
+           "singular_sets": {"parabolic": [kept, moved, gone], "discriminant": []}}
+    new = {"reports": [], "trajectories": [],
+           "singular_sets": {"parabolic": [kept, [[0.0, 1.0], [1.3, 1.4]]],
+                             "discriminant": [[[0.5, 0.5], [0.5, 0.75], [0.5, 1.0]]]}}
+    assert compare(old, new) == [
+        "  trajectories: 0 kept byte-identical (same order), 0 changed only in the last row,"
+        " 0 dropped, 0 new",
+        "  discriminant polylines: 0 kept byte-identical, 0 changed, 0 dropped, 1 new",
+        "  discriminant new 0 (3 vertices, from (0.5, 0.5))",
+        "  parabolic polylines: 1 kept byte-identical, 1 changed, 1 dropped, 0 new",
+        "  parabolic 1 -> 1 (2 vertices): largest vertex move 0.5",
+        "  parabolic dropped 2 (2 vertices, from (2, 2))",
+    ]

@@ -10,7 +10,9 @@ byte-identical (and whether in the same order), those that changed only in
 their last row (each with the largest change in that row), dropped and new,
 and for each dropped trajectory its nearest kept partner: a kept trajectory
 of the same family whose seed lies within ``flow._LOOP_TOL`` (max-norm) of
-its seed, at the smallest Hausdorff distance of their (u, v) samples.
+its seed, at the smallest Hausdorff distance of their (u, v) samples.  Per
+singular set it prints the polylines kept byte-identical, those changed
+(each with its largest vertex move), dropped and new.
 """
 
 from __future__ import annotations
@@ -53,6 +55,55 @@ def hausdorff(a, b, block=512):
     return max(directed(a, b), directed(b, a))
 
 
+def _match(olds, news):
+    """The items of ``news`` matched to those of ``olds`` by their text,
+    first unmatched occurrence first: the (old, new) index pairs kept, the
+    new indices left unmatched and the old ones."""
+    pool = {}
+    for k, t in enumerate(olds):
+        pool.setdefault(_text(t), []).append(k)
+    kept, fresh = [], []
+    for k, t in enumerate(news):
+        same = pool.get(_text(t))
+        if same:
+            kept.append((same.pop(0), k))
+        else:
+            fresh.append(k)
+    return kept, fresh, sorted(k for ks in pool.values() for k in ks)
+
+
+def compare_sets(old, new):
+    """The lines describing the changes from the ``singular_sets`` ``old`` to
+    ``new``, per set.  A new polyline that is not byte-identical to an old
+    one is changed if an unmatched old polyline has as many vertices: the one
+    whose largest vertex move (Euclidean, in (u, v)) is smallest."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        olds, news = old.get(name, []), new.get(name, [])
+        kept, fresh, dropped = _match(olds, news)
+        changed = []
+        for m in list(fresh):
+            b = np.asarray(news[m], dtype=float)
+            moves = [(float(np.max(np.hypot(*(b - olds[k]).T))), k)
+                     for k in dropped if len(olds[k]) == len(b)]
+            if moves:
+                move, k = min(moves)
+                changed.append((k, m, move))
+                dropped.remove(k)
+                fresh.remove(m)
+        lines.append(f"  {name} polylines: {len(kept)} kept byte-identical, {len(changed)}"
+                     f" changed, {len(dropped)} dropped, {len(fresh)} new")
+        for k, m, move in changed:
+            lines.append(f"  {name} {k} -> {m} ({len(olds[k])} vertices):"
+                         f" largest vertex move {move:.3g}")
+        for label, polys, ks in (("dropped", olds, dropped), ("new", news, fresh)):
+            for k in ks:
+                u, v = polys[k][0]
+                lines.append(f"  {name} {label} {k} ({len(polys[k])} vertices,"
+                             f" from ({u:.6g}, {v:.6g}))")
+    return lines
+
+
 def compare(old, new):
     """The lines describing the changes from portrait ``old`` to ``new``."""
     lines = []
@@ -62,19 +113,8 @@ def compare(old, new):
         for (kind, loc), n in sorted(diff.items()):
             lines.append(f"  report {label}: {kind} ({loc[0]:.6g}, {loc[1]:.6g})"
                          + (f" x{n}" if n > 1 else ""))
-    # trajectories matched by their text, first unmatched occurrence first
-    pool = {}
-    for k, t in enumerate(old["trajectories"]):
-        pool.setdefault(_text(t), []).append(k)
-    kept, fresh = [], []
-    for k, t in enumerate(new["trajectories"]):
-        same = pool.get(_text(t))
-        if same:
-            kept.append((same.pop(0), k))
-        else:
-            fresh.append(k)
-    dropped = sorted(k for ks in pool.values() for k in ks)
     olds, news = old["trajectories"], new["trajectories"]
+    kept, fresh, dropped = _match(olds, news)
     # a dropped and a new trajectory of one family that agree in every row
     # but the last
     last = []
@@ -117,7 +157,7 @@ def compare(old, new):
                  else "no kept partner")
         lines.append(f"  dropped {k} ({t['family']}, seed ({pts[0, 0]:.6g}, {pts[0, 1]:.6g}),"
                      f" {len(pts)} samples): {where}")
-    return lines
+    return lines + compare_sets(old["singular_sets"], new["singular_sets"])
 
 
 def main(argv=None):
