@@ -228,6 +228,8 @@ def euclidean_data(position_jets):
 def _fill_euclidean(data, au, av, L, M, N):
     """Fill the form fields of ``data`` from values: a_u, a_v as (3, ...), L, M, N."""
     E, F, G = dot(au, au), dot(au, av), dot(av, av)
+    if not np.isfinite((E, F, G)).all():
+        raise DegenerateImmersionError("first fundamental form (E, F, G) is not finite")
     w = cross(au, av)
     if np.any(dot(w, w) < 1e-20):
         raise DegenerateImmersionError("surface parametrization degenerates (|a_u ^ a_v| < 1e-10)")

@@ -42,6 +42,7 @@ __all__ = [
     "euclidean_field_for",
     "discriminant",
     "direction_roots",
+    "double_root",
     "lifted_velocity",
     "lifted_derivatives",
     "trace_zero_set",
@@ -203,13 +204,12 @@ def direction_roots(A, B, C):
     none = ~degenerate & ~double & (delta < 0)
     # both extreme coefficients vanish: the equation is 2B du dv = 0
     axes = ~(degenerate | double | none) & (np.maximum(np.abs(A), np.abs(C)) < 1e-13 * scale)
-    chart_p = np.abs(C) >= np.abs(A)    # the slopes are dv/du
+    double_slope, chart_q = double_root((A, B, C))
     with np.errstate(divide="ignore", invalid="ignore"):
         rt = np.sqrt(delta)
-        ends = np.stack([-B + rt, -B - rt], -1)
-        ends[double] = -B[double][:, None]    # -B itself, a zero keeping its sign
-        slope = ends / np.where(chart_p, C, A)[..., None]
-        p = chart_p[..., None]
+        slope = np.stack([-B + rt, -B - rt], -1) / np.where(chart_q, A, C)[..., None]
+        slope[double] = double_slope[double][:, None]
+        p = ~chart_q[..., None]    # the slopes are dv/du
         du, dv = np.where(p, 1.0, slope), np.where(p, slope, 1.0)
         du[axes], dv[axes] = (1.0, 0.0), (0.0, 1.0)
         h = _on_floats(math.hypot, du, dv)
@@ -220,6 +220,18 @@ def direction_roots(A, B, C):
     d[degenerate | none] = np.nan
     kind = np.select([degenerate, double, none], ["degenerate", "double", "none"], "two")
     return kind, d
+
+
+def double_root(c):
+    """The slope of the double root per point, and whether its chart is q,
+    from the slots ``c`` of (A, B, C) of any order (``BDEField.slots``, or
+    the values (A, B, C)): -B/C in chart p where |C| >= |A| (0.0 where C = 0
+    there), else -B/A in chart q."""
+    n = len(c) // 3
+    A, B, C = c[0], c[n], c[2 * n]
+    chart_q = ~(np.abs(C) >= np.abs(A))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(chart_q, -B / A, np.where(C != 0, -B / C, 0.0)), chart_q
 
 
 def _chart_factors(chart_q, slope, Pq, Pp):

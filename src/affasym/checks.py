@@ -181,8 +181,9 @@ def lifted_tangency(n=20, seed=4):
         du, dv = roots[0]
         chart_q = abs(dv) > abs(du)
         s = du / dv if chart_q else dv / du
-        X = bde.lie_cartan_scaled(fld, u, v, s, chart_q)[0]
-        J = fld.slots(u, v, 1).reshape(3, 3)   # rows A, B, C; columns value, d/du, d/dv
+        c = fld.slots(u, v, 1)
+        X = bde.lifted_velocity(c, s, chart_q)[0]
+        J = c.reshape(3, 3)   # rows A, B, C; columns value, d/du, d/dv
         # weights of (A, B, C) in F = A + 2Bs + Cs^2 (chart p) or As^2 + 2Bs + C, and in dF/ds
         w, ws = np.array(((s * s, 2 * s, 1), (2 * s, 2, 0)) if chart_q else
                          ((1, 2 * s, s * s), (0, 2, 2 * s)))

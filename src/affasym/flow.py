@@ -472,11 +472,10 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, tol, crept, reas
         end(running & (arclen >= params.max_len), "max_length")
         near = (running & (arclen > 10 * h_max) & (q == lane[:, _SEED_Q])).nonzero()[0]
         if len(near):
-            dist = _state_distance(y[near], lane[near, _SEED], period)
+            dist, d_prev = new[sub[near], _DIST], lane[near, _DIST]
             end(near[dist < _LOOP_TOL], "closed_loop")
             # closest approach: a step can overshoot the seed state, so search
             # the step for the minimum of the distance
-            d_prev = _state_distance(y_old[near], lane[near, _SEED], period)
             look = near[(dist >= _LOOP_TOL) & same_chart[near] & (d_prev < dist)
                         & (d_prev < 2 * ds[near])]
             if len(look):

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bde
-from .jets import Jet2
 
 __all__ = [
     "SingularPointReport",
@@ -108,19 +107,6 @@ def restricted_eigenvalues(J):
     return (complex(tr / 2.0, rt / 2.0), complex(tr / 2.0, -rt / 2.0)), tr, e2
 
 
-def _double_roots(fld, u, v, order):
-    """The slots of ``fld`` up to ``order`` at (u, v), one point or a batch,
-    and per point the slope of the double root and whether its chart is q:
-    -B/C in chart p where |C| >= |A| (0.0 where C = 0 there), else -B/A."""
-    c = fld.slots(u, v, order)
-    n = len(c) // 3
-    A, B, C = c[0], c[n], c[2 * n]
-    chart_q = ~(np.abs(C) >= np.abs(A))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(chart_q, -B / A, np.where(C != 0, -B / C, 0.0))
-    return c, slope, chart_q
-
-
 def _fold_signal(fld, poly):
     """Third lifted component at the double-root lift of each vertex, and
     the coefficient scale max(|A|, |B|, |C|) there; a vertex whose
@@ -131,7 +117,8 @@ def _fold_signal(fld, poly):
     direction by 1/s and the component by 1/s^3, so a sign change that
     survives is a zero.  Fold points are its zeros along the discriminant."""
     def signal(sl):
-        c, slope, chart_q = _double_roots(fld, poly[sl, 0], poly[sl, 1], 1)
+        c = fld.slots(poly[sl, 0], poly[sl, 1], 1)
+        slope, chart_q = bde.double_root(c)
         X, scale = bde.lifted_velocity(c, slope, chart_q)
         return (np.column_stack([X[:, 2], np.where(chart_q, slope, 1.0),
                                  np.where(chart_q, 1.0, slope), scale]),)
@@ -205,7 +192,7 @@ def find_folded_points(fld, polylines, region, resolution, drop=None):
 
 
 def _newton_fold(fld, u, v):
-    _, slope, chart_q = _double_roots(fld, u, v, 0)
+    slope, chart_q = bde.double_root(fld.slots(u, v, 0))
     x = np.array([u, v, float(slope)])
     for _ in range(25):
         try:
@@ -238,7 +225,8 @@ def _newton_fold(fld, u, v):
 def classify_folded(fld, point):
     """Linearize the lifted field at the double-root lift of a fold point."""
     u, v = point
-    c, slope, chart_q = _double_roots(fld, u, v, 2)
+    c = fld.slots(u, v, 2)
+    slope, chart_q = bde.double_root(c)
     slope, chart_q = float(slope), bool(chart_q)
     X, scale = bde.lifted_velocity(c, slope, chart_q)
     scale = max(float(scale), 1e-30)
@@ -268,16 +256,14 @@ def classify_flat_affine_umbilic(fld, point):
     """Morse classification at a point where all three coefficients vanish."""
     u, v = point
     c = fld.slots(u, v, 2)
-    Aj, Bj, Cj = (Jet2(2, x) for x in c.reshape(3, 6))
-    A0, B0, C0 = (float(j.value) for j in (Aj, Bj, Cj))
-    scale = max(max(abs(float(j.partial(1, 0))), abs(float(j.partial(0, 1))))
-                for j in (Aj, Bj, Cj))
-    scale = max(scale, 1e-30)
+    g = c.reshape(3, 6)[:, :3]    # rows A, B, C: value, d/du, d/dv
+    (A0, Au, Av), (B0, Bu, Bv), (C0, Cu, Cv) = g.tolist()
+    scale = max(float(np.max(np.abs(g[:, 1:]))), 1e-30)
     if max(abs(A0), abs(B0), abs(C0)) > bde.DEGENERATE_TOL * max(1.0, scale):
         raise NotFlatUmbilicError(f"coefficients do not all vanish at {point}")
-    delta = Bj * Bj - Aj * Cj
-    H = np.array([[float(delta.partial(2, 0)), float(delta.partial(1, 1))],
-                  [float(delta.partial(1, 1)), float(delta.partial(0, 2))]])
+    # the Hessian of delta = B^2 - AC where A = B = C = 0, from the gradients
+    gA, gB, gC = g[:, 1:]
+    H = 2.0 * np.outer(gB, gB) - (np.outer(gA, gC) + np.outer(gC, gA))
     detH = float(np.linalg.det(H))
     if abs(detH) <= 1e-10 * scale ** 2:
         raise DegenerateHessianError(f"discriminant Hessian is degenerate at {point}")
@@ -292,9 +278,6 @@ def classify_flat_affine_umbilic(fld, point):
 
     # lifted singularities along the fiber: zeros of the vertical component,
     # a cubic in the slope
-    Au, Av = float(Aj.partial(1, 0)), float(Aj.partial(0, 1))
-    Bu, Bv = float(Bj.partial(1, 0)), float(Bj.partial(0, 1))
-    Cu, Cv = float(Cj.partial(1, 0)), float(Cj.partial(0, 1))
     cubic = [Cv, Cu + 2 * Bv, 2 * Bu + Av, Au]  # highest power first
     roots = np.roots(cubic) if any(abs(c) > 0 for c in cubic) else np.array([])
     lifts = [(float(z.real), False)
@@ -426,18 +409,17 @@ def _cubic_real_root_count(a, b, c, d):
 
 
 def blowup_radial_coeffs(fld, t):
-    """Polar blow-up coefficients (Abar, Bbar, Cbar) at angle t.
-
-    For a field with homogeneous quadratic coefficients the r-dependence
-    cancels exactly, so r = 0 is evaluated at r = 1e-3.
-    """
-    rr = 1e-3
-    u, v = rr * np.cos(t), rr * np.sin(t)
-    A, B, C = fld.coeff(u, v)
+    """Polar blow-up coefficients (Abar, Bbar, Cbar) at angle t of a field
+    whose coefficients vanish to second order at the origin: the leading
+    terms in r, read from the quadratic part of the order-2 slots there."""
     ct, st = np.cos(t), np.sin(t)
-    Abar = (A * ct * ct + 2 * B * ct * st + C * st * st) / rr ** 2
-    Bbar = (-A * ct * st + B * (ct * ct - st * st) + C * st * ct) / rr ** 2
-    Cbar = (A * st * st - 2 * B * ct * st + C * ct * ct) / rr ** 2
+    # the quadratic part of (A, B, C) on the unit circle, from the raw
+    # partials uu, uv and vv
+    A, B, C = np.tensordot(fld.slots(0.0, 0.0, 2).reshape(3, 6)[:, 3:],
+                           np.array([0.5 * ct * ct, ct * st, 0.5 * st * st]), 1)
+    Abar = A * ct * ct + 2 * B * ct * st + C * st * st
+    Bbar = -A * ct * st + B * (ct * ct - st * st) + C * st * ct
+    Cbar = A * st * st - 2 * B * ct * st + C * ct * ct
     return Abar, Bbar, Cbar
 
 
@@ -453,13 +435,11 @@ def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0)):
     ``delta_max_punctured`` is the largest extended discriminant on a
     21 x 21 grid of half-width 1e-2 around the point, the point left out."""
     u0, v0 = point
-    L, M, N = bde.euclidean_field_for(surf).jet_coeff(u0, v0, 1)
-    if max(abs(float(j.value)) for j in (L, M, N)) > FLAT_TOL:
+    c = bde.euclidean_field_for(surf).slots(u0, v0, 1).reshape(3, 3).tolist()
+    if max(abs(row[0]) for row in c) > FLAT_TOL:
         raise NotFlatUmbilicError(f"second form (L, M, N) does not vanish at {point}")
-    c30 = float(L.partial(1, 0)) / 6.0
-    c21 = float(L.partial(0, 1)) / 2.0
-    c12 = float(M.partial(0, 1)) / 2.0
-    c03 = float(N.partial(0, 1)) / 6.0
+    (_, L_u, L_v), (_, _, M_v), (_, _, N_v) = c    # rows L, M, N: value, d/du, d/dv
+    c30, c21, c12, c03 = L_u / 6.0, L_v / 2.0, M_v / 2.0, N_v / 6.0
     if max(abs(c30), abs(c21), abs(c12), abs(c03)) < FLAT_TOL:
         raise NotFlatUmbilicError("cubic part vanishes; point is flatter than a cubic flat point")
     roots = _cubic_real_root_count(c30, c21, c12, c03) if abs(c30) > FLAT_TOL else \

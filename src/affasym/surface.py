@@ -427,6 +427,8 @@ class PolySet(tuple):
             pad = [entries + [(0.0, 0, 0)] * (m - len(entries))
                    for entries in tabs + [[]] * (2 - len(tabs))]
             w, i, j = np.array(pad, dtype=float).reshape(len(pad), m, 3).T
+            if not np.isfinite(w).all():
+                raise EvalError("a polynomial coefficient or its derivative overflows")
             plan = self._plans[order] = (
                 len(tabs), w[:, :, None].copy(),
                 np.array([i, np.where(j > 0, j + du, 0)], dtype=np.intp),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -134,6 +135,56 @@ def test_direction_roots_match_the_former_scalar_solver():
         # one point alone gives the same bits
         alone = bde.direction_roots(A, B, C)
         assert alone[0] == k and np.array_equal(alone[1], r)
+
+
+def former_double_roots(fld, u, v, order):
+    """The former ``singular._double_roots``, the reference: the slots of
+    ``fld`` up to ``order`` at (u, v) and per point the slope of the double
+    root and whether its chart is q: -B/C in chart p where |C| >= |A| (0.0
+    where C = 0 there), else -B/A."""
+    c = fld.slots(u, v, order)
+    n = len(c) // 3
+    A, B, C = c[0], c[n], c[2 * n]
+    chart_q = ~(np.abs(C) >= np.abs(A))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(chart_q, -B / A, np.where(C != 0, -B / C, 0.0))
+    return c, slope, chart_q
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_double_root_matches_the_former_rule_bit_for_bit(order):
+    # values across |A| = |C|, C = 0 and signed zeros, with random higher slots
+    rng = np.random.default_rng(order)
+    vals = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1e-300, np.nan]
+    abc = np.array(list(itertools.product(vals, repeat=3))).T
+    n = (order + 1) * (order + 2) // 2
+    slots = rng.normal(size=(3, n, abc.shape[1]))
+    slots[:, 0] = abc
+    fld = bde.BDEField(lambda u, v, k: slots[:, :(k + 1) * (k + 2) // 2].reshape(-1, len(u)))
+    u = np.zeros(abc.shape[1])
+    c, want, want_q = former_double_roots(fld, u, u, order)
+    got, got_q = bde.double_root(c)
+    assert _same_bits(got, want) and _same_bits(got_q, want_q)
+    # one point alone gives the same bits
+    for k in (0, 7, 100, 511):
+        alone = bde.double_root(c[:, k])
+        assert _same_bits(alone[0], want[k]) and alone[1] == want_q[k]
+
+
+def test_direction_roots_double_rows_take_the_one_double_root():
+    # B^2 = AC: the unit direction of the slope of double_root, in both rows
+    a, b = np.meshgrid([1.0, -2.0, 0.5, 0.0, -0.0, 3.0], [1.0, -3.0, 0.0, -0.0, 0.25])
+    A, B, C = a * a, a * b, b * b
+    kind, roots = bde.direction_roots(A, B, C)
+    slope, chart_q = bde.double_root((A, B, C))
+    double = kind == "double"
+    assert double.sum() == 26 and chart_q[double].any() and (~chart_q[double]).any()
+    for s, q, r in zip(slope[double].tolist(), chart_q[double].tolist(), roots[double]):
+        du, dv = (s, 1.0) if q else (1.0, s)
+        h = math.hypot(du, dv)
+        d = np.array([du / h, dv / h])
+        d = -d if d[0] < 0 or (d[0] == 0 and d[1] < 0) else d
+        assert _same_bits(r, np.array([d, d]))
 
 
 def test_lifted_derivatives_match_residual_and_jacobian():

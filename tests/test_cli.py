@@ -132,6 +132,26 @@ def test_conormal_domain_failure(tmp_path):
     assert "domain failure" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "portrait"])
+def test_an_overflowing_polynomial_chart_is_a_domain_failure(tmp_path, command):
+    # 1e308 parses, but the chart's u-derivative 2e308 overflows
+    res = run_cli(command, "--surface", "monge:1e308*u^2+v^2", "--res", "4",
+                  "--out", str(tmp_path))
+    assert res.returncode == 3
+    assert res.stderr == "domain failure: a polynomial coefficient or its derivative overflows\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_overflowing_first_form_is_a_domain_failure(tmp_path):
+    # a chart that is not polynomial: its first form is the first non-finite value
+    res = run_cli("analyze", "--surface", "monge:1e300*sin(u)*1e10+v^2", "--res", "4",
+                  "--out", str(tmp_path))
+    assert res.returncode == 3
+    assert [line for line in res.stderr.splitlines() if "domain failure" in line] == [
+        "domain failure: first fundamental form (E, F, G) is not finite"]
+    assert os.listdir(tmp_path) == []
+
+
 VERIFY_NAMES = [
     "torus extended coefficients match the frame pipeline",
     "graph normal form constants at the origin",

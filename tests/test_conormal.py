@@ -367,8 +367,8 @@ def test_tangency_signals_agree_on_source_and_image():
                                cg.domain, 256)
     poly = max(polys, key=len)
     off = poly[np.abs(poly[:, 0]) > 0.015]  # stand off the parabolic point
-    _, s_src, q_src = sg._double_roots(src, off[:, 0], off[:, 1], 0)
-    _, s_img, q_img = sg._double_roots(img, off[:, 0], off[:, 1], 0)
+    s_src, q_src = bde.double_root(src.slots(off[:, 0], off[:, 1], 0))
+    s_img, q_img = bde.double_root(img.slots(off[:, 0], off[:, 1], 0))
     ok = np.isfinite(s_src) & np.isfinite(s_img)
     assert ok.sum() > 20
     assert np.array_equal(q_src[ok], q_img[ok])

@@ -294,6 +294,23 @@ def test_blowup_reference_value():
     assert norm[2] == pytest.approx((1 + 2 * math.cos(1.0) ** 2) ** 2, abs=1e-9)
 
 
+def test_blowup_reads_the_exact_quadratic_part():
+    # quadratic plus cubic coefficients: the blow-up is the quadratic part's
+    quad = ({(2, 0): 1.0, (1, 1): 0.5, (0, 2): -1.0}, {(2, 0): 0.3, (1, 1): -1.0, (0, 2): 2.0},
+            {(2, 0): -0.7, (0, 2): 0.4})
+    cubic = ({(3, 0): 0.7, (1, 2): -2.0}, {(2, 1): 1.5}, {(0, 3): -0.9, (3, 0): 0.2})
+    fld = bde.field_from_polynomials(*({**q, **c} for q, c in zip(quad, cubic)), Rect(-1, 1, -1, 1))
+    ts = np.linspace(0.0, 2 * math.pi, 37)
+    ct, st = np.cos(ts), np.sin(ts)
+    A, B, C = (q[(2, 0)] * ct * ct + q.get((1, 1), 0.0) * ct * st + q[(0, 2)] * st * st
+               for q in quad)
+    want = (A * ct * ct + 2 * B * ct * st + C * st * st,
+            -A * ct * st + B * (ct * ct - st * st) + C * st * ct,
+            A * st * st - 2 * B * ct * st + C * ct * ct)
+    for got, w in zip(sg.blowup_radial_coeffs(fld, ts), want):
+        assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
+
+
 def test_not_flat_umbilic_error():
     pick = sf.catalog_surface("pick", {"epsilon": 1, "sigma": 0.5})
     with pytest.raises(sg.NotFlatUmbilicError):
@@ -336,7 +353,7 @@ def test_fold_point_on_a_generic_surface():
         poly = min(polys, key=lambda q: np.min(np.hypot(*(q - p).T)))
         k = int(np.argmin(np.hypot(*(poly - p).T)))
         t = poly[min(k + 1, len(poly) - 1)] - poly[max(k - 1, 0)]
-        _, slope, chart_q = sg._double_roots(fld, p[0], p[1], 0)
+        slope, chart_q = bde.double_root(fld.slots(p[0], p[1], 0))
         d = (float(slope), 1.0) if chart_q else (1.0, float(slope))
         assert abs(d[0] * t[1] - d[1] * t[0]) / math.hypot(*d) / math.hypot(*t) < 1e-2, p
 

@@ -30,3 +30,24 @@ def test_compare_portraits_accounts_for_each_polyline():
         "  parabolic 1 -> 1 (2 vertices): largest vertex move 0.5",
         "  parabolic dropped 2 (2 vertices, from (2, 2))",
     ]
+
+
+def test_compare_portraits_pairs_changed_reports():
+    # a fold moves by a 3-4-5 step and changes lambda and one eigenvalue, a
+    # meeting is kept byte-identical, one meeting is removed and a cusp added
+    compare = load_tool("compare_portraits").compare
+    fold = {"kind": "folded_node", "location": [0.0, 0.0], "lambda_invariant": 0.04,
+            "eigenvalues": [[1.0, 0.0], [2.0, 0.0]]}
+    meeting = {"kind": "parabolic_meeting", "location": [1.0, 1.0], "eigenvalues": []}
+    old = {"reports": [fold, meeting, {**meeting, "location": [2.0, 2.0]}],
+           "trajectories": [], "singular_sets": {}}
+    new = {"reports": [{**fold, "location": [3e-13, 4e-13], "lambda_invariant": 0.05,
+                        "eigenvalues": [[1.0, 0.0], [2.0, 1.0]]}, meeting,
+                       {**fold, "kind": "cusp_of_gauss", "location": [0.5, 0.5]}],
+           "trajectories": [], "singular_sets": {}}
+    assert compare(old, new)[:3] == [
+        "  report changed: folded_node (0, 0): location move 5e-13, lambda 0.25,"
+        " eigenvalue 0, eigenvalue 0.5",
+        "  report removed: parabolic_meeting (2, 2)",
+        "  report added: cusp_of_gauss (0.5, 0.5)",
+    ]

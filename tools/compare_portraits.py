@@ -4,8 +4,12 @@
     PYTHONPATH=src python tools/payload_hashes.py --keep new   # at another
     PYTHONPATH=src python tools/compare_portraits.py old new
 
-For each run with a ``portrait.json`` in either directory it prints the
-reports removed and added (kind and location), the trajectories kept
+For each run with a ``portrait.json`` in either directory it prints each
+report that changed: a report not kept byte-identical is paired with the
+nearest changed report of the same kind in the other run, and the pair's
+location move and relative changes of lambda and of each eigenvalue are
+printed; the reports left unpaired are printed as removed and added (kind
+and location).  It prints the trajectories kept
 byte-identical (and whether in the same order), those that changed only in
 their last row (each with the largest change in that row), dropped and new,
 and for each dropped trajectory its nearest kept partner: a kept trajectory
@@ -19,9 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -35,8 +39,42 @@ def _load(path):
         return json.load(fh)
 
 
-def _report_key(rep):
-    return rep["kind"], tuple(rep["location"])
+def _relative(a, b):
+    """|b - a| / |a|, 0.0 when a = b, inf when only a is 0."""
+    return 0.0 if a == b else abs(b - a) / abs(a) if a else math.inf
+
+
+def compare_reports(old, new):
+    """The lines describing the changes from the reports ``old`` to ``new``:
+    each changed old report, in order, paired with the nearest unpaired
+    changed new report of its kind."""
+    _, fresh, gone = _match(old, new)
+    lines, removed = [], []
+    for k in gone:
+        a = old[k]
+        near = [(math.dist(a["location"], new[m]["location"]), m) for m in fresh
+                if new[m]["kind"] == a["kind"]]
+        if not near:
+            removed.append(k)
+            continue
+        move, m = min(near)
+        fresh.remove(m)
+        b = new[m]
+        text = f"  report changed: {a['kind']} ({a['location'][0]:.6g}, {a['location'][1]:.6g}):" \
+            f" location move {move:.3g}"
+        if "lambda_invariant" in a and "lambda_invariant" in b:
+            text += f", lambda {_relative(a['lambda_invariant'], b['lambda_invariant']):.3g}"
+        za, zb = ([complex(*z) for z in r["eigenvalues"]] for r in (a, b))
+        if len(za) == len(zb):
+            text += "".join(f", eigenvalue {_relative(x, y):.3g}" for x, y in zip(za, zb))
+        else:
+            text += f", {len(za)} -> {len(zb)} eigenvalues"
+        lines.append(text)
+    for label, reps, ks in (("removed", old, removed), ("added", new, fresh)):
+        for k in ks:
+            u, v = reps[k]["location"]
+            lines.append(f"  report {label}: {reps[k]['kind']} ({u:.6g}, {v:.6g})")
+    return lines
 
 
 def _text(traj):
@@ -106,13 +144,7 @@ def compare_sets(old, new):
 
 def compare(old, new):
     """The lines describing the changes from portrait ``old`` to ``new``."""
-    lines = []
-    before = Counter(map(_report_key, old["reports"]))
-    after = Counter(map(_report_key, new["reports"]))
-    for label, diff in (("removed", before - after), ("added", after - before)):
-        for (kind, loc), n in sorted(diff.items()):
-            lines.append(f"  report {label}: {kind} ({loc[0]:.6g}, {loc[1]:.6g})"
-                         + (f" x{n}" if n > 1 else ""))
+    lines = compare_reports(old["reports"], new["reports"])
     olds, news = old["trajectories"], new["trajectories"]
     kept, fresh, dropped = _match(olds, news)
     # a dropped and a new trajectory of one family that agree in every row
