@@ -15,9 +15,10 @@ fields for ``portrait`` come from ``--bde folded --lam L`` or ``--bde morse
 ``_SOURCES``) and passes on only the values given, so each default is the library's.
 
 Exit codes: 0 success, 1 verification failures, 2 configuration errors,
-3 mathematical domain failures.  Payload outputs carry no timestamps; a
-sidecar ``run_info.json`` records the invocation and the wall time of each
-stage.
+3 mathematical domain failures: any ArithmeticError or EvalError, each
+command running with numpy's overflow and invalid operations raising.  Payload
+outputs carry no timestamps; a sidecar ``run_info.json`` records the
+invocation and the wall time of each stage.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 # bde, flow, singular, conormal and checks are imported by the commands that
 # run them, so that each command loads only the modules it uses
 from . import affine, surface as surface_mod
-from .jets import JetDomainError
 from .jsontext import float_texts, json_at, json_records
 from .surface import ParseError
 
@@ -421,14 +421,14 @@ def main(argv=None):
             return EXIT_OK
         args.argv = argv    # run_info.json records the arguments parsed
         _check_source_flags(args)
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except (ConfigError, ParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
         print("configuration error: out of memory; lower --res or trace_res", file=sys.stderr)
         return EXIT_CONFIG
-    except (affine.ParabolicPointError, affine.DegenerateImmersionError,
-            affine.ImmersionError, JetDomainError, surface_mod.EvalError) as exc:
+    except (ArithmeticError, surface_mod.EvalError) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return EXIT_MATH

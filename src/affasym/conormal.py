@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affine
-from .affine import ImmersionError
 from .jsontext import float_texts
 from .surface import Band
 
@@ -30,6 +29,11 @@ __all__ = [
     "second_form_of_conormal",
     "verify_conormal_correspondence",
 ]
+
+
+class ImmersionError(ArithmeticError):
+    """The conormal map fails to immerse."""
+
 
 # the least standoff of a mesh or sample point from an excluded strip
 MARGIN = 0.05

@@ -82,7 +82,7 @@ class Trajectory:
     # left_domain | hit_degenerate_point | max_length | closed_loop, or, for a
     # lane whose stage failed inside the domain, lost_direction_field (a
     # NoDirectionError: no direction where the discriminant is negative) |
-    # evaluation_failed (any other ArithmeticError)
+    # evaluation_failed (any other ArithmeticError, its own overflow among them)
     termination: str
 
     @property
@@ -527,6 +527,7 @@ def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
     Along the trajectory the lift keeps the branch choice consistent,
     including through projected cusps.  This is ``integrate_many`` with one
     job, except that a seed without a direction raises NoDirectionError.
+    No command calls it: it stays as the tests' (and bench/tracer.py's) reference.
     """
     res = _integrate(fld, [(seed, family, sweep)], params or IntegrationParams(),
                      IntegrationStats())[0]

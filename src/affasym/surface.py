@@ -487,7 +487,8 @@ def _slot_arrays(polys, u, v, order):
 
 
 def poly_values(polys, u, v):
-    """Values of several polynomials at one point or a batch, in one pass."""
+    """Values of several polynomials at one point or a batch, in one pass; no
+    command calls it or ``Poly.__call__``: they stay as the tests' reference."""
     return tuple(_slot_arrays(polys, u, v, 0))
 
 

@@ -143,13 +143,85 @@ def test_an_overflowing_polynomial_chart_is_a_domain_failure(tmp_path, command):
 
 
 def test_an_overflowing_first_form_is_a_domain_failure(tmp_path):
-    # a chart that is not polynomial: its first form is the first non-finite value
+    # a chart that is not polynomial: its first form E = a_u . a_u overflows,
+    # and the floating-point rule of cli.main raises there
     res = run_cli("analyze", "--surface", "monge:1e300*sin(u)*1e10+v^2", "--res", "4",
                   "--out", str(tmp_path))
     assert res.returncode == 3
     assert [line for line in res.stderr.splitlines() if "domain failure" in line] == [
-        "domain failure: first fundamental form (E, F, G) is not finite"]
+        "domain failure: overflow encountered in multiply"]
     assert os.listdir(tmp_path) == []
+
+
+_TORUS = ("--surface", "catalog:torus", "--R", "3", "--r", "1")
+_HUGE_U = "--region=-1e200,1e200,-1,1"
+# (exit code, argv) of commands on charts or fields whose numbers overflow or
+# underflow, or whose flags are extreme
+HOSTILE = [
+    (3, ["portrait", "--surface", "monge:sin(u)*1e200*1e200+v^2", "--res", "1"]),
+    (3, ["conormal", "--surface", "monge:sin(u)*1e200*1e200+v^2", "--res", "32"]),
+    (3, ["portrait", "--surface", "monge:exp(800*u)+v^2"]),
+    (3, ["portrait", "--surface", "monge:1e300*sin(u)*1e10+v^2"]),
+    (0, ["portrait", "--surface", "monge:exp(u*v)*1e-200+u^2*v", "--res", "1"]),
+    (3, ["analyze", "--surface", "monge:u^2+v^2", _HUGE_U, "--res", "4"]),
+    (3, ["conormal", "--surface", "monge:u^2+v^2", _HUGE_U, "--res", "8"]),
+    (3, ["analyze", "--surface", "monge:sin(u)*1e200*1e200+v^2", "--res", "4"]),
+    (3, ["conormal", "--surface", "monge:1e300*sin(u)*1e10+v^2", "--res", "8"]),
+    (3, ["analyze", "--surface", "monge:exp(800*u)+v^2", "--res", "4"]),
+    (3, ["conormal", "--surface", "monge:exp(800*u)+v^2", "--res", "8"]),
+    (3, ["portrait", "--surface", "monge:exp(exp(10*u))+v^2", "--res", "1"]),
+    (3, ["portrait", "--surface", "monge:sqrt(u^2*1e300*1e300)+v^2", "--res", "1"]),
+    (3, ["portrait", "--surface", "monge:1e200*(u^3-3*u*v^2)", "--res", "1"]),
+    (3, ["analyze", "--surface", "monge:u^2+1e150*v^2", "--res", "4"]),
+    (0, ["portrait", "--surface", "monge:u^2+1e150*v^2", "--res", "1"]),
+    (0, ["conormal", "--surface", "monge:1e200*u^2+v^2", "--res", "8"]),
+    (3, ["portrait", "--surface", "catalog:torus", "--R", "1e200", "--r", "1", "--res", "1"]),
+    (3, ["analyze", "--surface", "catalog:torus", "--R", "1e200", "--r", "1", "--res", "4"]),
+    (3, ["conormal", "--surface", "catalog:torus", "--R", "1e200", "--r", "1", "--res", "8"]),
+    (0, ["portrait", "--bde", "folded", "--lam", "1e300", "--res", "1"]),
+    (0, ["portrait", "--bde", "folded", "--lam", "1e-300", "--res", "1"]),
+    (2, ["portrait", "--bde", "folded", "--lam", "inf"]),
+    (3, ["portrait", "--bde", "morse", "--eps1", "1", "--region=-1e200,1e200,-1e200,1e200",
+         "--res", "1"]),
+    (3, ["portrait", "--surface", "catalog:pick", "--sigma", "1e200", "--res", "1"]),
+    (0, ["portrait", "--surface", "monge:1e-300*u^2+v^2", "--res", "1"]),
+    (3, ["analyze", "--surface", "monge:1e-300*u^2+v^2", "--res", "4"]),
+    (3, ["conormal", "--surface", "monge:u^3+1e-200*v^2", "--res", "8"]),
+    (3, ["portrait", "--surface", "monge:log(u+1e-300)+v^2", "--res", "1"]),
+    (0, ["analyze", *_TORUS, _HUGE_U, "--res", "4"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", HOSTILE, ids=[" ".join(a) for _, a in HOSTILE])
+def test_a_hostile_command_works_or_fails_with_one_line(tmp_path, capsys, code, argv):
+    # in process with warnings as errors: no warning and no traceback; a
+    # failure prints one line and writes nothing, and a portrait is finite
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error: " if code == 2 else "domain failure")
+        assert not out.exists()
+        return
+    assert err == ""
+    if argv[0] == "portrait":
+        payload = json.loads((out / "portrait.json").read_text())
+        rows = [r for t in payload["trajectories"] for r in t["samples"]]
+        rows += [r for polys in payload["singular_sets"].values() for p in polys for r in p]
+        assert np.isfinite([x for r in rows for x in r]).all()
+
+
+def test_main_leaves_the_numpy_error_state_as_it_found_it(tmp_path, capsys):
+    with np.errstate(divide="ignore", over="warn", under="ignore", invalid="print"):
+        before = np.geterr()
+        assert cli.main(["analyze", *_TORUS, "--res", "4", "--out", str(tmp_path / "a")]) == 0
+        assert np.geterr() == before
+        assert cli.main(["analyze", "--surface", "monge:u^2+v^2", _HUGE_U, "--res", "4",
+                         "--out", str(tmp_path / "b")]) == 3
+        assert np.geterr() == before
 
 
 VERIFY_NAMES = [

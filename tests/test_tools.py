@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import warnings
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -51,3 +52,20 @@ def test_compare_portraits_pairs_changed_reports():
         "  report removed: parabolic_meeting (2, 2)",
         "  report added: cusp_of_gauss (0.5, 0.5)",
     ]
+
+
+def test_payload_hashes_fails_a_run_that_warns(tmp_path, monkeypatch):
+    # a run that warns fails like a run that does not exit 0, and neither is hashed
+    hashes = load_tool("payload_hashes")
+
+    def main(argv):
+        os.makedirs(argv[-1])
+        if argv[0] == "warns":
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+        return 3 if argv[0] == "fails" else 0
+
+    monkeypatch.setattr(hashes, "RUNS", [(name, [name]) for name in ("warns", "fails", "ok")])
+    monkeypatch.setattr(hashes.cli, "main", main)
+    assert hashes.hash_runs(str(tmp_path)) == ([], [
+        ("warns", "warned: RuntimeWarning: overflow encountered in multiply"),
+        ("fails", "exited 3")])

@@ -23,9 +23,10 @@ integrator's searches of a step for a degenerate pass or a closed loop.
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
 
 ``--against FILE`` compares with an earlier output of this script and exits
-1 on any difference; a failed command exits 1 as well.  The outputs go to
-a temporary directory, deleted at the end, or with ``--keep DIR`` to DIR,
-kept there (``tools/compare_portraits.py`` compares two such directories).
+1 on any difference.  Each command runs with warnings turned into errors; a
+command that warns or does not exit 0 exits 1 as well.  The outputs go to a
+temporary directory, deleted at the end, or with ``--keep DIR`` to DIR, kept
+there (``tools/compare_portraits.py`` compares two such directories).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 from affasym import cli
 
@@ -118,7 +120,7 @@ def _sha256(path):
 
 def hash_runs(outdir):
     """Run the commands into ``outdir``; returns the ``sha256  path`` lines
-    and the names of the commands that did not exit 0."""
+    and, per command that warned or did not exit 0, its name and why."""
     lines, failed = [], []
     for fname, cfg in _CONFIGS:
         with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
@@ -126,10 +128,15 @@ def hash_runs(outdir):
     for name, argv in RUNS:
         out = os.path.join(outdir, name)
         argv = [a.format(tmp=outdir) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv + ["--out", out])
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv + ["--out", out])
+            except Warning as exc:
+                failed.append((name, f"warned: {type(exc).__name__}: {exc}"))
+                continue
         if code != 0:
-            failed.append(name)
+            failed.append((name, f"exited {code}"))
             continue
         for fname in sorted(os.listdir(out)):
             if fname != "run_info.json":
@@ -149,8 +156,8 @@ def main(argv=None):
         lines, failed = hash_runs(outdir)
     print("\n".join(lines))
     status = 0
-    for name in failed:
-        print(f"FAILED: {name} did not exit 0", file=sys.stderr)
+    for name, why in failed:
+        print(f"FAILED: {name} {why}", file=sys.stderr)
         status = 1
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
