@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affine
-from .jsontext import float_texts
+from .jsontext import float_texts, row_texts
 from .surface import Band
 
 __all__ = [
@@ -50,63 +50,48 @@ class ConormalMesh:
 
 
 def _grid_and_mask(surf, region, resolution, margin):
-    if np.isscalar(resolution):
-        resolution = (int(resolution), int(resolution))
-    nx, ny = resolution
-    us = np.linspace(region.u0, region.u1, nx)
-    vs = np.linspace(region.v0, region.v1, ny)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    du = (region.u1 - region.u0) / max(nx - 1, 1)
-    dv = (region.v1 - region.v0) / max(ny - 1, 1)
-    mask = np.ones(U.shape, dtype=bool)
+    """The grid's axis samples ``us``, ``vs`` and their valid masks
+    ``valid_u``, ``valid_v``.  Every excluded strip reads one coordinate, so
+    the valid grid is their product ``valid_u[:, None] & valid_v[None, :]``."""
+    nx, ny = (int(resolution),) * 2 if np.isscalar(resolution) else resolution
+    axes = {"u": (region.u0, region.u1, nx), "v": (region.v0, region.v1, ny)}
+    samples = {a: np.linspace(*ax) for a, ax in axes.items()}
+    valid = {a: np.ones(n, dtype=bool) for a, (_, _, n) in axes.items()}
     for band in surf.excluded:
+        lo, hi, n = axes[band.axis]
         # at least one grid step wide, so the strip severs mesh connectivity
-        step = du if band.axis == "u" else dv
-        wide = Band(band.axis, band.center, max(band.halfwidth, margin, 0.51 * step))
-        mask &= ~wide.excludes(U, V)
-    return U, V, mask
+        half = max(band.halfwidth, margin, 0.51 * (hi - lo) / max(n - 1, 1))
+        valid[band.axis] &= ~Band(band.axis, band.center, half).excludes(*samples.values())
+    return samples["u"], samples["v"], valid["u"], valid["v"]
 
 
-def _components(surf, region, mask):
-    """Connected components of the valid grid mask (4-neighborhood);
-    periodic parameters wrap the adjacency across the seam.
+def _runs(valid, span, period):
+    """Run number of each valid index of one axis mask (from 0, in order)
+    and the number of runs; the last run joins the first when the axis spans
+    its period."""
+    start = valid & ~np.concatenate(([False], valid[:-1]))
+    run = np.cumsum(start) - 1
+    count = int(start.sum())
+    if period and abs(span - period) < 1e-9 and count > 1 and valid[0] and valid[-1]:
+        count -= 1
+        run[run == count] = 0
+    return run, count
 
-    Labelled with array passes: every edge between two valid points hooks
-    the larger of its two roots onto the smaller, then pointer jumping
-    flattens the forest, until no edge joins two roots.  Each root ends as
-    its component's first valid point in row-major order, so components are
-    numbered in the order of their first points."""
-    wrap_u, wrap_v = (bool(p) and abs(span - p) < 1e-9 for p, span in
-                      zip(surf.period or (None, None),
-                          (region.u1 - region.u0, region.v1 - region.v0)))
-    n = np.count_nonzero(mask)
-    index = -np.ones(mask.shape, dtype=np.intp)
-    index[mask] = np.arange(n)
-    pairs = [(index[:-1, :], index[1:, :]), (index[:, :-1], index[:, 1:])]
-    if wrap_u:
-        pairs.append((index[:1, :], index[-1:, :]))
-    if wrap_v:
-        pairs.append((index[:, :1], index[:, -1:]))
-    a = np.concatenate([p.ravel() for p, _ in pairs])
-    b = np.concatenate([q.ravel() for _, q in pairs])
-    keep = (a >= 0) & (b >= 0)
-    a, b = a[keep], b[keep]
-    parent = np.arange(n)
-    while True:
-        ra, rb = parent[a], parent[b]
-        joined = ra != rb
-        if not joined.any():
-            break
-        np.minimum.at(parent, np.maximum(ra, rb)[joined], np.minimum(ra, rb)[joined])
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
-    roots, label = np.unique(parent, return_inverse=True)
-    comp_grid = -np.ones(mask.shape, dtype=int)
-    comp_grid[mask] = label
-    return comp_grid, len(roots)
+
+def _components(surf, region, valid_u, valid_v):
+    """Connected components of the valid grid ``valid_u[:, None] &
+    valid_v[None, :]`` (4-neighborhood), as a label grid (-1 where invalid)
+    and their number; periodic parameters wrap the adjacency across the seam.
+
+    A component of a product of axis masks is a product of axis runs, so
+    point (i, j) is labelled ``run_u[i] * n_v + run_v[j]`` with n_v runs of
+    v: components are numbered in the row-major order of their first
+    points."""
+    per_u, per_v = surf.period or (None, None)
+    run_u, n_u = _runs(valid_u, region.u1 - region.u0, per_u)
+    run_v, n_v = _runs(valid_v, region.v1 - region.v0, per_v)
+    label = np.where(np.outer(valid_u, valid_v), run_u[:, None] * n_v + run_v, -1)
+    return label, n_u * n_v
 
 
 def _rows(vec):
@@ -120,12 +105,24 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
+def _immersion(nu_u, nu_v):
+    """Rows of nu_u ^ nu_v and their norms, from the values of two triples
+    of jets, and the first point, in batch order, where the conormal map
+    fails to immerse (norm at most 1e-10), or None."""
+    wv = np.cross(_rows(nu_u), _rows(nu_v))
+    norm = _norms(wv)
+    bad = np.flatnonzero(norm <= 1e-10)
+    return wv, norm, int(bad[0]) if len(bad) else None
+
+
 def _mesh_rows(surf, u, v):
-    """Conormal rows, |nu_u ^ nu_v| and position rows of one block of grid
-    points, from one ``frame_jets`` call."""
+    """Conormal rows and position rows of one block of grid points, from
+    one ``frame_jets`` call."""
     fr = affine.frame_jets(surf, u, v, order=3, depth=1)
-    wnorm = np.linalg.norm(np.cross(_rows(fr["nu_u"]), _rows(fr["nu_v"])), axis=1)
-    return _rows(fr["nu"]), wnorm, _rows(fr["alpha"])
+    k = _immersion(fr["nu_u"], fr["nu_v"])[2]
+    if k is not None:
+        raise ImmersionError(f"conormal map fails to immerse at (u, v) = ({u[k]}, {v[k]})")
+    return _rows(fr["nu"]), _rows(fr["alpha"])
 
 
 def conormal_mesh(surf, region=None, resolution=(48, 48), margin=MARGIN, norm_cap=1e3):
@@ -142,26 +139,20 @@ def conormal_mesh(surf, region=None, resolution=(48, 48), margin=MARGIN, norm_ca
     source faces that touch no clipped vertex.
     """
     region = region or surf.domain
-    U, V, mask = _grid_and_mask(surf, region, resolution, margin)
-    uu, vv = U[mask], V[mask]
-    verts, wnorm, alpha = map(np.concatenate, zip(*(
+    us, vs, valid_u, valid_v = _grid_and_mask(surf, region, resolution, margin)
+    iu, iv = np.flatnonzero(valid_u), np.flatnonzero(valid_v)
+    uu, vv = np.repeat(us[iu], len(iv)), np.tile(vs[iv], len(iu))
+    verts, alpha = map(np.concatenate, zip(*(
         _mesh_rows(surf, uu[s], vv[s]) for s in affine._lane_blocks(len(uu)))))
-    bad = wnorm <= 1e-10
-    if np.any(bad):
-        k = int(np.nonzero(bad)[0][0])
-        raise ImmersionError(
-            f"conormal map fails to immerse at (u, v) = ({uu[k]}, {vv[k]})")
     clipped = np.linalg.norm(verts, axis=1) > norm_cap
 
-    # quads of the grid in row-major order, numbered by valid vertex
-    index = -np.ones(U.shape, dtype=int)
-    index[mask] = np.arange(len(uu))
-    quads = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]],
-                     axis=-1).reshape(-1, 4)
-    faces = quads[(quads >= 0).all(axis=1)]
-    comp_grid, n_comp = _components(surf, region, mask)
-    shared = dict(component_id=comp_grid[mask], params=np.stack([uu, vv], axis=1),
-                  n_components=n_comp)
+    # quads of the grid in row-major order, numbered by valid vertex: the
+    # valid indices of ranks k and l start a cell where the next ones follow
+    ku, kv = np.flatnonzero(np.diff(iu) == 1), np.flatnonzero(np.diff(iv) == 1)
+    faces = (ku[:, None] * len(iv) + kv).reshape(-1, 1) + [0, len(iv), len(iv) + 1, 1]
+    comp_grid, n_comp = _components(surf, region, valid_u, valid_v)
+    shared = dict(component_id=comp_grid[np.ix_(iu, iv)].ravel(),
+                  params=np.stack([uu, vv], axis=1), n_components=n_comp)
     source = ConormalMesh(vertices=alpha, faces=faces,
                           clipped=np.zeros(len(uu), dtype=bool), **shared)
     image = ConormalMesh(vertices=verts, faces=faces[~clipped[faces].any(axis=1)],
@@ -175,12 +166,9 @@ def second_form_of_conormal(frame):
     its nu_u and nu_v are read.  ``ImmersionError`` names the first point,
     in batch order, where the image fails to immerse."""
     nu_u, nu_v = frame["nu_u"], frame["nu_v"]
-    wv = _rows(affine.cross(nu_u, nu_v))
-    norm = _norms(wv)
-    bad = np.atleast_1d(norm <= 1e-10)
-    if bad.any():
-        raise ImmersionError(
-            f"conormal map fails to immerse at sample {int(np.flatnonzero(bad)[0])}")
+    wv, norm, k = _immersion(nu_u, nu_v)
+    if k is not None:
+        raise ImmersionError(f"conormal map fails to immerse at sample {k}")
     nvec = wv / norm[..., None]
     second = (_rows(c.du() for c in nu_u), _rows(c.dv() for c in nu_u),
               _rows(c.dv() for c in nu_v))
@@ -233,10 +221,8 @@ def export_mesh(mesh):
 
     Vertices and faces are sorted by component once (stably, so each object
     keeps the mesh order) and written object by object, in blocks of
-    ``affine._LANES``: ``v`` lines from one ``float_texts`` call, ``f`` lines
-    from one orjson pass."""
-    import orjson
-
+    ``affine._LANES``, each block's ``v`` or ``f`` lines from one
+    ``row_texts`` call."""
     comp = mesh.component_id
     vorder = np.argsort(comp, kind="stable")
     remap = np.empty(len(comp), dtype=int)
@@ -250,13 +236,10 @@ def export_mesh(mesh):
     for c in range(mesh.n_components):
         if vcut[c] == vcut[c + 1]:
             continue
-        vsel, fsel = vorder[vcut[c]:vcut[c + 1]], forder[fcut[c]:fcut[c + 1]]
         yield f"o component_{c}\n"
-        for s in affine._lane_blocks(len(vsel)):
-            verts = mesh.vertices[vsel[s]]
-            yield "v %s %s %s\n" * len(verts) % tuple(float_texts(verts))
-        for s in affine._lane_blocks(len(fsel)):
-            quads = remap[mesh.faces[fsel[s]]]
-            if len(quads):
-                text = orjson.dumps(quads, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-                yield "f " + text[2:-2].replace("],[", "\nf ").replace(",", " ") + "\n"
+        for tag, rows in (("v", mesh.vertices[vorder[vcut[c]:vcut[c + 1]]]),
+                          ("f", remap[mesh.faces[forder[fcut[c]:fcut[c + 1]]]])):
+            for s in affine._lane_blocks(len(rows)):
+                texts = row_texts(rows[s])
+                if texts:
+                    yield f"{tag} " + f"\n{tag} ".join(texts).replace(",", " ") + "\n"

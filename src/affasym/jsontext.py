@@ -4,13 +4,13 @@ built directly from arrays.
 An item at nesting level L sits on its own line indented by L spaces.  The
 writers below fill one %-template per array with ``float_texts``, repr's
 text, which json writes for a finite float; anything else (non-finite
-values, small dicts) goes through ``json.dumps`` itself.  ``float_texts``
+values, small dicts) goes through ``json.dumps`` itself.  ``row_texts``
 prints a whole array with orjson's shortest round-trip printer (Ryu), whose
 digits are repr's; its form differs where repr writes an exponent, and for
 NaN and infinities ("1e16", "0.00001", null against "1e+16", "1e-05",
-"nan"), so those entries (non-finite, or non-zero with |x| < 1e-4 or
-|x| >= 1e16) are re-written with ``float.__repr__``.  orjson is imported on
-the first call: a process that writes no payload never loads it.
+"nan"), so a row holding such an entry (non-finite, or non-zero with
+|x| < 1e-4 or |x| >= 1e16) is re-written with ``float.__repr__``.  orjson
+is imported on the first call: a process that writes no payload never loads it.
 """
 
 from __future__ import annotations
@@ -20,20 +20,31 @@ import json
 
 import numpy as np
 
-__all__ = ["float_texts", "json_at", "json_block", "json_object", "json_rows", "json_records"]
+__all__ = ["float_texts", "json_at", "json_block", "json_object", "json_rows", "json_records",
+           "row_texts"]
+
+
+def row_texts(arr):
+    """The text of each row of a 1-D or 2-D int or float array, from one
+    orjson pass: a 1-D row is its entry, a 2-D row its entries joined by
+    commas, and a float is written as ``float.__repr__`` writes it."""
+    import orjson
+
+    a = np.ascontiguousarray(arr)
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    rows = text[2:-2].split("],[") if a.ndim == 2 else text[1:-1].split(",")
+    if a.dtype.kind == "f":
+        mag = np.abs(a)
+        odd = ~(mag < 1e16) | ((mag < 1e-4) & (mag != 0))  # NaN is not < 1e16
+        by_row = a.reshape(len(rows), -1)
+        for k in np.flatnonzero(odd if a.ndim == 1 else odd.any(axis=1)).tolist():
+            rows[k] = ",".join(map(float.__repr__, by_row[k].tolist()))
+    return rows if a.size else []
 
 
 def float_texts(arr):
     """``float.__repr__`` of every entry of a float array, in C order."""
-    import orjson
-
-    a = np.ascontiguousarray(arr, dtype=float).reshape(-1)
-    texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    mag = np.abs(a)
-    odd = np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (mag != 0)))  # NaN is not < 1e16
-    for k, text in zip(odd.tolist(), map(float.__repr__, a[odd].tolist())):
-        texts[k] = text
-    return texts if a.size else []
+    return row_texts(np.ravel(np.asarray(arr, dtype=float)))
 
 
 def json_at(obj, level):

@@ -703,8 +703,9 @@ def catalog_surface(cat_id, params=None, domain=None):
     elif cat_id == "cusp_gauss":
         q = _finite_q(params)
         kept = {"q": q}
-        if abs(q.get((2, 1), 0.0) ** 2 - 4 * q.get((4, 0), 0.0)) <= 1e-12:
-            raise ValueError("cusp_gauss needs q21^2 - 4*q40 != 0")
+        q21, q40 = q.get((2, 1), 0.0), q.get((4, 0), 0.0)
+        if not 1e-12 < abs(q21 * q21 - 4 * q40) < math.inf:
+            raise ValueError(f"cusp_gauss needs 0 < |q21^2 - 4*q40| < inf; q21={q21}, q40={q40}")
         for (i, j) in q:
             if i + j == 3 and (i, j) not in ((2, 1), (0, 3)):
                 raise ValueError(f"cusp_gauss cubic terms are limited to q21, q03; got q{i}{j}")

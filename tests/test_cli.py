@@ -189,6 +189,7 @@ HOSTILE = [
     (3, ["conormal", "--surface", "monge:u^3+1e-200*v^2", "--res", "8"]),
     (3, ["portrait", "--surface", "monge:log(u+1e-300)+v^2", "--res", "1"]),
     (0, ["analyze", *_TORUS, _HUGE_U, "--res", "4"]),
+    (2, ["analyze", "--surface", "catalog:cusp_gauss", "--q", "21=1e300", "--res", "4"]),
 ]
 
 

@@ -231,8 +231,9 @@ def test_one_mesh_pass_builds_both_meshes(monkeypatch):
 def grid_faces_reference(surf, region, res, margin, clipped):
     """Quads of the valid grid in row-major order, scanned cell by cell;
     ``clipped`` vertices drop the quads they touch."""
-    U, _, mask = cn._grid_and_mask(surf, region, res, margin)
-    index = -np.ones(U.shape, dtype=int)
+    valid_u, valid_v = cn._grid_and_mask(surf, region, res, margin)[2:]
+    mask = np.outer(valid_u, valid_v)
+    index = -np.ones(mask.shape, dtype=int)
     index[mask] = np.arange(int(mask.sum()))
     ok = mask.copy()
     ok[mask] = ~clipped
@@ -418,42 +419,33 @@ def periodic_surface(wrap_u, wrap_v):
 
 
 def labelling_cases():
+    """(valid_u, valid_v) axis-mask pairs: random draws over six shapes,
+    then an axis with no valid index, one valid row or column, and runs that
+    touch both ends of an axis (joined across a wrapped seam)."""
     rng = np.random.default_rng(8)
-    cases = []
-    for wrap_u in (False, True):
-        for wrap_v in (False, True):
-            for shape in ((1, 9), (9, 1), (1, 1), (2, 2), (13, 17), (40, 31)):
-                for density in (0.45, 0.6, 0.8, 1.0):
-                    cases.append((rng.random(shape) < density, wrap_u, wrap_v))
-    # bands that cut the grid, joined only across the seams
-    band = np.ones((24, 20), dtype=bool)
-    band[5:7, :] = False
-    band[:, 12] = False
-    for wrap_u in (False, True):
-        for wrap_v in (False, True):
-            cases.append((band, wrap_u, wrap_v))
-    # a spiral: one long winding component
-    spiral = np.zeros((21, 21), dtype=bool)
-    lo, hi = 0, 20
-    while lo <= hi:
-        spiral[lo, lo:hi + 1] = spiral[lo:hi + 1, hi] = True
-        spiral[hi, lo:hi + 1] = True
-        if lo + 2 <= hi:
-            spiral[lo + 2:hi + 1, lo] = True
-            spiral[lo + 2, lo:lo + 3] = True
-        lo, hi = lo + 2, hi - 2
-    cases.append((spiral, False, False))
-    cases.append((np.zeros((5, 4), dtype=bool), True, True))
+    cases = [(rng.random(nx) < density, rng.random(ny) < density)
+             for nx, ny in ((1, 9), (9, 1), (1, 1), (2, 2), (13, 17), (40, 31))
+             for density in (0.45, 0.6, 0.8, 1.0)]
+    ends = np.ones(20, dtype=bool)
+    ends[[5, 6, 12]] = False
+    one = np.zeros(11, dtype=bool)
+    one[4] = True
+    cases += [(np.zeros(5, dtype=bool), ends), (ends, np.zeros(4, dtype=bool)),
+              (one, ends), (ends, one), (ends[:17], ends), (ends, ends[3:]),
+              (~one, ends[::-1]), (np.ones(1, dtype=bool), ends)]
     return cases
 
 
 def test_components_match_flood_fill():
     region = Rect(0.0, 1.0, 0.0, 1.0)
-    for mask, wrap_u, wrap_v in labelling_cases():
-        got = cn._components(periodic_surface(wrap_u, wrap_v), region, mask)
-        comp, count = components_reference(mask, wrap_u, wrap_v)
-        assert got[1] == count
-        assert np.array_equal(got[0], comp), (mask.shape, wrap_u, wrap_v)
+    for wrap_u in (False, True):
+        for wrap_v in (False, True):
+            surf = periodic_surface(wrap_u, wrap_v)
+            for valid_u, valid_v in labelling_cases():
+                got = cn._components(surf, region, valid_u, valid_v)
+                comp, count = components_reference(np.outer(valid_u, valid_v), wrap_u, wrap_v)
+                assert got[1] == count
+                assert np.array_equal(got[0], comp), (valid_u, valid_v, wrap_u, wrap_v)
 
 
 @pytest.mark.parametrize("surf, region, res", [
@@ -466,11 +458,12 @@ def test_components_match_flood_fill():
 ])
 def test_mesh_components_match_flood_fill(surf, region, res):
     region = region or surf.domain
-    mask = cn._grid_and_mask(surf, region, res, 0.05)[2]
+    valid_u, valid_v = cn._grid_and_mask(surf, region, res, 0.05)[2:]
+    mask = np.outer(valid_u, valid_v)
     per_u, per_v = surf.period or (None, None)
     wrap_u = per_u is not None and abs((region.u1 - region.u0) - per_u) < 1e-9
     wrap_v = per_v is not None and abs((region.v1 - region.v0) - per_v) < 1e-9
-    got, count = cn._components(surf, region, mask)
+    got, count = cn._components(surf, region, valid_u, valid_v)
     want, want_count = components_reference(mask, wrap_u, wrap_v)
     assert count == want_count and np.array_equal(got, want)
 

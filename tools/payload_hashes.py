@@ -13,11 +13,13 @@ generic one, one whose extended field crosses the parabolic set
 LN - M^2 = 0, and a non-polynomial graph), analyze of that graph, and
 analyze and conormal on a torus, each once within one block of evaluated
 lanes and once over several (``affine._LANES``; the larger conormal run is
-the benchmark's grid-torus command), and analyze and conormal on a
-polynomial Monge chart over several blocks.  The transcendental and non-polynomial
-runs pin the jet route of the surface fields; every other surface run has
-polynomial fields.  The morse, flat umbilic +1 and torus-loops runs pin the
-integrator's searches of a step for a degenerate pass or a closed loop.
+the benchmark's grid-torus command), conormal on two torus windows that
+each span one period only (so only one axis of the component labelling
+wraps), and analyze and conormal on a polynomial Monge chart over several
+blocks.  The transcendental and non-polynomial runs pin the jet route of the
+surface fields; every other surface run has polynomial fields.  The morse,
+flat umbilic +1 and torus-loops runs pin the integrator's searches of a step
+for a degenerate pass or a closed loop.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -104,6 +106,11 @@ RUNS = [
     # 35,712 mesh vertices, nine blocks
     ("conormal-torus-R3-r1-res192", ["conormal", "--surface", "catalog:torus", "--R", "3",
                                      "--r", "1", "--res", "192"]),
+    # windows spanning the period of u only, and of v only: one wrapped axis each
+    ("conormal-torus-u-period", ["conormal", "--surface", "catalog:torus", "--R", "3",
+                                 "--r", "1", "--region=0,6.283185307179586,0,3"]),
+    ("conormal-torus-v-period", ["conormal", "--surface", "catalog:torus", "--R", "3",
+                                 "--r", "1", "--region=1,6,0,6.283185307179586"]),
     # a polynomial chart's position jets over 9,216 points: two full blocks
     # and a ragged third
     *[(f"{cmd}-monge-poly-res96",
