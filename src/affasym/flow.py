@@ -670,12 +670,10 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
     integrate) as ``stage_seconds``.  The payload is deterministic for fixed
     inputs.
     """
-    surf = None
     if isinstance(source, BDEField):
-        fld = source
+        fld, euclid = source, None
     else:
-        surf = source
-        fld = bde.extended_field_for(surf)
+        fld, euclid = bde.extended_field_for(source), bde.euclidean_field_for(source)
     region = region or fld.domain
     fld = dataclasses.replace(fld, domain=region)
     params = params or IntegrationParams()
@@ -690,32 +688,21 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
         now = time.perf_counter()
         stages[name], last = now - last, now
 
-    if surf is not None:
-        euclid = bde.euclidean_field_for(surf)
-        sets = singular.singular_sets(euclid, fld, region, trace_resolution)
-        stage("trace")
+    sets = singular.singular_sets(euclid, fld, region, trace_resolution)
+    stage("trace")
+    if euclid is not None:
         try:
-            reports.extend(singular.detect_special_points(euclid, fld, sets, region,
+            reports.extend(singular.detect_special_points(euclid, sets, region,
                                                           trace_resolution, stats.drop_report))
         except ArithmeticError as exc:
             stats.drop_report("detect_special_points", exc)
-        # the whole extended discriminant; find_folded_points sorts its
-        # candidates, so the order of the components does not matter
-        disc_polys = sets["affine_parabolic"] + sets["discriminant"]
-    else:
-        disc_polys = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v),
-                                        region, trace_resolution)
-        sets = {"discriminant": disc_polys}
-        stage("trace")
     stage("detect")
-    # folded points on the discriminant
-    for pt in singular.find_folded_points(fld, disc_polys, region, trace_resolution,
-                                          stats.drop_report):
-        try:
-            reports.append(singular.classify_folded(fld, pt))
-        except singular.NotSingularLiftError as exc:
-            stats.drop_report("classify_folded", exc, pt)
+    # folded points on the whole extended discriminant; find_folded_points
+    # sorts its candidates, so the order of the components does not matter
+    reports += singular.fold_reports(fld, sets.get("affine_parabolic", []) + sets["discriminant"],
+                                     region, trace_resolution, stats.drop_report)
     stage("folds")
+    reports.sort(key=lambda r: (r.kind, r.location))
 
     nx, ny = grid if not np.isscalar(grid) else (int(grid), int(grid))
     us = np.linspace(region.u0, region.u1, nx + 2)[1:-1]
@@ -723,7 +710,7 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
     seeds = [(float(u), float(v)) for u in us for v in vs]
     # a report within reach of an earlier one that has a ring joins that ring
     reach, rings, joins = singular._reach(region, trace_resolution), [], [None] * len(seeds)
-    for rep in sorted(reports, key=lambda r: (r.kind, r.location)):
+    for rep in reports:
         near = next((r for r in rings if math.dist(r.location, rep.location) <= reach), None)
         if near is None:
             rings.append(rep)
@@ -749,7 +736,6 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
             continue
         jobs += [(seed, fam, sweep) for fam in ("plus", "minus") for sweep in (1, -1)]
     trajectories = [t for t in integrate_many(fld, jobs, params, stats) if t is not None]
-    reports.sort(key=lambda r: (r.kind, r.location))
     stage("integrate")
     return Portrait(region, trajectories, sets, reports, stats, stages)
 

@@ -40,6 +40,7 @@ __all__ = [
     "restricted_eigenvalues",
     "find_folded_points",
     "classify_folded",
+    "fold_reports",
     "classify_flat_affine_umbilic",
     "singular_sets",
     "detect_special_points",
@@ -162,8 +163,9 @@ def find_folded_points(fld, polylines, region, resolution, drop=None):
     component) = 0.  A polyline whose signal stays
     within 1e-9 of the coefficient scale is a solution curve of the field,
     where the lifted field vanishes identically, and gives no seeds.  A
-    Newton result outside the region or more than 3 trace cells from its
-    seed is dropped and passed to ``drop(stage, exc, location)``.
+    seed whose Newton polish fails, and a Newton result outside the region
+    or more than 3 trace cells from its seed, are dropped and passed to
+    ``drop(stage, exc, location)``.
     """
     reach = _reach(region, resolution)
     candidates = []
@@ -174,16 +176,19 @@ def find_folded_points(fld, polylines, region, resolution, drop=None):
         if not (np.abs(signal) > 1e-9 * scale).any():
             continue
         for seed in _sign_changes(poly, signal):
-            pt = _newton_fold(fld, seed[0], seed[1])
-            if pt is None:
+            start = f"Newton from ({seed[0]:.6g}, {seed[1]:.6g})"
+            try:
+                pt = _newton_fold(fld, seed[0], seed[1])
+            except ArithmeticError as exc:
+                if drop is not None:
+                    drop("find_folded_points", ArithmeticError(f"{start} {exc}"), tuple(seed))
                 continue
             inside, gap = region.contains(*pt), math.hypot(pt[0] - seed[0], pt[1] - seed[1])
             if inside and gap <= reach:
                 candidates.append(pt)
             elif drop is not None:
                 where = f"{gap:.3g} from its seed" if inside else "outside the region"
-                drop("find_folded_points", ArithmeticError(
-                    f"Newton from ({seed[0]:.6g}, {seed[1]:.6g}) ends {where}"), pt)
+                drop("find_folded_points", ArithmeticError(f"{start} ends {where}"), pt)
     kept = []    # in order, without a point within 1e-7 of an earlier kept one
     for pt in sorted(candidates):
         if all(math.hypot(pt[0] - k[0], pt[1] - k[1]) > 1e-7 for k in kept):
@@ -192,13 +197,14 @@ def find_folded_points(fld, polylines, region, resolution, drop=None):
 
 
 def _newton_fold(fld, u, v):
+    """The fold polished from the seed (u, v); an ArithmeticError says why not."""
     slope, chart_q = bde.double_root(fld.slots(u, v, 0))
     x = np.array([u, v, float(slope)])
     for _ in range(25):
         try:
             c = fld.slots(x[0], x[1], 2)
-        except ArithmeticError:
-            return None
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"stops where the slots raise {exc!r}") from None
         s, q = x[2], int(chart_q)
         Fval, grad, Jx = bde.lifted_derivatives(c, s, chart_q)
         # (F, F_slope, G = -X_3 = F_x + s F_y), x the chart's first
@@ -211,7 +217,7 @@ def _newton_fold(fld, u, v):
         try:
             dx = np.linalg.solve(J, -Fvec)
         except np.linalg.LinAlgError:
-            return None
+            raise ArithmeticError("meets a singular Jacobian") from None
         step = float(np.max(np.abs(dx)))
         if step > 0.5:
             dx = dx * (0.5 / step)
@@ -219,7 +225,7 @@ def _newton_fold(fld, u, v):
         if abs(x[2]) > 2.0:  # switch slope chart when it degrades
             chart_q = not chart_q
             x[2] = 1.0 / x[2]
-    return None
+    raise ArithmeticError("does not converge in 25 steps")
 
 
 def classify_folded(fld, point):
@@ -250,6 +256,18 @@ def classify_folded(fld, point):
                                eigenvalues=[mu1, mu2],
                                details={"trace": tr, "e2": e2,
                                         "slope": slope, "chart": "q" if chart_q else "p"})
+
+
+def fold_reports(fld, polylines, region, resolution, drop):
+    """``classify_folded`` at each of the ``find_folded_points``; one where the
+    lifted field does not vanish goes to ``drop("classify_folded", exc, point)``."""
+    reports = []
+    for pt in find_folded_points(fld, polylines, region, resolution, drop):
+        try:
+            reports.append(classify_folded(fld, pt))
+        except NotSingularLiftError as exc:
+            drop("classify_folded", exc, pt)
+    return reports
 
 
 def classify_flat_affine_umbilic(fld, point):
@@ -303,22 +321,27 @@ def classify_flat_affine_umbilic(fld, point):
 
 
 def singular_sets(euclid, fld, region, resolution):
-    """Trace the singular sets of a surface's asymptotic net once.
+    """Trace the singular sets of an asymptotic net once.
 
-    ``euclid`` and ``fld`` are the surface's Euclidean second form and
+    ``euclid`` and ``fld`` are a surface's Euclidean second form and
     extended field (``bde.euclidean_field_for``, ``bde.extended_field_for``).
     Returns polylines keyed
     ``parabolic`` (zero Gaussian curvature, LN - M^2 = 0), ``affine_parabolic``
     (components of the extended discriminant away from the parabolic set) and
     ``discriminant`` (the remaining components, which lie inside the parabolic
-    set, where the extension degenerates).
+    set, where the extension degenerates).  For a field given alone
+    ``euclid`` is None, and the whole discriminant of ``fld`` is
+    ``discriminant``, the one key.
     """
+    ext_disc = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), region, resolution)
+    if euclid is None:
+        return {"discriminant": ext_disc}
+
     def kscalar(u, v):
         L, M, N = euclid.coeff(u, v)
         return L * N - M * M
 
     parabolic = bde.trace_zero_set(kscalar, region, resolution)
-    ext_disc = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), region, resolution)
     # |K| scale over a 33 x 33 grid of the region (not its diagonal, where
     # K may vanish identically)
     ug, vg = np.meshgrid(np.linspace(region.u0, region.u1, 33),
@@ -334,32 +357,26 @@ def singular_sets(euclid, fld, region, resolution):
             "discriminant": rest}
 
 
-def detect_special_points(euclid, fld, sets, region, resolution, drop=None):
+def detect_special_points(euclid, sets, region, resolution, drop):
     """Cusps of Gauss, and the meetings of the two parabolic sets.
 
     ``sets`` are the ``singular_sets`` of the surface, traced from its
-    Euclidean and extended fields ``euclid`` and ``fld`` over ``region`` at
-    ``resolution``.  A cusp of Gauss is a fold of the Euclidean direction
-    equation on the parabolic set, where its double direction is tangent to
-    that set: ``find_folded_points`` on ``euclid`` finds it, and it is
-    reported as ``cusp_of_gauss`` with its fold kind in ``details``.  (The
-    affine cusp points, the folds of ``fld`` on the affine parabolic set,
-    are found with the rest of the extended discriminant's folds.)  Where
-    the two parabolic sets meet, the meeting is reported with the sine of
-    their angle and a tangential/transversal marker.  Searches and reports
-    that fail go to ``drop(stage, exc, location)``.
+    Euclidean and extended fields over ``region`` at ``resolution``;
+    ``euclid`` is the Euclidean one.  A cusp of Gauss is a fold of the
+    Euclidean direction equation on the parabolic set, where its double
+    direction is tangent to that set: ``fold_reports`` on ``euclid`` finds
+    it, and it is reported as ``cusp_of_gauss`` with its fold kind in
+    ``details``.  (The affine cusp points, the folds of the extended field
+    on the affine parabolic set, are found with the rest of the extended
+    discriminant's folds.)  Where the two parabolic sets meet, the meeting
+    is reported with the sine of their angle and a tangential/transversal
+    marker.  Searches and reports that fail go to
+    ``drop(stage, exc, location)``.
     """
     parabolic, affine_parabolic = sets["parabolic"], sets["affine_parabolic"]
-    reports = []
-    for pt in find_folded_points(euclid, parabolic, region, resolution, drop):
-        try:
-            rep = classify_folded(euclid, pt)
-        except NotSingularLiftError as exc:
-            if drop is not None:
-                drop("classify_folded", exc, pt)
-            continue
+    reports = fold_reports(euclid, parabolic, region, resolution, drop)
+    for rep in reports:
         rep.details["fold_kind"], rep.kind = rep.kind, "cusp_of_gauss"
-        reports.append(rep)
 
     cell = max(region.u1 - region.u0, region.v1 - region.v0) / resolution
     for pa in parabolic:

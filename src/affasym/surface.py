@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,13 @@ class Pow:
     base: object
     num: int
     den: int  # den >= 1; non-literal exponents are rejected at parse time
+
+
+# numbers and exponents read ASCII digits only: str.isdigit would take
+# superscripts and other scripts' digits, which int rejects and float reads
+_NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
+_EXPONENT = re.compile(r"[+-]?(0*)([0-9]*)")
+_MAX_EXPONENT = 64    # bound on a literal exponent's numerator and denominator
 
 
 class _Parser:
@@ -168,15 +176,15 @@ class _Parser:
 
     def int_literal(self):
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
+        m = _EXPONENT.match(self.text, self.pos)
+        zeros, digits = m.groups()
+        if not zeros + digits:
+            self.pos = m.start(1)
             self.error("exponent must be a literal integer or (p/q) rational")
-        return int(self.text[start:self.pos])
+        if len(digits) > 2 or int(digits or 0) > _MAX_EXPONENT:
+            self.error(f"exponent above {_MAX_EXPONENT}")
+        self.pos = m.end()
+        return int(m.group())
 
     def atom(self):
         ch = self.peek()
@@ -187,26 +195,14 @@ class _Parser:
             node = self.expr()
             self.expect(")")
             return node
-        if ch.isdigit() or ch == ".":
+        if _NUMBER.match(self.text, self.pos):
             return self.number()
         if ch.isalpha() or ch == "_":
             return self.identifier()
         self.error(f"unexpected {ch!r}")
 
     def number(self):
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
+        start, self.pos = self.pos, _NUMBER.match(self.text, self.pos).end()
         try:
             value = float(self.text[start:self.pos])
         except ValueError:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -190,6 +191,11 @@ HOSTILE = [
     (3, ["portrait", "--surface", "monge:log(u+1e-300)+v^2", "--res", "1"]),
     (0, ["analyze", *_TORUS, _HUGE_U, "--res", "4"]),
     (2, ["analyze", "--surface", "catalog:cusp_gauss", "--q", "21=1e300", "--res", "4"]),
+    # numbers and exponents read ASCII digits only, and an exponent is at most 64
+    (2, ["analyze", "--surface", "monge:u^\u00b2", "--res", "2"]),
+    (2, ["analyze", "--surface", "monge:u^(1/\u00b2)", "--res", "2"]),
+    (2, ["analyze", "--surface", "monge:\u0663*u^2+v^2", "--res", "2"]),
+    (2, ["analyze", "--surface", "monge:u^99999999+v^2", "--res", "2"]),
 ]
 
 
@@ -213,6 +219,17 @@ def test_a_hostile_command_works_or_fails_with_one_line(tmp_path, capsys, code, 
         rows = [r for t in payload["trajectories"] for r in t["samples"]]
         rows += [r for polys in payload["singular_sets"].values() for p in polys for r in p]
         assert np.isfinite([x for r in rows for x in r]).all()
+
+
+def test_a_huge_exponent_is_refused_at_parse_time(tmp_path, capsys):
+    # u^99999999 as a polynomial would be 99999998 ring products
+    start = time.perf_counter()
+    code = cli.main(["analyze", "--surface", "monge:u^99999999+v^2", "--res", "2",
+                     "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: bad expression: exponent above 64 (offset 3)\n")
 
 
 def test_main_leaves_the_numpy_error_state_as_it_found_it(tmp_path, capsys):

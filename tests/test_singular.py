@@ -11,7 +11,9 @@ from affasym.surface import Poly, Rect
 def special_points(surf, resolution):
     fld, euclid = bde.extended_field_for(surf), bde.euclidean_field_for(surf)
     sets = sg.singular_sets(euclid, fld, surf.domain, resolution)
-    return sg.detect_special_points(euclid, fld, sets, surf.domain, resolution)
+    dropped = []
+    return sg.detect_special_points(euclid, sets, surf.domain, resolution,
+                                    lambda *args: dropped.append(args))
 
 
 def folded_points(lam, res=96):
@@ -537,7 +539,11 @@ def test_one_slots_call_per_polyline(monkeypatch):
     polys = polys + bde.trace_zero_set(lambda u, v: bde.discriminant(cusp, u, v),
                                        base.domain, 48)
     fld, calls = counted(base)
-    monkeypatch.setattr(sg, "_newton_fold", lambda fld, u, v: None)
+
+    def no_fold(fld, u, v):
+        raise ArithmeticError("does not converge in 25 steps")
+
+    monkeypatch.setattr(sg, "_newton_fold", no_fold)
     assert sg.find_folded_points(fld, polys, base.domain, 64) == []
     assert calls == [len(p) for p in polys if len(p) >= 2]
 
@@ -658,3 +664,61 @@ def test_a_far_newton_result_is_dropped_and_counted(monkeypatch):
                                                                       for u, v in seeds]
     assert all(r["stage"] == "find_folded_points" and r["reason"].startswith("ArithmeticError")
                for r in p.integration.dropped_reports)
+
+
+def test_a_newton_polish_that_fails_is_dropped_and_counted():
+    # the extended discriminant of the flat umbilic chart (epsilon = 1) has
+    # a sign change of the fold signal at the umbilic itself, where the
+    # Newton polish does not converge: one drop, at the seed
+    surf = sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1})
+    fld, euclid = bde.extended_field_for(surf), bde.euclidean_field_for(surf)
+    sets = sg.singular_sets(euclid, fld, surf.domain, 192)
+    dropped = []
+    sg.find_folded_points(fld, sets["affine_parabolic"] + sets["discriminant"], surf.domain, 192,
+                          drop=lambda *args: dropped.append(args))
+    assert len(dropped) == 1
+    stage, exc, loc = dropped[0]
+    assert stage == "find_folded_points" and type(exc) is ArithmeticError
+    assert str(exc).startswith("Newton from (")
+    assert math.hypot(*loc) < 1e-12
+
+
+@pytest.mark.parametrize("model", [lambda: bde.folded_model_field(-1.0),
+                                   lambda: bde.folded_model_field(1.0),
+                                   lambda: bde.morse_model_field(-1)],
+                         ids=["folded-saddle", "folded-focus", "morse-crossing"])
+def test_singular_sets_of_a_field_alone_is_its_discriminant(model):
+    fld = model()
+    sets = sg.singular_sets(None, fld, fld.domain, 64)
+    ref = bde.trace_zero_set(lambda u, v: bde.discriminant(fld, u, v), fld.domain, 64)
+    assert list(sets) == ["discriminant"] and sets["discriminant"]
+    assert len(sets["discriminant"]) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(sets["discriminant"], ref))
+
+
+def test_fold_reports_drops_a_fold_that_does_not_classify(monkeypatch):
+    # on the cusp chart's extended discriminant and its parabolic set (the
+    # Euclidean field), a fold whose classification fails becomes one
+    # classify_folded drop; the other folds are reported as before
+    surf = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})
+    fld, euclid = bde.extended_field_for(surf), bde.euclidean_field_for(surf)
+    sets = sg.singular_sets(euclid, fld, surf.domain, 96)
+    classify = sg.classify_folded
+    for field_, polys in ((fld, sets["affine_parabolic"] + sets["discriminant"]),
+                          (euclid, sets["parabolic"])):
+        pts = sg.find_folded_points(field_, polys, surf.domain, 96)
+        assert pts
+        fail = pts[0]
+
+        def not_singular(f, pt):
+            if pt == fail:
+                raise sg.NotSingularLiftError(f"lifted field does not vanish at {pt}")
+            return classify(f, pt)
+
+        monkeypatch.setattr(sg, "classify_folded", not_singular)
+        dropped = []
+        reps = sg.fold_reports(field_, polys, surf.domain, 96, lambda *args: dropped.append(args))
+        monkeypatch.setattr(sg, "classify_folded", classify)
+        assert [r.location for r in reps] == pts[1:]
+        assert [(stage, loc) for stage, _, loc in dropped] == [("classify_folded", fail)]
+        assert isinstance(dropped[0][1], sg.NotSingularLiftError)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import warnings
 
@@ -69,3 +70,33 @@ def test_payload_hashes_fails_a_run_that_warns(tmp_path, monkeypatch):
     assert hashes.hash_runs(str(tmp_path)) == ([], [
         ("warns", "warned: RuntimeWarning: overflow encountered in multiply"),
         ("fails", "exited 3")])
+
+
+def test_payload_hashes_pins_the_integration_block(tmp_path, monkeypatch):
+    # a portrait's run_info.json is hashed through its integration block
+    # only: wall times do not move the line, a changed counter does
+    hashes = load_tool("payload_hashes")
+    info = {"same": ({"rhs_evals": 10, "dropped_reports": []}, {"integrate": 0.5}),
+            "slower": ({"rhs_evals": 10, "dropped_reports": []}, {"integrate": 0.9}),
+            "counted": ({"rhs_evals": 11, "dropped_reports": []}, {"integrate": 0.5}),
+            "analyze": (None, {"evaluate": 0.5})}
+
+    def main(argv):
+        os.makedirs(argv[-1])
+        integration, stages = info[argv[0]]
+        doc = {"argv": argv, "stage_seconds": stages}
+        if integration is not None:
+            doc["integration"] = integration
+        with open(os.path.join(argv[-1], "run_info.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return 0
+
+    monkeypatch.setattr(hashes, "RUNS", [(name, [name]) for name in info])
+    monkeypatch.setattr(hashes.cli, "main", main)
+    lines, failed = hashes.hash_runs(str(tmp_path))
+    assert failed == []
+    got = dict(ln.split("  ", 1)[::-1] for ln in lines)
+    assert sorted(got) == [f"{name}/run_info.json:integration"
+                           for name in ("counted", "same", "slower")]
+    assert got["same/run_info.json:integration"] == got["slower/run_info.json:integration"]
+    assert got["same/run_info.json:integration"] != got["counted/run_info.json:integration"]

@@ -2,7 +2,10 @@
 
 Runs each command below in this process through ``affasym.cli.main`` and
 prints one ``sha256  path`` line per payload file, in a fixed order.
-``run_info.json`` holds timestamps and wall times, so it is not hashed.
+``run_info.json`` holds timestamps and wall times, so it is not hashed
+whole: of a portrait run only its ``integration`` block (the counters and
+what was dropped) is, as ``json.dumps(..., sort_keys=True)``, under the
+name ``NAME/run_info.json:integration``.
 The set is the one whose payloads must stay byte-identical under a change
 that claims not to move them: the five portrait-cusp design points and one
 draw whose reports share a ring of seeds, torus, pick, the two model fields,
@@ -146,8 +149,15 @@ def hash_runs(outdir):
             failed.append((name, f"exited {code}"))
             continue
         for fname in sorted(os.listdir(out)):
+            path = os.path.join(out, fname)
             if fname != "run_info.json":
-                lines.append(f"{_sha256(os.path.join(out, fname))}  {name}/{fname}")
+                lines.append(f"{_sha256(path)}  {name}/{fname}")
+                continue
+            with open(path, encoding="utf-8") as fh:
+                info = json.load(fh)
+            if "integration" in info:
+                text = json.dumps(info["integration"], sort_keys=True).encode()
+                lines.append(f"{hashlib.sha256(text).hexdigest()}  {name}/{fname}:integration")
     return lines, failed
 
 
