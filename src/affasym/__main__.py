@@ -1,6 +1,10 @@
 """Process entry point: ``python -m affasym`` and the ``affasym`` console
 script both call ``run()``.
 
+Each command is a fresh process that imports only what it runs, and no
+module generates code while it imports: records are plain classes, not
+dataclasses.  ``tools/startup_cost.py`` times the start-up.
+
 A command's process keeps every module it imports until it exits.  ``run()``
 imports the command line (numpy with it) with the cyclic collector off and
 moves the imported heap into the permanent generation (``gc.freeze``) before

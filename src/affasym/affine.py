@@ -44,7 +44,6 @@ its trigonometric position jets costs five to ten times as much per portrait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -141,44 +140,21 @@ def _values(vec):
     return np.stack([np.asarray(c.value, dtype=float) for c in vec])
 
 
-@dataclass
 class AffinePointData:
-    u: float = 0.0
-    v: float = 0.0
-    E: float = None
-    F: float = None
-    G: float = None
-    Ldet: float = None
-    Mdet: float = None
-    Ndet: float = None
-    K: float = None
-    euclid_class: str = None
-    g11: float = None
-    g12: float = None
-    g22: float = None
-    nu: object = None
-    nu_u: object = None
-    nu_v: object = None
-    xi: object = None
-    xi_u: object = None
-    xi_v: object = None
-    l: float = None
-    m: float = None
-    n: float = None
-    b11: float = None
-    b12: float = None
-    b21: float = None
-    b22: float = None
-    K_aff: float = None
-    H_aff: float = None
-    aff_class: str = None
-    alpha_u: object = None
-    alpha_v: object = None
+    """The invariants of one point or of a batch of points, one attribute
+    per name in ``FIELDS``: u and v as given, the others None until filled."""
+    FIELDS = ("u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_class",
+              "g11", "g12", "g22", "nu", "nu_u", "nu_v", "xi", "xi_u", "xi_v",
+              "l", "m", "n", "b11", "b12", "b21", "b22", "K_aff", "H_aff", "aff_class",
+              "alpha_u", "alpha_v")
+
+    def __init__(self, u=0.0, v=0.0):
+        self.__dict__.update(dict.fromkeys(self.FIELDS), u=u, v=v)
 
     def json_columns(self):
         """(name, value) of each field a JSON row carries, in name order."""
-        return sorted(((f.name, getattr(self, f.name)) for f in fields(self)
-                       if f.name not in ("alpha_u", "alpha_v")), key=lambda p: p[0])
+        return sorted((name, getattr(self, name)) for name in self.FIELDS
+                      if name not in ("alpha_u", "alpha_v"))
 
     def to_json_dict(self, k=None):
         """JSON-ready fields of one point: of point ``k`` of a result batched

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import affine
 from .jets import Jet2
-from .surface import DEFAULT_DOMAIN, Poly, PolySet, Rect, _slot_arrays
+from .surface import DEFAULT_DOMAIN, Poly, PolySet, _slot_arrays
 
 __all__ = [
     "BDEField",
@@ -53,15 +52,15 @@ LIFT_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 
 
-@dataclass
 class BDEField:
     """A direction equation with one evaluator: ``slots(u, v, order)`` gives
     the jet slots of (A, B, C) at (u, v) up to ``order`` in one array of shape
     (3 * slots,) + batch shape, the slots of A, then B, then C, each in the
     jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...)."""
-    slots: object
-    domain: Rect = DEFAULT_DOMAIN
-    period: tuple = None     # (Pu, Pv) when the parameters are angles
+
+    def __init__(self, slots, domain=DEFAULT_DOMAIN, period=None):
+        self.slots, self.domain = slots, domain
+        self.period = period     # (Pu, Pv) when the parameters are angles
 
     def coeff(self, u, v):
         """(A, B, C) at one point or a batch."""

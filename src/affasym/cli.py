@@ -56,11 +56,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _ascii(convert):
+    """``convert`` (int or float) of ASCII text only: both also read other
+    scripts' digits, which the expression parser refuses."""
+    def read(text):
+        if not text.isascii():
+            raise ValueError(f"not an ASCII number: {text!r}")
+        return convert(text)
+    read.__name__ = convert.__name__    # argparse names the type in its message
+    return read
+
+
+_int, _float = _ascii(int), _ascii(float)
 # how argparse reads each flag that is not text; a flag not given reads None
 _FLAG_SPECS = {"--tol": {"action": "append"}, "--q": {"action": "append"},
-               "--R": {"type": float}, "--r": {"type": float}, "--sigma": {"type": float},
-               "--epsilon": {"type": int}, "--eps1": {"type": int, "choices": (1, -1)},
-               "--lam": {"type": float}, "--bde": {"choices": ("folded", "morse")}}
+               "--R": {"type": _float}, "--r": {"type": _float}, "--sigma": {"type": _float},
+               "--epsilon": {"type": _int}, "--eps1": {"type": _int, "choices": (1, -1)},
+               "--lam": {"type": _float}, "--bde": {"choices": ("folded", "morse")}}
 _CATALOG_FLAGS = ("--R", "--r", "--epsilon", "--sigma", "--q")
 _SURFACE_FLAGS = ("--surface", "--region", *_CATALOG_FLAGS)
 # the flags each command reads, and its --tol keys, each named after the
@@ -103,7 +115,7 @@ def _atomic_write(path, chunks):
 
 def _parse_region(text):
     try:
-        bounds = [float(x) for x in text.split(",")]
+        bounds = [_float(x) for x in text.split(",")]
     except ValueError:
         bounds = []
     if len(bounds) != 4:
@@ -116,7 +128,7 @@ def _parse_region(text):
 
 def _parse_res(text):
     try:
-        nx, ny = (int(x) for x in text.split("x", 1)) if "x" in text else (int(text),) * 2
+        nx, ny = (_int(x) for x in text.split("x", 1)) if "x" in text else (_int(text),) * 2
     except ValueError:
         raise ConfigError(f"--res needs N or NxM; got {text!r}")
     if nx < 1 or ny < 1:
@@ -139,7 +151,7 @@ def _parse_q(items):
         try:
             key, val = item.split("=", 1)
             key = key.replace(",", "")
-            ij, x = (int(key[0]), int(key[1:])), float(val)
+            ij, x = (_int(key[0]), _int(key[1:])), _float(val)
         except (ValueError, IndexError):
             raise ConfigError(f"--q wants ij=value (e.g. 21=1.5); got {item!r}")
         q[ij] = x
@@ -184,7 +196,7 @@ def _tolerances(args):
     for item in args.tol or ():
         try:
             key, val = item.split("=", 1)
-            tol[key] = float(val)
+            tol[key] = _float(val)
         except ValueError:
             raise ConfigError(f"--tol wants key=value; got {item!r}")
         if key not in keys:

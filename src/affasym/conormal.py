@@ -12,8 +12,6 @@ equations have identical solutions in the shared parameter domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import affine
@@ -39,14 +37,14 @@ class ImmersionError(ArithmeticError):
 MARGIN = 0.05
 
 
-@dataclass
 class ConormalMesh:
-    vertices: np.ndarray          # (n, 3) positions
-    faces: np.ndarray             # (k, 4) int quads of vertex indices
-    component_id: np.ndarray      # (n,) int component label per vertex
-    params: np.ndarray            # (n, 2) source (u, v) per vertex
-    clipped: np.ndarray           # (n,) bool: |vertex| exceeded the norm cap
-    n_components: int = 0
+    def __init__(self, vertices, faces, component_id, params, clipped, n_components=0):
+        self.vertices = vertices            # (n, 3) positions
+        self.faces = faces                  # (k, 4) int quads of vertex indices
+        self.component_id = component_id    # (n,) int component label per vertex
+        self.params = params                # (n, 2) source (u, v) per vertex
+        self.clipped = clipped              # (n,) bool: |vertex| exceeded the norm cap
+        self.n_components = n_components
 
 
 def _grid_and_mask(surf, region, resolution, margin):

@@ -37,18 +37,15 @@ loop and reproducibility down to the bit is part of the output contract.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bde, singular
 from .bde import BDEField
 from .jsontext import json_at, json_block, json_object, json_rows
-from .surface import Rect
 
 __all__ = [
     "Trajectory",
@@ -67,23 +64,27 @@ class NoDirectionError(ArithmeticError):
     pass
 
 
-@dataclass
 class IntegrationParams:
-    rel_tol: float = 1e-8
-    max_len: float = 20.0
-    max_steps: int = 20000
-    max_step_frac: float = 1e-2    # of the region diagonal
+    rel_tol = 1e-8
+    max_len = 20.0
+    max_steps = 20000
+    max_step_frac = 1e-2    # of the region diagonal
+
+    def __init__(self, rel_tol=rel_tol, max_len=max_len, max_steps=max_steps,
+                 max_step_frac=max_step_frac):
+        self.rel_tol, self.max_len = rel_tol, max_len
+        self.max_steps, self.max_step_frac = max_steps, max_step_frac
 
 
-@dataclass
 class Trajectory:
-    samples: np.ndarray          # (n, 5): u, v, slope, chart flag (0=p, 1=q), arclength
-    family: str                  # "plus" | "minus"
-    # left_domain | hit_degenerate_point | max_length | closed_loop, or, for a
-    # lane whose stage failed inside the domain, lost_direction_field (a
-    # NoDirectionError: no direction where the discriminant is negative) |
-    # evaluation_failed (any other ArithmeticError, its own overflow among them)
-    termination: str
+    def __init__(self, samples, family, termination):
+        self.samples = samples    # (n, 5): u, v, slope, chart flag (0=p, 1=q), arclength
+        self.family = family      # "plus" | "minus"
+        # left_domain | hit_degenerate_point | max_length | closed_loop, or, for a
+        # lane whose stage failed inside the domain, lost_direction_field (a
+        # NoDirectionError: no direction where the discriminant is negative) |
+        # evaluation_failed (any other ArithmeticError, its own overflow among them)
+        self.termination = termination
 
     @property
     def points(self):
@@ -121,7 +122,6 @@ _LOOP_TOL = 1e-6    # state distance to the seed that closes a loop
 _RING_SEEDS, _RING_RADIUS = 8, 0.05    # extra seeds around each singular point
 
 
-@dataclass
 class IntegrationStats:
     """What a lockstep integration did, kept beside the payloads and never in
     them: ``lanes`` started trajectories, ``rounds`` lockstep rounds,
@@ -133,17 +133,17 @@ class IntegrationStats:
     trajectory, ``skipped_seeds`` the portrait seeds that gave no job and
     ``dropped_reports`` the portrait's singular-point searches and reports
     that failed, each with its reason."""
-    lanes: int = 0
-    rounds: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    rhs_evals: int = 0
-    chart_switches: int = 0
-    creep_steps: int = 0
-    terminations: dict = field(default_factory=dict)
-    dropped: list = field(default_factory=list)
-    skipped_seeds: list = field(default_factory=list)
-    dropped_reports: list = field(default_factory=list)
+
+    def __init__(self, lanes=0, rounds=0, accepted=0, rejected=0, rhs_evals=0,
+                 chart_switches=0, creep_steps=0, terminations=None, dropped=None,
+                 skipped_seeds=None, dropped_reports=None):
+        self.lanes, self.rounds, self.accepted, self.rejected = lanes, rounds, accepted, rejected
+        self.rhs_evals, self.chart_switches = rhs_evals, chart_switches
+        self.creep_steps = creep_steps
+        self.terminations = {} if terminations is None else terminations
+        self.dropped = [] if dropped is None else dropped
+        self.skipped_seeds = [] if skipped_seeds is None else skipped_seeds
+        self.dropped_reports = [] if dropped_reports is None else dropped_reports
 
     def drop(self, job, exc):
         (u, v), family, sweep = job
@@ -157,9 +157,8 @@ class IntegrationStats:
         self.dropped_reports.append(entry)
 
     def to_json_dict(self):
-        out = asdict(self)
-        out["terminations"] = dict(sorted(self.terminations.items()))
-        return out
+        """The fields in ``__init__`` order, the terminations sorted by reason."""
+        return dict(vars(self), terminations=dict(sorted(self.terminations.items())))
 
 
 def _project_slope(fld, u, v, slope, chart, iters=None):
@@ -622,14 +621,15 @@ def _event_samples(fld, before, after, t):
     return rows, errors
 
 
-@dataclass
 class Portrait:
-    region: Rect
-    trajectories: list = field(default_factory=list)
-    singular_sets: dict = field(default_factory=dict)
-    reports: list = field(default_factory=list)
-    integration: IntegrationStats = None   # run statistics, not part of the payload
-    stage_seconds: dict = None             # wall time per stage, likewise
+    def __init__(self, region, trajectories=None, singular_sets=None, reports=None,
+                 integration=None, stage_seconds=None):
+        self.region = region
+        self.trajectories = [] if trajectories is None else trajectories
+        self.singular_sets = {} if singular_sets is None else singular_sets
+        self.reports = [] if reports is None else reports
+        self.integration = integration        # run statistics, not part of the payload
+        self.stage_seconds = stage_seconds    # wall time per stage, likewise
 
     def to_json(self):
         """The payload in chunks: the text of ``json.dumps(..., indent=1,
@@ -675,7 +675,7 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
     else:
         fld, euclid = bde.extended_field_for(source), bde.euclidean_field_for(source)
     region = region or fld.domain
-    fld = dataclasses.replace(fld, domain=region)
+    fld = BDEField(fld.slots, region, fld.period)
     params = params or IntegrationParams()
 
     stats = IntegrationStats()

@@ -25,7 +25,6 @@ a zero of the field the Jacobian maps everything into the tangent plane of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,13 +65,11 @@ class NotFlatUmbilicError(ArithmeticError):
     pass
 
 
-@dataclass
 class SingularPointReport:
-    location: tuple
-    kind: str
-    lambda_invariant: float = None
-    eigenvalues: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, location, kind, lambda_invariant=None, eigenvalues=None, details=None):
+        self.location, self.kind, self.lambda_invariant = location, kind, lambda_invariant
+        self.eigenvalues = [] if eigenvalues is None else eigenvalues
+        self.details = {} if details is None else details
 
     def to_json_dict(self):
         eig = []

@@ -20,10 +20,8 @@ positions.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,40 +54,61 @@ class EvalError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Value:
+    """Base of the immutable value classes (the AST nodes, ``Rect`` and
+    ``Band``): their fields are ``__slots__``, set once by ``__init__`` in
+    that order; objects are equal and hash by type and fields, and their
+    repr reads ``Name(field=value, ...)``."""
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__,) + self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str  # only "pi"
+class Num(_Value):
+    __slots__ = ("value",)
+
+
+class Const(_Value):
+    __slots__ = ("name",)    # only "pi"
     value = math.pi
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "u" or "v"
+class Var(_Value):
+    __slots__ = ("name",)    # "u" or "v"
 
 
-@dataclass(frozen=True)
-class Unary:
-    fn: str  # neg or a name of jets.FUNCTIONS
-    arg: object
+class Unary(_Value):
+    __slots__ = ("fn", "arg")    # fn: neg or a name of jets.FUNCTIONS
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # + - * /
-    left: object
-    right: object
+class Bin(_Value):
+    __slots__ = ("op", "left", "right")    # op: + - * /
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    num: int
-    den: int  # den >= 1; non-literal exponents are rejected at parse time
+class Pow(_Value):
+    __slots__ = ("base", "num", "den")    # den >= 1: the parser takes literal exponents only
 
 
 # numbers and exponents read ASCII digits only: str.isdigit would take
@@ -498,12 +517,8 @@ def poly_jets(polys, u, v, order=jets.DEFAULT_ORDER):
 # -- domains and surface definitions -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Rect:
-    u0: float
-    u1: float
-    v0: float
-    v1: float
+class Rect(_Value):
+    __slots__ = ("u0", "u1", "v0", "v1")
 
     def contains(self, u, v):
         return (self.u0 <= u) & (u <= self.u1) & (self.v0 <= v) & (v <= self.v1)
@@ -518,12 +533,9 @@ class Rect:
 DEFAULT_DOMAIN = Rect(-1, 1, -1, 1)
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(_Value):
     """Excluded strip |axis_value - center| < halfwidth (axis 'u' or 'v')."""
-    axis: str
-    center: float
-    halfwidth: float
+    __slots__ = ("axis", "center", "halfwidth")
 
     def excludes(self, u, v):
         x = u if self.axis == "u" else v
@@ -771,7 +783,7 @@ def surface_from_config(cfg):
                 "catalog parameters other than q must be numbers")
         q = params.get("q", {})
         _expect(isinstance(q, dict) and all(
-            len(k.split(",")) == 2 and all(t.isdigit() for t in k.split(",")) and _is_number(val)
+            re.fullmatch("[0-9]+,[0-9]+", k) and _is_number(val)    # ASCII digits only
             for k, val in q.items()), 'catalog q must map "i,j" keys to numbers')
         if "q" in params:
             params["q"] = {tuple(int(t) for t in k.split(",")): float(val) for k, val in q.items()}
@@ -780,5 +792,7 @@ def surface_from_config(cfg):
 
 
 def load_surface_config(path):
+    import json    # loaded only for file: surfaces
+
     with open(path, "r", encoding="utf-8") as fh:
         return surface_from_config(json.load(fh))

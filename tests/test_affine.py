@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -309,10 +308,10 @@ def test_point_data_batch_matches_single_points(surf, us, vs):
     batch = af.affine_point_data(surf, us, vs)
     for k, (u, v) in enumerate(zip(us, vs)):
         one = af.affine_point_data(surf, float(u), float(v))
-        for f in fields(af.AffinePointData):
-            a, b = getattr(one, f.name), getattr(batch, f.name)
+        for name in af.AffinePointData.FIELDS:
+            a, b = getattr(one, name), getattr(batch, name)
             b = b[k] if np.ndim(b) == 1 else b[:, k]
-            assert np.array_equal(a, b), (f.name, u, v)
+            assert np.array_equal(a, b), (name, u, v)
 
 
 def test_point_data_evaluates_position_jets_once(monkeypatch):
@@ -482,9 +481,9 @@ def test_point_data_is_the_same_in_blocks_of_seven_lanes(monkeypatch, surf, lo, 
     blocked = af.affine_point_data(surf, us, vs)
     # one call for the batch, then six blocks, the last one ragged
     assert calls == [40, 7, 7, 7, 7, 7, 5]
-    for f in fields(af.AffinePointData):
-        a, b = getattr(whole, f.name), getattr(blocked, f.name)
-        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), f.name
+    for name in af.AffinePointData.FIELDS:
+        a, b = getattr(whole, name), getattr(blocked, name)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), name
 
 
 def test_parabolic_error_names_first_batch_point_in_a_later_block(monkeypatch):

@@ -96,8 +96,10 @@ def test_portrait_run_info_carries_integration_stats(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     a = blocks[0]
     assert a == blocks[1]
-    assert {"lanes", "rounds", "accepted", "rejected", "rhs_evals", "chart_switches",
-            "creep_steps", "terminations", "dropped", "skipped_seeds", "dropped_reports"} <= set(a)
+    # the keys, in the order run_info.json has written them since the block was added
+    assert list(a) == ["lanes", "rounds", "accepted", "rejected", "rhs_evals", "chart_switches",
+                       "creep_steps", "terminations", "dropped", "skipped_seeds",
+                       "dropped_reports"]
     assert a["dropped_reports"] == []
     data = json.loads((tmp_path / "a" / "portrait.json").read_text())
     assert a["lanes"] == len(data["trajectories"]) == sum(a["terminations"].values())
@@ -514,6 +516,32 @@ _TORUS3 = ["--surface", "catalog:torus", "--R", "3", "--r", "1"]
     (["analyze", "--surface", {"kind": "parametric", "exprs": ["u", "v", "u^2 + 1e309*v^2"],
                                "domain": [-1, 1, -1, 1]}],
      "bad surface config {cfg!r}: number out of range (offset 7)"),
+    # int() and float() read any script's digits; every number flag reads ASCII only
+    (["analyze", "--surface", "catalog:cusp_gauss", "--q", "\u0662\u0661=1.0"],
+     "--q wants ij=value (e.g. 21=1.5); got '\u0662\u0661=1.0'"),
+    (["analyze", "--surface", "catalog:cusp_gauss", "--q", "21=\u0661"],
+     "--q wants ij=value (e.g. 21=1.5); got '21=\u0661'"),
+    (["analyze", "--surface", "catalog:torus", "--R", "\u0663", "--r", "1"],
+     "argument --R: invalid float value: '\u0663'"),
+    (["analyze", "--surface", "catalog:torus", "--R", "3", "--r", "\u0661"],
+     "argument --r: invalid float value: '\u0661'"),
+    (["analyze", "--surface", "catalog:pick", "--epsilon", "1", "--sigma", "\u0660.5"],
+     "argument --sigma: invalid float value: '\u0660.5'"),
+    (["analyze", "--surface", "catalog:pick", "--epsilon", "\u0661"],
+     "argument --epsilon: invalid int value: '\u0661'"),
+    (["portrait", "--bde", "folded", "--lam", "\u0661"],
+     "argument --lam: invalid float value: '\u0661'"),
+    (["portrait", "--bde", "morse", "--eps1", "\u0661"],
+     "argument --eps1: invalid int value: '\u0661'"),
+    (["analyze", *_TORUS3, "--res", "\u0668"], "--res needs N or NxM; got '\u0668'"),
+    (["conormal", *_TORUS3, "--res", "4x\u0668"], "--res needs N or NxM; got '4x\u0668'"),
+    (["analyze", *_TORUS3, "--region=\u0661,2,0,1"],
+     "--region needs u0,u1,v0,v1; got '\u0661,2,0,1'"),
+    (["portrait", "--bde", "folded", "--lam", "-1", "--tol", "max_len=\u0661"],
+     "--tol wants key=value; got 'max_len=\u0661'"),
+    (["analyze", "--surface", {"kind": "catalog", "id": "cusp_gauss",
+                               "params": {"q": {"\u0662,\u0661": 1.0, "4,0": 0.1}}}],
+     'bad surface config {cfg!r}: catalog q must map "i,j" keys to numbers'),
 ])
 def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, capsys, argv,
                                                  message):
@@ -525,7 +553,9 @@ def test_bad_tol_or_lam_is_a_configuration_error(tmp_path_factory, tmp_path, cap
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(item, fh)
             argv = argv[:k] + [f"file:{cfg}"] + argv[k + 1:]
-    assert cli.main(argv + ["--res", "3", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    # a case with its own --res keeps it: argparse reads the last one given
+    res = [] if "--res" in argv else ["--res", "3"]
+    assert cli.main(argv + res + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message.format(cfg=cfg)}")
     assert err.count("\n") == 1
@@ -582,7 +612,9 @@ def test_morse_eps1_must_be_a_sign(tmp_path, capsys, eps1):
     ["portrait", "--bde", "folded", "--lam", "-1", "--format", "svg,csv"],
 ])
 def test_unknown_format_is_a_configuration_error(tmp_path, capsys, argv):
-    assert cli.main(argv + ["--res", "3", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    # a case with its own --res keeps it: argparse reads the last one given
+    res = [] if "--res" in argv else ["--res", "3"]
+    assert cli.main(argv + res + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: --format")
     assert not list(tmp_path.iterdir())
 
@@ -817,7 +849,7 @@ def test_traced_portrait_runs(tmp_path):
 
 def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from affasym import cli\n"
         "assert cli.main(['analyze', '--surface', 'catalog:pick', '--res', '8',\n"
         "                 '--out', sys.argv[1] + '/pick']) == 0\n"
@@ -826,7 +858,7 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
         "    out = sys.argv[1] + '/' + cmd\n"
         "    assert cli.main([cmd, '--surface', 'catalog:torus', '--R', '3', '--r', '1',\n"
         "                     '--res', '16', '--out', out]) == 0\n"
-        "names = ('orjson', 'numpy.random', 'numpy.polynomial')\n"
+        "names = ('orjson', 'numpy.random', 'numpy.polynomial', 'dataclasses')\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('affasym.') or m in names)\n"
         "assert cli.main(['portrait', '--surface', 'catalog:cusp_gauss', '--q', '21=1.0',\n"
         "                 '--q', '40=0.1', '--res', '2', '--tol', 'trace_res=32',\n"
@@ -835,12 +867,15 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
         "                 '--res', '2', '--tol', 'trace_res=32',\n"
         "                 '--out', sys.argv[1] + '/torus']) == 0\n"
         "print(loaded)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('affasym.') or m in names))\n")
+        "print(sorted(m for m in sys.modules if m.startswith('affasym.') or m in names))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify']) == 0\n"
+        "print('dataclasses' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
     res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    loaded, after_portrait = res.stdout.strip().splitlines()[-2:]
+    loaded, after_portrait, after_verify = res.stdout.strip().splitlines()[-3:]
     for name in ("affasym.flow", "affasym.bde", "affasym.singular", "affasym.checks"):
         assert repr(name) not in loaded
     assert "'affasym.conormal'" in loaded
@@ -850,6 +885,20 @@ def test_analyze_and_conormal_load_only_what_they_run(tmp_path):
     assert "'affasym.flow'" in after_portrait and "'numpy.random'" not in after_portrait
     # the torus closed form evaluates its tables by Horner's rule
     assert "'numpy.polynomial'" not in after_portrait
+    # no command generates class code at import: records are plain classes
+    assert "'dataclasses'" not in after_portrait and after_verify == "False"
+
+
+def test_the_benchmark_set_up_loads_no_dataclasses_or_json():
+    # the benchmark's set-up process: the package and the torus's extended field
+    code = ("import sys\n"
+            "from affasym import bde, surface\n"
+            "bde.extended_field_for(surface.catalog_surface('torus', {'R': 3.0, 'r': 1.0}))\n"
+            "print(sorted(m for m in ('dataclasses', 'json', 'copy') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_portrait_does_not_load_conormal(tmp_path):

@@ -70,6 +70,29 @@ def test_parser_round_trip():
             assert math.isclose(got, want, rel_tol=1e-12), (text, u, v, got, want)
 
 
+def test_values_compare_by_type_and_fields_and_cannot_change():
+    # program._Compiler's memo is keyed by AST nodes, and error messages embed
+    # the repr of a Rect or a Band
+    asts = [sf.parse_expression(text) for text in ROUND_TRIP_CORPUS]
+    for text, ast in zip(ROUND_TRIP_CORPUS, asts):
+        again = sf.parse_expression(text)
+        assert again is not ast and again == ast and hash(again) == hash(ast), text
+    assert all(a != b for k, a in enumerate(asts) for b in asts[k + 1:])
+    assert len(set(asts)) == len(asts)
+    assert sf.Var("u") != sf.Const("u") and sf.Num(1.0) != 1.0
+    assert repr(Rect(-1, 1, -1, 1)) == "Rect(u0=-1, u1=1, v0=-1, v1=1)"
+    assert repr(sf.Band("u", 1.5, 0.001)) == "Band(axis='u', center=1.5, halfwidth=0.001)"
+    assert repr(sf.parse_expression("sin(u)^2+pi*v")) == (
+        "Bin(op='+', left=Pow(base=Unary(fn='sin', arg=Var(name='u')), num=2, den=1), "
+        "right=Bin(op='*', left=Const(name='pi'), right=Var(name='v')))")
+    for value, name in ((Rect(-1, 1, -1, 1), "u0"), (sf.Band("u", 1.5, 0.001), "center"),
+                        (asts[0], "name"), (sf.parse_expression("u^2"), "num")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
 def test_torus_position():
     tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
     x, y, z = tor.eval_jets(0.0, 0.0)
@@ -254,10 +277,14 @@ def test_one_polynomial_at_one_point_sums_in_order():
 
 def test_domain_and_bands():
     tor = sf.catalog_surface("torus", {"R": 3, "r": 1})
-    with pytest.raises(sf.EvalError):
+    with pytest.raises(sf.EvalError) as err:
         tor.check_domain(7.0, 0.0)
-    with pytest.raises(sf.EvalError):
+    assert str(err.value) == ("point outside surface domain Rect(u0=0.0, "
+                              "u1=6.283185307179586, v0=0.0, v1=6.283185307179586)")
+    with pytest.raises(sf.EvalError) as err:
         tor.check_domain(math.pi / 2, 0.0)
+    assert str(err.value) == ("point inside excluded band Band(axis='u', "
+                              "center=1.5707963267948966, halfwidth=0.001)")
     tor.eval_jets(math.pi / 2, 0.0)  # extended ops allowed: eval_jets checks nothing
 
 

@@ -100,3 +100,22 @@ def test_payload_hashes_pins_the_integration_block(tmp_path, monkeypatch):
                            for name in ("counted", "same", "slower")]
     assert got["same/run_info.json:integration"] == got["slower/run_info.json:integration"]
     assert got["same/run_info.json:integration"] != got["counted/run_info.json:integration"]
+
+
+def test_startup_cost_runs_one_pair(capsys):
+    # one pair of fresh processes per copy and command; each tree's copies
+    # are made apart, one without bytecode files and one compiled
+    cost = load_tool("startup_cost")
+    src = os.path.join(os.path.dirname(TOOLS), "src")
+    assert cost.main(["--src", src, "--against", src, "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[:2] for ln in lines[:2]] == [["pair", "1"]] * 2
+    summary = lines[2:]
+    assert len(summary) == len(cost.MODES) * len(cost.COMMANDS) * 2 * 2
+    for mode in cost.MODES:
+        for name, _ in cost.COMMANDS:
+            for label in ("wall", "after numpy"):
+                rows = [ln for ln in summary if ln.startswith(f"{mode:8s} {name:11s} {label:11s}")]
+                assert len(rows) == 2
+                wins = [int(ln.split("won ")[1].split()[0]) for ln in rows]
+                assert sum(wins) <= 1 and all(ln.endswith("of 1 pairs") for ln in rows)
