@@ -110,7 +110,7 @@ def morse_model_field(eps1, domain=DEFAULT_DOMAIN):
 
 def torus_extended_field(surf):
     """The closed-form extended field of a catalog torus, with its domain and period."""
-    R, r = surf.params["R"], surf.params["r"]
+    R, r = surf.torus
 
     def derivative(p):
         return [k * p[k] for k in range(1, len(p))]
@@ -159,7 +159,7 @@ def extended_field_for(surf):
     """The extended asymptotic-direction field of a surface: the closed form
     on the torus, else ``affine.extended_bde_coeffs`` of the normal
     w = a_u ^ a_v."""
-    if surf.catalog_id == "torus":
+    if surf.torus is not None:
         return torus_extended_field(surf)
     return _chart_field(surf, 4, lambda au, av: affine.extended_bde_coeffs(affine.cross(au, av)))
 

@@ -286,9 +286,7 @@ def _analyze_json(data, flat):
     yield "\n]\n"
 
 
-_CSV_COLUMNS = ("u", "v", "E", "F", "G", "Ldet", "Mdet", "Ndet", "K", "euclid_class",
-                "g11", "g12", "g22", "l", "m", "n", "b11", "b12", "b21", "b22",
-                "K_aff", "H_aff", "aff_class")
+_CSV_COLUMNS = tuple(c for c in affine.AffinePointData.FIELDS if c not in affine._VECTORS)
 
 
 def _analyze_csv(data):

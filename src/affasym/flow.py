@@ -27,8 +27,8 @@ degenerate pass run as one batch per round (``_step_minimum``), each lane
 stopping once its bracket stops moving, and ``_event_samples`` writes the
 last samples of all such lanes of a round by one recipe.  A lane sees the
 same floating-point expressions alone as inside a batch, so it gives the
-same bits as its job integrated alone; ``integrate_asymptotic`` is the
-one-job case.
+same bits as its job integrated alone; ``integrate_many`` is the one
+entry, for one job as for all of a portrait's.
 
 The embedded Cash-Karp 4(5) pair is implemented here rather than taken from
 a library because the projection and chart bookkeeping live inside the step
@@ -54,7 +54,6 @@ __all__ = [
     "IntegrationParams",
     "IntegrationStats",
     "integrate_many",
-    "integrate_asymptotic",
     "build_portrait",
     "portrait_svg",
 ]
@@ -276,15 +275,30 @@ def _stage_end(domain, point, exc):
     return "evaluation_failed"
 
 
-def _integrate(fld, jobs, params, stats):
-    """Integrate (seed, family, sweep) jobs in lockstep.  Returns per job its
-    Trajectory or the lane error that dropped it."""
+def integrate_many(fld, jobs, params=None, stats=None):
+    """Trace the asymptotic curves of many (seed, family, sweep) jobs at once.
+
+    One Cash-Karp loop advances every job in lockstep: each round evaluates
+    the lifted field of all running lanes from one batched slot evaluation
+    per stage, while each lane keeps its own step size, chart, orientation
+    and reference direction.  A lane gives the same bits as its job alone.
+    The family fixes the direction root at the seed and the sweep (+1 or -1)
+    which half of the unoriented curve through the seed is traced.
+    Returns one Trajectory per job, in job order, or None: for a job that
+    cannot start (its seed has no direction, or its slots raise) or that
+    hit a lane error in the accepted-step bookkeeping, ``stats`` (an
+    IntegrationStats) records a drop with its reason, beside its counters.
+    A family other than "plus" or "minus", or a sweep other than +1 or -1,
+    raises ValueError before any evaluation.
+    """
     for _, family, sweep in jobs:
         if family not in ("plus", "minus") or sweep not in (1, -1):
             raise ValueError(f"a job's family must be 'plus' or 'minus' and its sweep +1 "
                              f"or -1, not {family!r} and {sweep!r}")
     if not jobs:
         return []
+    params = params or IntegrationParams()
+    stats = stats if stats is not None else IntegrationStats()
     job, S, out = _start(fld, jobs)
     stats.lanes += len(job)
     domain, period = fld.domain, fld.period
@@ -383,6 +397,9 @@ def _integrate(fld, jobs, params, stats):
     for k, r in enumerate(out):
         if isinstance(r, str):
             out[k] = Trajectory(samples[k], jobs[k][1], r)
+        else:    # the lane error that dropped the job
+            stats.drop(jobs[k], r)
+            out[k] = None
     return out
 
 
@@ -492,47 +509,6 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, tol, crept, reas
     if not every:
         S[acc] = new
     return job[acc[keep]], new[keep, _ROW]
-
-
-def integrate_many(fld, jobs, params=None, stats=None):
-    """Trace the asymptotic curves of many (seed, family, sweep) jobs at once.
-
-    One Cash-Karp loop advances every job in lockstep: each round evaluates
-    the lifted field of all running lanes from one batched slot evaluation
-    per stage, while each lane keeps its own step size, chart, orientation
-    and reference direction.  A lane gives the same bits as its job alone.
-    Returns one Trajectory per job, in job order, or None for a job that
-    could not start (or hit a lane error in the accepted-step bookkeeping);
-    ``stats`` (an IntegrationStats) collects counters and the dropped jobs.
-    A family other than "plus" or "minus", or a sweep other than +1 or -1,
-    raises ValueError before any evaluation.
-    """
-    params = params or IntegrationParams()
-    stats = stats if stats is not None else IntegrationStats()
-    out = _integrate(fld, jobs, params, stats)
-    for k, res in enumerate(out):
-        if isinstance(res, Exception):
-            stats.drop(jobs[k], res)
-            out[k] = None
-    return out
-
-
-def integrate_asymptotic(fld, seed, family="plus", params=None, sweep=1):
-    """Trace one asymptotic curve of the chosen root branch from a seed.
-
-    The branch label fixes the direction root at the seed; curves are
-    unoriented, so ``sweep`` = +1/-1 selects which half of the curve through
-    the seed is traced (relative to the lifted field's own orientation).
-    Along the trajectory the lift keeps the branch choice consistent,
-    including through projected cusps.  This is ``integrate_many`` with one
-    job, except that a seed without a direction raises NoDirectionError.
-    No command calls it: it stays as the tests' (and bench/tracer.py's) reference.
-    """
-    res = _integrate(fld, [(seed, family, sweep)], params or IntegrationParams(),
-                     IntegrationStats())[0]
-    if isinstance(res, Exception):
-        raise res
-    return res
 
 
 def _state_distance(a, b, period):

@@ -19,6 +19,7 @@ the order by one, and binary operations truncate to the smaller order.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,34 +54,14 @@ def _term_count(order):
     return (order + 1) * (order + 2) // 2
 
 
-def _build_tables():
-    index, terms = {}, {}
-    for o in range(MAX_ORDER + 1):
-        idx, term = {}, []
-        k = 0
-        for g in range(o + 1):
-            for i in range(g, -1, -1):
-                idx[(i, g - i)] = k
-                term.append((i, g - i))
-                k += 1
-        index[o], terms[o] = idx, term
-    return index, terms
+def _slot(i, j):
+    """The slot of the partial (i, j): graded, and by falling i within a degree."""
+    return _term_count(i + j - 1) + j
 
 
-_INDEX, _TERMS = _build_tables()
-
-
-class _PerOrder(dict):
-    """Tables keyed by jet order, each built on first use by ``build(order)``,
-    so that a process builds only the orders it uses."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, order):
-        table = self[order] = self.build(order)
-        return table
+def _terms(order):
+    """The (i, j) of each slot of an order-``order`` jet: a prefix of the next order's."""
+    return [(g - j, j) for g in range(order + 1) for j in range(g + 1)]
 
 
 def _leibniz_pairs(order, skip_self=False):
@@ -88,30 +69,30 @@ def _leibniz_pairs(order, skip_self=False):
     weights C(i,a) C(j,b) for f_(i,j) = sum g_(a,b) h_(i-a,j-b), in a fixed
     order; ``skip_self`` drops the pair (a, b) = (i, j)."""
     rows = []
-    for (i, j) in _TERMS[order]:
+    for (i, j) in _terms(order):
         ka, kb, w = [], [], []
         for a in range(i + 1):
             for b in range(j + 1):
                 if skip_self and a == i and b == j:
                     continue
-                ka.append(_INDEX[order][(a, b)])
-                kb.append(_INDEX[order][(i - a, j - b)])
+                ka.append(_slot(a, b))
+                kb.append(_slot(i - a, j - b))
                 w.append(float(math.comb(i, a) * math.comb(j, b)))
         rows.append((ka, kb, w))
     return rows
 
 
-def _build_mul(order):
+# Per-order tables, each built on the first use of its order.
+@functools.cache
+def _MUL(order):
     # the pairs of all slots in one gather: (ka, kb, weights, slot starts)
     rows = _leibniz_pairs(order)
     starts = np.cumsum([0] + [len(ka) for ka, _, _ in rows[:-1]])
     return tuple(np.array(sum(col, [])) for col in zip(*rows)) + (starts,)
 
 
-_MUL = _PerOrder(_build_mul)
-
 # The same pairs as (ka, kb, weight) lists per slot, for the wide product.
-_MUL_PAIRS = _PerOrder(lambda o: [list(zip(*row)) for row in _leibniz_pairs(o)])
+_MUL_PAIRS = functools.cache(lambda o: [list(zip(*row)) for row in _leibniz_pairs(o)])
 
 # A product whose larger factor has at least this many lanes sums each slot
 # on lane-sized arrays (``_wide_product``); a smaller one gathers a
@@ -121,11 +102,11 @@ _MUL_PAIRS = _PerOrder(lambda o: [list(zip(*row)) for row in _leibniz_pairs(o)])
 WIDE_LANES = 512
 
 # Division tables: same pairs per slot but with the self pair (a,b)=(i,j) removed.
-_DIVROWS = _PerOrder(lambda o: [tuple(np.array(col) for col in row)
-                                for row in _leibniz_pairs(o, skip_self=True)])
+_DIVROWS = functools.cache(lambda o: [tuple(np.array(col) for col in row)
+                                      for row in _leibniz_pairs(o, skip_self=True)])
 
-_DU_MAP = _PerOrder(lambda o: np.array([_INDEX[o + 1][(i + 1, j)] for (i, j) in _TERMS[o]]))
-_DV_MAP = _PerOrder(lambda o: np.array([_INDEX[o + 1][(i, j + 1)] for (i, j) in _TERMS[o]]))
+_DU_MAP = functools.cache(lambda o: np.array([_slot(i + 1, j) for (i, j) in _terms(o)]))
+_DV_MAP = functools.cache(lambda o: np.array([_slot(i, j + 1) for (i, j) in _terms(o)]))
 
 
 class Jet2:
@@ -164,7 +145,7 @@ class Jet2:
         c = np.zeros((_term_count(order),) + v.shape)
         c[0] = v
         if order > 0:
-            c[_INDEX[order][(1, 0) if which == "u" else (0, 1)]] = 1.0
+            c[_slot(1, 0) if which == "u" else _slot(0, 1)] = 1.0
         return Jet2(order, c)
 
     # -- accessors -------------------------------------------------------
@@ -177,7 +158,7 @@ class Jet2:
         """Raw partial d^(i+j)/du^i dv^j at the base point."""
         if i < 0 or j < 0 or i + j > self.order:
             raise IndexError(f"partial ({i},{j}) outside order-{self.order} jet")
-        return self.coeffs[_INDEX[self.order][(i, j)]]
+        return self.coeffs[_slot(i, j)]
 
     def truncate(self, order):
         if order > self.order:
@@ -190,12 +171,12 @@ class Jet2:
         """u-derivative jet; order drops by one."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet2(self.order - 1, self.coeffs[_DU_MAP[self.order - 1]])
+        return Jet2(self.order - 1, self.coeffs[_DU_MAP(self.order - 1)])
 
     def dv(self):
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet2(self.order - 1, self.coeffs[_DV_MAP[self.order - 1]])
+        return Jet2(self.order - 1, self.coeffs[_DV_MAP(self.order - 1)])
 
     def __repr__(self):
         return f"Jet2(order={self.order}, value={self.value!r})"
@@ -248,8 +229,8 @@ class Jet2:
         ca, cb = _aligned(self.coeffs[:n], other.coeffs[:n])
         if max(ca.size, cb.size) >= WIDE_LANES * n:
             shape = np.broadcast_shapes(ca.shape[1:], cb.shape[1:])
-            return Jet2(o, _wide_product(ca, cb, _MUL_PAIRS[o], shape))
-        ka, kb, w, starts = _MUL[o]
+            return Jet2(o, _wide_product(ca, cb, _MUL_PAIRS(o), shape))
+        ka, kb, w, starts = _MUL(o)
         prod = ca[ka] * cb[kb]
         if prod.ndim > 1:
             prod *= w.reshape((-1,) + (1,) * (prod.ndim - 1))
@@ -349,7 +330,7 @@ def jet_div(a, b):
     out = np.empty_like(np.broadcast_arrays(ca, cb)[0])
     # graded forward substitution for q in a = q * b
     for slot in range(n):
-        ka, kb, w = _DIVROWS[o][slot]
+        ka, kb, w = _DIVROWS(o)[slot]
         acc = ca[slot]
         if len(ka):
             s = out[ka] * cb[kb]

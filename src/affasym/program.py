@@ -71,7 +71,7 @@ class _Compiler:
         if not composing and (_zero(a[0]) or _zero(b[0])):
             raise _Uncompiled
         out = []
-        for pairs in jets._MUL_PAIRS[self.order]:
+        for pairs in jets._MUL_PAIRS(self.order):
             t = [self.term(a[i], b[j], w) for i, j, w in pairs]
             out.append(self.add(t[0], jets._pairwise(t[1:], self.add)) if t[1:] else t[0])
         return out

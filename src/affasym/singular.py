@@ -135,10 +135,10 @@ def _fold_signal(fld, poly):
 
 def _sign_changes(poly, signal):
     """The interpolated zeros of the signal on the edges (k, k + 1) of a
-    polyline where both values are finite and their product is not
-    positive."""
+    polyline where both values are finite and their signs' product is not
+    positive (the values' own product can underflow or overflow)."""
     a, b = signal[:-1], signal[1:]
-    k = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ~(a * b > 0))
+    k = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ~(np.sign(a) * np.sign(b) > 0))
     a, b = np.abs(a[k]), np.abs(b[k])
     with np.errstate(invalid="ignore"):
         t = np.where(a == b, 0.5, a / (a + b))
@@ -236,7 +236,10 @@ def classify_folded(fld, point):
     if np.linalg.norm(X) > 1e-6 * scale:
         raise NotSingularLiftError(
             f"lifted field does not vanish at {point}: |X| = {np.linalg.norm(X):.3e}")
-    (mu1, mu2), tr, e2 = restricted_eigenvalues(bde.lifted_derivatives(c, slope, chart_q)[2])
+    # J scaled exactly by 2^-e to max|J| < 1: lam = e2 / (4 tr^2) cannot underflow or overflow
+    J = bde.lifted_derivatives(c, slope, chart_q)[2]
+    e = math.frexp(float(np.max(np.abs(J))))[1]
+    (mu1, mu2), tr, e2 = restricted_eigenvalues(np.ldexp(J, -e))
     if tr == 0:
         lam = math.inf if e2 > 0 else (-math.inf if e2 < 0 else float("nan"))
     else:
@@ -249,20 +252,22 @@ def classify_folded(fld, point):
         kind = "folded_focus"
     else:
         kind = "boundary_uncertain"
+    mu1, mu2 = (complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) if isinstance(z, complex)
+                else math.ldexp(z, e) for z in (mu1, mu2))
     return SingularPointReport((u, v), kind, lambda_invariant=lam,
                                eigenvalues=[mu1, mu2],
-                               details={"trace": tr, "e2": e2,
+                               details={"trace": math.ldexp(tr, e), "e2": math.ldexp(e2, 2 * e),
                                         "slope": slope, "chart": "q" if chart_q else "p"})
 
 
 def fold_reports(fld, polylines, region, resolution, drop):
-    """``classify_folded`` at each of the ``find_folded_points``; one where the
-    lifted field does not vanish goes to ``drop("classify_folded", exc, point)``."""
+    """``classify_folded`` at each of the ``find_folded_points``; one where it
+    raises an ArithmeticError goes to ``drop("classify_folded", exc, point)``."""
     reports = []
     for pt in find_folded_points(fld, polylines, region, resolution, drop):
         try:
             reports.append(classify_folded(fld, pt))
-        except NotSingularLiftError as exc:
+        except ArithmeticError as exc:
             drop("classify_folded", exc, pt)
     return reports
 

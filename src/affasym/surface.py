@@ -364,11 +364,10 @@ class Poly:
         """
         tab = self._tables.get(order)
         if tab is None:
-            slots = [(a, g - a) for g in range(order + 1) for a in range(g, -1, -1)]
             tab = self._tables[order] = [
                 [(c * math.perm(i, a) * math.perm(j, b), i - a, j - b)
                  for (i, j), c in self.terms.items() if i >= a and j >= b]
-                for (a, b) in slots]
+                for (a, b) in jets._terms(order)]
         return tab
 
     def __add__(self, other):
@@ -553,14 +552,12 @@ class SurfaceDef:
     exclusions).
     """
 
-    def __init__(self, exprs, domain, excluded=(), catalog_id=None, params=None, polys=None):
+    def __init__(self, exprs, domain, excluded=(), polys=None):
         if len(exprs if exprs is not None else polys) != 3:
             raise ValueError("a chart needs 3 components")
         self.exprs = tuple(exprs) if exprs is not None else None
         self.domain = domain
         self.excluded = tuple(excluded)
-        self.catalog_id = catalog_id
-        self.params = dict(params) if params else {}
         if polys is None:
             polys = tuple(as_polynomial(e) for e in exprs)
         self.polys = polys
@@ -570,6 +567,7 @@ class SurfaceDef:
                              else (float(p.get((1, 0), 0.0)), float(p.get((0, 1), 0.0))) for p in polys)
         self._programs = {}
         self.period = None    # (Pu, Pv) when the parameters are angles
+        self.torus = None    # (R, r) of the catalog torus, whose field has a closed form
 
     # -- evaluation -----------------------------------------------------
 
@@ -693,24 +691,21 @@ def catalog_surface(cat_id, params=None, domain=None):
         if "R" not in params or "r" not in params:
             raise ValueError("torus needs R and r")
         R, r = _finite("R", params.pop("R")), _finite("r", params.pop("r"))
-        kept = {"R": R, "r": r}
         if not 0 < r < R:
             raise ValueError(f"torus needs 0 < r < R, got r={r}, R={R}")
         exprs = (f"({R} + {r}*cos(u))*cos(v)", f"({R} + {r}*cos(u))*sin(v)", f"{r}*sin(u)")
         # the parabolic circles u = pi/2 and 3 pi/2, each with a 1e-3 guard band
         excl = (Band("u", math.pi / 2, 1e-3), Band("u", 3 * math.pi / 2, 1e-3))
         sd = parametric_surface(exprs, domain or Rect(0.0, 2 * math.pi, 0.0, 2 * math.pi), excl)
-        sd.period = (2 * math.pi, 2 * math.pi)
+        sd.period, sd.torus = (2 * math.pi, 2 * math.pi), (R, r)
     elif cat_id == "pick":
         eps, sigma = _epsilon(params), _finite("sigma", params.pop("sigma", 0.0))
         q = _finite_q(params)
-        kept = {"epsilon": eps, "sigma": sigma, "q": q}
         base = {(2, 0): 0.5, (0, 2): 0.5 * eps, (3, 0): sigma / 6.0, (1, 2): -eps * sigma / 2.0}
         q = {(i, j): val / (math.factorial(i) * math.factorial(j)) for (i, j), val in q.items()}
         sd = monge_surface(_monomial_height(base, q, set(range(3, 8)), "pick"), domain)
     elif cat_id == "cusp_gauss":
         q = _finite_q(params)
-        kept = {"q": q}
         q21, q40 = q.get((2, 1), 0.0), q.get((4, 0), 0.0)
         if not 1e-12 < abs(q21 * q21 - 4 * q40) < math.inf:
             raise ValueError(f"cusp_gauss needs 0 < |q21^2 - 4*q40| < inf; q21={q21}, q40={q40}")
@@ -721,7 +716,6 @@ def catalog_surface(cat_id, params=None, domain=None):
                            domain or Rect(-0.5, 0.5, -0.5, 0.5))
     elif cat_id == "flat_umbilic_chart":
         eps, q = _epsilon(params), _finite_q(params)
-        kept = {"epsilon": eps, "q": q}
         sd = monge_surface(_monomial_height({(3, 0): 1.0, (1, 2): 3.0 * eps}, q, {4, 5},
                                             "flat_umbilic_chart"),
                            domain or Rect(-0.5, 0.5, -0.5, 0.5))
@@ -729,7 +723,6 @@ def catalog_surface(cat_id, params=None, domain=None):
         raise ValueError(f"unknown catalog id {cat_id!r}")
     if params:
         raise ValueError(f"unknown {cat_id} parameters {sorted(params)}")
-    sd.catalog_id, sd.params = cat_id, kept
     return sd
 
 

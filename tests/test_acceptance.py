@@ -15,7 +15,7 @@ import numpy as np
 from affasym import affine as af, bde, checks, flow, singular as sg, surface as sf
 from affasym.surface import Rect
 
-from test_conormal import conormal_image_field
+from test_conormal import conormal_image_field, integrate_one
 from test_jets import FD_CASES, fd_check_jet
 from test_singular import model_focus_blowup
 from affasym.jets import Jet2
@@ -198,7 +198,7 @@ def test_criterion_07_flat_euclid_umbilic():
         fld = bde.extended_field_for(fu)
         best = 0.0
         for sweep in (1, -1):
-            traj = flow.integrate_asymptotic(
+            traj = integrate_one(
                 fld, (0.3, 0.0), "plus",
                 flow.IntegrationParams(max_len=12.0, max_steps=60000), sweep)
             ang = np.unwrap(np.arctan2(traj.points[:, 1], traj.points[:, 0]))
@@ -225,15 +225,15 @@ def test_criterion_08_conormal_correspondence():
         img_field = conormal_image_field(surf_t)
         seed = (1.35, 1.0)
         params = flow.IntegrationParams(max_len=0.35, max_step_frac=5e-4)
-        t_src = flow.integrate_asymptotic(src_field, seed, "plus", params)
+        t_src = integrate_one(src_field, seed, "plus", params)
         d_src = bde.direction_roots(*src_field.coeff(*seed))[1][0]
         img_dirs = bde.direction_roots(*img_field.coeff(*seed))[1]
         fam = "plus" if abs(float(np.dot(img_dirs[0], d_src))) >= \
             abs(float(np.dot(img_dirs[-1], d_src))) else "minus"
-        t_img = flow.integrate_asymptotic(img_field, seed, fam, params)
+        t_img = integrate_one(img_field, seed, fam, params)
         if float(np.dot(t_img.points[5] - t_img.points[0],
                         t_src.points[5] - t_src.points[0])) < 0:
-            t_img = flow.integrate_asymptotic(img_field, seed, fam, params, sweep=-1)
+            t_img = integrate_one(img_field, seed, fam, params, sweep=-1)
         common = min(t_src.samples[-1, 4], t_img.samples[-1, 4]) * 0.98
         sel = t_src.points[t_src.samples[:, 4] <= common]
         a, b = t_img.points[:-1], t_img.points[1:]

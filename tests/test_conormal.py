@@ -9,6 +9,12 @@ from affasym.jets import Jet2
 from affasym.surface import Rect
 
 
+def integrate_one(fld, seed, family="plus", params=None, sweep=1, stats=None,
+                  integrate_many=flow.integrate_many):
+    """One job's Trajectory, or None, from ``flow.integrate_many`` as bound at import."""
+    return integrate_many(fld, [(seed, family, sweep)], params, stats)[0]
+
+
 def torus(R=3.0, r=1.0):
     return sf.catalog_surface("torus", {"R": R, "r": r})
 
@@ -309,16 +315,16 @@ def test_matched_asymptotic_trajectories():
     # comparison tolerance, and short enough to stop before the projected
     # cusp, where curvature (hence sagitta) blows up
     params = flow.IntegrationParams(max_len=0.35, max_step_frac=5e-4)
-    t_src = flow.integrate_asymptotic(src_field, seed, "plus", params)
+    t_src = integrate_one(src_field, seed, "plus", params)
     # match the image family to the source root at the seed
     d_src = bde.direction_roots(*src_field.coeff(*seed))[1][0]
     img_dirs = bde.direction_roots(*img_field.coeff(*seed))[1]
     fam = "plus" if abs(float(np.dot(img_dirs[0], d_src))) >= \
         abs(float(np.dot(img_dirs[-1], d_src))) else "minus"
-    t_img = flow.integrate_asymptotic(img_field, seed, fam, params)
+    t_img = integrate_one(img_field, seed, fam, params)
     if float(np.dot(t_img.points[5] - t_img.points[0],
                     t_src.points[5] - t_src.points[0])) < 0:
-        t_img = flow.integrate_asymptotic(img_field, seed, fam, params, sweep=-1)
+        t_img = integrate_one(img_field, seed, fam, params, sweep=-1)
     common = min(t_src.samples[-1, 4], t_img.samples[-1, 4]) * 0.98
     sel = t_src.points[t_src.samples[:, 4] <= common]
     dev = max(point_polyline_distance(p, t_img.points) for p in sel)

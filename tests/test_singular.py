@@ -66,6 +66,27 @@ def test_kind_invariant_under_positive_factor():
     assert abs(rep.lambda_invariant - lam) < 1e-4
 
 
+def test_fold_classification_does_not_depend_on_the_field_scale():
+    # (A, B, C) of the folded saddle times k: tr^2 and e2 of the raw Jacobian
+    # underflow or overflow far from k = 1, lambda does not
+    for k in (1e-170, 1e-150, 1.0, 1e150):
+        fld = bde.field_from_polynomials({(2, 0): -k, (0, 1): -k}, {}, {(0, 0): k},
+                                         Rect(-1, 1, -1, 1))
+        with np.errstate(over="raise", invalid="raise"):
+            rep = sg.classify_folded(fld, (0.0, 0.0))
+        assert (rep.kind, rep.lambda_invariant) == ("folded_saddle", -1.0), k
+
+
+def test_sign_changes_compare_signs():
+    poly = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    # a product of two values 1e-200 underflows to 0, which read as a crossing
+    assert sg._sign_changes(poly, np.full(3, 1e-200)).shape == (0, 2)
+    # a product of two values 1e200 overflows
+    with np.errstate(over="raise", invalid="raise"):
+        loc = sg._sign_changes(poly, np.array([1e200, -1e200, 1e200]))
+    assert loc.tolist() == [[0.5, 0.0], [1.5, 0.0]]
+
+
 def test_not_singular_lift_error():
     fld = bde.folded_model_field(-1.0)
     with pytest.raises(sg.NotSingularLiftError):
@@ -709,16 +730,20 @@ def test_fold_reports_drops_a_fold_that_does_not_classify(monkeypatch):
         pts = sg.find_folded_points(field_, polys, surf.domain, 96)
         assert pts
         fail = pts[0]
+        # any ArithmeticError of the classification is a drop: a fold whose
+        # lifted field does not vanish, or one whose e2 overflows
+        for error in (sg.NotSingularLiftError, FloatingPointError):
 
-        def not_singular(f, pt):
-            if pt == fail:
-                raise sg.NotSingularLiftError(f"lifted field does not vanish at {pt}")
-            return classify(f, pt)
+            def failing(f, pt):
+                if pt == fail:
+                    raise error(f"cannot classify {pt}")
+                return classify(f, pt)
 
-        monkeypatch.setattr(sg, "classify_folded", not_singular)
-        dropped = []
-        reps = sg.fold_reports(field_, polys, surf.domain, 96, lambda *args: dropped.append(args))
-        monkeypatch.setattr(sg, "classify_folded", classify)
-        assert [r.location for r in reps] == pts[1:]
-        assert [(stage, loc) for stage, _, loc in dropped] == [("classify_folded", fail)]
-        assert isinstance(dropped[0][1], sg.NotSingularLiftError)
+            monkeypatch.setattr(sg, "classify_folded", failing)
+            dropped = []
+            reps = sg.fold_reports(field_, polys, surf.domain, 96,
+                                   lambda *args: dropped.append(args))
+            monkeypatch.setattr(sg, "classify_folded", classify)
+            assert [r.location for r in reps] == pts[1:]
+            assert [(stage, loc) for stage, _, loc in dropped] == [("classify_folded", fail)]
+            assert isinstance(dropped[0][1], error)

@@ -302,7 +302,7 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "surf.json"
     path.write_text(json.dumps(cfg))
     surf = sf.load_surface_config(str(path))
-    assert surf.catalog_id == "torus"
+    assert surf.torus == (2.0, 1.0)
     cfg2 = {"kind": "monge", "expr": "u^2 - v^2", "domain": [-2, 2, -1, 1]}
     surf2 = sf.surface_from_config(cfg2)
     assert surf2.domain == Rect(-2, 2, -1, 1)

@@ -1,4 +1,4 @@
-"""Cost of one lockstep Cash-Karp round of ``flow._integrate``, in process.
+"""Cost of one lockstep Cash-Karp round of ``flow.integrate_many``, in process.
 
     python tools/round_cost.py --src src
     python tools/round_cost.py --src OTHER/src --repeat 5
