@@ -21,9 +21,6 @@ per-vertex root polishing), used for parabolic sets and discriminants.
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from . import affine
@@ -179,27 +176,20 @@ def discriminant(field, u, v):
     return B * B - A * C
 
 
-def _on_floats(fn, a, *rest):
-    """``fn(a, *rest)`` element by element on Python floats, for math.hypot
-    and ``pow``, which round differently from their numpy counterparts;
-    ``rest`` holds arrays of the shape of ``a``, or numbers."""
-    a = np.asarray(a)
-    rest = [r.ravel().tolist() if np.ndim(r) else itertools.repeat(r) for r in rest]
-    return np.fromiter(map(fn, a.ravel().tolist(), *rest), float, a.size).reshape(a.shape)
-
-
 def direction_roots(A, B, C):
     """The roots of A du^2 + 2B du dv + C dv^2 = 0 per point, from arrays of
     coefficient values: per point the kind ("two", "double", "none" or
     "degenerate") and the unit (du, dv) roots, shape (..., 2, 2), each with
     du > 0 or du = 0 < dv.  A root is solved as a slope, dv/du where
     |C| >= |A| and du/dv elsewhere; a double root fills both rows, and a
-    point without a root holds NaN."""
+    point without a root holds NaN.  Every expression is elementwise
+    (``np.hypot`` normalizes the roots), so one point alone gets the bits
+    it gets in a batch."""
     A, B, C = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, B, C)))
     scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
     delta = B * B - A * C
     degenerate = scale < DEGENERATE_TOL
-    double = ~degenerate & (np.abs(delta) < _on_floats(pow, LIFT_TOL * scale, 2))
+    double = ~degenerate & (np.abs(delta) < np.square(LIFT_TOL * scale))
     none = ~degenerate & ~double & (delta < 0)
     # both extreme coefficients vanish: the equation is 2B du dv = 0
     axes = ~(degenerate | double | none) & (np.maximum(np.abs(A), np.abs(C)) < 1e-13 * scale)
@@ -211,7 +201,7 @@ def direction_roots(A, B, C):
         p = ~chart_q[..., None]    # the slopes are dv/du
         du, dv = np.where(p, 1.0, slope), np.where(p, slope, 1.0)
         du[axes], dv[axes] = (1.0, 0.0), (0.0, 1.0)
-        h = _on_floats(math.hypot, du, dv)
+        h = np.hypot(du, dv)
         d = np.stack([du / h, dv / h], -1)
     # fix an orientation so output is deterministic
     flip = (d[..., 0] < 0) | ((d[..., 0] == 0) & (d[..., 1] < 0))

@@ -165,10 +165,9 @@ def _build_surface(args):
     if ":" not in spec:
         raise ConfigError("--surface must be catalog:ID, monge:EXPR, or file:PATH")
     kind, rest = spec.split(":", 1)
-    region = _parse_region(args.region) if args.region else None
     if kind == "monge":
         try:
-            return surface_mod.monge_surface(rest, region)
+            return surface_mod.monge_surface(rest, args.region)
         except ParseError as exc:
             raise ConfigError(f"bad expression: {exc}")
     if kind == "file":
@@ -184,7 +183,7 @@ def _build_surface(args):
         if args.q:
             params["q"] = _parse_q(args.q)
         try:
-            return surface_mod.catalog_surface(rest, params, region)
+            return surface_mod.catalog_surface(rest, params, args.region)
         except ValueError as exc:
             raise ConfigError(str(exc))
     raise ConfigError(f"unknown surface kind {kind!r}")
@@ -237,7 +236,7 @@ def _analysis_grid(surf, region, res):
 
 def cmd_analyze(args):
     surf = _build_surface(args)
-    region = _parse_region(args.region) if args.region else surf.domain
+    region = args.region or surf.domain
     res = _parse_res(args.res or "32")
     formats = _formats(args, "json", ("json", "csv"))
     tol = _tolerances(args)
@@ -320,8 +319,8 @@ def cmd_portrait(args):
         source = bde.morse_model_field(args.eps1 or 1)
     else:
         source = _build_surface(args)
-    region = _parse_region(args.region) if args.region else None
-    portrait = flow.build_portrait(source, region, params=flow.IntegrationParams(**tol), **given)
+    portrait = flow.build_portrait(source, args.region, params=flow.IntegrationParams(**tol),
+                                   **given)
     t_write = time.perf_counter()
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -355,7 +354,7 @@ def cmd_conormal(args):
     from . import conormal
 
     surf = _build_surface(args)
-    region = _parse_region(args.region) if args.region else surf.domain
+    region = args.region or surf.domain
     given = {"resolution": _parse_res(args.res)} if args.res else {}
     tol = _tolerances(args)
     margin = tol.get("margin", conormal.MARGIN)
@@ -431,6 +430,8 @@ def main(argv=None):
             return EXIT_OK
         args.argv = argv    # run_info.json records the arguments parsed
         _check_source_flags(args)
+        if hasattr(args, "region"):    # verify has no --region
+            args.region = _parse_region(args.region) if args.region else None
         with np.errstate(over="raise", invalid="raise"):
             return args.fn(args)
     except (ConfigError, ParseError) as exc:

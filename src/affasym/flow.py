@@ -18,7 +18,8 @@ orientation, reference direction and event state in one row of the lane
 state array.  A round costs a fixed count of numpy calls whatever its
 lane count: each stage writes its velocities in place, the lanes that
 creep where the lift vanishes are solved as one batch from their stage's
-slots, chart switches are one batch, and the termination tests run only
+slots, chart switches are one batch, the step sizes and arclengths are
+numpy's elementwise functions, and the termination tests run only
 on the lanes that one screen of the round finds they could end.  A lane
 that ends at an event inside its step, where it leaves the domain, closes
 its loop or passes a totally degenerate point, ends at a fraction t of
@@ -133,16 +134,11 @@ class IntegrationStats:
     ``dropped_reports`` the portrait's singular-point searches and reports
     that failed, each with its reason."""
 
-    def __init__(self, lanes=0, rounds=0, accepted=0, rejected=0, rhs_evals=0,
-                 chart_switches=0, creep_steps=0, terminations=None, dropped=None,
-                 skipped_seeds=None, dropped_reports=None):
-        self.lanes, self.rounds, self.accepted, self.rejected = lanes, rounds, accepted, rejected
-        self.rhs_evals, self.chart_switches = rhs_evals, chart_switches
-        self.creep_steps = creep_steps
-        self.terminations = {} if terminations is None else terminations
-        self.dropped = [] if dropped is None else dropped
-        self.skipped_seeds = [] if skipped_seeds is None else skipped_seeds
-        self.dropped_reports = [] if dropped_reports is None else dropped_reports
+    def __init__(self):
+        self.lanes = self.rounds = self.accepted = self.rejected = 0
+        self.rhs_evals = self.chart_switches = self.creep_steps = 0
+        self.terminations = {}
+        self.dropped, self.skipped_seeds, self.dropped_reports = [], [], []
 
     def drop(self, job, exc):
         (u, v), family, sweep = job
@@ -363,7 +359,7 @@ def integrate_many(fld, jobs, params=None, stats=None):
         rej = (err > tol) & (h[:, 0] > h_min)
         if np.count_nonzero(rej):
             # err > tol >= 0 on these lanes, so tol / err is finite
-            shrink = np.maximum(0.2, 0.9 * bde._on_floats(pow, tol[rej] / err[rej], 0.25))
+            shrink = np.maximum(0.2, 0.9 * np.power(tol[rej] / err[rej], 0.25))
             S[rej, _H] = np.maximum(h[rej, 0] * shrink, h_min)
             stats.rejected += int(np.count_nonzero(rej))
         acc = (~rej).nonzero()[0]
@@ -416,13 +412,13 @@ def _accept(fld, params, stats, S, job, acc, y, projected, err, tol, crept, reas
     lane = S.copy() if every else S[acc]    # the state before the step
     new = S if every else lane.copy()
     step = y - lane[:, _Y]
-    ds = bde._on_floats(math.hypot, step[:, 0], step[:, 1])
-    nstep = np.hypot(np.hypot(step[:, 0], step[:, 1]), step[:, 2])
+    ds = np.hypot(step[:, 0], step[:, 1])
+    nstep = np.hypot(ds, step[:, 2])
     ref = new[:, _REF]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(step, nstep[:, None], out=ref, where=(nstep > 0)[:, None])
         ratio = tol / err    # read only where err > 0
-    grow = np.where(err > 0, np.minimum(5.0, 0.9 * bde._on_floats(pow, ratio, 0.2)), 5.0)
+    grow = np.where(err > 0, np.minimum(5.0, 0.9 * np.power(ratio, 0.2)), 5.0)
     np.minimum(lane[:, _H] * grow, h_max, out=new[:, _H])
     q = new[:, _Q]
     switch = (np.abs(y[:, 2]) > _CHART_SWITCH).nonzero()[0]
@@ -560,7 +556,7 @@ def _degenerate_pass(fld, a, b):
 
     t, cmin = _step_minimum(norm, len(a))
     p = _chord(a, b, t[:, None])[:, 0]
-    sq = bde._on_floats(pow, fld.slots(p[:, 0], p[:, 1], 1)[[1, 2, 4, 5, 7, 8]], 2)
+    sq = np.square(fld.slots(p[:, 0], p[:, 1], 1)[[1, 2, 4, 5, 7, 8]])
     g = np.sqrt(sq[0] + sq[1] + (sq[2] + sq[3]) + (sq[4] + sq[5]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # an exact hit is a pass too: there a quadratic field's gradient vanishes

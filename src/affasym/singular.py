@@ -136,10 +136,12 @@ def _fold_signal(fld, poly):
 def _sign_changes(poly, signal):
     """The interpolated zeros of the signal on the edges (k, k + 1) of a
     polyline where both values are finite and their signs' product is not
-    positive (the values' own product can underflow or overflow)."""
+    positive (the values' own product can underflow or overflow).  The
+    fraction is taken from the halved absolute values, whose sum cannot
+    overflow."""
     a, b = signal[:-1], signal[1:]
     k = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ~(np.sign(a) * np.sign(b) > 0))
-    a, b = np.abs(a[k]), np.abs(b[k])
+    a, b = 0.5 * np.abs(a[k]), 0.5 * np.abs(b[k])
     with np.errstate(invalid="ignore"):
         t = np.where(a == b, 0.5, a / (a + b))
     return (1 - t)[:, None] * poly[k] + t[:, None] * poly[k + 1]

@@ -82,9 +82,11 @@ def test_directions_double_and_degenerate():
 
 def former_directions(A, B, C):
     """The former scalar solver of the direction equation at one point, on
-    Python floats: its kind and its unit roots, the double root once."""
+    Python floats: its kind and its unit roots, the double root once.  The
+    roots are normalized by ``np.hypot`` and the double-root bound squared
+    by ``np.square``, the rounding of ``direction_roots``."""
     def unit(du, dv):
-        h = math.hypot(du, dv)
+        h = float(np.hypot(du, dv))
         d = np.array([du / h, dv / h])
         return -d if d[0] < 0 or (d[0] == 0 and d[1] < 0) else d
 
@@ -92,7 +94,7 @@ def former_directions(A, B, C):
     if scale < bde.DEGENERATE_TOL:
         return "degenerate", []
     delta = B * B - A * C
-    if abs(delta) < (bde.LIFT_TOL * scale) ** 2:
+    if abs(delta) < np.square(bde.LIFT_TOL * scale):
         if abs(C) >= abs(A):
             return "double", [unit(1.0, -B / C)]
         return "double", [unit(-B / A, 1.0)]

@@ -798,17 +798,18 @@ def test_stage_sums_add_in_stage_order():
 
 def layout_checks(fld, job, traj):
     """The sample layout: the seed state first, then one row per accepted
-    step that moved, each adding math.hypot of its (u, v) step to the
-    arclength; only a terminating event rewrites the last row."""
+    step that moved, each adding np.hypot of its (u, v) step to the
+    arclength, the last row too; only a terminating event rewrites the last
+    row, by the same rule."""
     start = flow._start(fld, [job])[1][0]
     S = traj.samples
     assert S[0].tolist() == [*start[flow._Y], start[flow._Q], 0.0]
-    steps = [math.hypot(a, b) for a, b in np.diff(S[:, :2], axis=0).tolist()]
-    assert all(ds > 0 for ds in steps)
-    assert all(S[k + 1, 4] == S[k, 4] + ds for k, ds in enumerate(steps[:-1]))
+    steps = np.hypot(*np.diff(S[:, :2], axis=0).T)
+    assert np.all(steps > 0)
+    assert np.array_equal(S[1:, 4], S[:-1, 4] + steps)
     assert np.all((S[:, 3] == 0) | (S[:, 3] == 1))
     assert np.all(np.abs(S[:, 2]) <= flow._CHART_SWITCH)
-    return S, steps[-1]
+    return S
 
 
 def test_lockstep_sample_layout_through_events(monkeypatch):
@@ -840,7 +841,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
                                                   for fld, jobs in cases)
 
     # a chart switch: the flag flips where the slope is inverted
-    S, last = layout_checks(cusp, cusp_jobs[0], switched)
+    S = layout_checks(cusp, cusp_jobs[0], switched)
     flips = np.flatnonzero(np.diff(S[:, 3]))
     assert len(flips) == 1
     k = flips[0] + 1
@@ -854,7 +855,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
         the step's end slope in the end chart, and the arclength of the
         piece added.  Returns the rows before and at the end of the step,
         and t."""
-        S, _ = layout_checks(fld, job, traj)
+        S = layout_checks(fld, job, traj)
         (before, after, t, row), = [e for e in events if np.array_equal(e[3], S[-1])]
         assert before[[0, 1, 4]].tolist() == S[-2, [0, 1, 4]].tolist()
         assert 0.0 <= t <= 1.0

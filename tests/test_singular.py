@@ -87,6 +87,15 @@ def test_sign_changes_compare_signs():
     assert loc.tolist() == [[0.5, 0.0], [1.5, 0.0]]
 
 
+def test_sign_changes_cannot_overflow():
+    # |a| + |b| of a crossed edge overflows, though each value is finite
+    poly = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with np.errstate(over="raise", invalid="raise"):
+        loc = sg._sign_changes(poly, np.array([1.5e308, -1e308, 1.5e308]))
+    assert loc[:, 0] == pytest.approx([0.6, 1.4], rel=1e-15)
+    assert loc[:, 1].tolist() == [0.0, 0.0]
+
+
 def test_not_singular_lift_error():
     fld = bde.folded_model_field(-1.0)
     with pytest.raises(sg.NotSingularLiftError):

@@ -55,6 +55,30 @@ def test_compare_portraits_pairs_changed_reports():
     ]
 
 
+def test_compare_portraits_compares_lanes_by_index():
+    # of three lanes one is kept, one moves by 1e-10 in v and arclength at
+    # its last sample, and one gains a sample and ends at another event
+    compare_lanes = load_tool("compare_portraits").compare_lanes
+
+    def lane(family, samples, termination):
+        return {"family": family, "samples": samples, "termination": termination}
+
+    rows = [[0.0, 0.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0, 1.0]]
+    old = [lane("plus", rows, "left_domain"), lane("minus", rows, "max_length"),
+           lane("plus", rows, "lost_direction_field")]
+    moved = [rows[0], [0.0, 1.0 + 1e-10, 0.5, 0.0, 1.0 + 1e-10]]
+    new = [old[0], lane("minus", moved, "max_length"),
+           lane("plus", rows + [[0.0, 2.0, 0.5, 0.0, 2.0]], "hit_degenerate_point")]
+    lines = compare_lanes(old, new)
+    assert lines[0] == "  lanes by index: 2 of 3 changed, 1 of them with the same sample count"
+    assert lines[1] == "  largest move at the same sample count: 1e-10 in (u, v) (lane 1)," \
+        " 1e-10 in arclength (lane 1)"
+    assert lines[2:] == ["  lane 2 (plus): 2 -> 3 samples,"
+                         " lost_direction_field -> hit_degenerate_point"]
+    # runs with other trajectory counts have no lanes to compare by index
+    assert compare_lanes(old, new[:2]) == []
+
+
 def test_payload_hashes_fails_a_run_that_warns(tmp_path, monkeypatch):
     # a run that warns fails like a run that does not exit 0, and neither is hashed
     hashes = load_tool("payload_hashes")

@@ -17,6 +17,13 @@ of the same family whose seed lies within ``flow._LOOP_TOL`` (max-norm) of
 its seed, at the smallest Hausdorff distance of their (u, v) samples.  Per
 singular set it prints the polylines kept byte-identical, those changed
 (each with its largest vertex move), dropped and new.
+
+The nearest kept partner is another trajectory, not a lane's own new
+version.  So where both runs have as many trajectories, it also compares
+them lane by lane, by index: how many lanes changed; among the changed lanes
+that kept their sample count, the largest move in (u, v) and in arclength;
+and each lane whose sample count or termination changed, with its old and
+new values.
 """
 
 from __future__ import annotations
@@ -192,6 +199,37 @@ def compare(old, new):
     return lines + compare_sets(old["singular_sets"], new["singular_sets"])
 
 
+def compare_lanes(olds, news):
+    """The lines comparing the trajectories ``olds`` and ``news`` lane by
+    lane, by index, or none if their counts differ.  A lane's move is its
+    largest change over its samples: Euclidean in (u, v), absolute in
+    arclength."""
+    if len(olds) != len(news):
+        return []
+    changed = [k for k, (a, b) in enumerate(zip(olds, news)) if _text(a) != _text(b)]
+    moves, ends = [], []
+    for k in changed:
+        a, b = olds[k], news[k]
+        if len(a["samples"]) == len(b["samples"]):
+            d = np.subtract(b["samples"], a["samples"])
+            moves.append((float(np.max(np.hypot(d[:, 0], d[:, 1]))),
+                          float(np.max(np.abs(d[:, 4]))), k))
+        if len(a["samples"]) != len(b["samples"]) or a["termination"] != b["termination"]:
+            ends.append(k)
+    lines = [f"  lanes by index: {len(changed)} of {len(olds)} changed, {len(moves)} of them"
+             f" with the same sample count"]
+    if moves:
+        uv, _, k = max(moves)
+        s, j = max((m[1], m[2]) for m in moves)
+        lines.append(f"  largest move at the same sample count: {uv:.3g} in (u, v)"
+                     f" (lane {k}), {s:.3g} in arclength (lane {j})")
+    for k in ends:
+        (na, ta), (nb, tb) = ((len(t["samples"]), t["termination"]) for t in (olds[k], news[k]))
+        lines.append(f"  lane {k} ({olds[k]['family']}): {na}" + (f" -> {nb}" if nb != na else "")
+                     + f" samples, {ta}" + (f" -> {tb}" if tb != ta else ""))
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", help="output directory of the earlier run")
@@ -206,7 +244,8 @@ def main(argv=None):
         if old is None or new is None:
             print(f"  only in {args.new if old is None else args.old}")
             continue
-        print("\n".join(compare(old, new)))
+        print("\n".join(compare(old, new)
+                        + compare_lanes(old["trajectories"], new["trajectories"])))
     return 0
 
 
