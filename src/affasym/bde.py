@@ -51,9 +51,9 @@ DEGENERATE_TOL = 1e-10
 
 class BDEField:
     """A direction equation with one evaluator: ``slots(u, v, order)`` gives
-    the jet slots of (A, B, C) at (u, v) up to ``order`` in one array of shape
-    (3 * slots,) + batch shape, the slots of A, then B, then C, each in the
-    jets' graded-lexicographic order (value, u, v, uu, uv, vv, ...)."""
+    the jet slots of (A, B, C) at (u, v) up to ``order`` as one table of
+    shape (3, slots) + batch shape: the rows A, B and C, each in the jets'
+    graded-lexicographic order (value, u, v, uu, uv, vv, ...)."""
 
     def __init__(self, slots, domain=DEFAULT_DOMAIN, period=None):
         self.slots, self.domain = slots, domain
@@ -61,27 +61,22 @@ class BDEField:
 
     def coeff(self, u, v):
         """(A, B, C) at one point or a batch."""
-        return tuple(self.slots(u, v, 0))
+        return tuple(self.slots(u, v, 0)[:, 0])
 
     def jet_coeff(self, u, v, order=2):
         """Jets of (A, B, C) up to ``order``, as three Jet2."""
-        c = self.slots(u, v, order)
-        n = len(c) // 3
-        return Jet2(order, c[:n]), Jet2(order, c[n:2 * n]), Jet2(order, c[2 * n:])
+        return tuple(Jet2(order, row) for row in self.slots(u, v, order))
 
 
 # -- constructors -------------------------------------------------------------
 
 
 def _stacked(abc, u, v, order):
-    """Slots of (A, B, C) up to ``order`` from three jets of that order, values
-    at order 0, or constant floats."""
+    """The slot table of (A, B, C) up to ``order`` from three jets of that
+    order or constant floats: their rows stacked."""
     batch = np.broadcast_shapes(np.shape(u), np.shape(v))
-    if order == 0:
-        return np.array([np.broadcast_to(c.value if isinstance(c, Jet2) else c, batch)
-                         for c in abc], dtype=float)
-    return np.concatenate([c.coeffs if isinstance(c, Jet2) else
-                           Jet2.constant(np.broadcast_to(c, batch), order).coeffs for c in abc])
+    return np.array([c.coeffs if isinstance(c, Jet2) else
+                     Jet2.constant(np.broadcast_to(c, batch), order).coeffs for c in abc])
 
 
 def field_from_polynomials(pa, pb, pc, domain, period=None):
@@ -123,14 +118,14 @@ def torus_extended_field(surf):
         # point; B and the v-derivatives vanish
         c, s = np.cos(u), np.sin(u)
         n = (order + 1) * (order + 2) // 2
-        out = np.zeros((3 * n,) + np.broadcast_shapes(np.shape(u), np.shape(v)))
-        for k, (p, p_d, p_dd) in zip((0, 2 * n), tables):
-            out[k] = affine._horner(p, c)
+        out = np.zeros((3, n) + np.broadcast_shapes(np.shape(u), np.shape(v)))
+        for row, (p, p_d, p_dd) in zip(out[::2], tables):
+            row[0] = affine._horner(p, c)
             if order:
                 fc = affine._horner(p_d, c)
-                out[k + 1] = -s * fc
+                row[1] = -s * fc
                 if order == 2:
-                    out[k + 3] = -c * fc + s * s * affine._horner(p_dd, c)
+                    row[3] = -c * fc + s * s * affine._horner(p_dd, c)
         return out
 
     return BDEField(slots, surf.domain, surf.period)
@@ -176,24 +171,31 @@ def discriminant(field, u, v):
     return B * B - A * C
 
 
-def direction_roots(A, B, C):
-    """The roots of A du^2 + 2B du dv + C dv^2 = 0 per point, from arrays of
-    coefficient values: per point the kind ("two", "double", "none" or
-    "degenerate") and the unit (du, dv) roots, shape (..., 2, 2), each with
-    du > 0 or du = 0 < dv.  A root is solved as a slope, dv/du where
-    |C| >= |A| and du/dv elsewhere; a double root fills both rows, and a
-    point without a root holds NaN.  Every expression is elementwise
-    (``np.hypot`` normalizes the roots), so one point alone gets the bits
-    it gets in a batch."""
-    A, B, C = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, B, C)))
-    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
+def coefficient_scale(c):
+    """max(|A|, |B|, |C|) per point from the slots ``c`` of (A, B, C) of any
+    order (``BDEField.slots``)."""
+    a = np.abs(c[:, 0])
+    return np.maximum(np.maximum(a[0], a[1]), a[2])
+
+
+def direction_roots(c):
+    """The roots of A du^2 + 2B du dv + C dv^2 = 0 per point, from the slots
+    ``c`` of (A, B, C) of any order (``BDEField.slots``): per point the kind
+    ("two", "double", "none" or "degenerate") and the unit (du, dv) roots,
+    shape (..., 2, 2), each with du > 0 or du = 0 < dv.  A root is solved as
+    a slope, dv/du where |C| >= |A| and du/dv elsewhere; a double root fills
+    both rows, and a point without a root holds NaN.  Every expression is
+    elementwise (``np.hypot`` normalizes the roots), so one point alone gets
+    the bits it gets in a batch."""
+    A, B, C = c[:, 0]
+    scale = coefficient_scale(c)
     delta = B * B - A * C
     degenerate = scale < DEGENERATE_TOL
     double = ~degenerate & (np.abs(delta) < np.square(LIFT_TOL * scale))
     none = ~degenerate & ~double & (delta < 0)
     # both extreme coefficients vanish: the equation is 2B du dv = 0
     axes = ~(degenerate | double | none) & (np.maximum(np.abs(A), np.abs(C)) < 1e-13 * scale)
-    double_slope, chart_q = double_root((A, B, C))
+    double_slope, chart_q = double_root(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         rt = np.sqrt(delta)
         slope = np.stack([-B + rt, -B - rt], -1) / np.where(chart_q, A, C)[..., None]
@@ -213,11 +215,10 @@ def direction_roots(A, B, C):
 
 def double_root(c):
     """The slope of the double root per point, and whether its chart is q,
-    from the slots ``c`` of (A, B, C) of any order (``BDEField.slots``, or
-    the values (A, B, C)): -B/C in chart p where |C| >= |A| (0.0 where C = 0
-    there), else -B/A in chart q."""
-    n = len(c) // 3
-    A, B, C = c[0], c[n], c[2 * n]
+    from the slots ``c`` of (A, B, C) of any order (``BDEField.slots``):
+    -B/C in chart p where |C| >= |A| (0.0 where C = 0 there), else -B/A in
+    chart q."""
+    A, B, C = c[:, 0]
     chart_q = ~(np.abs(C) >= np.abs(A))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(chart_q, -B / A, np.where(C != 0, -B / C, 0.0)), chart_q
@@ -246,44 +247,40 @@ def _lift_F(AC, B2, slope, fg):
     return F
 
 
-def lift_terms(A, B, C, slope, chart_q):
-    """F, F_s and F_ss slot by slot from jet slots of (A, B, C): with s the
-    slope, F = A + 2Bs + Cs^2 in chart p and As^2 + 2Bs + C in chart q
-    (``chart_q`` True), so from the slots (value, u, v, ...) of each
-    coefficient come F, F_u, F_v, ... and F_s, F_su, F_sv, ...  A, B and C
-    are arrays of one shape, (slots,) at one point or (slots,) + batch;
-    ``slope`` and ``chart_q`` are scalars or arrays over the batch.  Every
-    lane sees the same floating-point expressions in either chart, so a
-    point gives the same bits alone as inside a batch: the chart only picks
-    factors."""
-    fg, Fss = _chart_factors(chart_q, slope, 2.0 * A, 2.0 * C)
-    B2 = 2.0 * B
-    return _lift_F(np.array((A, C)), B2, slope, fg), B2 + Fss * slope, Fss
+def lift_terms(c, slope, chart_q):
+    """F, F_s and F_ss slot by slot from the slots ``c`` of (A, B, C)
+    (``BDEField.slots``): with s the slope, F = A + 2Bs + Cs^2 in chart p
+    and As^2 + 2Bs + C in chart q (``chart_q`` True), so from the slots
+    (value, u, v, ...) of each coefficient come F, F_u, F_v, ... and F_s,
+    F_su, F_sv, ..., each of shape (slots,) + batch; ``slope`` and
+    ``chart_q`` are scalars or arrays over the batch.  Every lane sees the
+    same floating-point expressions in either chart, so a point gives the
+    same bits alone as inside a batch: the chart only picks factors."""
+    c2 = 2.0 * c
+    fg, Fss = _chart_factors(chart_q, slope, c2[0], c2[2])
+    return _lift_F(c[::2], c2[1], slope, fg), c2[1] + Fss * slope, Fss
 
 
 def lifted_velocity(c, slope, chart_q):
     """Lifted velocity X and the coefficient scale max(|A|, |B|, |C|) from
     the slots ``c`` of (A, B, C) of order 1 or more (``BDEField.slots``,
-    shape (3 * slots,) + batch).  ``slope`` and ``chart_q`` (True where the
+    shape (3, slots) + batch).  ``slope`` and ``chart_q`` (True where the
     slope is du/dv) are scalars or arrays over the batch; X has the batch
     shape plus a last axis of 3: (F_s, s F_s, -(F_u + s F_v)) in chart p,
     (s F_s, F_s, -(F_v + s F_u)) in chart q, that is (f F_s, g F_s,
     -(f F_u + g F_v)) in either chart, with F at the value, u and v slots
     and F_s at the value slot only."""
-    k = len(c) // 3
     c2 = 2.0 * c
-    fg, Fss = _chart_factors(chart_q, slope, c2[0], c2[2 * k])
-    AC = c.reshape((3, k) + c.shape[1:])[::2, :3]
-    F = _lift_F(AC, c2[k:k + 3], slope, fg[:, None])[1:]
+    fg, Fss = _chart_factors(chart_q, slope, c2[0, 0], c2[2, 0])
+    F = _lift_F(c[::2, :3], c2[1, :3], slope, fg[:, None])[1:]
     F *= fg
     Fs = Fss * slope
-    Fs += c2[k]
+    Fs += c2[1, 0]
     X = np.empty(np.shape(slope) + (3,))
     Xt = X.T
     np.multiply(fg, Fs, out=Xt[:2])
     np.negative(np.add(F[0], F[1], out=Xt[2, ...]), out=Xt[2, ...])
-    a = np.abs(c)
-    return X, np.maximum(np.maximum(a[0], a[k]), a[2 * k])
+    return X, coefficient_scale(c)
 
 
 def _lanewise(fn, n):
@@ -314,13 +311,13 @@ def lie_cartan_scaled(field, u, v, slope, chart_q):
 def lifted_derivatives(c, slope, chart_q):
     """F, its gradient (F_u, F_v, F_slope) and the 3x3 Jacobian of the lifted
     field in (u, v, slope) order at one lifted point, from the order-2 slots
-    ``c`` of (A, B, C) there (``BDEField.slots``, shape (18,)).  The rows of
+    ``c`` of (A, B, C) there (``BDEField.slots``, shape (3, 6)).  The rows of
     F_s and s F_s come in the order of X's first two components; chart q is
     chart p with u and v swapped, so the third row, -grad(F_a + s F_b),
     reads a = u, b = v in chart p and a = v, b = u in chart q."""
     s, q = slope, int(chart_q)
     a, b = 1 + q, 2 - q    # the slots of the a- and b-partials
-    F, Fs, Fss = lift_terms(*c.reshape(3, 6), s, chart_q)
+    F, Fs, Fss = lift_terms(c, s, chart_q)
     F, Fs, Fss = F.tolist(), Fs[:3].tolist(), float(Fss[0])
     Fs0, Fsu, Fsv = Fs
     rows = [Fsu, Fsv, Fss], [s * Fsu, s * Fsv, Fs0 + s * Fss]
@@ -372,10 +369,7 @@ def trace_zero_set(scalar, region, resolution):
     along cell edges, and chained into polylines.  Output order and content
     are deterministic for fixed inputs.
     """
-    if np.isscalar(resolution):
-        nx = ny = int(resolution)
-    else:
-        nx, ny = (int(x) for x in resolution)
+    nx, ny = (int(x) for x in np.broadcast_to(resolution, 2))
     us = np.linspace(region.u0, region.u1, nx + 1)
     vs = np.linspace(region.v0, region.v1, ny + 1)
     U, V = np.meshgrid(us, vs, indexing="ij")

@@ -174,7 +174,7 @@ def lifted_tangency(n=20, seed=4):
     checked = 0
     while checked < n:
         u, v = rng.uniform(0, 2 * np.pi, 2)
-        kind, roots = bde.direction_roots(*fld.coeff(u, v))
+        kind, roots = bde.direction_roots(fld.slots(u, v, 0))
         if kind in ("none", "degenerate"):
             continue
         checked += 1
@@ -183,11 +183,10 @@ def lifted_tangency(n=20, seed=4):
         s = du / dv if chart_q else dv / du
         c = fld.slots(u, v, 1)
         X = bde.lifted_velocity(c, s, chart_q)[0]
-        J = c.reshape(3, 3)   # rows A, B, C; columns value, d/du, d/dv
         # weights of (A, B, C) in F = A + 2Bs + Cs^2 (chart p) or As^2 + 2Bs + C, and in dF/ds
         w, ws = np.array(((s * s, 2 * s, 1), (2 * s, 2, 0)) if chart_q else
                          ((1, 2 * s, s * s), (0, 2, 2 * s)))
-        grad = np.array([w @ J[:, 1], w @ J[:, 2], ws @ J[:, 0]])
+        grad = np.array([w @ c[:, 1], w @ c[:, 2], ws @ c[:, 0]])    # c: rows A, B, C
         scale = max(float(np.linalg.norm(grad)) * float(np.linalg.norm(X)), 1e-30)
         err = abs(float(grad @ X)) / scale
         _require(err < 1e-9, f"relative F-gradient component {err} at ({u}, {v})")

@@ -51,7 +51,7 @@ def _grid_and_mask(surf, region, resolution, margin):
     """The grid's axis samples ``us``, ``vs`` and their valid masks
     ``valid_u``, ``valid_v``.  Every excluded strip reads one coordinate, so
     the valid grid is their product ``valid_u[:, None] & valid_v[None, :]``."""
-    nx, ny = (int(resolution),) * 2 if np.isscalar(resolution) else resolution
+    nx, ny = resolution
     axes = {"u": (region.u0, region.u1, nx), "v": (region.v0, region.v1, ny)}
     samples = {a: np.linspace(*ax) for a, ax in axes.items()}
     valid = {a: np.ones(n, dtype=bool) for a, (_, _, n) in axes.items()}

@@ -162,8 +162,7 @@ def _project_slope(fld, u, v, slope, chart, iters=None):
     ``iters`` steps, or one step and seven more for the lanes that need them.
     Returns the slopes and the coefficient norm max(|A|, |B|, |C|) there."""
     c = fld.slots(u, v, 0)
-    c2 = 2.0 * c
-    norm = np.maximum.reduce(np.abs(c))
+    norm = bde.coefficient_scale(c)
     scale = 1e-6 * np.maximum(norm, 1e-30)
     s0 = s = np.asarray(slope, dtype=float)
     going = np.ones(s.shape, dtype=bool)
@@ -175,8 +174,7 @@ def _project_slope(fld, u, v, slope, chart, iters=None):
                 going &= (s - s0) ** 2 > bde.LIFT_TOL
             if not np.count_nonzero(going):
                 break
-            fg, Fss = bde._chart_factors(chart, s, c2[0], c2[2])
-            F, Fs = bde._lift_F(c[::2], c2[1], s, fg), c2[1] + Fss * s
+            F, Fs = (x[0] for x in bde.lift_terms(c, s, chart)[:2])
             if k == 1 and iters is None:
                 going &= np.abs(F) > bde.LIFT_TOL * norm
             going &= ~(np.abs(Fs) <= scale)
@@ -187,13 +185,13 @@ def _project_slope(fld, u, v, slope, chart, iters=None):
     return s, norm
 
 
-def _creep(abc, ref_dir):
+def _creep(c, ref_dir):
     """Degenerate-lift fallback: on curves that are simultaneously criminant
     and solution (e.g. profile circles of a surface of revolution) the lifted
     field vanishes identically while the planar double direction stays well
-    defined.  Per lane, from the values ``abc`` (3, lanes) of (A, B, C):
-    creep along the root nearest the reference direction."""
-    kind, roots = bde.direction_roots(*abc)
+    defined.  Per lane, from the stage's slots ``c`` of (A, B, C), shape
+    (3, slots, lanes): creep along the root nearest the reference direction."""
+    kind, roots = bde.direction_roots(c)
     if np.isin(kind, ("none", "degenerate")).any():
         raise NoDirectionError("lost the direction field")
     along = np.abs(roots[..., 0] * ref_dir[:, None, 0] + roots[..., 1] * ref_dir[:, None, 1])
@@ -212,7 +210,7 @@ def _rhs(fld, y, chart, orient, ref_dir, out):
     # X / (orient |X|) has the bits of orient X / |X|: only signs differ
     k = np.divide(X, (orient * np.sqrt(n * n + _ETA * _ETA))[:, None], out=out)
     if np.count_nonzero(creep):
-        k[creep] = _creep(c[::3, creep], ref_dir[creep])
+        k[creep] = _creep(c[..., creep], ref_dir[creep])
     return k, creep
 
 
@@ -236,15 +234,15 @@ def _start(fld, jobs):
     res, errors = bde._lanewise(
         lambda sl: (fld.slots(seeds[sl, 0], seeds[sl, 1], 1).T,), len(jobs))
     job = np.array([k for k, e in enumerate(errors) if e is None], dtype=int)
-    c = res[0].T if len(job) else np.zeros((9, 0))
-    kind, roots = bde.direction_roots(*c[::3])
+    c = res[0].T if len(job) else np.zeros((3, 3, 0))
+    kind, roots = bde.direction_roots(c)
     why = {"none": "lies where the discriminant is negative",
            "degenerate": "is a totally degenerate point"}
     for k, kd in zip(job.tolist(), kind.tolist()):
         if kd in why:
             errors[k] = NoDirectionError(f"seed {jobs[k][0]} {why[kd]}")
     ok = np.isin(kind, ("two", "double"))
-    job, c, roots = job[ok], c[:, ok], roots[ok]
+    job, c, roots = job[ok], c[..., ok], roots[ok]
     d = roots[np.arange(len(job)), [int(jobs[k][1] == "minus") for k in job.tolist()]]
     chart_q = np.abs(d[:, 1]) > np.abs(d[:, 0])
     orient = np.array([jobs[k][2] for k in job.tolist()], dtype=float)[:, None]
@@ -552,12 +550,12 @@ def _degenerate_pass(fld, a, b):
     its gradient."""
     def norm(lanes, t):
         p = _chord(a[lanes], b[lanes], t).reshape(-1, 2)
-        return np.max(np.abs(fld.slots(p[:, 0], p[:, 1], 0)), axis=0).reshape(t.shape)
+        return bde.coefficient_scale(fld.slots(p[:, 0], p[:, 1], 0)).reshape(t.shape)
 
     t, cmin = _step_minimum(norm, len(a))
     p = _chord(a, b, t[:, None])[:, 0]
-    sq = np.square(fld.slots(p[:, 0], p[:, 1], 1)[[1, 2, 4, 5, 7, 8]])
-    g = np.sqrt(sq[0] + sq[1] + (sq[2] + sq[3]) + (sq[4] + sq[5]))
+    sq = np.square(fld.slots(p[:, 0], p[:, 1], 1)[:, 1:]).sum(axis=1)    # rows A, B, C
+    g = np.sqrt(sq[0] + sq[1] + sq[2])
     with np.errstate(divide="ignore", invalid="ignore"):
         # an exact hit is a pass too: there a quadratic field's gradient vanishes
         return t, (cmin == 0) | ((g > 0) & (cmin / g < 1e-6))
@@ -676,7 +674,7 @@ def build_portrait(source, region=None, grid=(12, 12), params=None, trace_resolu
     stage("folds")
     reports.sort(key=lambda r: (r.kind, r.location))
 
-    nx, ny = grid if not np.isscalar(grid) else (int(grid), int(grid))
+    nx, ny = grid
     us = np.linspace(region.u0, region.u1, nx + 2)[1:-1]
     vs = np.linspace(region.v0, region.v1, ny + 2)[1:-1]
     seeds = [(float(u), float(v)) for u in us for v in vs]

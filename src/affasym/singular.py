@@ -209,7 +209,7 @@ def _newton_fold(fld, u, v):
         # (F, F_slope, G = -X_3 = F_x + s F_y), x the chart's first
         # coordinate: u in chart p, v in chart q; rows their gradients
         Fvec = np.array([Fval, grad[2], grad[q] + s * grad[1 - q]])
-        scale = max(abs(float(c[0])), abs(float(c[6])), abs(float(c[12])), 1e-30)
+        scale = max(float(bde.coefficient_scale(c)), 1e-30)
         if np.max(np.abs(Fvec)) < 1e-9 * scale:
             return (float(x[0]), float(x[1]))
         J = np.array([grad, Jx[q], -Jx[2]])
@@ -278,10 +278,10 @@ def classify_flat_affine_umbilic(fld, point):
     """Morse classification at a point where all three coefficients vanish."""
     u, v = point
     c = fld.slots(u, v, 2)
-    g = c.reshape(3, 6)[:, :3]    # rows A, B, C: value, d/du, d/dv
-    (A0, Au, Av), (B0, Bu, Bv), (C0, Cu, Cv) = g.tolist()
+    g = c[:, :3]    # rows A, B, C: value, d/du, d/dv
+    (_, Au, Av), (_, Bu, Bv), (_, Cu, Cv) = g.tolist()
     scale = max(float(np.max(np.abs(g[:, 1:]))), 1e-30)
-    if max(abs(A0), abs(B0), abs(C0)) > bde.DEGENERATE_TOL * max(1.0, scale):
+    if bde.coefficient_scale(c) > bde.DEGENERATE_TOL * max(1.0, scale):
         raise NotFlatUmbilicError(f"coefficients do not all vanish at {point}")
     # the Hessian of delta = B^2 - AC where A = B = C = 0, from the gradients
     gA, gB, gC = g[:, 1:]
@@ -436,7 +436,7 @@ def blowup_radial_coeffs(fld, t):
     ct, st = np.cos(t), np.sin(t)
     # the quadratic part of (A, B, C) on the unit circle, from the raw
     # partials uu, uv and vv
-    A, B, C = np.tensordot(fld.slots(0.0, 0.0, 2).reshape(3, 6)[:, 3:],
+    A, B, C = np.tensordot(fld.slots(0.0, 0.0, 2)[:, 3:],
                            np.array([0.5 * ct * ct, ct * st, 0.5 * st * st]), 1)
     Abar = A * ct * ct + 2 * B * ct * st + C * st * st
     Bbar = -A * ct * st + B * (ct * ct - st * st) + C * st * ct
@@ -456,7 +456,7 @@ def classify_flat_euclid_umbilic(surf, point=(0.0, 0.0)):
     ``delta_max_punctured`` is the largest extended discriminant on a
     21 x 21 grid of half-width 1e-2 around the point, the point left out."""
     u0, v0 = point
-    c = bde.euclidean_field_for(surf).slots(u0, v0, 1).reshape(3, 3).tolist()
+    c = bde.euclidean_field_for(surf).slots(u0, v0, 1).tolist()
     if max(abs(row[0]) for row in c) > FLAT_TOL:
         raise NotFlatUmbilicError(f"second form (L, M, N) does not vanish at {point}")
     (_, L_u, L_v), (_, _, M_v), (_, _, N_v) = c    # rows L, M, N: value, d/du, d/dv

@@ -14,8 +14,10 @@ Expression grammar (whitespace-insensitive)::
 
 Exponents must be literal: an optionally signed integer, or a parenthesized
 rational ``(p/q)``.  Binary operators are left-associative; ``^`` binds
-tighter than unary minus.  Offsets in error messages are 1-based byte
-positions.
+tighter than unary minus.  An expression nests at most 128 levels: the
+whole is one, and each pair of parentheses, function, minus sign, binary
+operator and ``^`` adds one; a deeper one is refused while parsing.  Offsets
+in error messages are 1-based byte positions.
 """
 
 from __future__ import annotations
@@ -116,12 +118,14 @@ class Pow(_Value):
 _NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
 _EXPONENT = re.compile(r"[+-]?(0*)([0-9]*)")
 _MAX_EXPONENT = 64    # bound on a literal exponent's numerator and denominator
+_MAX_DEPTH = 128    # bound on an expression's depth in levels (module docstring)
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0  # 0-based cursor; errors report pos + 1
+        self.open = 0    # the levels open above the cursor
 
     def error(self, message):
         raise ParseError(message, self.pos + 1)
@@ -140,45 +144,50 @@ class _Parser:
         self.pos += 1
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.level(self.expr)
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"unexpected {self.text[self.pos]!r}")
         return node
 
+    def level(self, parse, below=0):
+        """``parse()`` one level down: its node and its depth, one more than
+        the larger of its own and ``below``, refused past ``_MAX_DEPTH``."""
+        self.open += 1    # a level past the bound is not parsed: the test below refuses it
+        node, depth = parse() if self.open <= _MAX_DEPTH else (None, 0)
+        self.open -= 1
+        depth = 1 + max(depth, below)
+        if self.open + depth > _MAX_DEPTH:
+            self.error(f"expression nested deeper than {_MAX_DEPTH} levels")
+        return node, depth
+
     def expr(self):
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch in ("+", "-"):
-                self.pos += 1
-                node = Bin(ch, node, self.term())
-            else:
-                return node
+        node, depth = self.term()
+        while (ch := self.peek()) and ch in "+-":
+            self.pos += 1
+            right, depth = self.level(self.term, depth)
+            node = Bin(ch, node, right)
+        return node, depth
 
     def term(self):
-        node = self.unary()
-        while True:
-            ch = self.peek()
-            if ch in ("*", "/"):
-                self.pos += 1
-                node = Bin(ch, node, self.unary())
-            else:
-                return node
+        node, depth = self.unary()
+        while (ch := self.peek()) and ch in "*/":
+            self.pos += 1
+            right, depth = self.level(self.unary, depth)
+            node = Bin(ch, node, right)
+        return node, depth
 
     def unary(self):
+        """unary := '-' unary | power, and power := atom ('^' exponent)?"""
         if self.peek() == "-":
             self.pos += 1
-            return Unary("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            num, den = self.exponent()
-            return Pow(base, num, den)
-        return base
+            arg, depth = self.level(self.unary)
+            return Unary("neg", arg), depth
+        base, depth = self.atom()
+        if self.peek() != "^":
+            return base, depth
+        self.pos += 1
+        return Pow(base, *self.exponent()), depth + 1
 
     def exponent(self):
         ch = self.peek()
@@ -211,11 +220,11 @@ class _Parser:
             self.error("unexpected end of expression")
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.level(self.expr)
             self.expect(")")
             return node
         if _NUMBER.match(self.text, self.pos):
-            return self.number()
+            return self.number(), 0
         if ch.isalpha() or ch == "_":
             return self.identifier()
         self.error(f"unexpected {ch!r}")
@@ -238,16 +247,16 @@ class _Parser:
             self.pos += 1
         name = self.text[start:self.pos]
         if name in ("u", "v"):
-            return Var(name)
+            return Var(name), 0
         if name == "pi":
-            return Const("pi")
+            return Const("pi"), 0
         if name in jets.FUNCTIONS:
             if self.peek() != "(":
                 self.error(f"function {name} needs a parenthesized argument")
             self.pos += 1
-            arg = self.expr()
+            arg, depth = self.level(self.expr)
             self.expect(")")
-            return Unary(name, arg)
+            return Unary(name, arg), depth
         self.pos = start
         self.error(f"unknown identifier {name!r}")
 
@@ -467,8 +476,9 @@ def _powers(u, v, du, dv, exponents):
 
 
 def _slot_arrays(polys, u, v, order):
-    """Jet slots of several polynomials at (u, v), stacked in one array of
-    shape (polynomials * slots,) + batch shape: the one polynomial evaluator.
+    """Jet slots of several polynomials at (u, v) as one table of shape
+    (polynomials, slots) + batch shape, a row per polynomial in the jets'
+    slot order: the one polynomial evaluator.
     ``polys`` is a ``PolySet`` or any sequence of ``Poly``; (u, v) is a
     point, a batch of lanes, a grid or two shapes that broadcast.
 
@@ -497,20 +507,18 @@ def _slot_arrays(polys, u, v, order):
         terms *= w
         terms *= vj
         np.add.reduce(terms, axis=0, out=out[:, s], initial=0.0)
-    return out[:n].reshape((n,) + shape)
+    return out[:n].reshape((len(polys), n // len(polys)) + shape)
 
 
 def poly_values(polys, u, v):
     """Values of several polynomials at one point or a batch, in one pass; no
     command calls it or ``Poly.__call__``: they stay as the tests' reference."""
-    return tuple(_slot_arrays(polys, u, v, 0))
+    return tuple(_slot_arrays(polys, u, v, 0)[:, 0])
 
 
 def poly_jets(polys, u, v, order=jets.DEFAULT_ORDER):
     """Exact jets of several polynomials at one point or a batch, in one pass."""
-    c = _slot_arrays(polys, u, v, order)
-    n = len(c) // len(polys)
-    return tuple(Jet2(order, c[k:k + n]) for k in range(0, len(c), n))
+    return tuple(Jet2(order, row) for row in _slot_arrays(polys, u, v, order))
 
 
 # -- domains and surface definitions -----------------------------------------

@@ -226,8 +226,8 @@ def test_criterion_08_conormal_correspondence():
         seed = (1.35, 1.0)
         params = flow.IntegrationParams(max_len=0.35, max_step_frac=5e-4)
         t_src = integrate_one(src_field, seed, "plus", params)
-        d_src = bde.direction_roots(*src_field.coeff(*seed))[1][0]
-        img_dirs = bde.direction_roots(*img_field.coeff(*seed))[1]
+        d_src = bde.direction_roots(src_field.slots(*seed, 0))[1][0]
+        img_dirs = bde.direction_roots(img_field.slots(*seed, 0))[1]
         fam = "plus" if abs(float(np.dot(img_dirs[0], d_src))) >= \
             abs(float(np.dot(img_dirs[-1], d_src))) else "minus"
         t_img = integrate_one(img_field, seed, fam, params)

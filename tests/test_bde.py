@@ -13,8 +13,7 @@ from test_conormal import conormal_image_field
 
 def lift_residual(fld, u, v, slope, chart_q):
     """F at a lifted point, from ``lift_terms`` on the field's values."""
-    A, B, C = fld.slots(u, v, 0).tolist()
-    return bde.lift_terms(A, B, C, slope, chart_q)[0]
+    return bde.lift_terms(fld.slots(u, v, 0), slope, chart_q)[0][0]
 
 
 def test_discriminant_synthetic_parabola():
@@ -61,7 +60,7 @@ def test_directions_two_roots_oracle():
     fld = bde.torus_extended_field(sf.catalog_surface("torus", {"R": R, "r": r}))
     u = 1.4
     lb, _, nb = (float(x) for x in af.torus_extended_bde(R, r, u))
-    kind, dirs = bde.direction_roots(*fld.coeff(u, 0.0))
+    kind, dirs = bde.direction_roots(fld.slots(u, 0.0, 0))
     assert kind == "two"
     expect = math.sqrt(-nb / lb)
     slopes = sorted(d[0] / d[1] for d in dirs)
@@ -74,10 +73,10 @@ def test_directions_two_roots_oracle():
 def test_directions_double_and_degenerate():
     cg = sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 1.0})
     fld = bde.extended_field_for(cg)
-    kind, dirs = bde.direction_roots(*fld.coeff(0.0, 0.0))
+    kind, dirs = bde.direction_roots(fld.slots(0.0, 0.0, 0))
     assert kind == "double"
     assert dirs[0] == pytest.approx([1.0, 0.0], abs=1e-14)
-    assert bde.direction_roots(*bde.morse_model_field(1).coeff(0.0, 0.0))[0] == "degenerate"
+    assert bde.direction_roots(bde.morse_model_field(1).slots(0.0, 0.0, 0))[0] == "degenerate"
 
 
 def former_directions(A, B, C):
@@ -123,7 +122,7 @@ def test_direction_roots_match_the_former_scalar_solver():
     abc[::4, 2] = abc[::4, 1] ** 2 / abc[::4, 0]     # near-double roots
     abc[1::7] *= 1e-11
     abc = np.vstack([cases, abc])
-    kind, roots = bde.direction_roots(*abc.T)
+    kind, roots = bde.direction_roots(abc.T[:, None])
     assert roots.shape == (len(abc), 2, 2)
     assert set(kind.tolist()) == {"two", "double", "none", "degenerate"}
     for (A, B, C), k, r in zip(abc.tolist(), kind.tolist(), roots):
@@ -135,7 +134,7 @@ def test_direction_roots_match_the_former_scalar_solver():
         want = np.array(dirs * (3 - len(dirs)))   # a double root in both rows
         assert np.array_equal(r, want) and np.array_equal(np.signbit(r), np.signbit(want))
         # one point alone gives the same bits
-        alone = bde.direction_roots(A, B, C)
+        alone = bde.direction_roots(np.array([[A], [B], [C]]))
         assert alone[0] == k and np.array_equal(alone[1], r)
 
 
@@ -145,8 +144,7 @@ def former_double_roots(fld, u, v, order):
     root and whether its chart is q: -B/C in chart p where |C| >= |A| (0.0
     where C = 0 there), else -B/A."""
     c = fld.slots(u, v, order)
-    n = len(c) // 3
-    A, B, C = c[0], c[n], c[2 * n]
+    A, B, C = c[:, 0]
     chart_q = ~(np.abs(C) >= np.abs(A))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(chart_q, -B / A, np.where(C != 0, -B / C, 0.0))
@@ -162,28 +160,28 @@ def test_double_root_matches_the_former_rule_bit_for_bit(order):
     n = (order + 1) * (order + 2) // 2
     slots = rng.normal(size=(3, n, abc.shape[1]))
     slots[:, 0] = abc
-    fld = bde.BDEField(lambda u, v, k: slots[:, :(k + 1) * (k + 2) // 2].reshape(-1, len(u)))
+    fld = bde.BDEField(lambda u, v, k: slots[:, :(k + 1) * (k + 2) // 2])
     u = np.zeros(abc.shape[1])
     c, want, want_q = former_double_roots(fld, u, u, order)
     got, got_q = bde.double_root(c)
     assert _same_bits(got, want) and _same_bits(got_q, want_q)
     # one point alone gives the same bits
     for k in (0, 7, 100, 511):
-        alone = bde.double_root(c[:, k])
+        alone = bde.double_root(c[..., k])
         assert _same_bits(alone[0], want[k]) and alone[1] == want_q[k]
 
 
 def test_direction_roots_double_rows_take_the_one_double_root():
     # B^2 = AC: the unit direction of the slope of double_root, in both rows
     a, b = np.meshgrid([1.0, -2.0, 0.5, 0.0, -0.0, 3.0], [1.0, -3.0, 0.0, -0.0, 0.25])
-    A, B, C = a * a, a * b, b * b
-    kind, roots = bde.direction_roots(A, B, C)
-    slope, chart_q = bde.double_root((A, B, C))
+    c = np.array([a * a, a * b, b * b])[:, None]    # the rows A, B, C of order 0
+    kind, roots = bde.direction_roots(c)
+    slope, chart_q = bde.double_root(c)
     double = kind == "double"
     assert double.sum() == 26 and chart_q[double].any() and (~chart_q[double]).any()
     for s, q, r in zip(slope[double].tolist(), chart_q[double].tolist(), roots[double]):
         du, dv = (s, 1.0) if q else (1.0, s)
-        h = math.hypot(du, dv)
+        h = np.hypot(du, dv)
         d = np.array([du / h, dv / h])
         d = -d if d[0] < 0 or (d[0] == 0 and d[1] < 0) else d
         assert _same_bits(r, np.array([d, d]))
@@ -268,15 +266,51 @@ def test_coeff_and_jets_read_the_one_evaluator(name):
         for order in range(4):
             c = fld.slots(u, v, order)
             n = (order + 1) * (order + 2) // 2
-            assert c.shape == (3 * n,) + np.shape(u)
+            assert c.shape == (3, n) + np.shape(u)
             jets3 = fld.jet_coeff(u, v, order)
             assert len(jets3) == 3
             for k, jet in enumerate(jets3):
-                assert jet.order == order and _same_bits(jet.coeffs, c[k * n:(k + 1) * n])
+                assert jet.order == order and _same_bits(jet.coeffs, c[k])
         values = fld.coeff(u, v)
         assert len(values) == 3
-        for value, want in zip(values, fld.slots(u, v, 0)):
+        for value, want in zip(values, fld.slots(u, v, 0)[:, 0]):
             assert _same_bits(value, want)
+
+
+_TABLE_FIELDS = {
+    "polyset": lambda: bde.extended_field_for(
+        sf.catalog_surface("cusp_gauss", {"q21": 1.0, "q40": 0.1})),
+    "torus-closed-form": lambda: bde.torus_extended_field(_TORUS),
+    "file-nonpoly-extended": lambda: bde.extended_field_for(sf.surface_from_config(_FILE_NONPOLY)),
+    "file-nonpoly-euclidean": lambda: bde.euclidean_field_for(
+        sf.surface_from_config(_FILE_NONPOLY)),
+    "folded": lambda: bde.folded_model_field(-1.0),
+    "morse": lambda: bde.morse_model_field(-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_FIELDS))
+def test_slots_are_one_table_of_rows_a_b_and_c(name):
+    # shape (3, terms) + batch for a point, 1 lane, 7 lanes, an 8 x 8 grid
+    # and no lane; jet_coeff and coeff read its rows bit for bit, and every
+    # lane holds the bits it has alone
+    fld = _TABLE_FIELDS[name]()
+    d = fld.domain
+    rng = np.random.default_rng(29)
+    grid = np.meshgrid(np.linspace(d.u0, d.u1, 10)[1:-1], np.linspace(d.v0, d.v1, 10)[1:-1])
+    batches = [(0.3 * d.u0 + 0.7 * d.u1, 0.6 * d.v0 + 0.4 * d.v1), grid, (np.empty(0),) * 2]
+    batches[1:1] = [(rng.uniform(d.u0, d.u1, n), rng.uniform(d.v0, d.v1, n)) for n in (1, 7)]
+    for u, v in batches:
+        values = fld.slots(u, v, 0)[:, 0]
+        assert all(_same_bits(got, want) for got, want in zip(fld.coeff(u, v), values, strict=True))
+        for order in (0, 1, 2):
+            c = fld.slots(u, v, order)
+            assert c.shape == (3, (order + 1) * (order + 2) // 2) + np.shape(u)
+            for jet, row in zip(fld.jet_coeff(u, v, order), c, strict=True):
+                assert jet.order == order and _same_bits(jet.coeffs, row)
+            for idx in np.ndindex(np.shape(u)):
+                alone = fld.slots(*(float(np.asarray(x)[idx]) for x in (u, v)), order)
+                assert _same_bits(alone, c[(Ellipsis,) + idx])
 
 
 def test_tangency_identity():
@@ -536,7 +570,7 @@ def test_extended_coeffs_from_the_normal_match_the_frame_pipeline(chart, lanes):
         assert got.shape == ref.shape
         assert np.all(_rel_err(got, ref) < 1e-13)
         if fld is not None:
-            assert np.all(_rel_err(fld.slots(u, v, order), ref) < 1e-13)
+            assert np.all(_rel_err(fld.slots(u, v, order).reshape(ref.shape), ref) < 1e-13)
 
 
 def test_extended_coeffs_from_the_normal_on_the_torus():
@@ -599,7 +633,7 @@ def test_fields_of_a_plane_chart_are_zero_with_the_slots_of_any_field():
         for u, v in ((0.3, -0.2), (np.array([0.1, 0.2]), np.array([0.0, 0.3]))):
             for order in (0, 1, 2):
                 c = fld.slots(u, v, order)
-                assert c.shape == (3 * (order + 1) * (order + 2) // 2,) + np.shape(u)
+                assert c.shape == (3, (order + 1) * (order + 2) // 2) + np.shape(u)
                 assert not c.any()
 
 
@@ -832,7 +866,7 @@ def test_lifted_velocity_matches_reference_bits(n, charts):
     chart_q = {"p": np.zeros(n, bool), "q": np.ones(n, bool),
                "mixed": rng.random(n) < 0.5}[charts]
     with np.errstate(all="ignore"):
-        X, scale = bde.lifted_velocity(c, s, chart_q)
+        X, scale = bde.lifted_velocity(c.reshape(3, 3, n), s, chart_q)
         ref = [reference_velocity(c[:, j].tolist(), float(s[j]), bool(chart_q[j]))
                for j in range(n)]
         assert X.shape == (n, 3) and scale.shape == (n,)
@@ -841,7 +875,7 @@ def test_lifted_velocity_matches_reference_bits(n, charts):
         assert np.array_equal(scale, [r[1] for r in ref], equal_nan=True)
         # one lane alone, on the scalar path, gives the bits it has in the batch
         for j in range(0, n, max(1, n // 7)):
-            Xj, sj = bde.lifted_velocity(c[:, j], float(s[j]), bool(chart_q[j]))
+            Xj, sj = bde.lifted_velocity(c[:, j].reshape(3, 3), float(s[j]), bool(chart_q[j]))
             assert np.array_equal(Xj, X[j], equal_nan=True)
             assert np.array_equal(np.signbit(Xj), np.signbit(X[j]))
             assert np.array_equal(sj, scale[j], equal_nan=True)
@@ -856,18 +890,17 @@ def test_lift_terms_match_the_former_residual_formulas(chart):
     A, B, C = c[0::3], c[1::3], c[2::3]
     q = chart == "q"
     with np.errstate(all="ignore"):
-        F, Fs, Fss = bde.lift_terms(A, B, C, s, np.full(64, q))
+        F, Fs, Fss = bde.lift_terms(np.array((A, B, C)), s, np.full(64, q))
         if q:
             refF, refFs, refFss = A * s * s + 2 * B * s + C, 2 * A * s + 2 * B, 2 * A
         else:
             refF, refFs, refFss = A + 2 * B * s + C * s * s, 2 * B + 2 * C * s, 2 * C
         for got, want in ((F, refF), (Fs, refFs), (Fss, refFss)):
             assert np.array_equal(got, want, equal_nan=True)
-        # Python floats at one point give the same bits
+        # one point alone gives the same bits
         for j in range(0, 64, 9):
             for k in range(3):
-                point = bde.lift_terms(A[k, j].item(), B[k, j].item(), C[k, j].item(),
-                                       s[j].item(), q)
+                point = bde.lift_terms(np.array((A, B, C))[:, k, j], s[j].item(), q)
                 assert np.array_equal(point, [F[k, j], Fs[k, j], Fss[k, j]], equal_nan=True)
 
 
@@ -880,7 +913,7 @@ def test_lifted_derivatives_match_the_former_formulas():
             c = fld.slots(u, v, 2)
             F, grad, J = bde.lifted_derivatives(c, s, chart == "q")
             (A0, Au, Av, Auu, Auv, Avv), (B0, Bu, Bv, Buu, Buv, Bvv), (C0, Cu, Cv, Cuu, Cuv, Cvv) = (
-                c.reshape(3, 6).tolist())
+                c.tolist())
             if chart == "p":
                 ref = A0 + 2 * B0 * s + C0 * s * s
                 Fu, Fv = Au + 2 * Bu * s + Cu * s * s, Av + 2 * Bv * s + Cv * s * s

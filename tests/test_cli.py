@@ -198,10 +198,22 @@ HOSTILE = [
     (2, ["analyze", "--surface", "monge:u^(1/\u00b2)", "--res", "2"]),
     (2, ["analyze", "--surface", "monge:\u0663*u^2+v^2", "--res", "2"]),
     (2, ["analyze", "--surface", "monge:u^99999999+v^2", "--res", "2"]),
+    # expressions deeper than the parser's bound: nested parentheses, long
+    # sums, polynomial and not, and a run of minus signs
+    (2, ["analyze", "--surface", "monge:" + "(" * 250 + "u" + ")" * 250 + "^2+v^2",
+         "--res", "2"]),
+    (2, ["analyze", "--surface", "monge:" + "+".join(["0.001*u^2"] * 1200), "--res", "2"]),
+    (2, ["analyze", "--surface", "monge:" + "+".join(["0.001*sin(u)*u"] * 700), "--res", "2"]),
+    (2, ["analyze", "--surface", "monge:" + "-" * 3000 + "u", "--res", "2"]),
 ]
 
 
-@pytest.mark.parametrize("code, argv", HOSTILE, ids=[" ".join(a) for _, a in HOSTILE])
+def _short_id(argv):
+    """The test id of a command: its words, each long one cut to its head and length."""
+    return " ".join(a if len(a) <= 60 else f"{a[:24]}...[{len(a)} chars]" for a in argv)
+
+
+@pytest.mark.parametrize("code, argv", HOSTILE, ids=[_short_id(a) for _, a in HOSTILE])
 def test_a_hostile_command_works_or_fails_with_one_line(tmp_path, capsys, code, argv):
     # in process with warnings as errors: no warning and no traceback; a
     # failure prints one line and writes nothing, and a portrait is finite

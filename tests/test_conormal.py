@@ -26,7 +26,7 @@ def conormal_image_field(surf):
 
     def slots(u, v, order):
         fr = af.frame_jets(surf, u, v, order=4 + order, guard=1e-8, depth=1)
-        return np.concatenate([c.coeffs for c in af.second_form(fr["nu_u"], fr["nu_v"])])
+        return np.array([c.coeffs for c in af.second_form(fr["nu_u"], fr["nu_v"])])
 
     return bde.BDEField(slots, surf.domain)
 
@@ -317,8 +317,8 @@ def test_matched_asymptotic_trajectories():
     params = flow.IntegrationParams(max_len=0.35, max_step_frac=5e-4)
     t_src = integrate_one(src_field, seed, "plus", params)
     # match the image family to the source root at the seed
-    d_src = bde.direction_roots(*src_field.coeff(*seed))[1][0]
-    img_dirs = bde.direction_roots(*img_field.coeff(*seed))[1]
+    d_src = bde.direction_roots(src_field.slots(*seed, 0))[1][0]
+    img_dirs = bde.direction_roots(img_field.slots(*seed, 0))[1]
     fam = "plus" if abs(float(np.dot(img_dirs[0], d_src))) >= \
         abs(float(np.dot(img_dirs[-1], d_src))) else "minus"
     t_img = integrate_one(img_field, seed, fam, params)

@@ -46,7 +46,7 @@ def test_accepted_steps_meet_the_lift_bound_near_a_cusp():
     p = flow.build_portrait(surf, grid=(4, 4))
     S = np.concatenate([t.samples for t in p.trajectories])
     c = bde.extended_field_for(surf).slots(S[:, 0], S[:, 1], 0)
-    F = bde.lift_terms(*c, S[:, 2], S[:, 3] != 0)[0]
+    F = bde.lift_terms(c, S[:, 2], S[:, 3] != 0)[0]
     assert np.all(np.abs(F) <= 1e-8 * np.max(np.abs(c), axis=0))
 
 
@@ -216,7 +216,7 @@ def test_folded_saddle_separatrix_shooting():
         y0 = 1e-4 * vec
         u0, p0 = y0[0], y0[2]
         v0 = lam * u0 * u0 + p0 * p0  # project the seed onto the lift
-        dirs = bde.direction_roots(*fld.coeff(u0, v0))[1]
+        dirs = bde.direction_roots(fld.slots(u0, v0, 0))[1]
         fam = "plus" if abs(dirs[0][1] / dirs[0][0] - p0) <= \
             abs(dirs[-1][1] / dirs[-1][0] - p0) else "minus"
         traj = integrate_one(fld, (u0, v0), fam, params)
@@ -448,7 +448,7 @@ def test_lane_that_loses_its_direction_field_says_so():
     # finds no direction: a geometric event, not a failed evaluation.
     fld = bde.extended_field_for(sf.catalog_surface("flat_umbilic_chart", {"epsilon": 1}))
     seed = (-0.4230769230769231, 0.42307692307692313)
-    assert bde.direction_roots(*fld.coeff(*seed))[0] == "double"
+    assert bde.direction_roots(fld.slots(*seed, 0))[0] == "double"
     assert bde.discriminant(fld, *seed) == 0.0
     for off in (1e-3, -1e-3):
         assert bde.discriminant(fld, seed[0] + off, seed[1] + off) < 0
@@ -633,7 +633,7 @@ def reference_rhs_lane(fld, y, chart_q, orient, ref_dir):
     x = np.array(X)
     n = float(np.sqrt(np.vecdot(x, x)))
     if not n > 1e-9 * max(scale, 1e-30):
-        return flow._creep(np.array(slots[::3])[:, None], ref_dir[None])[0], True
+        return flow._creep(np.reshape(slots, (3, 3, 1)), ref_dir[None])[0], True
     return np.array([orient * xi / math.sqrt(n * n + flow._ETA * flow._ETA) for xi in X]), False
 
 
@@ -703,8 +703,8 @@ def test_projection_with_non_finite_coefficients():
     rng = np.random.default_rng(5)
     abc = rng.choice(special, size=(300, 3))
     abc[0] = (math.nan, 0.0, 1.0)       # chart p at slope 0: F = nan, F_s = 0
-    table = abc.T.copy()
-    fld = bde.BDEField(lambda u, v, order: table[:, np.asarray(u, dtype=int)])
+    table = abc.T[:, None].copy()
+    fld = bde.BDEField(lambda u, v, order: table[..., np.asarray(u, dtype=int)])
     u = np.arange(300.0)
     slope = rng.choice([0.0, -0.0, 0.5, -1.0, 3.0], size=300)
     slope[0] = 0.0
@@ -723,7 +723,7 @@ def test_projection_with_non_finite_coefficients():
 
 def slot_table_field(c):
     """A field whose order-1 slots at u = k are column k of ``c`` (9, n)."""
-    return bde.BDEField(lambda u, v, order: c[:, np.asarray(u, dtype=int)])
+    return bde.BDEField(lambda u, v, order: c.reshape(3, 3, -1)[..., np.asarray(u, dtype=int)])
 
 
 @pytest.mark.parametrize("n", [1, 11, 12, 300])
@@ -754,7 +754,7 @@ def test_rhs_writes_the_reference_velocity_bits(n, charts):
         norm = float(np.sqrt(np.vecdot(np.array(X), np.array(X))))
         assert creep[j] == (not norm > 1e-9 * max(scale, 1e-30))
         if creep[j]:
-            want = flow._creep(np.array(slots[::3])[:, None], ref_dir[j][None])[0]
+            want = flow._creep(np.reshape(slots, (3, 3, 1)), ref_dir[j][None])[0]
         else:
             want = np.array([orient[j] * x / math.sqrt(norm * norm + flow._ETA * flow._ETA)
                              for x in X])
@@ -889,7 +889,7 @@ def test_lockstep_sample_layout_through_events(monkeypatch):
                 assert value < flow._LOOP_TOL
             else:
                 (t_min,), (value,) = flow._step_minimum(lambda _, t: np.max(np.abs(fld.slots(
-                    *(a[:2] + t[0, :, None] * (b[:2] - a[:2])).T, 0)), axis=0)[None], 1)
+                    *(a[:2] + t[0, :, None] * (b[:2] - a[:2])).T, 0)[:, 0]), axis=0)[None], 1)
                 assert math.hypot(*traj.samples[-1, :2]) < 1e-5
             assert t_min == t
 

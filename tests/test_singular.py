@@ -496,19 +496,19 @@ def test_euclid_field_values_equal_the_second_form():
         for u, v in ((float(U[0]), float(V[0])), (U, V)):
             _, _, lmn = af.second_form_jets(surf.eval_jets(u, v, order=2))
             ref = tuple(c.value for c in lmn)
-            assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0), ref))
+            assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0)[:, 0], ref))
             if surf is monge:
                 # on a graph (u, v, h), L, M, N are the height Hessian
                 hj = surf.eval_jets(u, v, order=2)[2]
                 hess = (hj.partial(2, 0), hj.partial(1, 1), hj.partial(0, 2))
-                assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0), hess))
+                assert all(same_bits(got, want) for got, want in zip(fld.slots(u, v, 0)[:, 0], hess))
         # jets of every order: the value slots stay, the u-slope matches a
         # central difference
         c0, c1 = fld.slots(U, V, 0), fld.slots(U, V, 1)
-        assert same_bits(c1[::3], c0)
+        assert same_bits(c1[:, :1], c0)
         h = 1e-6
         fd = (fld.slots(U + h, V, 0) - fld.slots(U - h, V, 0)) / (2 * h)
-        assert np.allclose(c1[1::3], fd, rtol=1e-6, atol=1e-6)
+        assert np.allclose(c1[:, 1:2], fd, rtol=1e-6, atol=1e-6)
 
 
 def fold_test_field():

@@ -46,6 +46,32 @@ def test_nonliteral_exponent_rejected():
         sf.parse_expression("u^v")
 
 
+_DEEP = {    # an expression k levels deep, and where one of k = 129 passes the bound
+    "parentheses": (lambda k: "(" * (k - 1) + "u" + ")" * (k - 1), 129),
+    "functions": (lambda k: "sin(" * (k - 1) + "u" + ")" * (k - 1), 513),
+    "minus signs": (lambda k: "-" * (k - 1) + "u", 129),
+    "sum": (lambda k: "+".join(["u"] * k), 258),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_an_expression_deeper_than_the_bound_is_refused_while_parsing(shape):
+    # the whole expression is one level, and each pair of parentheses,
+    # function, minus sign and operator one more: at the bound every
+    # recursive walk runs (the parser, the polynomial ring, the Jet2 walk and
+    # the compiled program); one level more is a ParseError at the offset
+    # where the parser passes the bound, before it recurses any deeper
+    make, offset = _DEEP[shape]
+    assert sf._MAX_DEPTH == 128
+    ast = sf.parse_expression(make(128))
+    assert (sf.as_polynomial(ast) is None) == (shape == "functions")
+    u, v = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+    assert_same_bits(run_program([ast], u, v, 2), walked([ast], u, v, 2))
+    with pytest.raises(ParseError, match="deeper than 128 levels") as err:
+        sf.parse_expression(make(129))
+    assert err.value.offset == offset
+
+
 ROUND_TRIP_CORPUS = [
     "u", "v", "pi", "1.5", "u + v", "u - v", "u*v", "u/v", "-u",
     "u^2", "u^3 + 3*u*v^2", "u^(1/2)", "(u + v)^3", "u^(-1/4)",
@@ -198,7 +224,8 @@ def test_expression_matches_poly_path():
 def reference_slots(polys, u, v, order):
     """The former evaluator's per-entry recipe: per slot, the terms
     (w u^i) v^j of its table entries added in table order to +0.0, with the
-    powers 1.0, x, x * x and numpy's x ** k for k >= 3."""
+    powers 1.0, x, x * x and numpy's x ** k for k >= 3; a row of slots per
+    polynomial."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     tabs = [entries for p in polys for entries in p.table(order)]
     c = np.zeros((len(tabs),) + np.broadcast_shapes(u.shape, v.shape))
@@ -209,7 +236,7 @@ def reference_slots(polys, u, v, order):
     for k, entries in enumerate(tabs):
         for w, i, j in entries:
             c[k] += w * power(u, i) * power(v, j)
-    return c
+    return c.reshape((len(polys), len(tabs) // len(polys)) + c.shape[1:])
 
 
 def extended_polys(surf):
@@ -265,13 +292,13 @@ def test_one_polynomial_at_one_point_sums_in_order():
         poly = sf.Poly({(int(i), int(j)): float(c) for (i, j), c in zip(keys, coeffs)})
         u, v = rng.uniform(-2, 2, 2)
         assert same_slot_bits(poly(float(u), float(v)),
-                              reference_slots((poly,), float(u), float(v), 0)[0])
+                              reference_slots((poly,), float(u), float(v), 0)[0, 0])
         assert same_slot_bits(sf._slot_arrays((poly,), np.array([u]), np.array([v]), 0),
                               reference_slots((poly,), np.array([u]), np.array([v]), 0))
     # every term is -0.0 at (-0.0, 0.0), and the sum from +0.0 is +0.0
     poly = sf.Poly({(1, 0): 2.0, (0, 1): -3.0})
     for u, v in ((-0.0, 0.0), (np.array([-0.0, 1.0]), np.array([0.0, -0.0]))):
-        assert same_slot_bits(poly(u, v), reference_slots((poly,), u, v, 0)[0])
+        assert same_slot_bits(poly(u, v), reference_slots((poly,), u, v, 0)[0, 0])
     assert not np.signbit(poly(-0.0, 0.0))
 
 

@@ -19,10 +19,15 @@ lanes and once over several (``affine._LANES``; the larger conormal run is
 the benchmark's grid-torus command), conormal on two torus windows that
 each span one period only (so only one axis of the component labelling
 wraps), and analyze and conormal on a polynomial Monge chart over several
-blocks.  The transcendental and non-polynomial runs pin the jet route of the
-surface fields; every other surface run has polynomial fields.  The morse,
-flat umbilic +1 and torus-loops runs pin the integrator's searches of a step
-for a degenerate pass or a closed loop.
+blocks, and analyze of two Monge charts that divide: one by a jet that is
+not constant, one by a constant only.  The transcendental and
+non-polynomial runs pin the jet route of the surface fields, and the two
+dividing charts pin the jet division of the ``Jet2`` walk
+(``jets.jet_div``) and of a compiled program; every other surface run has
+polynomial fields.  The morse, flat umbilic +1 and torus-loops runs pin the
+integrator's searches of a step for a degenerate pass or a closed loop.
+The 29 commands print 83 lines: 65 files and the 18 portraits'
+``integration`` blocks.
 
     PYTHONPATH=src python tools/payload_hashes.py > hashes.txt
     PYTHONPATH=src python tools/payload_hashes.py --against hashes.txt
@@ -120,6 +125,12 @@ RUNS = [
        [cmd, "--surface", "monge:u^2+2*v^2+0.3*u^3+0.2*u*v^2", "--region=-0.5,0.5,-0.5,0.5",
         "--res", "96", *fmt]) for cmd, fmt in (("analyze", ["--format", "json,csv"]),
                                                 ("conormal", []))],
+    # a division by a jet that is not constant, which only the Jet2 walk
+    # runs, and a division by a constant, which the compiled program runs
+    ("analyze-monge-jet-div", ["analyze", "--surface",
+                               "monge:u^2/(2+v)+v^2+0.2*tan(0.5*u)*v", "--res", "8"]),
+    ("analyze-monge-const-div", ["analyze", "--surface", "monge:u^2+v^2+sin(u)*v/3",
+                                 "--res", "8"]),
 ]
 
 
